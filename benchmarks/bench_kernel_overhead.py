@@ -1,18 +1,14 @@
-"""Kernel refactor overhead: fast profile + estimation cache vs seed.
+"""Kernel identity gate: the native-size HARS-E run against its golden digest.
 
-The PR 1 refactor must be a pure speedup: the array-based engine
-profile, the GTS partition cache, and the kernel's memoizing estimation
-layer may not change a single float of any experiment metric.  This
-benchmark runs the same Figure 5.1-style HARS-E run twice —
+The simulator has one tick path and one planner path.  This benchmark
+runs the Figure 5.1-style HARS-E swaptions run at native size (400
+heartbeats) and asserts that its metrics and trace hash to the digest
+recorded in ``tests/golden/digests.json`` — byte for byte, not
+approximately — then prints the best-of wall time.
 
-* **new**: the default configuration (``profile="fast"``, cached
-  estimates);
-* **old**: the pre-refactor behaviour (``profile="legacy"``, raw
-  estimators) — the seed engine's dict-based tick loop and uncached
-  Algorithm 2 sweeps;
-
-— and asserts (a) byte-identical metrics and traces, and (b) at least a
-2x wall-clock speedup.
+With ``REPRO_BENCH_UNITS`` set to another size there is no recorded
+digest; the run is then checked for determinism instead (two runs, one
+digest).
 """
 
 import dataclasses
@@ -21,68 +17,41 @@ import time
 from conftest import bench_units, run_once
 
 from repro.core.calibration import calibrate
-from repro.experiments.runner import (
-    RunConfig,
-    RunShape,
-    measure_max_rate,
-    run,
-)
+from repro.experiments.runner import RunConfig, measure_max_rate, run
 from repro.platform.spec import odroid_xu3
+from tests.golden import KERNEL_OVERHEAD_SHAPE, load_golden, outcome_digest
 
-#: Timed repetitions per configuration (best-of, to shed scheduler noise).
+#: Timed repetitions (best-of, to shed scheduler noise).
 REPEATS = 3
 
-
-def _snapshot(outcome):
-    """Everything observable from a run, in comparable form."""
-    return (
-        dataclasses.asdict(outcome.metrics),
-        tuple(
-            (name, outcome.trace.points(name))
-            for name in sorted(outcome.trace.app_names)
-        ),
-    )
+#: The golden entry recorded for the native-size run.
+GOLDEN_NAME = "hars-e-swaptions-x400"
 
 
-def _timed_run(shape, config):
+def _timed_digests(shape):
+    spec = odroid_xu3()
+    # Warm the shared memoizations (baseline max-rate, calibration) so
+    # the timed region holds the run alone.
+    measure_max_rate(spec, shape)
+    calibrate(spec)
+    config = RunConfig(spec=spec)
+    run("hars-e", shape, config)  # warmup (imports, allocs)
     best = float("inf")
-    outcome = None
+    digests = set()
     for _ in range(REPEATS):
         start = time.perf_counter()
         outcome = run("hars-e", shape, config)
         best = min(best, time.perf_counter() - start)
-    return _snapshot(outcome), best
-
-
-def _compare(units):
-    spec = odroid_xu3()
-    shape = RunShape(benchmark="swaptions", n_units=units)
-    # Warm the shared memoizations (baseline max-rate, calibration) so
-    # neither configuration pays them inside the timed region.
-    measure_max_rate(spec, shape)
-    calibrate(spec)
-    new_config = RunConfig(spec=spec)
-    old_config = new_config.with_(profile="legacy", cache_estimates=False)
-    run("hars-e", shape, new_config)  # warmup (imports, allocs)
-    run("hars-e", shape, old_config)
-    new_snap, new_s = _timed_run(shape, new_config)
-    old_snap, old_s = _timed_run(shape, old_config)
-    return new_snap, new_s, old_snap, old_s
+        digests.add(outcome_digest(outcome))
+    return digests, best
 
 
 def test_kernel_overhead(benchmark):
-    units = bench_units() or 400
-    new_snap, new_s, old_snap, old_s = run_once(benchmark, _compare, units)
-    speedup = old_s / new_s
+    units = bench_units() or KERNEL_OVERHEAD_SHAPE.n_units
+    shape = dataclasses.replace(KERNEL_OVERHEAD_SHAPE, n_units=units)
+    digests, best_s = run_once(benchmark, _timed_digests, shape)
     print()
-    print(
-        f"HARS-E swaptions x{units}: "
-        f"new {new_s:.2f}s, old {old_s:.2f}s, speedup {speedup:.2f}x"
-    )
-    # The refactor must never change results — bit-identical metrics
-    # AND traces, not approximately equal.
-    assert new_snap == old_snap
-    assert speedup >= 2.0, (
-        f"kernel refactor must be >= 2x over the pre-refactor engine, "
-        f"got {speedup:.2f}x"
-    )
+    print(f"HARS-E swaptions x{units}: {best_s:.2f}s (best of {REPEATS})")
+    assert len(digests) == 1, "repeated runs produced different bytes"
+    if units == KERNEL_OVERHEAD_SHAPE.n_units:
+        assert digests == {load_golden()[GOLDEN_NAME]}

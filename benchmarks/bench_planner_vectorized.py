@@ -127,8 +127,8 @@ def _compare():
     power = calibrate(spec)
     perf = PerformanceEstimator()
     rounds = _workload(spec)
-    scalar_layer = EstimationLayer(perf, power, cached=True)
-    vector_layer = EstimationLayer(perf, power, cached=True)
+    scalar_layer = EstimationLayer(perf, power)
+    vector_layer = EstimationLayer(perf, power)
     # Warm both backends outside the timed region: the scalar layer's
     # per-state memo and the vector layer's tensors — steady-state Plan
     # phases run warm in both worlds.

@@ -6,7 +6,7 @@ asserts the tentpole's two acceptance properties:
 * **identity** — metrics *and* traces are bit-identical with the
   telemetry hub attached (observation only, zero result drift);
 * **overhead** — the instrumented run costs at most 10 % extra
-  wall-clock on the fast profile (best-of-``REPEATS`` timing, same
+  wall-clock (best-of-``REPEATS`` timing, same
   harness as ``bench_kernel_overhead``).
 
 Also prints a short summary of what the registry actually collected, via

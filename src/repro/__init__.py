@@ -32,7 +32,7 @@ from repro.sim.tracing import TraceRecorder
 from repro.supervision import SupervisorConfig
 from repro.telemetry import MetricsRegistry, TelemetryConfig
 
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AcpClient",

@@ -136,9 +136,7 @@ class AcpSession:
         self._subscribe(self.prepared.sim.bus)
         if self.prepared.telemetry is not None:
             self.prepared.telemetry.set_run_info(
-                version=version,
-                profile=config.profile,
-                session=session_id,
+                version=version, session=session_id
             )
 
     # -- observation: bus events → wire frames -------------------------------

@@ -566,8 +566,6 @@ def config_to_wire(config: Any) -> Dict[str, Any]:
             "acp attach supports telemetry=True/False only"
         )
     return {
-        "profile": config.profile,
-        "cache_estimates": bool(config.cache_estimates),
         "supervision": bool(supervision) if supervision is not None else None,
         "checkpoint": config.checkpoint,
         "telemetry": bool(telemetry) if telemetry is not None else None,
@@ -575,14 +573,15 @@ def config_to_wire(config: Any) -> Dict[str, Any]:
 
 
 def config_from_wire(data: Dict[str, Any]) -> Any:
-    """Inverse of :func:`config_to_wire` (unknown fields ignored)."""
+    """Inverse of :func:`config_to_wire` (unknown fields ignored).
+
+    Payloads from older clients also carry two speed-only run switches
+    that no longer exist; they fall under the unknown-field rule, so
+    those payloads still attach.
+    """
     from repro.experiments.runner import RunConfig
 
     kwargs: Dict[str, Any] = {}
-    if data.get("profile") is not None:
-        kwargs["profile"] = str(data["profile"])
-    if data.get("cache_estimates") is not None:
-        kwargs["cache_estimates"] = bool(data["cache_estimates"])
     if data.get("supervision") is not None:
         kwargs["supervision"] = bool(data["supervision"])
     if data.get("checkpoint") is not None:

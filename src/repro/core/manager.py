@@ -72,7 +72,6 @@ class HarsManager(Controller):
         state_eval_cost_s: float = DEFAULT_STATE_EVAL_COST_S,
         poll_cost_s: float = DEFAULT_POLL_COST_S,
         initial_state: Optional[SystemState] = None,
-        cache_estimates: bool = True,
         stale_after_s: Optional[float] = None,
     ):
         if adapt_every < 1:
@@ -92,9 +91,7 @@ class HarsManager(Controller):
         #: consulted by :meth:`simulate_restart` for a warm restore.
         self.checkpoint_store = None
         self.knowledge = Knowledge(
-            EstimationLayer(
-                perf_estimator, power_estimator, cached=cache_estimates
-            )
+            EstimationLayer(perf_estimator, power_estimator)
         )
         self.mape = MapeLoop(
             knowledge=self.knowledge,
@@ -175,23 +172,10 @@ class HarsManager(Controller):
     # -- Controller hooks ------------------------------------------------------
 
     def on_start(self, sim: "Simulation") -> None:
-        self.knowledge.bind(sim.spec)
-        self._bind_planner_backend(sim)
+        self.mape.bind(sim)
         state = self._initial_state or max_state(sim.spec)
         state.validate(sim.spec)
         self._apply(sim, state)
-
-    def _bind_planner_backend(self, sim: "Simulation") -> None:
-        """Inherit the planner backend from the engine's profile.
-
-        Under the ``"vector"`` profile the engine carries a
-        :class:`~repro.kernel.batchplan.PlanService`; plans then run on
-        the tensorized backend (bit-identical to the scalar sweep).
-        """
-        service = getattr(sim, "plan_service", None)
-        if service is not None:
-            self.mape.planner.backend = "vector"
-            self.mape.planner.plan_service = service
 
     def on_heartbeat(
         self, sim: "Simulation", app: "SimApp", heartbeat: Heartbeat

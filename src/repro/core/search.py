@@ -11,13 +11,13 @@ paper's two-tier rule:
    among non-satisfying candidates, highest estimated performance wins
    (get as close to the target as possible).
 
-MP-HARS reuses the same function with a *candidate filter* that encodes
+MP-HARS runs the same search with a *candidate filter* that encodes
 its resource-partitioning and frozen-state constraints.
 
 This scalar loop is the repository's **bit-identity oracle**: the
-vectorized backend (:mod:`repro.kernel.batchplan`, selected with
-``RunConfig(profile="vector")``) must reproduce its selected state and
-every counter exactly, and the parity suite
+tensorized sweep every manager plans with (:mod:`repro.kernel.batchplan`)
+must reproduce its selected state and every counter exactly, and the
+parity suite
 (``tests/kernel/test_batchplan.py``) cross-checks the two on randomized
 sweeps.  Changes to the selection or counter semantics here must be
 mirrored there.

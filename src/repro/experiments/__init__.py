@@ -33,8 +33,6 @@ from repro.experiments.runner import (
     clear_max_rate_cache,
     measure_max_rate,
     run,
-    run_multi,
-    run_single,
 )
 from repro.experiments.accuracy import (
     AccuracyReport,
@@ -125,8 +123,6 @@ __all__ = [
     "run_fig5_3",
     "run_fig5_4",
     "run_fig5_5_7",
-    "run_multi",
     "run_perf_watt_comparison",
-    "run_single",
     "version_label",
 ]

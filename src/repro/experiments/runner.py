@@ -17,9 +17,8 @@ figure sweeps revisit them constantly.
 from __future__ import annotations
 
 import copy
-import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.manager import HarsManager
 from repro.errors import ConfigurationError
@@ -33,7 +32,7 @@ from repro.experiments.versions import (
 from repro.fleet.config import FleetConfig
 from repro.heartbeats.targets import PerformanceTarget
 from repro.platform.spec import PlatformSpec, odroid_xu3
-from repro.sim.engine import PROFILES, Simulation
+from repro.sim.engine import Simulation
 from repro.sim.process import SimApp
 from repro.sim.tracing import TraceRecorder
 from repro.supervision import (
@@ -49,10 +48,6 @@ from repro.workloads.parsec import make_benchmark, resolve_name
 DEFAULT_TOLERANCE = 0.05
 
 _MAX_RATE_CACHE: Dict[Tuple, float] = {}
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit default
-#: on the deprecated ``run_single``/``run_multi`` signatures.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -78,19 +73,12 @@ class RunShape:
 class RunConfig:
     """Everything that configures a run apart from version and shapes.
 
-    One frozen object replaces the keyword list that grew by one per
-    PR: :func:`run` (and the deprecated :func:`run_single` /
-    :func:`run_multi` wrappers) take a ``RunConfig`` and thread it
-    through unchanged.  All fields default to the plain fast-profile
-    run every figure uses.
+    :func:`run` takes one frozen ``RunConfig`` and threads it through
+    unchanged.  All fields default to the plain run every figure uses.
 
-    ``profile`` and ``cache_estimates`` change speed only, never
-    results — ``profile="vector"`` additionally runs every manager's
-    Plan stage on the tensorized batch planner
-    (:mod:`repro.kernel.batchplan`), bit-identical to the scalar
-    Algorithm 2 sweep; ``faults`` / ``supervision`` / ``checkpoint``
-    attach the
-    PR-2/3 resilience layers; ``telemetry`` attaches the observation
+    ``spec`` picks the platform (the ODROID-XU3 by default);
+    ``faults`` / ``supervision`` / ``checkpoint`` attach the
+    resilience layers; ``telemetry`` attaches the observation
     hub (:class:`~repro.telemetry.hub.TelemetryHub`) — ``True`` for the
     default :class:`~repro.telemetry.hub.TelemetryConfig`, and provably
     result-neutral either way; ``guardrails`` attaches the runtime
@@ -103,8 +91,6 @@ class RunConfig:
     """
 
     spec: Optional[PlatformSpec] = None
-    profile: str = "fast"
-    cache_estimates: bool = True
     faults: Optional[FaultConfig] = None
     supervision: Union[SupervisorConfig, bool, None] = None
     checkpoint: Optional[float] = None
@@ -119,10 +105,6 @@ class RunConfig:
     acp: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.profile not in PROFILES:
-            raise ConfigurationError(
-                f"unknown profile {self.profile!r}; valid: {PROFILES}"
-            )
         if self.checkpoint is not None and self.checkpoint <= 0:
             raise ConfigurationError("checkpoint cadence must be positive")
         if self.acp is not None and not isinstance(self.acp, str):
@@ -295,7 +277,7 @@ def _attach_telemetry(
     if telemetry_config is None:
         return None
     hub = TelemetryHub(telemetry_config)
-    hub.set_run_info(version=version, profile=config.profile)
+    hub.set_run_info(version=version)
     sim.add_controller(hub)
     return hub
 
@@ -320,8 +302,8 @@ def run(
       :class:`~repro.fleet.cluster.FleetResult` instead of a
       :class:`RunOutcome`.
 
-    ``config`` defaults to ``RunConfig()`` — fast profile, cached
-    estimates, no faults, no supervision, no telemetry.
+    ``config`` defaults to ``RunConfig()`` — no faults, no supervision,
+    no telemetry.
     """
     config = config or RunConfig()
     if config.acp is not None:
@@ -342,13 +324,16 @@ def run(
             "run() needs shapes unless config.fleet is set"
         )
     if isinstance(shapes, RunShape):
-        return _run_single(version, shapes, config)
-    shapes = list(shapes)
-    if any(not isinstance(shape, RunShape) for shape in shapes):
-        raise ConfigurationError(
-            "run() takes one RunShape or a sequence of RunShapes"
-        )
-    return _run_multi(version, shapes, config)
+        prepared = prepare_single(version, shapes, config)
+    else:
+        shapes = list(shapes)
+        if any(not isinstance(shape, RunShape) for shape in shapes):
+            raise ConfigurationError(
+                "run() takes one RunShape or a sequence of RunShapes"
+            )
+        prepared = prepare_multi(version, shapes, config)
+    prepared.sim.run(until_s=prepared.horizon_s)
+    return prepared.finish()
 
 
 @dataclass
@@ -410,16 +395,12 @@ def prepare_single(
     target = PerformanceTarget.fraction_of(
         max_rate, shape.target_fraction, shape.tolerance
     )
-    sim = Simulation(
-        spec, tick_s=shape.tick_s, profile=config.profile, faults=config.faults
-    )
+    sim = Simulation(spec, tick_s=shape.tick_s, faults=config.faults)
     model = make_benchmark(shape.benchmark, shape.n_units, shape.n_threads)
     model.reset(shape.seed)
     app = sim.add_app(SimApp(shape.benchmark, model, target))
     controllers = attach_single_app_version(
-        sim, app, version,
-        adapt_every=shape.adapt_every,
-        cache_estimates=config.cache_estimates,
+        sim, app, version, adapt_every=shape.adapt_every
     )
     supervisor, store = _attach_supervision(
         sim, config.supervision, config.checkpoint, checkpoint_store
@@ -449,15 +430,20 @@ def prepare_multi(
     config: RunConfig,
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> PreparedRun:
-    """Build (but do not step) a multi-application run."""
+    """Build (but do not step) a multi-application run.
+
+    All applications start at the same time (the paper's Section 5.2.1
+    methodology); each gets its own target as a fraction of *its own*
+    maximum achievable rate measured by a solo baseline run.  The run
+    finishes when every application completes its work (evicted apps
+    count as finished).
+    """
     if not shapes:
         raise ConfigurationError("a multi-app run needs at least one shape")
     spec = config.spec or odroid_xu3()
     tick_s = shapes[0].tick_s
     adapt_every = shapes[0].adapt_every
-    sim = Simulation(
-        spec, tick_s=tick_s, profile=config.profile, faults=config.faults
-    )
+    sim = Simulation(spec, tick_s=tick_s, faults=config.faults)
     apps: List[SimApp] = []
     slowest_floor = float("inf")
     total_beats = 0
@@ -473,9 +459,7 @@ def prepare_multi(
         slowest_floor = min(slowest_floor, target.min_rate / 4)
         total_beats = max(total_beats, model.total_heartbeats())
     controllers = attach_multi_app_version(
-        sim, version,
-        adapt_every=adapt_every,
-        cache_estimates=config.cache_estimates,
+        sim, version, adapt_every=adapt_every
     )
     supervisor, store = _attach_supervision(
         sim, config.supervision, config.checkpoint, checkpoint_store
@@ -494,122 +478,6 @@ def prepare_multi(
         checkpoint_store=store,
         telemetry=hub,
         guardrails=guardrails,
-    )
-
-
-def _run_single(version: str, shape: RunShape, config: RunConfig) -> RunOutcome:
-    prepared = prepare_single(version, shape, config)
-    prepared.sim.run(until_s=prepared.horizon_s)
-    return prepared.finish()
-
-
-def _run_multi(
-    version: str, shapes: List[RunShape], config: RunConfig
-) -> RunOutcome:
-    prepared = prepare_multi(version, shapes, config)
-    prepared.sim.run(until_s=prepared.horizon_s)
-    return prepared.finish()
-
-
-#: The legacy per-call keywords RunConfig replaced, in signature order.
-_LEGACY_KWARGS = (
-    "spec",
-    "profile",
-    "cache_estimates",
-    "faults",
-    "supervision",
-    "checkpoint",
-)
-
-
-def _coerce_legacy_config(
-    caller: str, config: Optional[RunConfig], legacy: Dict[str, object]
-) -> RunConfig:
-    """Fold deprecated per-call keywords into a :class:`RunConfig`.
-
-    Passing any legacy keyword emits a :class:`DeprecationWarning`;
-    mixing them with ``config=`` is ambiguous and refused.
-    """
-    passed = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if not passed:
-        return config or RunConfig()
-    if config is not None:
-        raise ConfigurationError(
-            f"{caller}: pass either config= or the legacy keywords "
-            f"({', '.join(sorted(passed))}), not both"
-        )
-    warnings.warn(
-        f"{caller}({', '.join(sorted(passed))}=...) is deprecated; "
-        f"build a RunConfig and call repro.experiments.run() instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return RunConfig(**passed)
-
-
-def run_single(
-    version: str,
-    shape: RunShape,
-    spec=_UNSET,
-    profile=_UNSET,
-    cache_estimates=_UNSET,
-    faults=_UNSET,
-    supervision=_UNSET,
-    checkpoint=_UNSET,
-    config: Optional[RunConfig] = None,
-) -> RunOutcome:
-    """Deprecated single-app wrapper around :func:`run`.
-
-    Kept for downstream callers; the per-call keywords are deprecated
-    in favour of ``config=`` (a :class:`RunConfig`) or calling
-    :func:`run` directly.
-    """
-    legacy = dict(
-        spec=spec,
-        profile=profile,
-        cache_estimates=cache_estimates,
-        faults=faults,
-        supervision=supervision,
-        checkpoint=checkpoint,
-    )
-    return _run_single(
-        version, shape, _coerce_legacy_config("run_single", config, legacy)
-    )
-
-
-def run_multi(
-    version: str,
-    shapes: List[RunShape],
-    spec=_UNSET,
-    profile=_UNSET,
-    cache_estimates=_UNSET,
-    faults=_UNSET,
-    supervision=_UNSET,
-    checkpoint=_UNSET,
-    config: Optional[RunConfig] = None,
-) -> RunOutcome:
-    """Deprecated multi-app wrapper around :func:`run`.
-
-    All applications start at the same time (the paper's Section 5.2.1
-    methodology); each gets its own target as a fraction of *its own*
-    maximum achievable rate measured by a solo baseline run.  The run
-    finishes when every application completes its work (evicted apps
-    count as finished).
-    """
-    if not shapes:
-        raise ConfigurationError("run_multi needs at least one shape")
-    legacy = dict(
-        spec=spec,
-        profile=profile,
-        cache_estimates=cache_estimates,
-        faults=faults,
-        supervision=supervision,
-        checkpoint=checkpoint,
-    )
-    return _run_multi(
-        version,
-        list(shapes),
-        _coerce_legacy_config("run_multi", config, legacy),
     )
 
 

@@ -66,14 +66,11 @@ def attach_single_app_version(
     app: "SimApp",
     version: str,
     adapt_every: int = 5,
-    cache_estimates: bool = True,
 ) -> List[Controller]:
     """Attach the controllers implementing ``version`` to a simulation.
 
     Returns the controllers added (the runner reads overhead and final
-    state back from them).  ``cache_estimates=False`` disables the
-    kernel's estimation cache (identical results, pre-refactor speed —
-    only benchmarks use it).
+    state back from them).
     """
     if version == "baseline":
         return [sim.add_controller(BaselineController())]
@@ -106,7 +103,6 @@ def attach_single_app_version(
         perf_estimator=PerformanceEstimator(),
         power_estimator=calibrate(sim.spec),
         adapt_every=adapt_every,
-        cache_estimates=cache_estimates,
     )
     return [sim.add_controller(manager)]
 
@@ -132,7 +128,6 @@ def attach_multi_app_version(
     sim: "Simulation",
     version: str,
     adapt_every: int = 5,
-    cache_estimates: bool = True,
 ) -> List[Controller]:
     """Attach the multi-application controllers for ``version``."""
     from repro.mphars.consi import ConsIController
@@ -153,7 +148,6 @@ def attach_multi_app_version(
             perf_estimator=PerformanceEstimator(),
             power_estimator=calibrate(sim.spec),
             adapt_every=adapt_every,
-            cache_estimates=cache_estimates,
         )
         return [sim.add_controller(manager)]
     raise ConfigurationError(

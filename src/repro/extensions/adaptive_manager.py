@@ -89,7 +89,6 @@ class AdaptiveHarsManager(HarsManager):
         ratio_learner: Optional[OnlineRatioLearner] = None,
         stuck_detector: Optional[StuckDetector] = None,
         stage_aware: bool = False,
-        cache_estimates: bool = True,
     ):
         # Plugins must exist before super().__init__ wires the MAPE
         # stages through the _build_* hooks below.
@@ -106,7 +105,6 @@ class AdaptiveHarsManager(HarsManager):
             adapt_every=adapt_every,
             state_eval_cost_s=state_eval_cost_s,
             initial_state=initial_state,
-            cache_estimates=cache_estimates,
         )
 
     # -- MAPE-K wiring ---------------------------------------------------------

@@ -24,12 +24,6 @@ from repro.fleet.resilience import ResilienceConfig
 #: Arrival-trace shapes :func:`repro.fleet.trace.make_trace` understands.
 TRACES = ("poisson", "diurnal", "burst")
 
-#: Mirror of :data:`repro.sim.engine.PROFILES` — duplicated here rather
-#: than imported so this module stays import-light (a sync test pins the
-#: two tuples together).
-_PROFILES = ("fast", "legacy", "vector")
-
-
 @dataclass(frozen=True)
 class FleetConfig:
     """Everything that defines a fleet run apart from the router.
@@ -48,9 +42,6 @@ class FleetConfig:
     tick_s:
         Simulation tick of every node (coarser than the single-board
         default: a fleet steps ``nodes`` engines per tick).
-    profile:
-        Engine profile per node; ``"vector"`` runs every node's MP-HARS
-        Plan stage on the tensorized batch planner.
     trace:
         Arrival-trace shape: ``"poisson"``, ``"diurnal"`` or ``"burst"``.
     requests:
@@ -114,7 +105,6 @@ class FleetConfig:
     shards: int = 1
     seed: int = 0
     tick_s: float = 0.02
-    profile: str = "vector"
     trace: str = "poisson"
     requests: int = 10_000
     per_node_rps: float = 8.0
@@ -149,10 +139,6 @@ class FleetConfig:
         if self.trace not in TRACES:
             raise ConfigurationError(
                 f"unknown trace {self.trace!r}; valid: {TRACES}"
-            )
-        if self.profile not in _PROFILES:
-            raise ConfigurationError(
-                f"unknown profile {self.profile!r}; valid: {_PROFILES}"
             )
         if self.requests < 1:
             raise ConfigurationError("need at least one request")

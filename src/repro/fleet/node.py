@@ -90,9 +90,7 @@ class FleetNode:
         #: crashes through it (see :mod:`repro.fleet.chaos`).
         self.faults = faults
         spec = odroid_xu3()
-        self.sim = Simulation(
-            spec, tick_s=config.tick_s, profile=config.profile, faults=faults
-        )
+        self.sim = Simulation(spec, tick_s=config.tick_s, faults=faults)
         self.models: Dict[str, ServerWorkload] = {}
         self.apps: Dict[str, SimApp] = {}
         self.targets: Dict[str, DeadlineTarget] = {}

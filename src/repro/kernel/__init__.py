@@ -15,9 +15,9 @@ The kernel splits the runtime into four narrow layers:
    performance and power estimators; Algorithm 2 re-evaluates the same
    candidates every adaptation period, so this is the hottest
    decision-side path.  :mod:`repro.kernel.batchplan` sits beside it:
-   the vectorized planner backend that runs Algorithm 2 as array ops
-   over precomputed state-space tensors (``RunConfig(profile="vector")``),
-   bit-identical to the scalar sweep.
+   the planner that runs Algorithm 2 as array ops over precomputed
+   state-space tensors, bit-identical to the scalar oracle in
+   :mod:`repro.core.search`.
 4. :mod:`repro.kernel.actuation` — the actuation façade; Execute
    stages act on DVFS and thread placement only through it, and every
    application of a system state is announced as ``StateApplied``.

@@ -1,9 +1,9 @@
 """Vectorized batch planning engine: Algorithm 2 as tensor operations.
 
 The HARS state space is tiny (at most a few thousand ``(C_B, C_L, f_B,
-f_L)`` points per application), yet the scalar planner walks it one
-Python call at a time through :func:`repro.core.search.get_next_sys_state`
-every adaptation period.  This module precomputes the *full* state-space
+f_L)`` points per application), yet the scalar Algorithm 2
+(:func:`repro.core.search.get_next_sys_state`, kept as the test oracle)
+walks it one Python call at a time every adaptation period.  This module precomputes the *full* state-space
 tensor per performance/power model — dense numpy arrays indexed by
 ``(C_B, C_L, i_fB, i_fL)`` holding predicted capacity, used cores,
 utilizations and power — and reimplements the bounded sweep, the
@@ -491,7 +491,7 @@ class PlanRequest:
 class PlanService:
     """The engine's batch-plan hook (``Simulation.plan_service``).
 
-    Managers route vector-backend plans through the service so batch
+    Managers route their plans through the service so batch
     sizes are metered for telemetry (``planner_batch_apps``);
     :meth:`plan_many` plans a whole roster of apps/partitions in one
     call against their shared tensors.  Requests are processed in

@@ -64,7 +64,7 @@ class CachedPerformanceEstimator:
     def tabulate(self, spec, n_threads: int) -> dict:
         """Full-grid tables routed through the memo cache.
 
-        The vector planner's tensor build reuses whatever prior sweeps
+        The planner's tensor build reuses whatever prior sweeps
         cached and leaves every grid state warm, so the scalar fallback
         paths (forced holds, winner re-evaluation, guard probes) are
         pure cache hits afterwards.
@@ -127,19 +127,9 @@ class EstimationLayer:
         self,
         perf_estimator: PerformanceEstimator,
         power_estimator: PowerEstimator,
-        cached: bool = True,
     ):
-        #: ``cached=False`` exposes the raw estimators — the
-        #: pre-refactor behaviour, kept for overhead benchmarking.
-        self.cached = cached
-        self.perf = (
-            CachedPerformanceEstimator(perf_estimator)
-            if cached
-            else perf_estimator
-        )
-        self.power = (
-            CachedPowerEstimator(power_estimator) if cached else power_estimator
-        )
+        self.perf = CachedPerformanceEstimator(perf_estimator)
+        self.power = CachedPowerEstimator(power_estimator)
         # Hit/miss totals retired by estimator swaps: stats() reports
         # layer-lifetime counts, so a run that swaps models every
         # adaptation period (online ratio learning) still accounts for
@@ -150,11 +140,11 @@ class EstimationLayer:
             "power_hits": 0,
             "power_misses": 0,
         }
-        # State-space tensors for the vector planner, keyed by
+        # State-space tensors for the planner, keyed by
         # (spec name, n_threads).  They describe the *current* model
         # pair, so every swap/invalidation below drops them.  Build and
         # reuse counts are layer-lifetime, like the retired hit/miss
-        # totals: the vector path mostly bypasses the per-state memo,
+        # totals: the planner mostly bypasses the per-state memo,
         # and these counters are what stats() reports for it instead.
         self._tensors: Dict[Tuple[str, int], Any] = {}
         self.tensor_builds = 0
@@ -177,46 +167,37 @@ class EstimationLayer:
     def set_perf_estimator(self, estimator: PerformanceEstimator) -> None:
         """Replace the performance model (e.g. a refit r0) — the old
         cache entries no longer describe it, so they are dropped."""
-        self._retired["perf_hits"] += getattr(self.perf, "hits", 0)
-        self._retired["perf_misses"] += getattr(self.perf, "misses", 0)
-        self.perf = (
-            CachedPerformanceEstimator(estimator) if self.cached else estimator
-        )
+        self._retired["perf_hits"] += self.perf.hits
+        self._retired["perf_misses"] += self.perf.misses
+        self.perf = CachedPerformanceEstimator(estimator)
         self._tensors.clear()
 
     def set_power_estimator(self, estimator: PowerEstimator) -> None:
         """Replace the power model (e.g. after recalibration)."""
-        self._retired["power_hits"] += getattr(self.power, "hits", 0)
-        self._retired["power_misses"] += getattr(self.power, "misses", 0)
-        self.power = (
-            CachedPowerEstimator(estimator) if self.cached else estimator
-        )
+        self._retired["power_hits"] += self.power.hits
+        self._retired["power_misses"] += self.power.misses
+        self.power = CachedPowerEstimator(estimator)
         self._tensors.clear()
 
     def invalidate(self) -> None:
         """Drop every cached estimate, keeping the current models."""
-        if self.cached:
-            self.perf.clear()
-            self.power.clear()
+        self.perf.clear()
+        self.power.clear()
         self._tensors.clear()
 
     def stats(self) -> Dict[str, int]:
         """Layer-lifetime counts, surviving estimator swaps.
 
-        ``tensor_builds``/``tensor_reuses`` meter the vector planner's
+        ``tensor_builds``/``tensor_reuses`` meter the planner's
         state-space tensors — its per-plan lookups do not touch the
-        per-state memo, so without these the vector path would look
+        per-state memo, so without these the planner would look
         free in the cache accounting.
         """
         return {
-            "perf_hits": self._retired["perf_hits"]
-            + getattr(self.perf, "hits", 0),
-            "perf_misses": self._retired["perf_misses"]
-            + getattr(self.perf, "misses", 0),
-            "power_hits": self._retired["power_hits"]
-            + getattr(self.power, "hits", 0),
-            "power_misses": self._retired["power_misses"]
-            + getattr(self.power, "misses", 0),
+            "perf_hits": self._retired["perf_hits"] + self.perf.hits,
+            "perf_misses": self._retired["perf_misses"] + self.perf.misses,
+            "power_hits": self._retired["power_hits"] + self.power.hits,
+            "power_misses": self._retired["power_misses"] + self.power.misses,
             "tensor_builds": self.tensor_builds,
             "tensor_reuses": self.tensor_reuses,
         }

@@ -40,10 +40,14 @@ from typing import (
     Tuple,
 )
 
-from repro.core.search import get_next_sys_state
+# The scalar Algorithm 2 oracle stays importable from this module: the
+# benchmark's span table (perfbench/spans.py) wraps it here.  Plans
+# themselves run on the tensorized sweep.
+from repro.core.search import get_next_sys_state  # noqa: F401
 from repro.core.state import SystemState
 from repro.heartbeats.record import Heartbeat
 from repro.heartbeats.targets import Satisfaction
+from repro.kernel.batchplan import batch_next_sys_state
 from repro.kernel.estimation import EstimationLayer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -213,6 +217,10 @@ class Analyzer:
 class SearchPlanner:
     """P: Algorithm 2 over the cached estimation layer.
 
+    The sweep runs on the state-space tensors of
+    :mod:`repro.kernel.batchplan`, bit-identical to the scalar oracle
+    :func:`repro.core.search.get_next_sys_state`.
+
     Plugins:
 
     * ``policy`` — supplies the over/underperformance search spaces
@@ -248,16 +256,11 @@ class SearchPlanner:
         #: Optional guardrail hook; installed by the guardrail layer,
         #: never by the planner itself.
         self.guard: Optional[Any] = None
-        #: Planner backend: ``"scalar"`` (the Algorithm 2 oracle loop)
-        #: or ``"vector"`` (:mod:`repro.kernel.batchplan`, bit-identical
-        #: results).  Managers set it at ``on_start`` from the engine's
-        #: ``RunConfig.profile``, so it is an attribute rather than a
-        #: constructor parameter (subclasses override ``_build_planner``
-        #: with their own signatures).
-        self.backend: str = "scalar"
-        #: The engine's batch-plan hook (``Simulation.plan_service``),
-        #: installed alongside ``backend`` — meters batch sizes and
-        #: serves multi-app ``plan_many`` batches.
+        #: The engine's batch-plan service (``Simulation.plan_service``),
+        #: bound by :meth:`MapeLoop.bind`; it meters batch sizes and
+        #: serves multi-app ``plan_many`` batches.  Unbound planners
+        #: call :func:`~repro.kernel.batchplan.batch_next_sys_state`
+        #: directly.
         self.plan_service: Optional[Any] = None
 
     def notify_in_window(self, current: SystemState) -> None:
@@ -283,40 +286,23 @@ class SearchPlanner:
         if guard is not None:
             space = guard.adjust_space(ctx, space)
             guard_filter = guard.candidate_veto(knowledge, ctx)
-        if self.backend == "vector":
-            # Imported lazily: the scalar path must not depend on numpy.
-            from repro.kernel.batchplan import batch_next_sys_state
-
-            plan_kwargs = dict(
-                spec=knowledge.spec,
-                current=ctx.current,
-                observed_rate=ctx.observation.rate,
-                n_threads=ctx.app.n_threads,
-                target=ctx.app.target,
-                space=space,
-                estimation=knowledge.estimation,
-                candidate_filter=candidate_filter,
-                guard_filter=guard_filter,
-            )
-            service = self.plan_service
-            result = (
-                service.plan(**plan_kwargs)
-                if service is not None
-                else batch_next_sys_state(**plan_kwargs)
-            )
-        else:
-            result = get_next_sys_state(
-                spec=knowledge.spec,
-                current=ctx.current,
-                observed_rate=ctx.observation.rate,
-                n_threads=ctx.app.n_threads,
-                target=ctx.app.target,
-                space=space,
-                perf_estimator=knowledge.estimation.perf,
-                power_estimator=knowledge.estimation.power,
-                candidate_filter=candidate_filter,
-                guard_filter=guard_filter,
-            )
+        plan_kwargs = dict(
+            spec=knowledge.spec,
+            current=ctx.current,
+            observed_rate=ctx.observation.rate,
+            n_threads=ctx.app.n_threads,
+            target=ctx.app.target,
+            space=space,
+            estimation=knowledge.estimation,
+            candidate_filter=candidate_filter,
+            guard_filter=guard_filter,
+        )
+        service = self.plan_service
+        result = (
+            service.plan(**plan_kwargs)
+            if service is not None
+            else batch_next_sys_state(**plan_kwargs)
+        )
         return PlanResult(
             state=result.state,
             states_explored=result.states_explored,
@@ -412,6 +398,12 @@ class MapeLoop:
         #: Optional guardrail hook (``GuardrailLayer``); installed by
         #: the guardrail layer, never by the loop itself.
         self.guard: Optional[Any] = None
+
+    def bind(self, sim: "Simulation") -> None:
+        """Attach the running simulation: its platform spec to the
+        Knowledge store and its batch-plan service to the planner."""
+        self.knowledge.bind(sim.spec)
+        self.planner.plan_service = sim.plan_service
 
     def on_heartbeat(
         self,

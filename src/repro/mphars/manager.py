@@ -85,7 +85,6 @@ class MpHarsManager(Controller):
         adapt_every: int = 5,
         freeze_beats: int = DEFAULT_FREEZE_BEATS,
         state_eval_cost_s: float = DEFAULT_STATE_EVAL_COST_S,
-        cache_estimates: bool = True,
         stale_after_s: Optional[float] = None,
     ):
         if adapt_every < 1:
@@ -110,9 +109,7 @@ class MpHarsManager(Controller):
         #: consulted by :meth:`simulate_restart` for a warm restore.
         self.checkpoint_store = None
         self.knowledge = Knowledge(
-            EstimationLayer(
-                perf_estimator, power_estimator, cached=cache_estimates
-            )
+            EstimationLayer(perf_estimator, power_estimator)
         )
         # The shared partition/freeze bookkeeping is MAPE-K domain
         # knowledge: Plan (candidate filter) and Execute both read it.
@@ -181,13 +178,7 @@ class MpHarsManager(Controller):
 
     def on_start(self, sim: "Simulation") -> None:
         spec = sim.spec
-        self.knowledge.bind(spec)
-        # Vector profile: per-partition plans run on the tensorized
-        # backend through the engine's shared batch-plan service.
-        service = getattr(sim, "plan_service", None)
-        if service is not None:
-            self.mape.planner.backend = "vector"
-            self.mape.planner.plan_service = service
+        self.mape.bind(sim)
         self._clusters.clear()
         self._clusters.update(
             {

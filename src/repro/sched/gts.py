@@ -42,16 +42,10 @@ class GtsScheduler(Scheduler):
         self,
         up_threshold: float = UP_MIGRATION_THRESHOLD,
         down_threshold: float = DOWN_MIGRATION_THRESHOLD,
-        cache_partitions: bool = False,
     ):
         validate_thresholds(up_threshold, down_threshold)
         self.up_threshold = up_threshold
         self.down_threshold = down_threshold
-        #: Memoize each thread's allowed-core big/little partition.  The
-        #: partition depends only on (affinity, cpuset, online set); all
-        #: three are replaced wholesale when they change, so cache
-        #: entries validate by object identity.
-        self.cache_partitions = cache_partitions
 
     #: Floor weight so even a freshly-idle thread occupies queue space.
     MIN_TASK_WEIGHT = 0.1
@@ -64,7 +58,6 @@ class GtsScheduler(Scheduler):
         # not stuck sharing a core with another heavy one while light
         # threads underuse a neighbour.
         load_counts: Dict[int, float] = {core: 0.0 for core in online}
-        use_cache = self.cache_partitions
         min_weight = self.MIN_TASK_WEIGHT
 
         for app in sim.apps:
@@ -75,42 +68,42 @@ class GtsScheduler(Scheduler):
             for thread in app.threads:
                 if not model.wants_cpu(thread.local_index):
                     continue
-                if use_cache:
-                    entry = thread._gts_entry
-                    if (
-                        entry is None
-                        or entry[0] is not thread.affinity
-                        or entry[1] is not cpuset
-                        or entry[2] is not online
-                    ):
-                        big_cores, little_cores = self._partition(
-                            sim, app.allowed_cores(thread, online)
-                        )
-                        # A fully-pinned thread (HARS placement) has one
-                        # allowed core: the pick is forced, so the hot
-                        # path can skip the balancer entirely.
-                        single = (
-                            (big_cores or little_cores)[0]
-                            if len(big_cores) + len(little_cores) == 1
-                            else None
-                        )
-                        entry = (
-                            thread.affinity,
-                            cpuset,
-                            online,
-                            big_cores,
-                            little_cores,
-                            single,
-                        )
-                        thread._gts_entry = entry
-                    core = entry[5]
-                    if core is None:
-                        core = self._pick_partitioned(
-                            sim, thread, entry[3], entry[4], load_counts
-                        )
-                else:
-                    allowed = app.allowed_cores(thread, online)
-                    core = self._pick_core(sim, thread, allowed, load_counts)
+                # Each thread's allowed-core big/little partition is
+                # memoized.  It depends only on (affinity, cpuset, online
+                # set); all three are replaced wholesale when they
+                # change, so the entry validates by object identity.
+                entry = thread._gts_entry
+                if (
+                    entry is None
+                    or entry[0] is not thread.affinity
+                    or entry[1] is not cpuset
+                    or entry[2] is not online
+                ):
+                    big_cores, little_cores = self._partition(
+                        sim, app.allowed_cores(thread, online)
+                    )
+                    # A fully-pinned thread (HARS placement) has one
+                    # allowed core: the pick is forced, so the hot path
+                    # can skip the balancer entirely.
+                    single = (
+                        (big_cores or little_cores)[0]
+                        if len(big_cores) + len(little_cores) == 1
+                        else None
+                    )
+                    entry = (
+                        thread.affinity,
+                        cpuset,
+                        online,
+                        big_cores,
+                        little_cores,
+                        single,
+                    )
+                    thread._gts_entry = entry
+                core = entry[5]
+                if core is None:
+                    core = self._pick_partitioned(
+                        sim, thread, entry[3], entry[4], load_counts
+                    )
                 if core in placement:
                     placement[core].append(thread)
                 else:
@@ -132,18 +125,6 @@ class GtsScheduler(Scheduler):
             c for c in allowed if sim.machine.spec.little.contains_core(c)
         )
         return big_cores, little_cores
-
-    def _pick_core(
-        self,
-        sim: "Simulation",
-        thread: SimThread,
-        allowed: frozenset,
-        load_counts: Dict[int, int],
-    ) -> int:
-        big_cores, little_cores = self._partition(sim, allowed)
-        return self._pick_partitioned(
-            sim, thread, big_cores, little_cores, load_counts
-        )
 
     def _pick_partitioned(
         self,

@@ -20,17 +20,13 @@ Controllers attach through bus subscriptions
 (:meth:`~repro.sim.controller.Controller.attach`); the engine never
 calls their hooks directly after ``on_start``.
 
-Three execution profiles produce byte-identical metrics:
-
-* ``"fast"`` (default) — preallocated per-thread/per-core arrays, one
-  thread-speed evaluation per (app, cluster, round), coefficient-cached
-  power integration.
-* ``"legacy"`` — the original dict-per-tick implementation, kept
-  verbatim as the reference for ``benchmarks/bench_kernel_overhead.py``.
-* ``"vector"`` — the fast tick path plus the vectorized batch planner
-  (:mod:`repro.kernel.batchplan`): managers plan over dense state-space
-  tensors instead of the scalar Algorithm 2 loop, bit-identically
-  (``benchmarks/bench_planner_vectorized.py`` is the gate).
+There is one execution path: preallocated per-thread/per-core arrays,
+one thread-speed evaluation per (app, cluster, round), coefficient-cached
+power integration, a partition-caching GTS scheduler, and a shared
+:class:`~repro.kernel.batchplan.PlanService` through which every
+manager's Plan stage runs the tensorized Algorithm 2
+(``benchmarks/bench_planner_vectorized.py`` checks it against the scalar
+oracle; ``tests/golden`` pins whole-run outputs byte for byte).
 
 The engine is deterministic: all randomness lives inside seeded workload
 profiles, and bus dispatch order is fixed by (priority, subscription
@@ -57,7 +53,7 @@ from repro.kernel.bus import (
 from repro.platform.cluster import BIG, LITTLE
 from repro.platform.dvfs import DvfsController
 from repro.platform.machine import Machine
-from repro.platform.power import CoreActivity, PowerModel
+from repro.platform.power import PowerModel
 from repro.platform.sensor import PowerSensor
 from repro.platform.spec import PlatformSpec
 from repro.sched.base import Scheduler
@@ -74,9 +70,6 @@ DEFAULT_TICK_S = 0.01
 #: Hard cap on ticks per run — guards against runaway configurations.
 MAX_TICKS = 2_000_000
 
-#: Valid execution profiles.
-PROFILES = ("fast", "legacy", "vector")
-
 
 class Simulation:
     """One simulated machine running one or more applications."""
@@ -86,35 +79,25 @@ class Simulation:
         spec: PlatformSpec,
         tick_s: float = DEFAULT_TICK_S,
         scheduler: Optional[Scheduler] = None,
-        profile: str = "fast",
         faults: Optional[FaultConfig] = None,
     ):
         if tick_s <= 0:
             raise ConfigurationError("tick must be positive")
-        if profile not in PROFILES:
-            raise ConfigurationError(
-                f"unknown profile {profile!r}; valid: {PROFILES}"
-            )
         self.spec = spec
         self.tick_s = tick_s
-        self.profile = profile
         self.machine = Machine(spec)
         self.dvfs = DvfsController(self.machine)
         self.power_model = PowerModel(spec)
         self.sensor = PowerSensor()
         self.clock = SimClock()
-        self.scheduler: Scheduler = scheduler or GtsScheduler(
-            cache_partitions=(profile != "legacy")
-        )
-        # Batch-plan hook: under the vector profile, managers route
-        # their Plan stage through this service (shared batch metering
-        # and multi-app plan_many batches); otherwise absent and the
-        # scalar planner runs untouched.
-        self.plan_service: Optional[object] = None
-        if profile == "vector":
-            from repro.kernel.batchplan import PlanService
+        self.scheduler: Scheduler = scheduler or GtsScheduler()
+        # Managers route their Plan stage through this service (shared
+        # batch metering and multi-app plan_many batches).  Imported
+        # here: the planner sits above repro.core, which imports the
+        # platform package, which imports this module.
+        from repro.kernel.batchplan import PlanService
 
-            self.plan_service = PlanService()
+        self.plan_service = PlanService()
         self.apps: List[SimApp] = []
         self._apps_by_name: Dict[str, SimApp] = {}
         self.controllers: List[Controller] = []
@@ -150,7 +133,7 @@ class Simulation:
         self.bus.subscribe(
             HeartbeatEmitted, self._trace_on_heartbeat, priority=LATE
         )
-        # Lazily-built fast-profile runtime index (first step).
+        # Lazily-built runtime index (first step).
         self._slots: Optional[List] = None
         # Heartbeat delivery faults: beats whose *delivery* to the bus
         # is stalled or jittered, keyed by the tick they mature on.  The
@@ -238,26 +221,16 @@ class Simulation:
             bus.publish(TickStart(time_s=self.clock.now_s))
 
         placement = self.scheduler.place(self)
-        if self.profile != "legacy":
-            if self._slots is None:
-                self._build_runtime_index()
-            touched = self._execute_tick_fast(placement, dt)
-            self._integrate_power_fast(touched, dt)
-            self._publish_finished(dt)
-            decay = self._load_decay
-            gain = self._load_gain
-            demand = self._arr_demand
-            for slot, thread in enumerate(self._slots):
-                thread.load = thread.load * decay + demand[slot] * gain
-        else:
-            busy, busy_activity, demand_map = self._execute_tick(placement, dt)
-            self._integrate_power(busy, busy_activity, dt)
-            self._publish_finished(dt)
-            for app in self.apps:
-                for thread in app.threads:
-                    thread.update_load(
-                        demand_map.get((app.name, thread.local_index), 0.0), dt
-                    )
+        if self._slots is None:
+            self._build_runtime_index()
+        touched = self._execute_tick(placement, dt)
+        self._integrate_power(touched, dt)
+        self._publish_finished(dt)
+        decay = self._load_decay
+        gain = self._load_gain
+        demand = self._arr_demand
+        for slot, thread in enumerate(self._slots):
+            thread.load = thread.load * decay + demand[slot] * gain
 
         self.clock.advance(dt)
         self._ticked = True
@@ -423,14 +396,14 @@ class Simulation:
     #: (a real scheduler switches to the runnable co-tenant immediately).
     GRANT_ROUNDS = 3
 
-    # -- fast profile -------------------------------------------------------------
+    # -- tick internals -----------------------------------------------------------
 
     def _build_runtime_index(self) -> None:
         """Precompute the flat thread/core indexes the hot loop uses.
 
         Apps and threads are fixed once the run starts, so each thread
-        gets a stable *slot* and per-slot/per-core arrays replace the
-        per-tick dict churn of the legacy profile.
+        gets a stable *slot* and the hot loop works on preallocated
+        per-slot/per-core arrays instead of per-tick dicts.
         """
         slots: List = []
         slot_app: List[SimApp] = []
@@ -468,15 +441,18 @@ class Simulation:
         self._load_decay = math.exp(-self.tick_s / LOAD_TIME_CONSTANT_S)
         self._load_gain = 1.0 - self._load_decay
 
-    def _execute_tick_fast(
+    def _execute_tick(
         self, placement: Dict[int, List], dt: float
     ) -> List[int]:
-        """Array-based grant/advance loop (see :meth:`_execute_tick`).
+        """Grant core time, advance workloads, and account busy time.
 
-        Accumulates into the preallocated per-slot and per-core arrays in
-        exactly the legacy accumulation order, so every float is
-        bit-identical to the legacy profile.  Returns the ids of cores
-        that had threads placed on them (the legacy ``busy`` dict keys).
+        Accumulates per-core busy seconds and busy·activity sums (for
+        the power model) and per-thread *demand* — the runnable fraction
+        of the tick, for load tracking — into the preallocated arrays.
+        A thread that stayed hungry through every round was runnable the
+        whole tick (demand 1); a thread that blocked shows the fraction
+        of its granted time it actually used.  Returns the ids of cores
+        that had threads placed on them.
         """
         slots = self._slots
         thread_busy = self._arr_thread_busy
@@ -520,9 +496,9 @@ class Simulation:
         # phase — never between the grant reads of one round.
         freqs = machine._freqs
         for _ in range(self.GRANT_ROUNDS):
-            # One thread-speed evaluation per (app, cluster) per round
-            # (legacy evaluates per grant, but neither the frequency nor
-            # the model phase can change inside the grant phase).
+            # One thread-speed evaluation per (app, cluster) per round:
+            # neither the frequency nor the model phase can change
+            # inside the grant phase.
             speed_memo: Dict[str, Dict[str, float]] = {}
             grants: Dict[str, Dict[int, float]] = {}
             for core_id, threads in hungry.items():
@@ -625,7 +601,7 @@ class Simulation:
                     demand[slot] = 1.0  # hungry through every round: runnable
         return touched
 
-    def _integrate_power_fast(self, touched: List[int], dt: float) -> None:
+    def _integrate_power(self, touched: List[int], dt: float) -> None:
         core_busy = self._arr_core_busy
         self.last_core_utilization = {
             core_id: util if (util := core_busy[core_id] / dt) < 1.0 else 1.0
@@ -634,139 +610,6 @@ class Simulation:
         watts = self.power_model.platform_power_arrays(
             self.machine, core_busy, self._arr_core_ba, dt
         )
-        self.sensor.record(dt, watts)
-        if self.bus.subscriber_count(PowerSample):
-            self.bus.publish(
-                PowerSample(time_s=self.clock.now_s + dt, watts=watts)
-            )
-
-    # -- legacy profile -----------------------------------------------------------
-
-    def _execute_tick(
-        self, placement: Dict[int, List], dt: float
-    ) -> Tuple[Dict[int, float], Dict[int, float], Dict[Tuple[str, int], float]]:
-        """Grant core time, advance workloads, and account busy time.
-
-        Returns per-core busy seconds, per-core busy·activity sums for
-        the power model, and per-thread *demand* (runnable fraction of
-        the tick) for load tracking: a thread that stayed hungry through
-        every round was runnable the whole tick (demand 1); a thread that
-        blocked shows the fraction of its granted time it actually used.
-        """
-        busy: Dict[int, float] = {}
-        busy_activity: Dict[int, float] = {}
-        thread_busy: Dict[Tuple[str, int], float] = {}
-        thread_granted: Dict[Tuple[str, int], float] = {}
-        blocked: set = set()
-        end_time = self.clock.now_s + dt
-        remaining: Dict[int, float] = {}  # core id -> unclaimed seconds
-        hungry: Dict[int, List] = {}  # core id -> threads still consuming
-        for core_id, threads in placement.items():
-            if threads:
-                remaining[core_id] = dt
-                hungry[core_id] = list(threads)
-
-        for _ in range(self.GRANT_ROUNDS):
-            grants: Dict[str, Dict[int, float]] = {}
-            meta: Dict[Tuple[str, int], Tuple[float, float, int]] = {}
-            for core_id, threads in hungry.items():
-                if not threads or remaining[core_id] <= 1e-9:
-                    continue
-                cluster = self.machine.cluster_of_core(core_id)
-                freq = self.machine.freq_mhz(cluster.name)
-                share_s = remaining[core_id] / len(threads)
-                for thread in threads:
-                    app = self.app(thread.app_name)
-                    speed = app.model.thread_speed(
-                        cluster.name, cluster.core_type, freq
-                    )
-                    if app.speed_factor != 1.0:
-                        speed *= app.speed_factor
-                    grants.setdefault(app.name, {})[thread.local_index] = (
-                        share_s * speed
-                    )
-                    meta[(app.name, thread.local_index)] = (
-                        share_s,
-                        speed,
-                        core_id,
-                    )
-            if not grants:
-                break
-
-            satisfied: set = set()
-            for app in self.apps:
-                app_grants = grants.get(app.name)
-                if not app_grants:
-                    continue
-                result = app.model.advance(app_grants)
-                for local_index, granted in app_grants.items():
-                    consumed = result.consumed.get(local_index, 0.0)
-                    share_s, speed, core_id = meta[(app.name, local_index)]
-                    busy_s = min(share_s, consumed / speed) if speed > 0 else 0.0
-                    key = (app.name, local_index)
-                    busy[core_id] = busy.get(core_id, 0.0) + busy_s
-                    busy_activity[core_id] = (
-                        busy_activity.get(core_id, 0.0)
-                        + busy_s * app.model.traits.activity_factor
-                    )
-                    thread_busy[key] = thread_busy.get(key, 0.0) + busy_s
-                    thread_granted[key] = thread_granted.get(key, 0.0) + share_s
-                    remaining[core_id] -= busy_s
-                    if consumed < granted * 0.999:
-                        # The thread blocked (barrier, empty/full queue):
-                        # it takes no further time this tick.
-                        satisfied.add(key)
-                        blocked.add(key)
-                for i in range(result.heartbeats):
-                    tag = (
-                        result.heartbeat_tags[i]
-                        if i < len(result.heartbeat_tags)
-                        else ""
-                    )
-                    heartbeat = app.log.emit(end_time, tag)
-                    self._deliver_heartbeat(app, heartbeat)
-
-            still_hungry = False
-            for core_id in list(hungry):
-                hungry[core_id] = [
-                    t
-                    for t in hungry[core_id]
-                    if (t.app_name, t.local_index) not in satisfied
-                ]
-                if hungry[core_id] and remaining[core_id] > dt * 0.01:
-                    still_hungry = True
-            if not still_hungry:
-                break
-
-        demand: Dict[Tuple[str, int], float] = {}
-        for key, granted_s in thread_granted.items():
-            if key in blocked and granted_s > 0:
-                # Blocked threads were runnable only while they used CPU.
-                demand[key] = min(1.0, thread_busy.get(key, 0.0) / granted_s)
-            else:
-                demand[key] = 1.0  # hungry through every round: runnable
-        return busy, busy_activity, demand
-
-    def _integrate_power(
-        self,
-        busy: Dict[int, float],
-        busy_activity: Dict[int, float],
-        dt: float,
-    ) -> None:
-        self.last_core_utilization = {
-            core_id: min(1.0, busy_s / dt) for core_id, busy_s in busy.items()
-        }
-        activities: Dict[int, CoreActivity] = {}
-        for core_id, busy_s in busy.items():
-            utilization = min(1.0, busy_s / dt)
-            if busy_s > 0:
-                activity = min(1.0, busy_activity[core_id] / busy_s)
-            else:
-                activity = 1.0
-            activities[core_id] = CoreActivity(
-                utilization=utilization, activity_factor=activity
-            )
-        watts = self.power_model.platform_power(self.machine, activities)
         self.sensor.record(dt, watts)
         if self.bus.subscriber_count(PowerSample):
             self.bus.publish(

@@ -43,7 +43,7 @@ class SimThread:
     affinity: Optional[FrozenSet[int]] = None
     current_core: Optional[int] = None
     load: float = INITIAL_LOAD
-    #: Flat index assigned by the engine's fast profile.
+    #: Flat index assigned by the engine's runtime index.
     _slot: int = field(default=-1, repr=False)
     #: GTS partition-cache entry (see :class:`~repro.sched.gts.GtsScheduler`).
     _gts_entry: Optional[tuple] = field(default=None, repr=False)

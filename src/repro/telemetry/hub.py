@@ -61,7 +61,7 @@ class TelemetryConfig:
     Everything defaults on.  The hub deliberately never subscribes to
     the per-tick bus events — the engine skips publishing them when
     nobody listens, and a tick-rate subscriber alone costs tens of
-    percent of a fast-profile run.  Tick counts and per-rail energy are
+    percent of a run.  Tick counts and per-rail energy are
     harvested once at :meth:`TelemetryHub.finalize` from the engine's
     own tick index and the power sensor's exact integrals instead.
     """
@@ -286,7 +286,7 @@ class TelemetryHub(Controller):
     # -- wiring ---------------------------------------------------------------
 
     def set_run_info(self, **labels: str) -> None:
-        """Attach identifying labels (version, profile, …) to the run."""
+        """Attach identifying labels (version, session, …) to the run."""
         self._run_info.set(1.0, **labels)
 
     def attach(self, sim: "Simulation") -> None:
@@ -417,11 +417,6 @@ class TelemetryHub(Controller):
             "estimation_cache_lookups",
             "Estimation-layer cache hits/misses per manager and model.",
         )
-        backend_gauge = reg.gauge(
-            "planner_backend",
-            "Active planner backend per manager (1 under the labelled "
-            "backend).",
-        )
         rebuilds = reg.counter(
             "planner_tensor_rebuilds_total",
             "State-space tensor (re)builds per manager — one per model "
@@ -440,18 +435,11 @@ class TelemetryHub(Controller):
             for key, value in counts.items():
                 model, _, result = key.partition("_")
                 cache.set(value, controller=name, model=model, result=result)
-            planner = getattr(getattr(controller, "mape", None), "planner", None)
-            if planner is not None:
-                backend_gauge.set(
-                    1.0,
-                    controller=name,
-                    backend=getattr(planner, "backend", "scalar"),
-                )
             builds = counts.get("tensor_builds", 0)
             if builds:
                 rebuilds.inc(builds, controller=name)
-        plan_service = getattr(sim, "plan_service", None)
-        if plan_service is not None and plan_service.batch_sizes:
+        plan_service = sim.plan_service
+        if plan_service.batch_sizes:
             batch_hist = reg.histogram(
                 "planner_batch_apps",
                 "Apps/partitions planned per batch-planner invocation.",

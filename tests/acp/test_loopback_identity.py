@@ -49,14 +49,6 @@ class TestSingleApp:
         attached = run(version, shape, config.with_(acp="loopback"))
         assert_identical(in_process, attached)
 
-    def test_identical_under_vector_profile(self):
-        shape = RunShape(benchmark="bodytrack", n_units=50)
-        config = RunConfig(profile="vector")
-        assert_identical(
-            run("hars-ei", shape, config),
-            run("hars-ei", shape, config.with_(acp="loopback")),
-        )
-
 
 class TestMultiApp:
     def test_bit_identical(self):

@@ -169,14 +169,10 @@ class TestShapeAndConfig:
         assert wire.shape_from_wire(data) == RunShape(benchmark="swaptions")
 
     def test_config_roundtrip(self):
-        config = RunConfig(
-            profile="vector", telemetry=True, checkpoint=2.5, supervision=True
-        )
-        back = wire.config_from_wire(wire.config_to_wire(config))
-        assert back.profile == "vector"
-        assert back.telemetry is True
-        assert back.checkpoint == 2.5
-        assert back.supervision is True
+        config = RunConfig(telemetry=True, checkpoint=2.5, supervision=True)
+        data = wire.config_to_wire(config)
+        assert sorted(data) == ["checkpoint", "supervision", "telemetry"]
+        assert wire.config_from_wire(data) == config
 
     def test_config_refuses_unserializable_layers(self):
         from repro.faults import FaultConfig
@@ -184,3 +180,47 @@ class TestShapeAndConfig:
         config = RunConfig(faults=FaultConfig(sensor_dropout_rate=0.1))
         with pytest.raises(ConfigurationError, match="faults"):
             wire.config_to_wire(config)
+
+
+class TestOlderClients:
+    def test_v1_attach_with_removed_run_switches_still_attaches(self):
+        """A schema-1 attach from a client that still sends the removed
+        ``profile``/``cache_estimates`` run switches decodes, attaches
+        and runs the same simulation as the in-process default."""
+        from repro.acp.server import AcpServer
+        from repro.experiments.runner import run
+        from repro.experiments.serialize import run_metrics_from_dict
+
+        shape = RunShape(benchmark="swaptions", n_units=40)
+        line = json.dumps(
+            {
+                "schema_version": 1,
+                "session_id": "",
+                "seq": 1,
+                "type": "attach",
+                "payload": {
+                    "version": "hars-e",
+                    "shapes": [wire.shape_to_wire(shape)],
+                    "config": {
+                        "profile": "legacy",
+                        "cache_estimates": False,
+                        "supervision": None,
+                        "checkpoint": None,
+                        "telemetry": None,
+                    },
+                },
+            }
+        )
+        assert wire.WIRE_SCHEMA_VERSION == 1
+        server = AcpServer()
+        [attached] = [wire.decode_frame(r) for r in server.handle_line(line)]
+        assert attached.type == "attached"
+        session_id = attached.payload["session_id"]
+        request = wire.make_frame("result", session_id, 2)
+        [result] = [
+            wire.decode_frame(r)
+            for r in server.handle_line(wire.encode_frame(request))
+        ]
+        assert result.type == "result"
+        metrics = run_metrics_from_dict(result.payload["metrics"])
+        assert metrics == run("hars-e", shape).metrics

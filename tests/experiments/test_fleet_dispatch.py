@@ -24,7 +24,7 @@ class TestWithDeepCopiesSubConfigs:
             guardrails=GuardrailConfig(power_cap_w=6.0),
             fleet=FleetConfig(nodes=3),
         )
-        derived = base.with_(profile="vector")
+        derived = base.with_(checkpoint=1.0)
         assert derived.faults == base.faults
         assert derived.faults is not base.faults
         assert derived.guardrails == base.guardrails
@@ -38,7 +38,7 @@ class TestWithDeepCopiesSubConfigs:
         base = RunConfig(
             faults=FaultConfig(lifecycle_schedule=schedule)
         )
-        derived = base.with_(profile="vector")
+        derived = base.with_(checkpoint=1.0)
         # Mutating the list behind the *base* config must not change
         # what the derived sibling will inject.
         schedule.append(LifecycleEvent(kind="app_crash", at_s=9.0))
@@ -51,7 +51,7 @@ class TestWithDeepCopiesSubConfigs:
         assert derived.faults is fresh
 
     def test_none_subconfigs_stay_none(self):
-        derived = RunConfig().with_(profile="vector")
+        derived = RunConfig().with_(checkpoint=1.0)
         assert derived.faults is None
         assert derived.fleet is None
 

@@ -1,34 +1,18 @@
-"""RunConfig semantics and the run_single/run_multi deprecation path."""
+"""RunConfig semantics."""
 
-import ast
 import dataclasses
-import warnings
-from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import runner
-from repro.experiments.runner import (
-    RunConfig,
-    RunShape,
-    run,
-    run_multi,
-    run_single,
-)
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from repro.experiments.runner import RunConfig, run
 
 
 class TestRunConfig:
-    def test_covers_every_legacy_kwarg(self):
-        fields = {f.name for f in dataclasses.fields(RunConfig)}
-        assert set(runner._LEGACY_KWARGS) <= fields
-
     def test_is_frozen(self):
         config = RunConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.profile = "legacy"
+            config.checkpoint = 1.0
 
     def test_with_replaces_without_mutating(self):
         base = RunConfig()
@@ -39,8 +23,10 @@ class TestRunConfig:
         assert base.checkpoint is None
 
     def test_unknown_profile_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RunConfig(profile="turbo")
+        # The engine has one execution path; the switch that chose
+        # between several is gone, not silently ignored.
+        with pytest.raises(TypeError):
+            RunConfig(profile="vector")
 
     def test_nonpositive_checkpoint_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -49,94 +35,3 @@ class TestRunConfig:
     def test_run_rejects_non_shape_input(self):
         with pytest.raises(ConfigurationError):
             run("hars-e", ["swaptions"])
-
-
-class TestDeprecatedWrappers:
-    SHAPE = RunShape(benchmark="swaptions", n_units=40)
-
-    def test_run_single_without_legacy_kwargs_is_quiet(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_single("hars-e", self.SHAPE)
-            run_single("hars-e", self.SHAPE, config=RunConfig())
-
-    def test_run_single_legacy_kwarg_warns_but_works(self, xu3):
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            outcome = run_single("hars-e", self.SHAPE, spec=xu3)
-        assert outcome.metrics.apps[0].heartbeats == 40
-
-    def test_run_multi_legacy_kwarg_warns_but_works(self):
-        shapes = [
-            RunShape(benchmark="swaptions", n_units=40,
-                     target_fraction=0.5, seed=1),
-            RunShape(benchmark="bodytrack", n_units=40,
-                     target_fraction=0.5, seed=2),
-        ]
-        with pytest.warns(DeprecationWarning, match="run_multi"):
-            outcome = run_multi("mp-hars-e", shapes, profile="fast")
-        assert len(outcome.metrics.apps) == 2
-
-    def test_mixing_config_and_legacy_kwargs_refused(self):
-        with pytest.raises(ConfigurationError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                run_single(
-                    "hars-e",
-                    self.SHAPE,
-                    profile="fast",
-                    config=RunConfig(),
-                )
-
-    def test_legacy_path_matches_runconfig_path(self, xu3):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_single(
-                "hars-e", self.SHAPE, spec=xu3, cache_estimates=False
-            )
-        modern = run(
-            "hars-e",
-            self.SHAPE,
-            RunConfig(spec=xu3, cache_estimates=False),
-        )
-        assert dataclasses.asdict(legacy.metrics) == (
-            dataclasses.asdict(modern.metrics)
-        )
-
-
-class TestNoLegacyCallersRemain:
-    """Repo-wide guard: only this test file may exercise the deprecated
-    keyword path; everything else goes through run()/RunConfig."""
-
-    SCAN_DIRS = ("src", "benchmarks", "examples", "tests")
-
-    def _legacy_calls(self, path):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = getattr(func, "attr", None) or getattr(func, "id", None)
-            if name not in ("run_single", "run_multi"):
-                continue
-            legacy = [
-                kw.arg
-                for kw in node.keywords
-                if kw.arg in runner._LEGACY_KWARGS
-            ]
-            if legacy:
-                yield node.lineno, name, legacy
-
-    def test_no_module_uses_legacy_kwargs(self):
-        offenders = []
-        for directory in self.SCAN_DIRS:
-            for path in sorted((REPO_ROOT / directory).rglob("*.py")):
-                if path.resolve() == Path(__file__).resolve():
-                    continue
-                for lineno, name, legacy in self._legacy_calls(path):
-                    offenders.append(
-                        f"{path.relative_to(REPO_ROOT)}:{lineno} "
-                        f"{name}({', '.join(legacy)}=...)"
-                    )
-        assert not offenders, (
-            "deprecated run_single/run_multi keywords in:\n"
-            + "\n".join(offenders)
-        )

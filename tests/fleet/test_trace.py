@@ -89,12 +89,6 @@ class TestFleetConfig:
     def test_arrival_rps(self):
         assert _config(nodes=4, per_node_rps=10.0).arrival_rps == 40.0
 
-    def test_profile_mirror_stays_in_sync_with_engine(self):
-        from repro.fleet.config import _PROFILES
-        from repro.sim.engine import PROFILES
-
-        assert _PROFILES == PROFILES
-
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -115,7 +109,6 @@ class TestFleetConfig:
             ("rate_span_s", 0.0),
             ("drain_s", -1.0),
             ("trace", "nope"),
-            ("profile", "nope"),
         ],
     )
     def test_validation(self, field, value):

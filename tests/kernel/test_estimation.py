@@ -29,7 +29,7 @@ _POWER = calibrate(_SPEC)
 # One warm layer shared across all hypothesis examples: later examples
 # hit entries earlier examples cached, which is exactly the production
 # access pattern the identity property must survive.
-_LAYER = EstimationLayer(_PERF, _POWER, cached=True)
+_LAYER = EstimationLayer(_PERF, _POWER)
 
 _CB = st.integers(min_value=0, max_value=4)
 _CL = st.integers(min_value=0, max_value=4)
@@ -133,7 +133,7 @@ class TestEstimationLayerInvalidation:
             def estimate(self, state, perf):
                 return self.watts
 
-        layer = EstimationLayer(_PERF, Constant(1.0), cached=True)
+        layer = EstimationLayer(_PERF, Constant(1.0))
         state = SystemState(2, 2, 1200, 1000)
         perf = layer.perf.estimate(state, 8)
         assert layer.power.estimate(state, perf) == 1.0
@@ -150,7 +150,7 @@ class TestEstimationLayerInvalidation:
         assert layer.perf.r0 == 2.5
 
     def test_invalidate_keeps_models_but_drops_entries(self):
-        layer = EstimationLayer(_PERF, _POWER, cached=True)
+        layer = EstimationLayer(_PERF, _POWER)
         state = SystemState(1, 1, 1000, 900)
         first = layer.perf.estimate(state, 8)
         layer.invalidate()
@@ -158,16 +158,17 @@ class TestEstimationLayerInvalidation:
         assert again == first  # same model, recomputed
         assert layer.perf.misses == 2
 
-    def test_uncached_layer_exposes_raw_estimators(self):
-        layer = EstimationLayer(_PERF, _POWER, cached=False)
-        assert layer.perf is _PERF
-        assert layer.power is _POWER
-        layer.invalidate()  # no-op, must not raise
+    def test_layer_always_wraps_estimators(self):
+        layer = EstimationLayer(_PERF, _POWER)
+        assert isinstance(layer.perf, CachedPerformanceEstimator)
+        assert isinstance(layer.power, CachedPowerEstimator)
+        assert layer.perf.inner is _PERF
+        assert layer.power.inner is _POWER
 
 
 class TestEstimationLayerStats:
     def test_stats_reports_current_counters(self):
-        layer = EstimationLayer(PerformanceEstimator(), _POWER, cached=True)
+        layer = EstimationLayer(PerformanceEstimator(), _POWER)
         state = SystemState(2, 2, 1200, 1000)
         layer.perf.estimate(state, 8)
         layer.perf.estimate(state, 8)
@@ -179,9 +180,7 @@ class TestEstimationLayerStats:
         # Regression: online ratio learning swaps the performance model
         # every adaptation period; the swap must retire the old wrapper's
         # counters into the layer totals, not zero them.
-        layer = EstimationLayer(
-            PerformanceEstimator(r0=1.5), _POWER, cached=True
-        )
+        layer = EstimationLayer(PerformanceEstimator(r0=1.5), _POWER)
         state = SystemState(2, 2, 1200, 1000)
         layer.perf.estimate(state, 8)
         layer.perf.estimate(state, 8)  # 1 miss, 1 hit
@@ -210,8 +209,8 @@ class TestEstimationLayerStats:
         assert stats["power_misses"] == 2
         assert stats["power_hits"] == 1
 
-    def test_uncached_layer_stats_are_zero(self):
-        layer = EstimationLayer(_PERF, _POWER, cached=False)
+    def test_fresh_layer_stats_are_zero(self):
+        layer = EstimationLayer(_PERF, _POWER)
         layer.set_perf_estimator(PerformanceEstimator())
         assert layer.stats() == {
             "perf_hits": 0,
@@ -227,7 +226,7 @@ class TestEstimationLayerStats:
         # stats() meters its tensor builds/reuses instead of silently
         # reporting an idle cache.
         spec = odroid_xu3()
-        layer = EstimationLayer(_PERF, _POWER, cached=True)
+        layer = EstimationLayer(_PERF, _POWER)
         first = layer.tensor(spec, 8)
         again = layer.tensor(spec, 8)
         assert again is first
@@ -240,7 +239,7 @@ class TestEstimationLayerStats:
 
     def test_tensor_invalidates_on_model_swap_and_invalidate(self):
         spec = odroid_xu3()
-        layer = EstimationLayer(_PERF, _POWER, cached=True)
+        layer = EstimationLayer(_PERF, _POWER)
         first = layer.tensor(spec, 8)
         layer.set_power_estimator(_POWER)
         rebuilt = layer.tensor(spec, 8)

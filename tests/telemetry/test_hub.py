@@ -37,7 +37,7 @@ class TestBusWiring:
             flat[
                 (
                     "run_info",
-                    (("profile", "fast"), ("version", "hars-e")),
+                    (("version", "hars-e"),),
                 )
             ]
             == 1.0

@@ -3,7 +3,7 @@ bit-identical to uninstrumented ones on both run paths."""
 
 import dataclasses
 
-from repro.experiments.runner import RunConfig, RunShape, run, run_single
+from repro.experiments.runner import RunConfig, RunShape, run
 
 def _snapshot(outcome):
     return (
@@ -23,13 +23,6 @@ class TestSingleAppIdentity:
         assert _snapshot(instrumented) == _snapshot(plain)
         assert plain.telemetry is None
         assert instrumented.telemetry is not None
-
-    def test_legacy_run_single_matches_run(self):
-        shape = RunShape(benchmark="bodytrack", n_units=80, seed=5)
-        config = RunConfig(telemetry=True)
-        assert _snapshot(run_single("hars-e", shape, config=config)) == (
-            _snapshot(run("hars-e", shape, config))
-        )
 
 
 class TestMultiAppIdentity:
