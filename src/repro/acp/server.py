@@ -78,8 +78,9 @@ class _Refusal(ConfigurationError):
 
 
 class _Lease:
-    """One session's liveness contract: refreshed by any client frame,
-    expired when the TTL elapses with none."""
+    """One session's liveness contract: refreshed when any client frame
+    arrives and when its reply is sent, expired when the TTL elapses
+    with neither."""
 
     __slots__ = ("ttl_s", "deadline")
 
@@ -222,6 +223,10 @@ class AcpServer:
                     code=wire.ERR_INTERNAL,
                 )
             ]
+        # A long dispatch (a blocking `result` wait) can outlast most of
+        # the TTL; re-arm on reply so the client gets a full TTL to send
+        # its next frame.
+        self._touch_lease(frame.session_id)
         if window is not None:
             window.record(frame.seq, frame.type, frames)
         self.frames_out += len(frames)

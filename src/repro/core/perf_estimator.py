@@ -113,17 +113,6 @@ class PerformanceEstimator:
         cap_current = self.estimate(current, n_threads).capacity
         return observed_rate * cap_candidate / cap_current
 
-    def tabulate(self, spec, n_threads: int, estimate=None) -> dict:
-        """Full-grid tables for the vector planner.
-
-        ``estimate`` lets a memoizing wrapper route the per-state calls
-        through its cache (see
-        :meth:`repro.kernel.estimation.CachedPerformanceEstimator.tabulate`).
-        """
-        return tabulate_performance(
-            spec, n_threads, estimate if estimate is not None else self.estimate
-        )
-
 
 def tabulate_performance(spec, n_threads: int, estimate) -> dict:
     """Sweep ``estimate`` over the full state grid into dense arrays.

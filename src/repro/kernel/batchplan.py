@@ -94,8 +94,10 @@ class StateSpaceTensor:
     thread assignment, ``power`` from the power model (NaN where either
     model fails), ``perf_valid``/``valid`` are the failure masks.  The
     tensor belongs to one ``(performance model, power model, n_threads)``
-    triple; the owning :class:`~repro.kernel.estimation.EstimationLayer`
-    drops it whenever a model is swapped or invalidated.
+    triple and is read-only once built, so every
+    :class:`~repro.kernel.estimation.EstimationLayer` holding equal
+    models may share it; a layer drops its reference whenever a model
+    is swapped or invalidated.
     """
 
     __slots__ = (
@@ -147,16 +149,11 @@ class StateSpaceTensor:
     ) -> "StateSpaceTensor":
         """Tabulate both models over the full grid.
 
-        ``perf``/``power`` are whatever the estimation layer holds — the
-        memoizing wrappers (whose ``tabulate`` routes per-state calls
-        through the cache) or raw estimators.  Estimators without a
-        ``tabulate`` are swept per state through their ``estimate``.
+        ``perf``/``power`` are the estimation layer's raw estimators.
+        The performance model is swept per state through its
+        ``estimate``; a power model without a ``tabulate`` is too.
         """
-        tab = getattr(perf, "tabulate", None)
-        if tab is not None:
-            tables = tab(spec, n_threads)
-        else:
-            tables = tabulate_performance(spec, n_threads, perf.estimate)
+        tables = tabulate_performance(spec, n_threads, perf.estimate)
         perf_valid = tables["valid"]
         ptab = getattr(power, "tabulate", None)
         if ptab is not None:

@@ -14,16 +14,72 @@ cached capacities with the same expression the inner estimator uses
 
 Swapping an estimator (online ratio learning refits r0; a recalibration
 refits the power coefficients) invalidates the corresponding cache.
+
+The planner's state-space tensors depend only on the model *values*
+(the stock estimators' ``r0``/``f0``/``S_L,f0`` and fitted ``(α, β)``
+table), the platform and the thread count — not on which layer asks.
+A process-wide LRU memo keyed by exactly those values hands every
+layer with equal models (every node of a fleet) the same read-only
+tensor, so each is built once per model rather than once per manager.
+Estimators of any other class have no value key and keep a per-layer
+build.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+import threading
+from collections import OrderedDict
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.core.perf_estimator import PerformanceEstimate, PerformanceEstimator
 from repro.core.power_estimator import PowerEstimator
 from repro.core.state import SystemState
 from repro.errors import EstimationError
+
+#: Most state-space tensors the process-wide memo keeps.  A fleet needs
+#: one per (model pair, platform, thread count); ratio learning adds one
+#: per distinct refit r0, which the LRU order retires first.
+TENSOR_MEMO_SIZE = 32
+
+_tensor_memo: "OrderedDict[Hashable, Any]" = OrderedDict()
+# ACP daemons plan on session threads; the lock also makes concurrent
+# misses on one key build it once.
+_tensor_memo_lock = threading.Lock()
+
+
+def _model_key(perf: Any, power: Any) -> Optional[Hashable]:
+    """The value key of a stock model pair; None for any other class,
+    whose estimates may depend on more than these values."""
+    if type(perf) is not PerformanceEstimator or type(power) is not PowerEstimator:
+        return None
+    fits = ((point, power.coefficients(*point)) for point in power.fitted_points)
+    coefficients = tuple((point, fit.alpha, fit.beta) for point, fit in fits)
+    return ((perf.r0, perf.f0_mhz, perf.s_little_f0), coefficients)
+
+
+def _build_tensor(spec, n_threads: int, perf: Any, power: Any):
+    """The state-space tensor of raw ``perf``/``power``: the memo's for
+    a stock pair (built on a memo miss), a fresh one for any other."""
+    from repro.kernel.batchplan import StateSpaceTensor
+
+    models = _model_key(perf, power)
+    if models is None:
+        return StateSpaceTensor.build(spec, n_threads, perf, power)
+    # The spec's repr spells out every field (frozen dataclasses down to
+    # the DVFS and voltage tables, floats round-tripping), so equal
+    # reprs mean equal contents whatever the name.  PlatformSpec itself
+    # is unhashable: its voltage tables are dicts.
+    key = (models, repr(spec), n_threads)
+    with _tensor_memo_lock:
+        tensor = _tensor_memo.get(key)
+        if tensor is not None:
+            _tensor_memo.move_to_end(key)
+            return tensor
+        tensor = StateSpaceTensor.build(spec, n_threads, perf, power)
+        _tensor_memo[key] = tensor
+        if len(_tensor_memo) > TENSOR_MEMO_SIZE:
+            _tensor_memo.popitem(last=False)
+        return tensor
 
 
 class CachedPerformanceEstimator:
@@ -60,18 +116,6 @@ class CachedPerformanceEstimator:
         cap_candidate = self.estimate(candidate, n_threads).capacity
         cap_current = self.estimate(current, n_threads).capacity
         return observed_rate * cap_candidate / cap_current
-
-    def tabulate(self, spec, n_threads: int) -> dict:
-        """Full-grid tables routed through the memo cache.
-
-        The planner's tensor build reuses whatever prior sweeps
-        cached and leaves every grid state warm, so the scalar fallback
-        paths (forced holds, winner re-evaluation, guard probes) are
-        pure cache hits afterwards.
-        """
-        from repro.core.perf_estimator import tabulate_performance
-
-        return tabulate_performance(spec, n_threads, self.estimate)
 
     def clear(self) -> None:
         self._cache.clear()
@@ -141,25 +185,35 @@ class EstimationLayer:
             "power_misses": 0,
         }
         # State-space tensors for the planner, keyed by
-        # (spec name, n_threads).  They describe the *current* model
-        # pair, so every swap/invalidation below drops them.  Build and
-        # reuse counts are layer-lifetime, like the retired hit/miss
-        # totals: the planner mostly bypasses the per-state memo,
-        # and these counters are what stats() reports for it instead.
+        # (spec name, n_threads), in front of the process-wide memo.
+        # They describe the *current* model pair, so every
+        # swap/invalidation below drops them.  Build and reuse counts
+        # are layer-lifetime, like the retired hit/miss totals: the
+        # planner mostly bypasses the per-state memo, and these
+        # counters are what stats() reports for it instead.
         self._tensors: Dict[Tuple[str, int], Any] = {}
         self.tensor_builds = 0
         self.tensor_reuses = 0
 
     def tensor(self, spec, n_threads: int):
-        """The state-space tensor for the current models (built lazily)."""
+        """The state-space tensor for the current models.
+
+        Kept per layer by ``(spec name, n_threads)``.  On a per-layer
+        miss a stock model pair takes the process-wide memo's tensor for
+        its values (built there on a memo miss); any other pair is
+        built for this layer alone.  Either way the miss counts as one
+        ``tensor_builds`` — the layer's count never depends on what the
+        process has already built.
+        """
         key = (spec.name, n_threads)
         cached = self._tensors.get(key)
         if cached is not None:
             self.tensor_reuses += 1
             return cached
-        from repro.kernel.batchplan import StateSpaceTensor
-
-        tensor = StateSpaceTensor.build(spec, n_threads, self.perf, self.power)
+        # Tabulated through the raw estimators: a build must not warm
+        # one layer's per-state memo, or stats() would depend on what
+        # the process happened to build first.
+        tensor = _build_tensor(spec, n_threads, self.perf.inner, self.power.inner)
         self._tensors[key] = tensor
         self.tensor_builds += 1
         return tensor
@@ -191,7 +245,9 @@ class EstimationLayer:
         ``tensor_builds``/``tensor_reuses`` meter the planner's
         state-space tensors — its per-plan lookups do not touch the
         per-state memo, so without these the planner would look
-        free in the cache accounting.
+        free in the cache accounting.  Both count this layer's lookups
+        (a build is a per-layer miss), so they read the same whether
+        the process-wide memo was cold or warm.
         """
         return {
             "perf_hits": self._retired["perf_hits"] + self.perf.hits,

@@ -419,8 +419,9 @@ class TelemetryHub(Controller):
         )
         rebuilds = reg.counter(
             "planner_tensor_rebuilds_total",
-            "State-space tensor (re)builds per manager — one per model "
-            "pair after every swap or invalidation.",
+            "State-space tensor lookups a manager could not serve from "
+            "its own tensors — one per model pair after every swap or "
+            "invalidation, built or taken from the process-wide memo.",
         )
         for index, controller in enumerate(sim.controllers):
             knowledge = getattr(controller, "knowledge", None)

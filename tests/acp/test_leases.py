@@ -51,6 +51,25 @@ class TestLeaseLifecycle:
         ] == ["leased"]
         assert server.lease_expirations == 0
 
+    def test_reply_refreshes_the_lease(self, clocked, monkeypatch):
+        # A dispatch that takes 0.9 TTL (a blocking `result` wait) must
+        # not eat into the client's time for its next frame.
+        clock, server, client = clocked
+        handle = client.attach("hars-ei", SHAPE, CONFIG, session_id="leased")
+        dispatch = server._dispatch
+
+        def slow_dispatch(frame):
+            frames = dispatch(frame)
+            clock.now += 9.0
+            return frames
+
+        monkeypatch.setattr(server, "_dispatch", slow_dispatch)
+        handle.advance(1.0)  # arrives at 0, replies at 9
+        monkeypatch.setattr(server, "_dispatch", dispatch)
+        clock.now = 10.5  # TTL + 0.5 after the frame arrived
+        handle.advance(1.0)
+        assert server.lease_expirations == 0
+
     def test_expiry_orphans_checkpoints_and_releases(self, clocked):
         clock, server, client = clocked
         handle = client.attach("hars-ei", SHAPE, CONFIG, session_id="leased")

@@ -6,6 +6,10 @@ row of every application.  Floats are written as ``repr(float(x))``
 strings, so a numpy scalar's repr cannot move a digest between numpy
 versions; dict keys are sorted and separators fixed.
 
+A fleet run's digest is the same canonical JSON over
+:meth:`~repro.fleet.cluster.FleetResult.summary`, its deterministic
+cross-shard fingerprint.
+
 The reference runs live in :data:`GOLDEN_RUNS` so the tests that assert
 them (``tests/golden/test_golden_digests.py`` and the end-to-end parity
 class in ``tests/kernel/test_batchplan.py``) and the kernel-overhead
@@ -21,7 +25,26 @@ import numbers
 from pathlib import Path
 from typing import Any, Callable, Dict
 
-from repro.experiments.runner import RunConfig, RunShape, run
+from repro.core.calibration import calibrate
+from repro.core.perf_estimator import PerformanceEstimator
+from repro.core.policy import HARS_E
+from repro.experiments.runner import (
+    RunConfig,
+    RunOutcome,
+    RunShape,
+    _collect,
+    measure_max_rate,
+    run,
+)
+from repro.extensions.adaptive_manager import AdaptiveHarsManager
+from repro.extensions.ratio_learning import OnlineRatioLearner
+from repro.fleet import FleetConfig, FleetFaultConfig, ResilienceConfig, crash_wave
+from repro.fleet.cluster import FleetCluster, FleetResult
+from repro.heartbeats.targets import PerformanceTarget
+from repro.platform.spec import odroid_xu3
+from repro.sim.engine import Simulation
+from repro.sim.process import SimApp
+from repro.workloads.parsec import make_benchmark
 
 #: Where the recorded digests live, keyed by :data:`GOLDEN_RUNS` name.
 GOLDEN_PATH = Path(__file__).with_name("digests.json")
@@ -59,6 +82,53 @@ MULTI_SHAPES = (
 #: The kernel-overhead benchmark's native-size HARS-E run.
 KERNEL_OVERHEAD_SHAPE = RunShape(benchmark="swaptions", n_units=400)
 
+#: A small serving fleet under deadline-risk routing, with a crash wave
+#: a fifth of the way into the arrivals, per-attempt retries and hedging.
+FLEET_CONFIG = FleetConfig(
+    nodes=20,
+    requests=800,
+    seed=5,
+    chaos=FleetFaultConfig(
+        seed=5, schedule=crash_wave(20, 0.10, at_s=800 / (20 * 8.0) / 5)
+    ),
+    resilience=ResilienceConfig(attempt_timeout_s=1.0, hedge_fraction=0.6),
+)
+
+#: The ratio-learning run: blackscholes (true big:little ratio 1.0,
+#: HARS assumes 1.5) under an AdaptiveHarsManager whose learner refits
+#: r0 and swaps the performance model every adaptation period.
+RATIO_LEARNING_SHAPE = RunShape(benchmark="blackscholes", n_units=120, seed=2)
+
+
+def _ratio_learning_run() -> RunOutcome:
+    shape = RATIO_LEARNING_SHAPE
+    spec = odroid_xu3()
+    max_rate = measure_max_rate(spec, shape)
+    target = PerformanceTarget.fraction_of(
+        max_rate, shape.target_fraction, shape.tolerance
+    )
+    sim = Simulation(spec, tick_s=shape.tick_s)
+    model = make_benchmark(shape.benchmark, shape.n_units, shape.n_threads)
+    model.reset(shape.seed)
+    app = sim.add_app(SimApp(shape.benchmark, model, target))
+    manager = sim.add_controller(
+        AdaptiveHarsManager(
+            app.name,
+            HARS_E,
+            PerformanceEstimator(),
+            calibrate(spec),
+            adapt_every=shape.adapt_every,
+            ratio_learner=OnlineRatioLearner(),
+        )
+    )
+    sim.run(until_s=600.0)
+    return RunOutcome(
+        metrics=_collect("hars-e+ratio", sim, [app], [manager], sim.clock.now_s),
+        trace=sim.trace,
+        target=target,
+        max_rate=max_rate,
+    )
+
 
 def _canonical(value: Any) -> Any:
     """``value`` with every float as its ``repr`` string, JSON-ready."""
@@ -76,14 +146,18 @@ def _canonical(value: Any) -> Any:
 
 
 def outcome_digest(outcome) -> str:
-    """sha256 of the canonical JSON of a run's metrics and trace rows."""
-    payload = {
-        "metrics": _canonical(dataclasses.asdict(outcome.metrics)),
-        "trace": {
-            name: _canonical(outcome.trace.points(name))
-            for name in sorted(outcome.trace.app_names)
-        },
-    }
+    """sha256 of the canonical JSON of a run's metrics and trace rows
+    (of its ``summary()`` for a fleet run)."""
+    if isinstance(outcome, FleetResult):
+        payload = _canonical(outcome.summary())
+    else:
+        payload = {
+            "metrics": _canonical(dataclasses.asdict(outcome.metrics)),
+            "trace": {
+                name: _canonical(outcome.trace.points(name))
+                for name in sorted(outcome.trace.app_names)
+            },
+        }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -99,6 +173,10 @@ GOLDEN_RUNS: Dict[str, Callable[[], Any]] = {
     "hars-e-swaptions-x400": lambda: run(
         "hars-e", KERNEL_OVERHEAD_SHAPE, RunConfig()
     ),
+    "fleet-deadline-risk-x20-crash-hedge": lambda: FleetCluster(
+        FLEET_CONFIG, router="deadline-risk"
+    ).run(),
+    "hars-e-ratio-learning-blackscholes-x120": _ratio_learning_run,
 }
 
 

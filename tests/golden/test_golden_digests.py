@@ -9,7 +9,9 @@ a change moved a metric or a trace row, not merely a speed.
 The four end-to-end planner runs are asserted by
 ``tests/kernel/test_batchplan.py::TestEndToEndProfileParity``; the
 native-size HARS-E run here, and again (with its wall time) by
-``benchmarks/bench_kernel_overhead.py``.
+``benchmarks/bench_kernel_overhead.py``.  The serving-fleet run (crash
+wave, retries, hedging) and the ratio-learning run (a performance-model
+swap every adaptation period) are asserted here too.
 
 Regenerate only when a behaviour change is intended, and say so in the
 change log::
@@ -25,6 +27,16 @@ from tests.golden import GOLDEN_PATH, GOLDEN_RUNS, load_golden, outcome_digest
 
 def test_kernel_overhead_run_matches_golden_digest():
     name = "hars-e-swaptions-x400"
+    assert outcome_digest(GOLDEN_RUNS[name]()) == load_golden()[name]
+
+
+def test_fleet_run_matches_golden_digest():
+    name = "fleet-deadline-risk-x20-crash-hedge"
+    assert outcome_digest(GOLDEN_RUNS[name]()) == load_golden()[name]
+
+
+def test_ratio_learning_run_matches_golden_digest():
+    name = "hars-e-ratio-learning-blackscholes-x120"
     assert outcome_digest(GOLDEN_RUNS[name]()) == load_golden()[name]
 
 

@@ -10,13 +10,16 @@ equality over :class:`~repro.core.search.SearchResult`, i.e. exact
 float comparison, not approx.
 """
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.calibration import calibrate
 from repro.core.perf_estimator import PerformanceEstimator
 from repro.core.policy import SearchSpace
+from repro.core.power_estimator import PowerEstimator
 from repro.core.search import get_next_sys_state
 from repro.core.state import SystemState, from_indices, max_state
 from repro.errors import EstimationError
@@ -26,6 +29,7 @@ from repro.heartbeats.targets import PerformanceTarget
 from repro.kernel.batchplan import (
     PlanRequest,
     PlanService,
+    StateSpaceTensor,
     batch_next_sys_state,
 )
 from repro.kernel.estimation import EstimationLayer
@@ -323,41 +327,74 @@ class TestEdgeCases:
             assert scalar == vector
 
 
+def _scaled(power, factor):
+    """A different power model: every fitted α scaled by ``factor``."""
+    return PowerEstimator(
+        {
+            point: dataclasses.replace(
+                power.coefficients(*point),
+                alpha=power.coefficients(*point).alpha * factor,
+            )
+            for point in power.fitted_points
+        }
+    )
+
+
+def _same_tensor(a, b):
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+        for name in ("capacity", "used_big", "used_little", "power", "valid")
+    )
+
+
 class TestTensorInvalidation:
+    """A swap to a different model never plans on the old tensor; a swap
+    to an equal-valued model may share it.  Either way the layer drops
+    its reference and the next lookup counts as one of its builds."""
+
+    @staticmethod
+    def _manager(power):
+        from repro.core.policy import HARS_E
+        from repro.core.manager import HarsManager
+
+        return HarsManager(
+            app_name="x264",
+            policy=HARS_E,
+            perf_estimator=PERF,
+            power_estimator=power,
+        )
+
     def test_checkpoint_restore_drops_tensors(self):
         # restore_checkpoint re-adopts the fitted power model through
-        # the estimator setter; a tensor built for the old model must
-        # not survive it.
-        from repro.core.policy import HARS_E
-        from repro.core.manager import HarsManager
-
-        manager = HarsManager(
-            app_name="x264",
-            policy=HARS_E,
-            perf_estimator=PERF,
-            power_estimator=POWER,
-        )
+        # the estimator setter.
+        manager = self._manager(POWER)
         layer = manager.knowledge.estimation
         stale = layer.tensor(SPEC, 8)
-        payload = manager.checkpoint(now_s=1.0)
-        manager.restore_checkpoint(sim=None, payload=payload)
+        other = _scaled(POWER, 2.0)
+        donor = self._manager(other)
+        manager.restore_checkpoint(sim=None, payload=donor.checkpoint(now_s=1.0))
         assert layer._tensors == {}
-        assert layer.tensor(SPEC, 8) is not stale
+        fresh = layer.tensor(SPEC, 8)
+        assert fresh is not stale
+        assert not _same_tensor(fresh, stale)
+        assert _same_tensor(fresh, StateSpaceTensor.build(SPEC, 8, PERF, other))
+        payload = self._manager(POWER).checkpoint(now_s=2.0)
+        manager.restore_checkpoint(sim=None, payload=payload)
+        assert _same_tensor(layer.tensor(SPEC, 8), stale)
+        assert layer.stats()["tensor_builds"] == 3
 
     def test_manager_setter_swap_drops_tensors(self):
-        from repro.core.policy import HARS_E
-        from repro.core.manager import HarsManager
-
-        manager = HarsManager(
-            app_name="x264",
-            policy=HARS_E,
-            perf_estimator=PERF,
-            power_estimator=POWER,
-        )
+        manager = self._manager(POWER)
         layer = manager.knowledge.estimation
         stale = layer.tensor(SPEC, 8)
+        manager.power_estimator = _scaled(POWER, 0.5)
+        assert layer._tensors == {}
+        swapped = layer.tensor(SPEC, 8)
+        assert swapped is not stale
+        assert not _same_tensor(swapped, stale)
         manager.power_estimator = POWER
-        assert layer.tensor(SPEC, 8) is not stale
+        assert _same_tensor(layer.tensor(SPEC, 8), stale)
+        assert layer.stats()["tensor_builds"] == 3
 
 
 class TestPlanService:

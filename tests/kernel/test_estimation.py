@@ -4,9 +4,17 @@ The core property: an Algorithm 2 sweep through the cached layer picks
 the same state with the same estimated floats as a sweep through the
 raw estimators — warm or cold — across randomized current states,
 observed rates, and targets (the full HARS-E box).  Plus the
-invalidation protocol: swapping a model drops the stale cache.
+invalidation protocol: swapping a model drops the stale cache; and the
+process-wide state-space tensor memo: one build per model, shared.
 """
 
+import dataclasses
+import random
+import sys
+import threading
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,13 +23,18 @@ from repro.core.perf_estimator import PerformanceEstimator
 from repro.core.policy import HARS_E
 from repro.core.search import get_next_sys_state
 from repro.core.state import SystemState, from_indices
+from repro.fleet import FleetConfig
+from repro.fleet.cluster import FleetCluster
 from repro.heartbeats.targets import PerformanceTarget, Satisfaction
+from repro.kernel import estimation
+from repro.kernel.batchplan import StateSpaceTensor, batch_next_sys_state
 from repro.kernel.estimation import (
     CachedPerformanceEstimator,
     CachedPowerEstimator,
     EstimationLayer,
 )
-from repro.platform.spec import odroid_xu3
+from repro.platform.core_types import cortex_a15
+from repro.platform.spec import odroid_xu3, small_test_platform
 
 _SPEC = odroid_xu3()
 _PERF = PerformanceEstimator()
@@ -238,15 +251,165 @@ class TestEstimationLayerStats:
         assert layer.stats()["tensor_builds"] == 2
 
     def test_tensor_invalidates_on_model_swap_and_invalidate(self):
+        # Every swap or invalidation drops the layer's tensor and the
+        # next lookup counts as a build.  A different model never plans
+        # on the old tensor; an equal-valued one may share it.
         spec = odroid_xu3()
         layer = EstimationLayer(_PERF, _POWER)
         first = layer.tensor(spec, 8)
         layer.set_power_estimator(_POWER)
-        rebuilt = layer.tensor(spec, 8)
-        assert rebuilt is not first
+        assert layer._tensors == {}
+        assert _same_tensor(layer.tensor(spec, 8), first)
+        layer.set_perf_estimator(PerformanceEstimator(r0=2.0))
+        refit = layer.tensor(spec, 8)
+        assert refit is not first
+        assert not _same_tensor(refit, first)
         layer.set_perf_estimator(PerformanceEstimator())
-        assert layer.tensor(spec, 8) is not rebuilt
-        third = layer.tensor(spec, 8)
+        assert _same_tensor(layer.tensor(spec, 8), first)
         layer.invalidate()
-        assert layer.tensor(spec, 8) is not third
-        assert layer.stats()["tensor_builds"] == 4
+        assert layer._tensors == {}
+        assert _same_tensor(layer.tensor(spec, 8), first)
+        assert layer.stats()["tensor_builds"] == 5
+
+
+def _same_tensor(a, b):
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+        for name in ("capacity", "used_big", "used_little", "power", "valid")
+    )
+
+
+@pytest.fixture()
+def cold_memo():
+    with estimation._tensor_memo_lock:
+        estimation._tensor_memo.clear()
+
+
+@pytest.fixture()
+def build_calls(monkeypatch):
+    """Model keys of every StateSpaceTensor.build call in the test."""
+    calls = []
+    build = StateSpaceTensor.build
+
+    def counting(spec, n_threads, perf, power):
+        calls.append(
+            (estimation._model_key(perf, power), spec.name, n_threads)
+        )
+        return build(spec, n_threads, perf, power)
+
+    monkeypatch.setattr(StateSpaceTensor, "build", counting)
+    return calls
+
+
+class TestTensorMemo:
+    """The process-wide memo: one tensor per (model values, platform,
+    n_threads), shared by every layer that asks."""
+
+    def test_fleet_builds_each_tensor_once(self, cold_memo, build_calls):
+        cluster = FleetCluster(FleetConfig(nodes=20, requests=200, seed=3))
+        cluster.run()
+        layers = [node.manager.knowledge.estimation for node in cluster.nodes]
+        per_layer = sum(layer.stats()["tensor_builds"] for layer in layers)
+        assert build_calls
+        assert len(build_calls) == len(set(build_calls))
+        assert per_layer > len(build_calls)
+
+    def test_different_r0_gets_a_different_tensor(self, cold_memo):
+        spec = odroid_xu3()
+        stock = EstimationLayer(PerformanceEstimator(), _POWER)
+        refit = EstimationLayer(PerformanceEstimator(r0=1.0), _POWER)
+        equal = EstimationLayer(PerformanceEstimator(r0=1.5), calibrate(spec))
+        assert refit.tensor(spec, 8) is not stock.tensor(spec, 8)
+        assert not _same_tensor(refit.tensor(spec, 8), stock.tensor(spec, 8))
+        assert equal.tensor(spec, 8) is stock.tensor(spec, 8)
+
+    def test_same_name_spec_with_other_tables_does_not_share(self, cold_memo):
+        spec = odroid_xu3()
+        a15 = spec.big.core_type
+        volts = {f: v + 0.01 for f, v in a15.voltage_table.items()}
+        revolted = dataclasses.replace(
+            spec,
+            big=dataclasses.replace(
+                spec.big,
+                core_type=dataclasses.replace(a15, voltage_table=volts),
+            ),
+        )
+        short_dvfs = dataclasses.replace(
+            spec,
+            big=dataclasses.replace(
+                spec.big, core_type=cortex_a15(freqs_mhz=(800, 1200, 1600))
+            ),
+        )
+        assert revolted.name == short_dvfs.name == spec.name
+        tensors = [
+            EstimationLayer(_PERF, _POWER).tensor(platform, 8)
+            for platform in (spec, revolted, short_dvfs)
+        ]
+        assert len({id(tensor) for tensor in tensors}) == 3
+        assert tensors[2].capacity.shape[2] == 3
+
+    def test_ratio_learning_refits_stay_within_the_bound(self, cold_memo):
+        spec = small_test_platform()
+        layer = EstimationLayer(PerformanceEstimator(), _POWER)
+        previous = layer.tensor(spec, 8)
+        for step in range(1, 101):
+            layer.set_perf_estimator(PerformanceEstimator(r0=1.5 + step / 100))
+            tensor = layer.tensor(spec, 8)
+            assert not _same_tensor(tensor, previous)
+            previous = tensor
+        assert len(estimation._tensor_memo) == estimation.TENSOR_MEMO_SIZE
+        assert layer.stats()["tensor_builds"] == 101
+
+    def test_concurrent_lookups_share_one_tensor(self, cold_memo, build_calls):
+        spec = odroid_xu3()
+        layers = [EstimationLayer(PerformanceEstimator(), _POWER) for _ in range(8)]
+        barrier = threading.Barrier(len(layers))
+        results = [None] * len(layers)
+
+        def lookup(index):
+            barrier.wait(timeout=30)
+            results[index] = layers[index].tensor(spec, 8)
+
+        threads = [
+            threading.Thread(target=lookup, args=(index,))
+            for index in range(len(layers))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(tensor is results[0] for tensor in results)
+        assert len(build_calls) == 1
+
+    def test_stats_do_not_depend_on_memo_warmth(self, cold_memo, build_calls):
+        def planned_stats():
+            rng = random.Random(5)
+            layer = EstimationLayer(PerformanceEstimator(), calibrate(_SPEC))
+            for _ in range(6):
+                cb, cl = rng.randint(1, 4), rng.randint(0, 4)
+                center = rng.uniform(0.5, 6.0)
+                batch_next_sys_state(
+                    spec=_SPEC,
+                    current=from_indices(
+                        _SPEC, cb, cl, rng.randrange(9), rng.randrange(6)
+                    ),
+                    observed_rate=rng.uniform(0.5, 8.0),
+                    n_threads=8,
+                    target=PerformanceTarget(0.9 * center, center, 1.1 * center),
+                    space=HARS_E.space_for(Satisfaction.UNDERPERF),
+                    estimation=layer,
+                )
+            return layer.stats()
+
+        cold = planned_stats()
+        assert len(build_calls) == 1
+        warm = planned_stats()
+        assert len(build_calls) == 1
+        assert warm == cold
+        assert cold["tensor_builds"] == 1 and cold["perf_misses"] > 0
