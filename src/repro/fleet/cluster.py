@@ -57,7 +57,7 @@ from repro.fleet.chaos import (
 from repro.fleet.config import FleetConfig
 from repro.fleet.node import LANES, Completion, FleetNode
 from repro.fleet.resilience import AdmissionController, ResilienceConfig
-from repro.fleet.router import Router, _argmin_wait, make_router
+from repro.fleet.router import Candidates, Router, make_router
 from repro.fleet.slo import percentile
 from repro.fleet.supervisor import FleetSupervisor, NodeHealth
 from repro.fleet.trace import Request, make_trace
@@ -297,22 +297,23 @@ class FleetCluster:
             tick_end_s = now_s + config.tick_s
             # 1. Resilience pre-phase + backlog routing, then this
             #    tick's arrivals — all against the pre-step snapshot.
+            #    One Candidates serves the whole routing phase: built
+            #    after the pre-phase's restarts and cancels, dropped
+            #    before any node steps (its wait vectors rely on that).
             state = "normal"
             if res_on:
                 self._begin_tick(tick, now_s)
-                candidates = sup.routable(self.nodes)
+                candidates = Candidates(sup.routable(self.nodes))
                 self._route_backlog(tick, now_s, candidates)
                 if admission is not None and candidates:
                     depth = sum(
                         node.queue_len("hot") + node.queue_len("base")
                         for node in candidates
                     ) / len(candidates)
-                    best_wait = min(
-                        node.est_wait_s("base") for node in candidates
-                    )
+                    best_wait = min(candidates.waits("base"))
                     state = admission.update(depth, best_wait)
             else:
-                candidates = self.nodes
+                candidates = Candidates(self.nodes)
             while (
                 arrival_index < len(trace)
                 and trace[arrival_index].arrival_s < tick_end_s
@@ -331,15 +332,15 @@ class FleetCluster:
                 node_index, lane = self.router.route(
                     request, candidates, now_s
                 )
-                node = candidates[node_index]
                 if state == "brownout" and lane == "hot":
                     lane = "base"
                     self._demoted += 1
                     self._demoted_counter.inc(app=request.app)
-                node.enqueue(request, lane)
+                node = candidates.enqueue(node_index, request, lane)
                 routed.inc(lane=lane, app=request.app)
                 if self._tracking:
                     self._track(request, node, lane, 1, False, now_s)
+            del candidates
             # 2. Step, shard by shard (nodes are independent — order
             #    cannot change results, only cache behaviour).
             for shard in self.shards:
@@ -517,7 +518,7 @@ class FleetCluster:
                 )
 
     def _route_backlog(
-        self, tick: int, now_s: float, candidates: List[FleetNode]
+        self, tick: int, now_s: float, candidates: Candidates
     ) -> None:
         """Dispatch re-queues, deferred arrivals, retries and hedges."""
         routed = self._routed_counter
@@ -531,8 +532,7 @@ class FleetCluster:
                 node_index, lane = self.router.route(
                     request, candidates, now_s
                 )
-                node = candidates[node_index]
-                node.enqueue(request, lane)
+                node = candidates.enqueue(node_index, request, lane)
                 routed.inc(lane=lane, app=request.app)
                 wait_ticks = tick - stranded_tick
                 if wait_ticks > self._max_requeue_ticks:
@@ -546,8 +546,7 @@ class FleetCluster:
                 node_index, lane = self.router.route(
                     request, candidates, now_s
                 )
-                node = candidates[node_index]
-                node.enqueue(request, lane)
+                node = candidates.enqueue(node_index, request, lane)
                 routed.inc(lane=lane, app=request.app)
                 if self._tracking:
                     self._track(request, node, lane, 1, False, now_s)
@@ -561,24 +560,26 @@ class FleetCluster:
             if index in self._done or index in self._timed_out:
                 continue
             node_index, lane = self.router.route(request, candidates, now_s)
-            node = candidates[node_index]
-            node.enqueue(request, lane)
+            node = candidates.enqueue(node_index, request, lane)
             routed.inc(lane=lane, app=request.app)
             self._retries += 1
             self._retried_counter.inc(attempt=str(attempt_no))
             self._track(request, node, lane, attempt_no, False, now_s)
         if self._hedge_pending:
+            # Candidate position of each node slot: the hedge goes to
+            # the best candidate other than the primary's slot.
+            positions = {node.index: i for i, node in enumerate(candidates)}
             for request, primary_index, lane, attempt_no in self._hedge_pending:
                 if request.index in self._done:
                     continue
-                alternates = [
-                    node for node in candidates
-                    if node.index != primary_index
-                ]
-                if not alternates:
+                if not candidates:
                     continue  # nowhere to hedge to this tick
-                node = alternates[_argmin_wait(alternates, lane)]
-                node.enqueue(request, lane)
+                pick = candidates.argmin(
+                    lane, skip=positions.get(primary_index)
+                )
+                if pick is None:
+                    continue  # the primary is the only candidate
+                node = candidates.enqueue(pick, request, lane)
                 routed.inc(lane=lane, app=request.app)
                 self._hedges += 1
                 self._hedged_counter.inc()

@@ -4,7 +4,10 @@ Routers are pure decision functions over the *previous tick's* node
 state — the cluster routes a tick's arrivals before stepping any shard,
 so every router sees the same snapshot no matter how the nodes are
 sharded.  That ordering, plus node-local simulation state, is the whole
-determinism argument.
+determinism argument.  The snapshot reaches a router as a
+:class:`Candidates`: the tick's routable nodes with per-lane wait
+vectors built once per tick, so a route reads cached waits instead of
+asking every node.
 
 Three policies:
 
@@ -21,11 +24,91 @@ Three policies:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Sequence, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.errors import ConfigurationError
 from repro.fleet.node import FleetNode
 from repro.fleet.trace import Request
+
+
+class Candidates:
+    """One tick's routable nodes plus lazily built per-lane wait vectors.
+
+    A sequence of :class:`~repro.fleet.node.FleetNode` (``len``, index,
+    iterate; falsy when empty) that also caches every node's estimated
+    wait.  A lane's vector is built on its first use in the tick as
+    ``[node.est_wait_s(lane) for node in nodes]`` — the wait formula
+    lives only in :meth:`FleetNode.est_wait_s` — and from then on a
+    routing decision reads the vector instead of asking every node.
+
+    The cache is exact because of one invariant of the cluster's tick:
+    within the routing phase only ``submit`` changes a node's
+    ``backlog_units`` (cancels run before the phase, in the resilience
+    pre-phase, and ``advance`` after it, when the nodes step), and the
+    service-velocity estimate changes only in ``FleetNode.step``.  Every
+    routing-phase enqueue goes through :meth:`enqueue`, which refreshes
+    the one entry it changed, so each vector always equals a fresh scan.
+    Build one ``Candidates`` per tick after the pre-phase and drop it
+    before any node steps.
+    """
+
+    __slots__ = ("_nodes", "_waits")
+
+    def __init__(self, nodes: Sequence[FleetNode]):
+        self._nodes = nodes
+        self._waits: Dict[str, List[float]] = {}
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __getitem__(self, position: int) -> FleetNode:
+        return self._nodes[position]
+
+    def __iter__(self) -> Iterator[FleetNode]:
+        return iter(self._nodes)
+
+    def waits(self, lane: str) -> List[float]:
+        """Every candidate's estimated wait on ``lane``, candidate order.
+
+        The returned list is the live cache: read it, never mutate it.
+        """
+        waits = self._waits.get(lane)
+        if waits is None:
+            waits = [node.est_wait_s(lane) for node in self._nodes]
+            self._waits[lane] = waits
+        return waits
+
+    def wait_s(self, position: int, lane: str) -> float:
+        """Estimated wait on ``lane`` of the candidate at ``position``."""
+        return self.waits(lane)[position]
+
+    def argmin(self, lane: str, skip: Optional[int] = None) -> Optional[int]:
+        """Position of the smallest estimated wait (ties: lowest position).
+
+        With ``skip``, the candidate at that position is left out (the
+        hedge path: the best node *other than* the primary) and the
+        result is still a position in this sequence, or ``None`` when
+        nothing is left.  The set must not be empty: callers defer
+        instead of routing into nothing.
+        """
+        waits = self.waits(lane)
+        if skip is None:
+            return waits.index(min(waits))
+        rest = waits[:skip] + waits[skip + 1:]
+        if not rest:
+            return None
+        best = rest.index(min(rest))
+        return best if best < skip else best + 1
+
+    def enqueue(self, position: int, request: Request, lane: str) -> FleetNode:
+        """Admit ``request`` on the candidate at ``position``; refresh its
+        cached wait on ``lane`` and return the node."""
+        node = self._nodes[position]
+        node.enqueue(request, lane)
+        waits = self._waits.get(lane)
+        if waits is not None:
+            waits[position] = node.est_wait_s(lane)
+        return node
 
 
 class Router(abc.ABC):
@@ -35,15 +118,16 @@ class Router(abc.ABC):
 
     @abc.abstractmethod
     def route(
-        self, request: Request, nodes: Sequence[FleetNode], now_s: float
+        self, request: Request, nodes: Candidates, now_s: float
     ) -> Tuple[int, str]:
         """Pick the node and lane for one arriving request.
 
-        ``nodes`` may be a filtered subset of the fleet (the supervisor
-        hides unhealthy nodes under failover); the returned index is
-        into *that sequence*, and an empty sequence raises
-        :class:`~repro.errors.ConfigurationError` — callers defer the
-        request instead of routing it into nothing.
+        ``nodes`` is the tick's :class:`Candidates`, possibly a filtered
+        subset of the fleet (the supervisor hides unhealthy nodes under
+        failover); routers read estimated waits from its per-lane wait
+        vectors.  The returned index is into *that sequence*, and an
+        empty sequence raises :class:`~repro.errors.ConfigurationError`
+        — callers defer the request instead of routing it into nothing.
         """
 
 
@@ -56,12 +140,9 @@ class RoundRobinRouter(Router):
         self._next = 0
 
     def route(
-        self, request: Request, nodes: Sequence[FleetNode], now_s: float
+        self, request: Request, nodes: Candidates, now_s: float
     ) -> Tuple[int, str]:
-        if not nodes:
-            raise ConfigurationError(
-                "round-robin router asked to route with no nodes"
-            )
+        _require(nodes, self.name)
         # The counter is reduced against the *current* candidate count,
         # never stored pre-reduced: the node list shrinks and grows as
         # the supervisor quarantines and revives nodes, and a raw index
@@ -77,9 +158,10 @@ class LeastLoadedRouter(Router):
     name = "least-loaded"
 
     def route(
-        self, request: Request, nodes: Sequence[FleetNode], now_s: float
+        self, request: Request, nodes: Candidates, now_s: float
     ) -> Tuple[int, str]:
-        return _argmin_wait(nodes, "base"), "base"
+        _require(nodes, self.name)
+        return nodes.argmin("base"), "base"
 
 
 class DeadlineRiskRouter(Router):
@@ -98,36 +180,28 @@ class DeadlineRiskRouter(Router):
         self.margin = margin
 
     def route(
-        self, request: Request, nodes: Sequence[FleetNode], now_s: float
+        self, request: Request, nodes: Candidates, now_s: float
     ) -> Tuple[int, str]:
-        base_index = _argmin_wait(nodes, "base")
+        _require(nodes, self.name)
+        base_index = nodes.argmin("base")
         base_node = nodes[base_index]
         service_s = request.service_units / base_node.nominal_rate("base") * (
             base_node.config.lane_threads
         )
-        eta_s = base_node.est_wait_s("base") + service_s
+        eta_s = nodes.wait_s(base_index, "base") + service_s
         budget_s = request.deadline_s - now_s
         if eta_s <= self.margin * budget_s:
             return base_index, "base"
-        return _argmin_wait(nodes, "hot"), "hot"
+        return nodes.argmin("hot"), "hot"
 
 
-def _argmin_wait(nodes: Sequence[FleetNode], lane: str) -> int:
-    """Node with the smallest estimated wait (ties: lowest index)."""
+def _require(nodes: Sequence[FleetNode], policy: str) -> None:
+    """Refuse an empty candidate set: the supervisor filters unhealthy
+    nodes out, and the caller must defer rather than route."""
     if not nodes:
         raise ConfigurationError(
-            f"no routable nodes for lane {lane!r} — the supervisor filters "
-            "unhealthy nodes out; an empty candidate set must be handled "
-            "(deferred) by the caller, not routed"
+            f"{policy} router asked to route with no nodes"
         )
-    best = 0
-    best_wait = nodes[0].est_wait_s(lane)
-    for index in range(1, len(nodes)):
-        wait = nodes[index].est_wait_s(lane)
-        if wait < best_wait:
-            best = index
-            best_wait = wait
-    return best
 
 
 ROUTERS: Dict[str, Type[Router]] = {

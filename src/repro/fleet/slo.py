@@ -3,8 +3,9 @@
 Single-board HARS steers on heartbeat-*rate* windows; a serving fleet
 steers on *latency percentiles* against a deadline.  :class:`SloWindow`
 is the observation half of that: a bounded sliding window of request
-latencies with exact percentile queries, plus cumulative completion and
-deadline-miss counters.
+latencies with exact percentile queries (kept sorted as it fills, so a
+query never sorts), plus cumulative completion and deadline-miss
+counters.
 
 The percentile uses the same linear interpolation as
 ``statistics.quantiles(data, n=100, method="inclusive")`` — rank
@@ -15,8 +16,9 @@ assert exactness against the standard library on random traces.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
-from typing import Deque, Optional, Sequence
+from typing import Deque, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -31,9 +33,13 @@ def percentile(data: Sequence[float], p: float) -> float:
     """
     if not data:
         raise ConfigurationError("percentile of an empty sample")
+    return _ranked(sorted(data), p)
+
+
+def _ranked(ordered: Sequence[float], p: float) -> float:
+    """:func:`percentile` of an already sorted, non-empty ``ordered``."""
     if not 0.0 <= p <= 100.0:
         raise ConfigurationError(f"percentile {p} not in [0, 100]")
-    ordered = sorted(data)
     if len(ordered) == 1:
         return ordered[0]
     rank = (len(ordered) - 1) * p / 100.0
@@ -82,6 +88,16 @@ class SloWindow:
     The window holds the most recent ``max_samples`` latencies (the
     control signal); ``observed_total`` / ``miss_total`` count the whole
     stream (the accounting signal).
+
+    Beside the arrival-ordered deque the window keeps the same samples
+    as a sorted list, updated as it fills: ``observe`` deletes the
+    evicted sample at its ``bisect_left`` position and inserts the new
+    one with ``insort``, so a percentile query reads two entries
+    instead of sorting the window.  Equal samples stay in arrival order
+    in the sorted list (insertion goes right of its equals, eviction
+    takes the leftmost), so the sorted list is always exactly
+    ``sorted(deque)`` and every percentile is bit-identical to
+    :func:`percentile` over the deque.
     """
 
     def __init__(self, max_samples: int = 256):
@@ -89,6 +105,7 @@ class SloWindow:
             raise ConfigurationError("SLO window needs at least 2 samples")
         self.max_samples = max_samples
         self._window: Deque[float] = deque(maxlen=max_samples)
+        self._sorted: List[float] = []
         self.observed_total = 0
         self.miss_total = 0
 
@@ -96,7 +113,12 @@ class SloWindow:
         """Record one completed request."""
         if latency_s < 0:
             raise ConfigurationError(f"negative latency {latency_s}")
-        self._window.append(latency_s)
+        window = self._window
+        ordered = self._sorted
+        if len(window) == self.max_samples:
+            del ordered[bisect_left(ordered, window[0])]
+        window.append(latency_s)
+        insort(ordered, latency_s)
         self.observed_total += 1
         if missed:
             self.miss_total += 1
@@ -106,19 +128,19 @@ class SloWindow:
 
     def percentile(self, p: float) -> Optional[float]:
         """Windowed percentile, or ``None`` before the first sample."""
-        if not self._window:
+        if not self._sorted:
             return None
-        return percentile(self._window, p)
+        return _ranked(self._sorted, p)
 
     def quantile_summary(self) -> Optional[dict]:
         """The P50/P95/P99 triple dashboards plot, or ``None`` if empty."""
-        if not self._window:
+        ordered = self._sorted
+        if not ordered:
             return None
-        ordered = sorted(self._window)
         return {
-            "p50": percentile(ordered, 50.0),
-            "p95": percentile(ordered, 95.0),
-            "p99": percentile(ordered, 99.0),
+            "p50": _ranked(ordered, 50.0),
+            "p95": _ranked(ordered, 95.0),
+            "p99": _ranked(ordered, 99.0),
         }
 
     @property

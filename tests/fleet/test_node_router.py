@@ -1,11 +1,13 @@
-"""FleetNode completion mapping and router policy tests."""
+"""FleetNode completion mapping, router policy and candidate-set tests."""
+
+import random
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.fleet.config import FleetConfig
 from repro.fleet.node import LANES, FleetNode
-from repro.fleet.router import ROUTERS, make_router
+from repro.fleet.router import ROUTERS, Candidates, make_router
 from repro.fleet.trace import Request
 
 
@@ -106,7 +108,7 @@ class TestRouters:
         for index in range(20):
             nodes[0].enqueue(_request(index, units=1.0), "base")
         router = make_router("least-loaded")
-        node_index, lane = router.route(_request(100), nodes, 0.0)
+        node_index, lane = router.route(_request(100), Candidates(nodes), 0.0)
         assert node_index != 0
         assert lane == "base"
         # Ties break to the lowest index — determinism, not luck.
@@ -117,7 +119,7 @@ class TestRouters:
         router = make_router("deadline-risk")
         # Relaxed deadline, empty queues: stay on the base lane.
         node_index, lane = router.route(
-            _request(0, budget=10.0), nodes, 0.0
+            _request(0, budget=10.0), Candidates(nodes), 0.0
         )
         assert lane == "base"
         # Same request with every base lane jammed: go hot.
@@ -126,8 +128,10 @@ class TestRouters:
                 node.enqueue(
                     _request(index * 10 + node.index, units=1.0), "base"
                 )
+        # Enqueues that bypass Candidates.enqueue start a new routing
+        # phase: the candidate set is rebuilt, as the cluster does per tick.
         node_index, lane = router.route(
-            _request(500, budget=0.5), nodes, 0.0
+            _request(500, budget=0.5), Candidates(nodes), 0.0
         )
         assert lane == "hot"
 
@@ -174,6 +178,8 @@ class TestRouterEdgeCases:
         router = make_router(name)
         with pytest.raises(ConfigurationError):
             router.route(_request(0), [], 0.0)
+        with pytest.raises(ConfigurationError):
+            router.route(_request(0), Candidates([]), 0.0)
 
     def test_round_robin_survives_a_shrinking_node_list(self, config):
         # The supervisor filters the candidate list between ticks; a
@@ -190,7 +196,7 @@ class TestRouterEdgeCases:
     def test_least_loaded_tie_breaks_to_lowest_index(self):
         # Equal estimated waits everywhere: position 0 must win — the
         # strict < in the argmin scan, not an accident of float noise.
-        nodes = [_FlatNode(i, wait_s=0.25) for i in range(4)]
+        nodes = Candidates([_FlatNode(i, wait_s=0.25) for i in range(4)])
         router = make_router("least-loaded")
         assert router.route(_request(0), nodes, 0.0) == (0, "base")
 
@@ -203,8 +209,89 @@ class TestRouterEdgeCases:
         # ulp above promotes to hot.
         router = ROUTERS["deadline-risk"](margin=0.6)
         threshold = 0.6 * 0.5
-        nodes = [_FlatNode(0), _FlatNode(1)]
+        nodes = Candidates([_FlatNode(0), _FlatNode(1)])
         at_margin = _request(0, units=threshold, budget=0.5)
         assert router.route(at_margin, nodes, 0.0) == (0, "base")
         over = _request(1, units=math.nextafter(threshold, 1.0), budget=0.5)
         assert router.route(over, nodes, 0.0)[1] == "hot"
+
+
+def _reference_argmin(nodes, lane):
+    """The strict-< scan routers used before per-tick wait vectors:
+    the smallest fresh ``est_wait_s``, ties to the lowest position."""
+    best = 0
+    best_wait = nodes[0].est_wait_s(lane)
+    for position in range(1, len(nodes)):
+        wait = nodes[position].est_wait_s(lane)
+        if wait < best_wait:
+            best = position
+            best_wait = wait
+    return best
+
+
+class TestCandidates:
+    """The per-tick wait vectors must equal a fresh scan at every step."""
+
+    def test_is_a_sequence_of_nodes(self):
+        nodes = [_FlatNode(i) for i in range(3)]
+        candidates = Candidates(nodes)
+        assert len(candidates) == 3
+        assert candidates[2] is nodes[2]
+        assert list(candidates) == nodes
+        assert candidates
+        assert not Candidates([])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_argmin_and_refresh_match_a_fresh_scan(self, config, seed):
+        rng = random.Random(seed)
+        nodes = [FleetNode(i, config) for i in range(5)]
+        request_index = 0
+        ties = 0
+        for _ in range(3):  # routing phases, with node steps between
+            candidates = Candidates(nodes)
+            for _ in range(20):
+                lane = rng.choice(LANES)
+                waits = [node.est_wait_s(lane) for node in nodes]
+                ties += waits.count(min(waits)) > 1
+                assert candidates.argmin(lane) == _reference_argmin(
+                    nodes, lane
+                )
+                # Sizes from {0.5, 1.0} keep backlogs on exact binary
+                # sums, so different nodes keep landing on equal waits.
+                position = rng.randrange(len(nodes))
+                request = _request(
+                    request_index, units=rng.choice((0.5, 1.0))
+                )
+                request_index += 1
+                assert candidates.enqueue(position, request, lane) is (
+                    nodes[position]
+                )
+                for check_lane in LANES:
+                    for i, node in enumerate(nodes):
+                        assert candidates.wait_s(i, check_lane) == (
+                            node.est_wait_s(check_lane)
+                        )
+            for node in nodes:
+                node.step()
+        assert ties > 0
+
+    def test_argmin_skip_leaves_one_position_out(self):
+        nodes = [
+            _FlatNode(i, wait_s=w)
+            for i, w in enumerate((0.3, 0.1, 0.2, 0.1, 0.4))
+        ]
+        candidates = Candidates(nodes)
+        before = list(candidates.waits("base"))
+        for skip in range(len(nodes)):
+            alternates = [n for i, n in enumerate(nodes) if i != skip]
+            pick = candidates.argmin("base", skip=skip)
+            assert pick != skip
+            assert candidates[pick] is alternates[
+                _reference_argmin(alternates, "base")
+            ]
+        assert candidates.argmin("base") == 1
+        assert candidates.waits("base") == before
+        # A one-node set has no alternate to hedge to.
+        single = Candidates([_FlatNode(0, wait_s=0.2)])
+        assert single.argmin("base", skip=0) is None
+        assert single.waits("base") == [0.2]

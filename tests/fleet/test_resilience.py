@@ -255,6 +255,22 @@ class TestRetryAndHedge:
         assert result.completed <= 300
         assert result.completed + result.unserved == 300
 
+    def test_hedge_goes_to_a_node_other_than_its_primary(self):
+        # A tiny hedge fraction hedges most requests on a two-node
+        # fleet, so the primary is often the least-loaded node; a hedge
+        # that did not skip it would route the request there twice.
+        result = run_fleet(
+            "least-loaded",
+            _with(
+                nodes=2,
+                requests=200,
+                seed=1,
+                resilience=ResilienceConfig(hedge_fraction=0.2),
+            ),
+        )
+        assert result.resilience["hedges"] > 100
+        assert result.completed == 200
+
 
 class TestAdmissionEndToEnd:
     def test_overload_sheds_and_demotes(self):

@@ -123,6 +123,32 @@ class TestSloWindow:
         with pytest.raises(ConfigurationError):
             SloWindow(max_samples=1)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sorted_window_is_exact_through_eviction(self, seed):
+        """The incrementally sorted window answers exactly what sorting
+        the deque would, including after equal values are evicted."""
+        rng = random.Random(300 + seed)
+        window = SloWindow(max_samples=rng.choice((2, 7, 32)))
+        # Few distinct values (some exactly equal), 3x the window.
+        values = [rng.choice((0.0, 0.05, 0.1, 0.25)) for _ in range(4)]
+        values += [rng.expovariate(10.0) for _ in range(4)]
+        for _ in range(3 * window.max_samples):
+            window.observe(rng.choice(values))
+            samples = list(window._window)
+            for p in range(0, 101):
+                assert window.percentile(float(p)) == percentile(
+                    samples, float(p)
+                )
+            assert window.quantile_summary() == {
+                "p50": percentile(samples, 50.0),
+                "p95": percentile(samples, 95.0),
+                "p99": percentile(samples, 99.0),
+            }
+        with pytest.raises(ConfigurationError):
+            window.percentile(-1.0)
+        with pytest.raises(ConfigurationError):
+            window.percentile(100.5)
+
 
 class TestRecoveryTime:
     """The crash-wave SLO-recovery metric ``bench_fleet_chaos`` reports."""

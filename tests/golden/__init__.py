@@ -94,6 +94,27 @@ FLEET_CONFIG = FleetConfig(
     resilience=ResilienceConfig(attempt_timeout_s=1.0, hedge_fraction=0.6),
 )
 
+#: The same fleet shape without chaos under least-loaded routing: the
+#: plain join-the-shortest-base-queue path, every node routable.
+FLEET_LEAST_LOADED_CONFIG = FleetConfig(nodes=20, requests=800, seed=5)
+
+#: A bursty fleet with the crash wave but failover off, so routers keep
+#: feeding the dead nodes, plus admission control: a queue-depth
+#: brownout that demotes hot-lane arrivals to base and a best-base-wait
+#: shed trigger, so the admission wait signal reaches the digest.
+FLEET_BROWNOUT_CONFIG = FleetConfig(
+    nodes=20,
+    requests=800,
+    seed=5,
+    trace="burst",
+    chaos=FleetFaultConfig(
+        seed=5, schedule=crash_wave(20, 0.10, at_s=800 / (20 * 8.0) / 5)
+    ),
+    resilience=ResilienceConfig(
+        failover=False, brownout_queue_depth=0.2, shed_wait_s=0.1
+    ),
+)
+
 #: The ratio-learning run: blackscholes (true big:little ratio 1.0,
 #: HARS assumes 1.5) under an AdaptiveHarsManager whose learner refits
 #: r0 and swaps the performance model every adaptation period.
@@ -175,6 +196,12 @@ GOLDEN_RUNS: Dict[str, Callable[[], Any]] = {
     ),
     "fleet-deadline-risk-x20-crash-hedge": lambda: FleetCluster(
         FLEET_CONFIG, router="deadline-risk"
+    ).run(),
+    "fleet-least-loaded-x20": lambda: FleetCluster(
+        FLEET_LEAST_LOADED_CONFIG, router="least-loaded"
+    ).run(),
+    "fleet-deadline-risk-x20-brownout-no-failover": lambda: FleetCluster(
+        FLEET_BROWNOUT_CONFIG, router="deadline-risk"
     ).run(),
     "hars-e-ratio-learning-blackscholes-x120": _ratio_learning_run,
 }

@@ -11,7 +11,10 @@ The four end-to-end planner runs are asserted by
 native-size HARS-E run here, and again (with its wall time) by
 ``benchmarks/bench_kernel_overhead.py``.  The serving-fleet run (crash
 wave, retries, hedging) and the ratio-learning run (a performance-model
-swap every adaptation period) are asserted here too.
+swap every adaptation period) are asserted here too, as are two more
+fleet runs covering the other routing paths: least-loaded routing, and
+a burst under a crash wave with failover off and admission control on
+(brownout demotion, wait-triggered shedding, routing onto dead nodes).
 
 Regenerate only when a behaviour change is intended, and say so in the
 change log::
@@ -33,6 +36,23 @@ def test_kernel_overhead_run_matches_golden_digest():
 def test_fleet_run_matches_golden_digest():
     name = "fleet-deadline-risk-x20-crash-hedge"
     assert outcome_digest(GOLDEN_RUNS[name]()) == load_golden()[name]
+
+
+def test_least_loaded_fleet_run_matches_golden_digest():
+    name = "fleet-least-loaded-x20"
+    assert outcome_digest(GOLDEN_RUNS[name]()) == load_golden()[name]
+
+
+def test_brownout_no_failover_fleet_run_matches_golden_digest():
+    name = "fleet-deadline-risk-x20-brownout-no-failover"
+    result = GOLDEN_RUNS[name]()
+    # The digest must really cover brownout demotion, the admission
+    # wait signal (shed trips on best base-lane wait) and routing onto
+    # crashed nodes.
+    assert result.resilience["demoted"] > 0
+    assert result.resilience["shed"] > 0
+    assert result.resilience["crashes"] > 0
+    assert outcome_digest(result) == load_golden()[name]
 
 
 def test_ratio_learning_run_matches_golden_digest():
