@@ -784,55 +784,46 @@ class AcpServer:
         """Live Prometheus text: control-plane counters + every tenant's
         telemetry snapshot stamped with its ``session`` label."""
         from repro.telemetry.exporters import snapshot_to_prometheus
+        from repro.telemetry.registry import MetricsRegistry
 
         with self._lock:
             sessions = dict(self._sessions)
-        by_state: Dict[str, int] = {}
+        by_state: Dict[str, int] = dict.fromkeys(
+            (RUNNING, FINISHED, QUARANTINED), 0
+        )
         for session in sessions.values():
             by_state[session.state] = by_state.get(session.state, 0) + 1
-        lines = [
-            "# HELP acp_sessions_attached_total Sessions ever attached.",
-            "# TYPE acp_sessions_attached_total counter",
-            f"acp_sessions_attached_total {float(self._counter)!r}",
-            "# HELP acp_sessions Current sessions by state.",
-            "# TYPE acp_sessions gauge",
-        ]
-        for state in (RUNNING, FINISHED, QUARANTINED):
-            lines.append(
-                f'acp_sessions{{state="{state}"}} '
-                f"{float(by_state.get(state, 0))!r}"
-            )
-        for state in sorted(set(by_state) - {RUNNING, FINISHED, QUARANTINED}):
-            lines.append(
-                f'acp_sessions{{state="{state}"}} {float(by_state[state])!r}'
-            )
-        lines.append(
-            f'acp_sessions{{state="{ORPHANED}"}} '
-            f"{float(len(self._orphaned))!r}"
+        by_state[ORPHANED] = len(self._orphaned)
+        registry = MetricsRegistry()
+        registry.counter(
+            "acp_sessions_attached_total", "Sessions ever attached."
+        ).inc(self._counter)
+        gauge = registry.gauge("acp_sessions", "Current sessions by state.")
+        for state, count in by_state.items():
+            gauge.set(count, state=state)
+        frames = registry.counter(
+            "acp_frames_total", "Wire frames handled, by direction."
         )
-        lines += [
-            "# HELP acp_frames_total Wire frames handled, by direction.",
-            "# TYPE acp_frames_total counter",
-            f'acp_frames_total{{direction="in"}} {float(self.frames_in)!r}',
-            f'acp_frames_total{{direction="out"}} {float(self.frames_out)!r}',
-            "# HELP acp_retries_total Client re-deliveries observed "
-            "(attempt > 1 markers).",
-            "# TYPE acp_retries_total counter",
-            f"acp_retries_total {float(self.retries_seen)!r}",
-            "# HELP acp_dedup_hits_total Duplicate frames answered from "
-            "the replay cache instead of re-applied.",
-            "# TYPE acp_dedup_hits_total counter",
-            f"acp_dedup_hits_total {float(self.dedup_hits)!r}",
-            "# HELP acp_lease_expired_total Sessions orphaned by lease "
-            "expiry.",
-            "# TYPE acp_lease_expired_total counter",
-            f"acp_lease_expired_total {float(self.lease_expirations)!r}",
-            "# HELP acp_frames_corrupt_total Lines that never parsed "
-            "into a frame (corruption, torn writes).",
-            "# TYPE acp_frames_corrupt_total counter",
-            f"acp_frames_corrupt_total {float(self.frames_corrupt)!r}",
-        ]
-        parts = ["\n".join(lines) + "\n"]
+        frames.inc(self.frames_in, direction="in")
+        frames.inc(self.frames_out, direction="out")
+        registry.counter(
+            "acp_retries_total",
+            "Client re-deliveries observed (attempt > 1 markers).",
+        ).inc(self.retries_seen)
+        registry.counter(
+            "acp_dedup_hits_total",
+            "Duplicate frames answered from the replay cache instead of "
+            "re-applied.",
+        ).inc(self.dedup_hits)
+        registry.counter(
+            "acp_lease_expired_total", "Sessions orphaned by lease expiry."
+        ).inc(self.lease_expirations)
+        registry.counter(
+            "acp_frames_corrupt_total",
+            "Lines that never parsed into a frame (corruption, torn "
+            "writes).",
+        ).inc(self.frames_corrupt)
+        parts = [snapshot_to_prometheus(registry.snapshot())]
         for sid in sorted(sessions):
             hub = sessions[sid].prepared.telemetry
             if hub is None:

@@ -58,7 +58,7 @@ from repro.kernel.bus import (
     PowerSample,
     StateApplied,
 )
-from repro.supervision import CheckpointStore
+from repro.supervision.checkpoint import CheckpointedController, CheckpointStore
 from repro.acp import wire
 
 #: Session states (the machine documented above).
@@ -277,7 +277,7 @@ class AcpSession:
         if self._resume_store is not None and not self._restored:
             self._restored = True
             for controller in sim.controllers:
-                if hasattr(controller, "simulate_restart"):
+                if isinstance(controller, CheckpointedController):
                     controller.checkpoint_store = self._resume_store
                     controller.simulate_restart(sim)
 
@@ -422,9 +422,7 @@ class AcpSession:
         now = sim.clock.now_s
         count = 0
         for controller in sim.controllers:
-            if hasattr(controller, "checkpoint") and hasattr(
-                controller, "restore_checkpoint"
-            ):
+            if isinstance(controller, CheckpointedController):
                 controller.checkpoint_store = store
                 store.put(controller.checkpoint(now))
                 count += 1

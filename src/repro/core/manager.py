@@ -37,7 +37,7 @@ from repro.kernel.mape import (
 )
 from repro.platform.cluster import BIG, LITTLE
 from repro.platform.topology import first_n
-from repro.sim.controller import Controller
+from repro.supervision.checkpoint import CheckpointedController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulation
@@ -59,7 +59,7 @@ DEFAULT_STATE_EVAL_COST_S = 1e-3
 DEFAULT_POLL_COST_S = 3e-3
 
 
-class HarsManager(Controller):
+class HarsManager(CheckpointedController):
     """Single-application HARS (Algorithms 1 + 2) over MAPE-K."""
 
     def __init__(
@@ -87,9 +87,6 @@ class HarsManager(Controller):
         self._initial_state = initial_state
         self._used: Tuple[int, int] = (0, 0)
         self._assignment = None  # ThreadAssignment actually applied
-        #: Set by the supervision Checkpointer (if one is attached);
-        #: consulted by :meth:`simulate_restart` for a warm restore.
-        self.checkpoint_store = None
         self.knowledge = Knowledge(
             EstimationLayer(perf_estimator, power_estimator)
         )
@@ -164,10 +161,6 @@ class HarsManager(Controller):
     def held_cycles(self) -> int:
         """Cycles where a degraded observation held the last good state."""
         return self.mape.held_cycles
-
-    @property
-    def _state(self) -> Optional[SystemState]:
-        return self.knowledge.state_of(self.app_name)
 
     # -- Controller hooks ------------------------------------------------------
 
@@ -267,13 +260,7 @@ class HarsManager(Controller):
                 ),
                 "power_model": power_model_to_dict(self.power_estimator),
                 "ratio": learner.ratio if learner is not None else None,
-                "counters": {
-                    "adaptations": self.knowledge.adaptations,
-                    "states_explored": self.knowledge.states_explored,
-                    "estimation_failures": self.knowledge.estimation_failures,
-                    "held_cycles": self.mape.held_cycles,
-                    "polled": self.mape.monitor.polled,
-                },
+                "counters": self.mape.counters(),
             },
         )
 
@@ -316,24 +303,7 @@ class HarsManager(Controller):
             app = sim.app(self.app_name)
             if not (app.halted or app.is_done()):
                 self._apply(sim, state)
-        counters = body.get("counters") or {}
-        self.knowledge.adaptations = int(
-            counters.get("adaptations", self.knowledge.adaptations)
-        )
-        self.knowledge.states_explored = int(
-            counters.get("states_explored", self.knowledge.states_explored)
-        )
-        self.knowledge.estimation_failures = int(
-            counters.get(
-                "estimation_failures", self.knowledge.estimation_failures
-            )
-        )
-        self.mape.held_cycles = int(
-            counters.get("held_cycles", self.mape.held_cycles)
-        )
-        self.mape.monitor.polled = int(
-            counters.get("polled", self.mape.monitor.polled)
-        )
+        self.mape.restore_counters(body.get("counters") or {})
 
     def _forget_volatile(self, sim: "Simulation") -> None:
         """What dies with the controller process: applied-state memory,
@@ -352,38 +322,8 @@ class HarsManager(Controller):
         if getattr(self, "_settled_periods", None) is not None:
             self._settled_periods = 0
 
-    def simulate_restart(self, sim: "Simulation") -> None:
-        """Model a controller crash+restart (``controller_restart`` fault).
-
-        Volatile knowledge is dropped; if a checkpoint store holds a
-        valid snapshot the controller restores warm, otherwise it cold
-        starts exactly as at time zero and re-converges from scratch.
-        """
-        from repro.kernel.bus import ControllerRestored
-
-        self._forget_volatile(sim)
-        store = getattr(self, "checkpoint_store", None)
-        snapshot = (
-            store.get(self.checkpoint_id) if store is not None else None
-        )
-        warm = False
-        if snapshot is not None:
-            try:
-                self.restore_checkpoint(sim, snapshot)
-                warm = True
-            except ConfigurationError:
-                snapshot = None
-        if not warm:
-            app = sim.app(self.app_name)
-            if not (app.halted or app.is_done()):
-                self.on_start(sim)
-        sim.bus.publish(
-            ControllerRestored(
-                controller=self.checkpoint_id,
-                time_s=sim.clock.now_s,
-                warm=warm,
-                checkpoint_time_s=(
-                    snapshot["time_s"] if snapshot is not None else None
-                ),
-            )
-        )
+    def _cold_start(self, sim: "Simulation") -> None:
+        """Start exactly as at time zero and re-converge from scratch."""
+        app = sim.app(self.app_name)
+        if not (app.halted or app.is_done()):
+            self.on_start(sim)

@@ -244,14 +244,6 @@ class FaultConfig:
             affinity_failure_rate=0.02,
         )
 
-    def with_lifecycle_schedule(
-        self, schedule: Sequence[LifecycleEvent]
-    ) -> "FaultConfig":
-        """A copy carrying ``schedule`` as its lifecycle schedule."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values["lifecycle_schedule"] = tuple(schedule)
-        return FaultConfig(**values)
-
     def scaled(self, factor: float) -> "FaultConfig":
         """A copy with every *rate* multiplied by ``factor`` (capped at 1).
 

@@ -14,9 +14,11 @@ Supervisor` watches applications, with node-level states::
 
 * A **stall** is a node with pending requests that has not completed
   one for ``stall_after_s`` — the signature of a hang or a deep
-  slowdown episode.  Escalation is one state per tick; a single
-  completion (or an empty queue) fully recovers the node, mirroring
-  the per-app machine's single-late-beat recovery.
+  slowdown episode.  Escalation follows the per-app machine's rule,
+  :func:`~repro.supervision.supervisor.escalation_rung` (thresholds
+  ``stall_after_s × (1, quarantine_factor, evict_factor)``, one rung
+  per tick); a single completion (or an empty queue) fully recovers the
+  node, mirroring the per-app machine's single-late-beat recovery.
 * A **crash** (every serving lane halted) takes the node DOWN and
   schedules a reboot ``restart_delay_s`` later if the restart budget
   allows, else evicts it permanently.  A rebooted node is a *fresh
@@ -47,6 +49,7 @@ from repro.errors import ConfigurationError
 from repro.fleet.chaos import FleetFaultConfig
 from repro.fleet.node import FleetNode
 from repro.fleet.resilience import ResilienceConfig
+from repro.supervision.supervisor import escalation_rung
 
 #: Small slop when comparing scheduled times against tick boundaries.
 _TIME_EPS = 1e-12
@@ -217,17 +220,17 @@ class FleetSupervisor:
             if record.health in (NodeHealth.DEGRADED, NodeHealth.QUARANTINED):
                 self._transition(record, NodeHealth.HEALTHY, now_s, "recovered")
             return record.health
-        stall_s = now_s - record.last_progress_s
         c = self.config
-        if stall_s <= c.stall_after_s + _TIME_EPS:
+        rung = escalation_rung(
+            now_s - record.last_progress_s,
+            c.stall_after_s,
+            c.quarantine_factor,
+            c.evict_factor,
+            record.stall_rung,
+            _TIME_EPS,
+        )
+        if not rung:
             return record.health
-        # One escalation rung per tick, however deep the stall already is.
-        rung = 1
-        if stall_s > c.stall_after_s * c.quarantine_factor + _TIME_EPS:
-            rung = 2
-        if stall_s > c.stall_after_s * c.evict_factor + _TIME_EPS:
-            rung = 3
-        rung = min(rung, record.stall_rung + 1)
         record.stall_rung = rung
         if rung >= 3 and record.health is NodeHealth.QUARANTINED:
             self.evictions += 1

@@ -30,10 +30,10 @@ protections through the existing seams:
 Every engagement and disengagement is announced on the kernel bus as
 :class:`~repro.kernel.bus.GuardrailTripped` /
 :class:`~repro.kernel.bus.GuardrailReleased`.  The layer is
-checkpoint-capable (``checkpoint`` / ``restore_checkpoint`` /
-``simulate_restart``), so the supervision
-:class:`~repro.supervision.checkpoint.Checkpointer` snapshots it like
-any manager.
+a :class:`~repro.supervision.checkpoint.CheckpointedController`, so
+the supervision :class:`~repro.supervision.checkpoint.Checkpointer`
+snapshots it like any manager and it restarts through the same
+protocol.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from repro.kernel.bus import (
     GuardrailTripped,
     PowerSample,
 )
-from repro.sim.controller import Controller
+from repro.supervision.checkpoint import CheckpointedController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.policy import SearchSpace
@@ -381,7 +381,7 @@ class BudgetVeto:
         return allowed
 
 
-class GuardrailLayer(Controller):
+class GuardrailLayer(CheckpointedController):
     """Bus-attached runtime guardrails for one simulation run."""
 
     def __init__(self, config: GuardrailConfig):
@@ -418,8 +418,6 @@ class GuardrailLayer(Controller):
         self.emergency_throttles = 0
         #: In-window cycles the budget guard forced while over cap.
         self.forced_cycles = 0
-        #: Set by the supervision Checkpointer (if one is attached).
-        self.checkpoint_store = None
         self._sim: Optional["Simulation"] = None
         self._last_sample_s = 0.0
         #: Per-app acknowledgment of the enforcer's violation counter:
@@ -768,29 +766,3 @@ class GuardrailLayer(Controller):
             self.damper.reset()
         if self.watchdog is not None:
             self.watchdog.reset()
-
-    def simulate_restart(self, sim: "Simulation") -> None:
-        from repro.kernel.bus import ControllerRestored
-
-        self._forget_volatile(sim)
-        store = getattr(self, "checkpoint_store", None)
-        snapshot = (
-            store.get(self.checkpoint_id) if store is not None else None
-        )
-        warm = False
-        if snapshot is not None:
-            try:
-                self.restore_checkpoint(sim, snapshot)
-                warm = True
-            except ConfigurationError:
-                snapshot = None
-        sim.bus.publish(
-            ControllerRestored(
-                controller=self.checkpoint_id,
-                time_s=sim.clock.now_s,
-                warm=warm,
-                checkpoint_time_s=(
-                    snapshot["time_s"] if snapshot is not None else None
-                ),
-            )
-        )

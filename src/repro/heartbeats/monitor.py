@@ -126,19 +126,6 @@ class HeartbeatMonitor:
             return None
         return max(0.0, now_s - last.time_s)
 
-    def is_stale(self, now_s: float, max_age_s: float) -> bool:
-        """Whether the heartbeat stream has gone quiet.
-
-        A silent stream — the app stalled, or delivery is faulty — means
-        the windowed rate describes the past; runtime managers hold their
-        last good state rather than adapt on it.  ``True`` also before
-        the first beat (nothing observed is the stalest possible state).
-        """
-        if max_age_s <= 0:
-            raise ConfigurationError("max_age_s must be positive")
-        age = self.last_beat_age_s(now_s)
-        return age is None or age > max_age_s
-
     # -- run-level metrics --------------------------------------------------
 
     def normalized_performance_series(self) -> List[Tuple[int, float]]:

@@ -19,7 +19,7 @@ classic Monitor → Analyze → Plan → Execute stages over a shared
   partitioned placement).
 
 The **K** — :class:`Knowledge` — holds what stages share: the platform
-spec, the estimation layer, per-app applied states/assignments, and the
+spec, the estimation layer, per-app applied states, and the
 exploration/adaptation counters.  Managers remain thin façades that
 keep their public constructors and attributes, delegating the loop to
 :class:`MapeLoop`.
@@ -37,7 +37,6 @@ from typing import (
     Iterable,
     Optional,
     Sequence,
-    Tuple,
 )
 
 # The scalar Algorithm 2 oracle stays importable from this module: the
@@ -51,7 +50,6 @@ from repro.kernel.batchplan import batch_next_sys_state
 from repro.kernel.estimation import EstimationLayer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.assignment import ThreadAssignment
     from repro.core.policy import HarsPolicy, SearchSpace
     from repro.platform.spec import PlatformSpec
     from repro.sim.engine import Simulation
@@ -78,7 +76,6 @@ class Knowledge:
         #: partition data and per-cluster bookkeeping here).
         self.domain: Dict[str, Any] = {}
         self._states: Dict[str, SystemState] = {}
-        self._assignments: Dict[str, "ThreadAssignment"] = {}
 
     def bind(self, spec: "PlatformSpec") -> None:
         """Attach the platform spec (known once the sim starts)."""
@@ -92,17 +89,6 @@ class Knowledge:
             self._states.pop(app_name, None)
         else:
             self._states[app_name] = state
-
-    def assignment_of(self, app_name: str) -> Optional["ThreadAssignment"]:
-        return self._assignments.get(app_name)
-
-    def set_assignment(
-        self, app_name: str, assignment: Optional["ThreadAssignment"]
-    ) -> None:
-        if assignment is None:
-            self._assignments.pop(app_name, None)
-        else:
-            self._assignments[app_name] = assignment
 
 
 @dataclass(frozen=True)
@@ -398,6 +384,25 @@ class MapeLoop:
         #: Optional guardrail hook (``GuardrailLayer``); installed by
         #: the guardrail layer, never by the loop itself.
         self.guard: Optional[Any] = None
+
+    def counters(self) -> Dict[str, int]:
+        """The cycle counters a checkpoint carries across a restart."""
+        return {
+            "adaptations": self.knowledge.adaptations,
+            "states_explored": self.knowledge.states_explored,
+            "estimation_failures": self.knowledge.estimation_failures,
+            "held_cycles": self.held_cycles,
+            "polled": self.monitor.polled,
+        }
+
+    def restore_counters(self, counters: Dict[str, Any]) -> None:
+        """Re-adopt :meth:`counters`; a missing key keeps its value."""
+        knowledge = self.knowledge
+        for key in ("adaptations", "states_explored", "estimation_failures"):
+            current = getattr(knowledge, key)
+            setattr(knowledge, key, int(counters.get(key, current)))
+        self.held_cycles = int(counters.get("held_cycles", self.held_cycles))
+        self.monitor.polled = int(counters.get("polled", self.monitor.polled))
 
     def bind(self, sim: "Simulation") -> None:
         """Attach the running simulation: its platform spec to the

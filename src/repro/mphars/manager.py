@@ -60,7 +60,7 @@ from repro.mphars.freeze import (
 )
 from repro.mphars.partition import get_allocatable_core_set, release_all
 from repro.platform.cluster import BIG, LITTLE
-from repro.sim.controller import Controller
+from repro.supervision.checkpoint import CheckpointedController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulation
@@ -74,7 +74,7 @@ DEFAULT_FREEZE_BEATS = 5
 DEFAULT_STATE_EVAL_COST_S = 50e-6
 
 
-class MpHarsManager(Controller):
+class MpHarsManager(CheckpointedController):
     """Multi-application HARS (Algorithms 3 + 4 + Table 4.3)."""
 
     def __init__(
@@ -105,9 +105,6 @@ class MpHarsManager(Controller):
         #: Survivors owed a forced adaptation cycle after an eviction
         #: returned cores to the free pool.
         self._repartition_pending: Set[str] = set()
-        #: Set by the supervision Checkpointer (if one is attached);
-        #: consulted by :meth:`simulate_restart` for a warm restore.
-        self.checkpoint_store = None
         self.knowledge = Knowledge(
             EstimationLayer(perf_estimator, power_estimator)
         )
@@ -601,13 +598,7 @@ class MpHarsManager(Controller):
                 "released": dict(self._released),
                 "removed": sorted(self._removed),
                 "power_model": power_model_to_dict(self.power_estimator),
-                "counters": {
-                    "adaptations": self.knowledge.adaptations,
-                    "states_explored": self.knowledge.states_explored,
-                    "estimation_failures": self.knowledge.estimation_failures,
-                    "held_cycles": self.mape.held_cycles,
-                    "polled": self.mape.monitor.polled,
-                },
+                "counters": self.mape.counters(),
             },
         )
 
@@ -691,24 +682,7 @@ class MpHarsManager(Controller):
         self._released.update(released)
         self._removed |= removed
         self.power_estimator = power_estimator
-        counters = body.get("counters") or {}
-        self.knowledge.adaptations = int(
-            counters.get("adaptations", self.knowledge.adaptations)
-        )
-        self.knowledge.states_explored = int(
-            counters.get("states_explored", self.knowledge.states_explored)
-        )
-        self.knowledge.estimation_failures = int(
-            counters.get(
-                "estimation_failures", self.knowledge.estimation_failures
-            )
-        )
-        self.mape.held_cycles = int(
-            counters.get("held_cycles", self.mape.held_cycles)
-        )
-        self.mape.monitor.polled = int(
-            counters.get("polled", self.mape.monitor.polled)
-        )
+        self.mape.restore_counters(body.get("counters") or {})
         # Reconcile against the live system: apps gone since the
         # snapshot release their partition; survivors are re-pinned.
         for cluster, cdata in self._clusters.items():
@@ -751,45 +725,11 @@ class MpHarsManager(Controller):
             cluster.free_core = [True] * cluster.n_cores
         self.knowledge.estimation.invalidate()
 
-    def simulate_restart(self, sim: "Simulation") -> None:
-        """Model a controller crash+restart (``controller_restart``).
-
-        With a valid checkpoint the manager restores its partitions and
-        re-pins survivors (warm); without one it cold-starts: max
-        frequencies, empty partitions, and a full re-convergence — the
-        cost Figure-style benchmarks measure.
-        """
-        from repro.kernel.bus import ControllerRestored
-
-        self._forget_volatile(sim)
-        store = getattr(self, "checkpoint_store", None)
-        snapshot = (
-            store.get(self.checkpoint_id) if store is not None else None
-        )
-        warm = False
-        if snapshot is not None:
-            try:
-                self.restore_checkpoint(sim, snapshot)
-                warm = True
-            except ConfigurationError:
-                snapshot = None
-        if not warm:
-            self._cold_start(sim)
-        sim.bus.publish(
-            ControllerRestored(
-                controller=self.checkpoint_id,
-                time_s=sim.clock.now_s,
-                warm=warm,
-                checkpoint_time_s=(
-                    snapshot["time_s"] if snapshot is not None else None
-                ),
-            )
-        )
-
     def _cold_start(self, sim: "Simulation") -> None:
         """Restart with zero knowledge, mid-run: like :meth:`on_start`
         but never re-admitting evicted apps or resurrecting finished
-        ones."""
+        ones — max frequencies, empty partitions, and a full
+        re-convergence."""
         spec = sim.spec
         for name, cluster in self._clusters.items():
             side = spec.big if name == BIG else spec.little

@@ -7,13 +7,14 @@ re-runs its max-state bootstrap and re-converges from scratch — during
 which every app is out of its window.
 
 The :class:`Checkpointer` is a bus-attached controller that, on a fixed
-simulated-time cadence, asks every checkpoint-capable controller (one
-exposing ``checkpoint(now_s)`` / ``restore_checkpoint(sim, payload)``)
-for a versioned snapshot and keeps the latest in a
+simulated-time cadence, asks every :class:`CheckpointedController` for
+a versioned snapshot and keeps the latest in a
 :class:`CheckpointStore`.  When the fault layer injects a
-``controller_restart``, each controller's ``simulate_restart`` consults
-its store: snapshot present and valid → warm restore; absent or
-schema-rejected → cold start.  The snapshots go through the envelope in
+``controller_restart``, every :class:`CheckpointedController` runs the
+one restart protocol, :meth:`CheckpointedController.simulate_restart`:
+forget volatile state, then consult the store — snapshot present and
+valid → warm restore; absent or schema-rejected → cold start.  The
+snapshots go through the envelope in
 :mod:`repro.experiments.serialize` (``checkpoint_payload`` /
 ``validate_checkpoint``), so what the store holds is exactly what a
 deployment would write to disk — :meth:`CheckpointStore.dump` /
@@ -30,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.kernel.bus import TickStart
+from repro.kernel.bus import ControllerRestored, TickStart
 from repro.sim.controller import Controller
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -129,6 +130,57 @@ class CheckpointStore:
         return store
 
 
+class CheckpointedController(Controller):
+    """A controller whose knowledge survives a crash via checkpoints.
+
+    Subclasses supply ``checkpoint_id``, ``checkpoint(now_s)``,
+    ``restore_checkpoint(sim, payload)`` (raising
+    :class:`~repro.errors.ConfigurationError` on a payload it cannot
+    adopt) and ``_forget_volatile(sim)``; ``_cold_start(sim)`` where a
+    cold restart must re-establish more than the forgotten state.
+    """
+
+    #: Set by the :class:`Checkpointer` (if one is attached); consulted
+    #: by :meth:`simulate_restart` for a warm restore.
+    checkpoint_store: Optional[CheckpointStore] = None
+
+    def simulate_restart(self, sim: "Simulation") -> None:
+        """Model a controller crash+restart (``controller_restart``).
+
+        Volatile knowledge is dropped; a valid snapshot in the store
+        restores warm, otherwise the controller cold-starts.  Either
+        way the outcome is announced as
+        :class:`~repro.kernel.bus.ControllerRestored`.
+        """
+        self._forget_volatile(sim)
+        store = self.checkpoint_store
+        snapshot = (
+            store.get(self.checkpoint_id) if store is not None else None
+        )
+        warm = False
+        if snapshot is not None:
+            try:
+                self.restore_checkpoint(sim, snapshot)
+                warm = True
+            except ConfigurationError:
+                snapshot = None
+        if not warm:
+            self._cold_start(sim)
+        sim.bus.publish(
+            ControllerRestored(
+                controller=self.checkpoint_id,
+                time_s=sim.clock.now_s,
+                warm=warm,
+                checkpoint_time_s=(
+                    snapshot["time_s"] if snapshot is not None else None
+                ),
+            )
+        )
+
+    def _cold_start(self, sim: "Simulation") -> None:
+        """Re-establish a zero-knowledge start after a restart."""
+
+
 class Checkpointer(Controller):
     """Snapshots every checkpoint-capable controller on a cadence."""
 
@@ -172,10 +224,9 @@ class Checkpointer(Controller):
         return count
 
     @staticmethod
-    def _capable(sim: "Simulation") -> List[Controller]:
+    def _capable(sim: "Simulation") -> List[CheckpointedController]:
         return [
             controller
             for controller in sim.controllers
-            if hasattr(controller, "checkpoint")
-            and hasattr(controller, "restore_checkpoint")
+            if isinstance(controller, CheckpointedController)
         ]

@@ -58,11 +58,10 @@ from repro.kernel.bus import (
     AppFinished,
     AppQuarantined,
     AppSuspected,
-    ControllerRestored,
     HeartbeatEmitted,
     TickStart,
 )
-from repro.sim.controller import Controller
+from repro.supervision.checkpoint import CheckpointedController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulation
@@ -141,6 +140,35 @@ class SupervisorConfig:
         if min_rate <= 0:
             raise ConfigurationError("target minimum rate must be positive")
         return self.grace_factor / min_rate
+
+
+def escalation_rung(
+    elapsed_s: float,
+    base_s: float,
+    quarantine_factor: float,
+    evict_factor: float,
+    previous: int,
+    slack_s: float = 0.0,
+) -> int:
+    """The health-ladder rung (0 none, 1 suspect, 2 quarantine, 3 evict)
+    for ``elapsed_s`` without progress.
+
+    Rung *k* is reached strictly past ``base_s × (1, quarantine_factor,
+    evict_factor)[k-1] + slack_s``, and a ladder climbs at most one
+    rung per call above ``previous``, so a long stall cannot jump
+    straight to eviction without publishing the intermediate rungs.
+    Both the per-app :class:`Supervisor` and the serving fleet's
+    :class:`~repro.fleet.supervisor.FleetSupervisor` escalate by it.
+    """
+    if elapsed_s > base_s * evict_factor + slack_s:
+        rung = 3
+    elif elapsed_s > base_s * quarantine_factor + slack_s:
+        rung = 2
+    elif elapsed_s > base_s + slack_s:
+        rung = 1
+    else:
+        rung = 0
+    return min(rung, previous + 1)
 
 
 @dataclass
@@ -295,7 +323,7 @@ class _WatchEntry:
     rung: int = 0
 
 
-class Supervisor(Controller):
+class Supervisor(CheckpointedController):
     """Watches every app's heartbeat stream and drives quarantine.
 
     Attach it after the runtime managers; it is a pure observer until an
@@ -314,7 +342,6 @@ class Supervisor(Controller):
         self._watch: Dict[str, _WatchEntry] = {}
         #: Eviction count (cheap invariant hook for identity tests).
         self.evictions = 0
-        self.checkpoint_store: Optional[Any] = None
 
     # -- wiring ------------------------------------------------------------
 
@@ -356,13 +383,13 @@ class Supervisor(Controller):
                 deadline = entry.deadline_s * self.config.startup_grace_factor
             else:
                 deadline = entry.deadline_s
-            rung = self._age_rung(age, deadline)
-            if rung > entry.rung:
-                # One level per tick, so a long scheduler stall cannot
-                # jump straight to eviction without publishing the
-                # intermediate suspicion/quarantine events.
-                rung = entry.rung + 1
-            entry.rung = rung
+            rung = entry.rung = escalation_rung(
+                age,
+                deadline,
+                self.config.quarantine_factor,
+                self.config.evict_factor,
+                entry.rung,
+            )
             if rung >= 1 and status is AppHealth.HEALTHY:
                 self._suspect(
                     sim, entry, FailureKind.HUNG, now,
@@ -380,15 +407,6 @@ class Supervisor(Controller):
                     f"(evict threshold "
                     f"{deadline * self.config.evict_factor:.3f}s)",
                 )
-
-    def _age_rung(self, age: float, deadline: float) -> int:
-        if age > deadline * self.config.evict_factor:
-            return 3
-        if age > deadline * self.config.quarantine_factor:
-            return 2
-        if age > deadline:
-            return 1
-        return 0
 
     # -- heartbeat side: recovery + runaway detection ----------------------
 
@@ -617,8 +635,10 @@ class Supervisor(Controller):
                 entry.rung = 0
                 entry.runaway_streak = 0
 
-    def simulate_restart(self, sim: "Simulation") -> None:
-        """Crash+restart: rebuild the watch, restore the ledger if warm."""
+    def _forget_volatile(self, sim: "Simulation") -> None:
+        """What dies with the supervisor: the ledger and the watch,
+        rebuilt from what the engine still knows (halted and finished
+        apps)."""
         now = sim.clock.now_s
         self.ledger = QuarantineLedger()
         self.evictions = 0
@@ -636,24 +656,3 @@ class Supervisor(Controller):
                 record.status = AppHealth.EVICTED
             elif app.is_done():
                 record.status = AppHealth.DONE
-        store = self.checkpoint_store
-        snapshot = (
-            store.get(self.checkpoint_id) if store is not None else None
-        )
-        warm = False
-        if snapshot is not None:
-            try:
-                self.restore_checkpoint(sim, snapshot)
-                warm = True
-            except ConfigurationError:
-                snapshot = None
-        sim.bus.publish(
-            ControllerRestored(
-                controller=self.checkpoint_id,
-                time_s=now,
-                warm=warm,
-                checkpoint_time_s=(
-                    snapshot["time_s"] if snapshot is not None else None
-                ),
-            )
-        )

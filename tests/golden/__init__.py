@@ -38,12 +38,15 @@ from repro.experiments.runner import (
 )
 from repro.extensions.adaptive_manager import AdaptiveHarsManager
 from repro.extensions.ratio_learning import OnlineRatioLearner
+from repro.faults import FaultConfig, LifecycleEvent
 from repro.fleet import FleetConfig, FleetFaultConfig, ResilienceConfig, crash_wave
 from repro.fleet.cluster import FleetCluster, FleetResult
+from repro.guardrails import GuardrailConfig
 from repro.heartbeats.targets import PerformanceTarget
 from repro.platform.spec import odroid_xu3
 from repro.sim.engine import Simulation
 from repro.sim.process import SimApp
+from repro.supervision import SupervisorConfig
 from repro.workloads.parsec import make_benchmark
 
 #: Where the recorded digests live, keyed by :data:`GOLDEN_RUNS` name.
@@ -119,6 +122,61 @@ FLEET_BROWNOUT_CONFIG = FleetConfig(
 #: HARS assumes 1.5) under an AdaptiveHarsManager whose learner refits
 #: r0 and swaps the performance model every adaptation period.
 RATIO_LEARNING_SHAPE = RunShape(benchmark="blackscholes", n_units=120, seed=2)
+
+
+#: The guardrail mix the controller-restart runs carry, so every
+#: checkpointed controller (manager, supervisor, guardrail layer) is
+#: attached and restarted.
+RESTART_GUARDRAILS = GuardrailConfig(
+    power_cap_w=4.0, damper_window=8, watchdog_window=8
+)
+
+
+def _restart_config(restarts_s, warm, hang=None, supervision=True):
+    """Two ``controller_restart`` faults (plus an optional app hang)
+    under supervision, guardrails and telemetry; ``warm`` adds a
+    one-second checkpoint cadence."""
+    events = [LifecycleEvent("controller_restart", at_s=t) for t in restarts_s]
+    if hang is not None:
+        events.append(LifecycleEvent("app_hang", at_s=hang[1], target=hang[0]))
+    return RunConfig(
+        faults=FaultConfig(seed=3, lifecycle_schedule=tuple(events)),
+        supervision=supervision,
+        guardrails=RESTART_GUARDRAILS,
+        telemetry=True,
+        checkpoint=1.0 if warm else None,
+    )
+
+
+def _hars_restart_config(warm: bool) -> RunConfig:
+    return _restart_config((6.0, 14.0), warm)
+
+
+def _mp_hars_restart_config(warm: bool) -> RunConfig:
+    return _restart_config(
+        (8.0, 20.0),
+        warm,
+        hang=("bodytrack-1", 12.0),
+        supervision=SupervisorConfig(grace_factor=2.0),
+    )
+
+
+#: A fleet whose nodes hang, crash and slow down at seeded rates, with
+#: a short stall threshold so hangs climb the whole health ladder
+#: (degraded, quarantined, evicted) and crashes reboot into probation.
+FLEET_HANG_LADDER_CONFIG = FleetConfig(
+    nodes=20,
+    requests=800,
+    seed=5,
+    chaos=FleetFaultConfig(
+        seed=5,
+        node_hang_rate=0.05,
+        node_crash_rate=0.02,
+        hang_duration_s=6.0,
+        node_slowdown_rate=0.05,
+    ),
+    resilience=ResilienceConfig(stall_after_s=0.3),
+)
 
 
 def _ratio_learning_run() -> RunOutcome:
@@ -204,6 +262,21 @@ GOLDEN_RUNS: Dict[str, Callable[[], Any]] = {
         FLEET_BROWNOUT_CONFIG, router="deadline-risk"
     ).run(),
     "hars-e-ratio-learning-blackscholes-x120": _ratio_learning_run,
+    "hars-e-restart-warm-x80": lambda: run(
+        "hars-e", SINGLE_SHAPE, _hars_restart_config(warm=True)
+    ),
+    "hars-e-restart-cold-x80": lambda: run(
+        "hars-e", SINGLE_SHAPE, _hars_restart_config(warm=False)
+    ),
+    "mp-hars-e-restart-warm-hang-x60": lambda: run(
+        "mp-hars-e", list(MULTI_SHAPES), _mp_hars_restart_config(warm=True)
+    ),
+    "mp-hars-e-restart-cold-hang-x60": lambda: run(
+        "mp-hars-e", list(MULTI_SHAPES), _mp_hars_restart_config(warm=False)
+    ),
+    "fleet-deadline-risk-x20-hang-ladder": lambda: FleetCluster(
+        FLEET_HANG_LADDER_CONFIG, router="deadline-risk"
+    ).run(),
 }
 
 

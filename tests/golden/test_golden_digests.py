@@ -16,6 +16,13 @@ fleet runs covering the other routing paths: least-loaded routing, and
 a burst under a crash wave with failover off and admission control on
 (brownout demotion, wait-triggered shedding, routing onto dead nodes).
 
+Five more runs cover the restart protocol and both health ladders: a
+HARS-E and an MP-HARS-E run with two mid-run ``controller_restart``
+faults, each warm (checkpointed) and cold, under supervision,
+guardrails and telemetry (the MP-HARS pair also hangs one app until the
+supervisor evicts it); and a fleet whose seeded hangs, crashes and
+slowdowns walk nodes through every supervisor transition.
+
 Regenerate only when a behaviour change is intended, and say so in the
 change log::
 
@@ -25,7 +32,17 @@ change log::
 import json
 import sys
 
-from tests.golden import GOLDEN_PATH, GOLDEN_RUNS, load_golden, outcome_digest
+import pytest
+
+from repro.fleet.cluster import FleetCluster
+from repro.telemetry.registry import flatten_snapshot
+from tests.golden import (
+    FLEET_HANG_LADDER_CONFIG,
+    GOLDEN_PATH,
+    GOLDEN_RUNS,
+    load_golden,
+    outcome_digest,
+)
 
 
 def test_kernel_overhead_run_matches_golden_digest():
@@ -58,6 +75,49 @@ def test_brownout_no_failover_fleet_run_matches_golden_digest():
 def test_ratio_learning_run_matches_golden_digest():
     name = "hars-e-ratio-learning-blackscholes-x120"
     assert outcome_digest(GOLDEN_RUNS[name]()) == load_golden()[name]
+
+
+@pytest.mark.parametrize(
+    "name, manager",
+    [
+        ("hars-e-restart-warm-x80", "hars:swaptions"),
+        ("hars-e-restart-cold-x80", "hars:swaptions"),
+        ("mp-hars-e-restart-warm-hang-x60", "mp-hars"),
+        ("mp-hars-e-restart-cold-hang-x60", "mp-hars"),
+    ],
+)
+def test_controller_restart_run_matches_golden_digest(name, manager):
+    outcome = GOLDEN_RUNS[name]()
+    warm = "true" if "-warm-" in name else "false"
+    # The digest must really cover two restores of every checkpointed
+    # controller, warm or cold as the run's name says.
+    restores = {
+        labels: value
+        for (sample, labels), value in flatten_snapshot(
+            outcome.telemetry.registry.snapshot()
+        ).items()
+        if sample == "controller_restores_total"
+    }
+    assert restores == {
+        (("controller", controller), ("warm", warm)): 2.0
+        for controller in (manager, "supervisor", "guardrails")
+    }
+    if "-hang-" in name:
+        assert "bodytrack-1" in outcome.supervisor.ledger.evicted()
+    assert outcome_digest(outcome) == load_golden()[name]
+
+
+def test_hang_ladder_fleet_run_matches_golden_digest():
+    name = "fleet-deadline-risk-x20-hang-ladder"
+    cluster = FleetCluster(FLEET_HANG_LADDER_CONFIG, router="deadline-risk")
+    result = cluster.run()
+    # Every rung of the node ladder, and the crash/reboot side, fired.
+    reasons = {row[4] for row in cluster.supervisor.ledger}
+    assert {
+        "stall", "stall-evicted", "recovered", "crash", "restart",
+        "probation-served",
+    } <= reasons
+    assert outcome_digest(result) == load_golden()[name]
 
 
 def test_golden_file_covers_every_run():

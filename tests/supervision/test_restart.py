@@ -3,14 +3,23 @@
 import pytest
 
 from repro.core.manager import HarsManager
-from repro.experiments.runner import RunConfig, RunShape, build_target, run
+from repro.experiments.runner import (
+    RunConfig,
+    RunShape,
+    build_target,
+    prepare_multi,
+    prepare_single,
+    run,
+)
 from repro.experiments.serialize import checkpoint_payload
 from repro.experiments.versions import attach_single_app_version
 from repro.faults import FaultConfig, LifecycleEvent
+from repro.guardrails import GuardrailConfig, GuardrailLayer
 from repro.kernel.bus import ControllerRestored
+from repro.mphars.manager import MpHarsManager
 from repro.sim.engine import Simulation
 from repro.sim.process import SimApp
-from repro.supervision import Checkpointer
+from repro.supervision import Checkpointer, CheckpointStore, Supervisor
 from repro.workloads.parsec import make_benchmark
 
 #: Consecutive in-window samples counting as reconverged.
@@ -128,3 +137,104 @@ class TestRestoredEventAndFallback:
         manager.simulate_restart(sim)
         assert events[-1].warm is False
         assert events[-1].checkpoint_time_s is None
+
+
+class _FixedStore:
+    """A store stub handing back one payload for every controller id —
+    lets a test feed a restart what no real store would accept."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def get(self, controller_id):
+        return self.payload
+
+
+#: Supervision + guardrails + checkpointing: all four checkpointed
+#: controllers are attached.
+_PROTOCOL_CONFIG = RunConfig(
+    supervision=True,
+    guardrails=GuardrailConfig(power_cap_w=4.0, damper_window=8),
+    checkpoint=1.0,
+)
+
+
+def _prepared(kind):
+    if kind is MpHarsManager:
+        shapes = [
+            RunShape(benchmark="swaptions", n_units=60, n_threads=4, seed=3),
+            RunShape(benchmark="bodytrack", n_units=60, n_threads=4, seed=4),
+        ]
+        return prepare_multi("mp-hars-e", shapes, _PROTOCOL_CONFIG)
+    shape = RunShape(benchmark="swaptions", n_units=80, seed=7)
+    return prepare_single("hars-e", shape, _PROTOCOL_CONFIG)
+
+
+@pytest.fixture(
+    params=[HarsManager, MpHarsManager, GuardrailLayer, Supervisor],
+    ids=lambda kind: kind.__name__,
+)
+def restartable(request):
+    """A run stepped 5 s, its controller of the requested kind, and the
+    ControllerRestored events it publishes from then on."""
+    prepared = _prepared(request.param)
+    sim = prepared.sim
+    sim.run(until_s=5.0)
+    [controller] = [
+        c for c in sim.controllers if isinstance(c, request.param)
+    ]
+    events = []
+    sim.bus.subscribe(ControllerRestored, events.append)
+    return sim, controller, events
+
+
+class TestRestartProtocol:
+    """The one ``simulate_restart`` every checkpointed controller runs."""
+
+    def test_no_store_restarts_cold(self, restartable):
+        sim, controller, events = restartable
+        controller.checkpoint_store = None
+        controller.simulate_restart(sim)
+        assert events == [
+            ControllerRestored(
+                controller=controller.checkpoint_id,
+                time_s=sim.clock.now_s,
+                warm=False,
+                checkpoint_time_s=None,
+            )
+        ]
+
+    def test_schema_rejected_payload_restarts_cold(self, restartable):
+        sim, controller, events = restartable
+        payload = controller.checkpoint(4.0)
+        payload["schema"] = -1
+        controller.checkpoint_store = _FixedStore(payload)
+        controller.simulate_restart(sim)
+        [event] = events
+        assert event.warm is False
+        assert event.checkpoint_time_s is None
+
+    def test_valid_snapshot_restarts_warm(self, restartable):
+        sim, controller, events = restartable
+        store = CheckpointStore()
+        store.put(controller.checkpoint(4.5))
+        controller.checkpoint_store = store
+        controller.simulate_restart(sim)
+        assert events == [
+            ControllerRestored(
+                controller=controller.checkpoint_id,
+                time_s=sim.clock.now_s,
+                warm=True,
+                checkpoint_time_s=4.5,
+            )
+        ]
+
+    def test_restart_round_trips_the_snapshot(self, restartable):
+        sim, controller, _ = restartable
+        store = CheckpointStore()
+        store.put(controller.checkpoint(4.5))
+        controller.checkpoint_store = store
+        controller.simulate_restart(sim)
+        assert controller.checkpoint(4.5) == store.get(
+            controller.checkpoint_id
+        )
