@@ -30,7 +30,7 @@ from repro.fleet import FleetConfig, FleetFaultConfig, ResilienceConfig
 from repro.guardrails import GuardrailConfig
 from repro.sim.tracing import TraceRecorder
 from repro.supervision import SupervisorConfig
-from repro.telemetry import MetricsRegistry, TelemetryConfig
+from repro.telemetry import MetricsRegistry
 
 __version__ = "2.0.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "RunShape",
     "SessionHandle",
     "SupervisorConfig",
-    "TelemetryConfig",
     "TraceRecorder",
     "__version__",
     "run",

@@ -58,6 +58,7 @@ from repro.kernel.bus import (
     PowerSample,
     StateApplied,
 )
+from repro.kernel.mape import MapeManager
 from repro.supervision.checkpoint import CheckpointedController, CheckpointStore
 from repro.acp import wire
 
@@ -372,39 +373,35 @@ class AcpSession:
         the new policy (≤ one adaptation period of latency)."""
         policy = resolve_policy(policy_name)
         sim = self.prepared.sim
-        swapped: List[str] = []
-        for controller in sim.controllers:
-            old = getattr(controller, "policy", None)
-            mape = getattr(controller, "mape", None)
-            if not isinstance(old, HarsPolicy) or mape is None:
-                continue
-            controller.policy = policy
-            mape.planner.policy = policy
-            controller_id = getattr(
-                controller, "checkpoint_id", type(controller).__name__
+        managers = [
+            controller
+            for controller in sim.controllers
+            if isinstance(controller, MapeManager)
+        ]
+        if not managers:
+            raise ConfigurationError(
+                f"session {self.session_id}: no policy-driven manager "
+                f"to swap (version {self.version!r})"
             )
-            swapped.append(controller_id)
+        swapped: List[str] = []
+        for controller in managers:
+            old = controller.policy
+            controller.policy = policy
+            controller.mape.planner.policy = policy
+            swapped.append(controller.checkpoint_id)
             sim.bus.publish(
                 PolicySwapped(
-                    controller=controller_id,
+                    controller=controller.checkpoint_id,
                     time_s=sim.clock.now_s,
                     old_policy=old.name,
                     new_policy=policy.name,
                 )
             )
-        if not swapped:
-            raise ConfigurationError(
-                f"session {self.session_id}: no policy-driven manager "
-                f"to swap (version {self.version!r})"
-            )
         if adapt_every is not None:
             if adapt_every < 1:
                 raise ConfigurationError("adapt_every must be >= 1")
-            for controller in sim.controllers:
-                if hasattr(controller, "adapt_every") and getattr(
-                    controller, "mape", None
-                ) is not None:
-                    controller.adapt_every = adapt_every
+            for controller in managers:
+                controller.adapt_every = adapt_every
         return {
             "policy": policy.name,
             "controllers": swapped,

@@ -561,10 +561,6 @@ def config_to_wire(config: Any) -> Dict[str, Any]:
             "(a custom SupervisorConfig is not wire-serializable yet)"
         )
     telemetry = config.telemetry
-    if telemetry is not None and not isinstance(telemetry, bool):
-        raise ConfigurationError(
-            "acp attach supports telemetry=True/False only"
-        )
     return {
         "supervision": bool(supervision) if supervision is not None else None,
         "checkpoint": config.checkpoint,

@@ -1,18 +1,18 @@
 """The HARS runtime manager (the paper's Algorithm 1).
 
-The manager is a :class:`~repro.sim.controller.Controller` and a thin
-façade over the kernel's MAPE-K control plane
-(:mod:`repro.kernel.mape`): every adaptation period the Monitor samples
-the windowed heartbeat rate, the Analyzer classifies it against the
-target window, the Planner runs the Algorithm 2 neighbourhood search
-over the cached estimation layer, and the Executor applies the chosen
-state — cluster frequencies and thread placement — through the
-actuation façade, exactly the user-level control surface the paper's
-prototype uses on Linux (no kernel modification).
+The manager is a :class:`~repro.kernel.mape.MapeManager`, a thin
+façade over the kernel's MAPE-K control plane: every adaptation period
+the Monitor samples the windowed heartbeat rate, the Analyzer
+classifies it against the target window, the Planner runs the
+Algorithm 2 neighbourhood search over the cached estimation layer, and
+the Executor applies the chosen state — cluster frequencies and thread
+placement — through the actuation façade, exactly the user-level
+control surface the paper's prototype uses on Linux (no kernel
+modification).
 
 Search overhead is metered: each estimated candidate costs
-``state_eval_cost_s`` of manager CPU time, which Figure 5.3(b) reports as
-CPU utilization.
+``state_eval_cost_s`` of manager CPU time and each received heartbeat
+``poll_cost_s``, which Figure 5.3(b) reports as CPU utilization.
 """
 
 from __future__ import annotations
@@ -25,21 +25,20 @@ from repro.core.power_estimator import PowerEstimator
 from repro.core.state import SystemState, max_state
 from repro.errors import ConfigurationError
 from repro.heartbeats.record import Heartbeat
-from repro.kernel.estimation import EstimationLayer
 from repro.kernel.mape import (
     Analyzer,
     CycleContext,
     Executor,
-    Knowledge,
     MapeLoop,
+    MapeManager,
     Monitor,
     SearchPlanner,
 )
 from repro.platform.cluster import BIG, LITTLE
 from repro.platform.topology import first_n
-from repro.supervision.checkpoint import CheckpointedController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.extensions.ratio_learning import OnlineRatioLearner
     from repro.sim.engine import Simulation
     from repro.sim.process import SimApp
 
@@ -59,8 +58,15 @@ DEFAULT_STATE_EVAL_COST_S = 1e-3
 DEFAULT_POLL_COST_S = 3e-3
 
 
-class HarsManager(CheckpointedController):
+class HarsManager(MapeManager):
     """Single-application HARS (Algorithms 1 + 2) over MAPE-K."""
+
+    #: Split each pipeline stage across the clusters (§3.1.4 #2) instead
+    #: of the policy's scheduler; an AdaptiveHarsManager option.
+    stage_aware = False
+    #: Online big:little ratio learner whose ratio the checkpoint
+    #: carries; only AdaptiveHarsManager attaches one.
+    ratio_learner: Optional["OnlineRatioLearner"] = None
 
     def __init__(
         self,
@@ -74,22 +80,18 @@ class HarsManager(CheckpointedController):
         initial_state: Optional[SystemState] = None,
         stale_after_s: Optional[float] = None,
     ):
-        if adapt_every < 1:
-            raise ConfigurationError("adapt_every must be >= 1")
-        if state_eval_cost_s < 0:
-            raise ConfigurationError("state_eval_cost_s must be >= 0")
-        if poll_cost_s < 0:
-            raise ConfigurationError("poll_cost_s must be >= 0")
+        super().__init__(
+            policy,
+            perf_estimator,
+            power_estimator,
+            adapt_every,
+            state_eval_cost_s,
+            poll_cost_s,
+        )
         self.app_name = app_name
-        self.policy = policy
-        self.state_eval_cost_s = state_eval_cost_s
-        self.poll_cost_s = poll_cost_s
         self._initial_state = initial_state
         self._used: Tuple[int, int] = (0, 0)
         self._assignment = None  # ThreadAssignment actually applied
-        self.knowledge = Knowledge(
-            EstimationLayer(perf_estimator, power_estimator)
-        )
         self.mape = MapeLoop(
             knowledge=self.knowledge,
             monitor=self._build_monitor(adapt_every),
@@ -117,51 +119,6 @@ class HarsManager(CheckpointedController):
         # Indirect through the attribute so tests can wrap ``_apply``.
         self._apply(sim, state)
 
-    # -- compatibility façade --------------------------------------------------
-
-    @property
-    def perf_estimator(self):
-        """The (cached) performance estimator the search consults."""
-        return self.knowledge.estimation.perf
-
-    @perf_estimator.setter
-    def perf_estimator(self, estimator: PerformanceEstimator) -> None:
-        self.knowledge.estimation.set_perf_estimator(estimator)
-
-    @property
-    def power_estimator(self):
-        """The (cached) power estimator the search consults."""
-        return self.knowledge.estimation.power
-
-    @power_estimator.setter
-    def power_estimator(self, estimator: PowerEstimator) -> None:
-        self.knowledge.estimation.set_power_estimator(estimator)
-
-    @property
-    def adapt_every(self) -> int:
-        return self.mape.monitor.adapt_every
-
-    @adapt_every.setter
-    def adapt_every(self, value: int) -> None:
-        self.mape.monitor.adapt_every = value
-
-    @property
-    def heartbeats_polled(self) -> int:
-        return self.mape.monitor.polled
-
-    @property
-    def states_explored_total(self) -> int:
-        return self.knowledge.states_explored
-
-    @property
-    def adaptations(self) -> int:
-        return self.knowledge.adaptations
-
-    @property
-    def held_cycles(self) -> int:
-        """Cycles where a degraded observation held the last good state."""
-        return self.mape.held_cycles
-
     # -- Controller hooks ------------------------------------------------------
 
     def on_start(self, sim: "Simulation") -> None:
@@ -184,12 +141,6 @@ class HarsManager(CheckpointedController):
             return None
         return self._used
 
-    def cpu_overhead_seconds(self) -> float:
-        return (
-            self.states_explored_total * self.state_eval_cost_s
-            + self.heartbeats_polled * self.poll_cost_s
-        )
-
     # -- state application -------------------------------------------------------
 
     @property
@@ -207,21 +158,18 @@ class HarsManager(CheckpointedController):
         assignment = estimate.assignment
         big_ids = first_n(sim.spec, BIG, assignment.used_big)
         little_ids = first_n(sim.spec, LITTLE, assignment.used_little)
-        actuator.place(
-            app, assignment, big_ids, little_ids, self.policy.scheduler
-        )
+        if self.stage_aware:
+            actuator.place_stage_aware(app, assignment, big_ids, little_ids)
+        else:
+            actuator.place(
+                app, assignment, big_ids, little_ids, self.policy.scheduler
+            )
         self.knowledge.set_state(app.name, state)
         self._used = (assignment.used_big, assignment.used_little)
         self._assignment = assignment
         actuator.announce(
             app.name, state, assignment.used_big, assignment.used_little
         )
-
-    def cpu_utilization_percent(self, elapsed_s: float) -> float:
-        """Manager overhead as a percentage of one core (Fig 5.3b)."""
-        if elapsed_s <= 0:
-            raise ConfigurationError("elapsed time must be positive")
-        return 100.0 * self.cpu_overhead_seconds() / elapsed_s
 
     # -- checkpoint / restore ----------------------------------------------------
 
@@ -234,19 +182,11 @@ class HarsManager(CheckpointedController):
         """Snapshot the controller knowledge worth surviving a crash:
         the applied state, the fitted power model, the learned ratio (if
         an online learner is attached), and the MAPE counters."""
-        # Lazy import: serialize sits above the manager layer.
-        from repro.experiments.serialize import (
-            checkpoint_payload,
-            power_model_to_dict,
-        )
-
         state = self.state
-        learner = getattr(self, "ratio_learner", None)
-        return checkpoint_payload(
-            self.checkpoint_id,
+        learner = self.ratio_learner
+        return self._checkpoint(
             now_s,
             {
-                "controller": type(self).__name__,
                 "app_name": self.app_name,
                 "state": (
                     [
@@ -258,9 +198,7 @@ class HarsManager(CheckpointedController):
                     if state is not None
                     else None
                 ),
-                "power_model": power_model_to_dict(self.power_estimator),
                 "ratio": learner.ratio if learner is not None else None,
-                "counters": self.mape.counters(),
             },
         )
 
@@ -287,7 +225,7 @@ class HarsManager(CheckpointedController):
             body.get("power_model") or {}
         )
         ratio = body.get("ratio")
-        learner = getattr(self, "ratio_learner", None)
+        learner = self.ratio_learner
         if ratio is not None and learner is not None:
             learner.seed_estimate(float(ratio))
             self.perf_estimator = learner.estimator()
@@ -312,15 +250,6 @@ class HarsManager(CheckpointedController):
         self.knowledge.estimation.invalidate()
         self._used = (0, 0)
         self._assignment = None
-        predictor = getattr(self, "predictor", None)
-        if predictor is not None:
-            predictor.reset()
-        learner = getattr(self, "ratio_learner", None)
-        if learner is not None:
-            learner.reset()
-            self.perf_estimator = learner.estimator()
-        if getattr(self, "_settled_periods", None) is not None:
-            self._settled_periods = 0
 
     def _cold_start(self, sim: "Simulation") -> None:
         """Start exactly as at time zero and re-converge from scratch."""

@@ -24,10 +24,6 @@ class FrequencyError(PlatformError):
     """Raised when a requested frequency is outside a cluster's DVFS table."""
 
 
-class ActuationError(PlatformError):
-    """Raised when a platform actuation (DVFS write, affinity call) fails."""
-
-
 class SimulationError(ReproError):
     """Raised by the simulation engine for invalid run-time operations."""
 

@@ -41,7 +41,7 @@ from repro.supervision import (
     Supervisor,
     SupervisorConfig,
 )
-from repro.telemetry.hub import TelemetryConfig, TelemetryHub
+from repro.telemetry.hub import TelemetryHub
 from repro.workloads.parsec import make_benchmark, resolve_name
 
 #: Default target window half-width (the paper's ±5 %).
@@ -79,9 +79,8 @@ class RunConfig:
     ``spec`` picks the platform (the ODROID-XU3 by default);
     ``faults`` / ``supervision`` / ``checkpoint`` attach the
     resilience layers; ``telemetry`` attaches the observation
-    hub (:class:`~repro.telemetry.hub.TelemetryHub`) — ``True`` for the
-    default :class:`~repro.telemetry.hub.TelemetryConfig`, and provably
-    result-neutral either way; ``guardrails`` attaches the runtime
+    hub (:class:`~repro.telemetry.hub.TelemetryHub`) when true, and is
+    provably result-neutral either way; ``guardrails`` attaches the runtime
     guardrail layer (:class:`~repro.guardrails.GuardrailLayer`) —
     ``None`` or an all-default :class:`~repro.guardrails.GuardrailConfig`
     attaches nothing and is bit-identical to a run without the layer;
@@ -94,7 +93,7 @@ class RunConfig:
     faults: Optional[FaultConfig] = None
     supervision: Union[SupervisorConfig, bool, None] = None
     checkpoint: Optional[float] = None
-    telemetry: Union[TelemetryConfig, bool, None] = None
+    telemetry: Optional[bool] = None
     guardrails: Optional[GuardrailConfig] = None
     fleet: Optional[FleetConfig] = None
     #: Attachment mode: ``None`` runs in-process; ``"loopback"`` routes
@@ -122,7 +121,6 @@ class RunConfig:
     _SUBCONFIG_FIELDS = (
         "faults",
         "supervision",
-        "telemetry",
         "guardrails",
         "fleet",
     )
@@ -142,15 +140,6 @@ class RunConfig:
             if name not in changes:
                 changes[name] = copy.deepcopy(getattr(self, name))
         return replace(self, **changes)
-
-    @property
-    def telemetry_config(self) -> Optional[TelemetryConfig]:
-        """The effective telemetry configuration, or ``None`` if off."""
-        if not self.telemetry:
-            return None
-        if isinstance(self.telemetry, TelemetryConfig):
-            return self.telemetry
-        return TelemetryConfig()
 
 
 @dataclass
@@ -273,10 +262,9 @@ def _attach_telemetry(
     sim: Simulation, version: str, config: RunConfig
 ) -> Optional[TelemetryHub]:
     """Attach the telemetry hub last, so it observes everything."""
-    telemetry_config = config.telemetry_config
-    if telemetry_config is None:
+    if not config.telemetry:
         return None
-    hub = TelemetryHub(telemetry_config)
+    hub = TelemetryHub()
     hub.set_run_info(version=version)
     sim.add_controller(hub)
     return hub

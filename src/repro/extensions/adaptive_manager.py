@@ -36,8 +36,6 @@ from repro.extensions.escape import StuckDetector, full_space
 from repro.extensions.kalman import RatePredictor
 from repro.extensions.ratio_learning import OnlineRatioLearner
 from repro.kernel.mape import Knowledge, Monitor, Observation, SearchPlanner
-from repro.platform.cluster import BIG, LITTLE
-from repro.platform.topology import first_n
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulation
@@ -130,29 +128,19 @@ class AdaptiveHarsManager(HarsManager):
     # -- state application -------------------------------------------------------
 
     def _apply(self, sim: "Simulation", state: SystemState) -> None:
-        if not self.stage_aware:
-            super()._apply(sim, state)
-        else:
-            app = sim.app(self.app_name)
-            actuator = sim.actuator
-            actuator.set_frequency(BIG, state.f_big_mhz)
-            actuator.set_frequency(LITTLE, state.f_little_mhz)
-            estimate = self.perf_estimator.estimate(state, app.n_threads)
-            assignment = estimate.assignment
-            actuator.place_stage_aware(
-                app,
-                assignment,
-                first_n(sim.spec, BIG, assignment.used_big),
-                first_n(sim.spec, LITTLE, assignment.used_little),
-            )
-            self.knowledge.set_state(app.name, state)
-            self._used = (assignment.used_big, assignment.used_little)
-            self._assignment = assignment
-            actuator.announce(
-                app.name, state, assignment.used_big, assignment.used_little
-            )
+        super()._apply(sim, state)
         # A new state invalidates the predictor's rate estimate and the
         # settled-observation clock.
         if self.predictor is not None:
             self.predictor.reset()
+        self._settled_periods = 0
+
+    def _forget_volatile(self, sim: "Simulation") -> None:
+        """HARS's volatile state plus the online-learned models."""
+        super()._forget_volatile(sim)
+        if self.predictor is not None:
+            self.predictor.reset()
+        if self.ratio_learner is not None:
+            self.ratio_learner.reset()
+            self.perf_estimator = self.ratio_learner.estimator()
         self._settled_periods = 0

@@ -95,10 +95,6 @@ class FleetConfig:
         ResilienceConfig`): failover routing, per-attempt retries,
         hedging, admission control.  None means defaults when chaos is
         on (failover only) and *no resilience layer at all* otherwise.
-    node_telemetry:
-        Attach a full per-node :class:`~repro.telemetry.hub.TelemetryHub`
-        (expensive at fleet scale; the cluster-level registry is always
-        populated regardless).
     """
 
     nodes: int = 50
@@ -125,7 +121,6 @@ class FleetConfig:
     rate_span_s: float = 2.0
     drain_s: float = 20.0
     app_id: str = "search"
-    node_telemetry: bool = False
     chaos: Optional[FleetFaultConfig] = None
     resilience: Optional[ResilienceConfig] = None
 

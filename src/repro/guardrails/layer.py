@@ -56,11 +56,17 @@ from repro.kernel.bus import (
     GuardrailTripped,
     PowerSample,
 )
+from repro.kernel.mape import (
+    CycleContext,
+    Knowledge,
+    MapeManager,
+    Observation,
+    PlanResult,
+)
 from repro.supervision.checkpoint import CheckpointedController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.policy import SearchSpace
-    from repro.kernel.mape import CycleContext, Knowledge, Observation, PlanResult
     from repro.sim.engine import Simulation
     from repro.sim.process import SimApp
 
@@ -449,11 +455,11 @@ class GuardrailLayer(CheckpointedController):
                 [app.name for app in sim.apps], sim.clock.now_s
             )
         for controller in sim.controllers:
-            mape = getattr(controller, "mape", None)
-            if mape is None or getattr(mape, "guard", None) is not None:
+            if not isinstance(controller, MapeManager):
                 continue
-            mape.guard = self
-            mape.planner.guard = self
+            if controller.mape.guard is None:
+                controller.mape.guard = self
+                controller.mape.planner.guard = self
 
     # -- bus handlers -------------------------------------------------------
 

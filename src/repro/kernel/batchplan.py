@@ -57,7 +57,9 @@ calls in sweep order, preserving side-effect order.
 
 **Scope.**  Parity assumes the stock estimator contract: estimates are
 pure functions of their inputs that either return positive
-capacity/power or raise :class:`~repro.errors.EstimationError`.  A
+capacity/power or raise :class:`~repro.errors.EstimationError`, and the
+power model is a :class:`~repro.core.power_estimator.PowerEstimator`
+whose ``tabulate`` yields the linear coefficient tables.  A
 non-conforming estimator that *returns* a non-positive power instead of
 raising is treated as an estimation failure here (the scalar fold's
 behaviour for that case depends on encounter order and is not
@@ -151,17 +153,12 @@ class StateSpaceTensor:
 
         ``perf``/``power`` are the estimation layer's raw estimators.
         The performance model is swept per state through its
-        ``estimate``; a power model without a ``tabulate`` is too.
+        ``estimate``; the power model's per-frequency coefficients
+        (``tabulate``) are combined over the grid in one pass.
         """
         tables = tabulate_performance(spec, n_threads, perf.estimate)
         perf_valid = tables["valid"]
-        ptab = getattr(power, "tabulate", None)
-        if ptab is not None:
-            power_grid, power_ok = _combine_power(ptab(spec), tables)
-        else:
-            power_grid, power_ok = _sweep_power(
-                spec, n_threads, perf, power, perf_valid
-            )
+        power_grid, power_ok = _combine_power(power.tabulate(spec), tables)
         return cls(
             spec_name=spec.name,
             n_threads=n_threads,
@@ -209,37 +206,6 @@ def _combine_power(ptables: dict, tables: dict) -> tuple:
     )
     ok = tables["valid"] & ok_big & ok_little & util_ok & (total > 0.0)
     return np.where(ok, total, np.nan), ok
-
-
-def _sweep_power(
-    spec: PlatformSpec,
-    n_threads: int,
-    perf: Any,
-    power: Any,
-    perf_valid: np.ndarray,
-) -> tuple:
-    """Per-state fallback for power models without a ``tabulate``."""
-    power_grid = np.full(perf_valid.shape, np.nan)
-    ok = np.zeros(perf_valid.shape, dtype=bool)
-    big_freqs = spec.big.frequencies_mhz
-    little_freqs = spec.little.frequencies_mhz
-    for cb in range(perf_valid.shape[0]):
-        for cl in range(perf_valid.shape[1]):
-            for ifb, fb in enumerate(big_freqs):
-                for ifl, fl in enumerate(little_freqs):
-                    if not perf_valid[cb, cl, ifb, ifl]:
-                        continue
-                    state = SystemState(cb, cl, fb, fl)
-                    try:
-                        estimate = perf.estimate(state, n_threads)
-                        watts = power.estimate(state, estimate)
-                    except EstimationError:
-                        continue
-                    if watts <= 0:
-                        continue
-                    power_grid[cb, cl, ifb, ifl] = watts
-                    ok[cb, cl, ifb, ifl] = True
-    return power_grid, ok
 
 
 class CandidateBox:

@@ -20,9 +20,14 @@ classic Monitor → Analyze → Plan → Execute stages over a shared
 
 The **K** — :class:`Knowledge` — holds what stages share: the platform
 spec, the estimation layer, per-app applied states, and the
-exploration/adaptation counters.  Managers remain thin façades that
-keep their public constructors and attributes, delegating the loop to
-:class:`MapeLoop`.
+exploration/adaptation counters.
+
+:class:`MapeManager` is what "a MAPE-K manager" means everywhere else in
+the runtime: HARS, its adaptive variant and MP-HARS subclass it, wire
+their own :class:`MapeLoop`, and inherit one estimator/counter façade,
+one overhead formula and one checkpoint envelope.  The telemetry hub,
+the guardrail layer and the ACP policy swap select managers with
+``isinstance(controller, MapeManager)``.
 """
 
 from __future__ import annotations
@@ -44,13 +49,17 @@ from typing import (
 # themselves run on the tensorized sweep.
 from repro.core.search import get_next_sys_state  # noqa: F401
 from repro.core.state import SystemState
+from repro.errors import ConfigurationError
 from repro.heartbeats.record import Heartbeat
 from repro.heartbeats.targets import Satisfaction
 from repro.kernel.batchplan import batch_next_sys_state
 from repro.kernel.estimation import EstimationLayer
+from repro.supervision.checkpoint import CheckpointedController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.perf_estimator import PerformanceEstimator
     from repro.core.policy import HarsPolicy, SearchSpace
+    from repro.core.power_estimator import PowerEstimator
     from repro.platform.spec import PlatformSpec
     from repro.sim.engine import Simulation
     from repro.sim.process import SimApp
@@ -499,3 +508,117 @@ class MapeLoop:
         elif guard is not None:
             guard.note_cycle(sim, ctx, executed=False)
         return ctx
+
+
+class MapeManager(CheckpointedController):
+    """A checkpointed controller that adapts through a :class:`MapeLoop`.
+
+    The base owns what every HARS-family manager shares: the policy,
+    the modelled costs, one :class:`Knowledge` store over the two
+    estimators, the estimator/counter façade, the CPU-overhead formula
+    (``docs/modelling.md`` §7) and the checkpoint fields common to both
+    managers.  Subclasses build ``self.mape`` over ``self.knowledge``
+    and supply the :class:`CheckpointedController` hooks.
+    """
+
+    #: The subclass's loop, wired in its constructor.
+    mape: MapeLoop
+
+    def __init__(
+        self,
+        policy: "HarsPolicy",
+        perf_estimator: "PerformanceEstimator",
+        power_estimator: "PowerEstimator",
+        adapt_every: int,
+        state_eval_cost_s: float,
+        poll_cost_s: float,
+    ):
+        if adapt_every < 1:
+            raise ConfigurationError("adapt_every must be >= 1")
+        if state_eval_cost_s < 0:
+            raise ConfigurationError("state_eval_cost_s must be >= 0")
+        if poll_cost_s < 0:
+            raise ConfigurationError("poll_cost_s must be >= 0")
+        self.policy = policy
+        self.state_eval_cost_s = state_eval_cost_s
+        self.poll_cost_s = poll_cost_s
+        self.knowledge = Knowledge(
+            EstimationLayer(perf_estimator, power_estimator)
+        )
+
+    @property
+    def perf_estimator(self):
+        """The (cached) performance estimator the search consults."""
+        return self.knowledge.estimation.perf
+
+    @perf_estimator.setter
+    def perf_estimator(self, estimator: "PerformanceEstimator") -> None:
+        self.knowledge.estimation.set_perf_estimator(estimator)
+
+    @property
+    def power_estimator(self):
+        """The (cached) power estimator the search consults."""
+        return self.knowledge.estimation.power
+
+    @power_estimator.setter
+    def power_estimator(self, estimator: "PowerEstimator") -> None:
+        self.knowledge.estimation.set_power_estimator(estimator)
+
+    @property
+    def adapt_every(self) -> int:
+        return self.mape.monitor.adapt_every
+
+    @adapt_every.setter
+    def adapt_every(self, value: int) -> None:
+        self.mape.monitor.adapt_every = value
+
+    @property
+    def heartbeats_polled(self) -> int:
+        return self.mape.monitor.polled
+
+    @property
+    def states_explored_total(self) -> int:
+        return self.knowledge.states_explored
+
+    @property
+    def adaptations(self) -> int:
+        return self.knowledge.adaptations
+
+    @property
+    def held_cycles(self) -> int:
+        """Cycles where a degraded observation held the last good state."""
+        return self.mape.held_cycles
+
+    def cpu_overhead_seconds(self) -> float:
+        return (
+            self.states_explored_total * self.state_eval_cost_s
+            + self.heartbeats_polled * self.poll_cost_s
+        )
+
+    def cpu_utilization_percent(self, elapsed_s: float) -> float:
+        """Manager overhead as a percentage of one core (Fig 5.3b)."""
+        if elapsed_s <= 0:
+            raise ConfigurationError("elapsed time must be positive")
+        return 100.0 * self.cpu_overhead_seconds() / elapsed_s
+
+    def _checkpoint(
+        self, now_s: float, body: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """``body`` plus the shared fields (controller class, fitted
+        power model, MAPE counters), in the checkpoint envelope."""
+        # Lazy import: serialize sits above the manager layer.
+        from repro.experiments.serialize import (
+            checkpoint_payload,
+            power_model_to_dict,
+        )
+
+        return checkpoint_payload(
+            self.checkpoint_id,
+            now_s,
+            {
+                "controller": type(self).__name__,
+                **body,
+                "power_model": power_model_to_dict(self.power_estimator),
+                "counters": self.mape.counters(),
+            },
+        )

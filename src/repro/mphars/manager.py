@@ -40,13 +40,12 @@ from repro.errors import ConfigurationError
 from repro.heartbeats.record import Heartbeat
 from repro.heartbeats.targets import Satisfaction
 from repro.kernel.bus import AppFinished
-from repro.kernel.estimation import EstimationLayer
 from repro.kernel.mape import (
     Analyzer,
     CycleContext,
     Executor,
-    Knowledge,
     MapeLoop,
+    MapeManager,
     Monitor,
     SearchPlanner,
 )
@@ -60,7 +59,6 @@ from repro.mphars.freeze import (
 )
 from repro.mphars.partition import get_allocatable_core_set, release_all
 from repro.platform.cluster import BIG, LITTLE
-from repro.supervision.checkpoint import CheckpointedController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulation
@@ -74,7 +72,7 @@ DEFAULT_FREEZE_BEATS = 5
 DEFAULT_STATE_EVAL_COST_S = 50e-6
 
 
-class MpHarsManager(CheckpointedController):
+class MpHarsManager(MapeManager):
     """Multi-application HARS (Algorithms 3 + 4 + Table 4.3)."""
 
     def __init__(
@@ -87,13 +85,18 @@ class MpHarsManager(CheckpointedController):
         state_eval_cost_s: float = DEFAULT_STATE_EVAL_COST_S,
         stale_after_s: Optional[float] = None,
     ):
-        if adapt_every < 1:
-            raise ConfigurationError("adapt_every must be >= 1")
+        # MP-HARS meters search cost only (poll cost 0).
+        super().__init__(
+            policy,
+            perf_estimator,
+            power_estimator,
+            adapt_every,
+            state_eval_cost_s,
+            poll_cost_s=0.0,
+        )
         if freeze_beats < 1:
             raise ConfigurationError("freeze_beats must be >= 1")
-        self.policy = policy
         self.freeze_beats = freeze_beats
-        self.state_eval_cost_s = state_eval_cost_s
         self._apps: Dict[str, AppData] = {}
         self._last_rate: Dict[str, Optional[float]] = {}
         self._clusters: Dict[str, ClusterData] = {}
@@ -105,9 +108,6 @@ class MpHarsManager(CheckpointedController):
         #: Survivors owed a forced adaptation cycle after an eviction
         #: returned cores to the free pool.
         self._repartition_pending: Set[str] = set()
-        self.knowledge = Knowledge(
-            EstimationLayer(perf_estimator, power_estimator)
-        )
         # The shared partition/freeze bookkeeping is MAPE-K domain
         # knowledge: Plan (candidate filter) and Execute both read it.
         self.knowledge.domain["apps"] = self._apps
@@ -123,45 +123,6 @@ class MpHarsManager(CheckpointedController):
             count_adaptations=False,
             stale_after_s=stale_after_s,
         )
-
-    # -- compatibility façade ---------------------------------------------------
-
-    @property
-    def perf_estimator(self):
-        return self.knowledge.estimation.perf
-
-    @perf_estimator.setter
-    def perf_estimator(self, estimator: PerformanceEstimator) -> None:
-        self.knowledge.estimation.set_perf_estimator(estimator)
-
-    @property
-    def power_estimator(self):
-        return self.knowledge.estimation.power
-
-    @power_estimator.setter
-    def power_estimator(self, estimator: PowerEstimator) -> None:
-        self.knowledge.estimation.set_power_estimator(estimator)
-
-    @property
-    def adapt_every(self) -> int:
-        return self.mape.monitor.adapt_every
-
-    @adapt_every.setter
-    def adapt_every(self, value: int) -> None:
-        self.mape.monitor.adapt_every = value
-
-    @property
-    def states_explored_total(self) -> int:
-        return self.knowledge.states_explored
-
-    @property
-    def adaptations(self) -> int:
-        return self.knowledge.adaptations
-
-    @property
-    def held_cycles(self) -> int:
-        """Cycles where a degraded observation held the last good state."""
-        return self.mape.held_cycles
 
     # -- Controller hooks -------------------------------------------------------
 
@@ -224,9 +185,6 @@ class MpHarsManager(CheckpointedController):
         if data is None:
             return None
         return (data.owned_big, data.owned_little)
-
-    def cpu_overhead_seconds(self) -> float:
-        return self.states_explored_total * self.state_eval_cost_s
 
     # -- MAPE-K stages -----------------------------------------------------------
 
@@ -549,12 +507,6 @@ class MpHarsManager(CheckpointedController):
         """Snapshot the shared-knowledge core of MP-HARS: per-app
         partition/freeze records (Table 4.1), per-cluster bookkeeping
         (Table 4.2), last-seen rates, and the fitted power model."""
-        # Lazy import: serialize sits above the manager layer.
-        from repro.experiments.serialize import (
-            checkpoint_payload,
-            power_model_to_dict,
-        )
-
         apps: Dict[str, Any] = {}
         for name, data in self._apps.items():
             desired = data.desired_state
@@ -580,11 +532,9 @@ class MpHarsManager(CheckpointedController):
                     else None
                 ),
             }
-        return checkpoint_payload(
-            self.checkpoint_id,
+        return self._checkpoint(
             now_s,
             {
-                "controller": type(self).__name__,
                 "apps": apps,
                 "clusters": {
                     name: {
@@ -597,8 +547,6 @@ class MpHarsManager(CheckpointedController):
                 "last_rate": dict(self._last_rate),
                 "released": dict(self._released),
                 "removed": sorted(self._removed),
-                "power_model": power_model_to_dict(self.power_estimator),
-                "counters": self.mape.counters(),
             },
         )
 

@@ -114,10 +114,6 @@ class SupervisorConfig:
     #: Consecutive over-limit beats before suspicion; quarantine and
     #: eviction follow at 2× and 3× the streak.
     runaway_beats: int = 6
-    #: Only escalate a runaway when some sibling is starving (below its
-    #: own ``t.min`` or past its own deadline) — an app over-performing
-    #: alone on an idle machine harms nobody.
-    require_starving_sibling: bool = True
 
     def __post_init__(self) -> None:
         if self.grace_factor <= 0:
@@ -456,9 +452,10 @@ class Supervisor(CheckpointedController):
         rate: float,
         now: float,
     ) -> None:
-        if self.config.require_starving_sibling and not self._sibling_starving(
-            entry.app.name, now
-        ):
+        # Only escalate a runaway when some sibling is starving (below
+        # its own ``t.min`` or past its own deadline): an app
+        # over-performing alone on an idle machine harms nobody.
+        if not self._sibling_starving(entry.app.name, now):
             return
         beats = self.config.runaway_beats
         detail = (

@@ -32,7 +32,7 @@ from repro.telemetry.exporters import (
     trace_to_csv,
     write_jsonl,
 )
-from repro.telemetry.hub import MapeTelemetry, TelemetryConfig, TelemetryHub
+from repro.telemetry.hub import MapeTelemetry, TelemetryHub
 from repro.telemetry.instruments import (
     DEFAULT_BUCKETS,
     Counter,
@@ -54,7 +54,6 @@ __all__ = [
     "MapeTelemetry",
     "MetricsRegistry",
     "SNAPSHOT_SCHEMA",
-    "TelemetryConfig",
     "TelemetryHub",
     "Timer",
     "flatten_snapshot",

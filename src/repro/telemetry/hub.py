@@ -7,12 +7,13 @@ any of them:
 * every observation-relevant kernel bus event becomes a counter/gauge
   update (heartbeats, applied states, finished apps, fault
   injections/recoveries, supervision transitions, controller restores);
-* every MAPE-K manager gets a :class:`MapeTelemetry` recorder installed
-  on its loop, metering the monitor/analyze/plan/execute phases with
-  the *modelled* manager costs of ``docs/modelling.md`` §7 (so timer
-  values are deterministic), Algorithm 2's search counters (states
-  evaluated, pruned by Manhattan distance, estimation failures), and
-  the observed-rate distribution;
+* every :class:`~repro.kernel.mape.MapeManager` gets a
+  :class:`MapeTelemetry` recorder installed on its loop, metering the
+  monitor/analyze/plan/execute phases with the *modelled* manager
+  costs of ``docs/modelling.md`` §7 (so timer values are
+  deterministic), Algorithm 2's search counters (states evaluated,
+  pruned by Manhattan distance, estimation failures), and the
+  observed-rate distribution;
 * at :meth:`finalize` the hub harvests everything the engine already
   accounts exactly — tick count, per-rail energy and average power,
   the estimation layer's cache hit/miss totals, trace volume, and the
@@ -27,9 +28,9 @@ identity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.guardrails.layer import GuardrailLayer
 from repro.kernel.bus import (
     AppEvicted,
     AppFinished,
@@ -44,35 +45,14 @@ from repro.kernel.bus import (
     PolicySwapped,
     StateApplied,
 )
+from repro.kernel.mape import Analysis, MapeManager, Observation, PlanResult
 from repro.platform.sensor import CHANNELS
 from repro.sim.controller import Controller
 from repro.telemetry.instruments import DEFAULT_BUCKETS
 from repro.telemetry.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.kernel.mape import Analysis, Observation, PlanResult
     from repro.sim.engine import Simulation
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """What the hub instruments.
-
-    Everything defaults on.  The hub deliberately never subscribes to
-    the per-tick bus events — the engine skips publishing them when
-    nobody listens, and a tick-rate subscriber alone costs tens of
-    percent of a run.  Tick counts and per-rail energy are
-    harvested once at :meth:`TelemetryHub.finalize` from the engine's
-    own tick index and the power sensor's exact integrals instead.
-    """
-
-    #: Record ``sim_ticks_total`` from the engine's tick index.
-    track_ticks: bool = True
-    #: Record per-rail ``energy_joules_total`` / average ``power_watts``
-    #: from the sensor's integrated channels.
-    track_power: bool = True
-    #: Bucket boundaries for the observed heartbeat-rate histogram.
-    rate_buckets: Tuple[float, ...] = DEFAULT_BUCKETS
 
 
 class MapeTelemetry:
@@ -110,7 +90,6 @@ class MapeTelemetry:
         controller: str,
         poll_cost_s: float = 0.0,
         state_eval_cost_s: float = 0.0,
-        rate_buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
     ):
         self.poll_cost_s = poll_cost_s
         self.state_eval_cost_s = state_eval_cost_s
@@ -154,7 +133,7 @@ class MapeTelemetry:
         self._rate_hist = registry.histogram(
             "mape_observed_rate",
             "Filtered heartbeat rates observed at adaptation boundaries.",
-            buckets=rate_buckets,
+            buckets=DEFAULT_BUCKETS,
         ).child(controller=controller)
         self._explored = registry.counter(
             "search_states_explored_total",
@@ -211,15 +190,14 @@ class MapeTelemetry:
             self._adaptations.inc()
 
 
+def _mape_managers(sim: "Simulation") -> List[MapeManager]:
+    return [c for c in sim.controllers if isinstance(c, MapeManager)]
+
+
 class TelemetryHub(Controller):
     """Bus-attached metrics collector for one simulation run."""
 
-    def __init__(
-        self,
-        config: Optional[TelemetryConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        self.config = config or TelemetryConfig()
+    def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry or MetricsRegistry()
         self.trace = None  # the sim's TraceRecorder, set on attach
         self._sim: Optional["Simulation"] = None
@@ -311,25 +289,17 @@ class TelemetryHub(Controller):
         # finalize() harvests both series exactly instead.
 
     def on_start(self, sim: "Simulation") -> None:
-        # Install the MAPE recorder on every manager exposing a MAPE
-        # loop.  Runs after the managers' own on_start, so costs and
-        # checkpoint ids are settled.
-        for index, controller in enumerate(sim.controllers):
-            mape = getattr(controller, "mape", None)
-            if mape is None or getattr(mape, "telemetry", None) is not None:
-                continue
-            name = getattr(controller, "checkpoint_id", None) or (
-                f"{type(controller).__name__.lower()}-{index}"
-            )
-            mape.telemetry = MapeTelemetry(
-                self.registry,
-                controller=name,
-                poll_cost_s=getattr(controller, "poll_cost_s", 0.0),
-                state_eval_cost_s=getattr(
-                    controller, "state_eval_cost_s", 0.0
-                ),
-                rate_buckets=self.config.rate_buckets,
-            )
+        # Install the MAPE recorder on every MAPE-K manager.  Runs after
+        # the managers' own on_start, so costs and checkpoint ids are
+        # settled.
+        for controller in _mape_managers(sim):
+            if controller.mape.telemetry is None:
+                controller.mape.telemetry = MapeTelemetry(
+                    self.registry,
+                    controller=controller.checkpoint_id,
+                    poll_cost_s=controller.poll_cost_s,
+                    state_eval_cost_s=controller.state_eval_cost_s,
+                )
 
     # -- bus handlers (observation only) --------------------------------------
 
@@ -393,15 +363,14 @@ class TelemetryHub(Controller):
             return self.registry
         self._finalized = True
         reg = self.registry
-        if self.config.track_ticks:
-            self._ticks.inc(sim._tick_index)
-        if self.config.track_power and sim.sensor.elapsed_s > 0:
+        self._ticks.inc(sim._tick_index)
+        if sim.sensor.elapsed_s > 0:
             for rail in CHANNELS:
                 self._energy_j.inc(sim.sensor.energy_j(rail), rail=rail)
                 self._power_w.set(
                     sim.sensor.average_power_w(rail), rail=rail
                 )
-        clamped = getattr(sim.sensor, "clamped_samples", 0)
+        clamped = sim.sensor.clamped_samples
         if clamped:
             reg.counter(
                 "sensor_clamped_total",
@@ -423,16 +392,9 @@ class TelemetryHub(Controller):
             "its own tensors — one per model pair after every swap or "
             "invalidation, built or taken from the process-wide memo.",
         )
-        for index, controller in enumerate(sim.controllers):
-            knowledge = getattr(controller, "knowledge", None)
-            estimation = getattr(knowledge, "estimation", None)
-            stats = getattr(estimation, "stats", None)
-            if stats is None:
-                continue
-            name = getattr(controller, "checkpoint_id", None) or (
-                f"{type(controller).__name__.lower()}-{index}"
-            )
-            counts = stats()
+        for controller in _mape_managers(sim):
+            name = controller.checkpoint_id
+            counts = controller.knowledge.estimation.stats()
             for key, value in counts.items():
                 model, _, result = key.partition("_")
                 cache.set(value, controller=name, model=model, result=result)
@@ -449,14 +411,13 @@ class TelemetryHub(Controller):
             for size in plan_service.batch_sizes:
                 batch_hist.observe(size)
         for controller in sim.controllers:
-            stats_fn = getattr(controller, "guardrail_stats", None)
-            if stats_fn is None:
+            if not isinstance(controller, GuardrailLayer):
                 continue
             guard_gauge = reg.gauge(
                 "guardrail_stats",
                 "Guardrail-layer scalar stats (trips, streaks, margins).",
             )
-            for stat, value in stats_fn().items():
+            for stat, value in controller.guardrail_stats().items():
                 guard_gauge.set(value, stat=stat)
             residuals = controller.residuals()
             if residuals:

@@ -10,6 +10,13 @@ A fleet run's digest is the same canonical JSON over
 :meth:`~repro.fleet.cluster.FleetResult.summary`, its deterministic
 cross-shard fingerprint.
 
+The warm restart runs named in :data:`STATE_PINS` carry a second
+digest, :func:`state_digest`, under ``"<name>/state"``: the canonical
+JSON of the run's telemetry registry snapshot plus the final
+checkpoint-store contents.  It pins what the run digest cannot see —
+the per-manager MAPE series, the estimation-cache stats and every
+checkpoint body.
+
 The reference runs live in :data:`GOLDEN_RUNS` so the tests that assert
 them (``tests/golden/test_golden_digests.py`` and the end-to-end parity
 class in ``tests/kernel/test_batchplan.py``) and the kernel-overhead
@@ -28,6 +35,8 @@ from typing import Any, Callable, Dict
 from repro.core.calibration import calibrate
 from repro.core.perf_estimator import PerformanceEstimator
 from repro.core.policy import HARS_E
+from repro.extensions.escape import StuckDetector
+from repro.extensions.kalman import RatePredictor
 from repro.experiments.runner import (
     RunConfig,
     RunOutcome,
@@ -47,6 +56,7 @@ from repro.platform.spec import odroid_xu3
 from repro.sim.engine import Simulation
 from repro.sim.process import SimApp
 from repro.supervision import SupervisorConfig
+from repro.workloads.extra import make_extra_benchmark
 from repro.workloads.parsec import make_benchmark
 
 #: Where the recorded digests live, keyed by :data:`GOLDEN_RUNS` name.
@@ -209,6 +219,42 @@ def _ratio_learning_run() -> RunOutcome:
     )
 
 
+def adaptive_stage_aware_run():
+    """x264 under every AdaptiveHarsManager plugin at once: the Kalman
+    rate filter, online ratio learning, the stuck-detector escape and
+    stage-aware placement.  The 9–11/s target sits above what the
+    platform sustains for this model, so the search saturates and the
+    escape fires.  Returns ``(outcome, manager)``."""
+    spec = odroid_xu3()
+    target = PerformanceTarget(9.0, 10.0, 11.0)
+    sim = Simulation(spec)
+    model = make_extra_benchmark("x264", n_units=120)
+    model.reset(5)
+    app = sim.add_app(SimApp("x264", model, target))
+    manager = sim.add_controller(
+        AdaptiveHarsManager(
+            app.name,
+            HARS_E,
+            PerformanceEstimator(),
+            calibrate(spec),
+            predictor=RatePredictor(),
+            stuck_detector=StuckDetector(threshold=3),
+            ratio_learner=OnlineRatioLearner(),
+            stage_aware=True,
+        )
+    )
+    sim.run(until_s=600.0)
+    outcome = RunOutcome(
+        metrics=_collect(
+            "hars-e+adaptive", sim, [app], [manager], sim.clock.now_s
+        ),
+        trace=sim.trace,
+        target=target,
+        max_rate=0.0,
+    )
+    return outcome, manager
+
+
 def _canonical(value: Any) -> Any:
     """``value`` with every float as its ``repr`` string, JSON-ready."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
@@ -239,6 +285,25 @@ def outcome_digest(outcome) -> str:
         }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def state_digest(outcome: RunOutcome) -> str:
+    """sha256 of the canonical JSON of a run's telemetry registry
+    snapshot plus its final checkpoint-store contents."""
+    store = outcome.checkpoint_store
+    payload = {
+        "telemetry": _canonical(outcome.telemetry.registry.snapshot()),
+        "checkpoints": _canonical(
+            {cid: store.get(cid) for cid in store.controller_ids}
+        ),
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: Runs whose telemetry and checkpoints are pinned by
+#: :func:`state_digest` as well, under ``"<name>/state"``.
+STATE_PINS = ("hars-e-restart-warm-x80", "mp-hars-e-restart-warm-hang-x60")
 
 
 #: name -> zero-argument callable producing the reference run.
@@ -277,6 +342,9 @@ GOLDEN_RUNS: Dict[str, Callable[[], Any]] = {
     "fleet-deadline-risk-x20-hang-ladder": lambda: FleetCluster(
         FLEET_HANG_LADDER_CONFIG, router="deadline-risk"
     ).run(),
+    "adaptive-hars-e-x264-stage-aware-x120": lambda: (
+        adaptive_stage_aware_run()[0]
+    ),
 }
 
 

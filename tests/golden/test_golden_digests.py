@@ -21,7 +21,12 @@ HARS-E and an MP-HARS-E run with two mid-run ``controller_restart``
 faults, each warm (checkpointed) and cold, under supervision,
 guardrails and telemetry (the MP-HARS pair also hangs one app until the
 supervisor evicts it); and a fleet whose seeded hangs, crashes and
-slowdowns walk nodes through every supervisor transition.
+slowdowns walk nodes through every supervisor transition.  The two warm
+restart runs also pin their telemetry snapshot and final checkpoint
+store (``"<name>/state"``).
+
+One run drives every AdaptiveHarsManager plugin at once (Kalman
+filter, ratio learning, escape, stage-aware placement) on x264.
 
 Regenerate only when a behaviour change is intended, and say so in the
 change log::
@@ -35,13 +40,17 @@ import sys
 import pytest
 
 from repro.fleet.cluster import FleetCluster
+from repro.kernel.actuation import Actuator
 from repro.telemetry.registry import flatten_snapshot
 from tests.golden import (
     FLEET_HANG_LADDER_CONFIG,
     GOLDEN_PATH,
     GOLDEN_RUNS,
+    STATE_PINS,
+    adaptive_stage_aware_run,
     load_golden,
     outcome_digest,
+    state_digest,
 )
 
 
@@ -105,6 +114,27 @@ def test_controller_restart_run_matches_golden_digest(name, manager):
     if "-hang-" in name:
         assert "bodytrack-1" in outcome.supervisor.ledger.evicted()
     assert outcome_digest(outcome) == load_golden()[name]
+    if name in STATE_PINS:
+        assert state_digest(outcome) == load_golden()[f"{name}/state"]
+
+
+def test_adaptive_stage_aware_run_matches_golden_digest(monkeypatch):
+    name = "adaptive-hars-e-x264-stage-aware-x120"
+    placements = []
+    place_stage_aware = Actuator.place_stage_aware
+
+    def counting(self, *args, **kwargs):
+        placements.append(args[0].name)
+        return place_stage_aware(self, *args, **kwargs)
+
+    monkeypatch.setattr(Actuator, "place_stage_aware", counting)
+    outcome, manager = adaptive_stage_aware_run()
+    # The digest must really cover the escape, stage-aware placement
+    # and a learned ratio away from the 1.5 prior.
+    assert manager.escapes >= 1
+    assert placements
+    assert manager.ratio_learner.ratio != 1.5
+    assert outcome_digest(outcome) == load_golden()[name]
 
 
 def test_hang_ladder_fleet_run_matches_golden_digest():
@@ -121,13 +151,19 @@ def test_hang_ladder_fleet_run_matches_golden_digest():
 
 
 def test_golden_file_covers_every_run():
-    assert sorted(load_golden()) == sorted(GOLDEN_RUNS)
+    pinned = list(GOLDEN_RUNS) + [f"{name}/state" for name in STATE_PINS]
+    assert sorted(load_golden()) == sorted(pinned)
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python -m tests.golden.test_golden_digests --write")
-    digests = {name: outcome_digest(make()) for name, make in GOLDEN_RUNS.items()}
+    digests = {}
+    for name, make in GOLDEN_RUNS.items():
+        outcome = make()
+        digests[name] = outcome_digest(outcome)
+        if name in STATE_PINS:
+            digests[f"{name}/state"] = state_digest(outcome)
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(digests, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -5,7 +5,7 @@ import pytest
 from repro.core.manager import DEFAULT_STATE_EVAL_COST_S
 from repro.experiments.runner import RunConfig, RunShape, run
 from repro.faults import FaultConfig
-from repro.telemetry import TelemetryConfig, flatten_snapshot
+from repro.telemetry import flatten_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -124,25 +124,6 @@ class TestFinalizeHarvest:
     def test_finalize_is_idempotent(self, instrumented, flat):
         again = flatten_snapshot(instrumented.telemetry.snapshot())
         assert again == flat
-
-
-class TestConfigKnobs:
-    def test_tick_and_power_series_can_be_disabled(self, xu3):
-        outcome = run(
-            "hars-e",
-            RunShape("swaptions", n_units=40),
-            RunConfig(
-                spec=xu3,
-                telemetry=TelemetryConfig(
-                    track_ticks=False, track_power=False
-                ),
-            ),
-        )
-        flat = flatten_snapshot(outcome.telemetry.registry.snapshot())
-        assert ("sim_ticks_total", ()) not in flat
-        assert not any(name == "power_watts" for name, _ in flat)
-        # Everything event-driven still collects.
-        assert flat[("heartbeats_total", (("app", "swaptions"),))] == 40
 
 
 class TestFaultEvents:
