@@ -189,6 +189,33 @@ FLEET_HANG_LADDER_CONFIG = FleetConfig(
 )
 
 
+#: The ``fleet_serving`` benchmark journey itself: 100 nodes, a 4000-
+#: request Poisson trace, deadline-risk routing, no chaos.
+FLEET_SERVING_CONFIG = FleetConfig(nodes=100, requests=4000, seed=1)
+
+#: A chaos fleet with three threads per lane, so threads share cores
+#: and a lane's backlog sums three in-service requests in dispatch
+#: order: seeded crashes, hangs and slowdowns plus a crash wave, under
+#: retries, hedging (cancels) and brownout admission.
+FLEET_LANE3_CHAOS_CONFIG = FleetConfig(
+    nodes=20,
+    requests=800,
+    seed=5,
+    trace="burst",
+    lane_threads=3,
+    chaos=FleetFaultConfig(
+        seed=5,
+        node_crash_rate=0.01,
+        node_hang_rate=0.01,
+        node_slowdown_rate=0.01,
+        schedule=crash_wave(20, 0.10, at_s=800 / (20 * 8.0) / 5),
+    ),
+    resilience=ResilienceConfig(
+        attempt_timeout_s=1.0, hedge_fraction=0.6, brownout_queue_depth=2.0
+    ),
+)
+
+
 def _ratio_learning_run() -> RunOutcome:
     shape = RATIO_LEARNING_SHAPE
     spec = odroid_xu3()
@@ -345,6 +372,12 @@ GOLDEN_RUNS: Dict[str, Callable[[], Any]] = {
     "adaptive-hars-e-x264-stage-aware-x120": lambda: (
         adaptive_stage_aware_run()[0]
     ),
+    "fleet-serving-x100-seed1": lambda: FleetCluster(
+        FLEET_SERVING_CONFIG, router="deadline-risk"
+    ).run(),
+    "fleet-lane3-chaos-x20": lambda: FleetCluster(
+        FLEET_LANE3_CHAOS_CONFIG, router="deadline-risk"
+    ).run(),
 }
 
 

@@ -28,6 +28,11 @@ store (``"<name>/state"``).
 One run drives every AdaptiveHarsManager plugin at once (Kalman
 filter, ratio learning, escape, stage-aware placement) on x264.
 
+Two more fleet runs pin the fleet engine: the ``fleet_serving``
+benchmark journey itself (100 nodes, 4000 requests, seed 1), and a
+chaos fleet with three threads per lane, where threads share cores and
+a lane's backlog sums three in-service requests.
+
 Regenerate only when a behaviour change is intended, and say so in the
 change log::
 
@@ -147,6 +152,21 @@ def test_hang_ladder_fleet_run_matches_golden_digest():
         "stall", "stall-evicted", "recovered", "crash", "restart",
         "probation-served",
     } <= reasons
+    assert outcome_digest(result) == load_golden()[name]
+
+
+def test_fleet_serving_run_matches_golden_digest():
+    name = "fleet-serving-x100-seed1"
+    assert outcome_digest(GOLDEN_RUNS[name]()) == load_golden()[name]
+
+
+def test_lane3_chaos_fleet_run_matches_golden_digest():
+    name = "fleet-lane3-chaos-x20"
+    result = GOLDEN_RUNS[name]()
+    # The digest must really cover cancels, crashes and three threads
+    # per lane.
+    assert result.resilience["hedge_cancelled"] > 0
+    assert result.resilience["crashes"] > 0
     assert outcome_digest(result) == load_golden()[name]
 
 
