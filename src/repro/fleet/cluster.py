@@ -13,7 +13,9 @@ FleetNode` simulations in lock-step ticks.  Each tick:
    the admission controller's shed/brownout verdict;
 3. the nodes step, shard by shard (node ``i`` belongs to shard
    ``i % shards`` — a deterministic interleave, so shard populations
-   are stable as the fleet grows); DOWN and EVICTED nodes do not step;
+   are stable as the fleet grows): each shard is one
+   :class:`~repro.fleet.engine.FleetEngine` that ticks all its node
+   rows at once; DOWN and EVICTED nodes do not step;
 4. completions are harvested in node-id order and aggregated into the
    fleet-wide SLO accounting and the telemetry registry (first
    completion wins for hedged requests; losers are cancelled);
@@ -55,6 +57,7 @@ from repro.fleet.chaos import (
     crash_fault_config,
 )
 from repro.fleet.config import FleetConfig
+from repro.fleet.engine import FleetEngine
 from repro.fleet.node import LANES, Completion, FleetNode
 from repro.fleet.resilience import AdmissionController, ResilienceConfig
 from repro.fleet.router import Candidates, Router, make_router
@@ -203,6 +206,11 @@ class FleetCluster:
             list(range(s, config.nodes, config.shards))
             for s in range(config.shards)
         ]
+        #: One structure-of-arrays engine per shard, over its node rows.
+        self.engines: List[FleetEngine] = [
+            FleetEngine([self.nodes[i] for i in shard])
+            for shard in self.shards
+        ]
         self._latencies: List[float] = []
         #: (finish_s, missed) per counted completion, harvest order —
         #: the stream :func:`repro.fleet.slo.recovery_time_s` consumes.
@@ -343,12 +351,14 @@ class FleetCluster:
             del candidates
             # 2. Step, shard by shard (nodes are independent — order
             #    cannot change results, only cache behaviour).
-            for shard in self.shards:
-                for node_index in shard:
-                    if res_on and not sup.is_stepping(node_index):
-                        per_node[node_index] = []
-                        continue
-                    per_node[node_index] = self.nodes[node_index].step()
+            for shard, engine in zip(self.shards, self.engines):
+                stepping = (
+                    [sup.is_stepping(i) for i in shard] if res_on else None
+                )
+                for node_index, completions in zip(
+                    shard, engine.step(stepping)
+                ):
+                    per_node[node_index] = completions
             self._clock_s += config.tick_s
             # 3. Aggregate in node-id order (shard-count invariant).
             for node_index in range(len(self.nodes)):
@@ -460,7 +470,9 @@ class FleetCluster:
         # failover the crash already stranded it; without failover the
         # routers kept feeding the corpse and those requests are lost.
         self._strand(old, tick)
-        self.nodes[node_index] = self._build_node(node_index, now_s)
+        node = self._build_node(node_index, now_s)
+        old.engine.replace(old._row, node)
+        self.nodes[node_index] = node
         self.supervisor.on_restarted(node_index, now_s)
         self._restart_counter.inc(node=old.name)
 

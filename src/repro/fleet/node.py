@@ -1,9 +1,10 @@
 """One fleet node: a big.LITTLE board serving requests under MP-HARS.
 
 A :class:`FleetNode` wraps one :class:`~repro.sim.engine.Simulation`
-(its own ODROID-XU3 spec, clock, power model and scheduler) running two
-serving lanes, each a :class:`~repro.fleet.serving.ServerWorkload`
-behind a :class:`~repro.heartbeats.targets.DeadlineTarget`:
+(its own ODROID-XU3 spec, clock, machine, bus and MP-HARS controller)
+running two serving lanes, each a
+:class:`~repro.fleet.serving.ServerWorkload` behind a
+:class:`~repro.heartbeats.targets.DeadlineTarget`:
 
 * ``hot``  — the lane deadline-risk requests are routed to; its
   big-core affinity emerges from MP-HARS itself (an underperforming
@@ -15,6 +16,12 @@ The node's only coupling to the rest of the fleet is request enqueue
 and read-only load snapshots — nodes never share simulation state,
 which is what makes the sharded cluster bit-identical across shard
 counts.
+
+A node does not tick its :class:`~repro.sim.engine.Simulation` itself:
+its data plane (placement, grants, queue drain, power, sensor, load
+tracking, velocity and targets) is one row of a
+:class:`~repro.fleet.engine.FleetEngine`.  The cluster steps one engine
+per shard; a node stepped on its own is a one-row engine.
 
 Completion mapping: every request completion emits one heartbeat tagged
 with the request index; after each tick the node drains the new tail of
@@ -30,9 +37,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.calibration import calibrate
 from repro.core.perf_estimator import PerformanceEstimator
 from repro.core.policy import HARS_I
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults.config import FaultConfig
 from repro.fleet.config import FleetConfig
+from repro.fleet.engine import VELOCITY_ALPHA, FleetEngine
 from repro.fleet.serving import ServerWorkload
 from repro.fleet.slo import SloWindow
 from repro.fleet.trace import Request
@@ -45,9 +53,6 @@ from repro.sim.process import SimApp
 
 #: The serving lanes every node runs, in deterministic order.
 LANES = ("hot", "base")
-
-#: EWMA gain of the per-lane service-velocity estimate the routers use.
-VELOCITY_ALPHA = 0.05
 
 #: Floor (fraction of nominal single-thread capacity) under which the
 #: velocity estimate is clamped when computing wait estimates, so a
@@ -96,8 +101,8 @@ class FleetNode:
         self.targets: Dict[str, DeadlineTarget] = {}
         self.slo: Dict[str, SloWindow] = {}
         self._cursor: Dict[str, int] = {}
-        self._velocity: Dict[str, float] = {}
         self._nominal: Dict[str, float] = {}
+        self._floor: Dict[str, float] = {}
         for lane in LANES:
             model = ServerWorkload(lane, config.lane_threads)
             target = DeadlineTarget(
@@ -119,7 +124,7 @@ class FleetNode:
                 * config.lane_threads
             )
             self._nominal[lane] = nominal
-            self._velocity[lane] = nominal
+            self._floor[lane] = nominal * _VELOCITY_FLOOR
         self.manager = MpHarsManager(
             policy=HARS_I,
             perf_estimator=PerformanceEstimator(),
@@ -131,6 +136,18 @@ class FleetNode:
         #: for cancellation/stranding (the resilience layer needs to
         #: know which lane holds a request to pull it back out).
         self._pending: Dict[int, Tuple[Request, str]] = {}
+        #: The engine holding this node's data plane, and its row there
+        #: (set when an engine adopts the node).
+        self._engine: Optional[FleetEngine] = None
+        self._row = 0
+
+    @property
+    def engine(self) -> FleetEngine:
+        """The engine stepping this node (a one-row engine of its own
+        unless a cluster shard adopted it)."""
+        if self._engine is None:
+            FleetEngine([self])
+        return self._engine
 
     # -- load balancer interface ---------------------------------------------
 
@@ -185,7 +202,8 @@ class FleetNode:
     def est_wait_s(self, lane: str) -> float:
         """Estimated queueing delay for a request joining ``lane`` now."""
         velocity = max(
-            self._velocity[lane], self._nominal[lane] * _VELOCITY_FLOOR
+            self.engine.velocity_of(self._row, LANES.index(lane)),
+            self._floor[lane],
         )
         return self.models[lane].backlog_units / velocity
 
@@ -202,50 +220,55 @@ class FleetNode:
 
     def step(self) -> List[Completion]:
         """Advance one tick; return the requests that completed in it."""
-        self.sim.step()
-        now_s = self.sim.clock.now_s
-        completions: List[Completion] = []
-        for lane in LANES:
-            app = self.apps[lane]
-            log = app.log
-            window = self.slo[lane]
-            done_units = 0.0
-            while self._cursor[lane] < len(log):
-                beat = log.beat(self._cursor[lane])
-                self._cursor[lane] += 1
-                request, _ = self._pending.pop(int(beat.tag))
-                finish_s = self.epoch_s + beat.time_s
-                latency = finish_s - request.arrival_s
-                missed = finish_s > request.deadline_s + 1e-9
-                window.observe(latency, missed)
-                done_units += request.service_units
-                completions.append(
-                    Completion(
-                        request=request,
-                        node=self.index,
-                        lane=lane,
-                        finish_s=finish_s,
-                        latency_s=latency,
-                        missed=missed,
-                    )
+        engine = self.engine
+        if engine.n_rows != 1:
+            raise SimulationError(
+                f"{self.name} is stepped by its shard's FleetEngine"
+            )
+        return engine.step()[0]
+
+    def _harvest(self, lane: str, completions: List[Completion]) -> Tuple[float, bool]:
+        """Join the lane's new heartbeats to their pending requests.
+
+        Appends one :class:`Completion` per new beat and feeds the SLO
+        window; returns the completed work units and whether any beat
+        was new.  ``epoch_s + beat time`` is the cluster-time finish.
+        """
+        log = self.apps[lane].log
+        window = self.slo[lane]
+        cursor = self._cursor[lane]
+        if cursor == len(log):
+            return 0.0, False
+        done_units = 0.0
+        while cursor < len(log):
+            beat = log.beat(cursor)
+            cursor += 1
+            request, _ = self._pending.pop(int(beat.tag))
+            finish_s = self.epoch_s + beat.time_s
+            latency = finish_s - request.arrival_s
+            missed = finish_s > request.deadline_s + 1e-9
+            window.observe(latency, missed)
+            done_units += request.service_units
+            completions.append(
+                Completion(
+                    request=request,
+                    node=self.index,
+                    lane=lane,
+                    finish_s=finish_s,
+                    latency_s=latency,
+                    missed=missed,
                 )
-            # Service-velocity EWMA: the routers' wait estimates.
-            self._velocity[lane] += VELOCITY_ALPHA * (
-                done_units / self.sim.tick_s - self._velocity[lane]
             )
-            # Re-center the lane's deadline target from the SLO window
-            # and the timed completion rate (elapsed-span corrected, so
-            # a lane is not misread as slow right after it warms up).
-            self.targets[lane].update(
-                app.monitor.timed_rate(now_s, self.config.rate_span_s),
-                window.percentile(self.config.percentile),
-            )
-        return completions
+        self._cursor[lane] = cursor
+        return done_units, True
 
     # -- accounting -------------------------------------------------------------
 
     def energy_j(self, channel: str = "total") -> float:
-        return self.sim.sensor.energy_j(channel)
+        return self.engine.energy_j(self._row, channel)
 
     def average_power_w(self, channel: str = "total") -> float:
-        return self.sim.sensor.average_power_w(channel)
+        elapsed = self.engine.elapsed_s(self._row)
+        if elapsed == 0:
+            raise ConfigurationError("no power recorded yet")
+        return self.energy_j(channel) / elapsed

@@ -11,12 +11,21 @@ Heartbeats channel it uses for PARSEC workloads, unchanged.
 Like the microbenchmark, the model is endless (``total_heartbeats() ==
 0``): a serving process never "finishes", runs are bounded by the
 cluster's horizon.
+
+A lane's state lives in one row of a :class:`LaneRows` store: the FIFO
+queue, its queued units, and each worker's in-service request.  A lane
+built on its own owns a one-row store; the fleet engine
+(:mod:`repro.fleet.engine`) moves every node's lane into one store per
+shard, so it can drain all its nodes' queues in one pass along the
+node axis, while :class:`ServerWorkload` stays a live view of its row.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.workloads.base import AdvanceResult, WorkloadModel, WorkloadTraits
@@ -36,6 +45,155 @@ SERVING_TRAITS = WorkloadTraits(
 )
 
 
+class LaneRows:
+    """The serving state of one lane on ``n_rows`` nodes, as arrays.
+
+    Per row: a FIFO of queued ``[request index, units]`` entries, its
+    length and queued units, the velocity factor of the current chaos
+    episode, and per worker thread the in-service request (``-1`` when
+    idle), its remaining units and its dispatch stamp.  A lane's backlog
+    sums in-service work in dispatch order — the order the original
+    per-lane dict iterated — so it is kept as :attr:`active_sum`,
+    recomputed whenever in-service work changes.
+    """
+
+    def __init__(self, n_rows: int, n_threads: int):
+        self.n_rows = n_rows
+        self.n_threads = n_threads
+        self.queues: List[Deque[List]] = [deque() for _ in range(n_rows)]
+        self.qlen = np.zeros(n_rows, dtype=np.int64)
+        self.queued = np.zeros(n_rows)
+        #: Service-velocity multiplier of the current chaos episode:
+        #: 1.0 nominal, (0, 1) during a slowdown, 0.0 during a hang
+        #: (threads hold their grants but progress nothing — the queue
+        #: freezes and heartbeats go silent).
+        self.factor = np.ones(n_rows)
+        self.req = np.full((n_rows, n_threads), -1, dtype=np.int64)
+        self.rem = np.zeros((n_rows, n_threads))
+        self.stamp = np.zeros((n_rows, n_threads), dtype=np.int64)
+        self.active_sum = np.zeros(n_rows)
+        self._stamps = 0
+
+    def adopt(self, row: int, lane: "ServerWorkload") -> None:
+        """Move ``lane``'s state into ``row`` and make it a view of it."""
+        if lane.n_threads != self.n_threads:
+            raise ConfigurationError(
+                f"lane {lane.lane!r}: {lane.n_threads} threads, "
+                f"store rows have {self.n_threads}"
+            )
+        src, r = lane._rows, lane._row
+        self.queues[row] = src.queues[r]
+        for name in ("qlen", "queued", "factor", "req", "rem", "stamp",
+                     "active_sum"):
+            getattr(self, name)[row] = getattr(src, name)[r]
+        self._stamps = max(self._stamps, src._stamps)
+        lane._rows, lane._row = self, row
+
+    def clear(self, row: int) -> None:
+        self.queues[row].clear()
+        self.qlen[row] = 0
+        self.queued[row] = 0.0
+        self.factor[row] = 1.0
+        self.req[row] = -1
+        self.rem[row] = 0.0
+        self.active_sum[row] = 0.0
+
+    def submit(self, row: int, request_index: int, units: float) -> None:
+        self.queues[row].append([request_index, units])
+        self.qlen[row] += 1
+        self.queued[row] += units
+
+    def cancel(self, row: int, request_index: int) -> bool:
+        queue = self.queues[row]
+        for position, entry in enumerate(queue):
+            if entry[0] == request_index:
+                self.queued[row] -= entry[1]
+                del queue[position]
+                self.qlen[row] -= 1
+                return True
+        req = self.req[row]
+        for thread_index in range(self.n_threads):
+            if req[thread_index] == request_index:
+                req[thread_index] = -1
+                self.rem[row, thread_index] = 0.0
+                self._sum_active(np.array([row]))
+                return True
+        return False
+
+    def drain(
+        self, budgets: np.ndarray, granted: np.ndarray
+    ) -> Tuple[np.ndarray, Dict[int, List[str]]]:
+        """FIFO-drain one round of grants on every row at once.
+
+        ``budgets[row, thread]`` is the work a granted thread may do
+        (``granted`` marks the grants).  Threads drain in index order;
+        an idle worker takes the queue head; a request whose remaining
+        work falls to ``_DONE_EPS`` completes.  Returns the units each
+        thread used and, per row with completions, the completed
+        request indices (as heartbeat tags) in completion order.  Every
+        row's float operations are the scalar loop's, in its order.
+        """
+        n_rows = self.n_rows
+        used = np.zeros((n_rows, self.n_threads))
+        tags: Dict[int, List[str]] = {}
+        req, rem, qlen = self.req, self.rem, self.qlen
+        for thread_index in range(self.n_threads):
+            live = granted[:, thread_index]
+            if not live.any():
+                continue
+            budget = budgets[:, thread_index] * self.factor
+            spent = used[:, thread_index]
+            while True:
+                live = live & (budget > _DONE_EPS)
+                idle = live & (req[:, thread_index] < 0)
+                if idle.any():
+                    for row in np.flatnonzero(idle & (qlen > 0)).tolist():
+                        index, units = self.queues[row].popleft()
+                        qlen[row] -= 1
+                        self.queued[row] -= units
+                        req[row, thread_index] = index
+                        rem[row, thread_index] = units
+                        self._stamps += 1
+                        self.stamp[row, thread_index] = self._stamps
+                    live = live & (req[:, thread_index] >= 0)
+                if not live.any():
+                    break
+                left = rem[:, thread_index]
+                take = np.minimum(budget, left)
+                rem[:, thread_index] = np.where(live, left - take, left)
+                budget = np.where(live, budget - take, budget)
+                spent = np.where(live, spent + take, spent)
+                done = live & (rem[:, thread_index] <= _DONE_EPS)
+                if done.any():
+                    for row in np.flatnonzero(done).tolist():
+                        tags.setdefault(row, []).append(
+                            str(int(req[row, thread_index]))
+                        )
+                        req[row, thread_index] = -1
+            used[:, thread_index] = spent
+        self._sum_active(np.flatnonzero(granted.any(axis=1)))
+        return used, tags
+
+    def _sum_active(self, rows: np.ndarray) -> None:
+        """Recompute :attr:`active_sum` on ``rows``: in-service remaining
+        units summed in dispatch order, from 0."""
+        if not rows.size:
+            return
+        req = self.req[rows]
+        present = req >= 0
+        values = np.where(present, self.rem[rows], 0.0)
+        order = np.argsort(
+            np.where(present, self.stamp[rows], np.iinfo(np.int64).max),
+            axis=1,
+            kind="stable",
+        )
+        ordered = np.take_along_axis(values, order, axis=1)
+        total = np.zeros(rows.size)
+        for position in range(self.n_threads):
+            total = total + ordered[:, position]
+        self.active_sum[rows] = total
+
+
 class ServerWorkload(WorkloadModel):
     """FIFO request queue served by ``n_threads`` workers."""
 
@@ -49,22 +207,19 @@ class ServerWorkload(WorkloadModel):
             raise ConfigurationError("serving lane needs a name")
         super().__init__(traits or SERVING_TRAITS, n_threads)
         self.lane = lane
-        #: Queued (request index, remaining units) pairs, FIFO.
-        self._queue: Deque[List] = deque()
-        #: thread index -> [request index, remaining units].
-        self._active: Dict[int, List] = {}
-        self._queued_units = 0.0
-        #: Service-velocity multiplier of the current chaos episode:
-        #: 1.0 nominal, (0, 1) during a slowdown, 0.0 during a hang
-        #: (threads hold their grants but progress nothing — the queue
-        #: freezes and heartbeats go silent).
-        self.velocity_factor = 1.0
+        self._rows = LaneRows(1, n_threads)
+        self._row = 0
+
+    @property
+    def velocity_factor(self) -> float:
+        return float(self._rows.factor[self._row])
+
+    @velocity_factor.setter
+    def velocity_factor(self, factor: float) -> None:
+        self._rows.factor[self._row] = factor
 
     def reset(self, seed: int = 0) -> None:
-        self._queue.clear()
-        self._active.clear()
-        self._queued_units = 0.0
-        self.velocity_factor = 1.0
+        self._rows.clear(self._row)
 
     def submit(self, request_index: int, service_units: float) -> None:
         """Enqueue one request (the router calls this via the node)."""
@@ -72,47 +227,33 @@ class ServerWorkload(WorkloadModel):
             raise ConfigurationError(
                 f"request {request_index}: non-positive size {service_units}"
             )
-        self._queue.append([request_index, service_units])
-        self._queued_units += service_units
+        self._rows.submit(self._row, request_index, service_units)
 
     def wants_cpu(self, thread_index: int) -> bool:
         if not 0 <= thread_index < self.n_threads:
             raise ConfigurationError(
                 f"thread index {thread_index} out of range"
             )
-        return thread_index in self._active or bool(self._queue)
+        rows, row = self._rows, self._row
+        return bool(rows.req[row, thread_index] >= 0 or rows.qlen[row] > 0)
 
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:
-        consumed: Dict[int, float] = {}
-        tags: List[str] = []
-        # Threads drain in index order so the dispatch of queued
-        # requests to workers is deterministic.
-        factor = self.velocity_factor
-        for thread_index in sorted(grants):
-            budget = grants[thread_index]
-            if factor != 1.0:
-                budget *= factor
-            used = 0.0
-            while budget > _DONE_EPS:
-                active = self._active.get(thread_index)
-                if active is None:
-                    if not self._queue:
-                        break
-                    active = self._queue.popleft()
-                    self._queued_units -= active[1]
-                    self._active[thread_index] = active
-                take = min(budget, active[1])
-                active[1] -= take
-                budget -= take
-                used += take
-                if active[1] <= _DONE_EPS:
-                    tags.append(str(active[0]))
-                    del self._active[thread_index]
-            consumed[thread_index] = used
+        rows, row = self._rows, self._row
+        budgets = np.zeros((rows.n_rows, self.n_threads))
+        granted = np.zeros((rows.n_rows, self.n_threads), dtype=bool)
+        for thread_index, budget in grants.items():
+            budgets[row, thread_index] = budget
+            granted[row, thread_index] = True
+        used, tags = rows.drain(budgets, granted)
+        consumed = {
+            thread_index: float(used[row, thread_index])
+            for thread_index in sorted(grants)
+        }
+        row_tags = tags.get(row, [])
         return AdvanceResult(
             consumed=consumed,
-            heartbeats=len(tags),
-            heartbeat_tags=tuple(tags),
+            heartbeats=len(row_tags),
+            heartbeat_tags=tuple(row_tags),
         )
 
     def is_done(self) -> bool:
@@ -131,32 +272,22 @@ class ServerWorkload(WorkloadModel):
         Returns whether the request was found (False means it already
         completed or was never here).
         """
-        for position, entry in enumerate(self._queue):
-            if entry[0] == request_index:
-                self._queued_units -= entry[1]
-                del self._queue[position]
-                return True
-        for thread_index, entry in self._active.items():
-            if entry[0] == request_index:
-                del self._active[thread_index]
-                return True
-        return False
+        return self._rows.cancel(self._row, request_index)
 
     # -- queue introspection (routing signals) ------------------------------
 
     @property
     def queue_len(self) -> int:
         """Requests waiting for a worker (excludes in-service ones)."""
-        return len(self._queue)
+        return len(self._rows.queues[self._row])
 
     @property
     def in_service(self) -> int:
         """Requests currently held by a worker thread."""
-        return len(self._active)
+        return int((self._rows.req[self._row] >= 0).sum())
 
     @property
     def backlog_units(self) -> float:
         """Work units queued plus remaining on in-service requests."""
-        return self._queued_units + sum(
-            entry[1] for entry in self._active.values()
-        )
+        rows, row = self._rows, self._row
+        return rows.queued.item(row) + rows.active_sum.item(row)

@@ -89,6 +89,33 @@ class PowerSensor:
             self._energy_j[channel] += watts[channel] * dt_s
         self._elapsed_s += dt_s
         self._last_watts = {ch: watts[ch] for ch in CHANNELS}
+        self._take_due_samples()
+
+    def sync(
+        self,
+        energy_j: Mapping[str, float],
+        elapsed_s: float,
+        watts: Mapping[str, float],
+    ) -> float:
+        """Adopt totals integrated elsewhere and take the samples now due.
+
+        The fleet engine integrates every node's energy in arrays and
+        calls this only when a row crosses a sample boundary, with the
+        row's totals and the latest tick's reading.  Returns the next
+        sample boundary (elapsed seconds).
+        """
+        self._energy_j = dict(energy_j)
+        self._elapsed_s = elapsed_s
+        self._last_watts = dict(watts)
+        self._take_due_samples()
+        return (self._samples_seen + 1) * self.sample_period_s
+
+    @property
+    def boundary_eps(self) -> float:
+        """Tolerance of the sample-boundary comparison."""
+        return self._boundary_eps
+
+    def _take_due_samples(self) -> None:
         next_sample_s = (self._samples_seen + 1) * self.sample_period_s
         while next_sample_s <= self._elapsed_s + self._boundary_eps:
             observed: Optional[Mapping[str, float]] = self._last_watts

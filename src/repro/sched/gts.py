@@ -49,6 +49,8 @@ class GtsScheduler(Scheduler):
 
     #: Floor weight so even a freshly-idle thread occupies queue space.
     MIN_TASK_WEIGHT = 0.1
+    #: Run-queue weight bonus of a thread's current core (migration cost).
+    STICKINESS = 0.05
 
     def place(self, sim: "Simulation") -> Placement:
         online = sim.machine.online_core_ids()
@@ -152,12 +154,13 @@ class GtsScheduler(Scheduler):
         # Manual min over the ascending candidate list: ties keep the
         # lowest core id, exactly the tuple-key min it replaces.
         current_core = thread.current_core
+        bonus = self.STICKINESS
         best = candidates[0]
         best_score = (
-            load_counts[best] - 0.05 if best == current_core else load_counts[best]
+            load_counts[best] - bonus if best == current_core else load_counts[best]
         )
         for c in candidates[1:]:
-            score = load_counts[c] - 0.05 if c == current_core else load_counts[c]
+            score = load_counts[c] - bonus if c == current_core else load_counts[c]
             if score < best_score:
                 best = c
                 best_score = score
