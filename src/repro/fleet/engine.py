@@ -11,8 +11,9 @@ It holds the data plane as arrays:
   speed and power-coefficient tables;
 * ``(N, slot)`` thread load, demand and current core, plus each slot's
   allowed big and little cores as bitmasks;
-* every lane's FIFO state, one :class:`~repro.fleet.serving.LaneRows`
-  per lane: queued units and ``(N, thread)`` in-service work;
+* every lane's FIFO state, in one
+  :class:`~repro.fleet.serving.ServingRows`: ``(N, lane)`` queued units
+  and ``(N, slot)`` in-service work;
 * ``(N, channel)`` energy, the node clocks, the service-velocity EWMA,
   the timed-rate windows and the lanes' deadline-target windows.
 
@@ -47,17 +48,18 @@ frequencies, affinities and cpusets, and halted apps.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.heartbeats.targets import PRESSURE_BOUNDS, RATE_FLOOR
 from repro.kernel.bus import PowerSample, TickStart
 from repro.platform.cluster import BIG, LITTLE
 from repro.platform.sensor import CHANNELS
 from repro.sim.engine import Simulation
 from repro.sim.thread import LOAD_TIME_CONSTANT_S
-from repro.fleet.serving import LaneRows
+from repro.fleet.serving import ServingRows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.node import Completion, FleetNode
@@ -93,11 +95,9 @@ class FleetEngine:
         self.n_cores = n_cores = max(sim.machine.cores) + 1
         self.core_ids = np.arange(n_cores)
         self.core_cluster = np.zeros(n_cores, dtype=np.int64)
-        self.cluster_bits = [0, 0]
         for k, cluster in enumerate(spec.clusters):
             for core_id in cluster.core_ids:
                 self.core_cluster[core_id] = k
-                self.cluster_bits[k] |= 1 << core_id
         self.core_is_big = self.core_cluster == 0
         self.freq_index = [
             {f: i for i, f in enumerate(cluster.frequencies_mhz)}
@@ -124,39 +124,41 @@ class FleetEngine:
             for cluster in spec.clusters
         ]
         self.board_w = spec.board_power_w
-        #: [lane][cluster] -> thread speed per frequency index.
-        self.speed = []
-        self.activity = []
+        #: [cluster] -> (frequency index, slot) thread speed, and the
+        #: switching activity of each slot's lane.
+        speeds = []
+        activity = []
         for name in self.lane_names:
             model = first.models[name]
-            self.speed.append(
+            speeds += [
                 [
-                    np.array(
-                        [
-                            model.thread_speed(
-                                cluster.name, cluster.core_type, f
-                            )
-                            for f in cluster.frequencies_mhz
-                        ]
-                    )
+                    [
+                        model.thread_speed(cluster.name, cluster.core_type, f)
+                        for f in cluster.frequencies_mhz
+                    ]
                     for cluster in spec.clusters
                 ]
-            )
-            self.activity.append(model.traits.activity_factor)
-        self.sample_period_s = sim.sensor.sample_period_s
+            ] * t
+            activity += [model.traits.activity_factor] * t
+        self.slot_speed = [
+            np.array([slot[k] for slot in speeds]).T for k in range(2)
+        ]
+        self.slot_activity = np.array(activity)
         self.sample_eps = sim.sensor.boundary_eps
 
         lanes = len(self.lane_names)
         slots = self.n_slots
         self.nodes: List["FleetNode"] = [None] * n  # type: ignore[list-item]
-        self.lanes = [LaneRows(n, t) for _ in self.lane_names]
+        self.serving = ServingRows(n, lanes, t)
         self.now = np.zeros(n)
         self.ticks = np.zeros(n, dtype=np.int64)
         self.fidx = np.zeros((n, 2), dtype=np.int64)
         self.load = np.zeros((n, slots))
         self.cur_core = np.full((n, slots), -1, dtype=np.int64)
-        self.big_allowed = np.zeros((n, slots), dtype=np.int64)
-        self.little_allowed = np.zeros((n, slots), dtype=np.int64)
+        #: Per row and slot, the candidate cores when the thread's load
+        #: prefers big, and when it prefers little.
+        self.if_big = np.zeros((n, slots, n_cores), dtype=bool)
+        self.if_little = np.zeros((n, slots, n_cores), dtype=bool)
         self.halted = np.zeros((n, lanes), dtype=bool)
         self.velocity = np.zeros((n, lanes))
         self.energy = np.zeros((n, len(CHANNELS)))
@@ -173,12 +175,12 @@ class FleetEngine:
         self.comfort = np.zeros((n, lanes))
         self.t_low = np.zeros((n, lanes))
         self.t_high = np.zeros((n, lanes))
-        self.rate_floor = 0.0
-        self.pressure_bounds = (0.0, 0.0)
-        #: Per row and slot: the (affinity, cpuset) objects its allowed
-        #: masks were computed from — replaced wholesale on change, so
-        #: identity tells whether a mask is stale.
+        #: Per row and slot: the (affinity, cpuset, online) objects its
+        #: candidate masks were computed from — replaced wholesale on
+        #: change, so identity tells whether a mask is stale.
         self._mask_keys: List[List[tuple]] = [[] for _ in range(n)]
+        #: allowed core set -> (candidates if big, candidates if little).
+        self._candidates: Dict[frozenset, tuple] = {}
         #: Rows that need a control-plane call before every tick.
         self._hook_rows: List[int] = []
         self._power_rows: List[int] = []
@@ -195,15 +197,11 @@ class FleetEngine:
             tuple(node.models) != self.lane_names
         ):
             raise ConfigurationError(f"{node.name}: lane shape differs")
-        from repro.heartbeats.targets import _PRESSURE_BOUNDS, _RATE_FLOOR
-
-        self.rate_floor = _RATE_FLOOR
-        self.pressure_bounds = _PRESSURE_BOUNDS
         self.nodes[row] = node
         node._engine, node._row = self, row
         sim = node.sim
         for lane, name in enumerate(self.lane_names):
-            self.lanes[lane].adopt(row, node.models[name])
+            self.serving.adopt(row, lane, node.models[name])
             target = node.targets[name]
             self.velocity[row, lane] = node.nominal_rate(name)
             self.comfort[row, lane] = target.comfort_s
@@ -230,20 +228,12 @@ class FleetEngine:
             self.cur_core[row, slot] = -1 if core is None else core
         self.energy[row] = [sim.sensor.energy_j(ch) for ch in CHANNELS]
         self.elapsed[row] = sim.sensor.elapsed_s
-        self.next_sample[row] = sim.sensor.sync(
-            {ch: sim.sensor.energy_j(ch) for ch in CHANNELS},
-            sim.sensor.elapsed_s,
-            sim.sensor._last_watts,
-        )
+        self.next_sample[row] = sim.sensor.next_sample_s
         self._mask_keys[row] = [()] * self.n_slots
         self._read_back(row)
-        hooked = sim.fault_injector is not None or bool(
-            sim.bus._handlers.get(TickStart)
-        ) or not sim._started
         self._hook_rows = [r for r in self._hook_rows if r != row]
-        if hooked:
-            self._hook_rows.append(row)
-            self._hook_rows.sort()
+        if self._has_prologue(sim):
+            self._hook_rows = sorted(self._hook_rows + [row])
         self._power_rows = [r for r in self._power_rows if r != row]
         if sim.bus.subscriber_count(PowerSample):
             self._power_rows.append(row)
@@ -293,15 +283,39 @@ class FleetEngine:
                     or key[1] is not cpuset
                     or key[2] is not online
                 ):
-                    bits = 0
-                    for core in app.allowed_cores(thread, online):
-                        bits |= 1 << core
-                    self.big_allowed[row, slot] = bits & self.cluster_bits[0]
-                    self.little_allowed[row, slot] = (
-                        bits & self.cluster_bits[1]
+                    self._set_candidates(
+                        row, slot, app.allowed_cores(thread, online)
                     )
                     keys[slot] = (thread.affinity, cpuset, online)
                 slot += 1
+
+    def _set_candidates(self, row: int, slot: int, allowed) -> None:
+        """The cores GTS may pick for a slot, whichever cluster its load
+        prefers: with both clusters allowed, the preferred cluster's
+        share; with one, all of it."""
+        masks = self._candidates.get(allowed)
+        if masks is None:
+            big = [c for c in allowed if self.core_is_big[c]]
+            little = [c for c in allowed if not self.core_is_big[c]]
+            if not (big and little):
+                big = little = list(allowed)
+            masks = self._candidates[allowed] = tuple(
+                np.isin(np.arange(self.n_cores), cores)
+                for cores in (big, little)
+            )
+        self.if_big[row, slot] = masks[0]
+        self.if_little[row, slot] = masks[1]
+
+    @staticmethod
+    def _has_prologue(sim: Simulation) -> bool:
+        """Whether a row's tick opens with a control-plane call: its
+        controllers' start, lifecycle faults or delayed heartbeats, or
+        ``TickStart`` subscribers."""
+        return (
+            not sim._started
+            or sim.fault_injector is not None
+            or bool(sim.bus._handlers.get(TickStart))
+        )
 
     def _pre_tick(self, row: int) -> None:
         """The scalar tick's control-plane prologue for one row."""
@@ -342,148 +356,115 @@ class FleetEngine:
                 self._pre_tick(row)
             self._hook_rows = [
                 r for r in self._hook_rows
-                if not self.nodes[r].sim._started
-                or self.nodes[r].sim.fault_injector is not None
-                or self.nodes[r].sim.bus._handlers.get(TickStart)
+                if self._has_prologue(self.nodes[r].sim)
             ]
         rows = np.arange(n)
         t = self.n_threads
-        lanes = self.lanes
+        serving = self.serving
         core_ids = self.core_ids
 
-        # 1. GTS placement.
-        run_queue = np.zeros((n, self.n_cores))
-        placed = np.zeros((n, self.n_slots), dtype=bool)
+        # 1. GTS placement: slots in order, each onto its least-loaded
+        #    candidate core (the preferred cluster's, when both are
+        #    allowed), with a stickiness bonus on its current core.
+        wants = (
+            (serving.req >= 0) | np.repeat(serving.qlen > 0, t, axis=1)
+        ) & np.repeat(active[:, None] & ~self.halted, t, axis=1)
+        placed = wants
         cur_core = self.cur_core
-        for slot in range(self.n_slots):
-            lane, thread = divmod(slot, t)
-            store = lanes[lane]
-            wants = (
-                active
-                & ~self.halted[:, lane]
-                & ((store.req[:, thread] >= 0) | (store.qlen > 0))
-            )
-            if not wants.any():
-                continue
-            load = self.load[:, slot]
-            current = cur_core[:, slot]
+        if wants.any():
+            load = self.load
             current_big = np.where(
-                current < 0, True, self.core_is_big[current]
+                cur_core < 0, True, self.core_is_big[cur_core]
             )
             desired_big = (load >= self.up_threshold) | (
                 ~(load <= self.down_threshold) & current_big
             )
-            big = self.big_allowed[:, slot]
-            little = self.little_allowed[:, slot]
-            candidates = np.where(
-                (big != 0) & (little != 0),
-                np.where(desired_big, big, little),
-                big | little,
-            )
-            allowed = ((candidates[:, None] >> core_ids) & 1).astype(bool)
-            score = np.where(
-                current[:, None] == core_ids,
-                run_queue - self.stickiness,
-                run_queue,
-            )
-            best = np.where(allowed, score, np.inf).argmin(axis=1)
+            bonus = (cur_core[:, :, None] == core_ids) * self.stickiness
             weight = np.where(load > self.min_weight, load, self.min_weight)
-            picked = rows[wants]
-            run_queue[picked, best[wants]] += weight[wants]
-            cur_core[:, slot] = np.where(wants, best, current)
-            placed[:, slot] = wants
+            run_queue = np.zeros((n, self.n_cores))
+            for slot in range(self.n_slots):
+                slot_wants = wants[:, slot]
+                if not slot_wants.any():
+                    continue
+                allowed = np.where(
+                    desired_big[:, slot, None],
+                    self.if_big[:, slot],
+                    self.if_little[:, slot],
+                )
+                score = np.where(allowed, run_queue - bonus[:, slot], np.inf)
+                best = score.argmin(axis=1)
+                picked = np.flatnonzero(slot_wants)
+                run_queue[picked, best[picked]] += weight[picked, slot]
+                cur_core[picked, slot] = best[picked]
 
         # 2. Grant rounds: grant, then per lane drain, account, publish.
-        remaining = np.full((n, self.n_cores), dt)
-        core_busy = np.zeros((n, self.n_cores))
-        core_ba = np.zeros((n, self.n_cores))
+        #    Per-core arrays are flat (row * cores + core), so a slot's
+        #    core is one 1-D gather or scatter.
+        n_cores = self.n_cores
+        flat = np.where(placed, cur_core, 0) + (rows * n_cores)[:, None]
+        slot_big = self.core_is_big[flat % n_cores]
+        remaining = np.full(n * n_cores, dt)
+        core_busy = np.zeros(n * n_cores)
+        core_ba = np.zeros(n * n_cores)
         thread_busy = np.zeros((n, self.n_slots))
         thread_granted = np.zeros((n, self.n_slots))
         blocked = np.zeros((n, self.n_slots), dtype=bool)
         meta_share = np.zeros((n, self.n_slots))
         meta_speed = np.zeros((n, self.n_slots))
-        hungry = placed.copy()
+        hungry = placed
         running = placed.any(axis=1)
         end_time = self.now + dt
-        emitted: Dict[int, bool] = {}
-        core_of = np.where(placed, cur_core, 0)
-        cluster_of = self.core_cluster[core_of]
+        #: (row, lane) pairs that emitted heartbeats, in first-emission
+        #: order; completions are joined row by row, hot lane first.
+        emitted: Dict[Tuple[int, int], bool] = {}
         for _ in range(Simulation.GRANT_ROUNDS):
             if not running.any():
                 break
-            counts = self._counts(hungry & running[:, None], core_of)
+            members = hungry & running[:, None]
+            counts = np.bincount(flat[members], minlength=n * n_cores)
             live_core = (counts > 0) & (remaining > 1e-9)
-            grants = np.zeros((n, self.n_slots))
-            granted = np.zeros((n, self.n_slots), dtype=bool)
-            for slot in range(self.n_slots):
-                core = core_of[:, slot]
-                grant_on = (
-                    hungry[:, slot] & running & live_core[rows, core]
-                )
-                if not grant_on.any():
-                    continue
-                share = remaining[rows, core] / np.maximum(
-                    counts[rows, core], 1
-                )
-                lane_speed = self.speed[slot // t]
-                cluster = cluster_of[:, slot]
-                speed = np.where(
-                    cluster == 0,
-                    lane_speed[0][self.fidx[:, 0]],
-                    lane_speed[1][self.fidx[:, 1]],
-                )
-                grants[:, slot] = share * speed
-                meta_share[:, slot] = np.where(
-                    grant_on, share, meta_share[:, slot]
-                )
-                meta_speed[:, slot] = np.where(
-                    grant_on, speed, meta_speed[:, slot]
-                )
-                granted[:, slot] = grant_on
+            granted = members & live_core[flat]
             running &= granted.any(axis=1)
             if not running.any():
                 break
-            satisfied = np.zeros((n, self.n_slots), dtype=bool)
-            for lane, store in enumerate(lanes):
-                first = lane * t
-                lane_granted = granted[:, first:first + t]
-                if not lane_granted.any():
-                    continue
-                used, tags = store.drain(
-                    grants[:, first:first + t], lane_granted
-                )
-                activity = self.activity[lane]
-                for thread in range(t):
-                    slot = first + thread
-                    grant_on = lane_granted[:, thread]
-                    if not grant_on.any():
-                        continue
-                    consumed = used[:, thread]
-                    share = meta_share[:, slot]
-                    speed = meta_speed[:, slot]
-                    core = core_of[:, slot]
-                    ran = np.where(
-                        speed > 0, consumed / np.where(speed > 0, speed, 1.0),
-                        0.0,
-                    )
-                    busy = np.where(
-                        speed > 0, np.where(share <= ran, share, ran), 0.0
-                    )
-                    busy = np.where(grant_on, busy, 0.0)
-                    core_busy[rows, core] += busy
-                    core_ba[rows, core] += busy * activity
-                    thread_busy[:, slot] += busy
-                    thread_granted[:, slot] += np.where(grant_on, share, 0.0)
-                    remaining[rows, core] -= busy
-                    stalled = grant_on & (consumed < grants[:, slot] * 0.999)
-                    satisfied[:, slot] = stalled
-                    blocked[:, slot] |= stalled
+            share = remaining[flat] / np.maximum(counts[flat], 1)
+            speed = np.where(
+                slot_big,
+                self.slot_speed[0][self.fidx[:, 0]],
+                self.slot_speed[1][self.fidx[:, 1]],
+            )
+            grants = share * speed
+            meta_share = np.where(granted, share, meta_share)
+            meta_speed = np.where(granted, speed, meta_speed)
+            used, tags_by_lane = serving.drain(grants, granted)
+            ok = granted & (meta_speed > 0)
+            ran = used / np.where(ok, meta_speed, 1.0)
+            busy = np.where(
+                ok, np.where(meta_share <= ran, meta_share, ran), 0.0
+            )
+            # ``ufunc.at`` applies its operands in index order: row by
+            # row, slots sharing a core add to it in the scalar loop's
+            # (lane, then thread) order.
+            cores = flat.ravel()
+            np.add.at(core_busy, cores, busy.ravel())
+            np.add.at(core_ba, cores, (busy * self.slot_activity).ravel())
+            np.subtract.at(remaining, cores, busy.ravel())
+            thread_busy += busy
+            thread_granted += np.where(granted, meta_share, 0.0)
+            satisfied = granted & (used < grants * 0.999)
+            blocked |= satisfied
+            for lane, tags in enumerate(tags_by_lane):
                 for row, row_tags in tags.items():
                     self._publish(row, lane, row_tags, end_time.item(row))
-                    emitted[row] = True
-            hungry &= ~satisfied
-            counts = self._counts(hungry & running[:, None], core_of)
-            running &= ((counts > 0) & (remaining > dt * 0.01)).any(axis=1)
+                    emitted[row, lane] = True
+            hungry = hungry & ~satisfied
+            members = hungry & running[:, None]
+            counts = np.bincount(flat[members], minlength=n * n_cores)
+            running &= (
+                ((counts > 0) & (remaining > dt * 0.01))
+                .reshape(n, n_cores)
+                .any(axis=1)
+            )
 
         granted_pos = thread_granted > 0.0
         ratio = thread_busy / np.where(granted_pos, thread_granted, 1.0)
@@ -494,6 +475,8 @@ class FleetEngine:
         )
 
         # 3. Power, per cluster in spec order, cores summed in order.
+        core_busy = core_busy.reshape(n, n_cores)
+        core_ba = core_ba.reshape(n, n_cores)
         busy_pos = core_busy > 0
         util = core_busy / dt
         util = np.where(util > 1.0, 1.0, util)
@@ -556,23 +539,18 @@ class FleetEngine:
 
         # 6. Completions, velocity EWMA and the deadline targets.
         completions: List[List["Completion"]] = [[] for _ in range(n)]
-        done_units = np.zeros((n, len(lanes)))
-        for row in emitted:
+        done_units = np.zeros((n, len(self.lane_names)))
+        for row, lane in sorted(emitted):
             node = self.nodes[row]
-            now_s = self.now.item(row)
-            for lane, name in enumerate(self.lane_names):
-                units, observed = node._harvest(name, completions[row])
-                if not observed:
-                    continue
-                done_units[row, lane] = units
-                log = node.apps[name].log
-                self.beats[row, lane] = len(log)
-                if self.aged_head[row, lane] == np.inf:
-                    self.aged_head[row, lane] = log.beat(
-                        self.aged.item(row, lane)
-                    ).time_s
-                tail = node.slo[name].percentile(self.percentile)
-                self.tail[row, lane] = tail
+            name = self.lane_names[lane]
+            done_units[row, lane] = node._harvest(name, completions[row])
+            log = node.apps[name].log
+            self.beats[row, lane] = len(log)
+            if self.aged_head[row, lane] == np.inf:
+                self.aged_head[row, lane] = log.beat(
+                    self.aged.item(row, lane)
+                ).time_s
+            self.tail[row, lane] = node.slo[name].percentile(self.percentile)
         self.velocity = np.where(
             active[:, None],
             self.velocity
@@ -581,14 +559,6 @@ class FleetEngine:
         )
         self._update_targets(active)
         return completions
-
-    def _counts(self, members: np.ndarray, core_of: np.ndarray) -> np.ndarray:
-        """Threads per core among ``members`` (integer counts)."""
-        counts = np.zeros((self.n_rows, self.n_cores), dtype=np.int64)
-        rows = np.arange(self.n_rows)
-        for slot in range(self.n_slots):
-            counts[rows, core_of[:, slot]] += members[:, slot]
-        return counts
 
     def _publish(
         self, row: int, lane: int, tags: List[str], time_s: float
@@ -618,27 +588,31 @@ class FleetEngine:
             self.aged_head[row, lane] = (
                 log.beat(aged).time_s if aged < len(log) else np.inf
             )
-        elapsed = now - window_start
         with np.errstate(divide="ignore", invalid="ignore"):
-            rate = np.where(
-                elapsed > 0, (self.beats - self.aged) / elapsed, np.nan
-            )
+            # A stepped row's clock is at least one tick past its start,
+            # so its window has elapsed time; the other rows are masked.
+            rate = (self.beats - self.aged) / (now - window_start)
             tail = self.tail
-            idle = (
-                np.isnan(rate) | (rate <= 0) | np.isnan(tail) | (tail <= 0)
-            )
-            low, high = self.pressure_bounds
+            low, high = PRESSURE_BOUNDS
             pressure = np.minimum(np.maximum(tail / self.comfort, low), high)
-            avg = np.maximum(rate * pressure, self.rate_floor)
-        keep = ~active[:, None]
-        self.t_last = np.where(keep, self.t_last, tail)
-        self.t_avg = np.where(keep | idle, self.t_avg, avg)
+            avg = np.maximum(rate * pressure, RATE_FLOOR)
+        stepped = active[:, None]
+        # No completion in the rate window, or an empty SLO window: the
+        # target goes permissive (and keeps its last average).
+        observed = (rate > 0) & (tail > 0)
+        update = stepped & observed
+        permissive = stepped & ~observed
+        self.t_last = np.where(stepped, tail, self.t_last)
+        self.t_avg = np.where(update, avg, self.t_avg)
         self.t_min = np.where(
-            keep, self.t_min,
-            np.where(idle, self.rate_floor, avg * self.t_low),
+            update,
+            avg * self.t_low,
+            np.where(permissive, RATE_FLOOR, self.t_min),
         )
         self.t_max = np.where(
-            keep, self.t_max, np.where(idle, np.inf, avg * self.t_high)
+            update,
+            avg * self.t_high,
+            np.where(permissive, np.inf, self.t_max),
         )
 
     # -- accessors -----------------------------------------------------------

@@ -227,18 +227,16 @@ class FleetNode:
             )
         return engine.step()[0]
 
-    def _harvest(self, lane: str, completions: List[Completion]) -> Tuple[float, bool]:
+    def _harvest(self, lane: str, completions: List[Completion]) -> float:
         """Join the lane's new heartbeats to their pending requests.
 
         Appends one :class:`Completion` per new beat and feeds the SLO
-        window; returns the completed work units and whether any beat
-        was new.  ``epoch_s + beat time`` is the cluster-time finish.
+        window; returns the completed work units.  ``epoch_s + beat
+        time`` is the cluster-time finish.
         """
         log = self.apps[lane].log
         window = self.slo[lane]
         cursor = self._cursor[lane]
-        if cursor == len(log):
-            return 0.0, False
         done_units = 0.0
         while cursor < len(log):
             beat = log.beat(cursor)
@@ -260,7 +258,7 @@ class FleetNode:
                 )
             )
         self._cursor[lane] = cursor
-        return done_units, True
+        return done_units
 
     # -- accounting -------------------------------------------------------------
 

@@ -12,12 +12,13 @@ Like the microbenchmark, the model is endless (``total_heartbeats() ==
 0``): a serving process never "finishes", runs are bounded by the
 cluster's horizon.
 
-A lane's state lives in one row of a :class:`LaneRows` store: the FIFO
-queue, its queued units, and each worker's in-service request.  A lane
-built on its own owns a one-row store; the fleet engine
-(:mod:`repro.fleet.engine`) moves every node's lane into one store per
-shard, so it can drain all its nodes' queues in one pass along the
-node axis, while :class:`ServerWorkload` stays a live view of its row.
+A lane's state lives in a :class:`ServingRows` store: the FIFO queue,
+its queued units, and each worker's in-service request.  A lane built
+on its own owns a one-row, one-lane store; the fleet engine
+(:mod:`repro.fleet.engine`) moves every lane of every node of a shard
+into one store, so it can drain all their queues in one pass along the
+node axis, while each :class:`ServerWorkload` stays a live view of its
+row and lane.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from repro.workloads.base import AdvanceResult, WorkloadModel, WorkloadTraits
 #: (guards float dust from repeated grant subtraction).
 _DONE_EPS = 1e-12
 
+#: Dispatch stamp that sorts after every real one (idle workers).
+_NEVER = np.iinfo(np.int64).max
+
 #: Default traits of the serving workload: memory-light request handling
 #: with a real big-core advantage — the reason a hot lane exists.
 SERVING_TRAITS = WorkloadTraits(
@@ -45,153 +49,222 @@ SERVING_TRAITS = WorkloadTraits(
 )
 
 
-class LaneRows:
-    """The serving state of one lane on ``n_rows`` nodes, as arrays.
+class ServingRows:
+    """The serving state of ``n_lanes`` lanes on ``n_rows`` nodes.
 
-    Per row: a FIFO of queued ``[request index, units]`` entries, its
-    length and queued units, the velocity factor of the current chaos
-    episode, and per worker thread the in-service request (``-1`` when
-    idle), its remaining units and its dispatch stamp.  A lane's backlog
-    sums in-service work in dispatch order — the order the original
-    per-lane dict iterated — so it is kept as :attr:`active_sum`,
-    recomputed whenever in-service work changes.
+    Per row and lane: a FIFO of queued ``[request index, units]``
+    entries, its length and queued units, and the velocity factor of the
+    current chaos episode.  Per row and *slot* (lane-major: lane 0's
+    threads, then lane 1's): the in-service request (``-1`` when the
+    worker is idle), its remaining units and its dispatch stamp.  A
+    lane's backlog sums in-service work in dispatch order — the order
+    the original per-lane dict iterated — so it is kept as
+    :attr:`active_sum`, recomputed whenever in-service work changes.
     """
 
-    def __init__(self, n_rows: int, n_threads: int):
+    def __init__(self, n_rows: int, n_lanes: int, n_threads: int):
         self.n_rows = n_rows
+        self.n_lanes = n_lanes
         self.n_threads = n_threads
-        self.queues: List[Deque[List]] = [deque() for _ in range(n_rows)]
-        self.qlen = np.zeros(n_rows, dtype=np.int64)
-        self.queued = np.zeros(n_rows)
+        self.queues: List[List[Deque[List]]] = [
+            [deque() for _ in range(n_lanes)] for _ in range(n_rows)
+        ]
+        self.qlen = np.zeros((n_rows, n_lanes), dtype=np.int64)
+        self.queued = np.zeros((n_rows, n_lanes))
         #: Service-velocity multiplier of the current chaos episode:
         #: 1.0 nominal, (0, 1) during a slowdown, 0.0 during a hang
         #: (threads hold their grants but progress nothing — the queue
         #: freezes and heartbeats go silent).
-        self.factor = np.ones(n_rows)
-        self.req = np.full((n_rows, n_threads), -1, dtype=np.int64)
-        self.rem = np.zeros((n_rows, n_threads))
-        self.stamp = np.zeros((n_rows, n_threads), dtype=np.int64)
-        self.active_sum = np.zeros(n_rows)
+        self.factor = np.ones((n_rows, n_lanes))
+        slots = n_lanes * n_threads
+        self.req = np.full((n_rows, slots), -1, dtype=np.int64)
+        self.rem = np.zeros((n_rows, slots))
+        self.stamp = np.zeros((n_rows, slots), dtype=np.int64)
+        self.active_sum = np.zeros((n_rows, n_lanes))
         self._stamps = 0
 
-    def adopt(self, row: int, lane: "ServerWorkload") -> None:
-        """Move ``lane``'s state into ``row`` and make it a view of it."""
-        if lane.n_threads != self.n_threads:
+    def _slots(self, lane: int) -> slice:
+        return slice(lane * self.n_threads, (lane + 1) * self.n_threads)
+
+    def adopt(self, row: int, lane: int, workload: "ServerWorkload") -> None:
+        """Move ``workload``'s state into (``row``, ``lane``) and make it
+        a view of it."""
+        if workload.n_threads != self.n_threads:
             raise ConfigurationError(
-                f"lane {lane.lane!r}: {lane.n_threads} threads, "
-                f"store rows have {self.n_threads}"
+                f"lane {workload.lane!r}: {workload.n_threads} threads, "
+                f"store lanes have {self.n_threads}"
             )
-        src, r = lane._rows, lane._row
-        self.queues[row] = src.queues[r]
-        for name in ("qlen", "queued", "factor", "req", "rem", "stamp",
-                     "active_sum"):
-            getattr(self, name)[row] = getattr(src, name)[r]
+        src, r, k = workload._rows, workload._row, workload._lane
+        self.queues[row][lane] = src.queues[r][k]
+        for name in ("qlen", "queued", "factor", "active_sum"):
+            getattr(self, name)[row, lane] = getattr(src, name)[r, k]
+        for name in ("req", "rem", "stamp"):
+            getattr(self, name)[row, self._slots(lane)] = getattr(src, name)[
+                r, src._slots(k)
+            ]
         self._stamps = max(self._stamps, src._stamps)
-        lane._rows, lane._row = self, row
+        workload._rows, workload._row, workload._lane = self, row, lane
 
-    def clear(self, row: int) -> None:
-        self.queues[row].clear()
-        self.qlen[row] = 0
-        self.queued[row] = 0.0
-        self.factor[row] = 1.0
-        self.req[row] = -1
-        self.rem[row] = 0.0
-        self.active_sum[row] = 0.0
+    def clear(self, row: int, lane: int) -> None:
+        self.queues[row][lane].clear()
+        self.qlen[row, lane] = 0
+        self.queued[row, lane] = 0.0
+        self.factor[row, lane] = 1.0
+        self.req[row, self._slots(lane)] = -1
+        self.rem[row, self._slots(lane)] = 0.0
+        self.active_sum[row, lane] = 0.0
 
-    def submit(self, row: int, request_index: int, units: float) -> None:
-        self.queues[row].append([request_index, units])
-        self.qlen[row] += 1
-        self.queued[row] += units
+    def submit(
+        self, row: int, lane: int, request_index: int, units: float
+    ) -> None:
+        self.queues[row][lane].append([request_index, units])
+        self.qlen[row, lane] += 1
+        self.queued[row, lane] += units
 
-    def cancel(self, row: int, request_index: int) -> bool:
-        queue = self.queues[row]
+    def cancel(self, row: int, lane: int, request_index: int) -> bool:
+        queue = self.queues[row][lane]
         for position, entry in enumerate(queue):
             if entry[0] == request_index:
-                self.queued[row] -= entry[1]
+                self.queued[row, lane] -= entry[1]
                 del queue[position]
-                self.qlen[row] -= 1
+                self.qlen[row, lane] -= 1
                 return True
-        req = self.req[row]
-        for thread_index in range(self.n_threads):
-            if req[thread_index] == request_index:
-                req[thread_index] = -1
-                self.rem[row, thread_index] = 0.0
-                self._sum_active(np.array([row]))
+        first = lane * self.n_threads
+        for slot in range(first, first + self.n_threads):
+            if self.req[row, slot] == request_index:
+                self.req[row, slot] = -1
+                self.rem[row, slot] = 0.0
+                self._sum_active()
                 return True
         return False
 
     def drain(
         self, budgets: np.ndarray, granted: np.ndarray
-    ) -> Tuple[np.ndarray, Dict[int, List[str]]]:
-        """FIFO-drain one round of grants on every row at once.
+    ) -> Tuple[np.ndarray, List[Dict[int, List[str]]]]:
+        """FIFO-drain one round of grants on every row and lane at once.
 
-        ``budgets[row, thread]`` is the work a granted thread may do
-        (``granted`` marks the grants).  Threads drain in index order;
-        an idle worker takes the queue head; a request whose remaining
+        ``budgets[row, slot]`` is the work a granted worker may do
+        (``granted`` marks the grants).  Each worker first works on its
+        in-service request; a worker with budget left then takes its
+        lane's queue heads, in thread-index order within the lane, until
+        its budget or the queue runs out.  A request whose remaining
         work falls to ``_DONE_EPS`` completes.  Returns the units each
-        thread used and, per row with completions, the completed
-        request indices (as heartbeat tags) in completion order.  Every
-        row's float operations are the scalar loop's, in its order.
+        slot used and, per lane, ``{row: completed request indices}``
+        (as heartbeat tags) in thread order, then completion order —
+        the scalar loop's order, as are every row's float operations.
+        Lanes share nothing, so draining them together changes no
+        lane's result.
         """
-        n_rows = self.n_rows
-        used = np.zeros((n_rows, self.n_threads))
-        tags: Dict[int, List[str]] = {}
-        req, rem, qlen = self.req, self.rem, self.qlen
-        for thread_index in range(self.n_threads):
-            live = granted[:, thread_index]
-            if not live.any():
-                continue
-            budget = budgets[:, thread_index] * self.factor
-            spent = used[:, thread_index]
-            while True:
-                live = live & (budget > _DONE_EPS)
-                idle = live & (req[:, thread_index] < 0)
-                if idle.any():
-                    for row in np.flatnonzero(idle & (qlen > 0)).tolist():
-                        index, units = self.queues[row].popleft()
-                        qlen[row] -= 1
-                        self.queued[row] -= units
-                        req[row, thread_index] = index
-                        rem[row, thread_index] = units
-                        self._stamps += 1
-                        self.stamp[row, thread_index] = self._stamps
-                    live = live & (req[:, thread_index] >= 0)
-                if not live.any():
-                    break
-                left = rem[:, thread_index]
-                take = np.minimum(budget, left)
-                rem[:, thread_index] = np.where(live, left - take, left)
-                budget = np.where(live, budget - take, budget)
-                spent = np.where(live, spent + take, spent)
-                done = live & (rem[:, thread_index] <= _DONE_EPS)
-                if done.any():
-                    for row in np.flatnonzero(done).tolist():
-                        tags.setdefault(row, []).append(
-                            str(int(req[row, thread_index]))
-                        )
-                        req[row, thread_index] = -1
-            used[:, thread_index] = spent
-        self._sum_active(np.flatnonzero(granted.any(axis=1)))
-        return used, tags
-
-    def _sum_active(self, rows: np.ndarray) -> None:
-        """Recompute :attr:`active_sum` on ``rows``: in-service remaining
-        units summed in dispatch order, from 0."""
-        if not rows.size:
-            return
-        req = self.req[rows]
-        present = req >= 0
-        values = np.where(present, self.rem[rows], 0.0)
-        order = np.argsort(
-            np.where(present, self.stamp[rows], np.iinfo(np.int64).max),
-            axis=1,
-            kind="stable",
+        req, rem = self.req, self.rem
+        n_threads = self.n_threads
+        budget = budgets * np.repeat(self.factor, n_threads, axis=1)
+        used = np.zeros(budget.shape)
+        done_by_slot: List[Dict[int, List[str]]] = [
+            {} for _ in range(req.shape[1])
+        ]
+        # Work already in service: every worker at once (no worker
+        # touches another's request, and none touches a queue).
+        serving = granted & (budget > _DONE_EPS) & (req >= 0)
+        if serving.any():
+            take = np.minimum(budget, rem)
+            np.copyto(rem, rem - take, where=serving)
+            budget = np.where(serving, budget - take, budget)
+            used = np.where(serving, take, used)
+            done = serving & (rem <= _DONE_EPS)
+            if done.any():
+                for row, slot in zip(*np.nonzero(done)):
+                    done_by_slot[slot][row] = [str(int(req[row, slot]))]
+                req[done] = -1
+        # Budget left over: idle workers take queue heads, worker by
+        # worker.  Each is one request event, so it runs the scalar loop
+        # on that row alone.
+        hungry = (
+            granted
+            & (budget > _DONE_EPS)
+            & np.repeat(self.qlen > 0, n_threads, axis=1)
         )
-        ordered = np.take_along_axis(values, order, axis=1)
-        total = np.zeros(rows.size)
-        for position in range(self.n_threads):
-            total = total + ordered[:, position]
-        self.active_sum[rows] = total
+        if hungry.any():
+            for slot in np.flatnonzero(hungry.any(axis=0)).tolist():
+                queues = [lane[slot // n_threads] for lane in self.queues]
+                for row in np.flatnonzero(hungry[:, slot]).tolist():
+                    if queues[row]:  # a lower thread may have emptied it
+                        self._take_heads(
+                            row, slot, budget.item(row, slot), used,
+                            done_by_slot[slot],
+                        )
+        self._sum_active()
+        by_lane = []
+        for lane in range(self.n_lanes):
+            lane_done = done_by_slot[lane * n_threads:(lane + 1) * n_threads]
+            if n_threads == 1:
+                by_lane.append(lane_done[0])
+                continue
+            by_lane.append(
+                {
+                    row: [
+                        tag
+                        for slot_tags in lane_done
+                        for tag in slot_tags.get(row, ())
+                    ]
+                    for row in sorted(set().union(*lane_done))
+                }
+            )
+        return used, by_lane
+
+    def _take_heads(
+        self,
+        row: int,
+        slot: int,
+        left: float,
+        used: np.ndarray,
+        tags: Dict[int, List[str]],
+    ) -> None:
+        """One worker's scalar drain loop on one row: take the queue
+        head when idle, work on it, repeat while budget is left."""
+        req, rem = self.req, self.rem
+        lane = slot // self.n_threads
+        queue = self.queues[row][lane]
+        spent = used.item(row, slot)
+        index = int(req[row, slot])
+        remaining = rem.item(row, slot)
+        while left > _DONE_EPS:
+            if index < 0:
+                if not queue:
+                    break
+                index, remaining = queue.popleft()
+                self.qlen[row, lane] -= 1
+                self.queued[row, lane] -= remaining
+                self._stamps += 1
+                self.stamp[row, slot] = self._stamps
+            take = min(left, remaining)
+            remaining -= take
+            left -= take
+            spent += take
+            if remaining <= _DONE_EPS:
+                tags.setdefault(row, []).append(str(index))
+                index = -1
+        req[row, slot] = index
+        rem[row, slot] = remaining
+        used[row, slot] = spent
+
+    def _sum_active(self) -> None:
+        """Recompute :attr:`active_sum`: each lane's in-service remaining
+        units summed in dispatch order, from 0."""
+        shape = (self.n_rows, self.n_lanes, self.n_threads)
+        present = (self.req >= 0).reshape(shape)
+        values = np.where(present, self.rem.reshape(shape), 0.0)
+        if self.n_threads > 2:
+            # Two terms commute; from three on, dispatch order matters.
+            order = np.argsort(
+                np.where(present, self.stamp.reshape(shape), _NEVER),
+                axis=2,
+                kind="stable",
+            )
+            values = np.take_along_axis(values, order, axis=2)
+        total = values[:, :, 0]
+        for position in range(1, self.n_threads):
+            total = total + values[:, :, position]
+        self.active_sum = total
 
 
 class ServerWorkload(WorkloadModel):
@@ -207,19 +280,20 @@ class ServerWorkload(WorkloadModel):
             raise ConfigurationError("serving lane needs a name")
         super().__init__(traits or SERVING_TRAITS, n_threads)
         self.lane = lane
-        self._rows = LaneRows(1, n_threads)
+        self._rows = ServingRows(1, 1, n_threads)
         self._row = 0
+        self._lane = 0
 
     @property
     def velocity_factor(self) -> float:
-        return float(self._rows.factor[self._row])
+        return self._rows.factor.item(self._row, self._lane)
 
     @velocity_factor.setter
     def velocity_factor(self, factor: float) -> None:
-        self._rows.factor[self._row] = factor
+        self._rows.factor[self._row, self._lane] = factor
 
     def reset(self, seed: int = 0) -> None:
-        self._rows.clear(self._row)
+        self._rows.clear(self._row, self._lane)
 
     def submit(self, request_index: int, service_units: float) -> None:
         """Enqueue one request (the router calls this via the node)."""
@@ -227,7 +301,7 @@ class ServerWorkload(WorkloadModel):
             raise ConfigurationError(
                 f"request {request_index}: non-positive size {service_units}"
             )
-        self._rows.submit(self._row, request_index, service_units)
+        self._rows.submit(self._row, self._lane, request_index, service_units)
 
     def wants_cpu(self, thread_index: int) -> bool:
         if not 0 <= thread_index < self.n_threads:
@@ -235,21 +309,25 @@ class ServerWorkload(WorkloadModel):
                 f"thread index {thread_index} out of range"
             )
         rows, row = self._rows, self._row
-        return bool(rows.req[row, thread_index] >= 0 or rows.qlen[row] > 0)
+        slot = self._lane * self.n_threads + thread_index
+        return bool(
+            rows.req[row, slot] >= 0 or rows.qlen[row, self._lane] > 0
+        )
 
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:
         rows, row = self._rows, self._row
-        budgets = np.zeros((rows.n_rows, self.n_threads))
-        granted = np.zeros((rows.n_rows, self.n_threads), dtype=bool)
+        first = self._lane * self.n_threads
+        budgets = np.zeros(rows.req.shape)
+        granted = np.zeros(rows.req.shape, dtype=bool)
         for thread_index, budget in grants.items():
-            budgets[row, thread_index] = budget
-            granted[row, thread_index] = True
+            budgets[row, first + thread_index] = budget
+            granted[row, first + thread_index] = True
         used, tags = rows.drain(budgets, granted)
         consumed = {
-            thread_index: float(used[row, thread_index])
+            thread_index: used.item(row, first + thread_index)
             for thread_index in sorted(grants)
         }
-        row_tags = tags.get(row, [])
+        row_tags = tags[self._lane].get(row, [])
         return AdvanceResult(
             consumed=consumed,
             heartbeats=len(row_tags),
@@ -272,22 +350,23 @@ class ServerWorkload(WorkloadModel):
         Returns whether the request was found (False means it already
         completed or was never here).
         """
-        return self._rows.cancel(self._row, request_index)
+        return self._rows.cancel(self._row, self._lane, request_index)
 
     # -- queue introspection (routing signals) ------------------------------
 
     @property
     def queue_len(self) -> int:
         """Requests waiting for a worker (excludes in-service ones)."""
-        return len(self._rows.queues[self._row])
+        return len(self._rows.queues[self._row][self._lane])
 
     @property
     def in_service(self) -> int:
         """Requests currently held by a worker thread."""
-        return int((self._rows.req[self._row] >= 0).sum())
+        rows = self._rows
+        return int((rows.req[self._row, rows._slots(self._lane)] >= 0).sum())
 
     @property
     def backlog_units(self) -> float:
         """Work units queued plus remaining on in-service requests."""
-        rows, row = self._rows, self._row
-        return rows.queued.item(row) + rows.active_sum.item(row)
+        rows, row, lane = self._rows, self._row, self._lane
+        return rows.queued.item(row, lane) + rows.active_sum.item(row, lane)

@@ -93,10 +93,10 @@ class PerformanceTarget:
 #: Bounds on the latency-pressure multiplier a :class:`DeadlineTarget`
 #: applies to the observed rate (guards against a single pathological
 #: tail sample slamming the window to an unreachable point).
-_PRESSURE_BOUNDS = (0.2, 5.0)
+PRESSURE_BOUNDS = (0.2, 5.0)
 
 #: Rate floor keeping the window well-formed before any observation.
-_RATE_FLOOR = 1e-9
+RATE_FLOOR = 1e-9
 
 
 class DeadlineTarget:
@@ -146,7 +146,7 @@ class DeadlineTarget:
         # Permissive until the first update: anything classifies as
         # ACHIEVE, so an idle or warming-up lane never triggers
         # adaptation on no data.
-        self.min_rate = _RATE_FLOOR
+        self.min_rate = RATE_FLOOR
         self.avg_rate = 1.0
         self.max_rate = float("inf")
         #: Latest tail latency fed in (telemetry convenience).
@@ -164,7 +164,9 @@ class DeadlineTarget:
 
         With no usable observation (an idle lane, or one that has not
         yet filled a rate window) the target goes permissive instead of
-        keeping a stale setpoint.
+        keeping a stale setpoint.  The fleet engine applies the same
+        update to many lanes at once; the two must stay in lockstep
+        (``tests/fleet/test_engine.py`` compares them with ``==``).
         """
         self.last_tail_s = tail_latency_s
         if (
@@ -173,12 +175,12 @@ class DeadlineTarget:
             or tail_latency_s is None
             or tail_latency_s <= 0
         ):
-            self.min_rate = _RATE_FLOOR
+            self.min_rate = RATE_FLOOR
             self.max_rate = float("inf")
             return
-        low, high = _PRESSURE_BOUNDS
+        low, high = PRESSURE_BOUNDS
         pressure = min(max(tail_latency_s / self.comfort_s, low), high)
-        avg = max(observed_rate * pressure, _RATE_FLOOR)
+        avg = max(observed_rate * pressure, RATE_FLOOR)
         self.avg_rate = avg
         self.min_rate = avg * (1.0 - self.tolerance)
         self.max_rate = avg * (1.0 + self.tolerance)

@@ -108,6 +108,11 @@ class PowerSensor:
         self._elapsed_s = elapsed_s
         self._last_watts = dict(watts)
         self._take_due_samples()
+        return self.next_sample_s
+
+    @property
+    def next_sample_s(self) -> float:
+        """Elapsed time of the next sample boundary."""
         return (self._samples_seen + 1) * self.sample_period_s
 
     @property
