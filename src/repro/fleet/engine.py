@@ -417,6 +417,7 @@ class FleetEngine:
         #: (row, lane) pairs that emitted heartbeats, in first-emission
         #: order; completions are joined row by row, hot lane first.
         emitted: Dict[Tuple[int, int], bool] = {}
+        written: Dict[int, bool] = {}
         for _ in range(Simulation.GRANT_ROUNDS):
             if not running.any():
                 break
@@ -455,7 +456,9 @@ class FleetEngine:
             blocked |= satisfied
             for lane, tags in enumerate(tags_by_lane):
                 for row, row_tags in tags.items():
-                    self._publish(row, lane, row_tags, end_time.item(row))
+                    self._publish(
+                        row, lane, row_tags, end_time.item(row), written
+                    )
                     emitted[row, lane] = True
             hungry = hungry & ~satisfied
             members = hungry & running[:, None]
@@ -473,6 +476,8 @@ class FleetEngine:
             np.where(blocked, np.where(1.0 <= ratio, 1.0, ratio), 1.0),
             0.0,
         )
+
+        serving.sum_active()
 
         # 3. Power, per cluster in spec order, cores summed in order.
         core_busy = core_busy.reshape(n, n_cores)
@@ -561,10 +566,17 @@ class FleetEngine:
         return completions
 
     def _publish(
-        self, row: int, lane: int, tags: List[str], time_s: float
+        self,
+        row: int,
+        lane: int,
+        tags: List[str],
+        time_s: float,
+        written: Dict[int, bool],
     ) -> None:
         """Emit and publish one lane's heartbeats of one round."""
-        self._write_back(row)
+        if row not in written:  # nothing written back changes mid-tick
+            self._write_back(row)
+            written[row] = True
         node = self.nodes[row]
         sim = node.sim
         app = node.apps[self.lane_names[lane]]

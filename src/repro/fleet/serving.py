@@ -59,7 +59,7 @@ class ServingRows:
     worker is idle), its remaining units and its dispatch stamp.  A
     lane's backlog sums in-service work in dispatch order — the order
     the original per-lane dict iterated — so it is kept as
-    :attr:`active_sum`, recomputed whenever in-service work changes.
+    :attr:`active_sum`, recomputed after in-service work changes.
     """
 
     def __init__(self, n_rows: int, n_lanes: int, n_threads: int):
@@ -134,7 +134,7 @@ class ServingRows:
             if self.req[row, slot] == request_index:
                 self.req[row, slot] = -1
                 self.rem[row, slot] = 0.0
-                self._sum_active()
+                self.sum_active()
                 return True
         return False
 
@@ -192,7 +192,6 @@ class ServingRows:
                             row, slot, budget.item(row, slot), used,
                             done_by_slot[slot],
                         )
-        self._sum_active()
         by_lane = []
         for lane in range(self.n_lanes):
             lane_done = done_by_slot[lane * n_threads:(lane + 1) * n_threads]
@@ -247,9 +246,10 @@ class ServingRows:
         rem[row, slot] = remaining
         used[row, slot] = spent
 
-    def _sum_active(self) -> None:
+    def sum_active(self) -> None:
         """Recompute :attr:`active_sum`: each lane's in-service remaining
-        units summed in dispatch order, from 0."""
+        units summed in dispatch order, from 0.  Due after any
+        :meth:`drain` before a backlog is read."""
         shape = (self.n_rows, self.n_lanes, self.n_threads)
         present = (self.req >= 0).reshape(shape)
         values = np.where(present, self.rem.reshape(shape), 0.0)
@@ -323,6 +323,7 @@ class ServerWorkload(WorkloadModel):
             budgets[row, first + thread_index] = budget
             granted[row, first + thread_index] = True
         used, tags = rows.drain(budgets, granted)
+        rows.sum_active()
         consumed = {
             thread_index: used.item(row, first + thread_index)
             for thread_index in sorted(grants)
