@@ -26,6 +26,8 @@ import time
 
 from repro.fleet import FleetConfig, ROUTERS, run_fleet
 
+from conftest import provenance
+
 #: Native scale (the ISSUE's acceptance run); CI smoke overrides via env.
 NATIVE_NODES = 200
 NATIVE_REQUESTS = 100_000
@@ -103,6 +105,7 @@ def test_fleet_routers(benchmark):
         json.dumps(
             {
                 "benchmark": "bench_fleet",
+                **provenance(),
                 "nodes": nodes,
                 "requests": requests,
                 "trace": config.trace,

@@ -37,6 +37,8 @@ from repro.fleet.chaos import crash_wave
 from repro.fleet.cluster import FleetCluster
 from repro.fleet.slo import recovery_time_s
 
+from conftest import provenance
+
 #: Native scale; CI smoke overrides via env.
 NATIVE_NODES = 100
 NATIVE_REQUESTS = 20_000
@@ -159,6 +161,7 @@ def test_fleet_chaos(benchmark):
         json.dumps(
             {
                 "benchmark": "bench_fleet_chaos",
+                **provenance(),
                 "nodes": nodes,
                 "requests": requests,
                 "wave": {

@@ -22,7 +22,7 @@ import pathlib
 import random
 import time
 
-from conftest import run_once
+from conftest import provenance, run_once
 
 from repro.core.calibration import calibrate
 from repro.core.perf_estimator import PerformanceEstimator
@@ -157,6 +157,7 @@ def test_planner_vectorized(benchmark):
         json.dumps(
             {
                 "benchmark": "bench_planner_vectorized",
+                **provenance(),
                 "n_apps": N_APPS,
                 "n_rounds": N_ROUNDS,
                 "n_plans": n_plans,

@@ -37,12 +37,17 @@ import time
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "src")
 )
+sys.path.insert(
+    0, os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
+)
 
 from repro.acp.chaos import AcpFaultConfig  # noqa: E402
 from repro.acp.client import AcpClient, RetryPolicy  # noqa: E402
 from repro.acp.server import AcpServer  # noqa: E402
 from repro.experiments.runner import RunConfig, RunShape  # noqa: E402
 from repro.experiments.serialize import run_metrics_to_dict  # noqa: E402
+
+from conftest import provenance  # noqa: E402  (benchmarks/conftest.py)
 
 #: Retry policy generous enough to ride out a daemon restart window.
 RECONNECT = RetryPolicy(max_attempts=12, backoff_s=0.1, max_backoff_s=1.0)
@@ -374,6 +379,7 @@ def main():
 
     report = {
         "benchmark": "acp_chaos_drill",
+        **provenance(),
         "units": args.units,
         "chaos_config": {
             "seed": CHAOS.seed,

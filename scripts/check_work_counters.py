@@ -81,7 +81,10 @@ def check(
 ) -> List[str]:
     """One line per count that rose above its recorded value."""
     rises = []
-    for workload, counts in recorded.items():
+    for workload in run.WORKLOAD_NAMES:  # the recording order
+        counts = recorded.get(workload)
+        if counts is None:
+            continue
         measured = measure_counts(workload, probe)
         for name, limit in counts.items():
             value = measured.get(name, 0.0)
