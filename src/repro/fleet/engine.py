@@ -629,9 +629,6 @@ class FleetEngine:
 
     # -- accessors -----------------------------------------------------------
 
-    def velocity_of(self, row: int, lane: int) -> float:
-        return self.velocity.item(row, lane)
-
     def energy_j(self, row: int, channel: str) -> float:
         if channel not in CHANNELS:
             raise ConfigurationError(f"unknown power channel {channel!r}")

@@ -53,6 +53,7 @@ from repro.sim.process import SimApp
 
 #: The serving lanes every node runs, in deterministic order.
 LANES = ("hot", "base")
+_LANE_INDEX = {lane: index for index, lane in enumerate(LANES)}
 
 #: Floor (fraction of nominal single-thread capacity) under which the
 #: velocity estimate is clamped when computing wait estimates, so a
@@ -201,8 +202,9 @@ class FleetNode:
 
     def est_wait_s(self, lane: str) -> float:
         """Estimated queueing delay for a request joining ``lane`` now."""
+        engine = self._engine if self._engine is not None else self.engine
         velocity = max(
-            self.engine.velocity_of(self._row, LANES.index(lane)),
+            engine.velocity.item(self._row, _LANE_INDEX[lane]),
             self._floor[lane],
         )
         return self.models[lane].backlog_units / velocity

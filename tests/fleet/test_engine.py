@@ -86,7 +86,8 @@ def _engine_fingerprint(node):
     engine = node.engine
     engine._write_back(node._row)
     velocity = {
-        lane: engine.velocity_of(node._row, i) for i, lane in enumerate(LANES)
+        lane: engine.velocity.item(node._row, i)
+        for i, lane in enumerate(LANES)
     }
     loads = engine.load[node._row].tolist()
     fp = _fingerprint(node, velocity)
