@@ -37,9 +37,10 @@ balancer's lowest-core tie-break — so they reorder no arithmetic.
 The control plane stays on the node objects: MP-HARS, the actuator,
 the machine's DVFS state and affinities, the apps' heartbeat logs and
 monitors, SLO windows, the clocks and the crash fault injector.  The
-engine calls into it exactly where the scalar tick did — controller
-start, lifecycle faults, ``TickStart``, and every heartbeat, published
-per node mid-round — and first writes back what it may read: the
+engine calls into it exactly where the scalar tick did —
+:meth:`~repro.sim.engine.Simulation.begin_tick` (controller start,
+lifecycle faults, ``TickStart``) and every heartbeat, published per
+node mid-round — and first writes back what it may read: the
 clock, each thread's current core and the lanes' target windows.  After
 each call it reads back what the control plane may have changed: the
 frequencies, affinities and cpusets, and halted apps.
@@ -183,7 +184,6 @@ class FleetEngine:
         self._candidates: Dict[frozenset, tuple] = {}
         #: Rows that need a control-plane call before every tick.
         self._hook_rows: List[int] = []
-        self._power_rows: List[int] = []
         for row, node in enumerate(nodes):
             self.replace(row, node)
 
@@ -197,6 +197,10 @@ class FleetEngine:
             tuple(node.models) != self.lane_names
         ):
             raise ConfigurationError(f"{node.name}: lane shape differs")
+        if node.sim.bus.subscriber_count(PowerSample):
+            raise ConfigurationError(
+                f"{node.name}: the fleet engine publishes no PowerSample"
+            )
         self.nodes[row] = node
         node._engine, node._row = self, row
         sim = node.sim
@@ -234,9 +238,6 @@ class FleetEngine:
         self._hook_rows = [r for r in self._hook_rows if r != row]
         if self._has_prologue(sim):
             self._hook_rows = sorted(self._hook_rows + [row])
-        self._power_rows = [r for r in self._power_rows if r != row]
-        if sim.bus.subscriber_count(PowerSample):
-            self._power_rows.append(row)
 
     def _threads(self, node: "FleetNode"):
         for name in self.lane_names:
@@ -320,17 +321,7 @@ class FleetEngine:
     def _pre_tick(self, row: int) -> None:
         """The scalar tick's control-plane prologue for one row."""
         self._write_back(row)
-        sim = self.nodes[row].sim
-        if not sim._started:
-            sim._started = True
-            for controller in sim.controllers:
-                controller.on_start(sim)
-        if sim._delayed_heartbeats:
-            sim._flush_delayed_heartbeats()
-        if sim._lifecycle_enabled:
-            sim._inject_lifecycle(self.dt)
-        if sim.bus._handlers.get(TickStart):
-            sim.bus.publish(TickStart(time_s=sim.clock.now_s))
+        self.nodes[row].sim.begin_tick()
         self._read_back(row)
 
     # -- the tick ----------------------------------------------------------
@@ -523,15 +514,6 @@ class FleetEngine:
                 self.elapsed.item(row),
                 dict(zip(CHANNELS, watts[row].tolist())),
             )
-        for row in self._power_rows:
-            if active[row]:
-                self._write_back(row)
-                self.nodes[row].sim.bus.publish(
-                    PowerSample(
-                        time_s=end_time.item(row),
-                        watts=dict(zip(CHANNELS, watts[row].tolist())),
-                    )
-                )
 
         # 5. Load decay and the clock.
         self.load = np.where(

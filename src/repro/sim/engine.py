@@ -204,22 +204,8 @@ class Simulation:
 
     def step(self) -> None:
         """Advance the simulation by exactly one tick."""
-        if not self._started:
-            self._started = True
-            for controller in self.controllers:
-                controller.on_start(self)
+        self.begin_tick()
         dt = self.tick_s
-        bus = self.bus
-        if self._delayed_heartbeats:
-            self._flush_delayed_heartbeats()
-        if self._lifecycle_enabled:
-            self._inject_lifecycle(dt)
-        # Hot path: probe the handler table directly rather than
-        # through subscriber_count() — three calls per tick add up.
-        handlers = bus._handlers
-        if handlers.get(TickStart):
-            bus.publish(TickStart(time_s=self.clock.now_s))
-
         placement = self.scheduler.place(self)
         if self._slots is None:
             self._build_runtime_index()
@@ -235,6 +221,25 @@ class Simulation:
         self.clock.advance(dt)
         self._ticked = True
         self._tick_index += 1
+
+    def begin_tick(self) -> None:
+        """The control-plane prologue of a tick: controllers start on
+        the first one, stalled heartbeats mature, lifecycle faults roll,
+        and ``TickStart`` goes out.  :meth:`step` opens with it; the
+        fleet engine calls it for the nodes it ticks."""
+        if not self._started:
+            self._started = True
+            for controller in self.controllers:
+                controller.on_start(self)
+        if self._delayed_heartbeats:
+            self._flush_delayed_heartbeats()
+        if self._lifecycle_enabled:
+            self._inject_lifecycle(self.tick_s)
+        # Hot path: probe the handler table directly rather than
+        # through subscriber_count() — three calls per tick add up.
+        bus = self.bus
+        if bus._handlers.get(TickStart):
+            bus.publish(TickStart(time_s=self.clock.now_s))
 
     # -- internals ----------------------------------------------------------------
 
