@@ -190,7 +190,12 @@ class FleetEngine:
     # -- rows ------------------------------------------------------------
 
     def replace(self, row: int, node: "FleetNode") -> None:
-        """Put a freshly built node in ``row`` (shard build and reboot)."""
+        """Put a freshly built node in ``row`` (shard build and reboot).
+
+        A previous occupant's lane views then alias the new row: its
+        owner takes what it needs from it (energy, pending requests)
+        before the swap and drops it.
+        """
         if node._engine is not None:
             raise SimulationError(f"{node.name} already belongs to an engine")
         if node.config.lane_threads != self.n_threads or (
@@ -357,12 +362,11 @@ class FleetEngine:
         # 1. GTS placement: slots in order, each onto its least-loaded
         #    candidate core (the preferred cluster's, when both are
         #    allowed), with a stickiness bonus on its current core.
-        wants = (
+        placed = (
             (serving.req >= 0) | np.repeat(serving.qlen > 0, t, axis=1)
         ) & np.repeat(active[:, None] & ~self.halted, t, axis=1)
-        placed = wants
         cur_core = self.cur_core
-        if wants.any():
+        if placed.any():
             load = self.load
             current_big = np.where(
                 cur_core < 0, True, self.core_is_big[cur_core]
@@ -374,7 +378,7 @@ class FleetEngine:
             weight = np.where(load > self.min_weight, load, self.min_weight)
             run_queue = np.zeros((n, self.n_cores))
             for slot in range(self.n_slots):
-                slot_wants = wants[:, slot]
+                slot_wants = placed[:, slot]
                 if not slot_wants.any():
                     continue
                 allowed = np.where(
@@ -388,9 +392,10 @@ class FleetEngine:
                 run_queue[picked, best[picked]] += weight[picked, slot]
                 cur_core[picked, slot] = best[picked]
 
-        # 2. Grant rounds: grant, then per lane drain, account, publish.
-        #    Per-core arrays are flat (row * cores + core), so a slot's
-        #    core is one 1-D gather or scatter.
+        # 2. Grant rounds: grant, drain and account both lanes, then
+        #    publish each lane's heartbeats.  Per-core arrays are flat
+        #    (row * cores + core), so a slot's core is one 1-D gather or
+        #    scatter.
         n_cores = self.n_cores
         flat = np.where(placed, cur_core, 0) + (rows * n_cores)[:, None]
         slot_big = self.core_is_big[flat % n_cores]

@@ -40,7 +40,7 @@ from repro.core.policy import HARS_I
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.config import FaultConfig
 from repro.fleet.config import FleetConfig
-from repro.fleet.engine import VELOCITY_ALPHA, FleetEngine
+from repro.fleet.engine import FleetEngine
 from repro.fleet.serving import ServerWorkload
 from repro.fleet.slo import SloWindow
 from repro.fleet.trace import Request
