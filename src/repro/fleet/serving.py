@@ -125,9 +125,8 @@ class ServingRows:
         queue = self.queues[row][lane]
         for position, entry in enumerate(queue):
             if entry[0] == request_index:
-                self.queued[row, lane] -= entry[1]
                 del queue[position]
-                self.qlen[row, lane] -= 1
+                self._dequeued(row, lane, entry[1])
                 return True
         first = lane * self.n_threads
         for slot in range(first, first + self.n_threads):
@@ -137,6 +136,16 @@ class ServingRows:
                 self.sum_active()
                 return True
         return False
+
+    def _dequeued(self, row: int, lane: int, units: float) -> None:
+        """Account one entry leaving a queue.  An emptied queue holds
+        exactly 0.0 units: the running ``-=`` would leave float dust
+        (either sign, ~1e-14) that reads as a negative wait."""
+        self.qlen[row, lane] -= 1
+        if self.queues[row][lane]:
+            self.queued[row, lane] -= units
+        else:
+            self.queued[row, lane] = 0.0
 
     def drain(
         self, budgets: np.ndarray, granted: np.ndarray
@@ -231,8 +240,7 @@ class ServingRows:
                 if not queue:
                     break
                 index, remaining = queue.popleft()
-                self.qlen[row, lane] -= 1
-                self.queued[row, lane] -= remaining
+                self._dequeued(row, lane, remaining)
                 self._stamps += 1
                 self.stamp[row, slot] = self._stamps
             take = min(left, remaining)

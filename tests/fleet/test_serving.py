@@ -128,3 +128,35 @@ class TestVelocityAndCancel:
         lane.submit(0, 1.0)
         assert not lane.cancel(42)
         assert lane.queue_len == 1
+
+
+class TestEmptyQueueHoldsNoDust:
+    """A queue emptied by cancels or dispatch holds exactly 0.0 units:
+    the running sum would leave ~1e-17 of either sign, a negative wait
+    that routers would prefer over a truly idle lane."""
+
+    SIZES = (0.1, 0.2, 0.3)
+
+    def test_the_running_sum_would_leave_dust(self):
+        total = 0.0
+        for units in self.SIZES:
+            total += units
+        for units in self.SIZES:
+            total -= units
+        assert total != 0.0
+
+    def test_cancels_leave_zero(self, lane):
+        for index, units in enumerate(self.SIZES):
+            lane.submit(index, units)
+        for index in range(len(self.SIZES)):
+            assert lane.cancel(index)
+        assert lane.queue_len == 0
+        assert lane.backlog_units == 0.0
+
+    def test_dispatch_leaves_zero(self):
+        lane = ServerWorkload("base", n_threads=3)
+        for index, units in enumerate(self.SIZES):
+            lane.submit(index, units)
+        lane.advance({0: 0.01, 1: 0.01, 2: 0.01})
+        assert lane.queue_len == 0
+        assert lane._rows.queued.item(0, 0) == 0.0
