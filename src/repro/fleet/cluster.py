@@ -11,11 +11,8 @@ FleetNode` simulations in lock-step ticks.  Each tick:
 2. every arrival falling inside the tick is routed (the router sees
    nodes' *previous-tick* state — no node has stepped yet), subject to
    the admission controller's shed/brownout verdict;
-3. the nodes step, shard by shard (node ``i`` belongs to shard
-   ``i % shards`` — a deterministic interleave, so shard populations
-   are stable as the fleet grows): each shard is one
-   :class:`~repro.fleet.engine.FleetEngine` that ticks all its node
-   rows at once; DOWN and EVICTED nodes do not step;
+3. the nodes step: one :class:`~repro.fleet.engine.FleetEngine` ticks
+   every node row at once; DOWN and EVICTED nodes do not step;
 4. completions are harvested in node-id order and aggregated into the
    fleet-wide SLO accounting and the telemetry registry (first
    completion wins for hedged requests; losers are cancelled);
@@ -25,10 +22,13 @@ FleetNode` simulations in lock-step ticks.  Each tick:
 
 Because nodes share no simulation state, routing always precedes
 stepping, and every resilience decision happens in the route or
-harvest phase (never inside a shard loop), the shard count is pure
-mechanical sympathy: results are bit-identical for every value of
-``shards`` — with or without chaos (asserted by the determinism tests
-and ``bench_fleet_chaos.py``).  With no chaos layer and no resilience
+harvest phase (never inside the step), results are bit-identical for
+every value of ``shards`` — with or without chaos (asserted by the
+determinism tests and ``bench_fleet_chaos.py``).  Shards partition the
+nodes by interleave (node ``i`` belongs to shard ``i % shards``) for
+stepping them in separate processes; in one process a single engine
+over all rows is cheapest, since the engine's cost is per call, not
+per row, so the cluster does not split its step by shard.  With no chaos layer and no resilience
 config the cluster takes exactly its original code paths, keeping the
 zero-chaos run bit-identical to a fleet built before this layer
 existed.
@@ -199,18 +199,9 @@ class FleetCluster:
         self.nodes = [
             self._build_node(i, 0.0) for i in range(config.nodes)
         ]
-        # Deterministic interleave: node i -> shard i % shards.  Index
-        # lists, not object lists — a restarted node is a fresh object
-        # and object references held here would go stale.
-        self.shards: List[List[int]] = [
-            list(range(s, config.nodes, config.shards))
-            for s in range(config.shards)
-        ]
-        #: One structure-of-arrays engine per shard, over its node rows.
-        self.engines: List[FleetEngine] = [
-            FleetEngine([self.nodes[i] for i in shard])
-            for shard in self.shards
-        ]
+        #: The structure-of-arrays engine stepping every node; row
+        #: ``i`` is node ``i`` (a restarted node takes over its row).
+        self.engine = FleetEngine(self.nodes)
         self._latencies: List[float] = []
         #: (finish_s, missed) per counted completion, harvest order —
         #: the stream :func:`repro.fleet.slo.recovery_time_s` consumes.
@@ -298,7 +289,6 @@ class FleetCluster:
         self.admission = admission
         arrival_index = 0
         completed = 0
-        per_node: List[List[Completion]] = [[] for _ in self.nodes]
         progressed: List[bool] = [False] * len(self.nodes)
         for tick in range(max_ticks):
             now_s = tick * config.tick_s
@@ -349,18 +339,15 @@ class FleetCluster:
                 if self._tracking:
                     self._track(request, node, lane, 1, False, now_s)
             del candidates
-            # 2. Step, shard by shard (nodes are independent — order
-            #    cannot change results, only cache behaviour).
-            for shard, engine in zip(self.shards, self.engines):
-                stepping = (
-                    [sup.is_stepping(i) for i in shard] if res_on else None
-                )
-                for node_index, completions in zip(
-                    shard, engine.step(stepping)
-                ):
-                    per_node[node_index] = completions
+            # 2. Step every node row at once.
+            stepping = (
+                [sup.is_stepping(i) for i in range(len(self.nodes))]
+                if res_on
+                else None
+            )
+            per_node = self.engine.step(stepping)
             self._clock_s += config.tick_s
-            # 3. Aggregate in node-id order (shard-count invariant).
+            # 3. Aggregate in node-id order.
             for node_index in range(len(self.nodes)):
                 completions = per_node[node_index]
                 progressed[node_index] = bool(completions)
@@ -386,7 +373,6 @@ class FleetCluster:
                     if completion.missed:
                         self._misses += 1
                         missed_counter.inc(lane=completion.lane)
-                per_node[node_index] = []
             # 4. Post-step supervision: crashes down nodes, stalls
             #    escalate, stranded requests re-queue (node-id order).
             if res_on:
@@ -471,7 +457,7 @@ class FleetCluster:
         # routers kept feeding the corpse and those requests are lost.
         self._strand(old, tick)
         node = self._build_node(node_index, now_s)
-        old.engine.replace(old._row, node)
+        self.engine.replace(node_index, node)
         self.nodes[node_index] = node
         self.supervisor.on_restarted(node_index, now_s)
         self._restart_counter.inc(node=old.name)

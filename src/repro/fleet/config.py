@@ -33,10 +33,13 @@ class FleetConfig:
     nodes:
         Number of simulated big.LITTLE boards behind the load balancer.
     shards:
-        How many shards the cluster scheduler steps per tick.  Nodes are
-        interleaved (node ``i`` belongs to shard ``i % shards``); results
-        are bit-identical for every shard count — the determinism tests
-        and ``bench_fleet.py`` assert it.
+        How many shards the nodes are partitioned into, interleaved
+        (node ``i`` belongs to shard ``i % shards``), for stepping them
+        in separate processes.  In one process a single
+        :class:`~repro.fleet.engine.FleetEngine` steps every node
+        whatever the shard count.  Results are bit-identical for every
+        shard count — the determinism tests and ``bench_fleet.py``
+        assert it.
     seed:
         Seed for the arrival trace (service sizes, gaps, deadlines).
     tick_s:

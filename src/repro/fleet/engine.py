@@ -1,7 +1,7 @@
 """The fleet's data plane: one structure-of-arrays tick for many nodes.
 
 A :class:`FleetEngine` steps a set of :class:`~repro.fleet.node.FleetNode`
-rows — a cluster shard, or a single node — through the tick of
+rows — a whole cluster, or a single node — through the tick of
 :meth:`repro.sim.engine.Simulation.step` with the node axis vectorized.
 It holds the data plane as arrays:
 
@@ -190,7 +190,7 @@ class FleetEngine:
     # -- rows ------------------------------------------------------------
 
     def replace(self, row: int, node: "FleetNode") -> None:
-        """Put a freshly built node in ``row`` (shard build and reboot).
+        """Put a freshly built node in ``row`` (engine build and reboot).
 
         A previous occupant's lane views then alias the new row: its
         owner takes what it needs from it (energy, pending requests)

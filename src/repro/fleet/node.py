@@ -14,14 +14,14 @@ running two serving lanes, each a
 
 The node's only coupling to the rest of the fleet is request enqueue
 and read-only load snapshots — nodes never share simulation state,
-which is what makes the sharded cluster bit-identical across shard
+which is what makes the cluster's results bit-identical across shard
 counts.
 
 A node does not tick its :class:`~repro.sim.engine.Simulation` itself:
 its data plane (placement, grants, queue drain, power, sensor, load
 tracking, velocity and targets) is one row of a
 :class:`~repro.fleet.engine.FleetEngine`.  The cluster steps one engine
-per shard; a node stepped on its own is a one-row engine.
+over all its nodes; a node stepped on its own is a one-row engine.
 
 Completion mapping: every request completion emits one heartbeat tagged
 with the request index; after each tick the node drains the new tail of
@@ -145,7 +145,7 @@ class FleetNode:
     @property
     def engine(self) -> FleetEngine:
         """The engine stepping this node (a one-row engine of its own
-        unless a cluster shard adopted it)."""
+        unless a cluster's engine adopted it)."""
         if self._engine is None:
             FleetEngine([self])
         return self._engine
@@ -225,7 +225,7 @@ class FleetNode:
         engine = self.engine
         if engine.n_rows != 1:
             raise SimulationError(
-                f"{self.name} is stepped by its shard's FleetEngine"
+                f"{self.name} is stepped by its cluster's FleetEngine"
             )
         return engine.step()[0]
 

@@ -200,7 +200,7 @@ def test_target_update_matches_deadline_target():
         )
 
 
-def test_a_shard_node_is_stepped_by_its_engine():
+def test_a_cluster_node_is_stepped_by_its_engine():
     config = FleetConfig(nodes=2, requests=1)
     nodes = [FleetNode(i, config) for i in range(2)]
     FleetEngine(nodes)
