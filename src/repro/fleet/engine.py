@@ -54,10 +54,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.heartbeats.targets import PRESSURE_BOUNDS, RATE_FLOOR
+from repro.heartbeats.targets import recentred_window
 from repro.kernel.bus import PowerSample, TickStart
 from repro.platform.cluster import BIG, LITTLE
 from repro.platform.sensor import CHANNELS
+from repro.sched.load_tracking import prefers_big
 from repro.sim.engine import Simulation
 from repro.sim.thread import LOAD_TIME_CONSTANT_S
 from repro.fleet.serving import ServingRows
@@ -174,8 +175,7 @@ class FleetEngine:
         self.t_max = np.zeros((n, lanes))
         self.t_last = np.full((n, lanes), np.nan)
         self.comfort = np.zeros((n, lanes))
-        self.t_low = np.zeros((n, lanes))
-        self.t_high = np.zeros((n, lanes))
+        self.tolerance = np.zeros((n, lanes))
         #: Per row and slot: the (affinity, cpuset, online) objects its
         #: candidate masks were computed from — replaced wholesale on
         #: change, so identity tells whether a mask is stale.
@@ -214,8 +214,7 @@ class FleetEngine:
             target = node.targets[name]
             self.velocity[row, lane] = node.nominal_rate(name)
             self.comfort[row, lane] = target.comfort_s
-            self.t_low[row, lane] = 1.0 - target.tolerance
-            self.t_high[row, lane] = 1.0 + target.tolerance
+            self.tolerance[row, lane] = target.tolerance
             self.t_min[row, lane] = target.min_rate
             self.t_avg[row, lane] = target.avg_rate
             self.t_max[row, lane] = target.max_rate
@@ -371,8 +370,8 @@ class FleetEngine:
             current_big = np.where(
                 cur_core < 0, True, self.core_is_big[cur_core]
             )
-            desired_big = (load >= self.up_threshold) | (
-                ~(load <= self.down_threshold) & current_big
+            desired_big = prefers_big(
+                load, current_big, self.up_threshold, self.down_threshold
             )
             bonus = (cur_core[:, :, None] == core_ids) * self.stickiness
             weight = np.where(load > self.min_weight, load, self.min_weight)
@@ -572,8 +571,9 @@ class FleetEngine:
         self._read_back(row)
 
     def _update_targets(self, active: np.ndarray) -> None:
-        """Timed completion rate, then :meth:`DeadlineTarget.update`,
-        elementwise for every stepping row and lane."""
+        """Timed completion rate, then :meth:`DeadlineTarget.update`'s
+        rule (:func:`~repro.heartbeats.targets.recentred_window`) for
+        every stepping row and lane."""
         now = self.now[:, None]
         window_start = np.maximum(now - self.rate_span_s, 0.0)
         aging = active[:, None] & (self.aged_head <= window_start)
@@ -591,28 +591,14 @@ class FleetEngine:
             # A stepped row's clock is at least one tick past its start,
             # so its window has elapsed time; the other rows are masked.
             rate = (self.beats - self.aged) / (now - window_start)
-            tail = self.tail
-            low, high = PRESSURE_BOUNDS
-            pressure = np.minimum(np.maximum(tail / self.comfort, low), high)
-            avg = np.maximum(rate * pressure, RATE_FLOOR)
+            t_min, t_avg, t_max = recentred_window(
+                rate, self.tail, self.comfort, self.tolerance, self.t_avg
+            )
         stepped = active[:, None]
-        # No completion in the rate window, or an empty SLO window: the
-        # target goes permissive (and keeps its last average).
-        observed = (rate > 0) & (tail > 0)
-        update = stepped & observed
-        permissive = stepped & ~observed
-        self.t_last = np.where(stepped, tail, self.t_last)
-        self.t_avg = np.where(update, avg, self.t_avg)
-        self.t_min = np.where(
-            update,
-            avg * self.t_low,
-            np.where(permissive, RATE_FLOOR, self.t_min),
-        )
-        self.t_max = np.where(
-            update,
-            avg * self.t_high,
-            np.where(permissive, np.inf, self.t_max),
-        )
+        self.t_last = np.where(stepped, self.tail, self.t_last)
+        self.t_min = np.where(stepped, t_min, self.t_min)
+        self.t_avg = np.where(stepped, t_avg, self.t_avg)
+        self.t_max = np.where(stepped, t_max, self.t_max)
 
     # -- accessors -----------------------------------------------------------
 

@@ -11,7 +11,10 @@ the MP-HARS decision table (Table 4.3) classifies each application as
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -99,6 +102,33 @@ PRESSURE_BOUNDS = (0.2, 5.0)
 RATE_FLOOR = 1e-9
 
 
+def recentred_window(rate, tail_s, comfort_s, tolerance, avg_rate):
+    """The ``(min, avg, max)`` rate window after one SLO observation.
+
+    The one statement of :meth:`DeadlineTarget.update`'s rule::
+
+        pressure = clamp(tail / comfort, PRESSURE_BOUNDS)
+        avg      = max(rate * pressure, RATE_FLOOR)
+        window   = (avg * (1 - tolerance), avg, avg * (1 + tolerance))
+
+    With no usable observation — a rate or tail that is not positive,
+    NaN included — the window goes permissive ``(RATE_FLOOR, avg_rate,
+    inf)``, keeping the previous centre.  Elementwise only (``/``,
+    ``*``, ``minimum``, ``maximum``, ``where``), so it takes Python
+    floats and numpy arrays alike: a target updates with it one lane at
+    a time, the fleet engine every lane at once, with the same floats.
+    """
+    observed = (rate > 0) & (tail_s > 0)
+    low, high = PRESSURE_BOUNDS
+    pressure = np.minimum(np.maximum(tail_s / comfort_s, low), high)
+    avg = np.maximum(rate * pressure, RATE_FLOOR)
+    return (
+        np.where(observed, avg * (1.0 - tolerance), RATE_FLOOR),
+        np.where(observed, avg, avg_rate),
+        np.where(observed, avg * (1.0 + tolerance), math.inf),
+    )
+
+
 class DeadlineTarget:
     """A tail-latency target wearing a :class:`PerformanceTarget` face.
 
@@ -164,26 +194,18 @@ class DeadlineTarget:
 
         With no usable observation (an idle lane, or one that has not
         yet filled a rate window) the target goes permissive instead of
-        keeping a stale setpoint.  The fleet engine applies the same
-        update to many lanes at once; the two must stay in lockstep
-        (``tests/fleet/test_engine.py`` compares them with ``==``).
+        keeping a stale setpoint.  The rule is :func:`recentred_window`,
+        which the fleet engine applies to many lanes at once.
         """
         self.last_tail_s = tail_latency_s
-        if (
-            observed_rate is None
-            or observed_rate <= 0
-            or tail_latency_s is None
-            or tail_latency_s <= 0
-        ):
-            self.min_rate = RATE_FLOOR
-            self.max_rate = float("inf")
-            return
-        low, high = PRESSURE_BOUNDS
-        pressure = min(max(tail_latency_s / self.comfort_s, low), high)
-        avg = max(observed_rate * pressure, RATE_FLOOR)
-        self.avg_rate = avg
-        self.min_rate = avg * (1.0 - self.tolerance)
-        self.max_rate = avg * (1.0 + self.tolerance)
+        window = recentred_window(
+            math.nan if observed_rate is None else observed_rate,
+            math.nan if tail_latency_s is None else tail_latency_s,
+            self.comfort_s,
+            self.tolerance,
+            self.avg_rate,
+        )
+        self.min_rate, self.avg_rate, self.max_rate = map(float, window)
 
     @property
     def half_width(self) -> float:

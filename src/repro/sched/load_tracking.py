@@ -28,13 +28,18 @@ def validate_thresholds(up: float, down: float) -> None:
         )
 
 
-def preferred_cluster(load: float, current: str, up: float, down: float) -> str:
-    """Which cluster a task with ``load`` prefers.
+def prefers_big(load, on_big, up: float, down: float):
+    """Whether a task with ``load`` prefers the big cluster.
 
-    Tasks between the thresholds stay where they are (hysteresis).
+    At or above ``up`` it does, at or below ``down`` it does not, and in
+    between it keeps the cluster it is on (hysteresis).  Elementwise
+    (``>=``, ``>``, ``&``, ``|``), so it takes a Python float and bool
+    or numpy arrays alike: GTS asks it per thread, the fleet engine for
+    every node's thread slot at once.
     """
-    if load >= up:
-        return "big"
-    if load <= down:
-        return "little"
-    return current
+    return (load >= up) | ((load > down) & on_big)
+
+
+def preferred_cluster(load: float, current: str, up: float, down: float) -> str:
+    """Which cluster a task with ``load`` prefers (see :func:`prefers_big`)."""
+    return "big" if prefers_big(load, current == "big", up, down) else "little"

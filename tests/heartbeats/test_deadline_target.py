@@ -1,9 +1,16 @@
 """DeadlineTarget: a latency SLO wearing the rate-window interface."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.heartbeats.targets import DeadlineTarget, Satisfaction
+from repro.heartbeats.targets import (
+    DeadlineTarget,
+    Satisfaction,
+    recentred_window,
+)
 
 
 @pytest.fixture
@@ -97,3 +104,39 @@ class TestValidation:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ConfigurationError):
             DeadlineTarget(**kwargs)
+
+
+class TestRecentredWindow:
+    """``recentred_window`` is the update rule for one lane and for
+    arrays of lanes alike."""
+
+    CASES = [
+        (10.0, 0.6),
+        (10.0, 0.95),
+        (10.0, 1e6),
+        (3.0, 1e-9),
+        (0.0, 0.5),
+        (10.0, 0.0),
+        (math.nan, 0.5),
+        (10.0, math.nan),
+    ]
+
+    def test_arrays_match_one_lane_at_a_time(self):
+        rate, tail = (np.array(column) for column in zip(*self.CASES))
+        comfort = np.full(rate.shape, 0.6)
+        tolerance = np.full(rate.shape, 0.15)
+        avg = np.full(rate.shape, 7.0)
+        lanes = recentred_window(rate, tail, comfort, tolerance, avg)
+        for i, (r, t) in enumerate(self.CASES):
+            one = recentred_window(r, t, 0.6, 0.15, 7.0)
+            assert tuple(float(v) for v in one) == tuple(
+                column.item(i) for column in lanes
+            )
+
+    def test_update_keeps_python_floats(self, target):
+        target.update(observed_rate=10.0, tail_latency_s=0.6)
+        target.update(observed_rate=None, tail_latency_s=None)
+        for value in (target.min_rate, target.avg_rate, target.max_rate):
+            assert type(value) is float
+        assert (target.min_rate, target.max_rate) == (1e-9, math.inf)
+        assert target.avg_rate == 10.0

@@ -1,12 +1,17 @@
 """Behavioural tests for the GTS scheduler model."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.heartbeats.targets import PerformanceTarget
 from repro.platform.cluster import BIG, LITTLE
 from repro.sched.gts import GtsScheduler
-from repro.sched.load_tracking import preferred_cluster, validate_thresholds
+from repro.sched.load_tracking import (
+    preferred_cluster,
+    prefers_big,
+    validate_thresholds,
+)
 from repro.sim.engine import Simulation
 from repro.sim.process import SimApp
 from repro.workloads.base import WorkloadTraits
@@ -29,6 +34,15 @@ class TestLoadTracking:
         # Hysteresis zone: stay put.
         assert preferred_cluster(0.5, BIG, 0.8, 0.25) == BIG
         assert preferred_cluster(0.5, LITTLE, 0.8, 0.25) == LITTLE
+
+    def test_prefers_big_takes_arrays_elementwise(self):
+        load = [0.9, 0.9, 0.1, 0.1, 0.5, 0.5, 0.8, 0.25]
+        on_big = [False, True, False, True, False, True, False, True]
+        got = prefers_big(np.array(load), np.array(on_big), 0.8, 0.25)
+        assert got.tolist() == [
+            prefers_big(x, b, 0.8, 0.25) for x, b in zip(load, on_big)
+        ]
+        assert got.tolist() == [True, True, False, False, False, True, True, False]
 
     def test_threshold_validation(self):
         validate_thresholds(0.8, 0.25)
