@@ -26,7 +26,7 @@ import time
 
 from repro.fleet import FleetConfig, ROUTERS, run_fleet
 
-from conftest import provenance
+from provenance import provenance
 
 #: Native scale (the ISSUE's acceptance run); CI smoke overrides via env.
 NATIVE_NODES = 200

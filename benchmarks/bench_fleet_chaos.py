@@ -37,7 +37,7 @@ from repro.fleet.chaos import crash_wave
 from repro.fleet.cluster import FleetCluster
 from repro.fleet.slo import recovery_time_s
 
-from conftest import provenance
+from provenance import provenance
 
 #: Native scale; CI smoke overrides via env.
 NATIVE_NODES = 100

@@ -22,7 +22,8 @@ import pathlib
 import random
 import time
 
-from conftest import provenance, run_once
+from conftest import run_once
+from provenance import provenance
 
 from repro.core.calibration import calibrate
 from repro.core.perf_estimator import PerformanceEstimator

@@ -9,10 +9,7 @@ every benchmark down to ``n`` heartbeats for a quick pass (e.g. 60).
 from __future__ import annotations
 
 import os
-import platform
-import subprocess
-from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional
 
 import pytest
 
@@ -55,25 +52,3 @@ def export_telemetry(outcome, fmt: str = "summary") -> str:
         "csv": exporters.snapshot_to_csv,
     }
     return renderers[fmt](outcome.telemetry.registry.snapshot())
-
-
-def provenance() -> Dict[str, Optional[str]]:
-    """Who measured a ``BENCH_*.json``: the commit, the interpreter and
-    numpy (``commit`` is ``None`` outside a git checkout)."""
-    import numpy
-
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=30,
-        ).stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        commit = None
-    return {
-        "commit": commit,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-    }

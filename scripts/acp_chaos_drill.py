@@ -47,7 +47,7 @@ from repro.acp.server import AcpServer  # noqa: E402
 from repro.experiments.runner import RunConfig, RunShape  # noqa: E402
 from repro.experiments.serialize import run_metrics_to_dict  # noqa: E402
 
-from conftest import provenance  # noqa: E402  (benchmarks/conftest.py)
+from provenance import provenance  # noqa: E402  (benchmarks/provenance.py)
 
 #: Retry policy generous enough to ride out a daemon restart window.
 RECONNECT = RetryPolicy(max_attempts=12, backoff_s=0.1, max_backoff_s=1.0)
