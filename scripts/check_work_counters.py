@@ -6,7 +6,10 @@ repo benchmark (``perfbench/``) are exact for a given seed and size.
 ``perf_counters.json`` at the repo root records, per workload, every
 ``*.calls`` metric of one traced journey at the smoke size the
 benchmark's own tests use; only counts that repeated exactly over three
-recording runs are kept.
+recording runs are kept.  The benchmark has no span on the fleet
+engine, so the gate counts the engine's own calls itself
+(:data:`ENGINE_COUNTS`): its ticks, and its per-row calls into the
+control plane — the engine's Python work that grows with the nodes.
 
 Check (exit status 1 when any recorded count rises)::
 
@@ -23,10 +26,13 @@ The script imports the benchmark and edits nothing under it.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -43,25 +49,64 @@ DEFAULT_SCALE = 0.1
 SEED = 3
 #: Recording runs a count must repeat exactly over to be kept.
 RECORD_RUNS = 3
+#: ``FleetEngine`` methods the gate counts: (attribute, count name).
+ENGINE_COUNTS = (
+    ("step", "fleet.engine.step.calls"),
+    ("_pre_tick", "fleet.engine.pre_tick.calls"),
+    ("_write_back", "fleet.engine.write_back.calls"),
+    ("_read_back", "fleet.engine.read_back.calls"),
+)
+
+
+@contextlib.contextmanager
+def counting_engine_calls(counts: Counter) -> Iterator[None]:
+    """Count calls of the :data:`ENGINE_COUNTS` methods into ``counts``."""
+    from repro.fleet.engine import FleetEngine
+
+    originals = {attr: FleetEngine.__dict__[attr] for attr, _ in ENGINE_COUNTS}
+
+    def counted(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for attr, name in ENGINE_COUNTS:
+        setattr(FleetEngine, attr, counted(originals[attr], name))
+    try:
+        yield
+    finally:
+        for attr, fn in originals.items():
+            setattr(FleetEngine, attr, fn)
 
 
 def measure_counts(workload: str, probe: "speed.SpeedProbe") -> Dict[str, float]:
-    """Every ``*.calls`` metric of one traced journey of ``workload``."""
-    result, detail = run.measure(
-        workload,
-        seed=SEED,
-        seconds=0.0,
-        trace=True,
-        probe=probe,
-        scale=SCALE.get(workload, DEFAULT_SCALE),
-    )
+    """Every ``*.calls`` metric of one traced journey of ``workload``,
+    and the engine's call counts per journey."""
+    engine_counts: Counter = Counter()
+    with counting_engine_calls(engine_counts):
+        result, detail = run.measure(
+            workload,
+            seed=SEED,
+            seconds=0.0,
+            trace=True,
+            probe=probe,
+            scale=SCALE.get(workload, DEFAULT_SCALE),
+        )
     if detail["problems"]:
         raise SystemExit(f"{workload}: output checks failed: {detail['problems']}")
-    return {
+    counts = {
         name: metric["value"]
         for name, metric in result["metrics"].items()
         if name.endswith(".calls")
     }
+    # Every journey of a run, traced or not, is the same seeded journey.
+    journeys = detail["journeys"] + detail["untraced_journeys"]
+    for name, total in engine_counts.items():
+        counts[name] = total / journeys
+    return counts
 
 
 def record(probe: "speed.SpeedProbe") -> Dict[str, Dict[str, float]]:
