@@ -9,7 +9,7 @@ Regenerates the paper's tables and figures from the terminal::
     hars-repro fig5.4 [--quick]
     hars-repro fig5.5-7 [--quick]
     hars-repro telemetry [--quick] [--format summary|jsonl|prometheus|csv]
-    hars-repro fleet [--nodes N] [--requests N] [--router NAME] [--shards N]
+    hars-repro fleet [--nodes N] [--requests N] [--router NAME]
                      [--crash-frac F [--crash-at S] [--no-failover]]
                      [--retry-timeout S]
     hars-repro all [--quick]
@@ -195,7 +195,6 @@ def _run_fleet(
     router: str = "deadline-risk",
     nodes: int = 50,
     requests: int = 10_000,
-    shards: int = 1,
     trace: str = "poisson",
     seed: int = 0,
     crash_frac: float = 0.0,
@@ -229,7 +228,6 @@ def _run_fleet(
         fleet=FleetConfig(
             nodes=nodes,
             requests=requests,
-            shards=shards,
             trace=trace,
             seed=seed,
             chaos=chaos,
@@ -340,13 +338,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(round-robin, least-loaded, deadline-risk)",
     )
     fleet_group.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard count for the cluster scheduler (results are "
-        "identical for any value)",
-    )
-    fleet_group.add_argument(
         "--trace",
         default="poisson",
         help="arrival trace shape: poisson, diurnal, or burst",
@@ -405,7 +396,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 router=args.router,
                 nodes=args.nodes,
                 requests=args.requests,
-                shards=args.shards,
                 trace=args.trace,
                 seed=args.seed,
                 crash_frac=args.crash_frac,

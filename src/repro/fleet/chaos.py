@@ -8,9 +8,9 @@ schedule:
 * **rates** — per-node, per-simulated-second hazards for crashes, hangs
   and slowdowns, sampled up front from *per-node, per-kind* RNG streams
   (``Random(f"{seed}:{kind}:{node}")``), so one node's fault history
-  never depends on the fleet size, the shard count, or another node's
-  draws — the shard bit-identity argument of :mod:`repro.fleet.cluster`
-  extends to chaotic runs unchanged;
+  never depends on the fleet size, how the nodes are stepped, or
+  another node's draws — the determinism argument of
+  :mod:`repro.fleet.cluster` extends to chaotic runs unchanged;
 * **schedule** — explicit :class:`NodeChaosEvent` entries, the knob
   benchmarks use to pin a crash *wave* (10 % of the fleet at t = 2 s)
   to exact times.

@@ -1,4 +1,4 @@
-"""Sharded fleet scheduler: hundreds of nodes behind one load balancer.
+"""Fleet scheduler: hundreds of nodes behind one load balancer.
 
 A :class:`FleetCluster` drives N independent :class:`~repro.fleet.node.
 FleetNode` simulations in lock-step ticks.  Each tick:
@@ -22,16 +22,13 @@ FleetNode` simulations in lock-step ticks.  Each tick:
 
 Because nodes share no simulation state, routing always precedes
 stepping, and every resilience decision happens in the route or
-harvest phase (never inside the step), results are bit-identical for
-every value of ``shards`` — with or without chaos (asserted by the
-determinism tests and ``bench_fleet_chaos.py``).  Shards partition the
-nodes by interleave (node ``i`` belongs to shard ``i % shards``) for
-stepping them in separate processes; in one process a single engine
-over all rows is cheapest, since the engine's cost is per call, not
-per row, so the cluster does not split its step by shard.  With no chaos layer and no resilience
-config the cluster takes exactly its original code paths, keeping the
-zero-chaos run bit-identical to a fleet built before this layer
-existed.
+harvest phase (never inside the step), a node's results do not depend
+on which other nodes are stepped with it — with or without chaos.  One
+engine over all rows is cheapest in one process, since the engine's
+cost is per numpy call, not per row.  With no chaos layer and no
+resilience config the cluster takes exactly its original code paths,
+keeping the zero-chaos run bit-identical to a fleet built before this
+layer existed.
 
 The run is open loop: the trace decides when requests arrive, the
 horizon is the last arrival plus a drain window, and requests still
@@ -102,8 +99,7 @@ class FleetResult:
     """Outcome of one fleet run.
 
     ``summary()`` returns only deterministic fields — the dict two runs
-    of the same config must match on bit-for-bit regardless of shard
-    count.  The registry carries the full fleet telemetry (exporters
+    of the same config must match on bit-for-bit.  The registry carries the full fleet telemetry (exporters
     consume it like any single-run registry).
 
     ``unserved_causes`` partitions ``unserved`` exactly:
@@ -118,7 +114,6 @@ class FleetResult:
 
     router: str
     nodes: int
-    shards: int
     requests: int
     completed: int
     unserved: int
@@ -136,7 +131,7 @@ class FleetResult:
     registry: MetricsRegistry = field(repr=False, default_factory=MetricsRegistry)
 
     def summary(self) -> Dict[str, object]:
-        """The deterministic cross-shard identity fingerprint."""
+        """The deterministic identity fingerprint of the run."""
         return {
             "router": self.router,
             "nodes": self.nodes,
@@ -158,7 +153,7 @@ class FleetResult:
 
 
 class FleetCluster:
-    """N nodes, one router, one shard scheduler (+ resilience layer)."""
+    """N nodes, one router, one engine (+ resilience layer)."""
 
     def __init__(
         self,
@@ -689,7 +684,7 @@ class FleetCluster:
         return energy
 
     def _unserved_causes(self, completed: int) -> Dict[str, int]:
-        """Partition the unserved count by cause (shard-invariant)."""
+        """Partition the unserved count by cause."""
         unserved = len(self.trace) - completed
         if self.supervisor is None:
             shed = timed_out = lost = 0
@@ -804,7 +799,6 @@ class FleetCluster:
         return FleetResult(
             router=self.router.name,
             nodes=config.nodes,
-            shards=config.shards,
             requests=len(self.trace),
             completed=completed,
             unserved=unserved,

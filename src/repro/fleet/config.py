@@ -32,14 +32,6 @@ class FleetConfig:
     ----------
     nodes:
         Number of simulated big.LITTLE boards behind the load balancer.
-    shards:
-        How many shards the nodes are partitioned into, interleaved
-        (node ``i`` belongs to shard ``i % shards``), for stepping them
-        in separate processes.  In one process a single
-        :class:`~repro.fleet.engine.FleetEngine` steps every node
-        whatever the shard count.  Results are bit-identical for every
-        shard count — the determinism tests and ``bench_fleet.py``
-        assert it.
     seed:
         Seed for the arrival trace (service sizes, gaps, deadlines).
     tick_s:
@@ -101,7 +93,6 @@ class FleetConfig:
     """
 
     nodes: int = 50
-    shards: int = 1
     seed: int = 0
     tick_s: float = 0.02
     trace: str = "poisson"
@@ -130,10 +121,6 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ConfigurationError("a fleet needs at least one node")
-        if not 1 <= self.shards <= self.nodes:
-            raise ConfigurationError(
-                f"shards must be in [1, nodes], got {self.shards}"
-            )
         if self.trace not in TRACES:
             raise ConfigurationError(
                 f"unknown trace {self.trace!r}; valid: {TRACES}"

@@ -54,10 +54,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.heartbeats.monitor import elapsed_span_rate
 from repro.heartbeats.targets import recentred_window
 from repro.kernel.bus import PowerSample, TickStart
 from repro.platform.cluster import BIG, LITTLE
+from repro.platform.power import cluster_power_sum, effective_activity_rows
 from repro.platform.sensor import CHANNELS
+from repro.sched.gts import candidate_split, least_loaded_rows, on_big_table
 from repro.sched.load_tracking import prefers_big
 from repro.sim.engine import Simulation
 from repro.sim.thread import LOAD_TIME_CONSTANT_S
@@ -77,14 +80,12 @@ class FleetEngine:
         if not nodes:
             raise ConfigurationError("a fleet engine needs at least one node")
         first = nodes[0]
-        config = first.config
+        self.config = config = first.config
         self.lane_names = tuple(first.models)
         self.n_rows = n = len(nodes)
         self.n_threads = t = config.lane_threads
         self.n_slots = len(self.lane_names) * t
         self.dt = config.tick_s
-        self.rate_span_s = config.rate_span_s
-        self.percentile = config.percentile
         sim = first.sim
         spec = sim.spec
         scheduler = sim.scheduler
@@ -96,11 +97,8 @@ class FleetEngine:
         self.load_gain = 1.0 - self.load_decay
         self.n_cores = n_cores = max(sim.machine.cores) + 1
         self.core_ids = np.arange(n_cores)
-        self.core_cluster = np.zeros(n_cores, dtype=np.int64)
-        for k, cluster in enumerate(spec.clusters):
-            for core_id in cluster.core_ids:
-                self.core_cluster[core_id] = k
-        self.core_is_big = self.core_cluster == 0
+        #: Per core, whether it is big; ``[-1]`` is for no current core.
+        self.on_big = np.array(on_big_table(spec))
         self.freq_index = [
             {f: i for i, f in enumerate(cluster.frequencies_mhz)}
             for cluster in spec.clusters
@@ -118,7 +116,7 @@ class FleetEngine:
             self.dyn_coeff.append(np.array([c[0] for c in coeffs]))
             self.leak_w.append(np.array([c[1] for c in coeffs]))
         self.idle_activity = np.array(
-            [spec.clusters[k].core_type.idle_activity for k in self.core_cluster]
+            [spec.cluster_of(c).core_type.idle_activity for c in range(n_cores)]
         )
         self.uncore_w = [cluster.uncore_power_w for cluster in spec.clusters]
         self.power_cores = [
@@ -198,10 +196,10 @@ class FleetEngine:
         """
         if node._engine is not None:
             raise SimulationError(f"{node.name} already belongs to an engine")
-        if node.config.lane_threads != self.n_threads or (
-            tuple(node.models) != self.lane_names
-        ):
-            raise ConfigurationError(f"{node.name}: lane shape differs")
+        if node.config != self.config:
+            raise ConfigurationError(
+                f"{node.name}: its FleetConfig differs from the engine's"
+            )
         if node.sim.bus.subscriber_count(PowerSample):
             raise ConfigurationError(
                 f"{node.name}: the fleet engine publishes no PowerSample"
@@ -220,7 +218,7 @@ class FleetEngine:
             self.t_max[row, lane] = target.max_rate
             last = target.last_tail_s
             self.t_last[row, lane] = np.nan if last is None else last
-            tail = node.slo[name].percentile(self.percentile)
+            tail = node.slo[name].percentile(self.config.percentile)
             self.tail[row, lane] = np.nan if tail is None else tail
             log = node.apps[name].log
             self.beats[row, lane] = len(log)
@@ -296,17 +294,12 @@ class FleetEngine:
 
     def _set_candidates(self, row: int, slot: int, allowed) -> None:
         """The cores GTS may pick for a slot, whichever cluster its load
-        prefers: with both clusters allowed, the preferred cluster's
-        share; with one, all of it."""
+        prefers (:func:`~repro.sched.gts.candidate_split`)."""
         masks = self._candidates.get(allowed)
         if masks is None:
-            big = [c for c in allowed if self.core_is_big[c]]
-            little = [c for c in allowed if not self.core_is_big[c]]
-            if not (big and little):
-                big = little = list(allowed)
             masks = self._candidates[allowed] = tuple(
-                np.isin(np.arange(self.n_cores), cores)
-                for cores in (big, little)
+                np.isin(self.core_ids, cores)
+                for cores in candidate_split(allowed, self.on_big)
             )
         self.if_big[row, slot] = masks[0]
         self.if_little[row, slot] = masks[1]
@@ -367,11 +360,8 @@ class FleetEngine:
         cur_core = self.cur_core
         if placed.any():
             load = self.load
-            current_big = np.where(
-                cur_core < 0, True, self.core_is_big[cur_core]
-            )
             desired_big = prefers_big(
-                load, current_big, self.up_threshold, self.down_threshold
+                load, self.on_big[cur_core], self.up_threshold, self.down_threshold
             )
             bonus = (cur_core[:, :, None] == core_ids) * self.stickiness
             weight = np.where(load > self.min_weight, load, self.min_weight)
@@ -385,8 +375,7 @@ class FleetEngine:
                     self.if_big[:, slot],
                     self.if_little[:, slot],
                 )
-                score = np.where(allowed, run_queue - bonus[:, slot], np.inf)
-                best = score.argmin(axis=1)
+                best = least_loaded_rows(run_queue, allowed, bonus[:, slot])
                 picked = np.flatnonzero(slot_wants)
                 run_queue[picked, best[picked]] += weight[picked, slot]
                 cur_core[picked, slot] = best[picked]
@@ -397,7 +386,7 @@ class FleetEngine:
         #    scatter.
         n_cores = self.n_cores
         flat = np.where(placed, cur_core, 0) + (rows * n_cores)[:, None]
-        slot_big = self.core_is_big[flat % n_cores]
+        slot_big = self.on_big[flat % n_cores]
         remaining = np.full(n * n_cores, dt)
         core_busy = np.zeros(n * n_cores)
         core_ba = np.zeros(n * n_cores)
@@ -474,37 +463,28 @@ class FleetEngine:
 
         serving.sum_active()
 
-        # 3. Power, per cluster in spec order, cores summed in order.
-        core_busy = core_busy.reshape(n, n_cores)
-        core_ba = core_ba.reshape(n, n_cores)
-        busy_pos = core_busy > 0
-        util = core_busy / dt
-        util = np.where(util > 1.0, 1.0, util)
-        activity = core_ba / np.where(busy_pos, core_busy, 1.0)
-        activity = np.where(activity > 1.0, 1.0, activity)
-        effective = util * activity
-        idle = self.idle_activity
-        effective = np.where(
-            busy_pos, np.where(effective < idle, idle, effective), idle
+        # 3. Power: each cluster's sum over its cores' clamped activity.
+        effective = effective_activity_rows(
+            core_busy.reshape(n, n_cores),
+            core_ba.reshape(n, n_cores),
+            dt,
+            self.idle_activity,
         )
-        cluster_w = []
-        for k, cores in enumerate(self.power_cores):
-            dyn = self.dyn_coeff[k][self.fidx[:, k]]
-            leak = self.leak_w[k][self.fidx[:, k]]
-            total = np.full(n, self.uncore_w[k] if cores else 0.0)
-            for core in cores:
-                total = total + dyn * effective[:, core]
-                total = total + leak
-            cluster_w.append(total)
-        watts = np.stack(
-            [
-                cluster_w[0],
-                cluster_w[1],
-                np.full(n, self.board_w),
-                cluster_w[0] + cluster_w[1] + self.board_w,
-            ],
-            axis=1,
+        fidx = self.fidx
+        big_w, little_w = (
+            cluster_power_sum(
+                self.uncore_w[k],
+                self.dyn_coeff[k][fidx[:, k]],
+                self.leak_w[k][fidx[:, k]],
+                [effective[:, core] for core in cores],
+            )
+            for k, cores in enumerate(self.power_cores)
         )
+        watts = np.empty((n, len(CHANNELS)))
+        watts[:, 0] = big_w
+        watts[:, 1] = little_w
+        watts[:, 2] = self.board_w
+        watts[:, 3] = big_w + little_w + self.board_w
 
         # 4. Sensor: exact energy, periodic samples on the node object.
         self.energy = np.where(
@@ -541,7 +521,9 @@ class FleetEngine:
                 self.aged_head[row, lane] = log.beat(
                     self.aged.item(row, lane)
                 ).time_s
-            self.tail[row, lane] = node.slo[name].percentile(self.percentile)
+            self.tail[row, lane] = node.slo[name].percentile(
+                self.config.percentile
+            )
         self.velocity = np.where(
             active[:, None],
             self.velocity
@@ -572,10 +554,29 @@ class FleetEngine:
 
     def _update_targets(self, active: np.ndarray) -> None:
         """Timed completion rate, then :meth:`DeadlineTarget.update`'s
-        rule (:func:`~repro.heartbeats.targets.recentred_window`) for
-        every stepping row and lane."""
-        now = self.now[:, None]
-        window_start = np.maximum(now - self.rate_span_s, 0.0)
+        rule for every stepping row and lane (the shared
+        :func:`~repro.heartbeats.monitor.elapsed_span_rate` and
+        :func:`~repro.heartbeats.targets.recentred_window`)."""
+        rate = elapsed_span_rate(
+            self.now[:, None],
+            self.config.rate_span_s,
+            lambda window_start: self._count_since(window_start, active),
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_min, t_avg, t_max = recentred_window(
+                rate, self.tail, self.comfort, self.tolerance, self.t_avg
+            )
+        stepped = active[:, None]
+        self.t_last = np.where(stepped, self.tail, self.t_last)
+        self.t_min = np.where(stepped, t_min, self.t_min)
+        self.t_avg = np.where(stepped, t_avg, self.t_avg)
+        self.t_max = np.where(stepped, t_max, self.t_max)
+
+    def _count_since(
+        self, window_start: np.ndarray, active: np.ndarray
+    ) -> np.ndarray:
+        """Beats after ``window_start`` per row and lane: the stepping
+        rows' logs age past it first."""
         aging = active[:, None] & (self.aged_head <= window_start)
         for row, lane in zip(*np.nonzero(aging)):
             log = self.nodes[row].apps[self.lane_names[lane]].log
@@ -587,18 +588,7 @@ class FleetEngine:
             self.aged_head[row, lane] = (
                 log.beat(aged).time_s if aged < len(log) else np.inf
             )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # A stepped row's clock is at least one tick past its start,
-            # so its window has elapsed time; the other rows are masked.
-            rate = (self.beats - self.aged) / (now - window_start)
-            t_min, t_avg, t_max = recentred_window(
-                rate, self.tail, self.comfort, self.tolerance, self.t_avg
-            )
-        stepped = active[:, None]
-        self.t_last = np.where(stepped, self.tail, self.t_last)
-        self.t_min = np.where(stepped, t_min, self.t_min)
-        self.t_avg = np.where(stepped, t_avg, self.t_avg)
-        self.t_max = np.where(stepped, t_max, self.t_max)
+        return self.beats - self.aged
 
     # -- accessors -----------------------------------------------------------
 

@@ -14,8 +14,8 @@ running two serving lanes, each a
 
 The node's only coupling to the rest of the fleet is request enqueue
 and read-only load snapshots — nodes never share simulation state,
-which is what makes the cluster's results bit-identical across shard
-counts.
+which is what makes the cluster's results independent of how its
+nodes are stepped.
 
 A node does not tick its :class:`~repro.sim.engine.Simulation` itself:
 its data plane (placement, grants, queue drain, power, sensor, load

@@ -1,9 +1,9 @@
 """Pluggable request routing: the fleet's load balancer policies.
 
 Routers are pure decision functions over the *previous tick's* node
-state — the cluster routes a tick's arrivals before stepping any shard,
+state — the cluster routes a tick's arrivals before stepping any node,
 so every router sees the same snapshot no matter how the nodes are
-sharded.  That ordering, plus node-local simulation state, is the whole
+stepped.  That ordering, plus node-local simulation state, is the whole
 determinism argument.  The snapshot reaches a router as a
 :class:`Candidates`: the tick's routable nodes with per-lane wait
 vectors built once per tick, so a route reads cached waits instead of

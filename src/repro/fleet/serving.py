@@ -15,7 +15,7 @@ cluster's horizon.
 A lane's state lives in a :class:`ServingRows` store: the FIFO queue,
 its queued units, and each worker's in-service request.  A lane built
 on its own owns a one-row, one-lane store; the fleet engine
-(:mod:`repro.fleet.engine`) moves every lane of every node of a shard
+(:mod:`repro.fleet.engine`) moves every lane of every node it steps
 into one store, so it can drain all their queues in one pass along the
 node axis, while each :class:`ServerWorkload` stays a live view of its
 row and lane.

@@ -5,7 +5,7 @@ way production load arrives: requests show up on their own schedule
 whether or not the cluster keeps up (closed-loop heartbeat targets, by
 contrast, only ever see the work the system admits).  Generating the
 whole trace up front, from one seeded :class:`random.Random`, is what
-makes the sharded cluster deterministic: the trace depends only on the
+makes the cluster deterministic: the trace depends only on the
 :class:`~repro.fleet.config.FleetConfig`, never on how the nodes are
 stepped.
 

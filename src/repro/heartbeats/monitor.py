@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.heartbeats.record import HeartbeatLog
 from repro.heartbeats.targets import PerformanceTarget, Satisfaction
@@ -28,6 +30,24 @@ class Observation:
     time_s: float
     rate: float
     satisfaction: Satisfaction
+
+
+def elapsed_span_rate(now_s, span_s, count_since, start_s=0.0):
+    """Beats per second over the trailing window ``(now_s - span_s, now_s]``::
+
+        start = max(now_s - span_s, start_s)
+        rate  = count_since(start) / (now_s - start)
+
+    The divisor is the window's *elapsed* span: a window cut short by
+    the stream's start (``start_s``) covers less than ``span_s``, and
+    the full span would understate the rate — 10 beats/s observed 0.3 s
+    into a run would read 3 over a 1 s window.  Elementwise: floats for
+    :meth:`HeartbeatMonitor.timed_rate`, arrays for the fleet engine.
+    NaN where the window has no elapsed time.
+    """
+    start = np.maximum(now_s - span_s, start_s)
+    elapsed = now_s - start
+    return count_since(start) / np.where(elapsed > 0, elapsed, np.nan)
 
 
 class HeartbeatMonitor:
@@ -71,26 +91,19 @@ class HeartbeatMonitor:
         self, now_s: float, span_s: float, start_s: float = 0.0
     ) -> Optional[float]:
         """Completion rate over the trailing timed window ``(now_s - span_s,
-        now_s]``, in beats per second.
-
-        The divisor is the window's *elapsed* span, not ``span_s``: a
-        window cut short by the start of the stream (``start_s``) — or
-        queried mid-window when a run terminates — covers less than the
-        nominal span, and dividing by the full span would understate the
-        rate by exactly the uncovered fraction.  At a steady 10 beats/s
-        observed 0.3 s into the run, a full-span divisor over a 1 s
-        window reports 3 beats/s and misclassifies the stream as deeply
-        underperforming; the elapsed-span divisor reports 10.
+        now_s]``, in beats per second (:func:`elapsed_span_rate`).
 
         Returns ``None`` when the window has no elapsed time yet.
         """
         if span_s <= 0:
             raise ConfigurationError("span must be positive")
-        window_start = max(now_s - span_s, start_s)
-        elapsed = now_s - window_start
-        if elapsed <= 0:
-            return None
-        return self.log.count_between(window_start, now_s) / elapsed
+        rate = elapsed_span_rate(
+            now_s,
+            span_s,
+            lambda window_start: self.log.count_between(window_start, now_s),
+            start_s,
+        )
+        return None if rate != rate else float(rate)
 
     def timed_rate_series(
         self, span_s: float, end_s: float, start_s: float = 0.0

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.platform.cluster import BIG, LITTLE, ClusterSpec
 from repro.platform.machine import Machine
@@ -85,50 +87,35 @@ class PowerModel:
             self._coeff_cache[key] = cached
         return cached
 
-    def cluster_power(
-        self,
-        cluster: ClusterSpec,
-        freq_mhz: int,
-        activities: Mapping[int, CoreActivity],
-        online_core_ids: Tuple[int, ...],
-    ) -> float:
-        """Instantaneous power (W) of one cluster.
-
-        ``activities`` maps core id → activity; cores absent from the
-        mapping are treated as idle.  Only online cores draw power.
-        """
-        core_type = cluster.core_type
-        total = cluster.uncore_power_w if online_core_ids else 0.0
-        for core_id in online_core_ids:
-            act = activities.get(core_id, IDLE)
-            # Idle cores keep a residual switching activity (imperfect
-            # clock gating) plus full leakage.
-            effective = max(
-                act.utilization * act.activity_factor, core_type.idle_activity
-            )
-            total += core_type.dynamic_power(freq_mhz, effective)
-            total += core_type.leakage_power(freq_mhz)
-        return total
-
     def platform_power(
         self, machine: Machine, activities: Mapping[int, CoreActivity]
     ) -> Dict[str, float]:
         """Instantaneous power of both clusters plus the board constant.
 
-        Returns a dict with keys ``"big"``, ``"little"``, ``"board"`` and
-        ``"total"`` — the same channels the XU3's INA231 sensors expose.
+        ``activities`` maps core id → activity; cores absent from the
+        mapping are idle.  Only online cores draw power.  Returns a dict
+        with keys ``"big"``, ``"little"``, ``"board"`` and ``"total"`` —
+        the same channels the XU3's INA231 sensors expose.
         """
         readings: Dict[str, float] = {}
         for cluster in self.spec.clusters:
-            readings[cluster.name] = self.cluster_power(
-                cluster,
-                machine.freq_mhz(cluster.name),
-                activities,
-                machine.online_core_ids(cluster.name),
+            idle_activity = cluster.core_type.idle_activity
+            # Idle cores keep a residual switching activity (imperfect
+            # clock gating) plus full leakage.
+            acts = [
+                activities.get(core_id, IDLE)
+                for core_id in machine.online_core_ids(cluster.name)
+            ]
+            effective = [
+                max(a.utilization * a.activity_factor, idle_activity) for a in acts
+            ]
+            dyn_coeff, leak_w = self._coefficients(
+                cluster, machine.freq_mhz(cluster.name)
             )
-        readings["board"] = self.spec.board_power_w
-        readings["total"] = readings[BIG] + readings[LITTLE] + readings["board"]
-        return readings
+            readings[cluster.name] = cluster_power_sum(
+                cluster.uncore_power_w, dyn_coeff, leak_w, effective
+            )
+        return self._with_board(readings)
 
     def platform_power_arrays(
         self,
@@ -141,20 +128,15 @@ class PowerModel:
 
         ``busy_s[core_id]`` / ``busy_activity[core_id]`` are the tick's
         per-core busy seconds and busy·activity sums (zero for idle
-        cores); utilization and activity factors are derived here the
-        same way the engine derives them for :class:`CoreActivity`, so
-        the result is bit-identical to :meth:`platform_power` — minus
-        the per-core object construction and voltage lookups.
+        cores).  The clamp to an effective activity is written inline,
+        not called per core, on the single-board tick's hot path;
+        :func:`effective_activity_rows` is its fleet-engine twin.
         """
         readings: Dict[str, float] = {}
         for cluster in self.spec.clusters:
-            online = machine.online_core_ids(cluster.name)
             idle_activity = cluster.core_type.idle_activity
-            dyn_coeff, leak_w = self._coefficients(
-                cluster, machine.freq_mhz(cluster.name)
-            )
-            total = cluster.uncore_power_w if online else 0.0
-            for core_id in online:
+            effective = []
+            for core_id in machine.online_core_ids(cluster.name):
                 core_busy = busy_s[core_id]
                 if core_busy > 0:
                     util = core_busy / dt
@@ -163,14 +145,53 @@ class PowerModel:
                     activity = busy_activity[core_id] / core_busy
                     if activity > 1.0:
                         activity = 1.0
-                    effective = util * activity
-                    if effective < idle_activity:
-                        effective = idle_activity
+                    value = util * activity
+                    effective.append(
+                        idle_activity if value < idle_activity else value
+                    )
                 else:
-                    effective = idle_activity
-                total += dyn_coeff * effective
-                total += leak_w
-            readings[cluster.name] = total
+                    effective.append(idle_activity)
+            dyn_coeff, leak_w = self._coefficients(
+                cluster, machine.freq_mhz(cluster.name)
+            )
+            readings[cluster.name] = cluster_power_sum(
+                cluster.uncore_power_w, dyn_coeff, leak_w, effective
+            )
+        return self._with_board(readings)
+
+    def _with_board(self, readings: Dict[str, float]) -> Dict[str, float]:
+        """Add the board constant and the total to the cluster readings."""
         readings["board"] = self.spec.board_power_w
         readings["total"] = readings[BIG] + readings[LITTLE] + readings["board"]
         return readings
+
+
+def cluster_power_sum(uncore_w, dyn_coeff, leak_w, effective):
+    """One cluster's power: ``uncore_w``, then per online core, in core
+    order, ``+ dyn_coeff · activity`` and ``+ leak_w``.
+
+    ``effective`` lists the online cores' effective activities: floats
+    for one board, or per-row columns (with per-row coefficients) for
+    the fleet engine — elementwise, so every row gets the same float.
+    """
+    if not effective:
+        return 0.0
+    total = uncore_w
+    for activity in effective:
+        total = total + dyn_coeff * activity
+        total = total + leak_w
+    return total
+
+
+def effective_activity_rows(core_busy, core_ba, dt, idle_activity):
+    """``(row, core)`` effective activities for the fleet engine: the
+    numpy twin of the clamp :meth:`PowerModel.platform_power_arrays`
+    writes inline (a call per core would slow the scalar tick)."""
+    busy_pos = core_busy > 0
+    util = core_busy / dt
+    util = np.where(util > 1.0, 1.0, util)
+    activity = core_ba / np.where(busy_pos, core_busy, 1.0)
+    activity = np.where(activity > 1.0, 1.0, activity)
+    effective = util * activity
+    effective = np.where(effective < idle_activity, idle_activity, effective)
+    return np.where(busy_pos, effective, idle_activity)

@@ -5,7 +5,7 @@ from repro.sched.gts import GtsScheduler
 from repro.sched.load_tracking import (
     DOWN_MIGRATION_THRESHOLD,
     UP_MIGRATION_THRESHOLD,
-    preferred_cluster,
+    prefers_big,
     validate_thresholds,
 )
 
@@ -15,6 +15,6 @@ __all__ = [
     "Placement",
     "Scheduler",
     "UP_MIGRATION_THRESHOLD",
-    "preferred_cluster",
+    "prefers_big",
     "validate_thresholds",
 ]

@@ -18,21 +18,51 @@ left and the class degrades to a within-set load balancer.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import SchedulingError
-from repro.platform.cluster import BIG, LITTLE
+from repro.platform.spec import PlatformSpec
 from repro.sched.base import Placement, Scheduler
 from repro.sched.load_tracking import (
     DOWN_MIGRATION_THRESHOLD,
     UP_MIGRATION_THRESHOLD,
-    preferred_cluster,
+    prefers_big,
     validate_thresholds,
 )
 from repro.sim.thread import SimThread
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulation
+
+
+def on_big_table(spec: PlatformSpec) -> Tuple[bool, ...]:
+    """Per core id, whether a thread there counts as on big (the
+    ``on_big`` input of :func:`~repro.sched.load_tracking.prefers_big`),
+    plus a last entry, ``[-1]``, for a thread with no current core:
+    True, as fresh hungry tasks start on big (fork placement)."""
+    n_cores = max(max(cluster.core_ids) for cluster in spec.clusters) + 1
+    return tuple(spec.big.contains_core(c) for c in range(n_cores)) + (True,)
+
+
+def candidate_split(allowed, is_big) -> Tuple[List[int], List[int]]:
+    """Ascending candidate cores for ``allowed``: ``(if the load prefers
+    big, if it prefers little)``.  With both clusters allowed, each is
+    that cluster's share; with one, both are the same list of all."""
+    big = sorted(c for c in allowed if is_big[c])
+    little = sorted(c for c in allowed if not is_big[c])
+    if big and little:
+        return big, little
+    either = big or little
+    return either, either
+
+
+def least_loaded_rows(run_queue, candidates, bonus):
+    """The fleet engine's twin of :meth:`GtsScheduler._pick_partitioned`'s
+    scan, per row: ``argmin``'s first minimum is the lowest-core
+    tie-break (a call per candidate would slow the scalar tick)."""
+    return np.where(candidates, run_queue - bonus, np.inf).argmin(axis=1)
 
 
 class GtsScheduler(Scheduler):
@@ -46,6 +76,8 @@ class GtsScheduler(Scheduler):
         validate_thresholds(up_threshold, down_threshold)
         self.up_threshold = up_threshold
         self.down_threshold = down_threshold
+        self._spec: Optional[PlatformSpec] = None
+        self._on_big: Tuple[bool, ...] = ()
 
     #: Floor weight so even a freshly-idle thread occupies queue space.
     MIN_TASK_WEIGHT = 0.1
@@ -54,6 +86,9 @@ class GtsScheduler(Scheduler):
 
     def place(self, sim: "Simulation") -> Placement:
         online = sim.machine.online_core_ids()
+        spec = sim.machine.spec
+        if spec is not self._spec:
+            self._spec, self._on_big = spec, on_big_table(spec)
         placement: Placement = {}
         # Run-queue weight per core: the balancer spreads *load*, not
         # thread count (CFS load balancing), so a heavy stage thread is
@@ -70,10 +105,10 @@ class GtsScheduler(Scheduler):
             for thread in app.threads:
                 if not model.wants_cpu(thread.local_index):
                     continue
-                # Each thread's allowed-core big/little partition is
-                # memoized.  It depends only on (affinity, cpuset, online
-                # set); all three are replaced wholesale when they
-                # change, so the entry validates by object identity.
+                # Each thread's candidate split is memoized.  It depends
+                # only on (affinity, cpuset, online set); all three are
+                # replaced wholesale when they change, so the entry
+                # validates by object identity.
                 entry = thread._gts_entry
                 if (
                     entry is None
@@ -81,30 +116,22 @@ class GtsScheduler(Scheduler):
                     or entry[1] is not cpuset
                     or entry[2] is not online
                 ):
-                    big_cores, little_cores = self._partition(
-                        sim, app.allowed_cores(thread, online)
-                    )
+                    allowed = app.allowed_cores(thread, online)
                     # A fully-pinned thread (HARS placement) has one
                     # allowed core: the pick is forced, so the hot path
                     # can skip the balancer entirely.
-                    single = (
-                        (big_cores or little_cores)[0]
-                        if len(big_cores) + len(little_cores) == 1
-                        else None
-                    )
                     entry = (
                         thread.affinity,
                         cpuset,
                         online,
-                        big_cores,
-                        little_cores,
-                        single,
+                        *candidate_split(allowed, self._on_big),
+                        next(iter(allowed)) if len(allowed) == 1 else None,
                     )
                     thread._gts_entry = entry
                 core = entry[5]
                 if core is None:
                     core = self._pick_partitioned(
-                        sim, thread, entry[3], entry[4], load_counts
+                        thread, entry[3], entry[4], load_counts
                     )
                 if core in placement:
                     placement[core].append(thread)
@@ -117,43 +144,30 @@ class GtsScheduler(Scheduler):
 
     # -- internals -----------------------------------------------------------
 
-    def _partition(
-        self, sim: "Simulation", allowed: frozenset
-    ) -> Tuple[List[int], List[int]]:
-        big_cores = sorted(
-            c for c in allowed if sim.machine.spec.big.contains_core(c)
-        )
-        little_cores = sorted(
-            c for c in allowed if sim.machine.spec.little.contains_core(c)
-        )
-        return big_cores, little_cores
-
     def _pick_partitioned(
         self,
-        sim: "Simulation",
         thread: SimThread,
-        big_cores: List[int],
-        little_cores: List[int],
+        if_big: List[int],
+        if_little: List[int],
         load_counts: Dict[int, float],
     ) -> int:
-        if not big_cores and not little_cores:
+        current_core = thread.current_core
+        candidates = if_big
+        if if_big is not if_little and not prefers_big(  # both clusters
+            thread.load,
+            self._on_big[-1 if current_core is None else current_core],
+            self.up_threshold,
+            self.down_threshold,
+        ):
+            candidates = if_little
+        if not candidates:
             raise SchedulingError(f"{thread.key()}: no allowed online cores")
-
-        candidates: List[int]
-        if big_cores and little_cores:
-            current = self._current_cluster(sim, thread)
-            desired = preferred_cluster(
-                thread.load, current, self.up_threshold, self.down_threshold
-            )
-            candidates = big_cores if desired == BIG else little_cores
-        else:
-            candidates = big_cores or little_cores
 
         # A small stickiness bonus keeps a thread on its current core
         # unless another core is meaningfully lighter (migration cost).
         # Manual min over the ascending candidate list: ties keep the
-        # lowest core id, exactly the tuple-key min it replaces.
-        current_core = thread.current_core
+        # lowest core id.  :func:`least_loaded_rows` is the fleet
+        # engine's copy of this scan.
         bonus = self.STICKINESS
         best = candidates[0]
         best_score = (
@@ -165,10 +179,3 @@ class GtsScheduler(Scheduler):
                 best = c
                 best_score = score
         return best
-
-    def _current_cluster(self, sim: "Simulation", thread: SimThread) -> str:
-        if thread.current_core is None:
-            return BIG  # fresh hungry tasks start on big (fork placement)
-        if sim.machine.spec.big.contains_core(thread.current_core):
-            return BIG
-        return LITTLE

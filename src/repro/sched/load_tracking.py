@@ -38,8 +38,3 @@ def prefers_big(load, on_big, up: float, down: float):
     every node's thread slot at once.
     """
     return (load >= up) | ((load > down) & on_big)
-
-
-def preferred_cluster(load: float, current: str, up: float, down: float) -> str:
-    """Which cluster a task with ``load`` prefers (see :func:`prefers_big`)."""
-    return "big" if prefers_big(load, current == "big", up, down) else "little"

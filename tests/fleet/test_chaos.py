@@ -91,7 +91,7 @@ class TestCompileTimelines:
 
     def test_per_node_streams_independent_of_fleet_size(self):
         # Node k's rate-driven timeline must not change when the fleet
-        # grows — the chaos half of the shard-identity argument.
+        # grows: a node's faults depend on nothing outside the node.
         config = FleetFaultConfig(node_crash_rate=0.05, node_hang_rate=0.1)
         small = compile_timelines(config, 4, 60.0)
         large = compile_timelines(config, 32, 60.0)

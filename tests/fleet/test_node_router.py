@@ -1,11 +1,13 @@
 """FleetNode completion mapping, router policy and candidate-set tests."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.fleet.config import FleetConfig
+from repro.fleet.engine import FleetEngine
 from repro.fleet.node import LANES, FleetNode
 from repro.fleet.router import ROUTERS, Candidates, make_router
 from repro.fleet.trace import Request
@@ -28,6 +30,23 @@ def config():
 
 
 class TestFleetNode:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tick_s", 0.05), ("rate_span_s", 1.0), ("percentile", 99.0)],
+    )
+    def test_engine_refuses_a_node_with_another_config(
+        self, config, field, value
+    ):
+        """The engine steps every row with its own config's tick, rate
+        span and percentile, so a row built from another config would
+        run on the wrong ones (a 0.05 s node stepped at 0.02 s)."""
+        other = dataclasses.replace(config, **{field: value})
+        engine = FleetNode(0, config).engine
+        with pytest.raises(ConfigurationError):
+            engine.replace(0, FleetNode(0, other))
+        with pytest.raises(ConfigurationError):
+            FleetEngine([FleetNode(0, config), FleetNode(1, other)])
+
     def test_idle_node_steps_quietly(self, config):
         node = FleetNode(0, config)
         for _ in range(5):

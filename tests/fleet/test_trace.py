@@ -93,8 +93,6 @@ class TestFleetConfig:
         "field, value",
         [
             ("nodes", 0),
-            ("shards", 0),
-            ("shards", 100),  # > nodes
             ("tick_s", 0.0),
             ("requests", 0),
             ("per_node_rps", 0.0),

@@ -8,7 +8,7 @@ versions; dict keys are sorted and separators fixed.
 
 A fleet run's digest is the same canonical JSON over
 :meth:`~repro.fleet.cluster.FleetResult.summary`, its deterministic
-cross-shard fingerprint.
+fingerprint.
 
 The warm restart runs named in :data:`STATE_PINS` carry a second
 digest, :func:`state_digest`, under ``"<name>/state"``: the canonical

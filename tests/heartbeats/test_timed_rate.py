@@ -7,10 +7,11 @@ when a run terminates mid-window.  A steady 10 beats/s stream observed
 0.3 s into the run must read as 10 beats/s, not 3.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.heartbeats.monitor import HeartbeatMonitor
+from repro.heartbeats.monitor import HeartbeatMonitor, elapsed_span_rate
 from repro.heartbeats.record import HeartbeatLog
 from repro.heartbeats.targets import PerformanceTarget
 
@@ -71,6 +72,30 @@ class TestTimedRate:
         monitor = _monitor([0.1])
         with pytest.raises(ConfigurationError):
             monitor.timed_rate(1.0, 0.0)
+
+    @pytest.mark.parametrize("start_s", [0.0, 0.5, 3.0])
+    def test_rule_same_for_floats_and_arrays(self, start_s):
+        """The fleet engine's array call gives each element the float
+        :meth:`timed_rate` gives, NaN where it gives ``None``."""
+        monitor = _monitor([i * 0.1 for i in range(1, 21)])
+        log = monitor.log
+        now = np.array([[0.0], [0.05], [0.3], [1.0], [2.0], [2.05], [10.0]])
+
+        def count_since(start):
+            return np.array(
+                [
+                    [log.count_between(s, n)]
+                    for s, n in zip(start[:, 0].tolist(), now[:, 0].tolist())
+                ]
+            )
+
+        rates = elapsed_span_rate(now, 1.0, count_since, start_s)
+        for now_s, rate in zip(now[:, 0].tolist(), rates[:, 0].tolist()):
+            want = monitor.timed_rate(now_s, 1.0, start_s)
+            if want is None:
+                assert rate != rate
+            else:
+                assert rate == want
 
 
 class TestTimedRateSeries:

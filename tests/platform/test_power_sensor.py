@@ -1,11 +1,18 @@
 """Unit tests for the ground-truth power model and the power sensor."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.platform.cluster import BIG, LITTLE
 from repro.platform.machine import Machine
-from repro.platform.power import IDLE, CoreActivity, PowerModel
+from repro.platform.power import (
+    IDLE,
+    CoreActivity,
+    PowerModel,
+    cluster_power_sum,
+    effective_activity_rows,
+)
 from repro.platform.sensor import DEFAULT_SAMPLE_PERIOD_S, PowerSensor
 
 
@@ -71,6 +78,59 @@ class TestPowerModel:
             machine.set_core_online(core, False)
         watts = model.platform_power(machine, {})
         assert watts[BIG] == 0.0
+
+    def test_power_sum_same_for_floats_and_columns(self):
+        effective = np.array([[0.1, 0.5, 1.0, 0.03], [0.7, 0.7, 0.2, 0.9]])
+        dyn = np.array([1.3, 0.4])
+        leak = np.array([0.02, 0.05])
+        rows = cluster_power_sum(0.1, dyn, leak, list(effective.T))
+        assert rows.tolist() == [
+            cluster_power_sum(0.1, d, k, e)
+            for d, k, e in zip(dyn.tolist(), leak.tolist(), effective.tolist())
+        ]
+        assert cluster_power_sum(0.1, 1.3, 0.02, []) == 0.0
+
+    def test_scalar_clamp_equals_the_engine_clamp(self, model, machine):
+        """``platform_power_arrays``' inline clamp and the engine's
+        ``effective_activity_rows`` give the same watts, row by row."""
+        dt = 0.02
+        spec = machine.spec
+        idle = np.array(
+            [spec.cluster_of(c).core_type.idle_activity for c in range(8)]
+        )
+        cases = [
+            ([0.0] * 8, [0.0] * 8),  # no busy time
+            ([0.03] * 8, [0.015] * 8),  # busy time above dt
+            ([0.01] * 8, [0.02] * 8),  # activity above 1
+            ([1e-6] * 8, [1e-7] * 8),  # below the idle activity
+            (
+                [0.0, 0.02, 0.025, 1e-6, 0.004, 0.011, 0.02, 0.0],
+                [0.0, 0.01, 0.05, 1e-9, 0.004, 0.0033, 0.019, 0.0],
+            ),
+        ]
+        busy = np.array([case[0] for case in cases])
+        busy_activity = np.array([case[1] for case in cases])
+        effective = effective_activity_rows(busy, busy_activity, dt, idle)
+        assert effective[0].tolist() == idle.tolist()
+        assert effective[1].tolist() == [0.5] * 8
+        assert effective[2].tolist() == [0.5] * 8
+        assert effective[3].tolist() == idle.tolist()
+        for freq_big in (spec.big.min_freq_mhz, spec.big.max_freq_mhz):
+            machine.set_freq_mhz(BIG, freq_big)
+            for row, (core_busy, core_ba) in enumerate(cases):
+                watts = model.platform_power_arrays(
+                    machine, core_busy, core_ba, dt
+                )
+                for cluster in spec.clusters:
+                    dyn, leak = model._coefficients(
+                        cluster, machine.freq_mhz(cluster.name)
+                    )
+                    assert watts[cluster.name] == cluster_power_sum(
+                        cluster.uncore_power_w,
+                        dyn,
+                        leak,
+                        [effective.item(row, c) for c in cluster.core_ids],
+                    )
 
     def test_idle_constant(self):
         assert IDLE.utilization == 0.0

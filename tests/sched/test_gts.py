@@ -1,19 +1,22 @@
 """Behavioural tests for the GTS scheduler model."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.heartbeats.targets import PerformanceTarget
-from repro.platform.cluster import BIG, LITTLE
-from repro.sched.gts import GtsScheduler
-from repro.sched.load_tracking import (
-    preferred_cluster,
-    prefers_big,
-    validate_thresholds,
+from repro.sched.gts import (
+    GtsScheduler,
+    candidate_split,
+    least_loaded_rows,
+    on_big_table,
 )
+from repro.sched.load_tracking import prefers_big, validate_thresholds
 from repro.sim.engine import Simulation
 from repro.sim.process import SimApp
+from repro.sim.thread import SimThread
 from repro.workloads.base import WorkloadTraits
 from repro.workloads.dataparallel import DataParallelWorkload
 from repro.workloads.microbench import MicrobenchWorkload
@@ -29,11 +32,11 @@ def _hungry_app(name="hungry", n_threads=8):
 
 class TestLoadTracking:
     def test_preferred_cluster_thresholds(self):
-        assert preferred_cluster(0.9, LITTLE, 0.8, 0.25) == BIG
-        assert preferred_cluster(0.1, BIG, 0.8, 0.25) == LITTLE
+        assert prefers_big(0.9, False, 0.8, 0.25)
+        assert not prefers_big(0.1, True, 0.8, 0.25)
         # Hysteresis zone: stay put.
-        assert preferred_cluster(0.5, BIG, 0.8, 0.25) == BIG
-        assert preferred_cluster(0.5, LITTLE, 0.8, 0.25) == LITTLE
+        assert prefers_big(0.5, True, 0.8, 0.25)
+        assert not prefers_big(0.5, False, 0.8, 0.25)
 
     def test_prefers_big_takes_arrays_elementwise(self):
         load = [0.9, 0.9, 0.1, 0.1, 0.5, 0.5, 0.8, 0.25]
@@ -43,6 +46,69 @@ class TestLoadTracking:
             prefers_big(x, b, 0.8, 0.25) for x, b in zip(load, on_big)
         ]
         assert got.tolist() == [True, True, False, False, False, True, True, False]
+
+    def test_no_current_core_counts_as_on_big(self, xu3):
+        table = on_big_table(xu3)
+        assert table == (False,) * 4 + (True,) * 4 + (True,)
+        # The engine's "no current core" is -1: the same last entry.
+        assert np.array(table)[np.array([-1, 0, 4])].tolist() == [
+            True,
+            False,
+            True,
+        ]
+
+    @pytest.mark.parametrize(
+        "allowed, big, little",
+        [
+            ({0, 1, 2, 3, 4, 5, 6, 7}, [4, 5, 6, 7], [0, 1, 2, 3]),
+            ({6, 0, 5}, [5, 6], [0]),
+            ({7, 4}, [4, 7], [4, 7]),
+            ({2}, [2], [2]),
+            (set(), [], []),
+        ],
+    )
+    def test_candidate_split_same_for_floats_and_arrays(
+        self, xu3, allowed, big, little
+    ):
+        table = on_big_table(xu3)
+        split = candidate_split(frozenset(allowed), table)
+        assert split == (big, little)
+        assert candidate_split(frozenset(allowed), np.array(table)) == split
+        # One cluster allowed: one list, so the load chooses nothing.
+        assert (split[0] is split[1]) == (big == little)
+
+    def test_scan_equals_the_engine_pick(self):
+        """``_pick_partitioned``'s scan and the engine's
+        ``least_loaded_rows`` pick the same core on the same run queue."""
+        scheduler = GtsScheduler()
+        bonus = scheduler.STICKINESS
+        x = 0.7
+        cases = [
+            ([0.0] * 8, [4, 5, 6, 7], None),  # exact tie: lowest core
+            ([0.0] * 8, [4, 5, 6, 7], 6),  # the bonus breaks the tie
+            # The current core's bonus ties it exactly with a lighter one.
+            ([0.3] * 4 + [x, x - bonus, 0.9, 0.9], [4, 5, 6, 7], 4),
+            ([0.3] * 4 + [0.9, x, x - bonus, 0.9], [4, 5, 6, 7], 5),
+            ([0.0] * 4 + [0.5, 0.2, 0.2, 0.9], [4, 5, 6, 7], 1),  # outside
+            ([0.2, 0.1, 0.1, 0.4, 0.0, 0.0, 0.0, 0.0], [0, 1, 2, 3], None),
+        ]
+        rng = random.Random(7)
+        for _ in range(300):
+            loads = [rng.choice((0.0, 0.05, 0.1, 0.15, 0.2)) for _ in range(8)]
+            candidates = sorted(rng.sample(range(8), rng.randint(1, 8)))
+            cases.append((loads, candidates, rng.choice([None, *range(8)])))
+        for loads, candidates, current in cases:
+            thread = SimThread("app", 0, current_core=current)
+            want = scheduler._pick_partitioned(
+                thread, candidates, candidates, dict(enumerate(loads))
+            )
+            on_current = np.arange(8) == (-1 if current is None else current)
+            got = least_loaded_rows(
+                np.array([loads]),
+                np.isin(np.arange(8), candidates)[None],
+                (on_current * bonus)[None],
+            )
+            assert got.tolist() == [want]
 
     def test_threshold_validation(self):
         validate_thresholds(0.8, 0.25)
