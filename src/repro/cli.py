@@ -372,6 +372,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="per-attempt timeout enabling capped retry (0 = off)",
     )
     args = parser.parse_args(argv)
+    # _run_fleet only acts on values > 0, so a negative one would
+    # silently switch chaos or retries off.
+    for flag, value in (
+        ("--crash-frac", args.crash_frac),
+        ("--retry-timeout", args.retry_timeout),
+    ):
+        if value < 0:
+            parser.error(f"{flag} must be >= 0, got {value}")
     n_units = args.units if args.units is not None else (
         QUICK_UNITS if args.quick else None
     )

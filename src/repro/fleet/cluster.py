@@ -62,13 +62,11 @@ from repro.fleet.slo import percentile
 from repro.fleet.supervisor import FleetSupervisor, NodeHealth
 from repro.fleet.trace import Request, make_trace
 from repro.platform.sensor import CHANNELS
+from repro.sim.engine import MAX_TICKS
 from repro.telemetry.registry import MetricsRegistry
 
 #: Latency histogram buckets, as fractions of the deadline.
 _BUCKET_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
-
-#: Safety cap on cluster ticks (per node; mirrors the engine's guard).
-_MAX_FLEET_TICKS = 2_000_000
 
 #: Slop for comparing scheduled times against tick boundaries.
 _TIME_EPS = 1e-12
@@ -251,7 +249,7 @@ class FleetCluster:
         trace = self.trace
         max_ticks = min(
             int(math.ceil(self._horizon_s / config.tick_s)) + 1,
-            _MAX_FLEET_TICKS,
+            MAX_TICKS,
         )
         routed = self.registry.counter(
             "fleet_requests_routed_total", "requests admitted, by lane/app"

@@ -36,7 +36,7 @@ class FleetConfig:
         Seed for the arrival trace (service sizes, gaps, deadlines).
     tick_s:
         Simulation tick of every node (coarser than the single-board
-        default: a fleet steps ``nodes`` engines per tick).
+        default: each tick steps all ``nodes`` rows of the fleet engine).
     trace:
         Arrival-trace shape: ``"poisson"``, ``"diurnal"`` or ``"burst"``.
     requests:

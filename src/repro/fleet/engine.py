@@ -95,7 +95,7 @@ class FleetEngine:
         self.stickiness = scheduler.STICKINESS
         self.load_decay = math.exp(-self.dt / LOAD_TIME_CONSTANT_S)
         self.load_gain = 1.0 - self.load_decay
-        self.n_cores = n_cores = max(sim.machine.cores) + 1
+        self.n_cores = n_cores = max(sim.machine.core_ids()) + 1
         self.core_ids = np.arange(n_cores)
         #: Per core, whether it is big; ``[-1]`` is for no current core.
         self.on_big = np.array(on_big_table(spec))
@@ -120,8 +120,7 @@ class FleetEngine:
         )
         self.uncore_w = [cluster.uncore_power_w for cluster in spec.clusters]
         self.power_cores = [
-            sim.machine.online_core_ids(cluster.name)
-            for cluster in spec.clusters
+            sim.machine.core_ids(cluster.name) for cluster in spec.clusters
         ]
         self.board_w = spec.board_power_w
         #: [cluster] -> (frequency index, slot) thread speed, and the
@@ -174,7 +173,7 @@ class FleetEngine:
         self.t_last = np.full((n, lanes), np.nan)
         self.comfort = np.zeros((n, lanes))
         self.tolerance = np.zeros((n, lanes))
-        #: Per row and slot: the (affinity, cpuset, online) objects its
+        #: Per row and slot: the (affinity, cpuset) objects its
         #: candidate masks were computed from — replaced wholesale on
         #: change, so identity tells whether a mask is stale.
         self._mask_keys: List[List[tuple]] = [[] for _ in range(n)]
@@ -271,7 +270,7 @@ class FleetEngine:
         freqs = machine._freqs
         self.fidx[row, 0] = self.freq_index[0][freqs[BIG]]
         self.fidx[row, 1] = self.freq_index[1][freqs[LITTLE]]
-        online = machine.online_core_ids()
+        cores = machine.core_ids()
         keys = self._mask_keys[row]
         slot = 0
         for lane, name in enumerate(self.lane_names):
@@ -284,12 +283,11 @@ class FleetEngine:
                     not key
                     or key[0] is not thread.affinity
                     or key[1] is not cpuset
-                    or key[2] is not online
                 ):
                     self._set_candidates(
-                        row, slot, app.allowed_cores(thread, online)
+                        row, slot, app.allowed_cores(thread, cores)
                     )
-                    keys[slot] = (thread.affinity, cpuset, online)
+                    keys[slot] = (thread.affinity, cpuset)
                 slot += 1
 
     def _set_candidates(self, row: int, slot: int, allowed) -> None:

@@ -45,7 +45,7 @@ class Candidates:
     within the routing phase only ``submit`` changes a node's
     ``backlog_units`` (cancels run before the phase, in the resilience
     pre-phase, and ``advance`` after it, when the nodes step), and the
-    service-velocity estimate changes only in ``FleetNode.step``.  Every
+    service-velocity estimate changes only in ``FleetEngine.step``.  Every
     routing-phase enqueue goes through :meth:`enqueue`, which refreshes
     the one entry it changed, so each vector always equals a fresh scan.
     Build one ``Candidates`` per tick after the pre-phase and drop it

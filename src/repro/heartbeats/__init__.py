@@ -11,7 +11,6 @@ from repro.heartbeats.monitor import (
     Observation,
 )
 from repro.heartbeats.record import Heartbeat, HeartbeatLog
-from repro.heartbeats.registry import HeartbeatRegistry
 from repro.heartbeats.targets import PerformanceTarget, Satisfaction
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "Heartbeat",
     "HeartbeatLog",
     "HeartbeatMonitor",
-    "HeartbeatRegistry",
     "Observation",
     "PerformanceTarget",
     "Satisfaction",

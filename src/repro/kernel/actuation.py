@@ -30,13 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulation
     from repro.sim.process import SimApp
 
-#: Immediate retries after a failed platform write.
-DEFAULT_MAX_RETRIES = 3
-
-#: Base backoff window (simulated seconds) after retries are exhausted;
-#: doubles per consecutive exhausted episode on the same target.
-DEFAULT_BACKOFF_S = 0.5
-
 #: Cap on the backoff doubling exponent.
 _MAX_BACKOFF_LEVEL = 8
 
@@ -44,17 +37,18 @@ _MAX_BACKOFF_LEVEL = 8
 class Actuator:
     """The kernel's write-path to DVFS and thread placement."""
 
+    #: Immediate retries after a failed platform write.
+    max_retries = 3
+    #: Base backoff window (simulated seconds) after retries are
+    #: exhausted; doubles per consecutive exhausted episode on the same
+    #: target.
+    backoff_s = 0.5
+
     def __init__(
-        self,
-        sim: "Simulation",
-        faults: Optional["FaultInjector"] = None,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        backoff_s: float = DEFAULT_BACKOFF_S,
+        self, sim: "Simulation", faults: Optional["FaultInjector"] = None
     ):
         self._sim = sim
         self._faults = faults
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
         #: Actuations that exhausted their retries (state held instead).
         self.failed_actuations = 0
         #: Actuations that succeeded only after at least one retry.

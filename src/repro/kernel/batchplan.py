@@ -47,13 +47,12 @@ The winner is then re-evaluated through the scalar
 layer), so the returned :class:`~repro.core.search.EvaluatedState` is
 the very object the scalar path would have produced.
 
-**Filter protocol.**  Structural and guardrail filters stay ordinary
-``(candidate, current) -> bool`` callables; a filter may *additionally*
-expose ``box_mask(box)`` returning a boolean array over a
-:class:`CandidateBox` to be applied vectorized
-(:class:`~repro.guardrails.layer.BudgetVeto` and MP-HARS's partition
-filter do).  Filters without a mask fall back to per-candidate Python
-calls in sweep order, preserving side-effect order.
+**Filter protocol.**  Structural and guardrail filters are
+``(candidate, current) -> bool`` callables for the scalar oracle that
+also expose ``box_mask(box)``, a boolean array over a
+:class:`CandidateBox` with the same verdicts; this backend applies only
+the mask (:class:`~repro.guardrails.layer.BudgetVeto` and MP-HARS's
+:class:`~repro.mphars.manager.PartitionFilter` are the two filters).
 
 **Scope.**  Parity assumes the stock estimator contract: estimates are
 pure functions of their inputs that either return positive
@@ -327,26 +326,13 @@ def batch_next_sys_state(
     admitted = allocates & within
 
     if candidate_filter is not None:
-        mask_fn = getattr(candidate_filter, "box_mask", None)
-        if mask_fn is not None:
-            admitted = admitted & np.asarray(mask_fn(box), dtype=bool)
-        else:
-            keep = admitted.copy()
-            for i in np.flatnonzero(admitted):
-                if not candidate_filter(box.state_at(int(i)), current):
-                    keep[i] = False
-            admitted = keep
+        admitted = admitted & np.asarray(
+            candidate_filter.box_mask(box), dtype=bool
+        )
 
     filtered = 0
     if guard_filter is not None:
-        mask_fn = getattr(guard_filter, "box_mask", None)
-        if mask_fn is not None:
-            allowed = np.asarray(mask_fn(box), dtype=bool)
-        else:
-            allowed = np.ones(len(box), dtype=bool)
-            for i in np.flatnonzero(admitted):
-                if not guard_filter(box.state_at(int(i)), current):
-                    allowed[i] = False
+        allowed = np.asarray(guard_filter.box_mask(box), dtype=bool)
         filtered = int(np.count_nonzero(admitted & ~allowed))
         admitted = admitted & allowed
 

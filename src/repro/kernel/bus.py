@@ -138,9 +138,9 @@ class AppQuarantined(Event):
 class AppEvicted(Event):
     """The supervisor evicted an app: its resources were reclaimed.
 
-    The app is unregistered from the heartbeat registry, its
-    affinity/cpuset is cleared through the actuation façade, and the
-    managers repartition so survivors absorb the freed cores.
+    The app is halted in the engine, its affinity/cpuset is cleared
+    through the actuation façade, and the managers repartition so
+    survivors absorb the freed cores.
     """
 
     app_name: str

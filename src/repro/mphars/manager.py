@@ -230,8 +230,9 @@ class MpHarsManager(MapeManager):
             # Unregistered between Analyze and Plan: reject the whole
             # neighbourhood; the forced-fallback execute is then a no-op
             # thanks to the same guard in ``_execute_plan``.
-            ctx.notes["decisions"] = {BIG: None, LITTLE: None}
-            return lambda candidate, cur: False
+            decisions = {BIG: None, LITTLE: None}
+            ctx.notes["decisions"] = decisions
+            return PartitionFilter(-1, -1, decisions)
         satisfaction = ctx.analysis.satisfaction
         decisions = {
             cluster: self._cluster_decision(cluster, data, satisfaction)
@@ -702,12 +703,13 @@ class MpHarsManager(MapeManager):
 
 
 def _freq_allowed(
-    decision: Optional[StateDecision], candidate_mhz: int, current_mhz: int
-) -> bool:
+    decision: Optional[StateDecision], candidate_mhz, current_mhz: int
+):
     """Whether a candidate's shared-cluster frequency obeys a decision.
 
     ``None`` means the adapting application is the cluster's sole user
-    and may move it freely.
+    and may move it freely.  Elementwise: a frequency in MHz gives a
+    bool, an array of them a mask.
     """
     if decision is None:
         return True
@@ -757,32 +759,15 @@ class PartitionFilter:
 
     def box_mask(self, box):
         """Vectorized equivalent over a candidate box (same semantics)."""
-        allowed = (box.c_big <= self.max_big) & (
-            box.c_little <= self.max_little
+        return (
+            (box.c_big <= self.max_big)
+            & (box.c_little <= self.max_little)
+            & _freq_allowed(
+                self.decisions[BIG], box.f_big_mhz, box.current.f_big_mhz
+            )
+            & _freq_allowed(
+                self.decisions[LITTLE],
+                box.f_little_mhz,
+                box.current.f_little_mhz,
+            )
         )
-        big_mask = _freq_mask(
-            self.decisions[BIG], box.f_big_mhz, box.current.f_big_mhz
-        )
-        if big_mask is not None:
-            allowed = allowed & big_mask
-        little_mask = _freq_mask(
-            self.decisions[LITTLE],
-            box.f_little_mhz,
-            box.current.f_little_mhz,
-        )
-        if little_mask is not None:
-            allowed = allowed & little_mask
-        return allowed
-
-
-def _freq_mask(
-    decision: Optional[StateDecision], candidate_mhz, current_mhz: int
-):
-    """Array form of :func:`_freq_allowed`; ``None`` = unconstrained."""
-    if decision is None:
-        return None
-    if decision is StateDecision.KEEP:
-        return candidate_mhz == current_mhz
-    if decision is StateDecision.INC:
-        return candidate_mhz >= current_mhz
-    return candidate_mhz <= current_mhz  # DEC

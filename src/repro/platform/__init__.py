@@ -23,7 +23,7 @@ from repro.platform.governors import (
     PerformanceGovernor,
     PowersaveGovernor,
 )
-from repro.platform.machine import Core, Machine
+from repro.platform.machine import Machine
 from repro.platform.power import IDLE, CoreActivity, PowerModel
 from repro.platform.sensor import (
     DEFAULT_SAMPLE_PERIOD_S,
@@ -38,7 +38,6 @@ __all__ = [
     "LITTLE",
     "DEFAULT_SAMPLE_PERIOD_S",
     "ClusterSpec",
-    "Core",
     "CoreActivity",
     "CoreTypeSpec",
     "DvfsController",

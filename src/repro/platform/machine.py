@@ -2,36 +2,27 @@
 
 A :class:`Machine` is built from a :class:`~repro.platform.spec.PlatformSpec`
 and tracks the state HARS manipulates at run time: the current frequency of
-each cluster (per-cluster DVFS) and per-core online flags.  It is the
-object the simulation engine, the schedulers, and the runtime managers all
+each cluster (per-cluster DVFS).  HARS allocates cores by pinning threads,
+never by hotplugging them, so every core is always present.  It is the
+object the simulation engine, the scheduler, and the runtime managers all
 share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import PlatformError
 from repro.platform.cluster import BIG, LITTLE, ClusterSpec
 from repro.platform.spec import PlatformSpec
 
 
-@dataclass
-class Core:
-    """Runtime state of one core."""
-
-    core_id: int
-    cluster_name: str
-    online: bool = True
-
-
 class Machine:
     """Runtime view of a two-cluster HMP platform.
 
-    The machine starts with every core online and both clusters at their
-    maximum frequency (the Linux ``performance`` governor default the
-    paper's baseline uses).
+    The machine starts with both clusters at their maximum frequency
+    (the Linux ``performance`` governor default the paper's baseline
+    uses).
     """
 
     def __init__(self, spec: PlatformSpec):
@@ -40,15 +31,12 @@ class Machine:
             BIG: spec.big.max_freq_mhz,
             LITTLE: spec.little.max_freq_mhz,
         }
-        self.cores: Dict[int, Core] = {
-            core_id: Core(core_id=core_id, cluster_name=cluster.name)
-            for cluster in spec.clusters
-            for core_id in cluster.core_ids
+        # Built once: the spec builds a new tuple per call, and GTS and
+        # the fleet engine validate their caches by these objects' identity.
+        self._core_ids: Dict[str | None, Tuple[int, ...]] = {
+            None: spec.all_core_ids,
+            **{cluster.name: cluster.core_ids for cluster in spec.clusters},
         }
-        # Online-set cache: hotplug is rare, online_core_ids() is per
-        # tick.  The cached tuples are stable objects, which lets the
-        # scheduler validate its own caches by identity.
-        self._online_cache: Dict[str | None, Tuple[int, ...]] = {}
 
     # -- frequency control (per-cluster DVFS) -----------------------------
 
@@ -75,32 +63,9 @@ class Machine:
         """The cluster specification owning a core id."""
         return self.spec.cluster_of(core_id)
 
-    def online_core_ids(self, cluster_name: str | None = None) -> Tuple[int, ...]:
-        """Online core ids, optionally restricted to one cluster."""
-        cached = self._online_cache.get(cluster_name)
-        if cached is not None:
-            return cached
-        ids: List[int] = []
-        for core in self.cores.values():
-            if not core.online:
-                continue
-            if cluster_name is not None and core.cluster_name != cluster_name:
-                continue
-            ids.append(core.core_id)
-        result = tuple(sorted(ids))
-        self._online_cache[cluster_name] = result
-        return result
-
-    def set_core_online(self, core_id: int, online: bool) -> None:
-        """Hot(un)plug a core.
-
-        HARS itself never hotplugs — it controls allocation through
-        affinity — but the baseline sweeps and tests exercise this.
-        """
-        if core_id not in self.cores:
-            raise PlatformError(f"unknown core id {core_id}")
-        self.cores[core_id].online = online
-        self._online_cache.clear()
+    def core_ids(self, cluster_name: str | None = None) -> Tuple[int, ...]:
+        """Core ids, ascending, optionally restricted to one cluster."""
+        return self._core_ids[cluster_name]
 
     # -- convenience -------------------------------------------------------
 

@@ -93,9 +93,9 @@ class PowerModel:
         """Instantaneous power of both clusters plus the board constant.
 
         ``activities`` maps core id → activity; cores absent from the
-        mapping are idle.  Only online cores draw power.  Returns a dict
-        with keys ``"big"``, ``"little"``, ``"board"`` and ``"total"`` —
-        the same channels the XU3's INA231 sensors expose.
+        mapping are idle.  Returns a dict with keys ``"big"``,
+        ``"little"``, ``"board"`` and ``"total"`` — the same channels the
+        XU3's INA231 sensors expose.
         """
         readings: Dict[str, float] = {}
         for cluster in self.spec.clusters:
@@ -104,7 +104,7 @@ class PowerModel:
             # clock gating) plus full leakage.
             acts = [
                 activities.get(core_id, IDLE)
-                for core_id in machine.online_core_ids(cluster.name)
+                for core_id in machine.core_ids(cluster.name)
             ]
             effective = [
                 max(a.utilization * a.activity_factor, idle_activity) for a in acts
@@ -136,7 +136,7 @@ class PowerModel:
         for cluster in self.spec.clusters:
             idle_activity = cluster.core_type.idle_activity
             effective = []
-            for core_id in machine.online_core_ids(cluster.name):
+            for core_id in machine.core_ids(cluster.name):
                 core_busy = busy_s[core_id]
                 if core_busy > 0:
                     util = core_busy / dt
@@ -167,15 +167,13 @@ class PowerModel:
 
 
 def cluster_power_sum(uncore_w, dyn_coeff, leak_w, effective):
-    """One cluster's power: ``uncore_w``, then per online core, in core
-    order, ``+ dyn_coeff · activity`` and ``+ leak_w``.
+    """One cluster's power: ``uncore_w``, then per core, in core order,
+    ``+ dyn_coeff · activity`` and ``+ leak_w``.
 
-    ``effective`` lists the online cores' effective activities: floats
-    for one board, or per-row columns (with per-row coefficients) for
-    the fleet engine — elementwise, so every row gets the same float.
+    ``effective`` lists the cores' effective activities: floats for one
+    board, or per-row columns (with per-row coefficients) for the fleet
+    engine — elementwise, so every row gets the same float.
     """
-    if not effective:
-        return 0.0
     total = uncore_w
     for activity in effective:
         total = total + dyn_coeff * activity

@@ -24,17 +24,18 @@ import numpy as np
 
 from repro.errors import SchedulingError
 from repro.platform.spec import PlatformSpec
-from repro.sched.base import Placement, Scheduler
 from repro.sched.load_tracking import (
     DOWN_MIGRATION_THRESHOLD,
     UP_MIGRATION_THRESHOLD,
     prefers_big,
-    validate_thresholds,
 )
 from repro.sim.thread import SimThread
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulation
+
+#: A placement: core id → threads running there this tick.
+Placement = Dict[int, List[SimThread]]
 
 
 def on_big_table(spec: PlatformSpec) -> Tuple[bool, ...]:
@@ -65,28 +66,32 @@ def least_loaded_rows(run_queue, candidates, bonus):
     return np.where(candidates, run_queue - bonus, np.inf).argmin(axis=1)
 
 
-class GtsScheduler(Scheduler):
-    """Load-threshold cluster selection + within-cluster balancing."""
+class GtsScheduler:
+    """Load-threshold cluster selection + within-cluster balancing.
 
-    def __init__(
-        self,
-        up_threshold: float = UP_MIGRATION_THRESHOLD,
-        down_threshold: float = DOWN_MIGRATION_THRESHOLD,
-    ):
-        validate_thresholds(up_threshold, down_threshold)
-        self.up_threshold = up_threshold
-        self.down_threshold = down_threshold
-        self._spec: Optional[PlatformSpec] = None
-        self._on_big: Tuple[bool, ...] = ()
+    Each tick, :meth:`place` puts every CPU-demanding thread on a core,
+    honouring its affinity and its app's cpuset
+    (:meth:`repro.sim.process.SimApp.allowed_cores`), and updates
+    ``thread.current_core``; the engine then divides each core's
+    capacity fairly among the threads placed on it.
+    """
 
+    #: Load-tracking migration thresholds (Linux GTS defaults).
+    up_threshold = UP_MIGRATION_THRESHOLD
+    down_threshold = DOWN_MIGRATION_THRESHOLD
     #: Floor weight so even a freshly-idle thread occupies queue space.
     MIN_TASK_WEIGHT = 0.1
     #: Run-queue weight bonus of a thread's current core (migration cost).
     STICKINESS = 0.05
 
+    def __init__(self) -> None:
+        self._spec: Optional[PlatformSpec] = None
+        self._on_big: Tuple[bool, ...] = ()
+
     def place(self, sim: "Simulation") -> Placement:
-        online = sim.machine.online_core_ids()
-        spec = sim.machine.spec
+        machine = sim.machine
+        cores = machine.core_ids()
+        spec = machine.spec
         if spec is not self._spec:
             self._spec, self._on_big = spec, on_big_table(spec)
         placement: Placement = {}
@@ -94,7 +99,7 @@ class GtsScheduler(Scheduler):
         # thread count (CFS load balancing), so a heavy stage thread is
         # not stuck sharing a core with another heavy one while light
         # threads underuse a neighbour.
-        load_counts: Dict[int, float] = {core: 0.0 for core in online}
+        load_counts: Dict[int, float] = {core: 0.0 for core in cores}
         min_weight = self.MIN_TASK_WEIGHT
 
         for app in sim.apps:
@@ -106,32 +111,30 @@ class GtsScheduler(Scheduler):
                 if not model.wants_cpu(thread.local_index):
                     continue
                 # Each thread's candidate split is memoized.  It depends
-                # only on (affinity, cpuset, online set); all three are
-                # replaced wholesale when they change, so the entry
-                # validates by object identity.
+                # only on (affinity, cpuset); both are replaced wholesale
+                # when they change, so the entry validates by object
+                # identity.
                 entry = thread._gts_entry
                 if (
                     entry is None
                     or entry[0] is not thread.affinity
                     or entry[1] is not cpuset
-                    or entry[2] is not online
                 ):
-                    allowed = app.allowed_cores(thread, online)
+                    allowed = app.allowed_cores(thread, cores)
                     # A fully-pinned thread (HARS placement) has one
                     # allowed core: the pick is forced, so the hot path
                     # can skip the balancer entirely.
                     entry = (
                         thread.affinity,
                         cpuset,
-                        online,
                         *candidate_split(allowed, self._on_big),
                         next(iter(allowed)) if len(allowed) == 1 else None,
                     )
                     thread._gts_entry = entry
-                core = entry[5]
+                core = entry[4]
                 if core is None:
                     core = self._pick_partitioned(
-                        thread, entry[3], entry[4], load_counts
+                        thread, entry[2], entry[3], load_counts
                     )
                 if core in placement:
                     placement[core].append(thread)
@@ -161,7 +164,7 @@ class GtsScheduler(Scheduler):
         ):
             candidates = if_little
         if not candidates:
-            raise SchedulingError(f"{thread.key()}: no allowed online cores")
+            raise SchedulingError(f"{thread.key()}: no allowed cores")
 
         # A small stickiness bonus keeps a thread on its current core
         # unless another core is meaningfully lighter (migration cost).

@@ -10,22 +10,11 @@ signal itself is the exponentially-decayed runnable demand maintained in
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
-
 #: Load above which a task prefers the big cluster (fraction of full).
 UP_MIGRATION_THRESHOLD = 0.80
 
 #: Load below which a task prefers the little cluster.
 DOWN_MIGRATION_THRESHOLD = 0.25
-
-
-def validate_thresholds(up: float, down: float) -> None:
-    """Ensure a (down, up) threshold pair is sane."""
-    if not 0.0 <= down < up <= 1.0:
-        raise ConfigurationError(
-            f"migration thresholds must satisfy 0 <= down < up <= 1, "
-            f"got down={down}, up={up}"
-        )
 
 
 def prefers_big(load, on_big, up: float, down: float):

@@ -4,7 +4,9 @@ Each tick (default 10 ms of simulated time) the engine:
 
 1. publishes :class:`~repro.kernel.bus.TickStart` on the kernel bus
    (runtime managers adapt here),
-2. asks the OS scheduler model for a placement (core → threads),
+2. asks the GTS scheduler model (:class:`~repro.sched.gts.GtsScheduler`,
+   the only OS scheduler HARS runs against) for a placement
+   (core → threads),
 3. divides each core's tick capacity fairly among its threads and grants
    the resulting work budget to the workload models,
 4. collects per-thread consumption back, emits heartbeats, and publishes
@@ -56,7 +58,6 @@ from repro.platform.machine import Machine
 from repro.platform.power import PowerModel
 from repro.platform.sensor import PowerSensor
 from repro.platform.spec import PlatformSpec
-from repro.sched.base import Scheduler
 from repro.sched.gts import GtsScheduler
 from repro.sim.clock import SimClock
 from repro.sim.controller import Controller
@@ -78,7 +79,6 @@ class Simulation:
         self,
         spec: PlatformSpec,
         tick_s: float = DEFAULT_TICK_S,
-        scheduler: Optional[Scheduler] = None,
         faults: Optional[FaultConfig] = None,
     ):
         if tick_s <= 0:
@@ -90,7 +90,7 @@ class Simulation:
         self.power_model = PowerModel(spec)
         self.sensor = PowerSensor()
         self.clock = SimClock()
-        self.scheduler: Scheduler = scheduler or GtsScheduler()
+        self.scheduler = GtsScheduler()
         # Managers route their Plan stage through this service (shared
         # batch metering and multi-app plan_many batches).  Imported
         # here: the planner sits above repro.core, which imports the
@@ -432,7 +432,7 @@ class Simulation:
         self._arr_meta_share = [0.0] * n
         self._arr_meta_speed = [0.0] * n
         self._arr_meta_core = [0] * n
-        n_cores = (max(self.machine.cores) + 1) if self.machine.cores else 1
+        n_cores = max(self.machine.core_ids()) + 1
         self._n_core_slots = n_cores
         self._zero_cores = [0.0] * n_cores
         self._arr_core_busy = [0.0] * n_cores

@@ -7,8 +7,7 @@ differently:
 
 * **crashed** — the app exits abruptly with work units left.  MP-HARS
   already reclaims its partition on ``AppFinished``, but nothing records
-  *why* the app went away, and the heartbeat registry keeps a dead
-  entry.
+  *why* the app went away.
 * **hung** — the app stops beating without exiting.  It keeps its cores
   (and its partition) forever while survivors starve; the stale-signal
   guards from PR 2 make the managers *hold*, which is exactly wrong
@@ -38,10 +37,10 @@ false suspicion can never perturb a healthy run.
 
 On eviction the supervisor reclaims the app's cores through the same
 actuation façade the managers use (cpuset cleared, affinities unpinned),
-halts the app in the engine, detaches it from the heartbeat registry,
-and asks every controller that exposes ``unregister_app`` to drop it and
-repartition — for MP-HARS that forces an immediate Algorithm 4 pass on
-the survivors' next beats instead of waiting out the adaptation period.
+halts the app in the engine, and asks every controller that exposes
+``unregister_app`` to drop it and repartition — for MP-HARS that forces
+an immediate Algorithm 4 pass on the survivors' next beats instead of
+waiting out the adaptation period.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.heartbeats.record import Heartbeat
-from repro.heartbeats.registry import HeartbeatRegistry
 from repro.kernel.bus import (
     AppEvicted,
     AppFinished,
@@ -327,13 +325,8 @@ class Supervisor(CheckpointedController):
     an unsupervised one.
     """
 
-    def __init__(
-        self,
-        config: Optional[SupervisorConfig] = None,
-        registry: Optional[HeartbeatRegistry] = None,
-    ):
+    def __init__(self, config: Optional[SupervisorConfig] = None):
         self.config = config or SupervisorConfig()
-        self.registry = registry
         self.ledger = QuarantineLedger()
         self._watch: Dict[str, _WatchEntry] = {}
         #: Eviction count (cheap invariant hook for identity tests).
@@ -360,8 +353,6 @@ class Supervisor(CheckpointedController):
                 started_at=now,
             )
             self.ledger.ensure(app.name)
-            if self.registry is not None and app.name not in self.registry:
-                self.registry.register(app.name, app.target)
 
     # -- deadline watching -------------------------------------------------
 
@@ -581,8 +572,6 @@ class Supervisor(CheckpointedController):
         sim.actuator.set_cpuset(entry.app, None)
         sim.actuator.clear_affinities(entry.app)
         sim.retire_app(name)
-        if self.registry is not None and name in self.registry:
-            self.registry.unregister(name)
         for controller in sim.controllers:
             unregister = getattr(controller, "unregister_app", None)
             if unregister is not None:

@@ -11,11 +11,9 @@ itself:
   boundaries chosen at creation time (observed heartbeat rates), so two
   runs of the same configuration always produce comparable buckets;
 * :class:`Timer` — duration accumulators (MAPE phase costs).  Durations
-  come either from explicit :meth:`Timer.record` calls (the modelled
-  manager costs of ``docs/modelling.md`` §7) or from
-  :meth:`Timer.span`, a context manager over a caller-supplied clock —
-  the *simulated* clock in every built-in use, so timer values are
-  deterministic and never read the host's wall clock.
+  come from explicit :meth:`Timer.record` calls (the modelled manager
+  costs of ``docs/modelling.md`` §7), so timer values are deterministic
+  and never read the host's wall clock.
 
 Instruments are labelled: each carries any number of label sets
 (series), and a series is addressed by keyword arguments
@@ -29,7 +27,7 @@ ever feeds back into the simulation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -199,24 +197,6 @@ class _TimerChild:
             self.max_s = seconds
 
 
-class _Span:
-    """Context manager recording one clocked duration into a timer."""
-
-    __slots__ = ("_child", "_clock", "_start")
-
-    def __init__(self, child: _TimerChild, clock: Callable[[], float]):
-        self._child = child
-        self._clock = clock
-        self._start = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._start = self._clock()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._child.record(self._clock() - self._start)
-
-
 class Timer(LabelledInstrument):
     """Accumulated durations (count, sum, max) in seconds."""
 
@@ -227,8 +207,3 @@ class Timer(LabelledInstrument):
 
     def record(self, seconds: float, **labels: str) -> None:
         self.child(**labels).record(seconds)
-
-    def span(self, clock: Callable[[], float], **labels: str) -> _Span:
-        """Time a ``with`` block against ``clock`` (the sim clock in
-        every built-in use — wall clocks would break determinism)."""
-        return _Span(self.child(**labels), clock)

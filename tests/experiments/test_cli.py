@@ -30,6 +30,17 @@ class TestCli:
     def test_quick_units_constant_is_small(self):
         assert 20 <= QUICK_UNITS <= 150
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--crash-frac", "-0.1"), ("--retry-timeout", "-1")]
+    )
+    def test_negative_fleet_fault_settings_rejected(self, flag, value, capsys):
+        # Only values > 0 switch chaos or retries on, so a negative one
+        # must be an argument error, not a quiet fault-free fleet run.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--nodes", "2", "--requests", "20", flag, value])
+        assert excinfo.value.code == 2
+        assert f"{flag} must be >= 0" in capsys.readouterr().err
+
 
 class TestCliJson:
     def test_json_flag_writes_payload(self, tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.heartbeats.monitor import HeartbeatMonitor
 from repro.heartbeats.record import HeartbeatLog
-from repro.heartbeats.registry import HeartbeatRegistry
 from repro.heartbeats.targets import PerformanceTarget, Satisfaction
 
 
@@ -91,43 +90,3 @@ class TestHeartbeatMonitor:
         monitor = self._monitor(target, [0.0, 0.1, 0.2])
         series = monitor.satisfaction_series()
         assert series[-1][1] is Satisfaction.OVERPERF
-
-
-class TestRegistry:
-    def test_register_and_lookup(self, target):
-        registry = HeartbeatRegistry()
-        log = registry.register("a", target)
-        assert registry.log("a") is log
-        assert registry.target("a") is target
-        assert "a" in registry and len(registry) == 1
-
-    def test_registration_order_is_iteration_order(self, target):
-        registry = HeartbeatRegistry()
-        for name in ("c", "a", "b"):
-            registry.register(name, target)
-        assert registry.app_names == ("c", "a", "b")
-        assert [n for n, _ in registry] == ["c", "a", "b"]
-
-    def test_duplicate_registration_rejected(self, target):
-        registry = HeartbeatRegistry()
-        registry.register("a", target)
-        with pytest.raises(ConfigurationError):
-            registry.register("a", target)
-
-    def test_unregister(self, target):
-        registry = HeartbeatRegistry()
-        registry.register("a", target)
-        registry.unregister("a")
-        assert "a" not in registry
-        with pytest.raises(ConfigurationError):
-            registry.log("a")
-
-    def test_current_rates(self, target):
-        registry = HeartbeatRegistry()
-        log = registry.register("a", target, rate_window=1)
-        registry.register("b", target)
-        log.emit(0.0)
-        log.emit(0.5)
-        rates = registry.current_rates()
-        assert rates["a"] == pytest.approx(2.0)
-        assert rates["b"] is None

@@ -33,6 +33,8 @@ from repro.kernel.batchplan import (
     batch_next_sys_state,
 )
 from repro.kernel.estimation import EstimationLayer
+from repro.mphars.manager import PartitionFilter
+from repro.platform.cluster import BIG, LITTLE
 from repro.platform.spec import odroid_xu3
 from tests.golden import GOLDEN_RUNS, SINGLE_SHAPE, load_golden, outcome_digest
 
@@ -89,11 +91,13 @@ def both(scenario, perf=PERF, power=POWER):
 
 
 class EvenCoresOnly:
-    """A plain-callable structural filter (no box_mask): exercises the
-    vector path's per-candidate Python fallback."""
+    """A structural filter that is not a per-axis bound."""
 
     def __call__(self, candidate, current):
         return candidate.c_big % 2 == 0
+
+    def box_mask(self, box):
+        return box.c_big % 2 == 0
 
 
 class CappedCores:
@@ -197,7 +201,11 @@ class TestEdgeCases:
             n_threads=8,
             target=PerformanceTarget(4.0, 5.0, 6.0),
             space=SearchSpace(m=4, n=4, d=7),
-            candidate_filter=lambda candidate, current: False,
+            # What MP-HARS plans with for an app unregistered between
+            # Analyze and Plan.
+            candidate_filter=PartitionFilter(
+                -1, -1, {BIG: None, LITTLE: None}
+            ),
         )
         scalar, vector = both(scenario)
         assert scalar == vector

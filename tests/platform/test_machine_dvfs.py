@@ -39,20 +39,14 @@ class TestMachine:
         with pytest.raises(PlatformError):
             machine.freq_mhz("gpu")
 
-    def test_all_cores_start_online(self, machine):
-        assert machine.online_core_ids() == tuple(range(8))
-        assert machine.online_core_ids(BIG) == (4, 5, 6, 7)
-
-    def test_hotplug(self, machine):
-        machine.set_core_online(7, False)
-        assert 7 not in machine.online_core_ids()
-        assert machine.online_core_ids(BIG) == (4, 5, 6)
-        machine.set_core_online(7, True)
-        assert 7 in machine.online_core_ids()
-
-    def test_hotplug_unknown_core_raises(self, machine):
-        with pytest.raises(PlatformError):
-            machine.set_core_online(42, False)
+    def test_core_ids_are_built_once(self, machine):
+        # GTS and the fleet engine validate their caches by the
+        # identity of these tuples.
+        assert machine.core_ids() == tuple(range(8))
+        assert machine.core_ids(BIG) == (4, 5, 6, 7)
+        assert machine.core_ids(LITTLE) == (0, 1, 2, 3)
+        assert machine.core_ids() is machine.core_ids()
+        assert machine.core_ids(BIG) is machine.core_ids(BIG)
 
     def test_core_speed_uses_cluster_frequency(self, machine):
         machine.set_freq_mhz(BIG, 800)

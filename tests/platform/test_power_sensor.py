@@ -73,12 +73,6 @@ class TestPowerModel:
         calm = model.platform_power(machine, _full_load((4,), activity=0.5))
         assert calm[BIG] < busy[BIG]
 
-    def test_offline_cores_draw_nothing(self, model, machine):
-        for core in range(4, 8):
-            machine.set_core_online(core, False)
-        watts = model.platform_power(machine, {})
-        assert watts[BIG] == 0.0
-
     def test_power_sum_same_for_floats_and_columns(self):
         effective = np.array([[0.1, 0.5, 1.0, 0.03], [0.7, 0.7, 0.2, 0.9]])
         dyn = np.array([1.3, 0.4])
@@ -88,7 +82,6 @@ class TestPowerModel:
             cluster_power_sum(0.1, d, k, e)
             for d, k, e in zip(dyn.tolist(), leak.tolist(), effective.tolist())
         ]
-        assert cluster_power_sum(0.1, 1.3, 0.02, []) == 0.0
 
     def test_scalar_clamp_equals_the_engine_clamp(self, model, machine):
         """``platform_power_arrays``' inline clamp and the engine's

@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.heartbeats.targets import PerformanceTarget
 from repro.sched.gts import (
     GtsScheduler,
@@ -13,7 +12,7 @@ from repro.sched.gts import (
     least_loaded_rows,
     on_big_table,
 )
-from repro.sched.load_tracking import prefers_big, validate_thresholds
+from repro.sched.load_tracking import prefers_big
 from repro.sim.engine import Simulation
 from repro.sim.process import SimApp
 from repro.sim.thread import SimThread
@@ -109,17 +108,6 @@ class TestLoadTracking:
                 (on_current * bonus)[None],
             )
             assert got.tolist() == [want]
-
-    def test_threshold_validation(self):
-        validate_thresholds(0.8, 0.25)
-        with pytest.raises(ConfigurationError):
-            validate_thresholds(0.25, 0.8)
-        with pytest.raises(ConfigurationError):
-            validate_thresholds(1.5, 0.2)
-
-    def test_scheduler_rejects_bad_thresholds(self):
-        with pytest.raises(ConfigurationError):
-            GtsScheduler(up_threshold=0.2, down_threshold=0.8)
 
 
 class TestGtsPathology:

@@ -1,9 +1,9 @@
-"""Engine guard rails: runaway protection, hotplug interplay, rounds."""
+"""Engine guard rails: runaway protection, grant rounds."""
 
 import pytest
 
 import repro.sim.engine as engine_module
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.heartbeats.targets import PerformanceTarget
 from repro.sim.engine import Simulation
 from repro.sim.process import SimApp
@@ -28,26 +28,6 @@ class TestRunawayGuard:
         sim.add_app(_app(n_units=50))
         with pytest.raises(SimulationError, match="stalled|exceeded"):
             sim.run()
-
-
-class TestHotplugInterplay:
-    def test_pinned_thread_on_offline_core_raises(self, xu3):
-        sim = Simulation(xu3)
-        app = sim.add_app(_app())
-        for thread in app.threads:
-            thread.set_affinity(frozenset({7}))
-        sim.machine.set_core_online(7, False)
-        with pytest.raises(ConfigurationError):
-            sim.step()
-
-    def test_unpinned_apps_survive_hotplug(self, xu3):
-        sim = Simulation(xu3)
-        app = sim.add_app(_app(n_units=10))
-        sim.machine.set_core_online(7, False)
-        sim.machine.set_core_online(6, False)
-        sim.run(until_s=60)
-        assert app.is_done()
-        assert all(c not in (6, 7) for c in app.cores_in_use())
 
 
 class TestGrantRounds:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.runner import RunConfig, RunShape, build_target, run
 from repro.faults import FaultConfig, LifecycleEvent
-from repro.heartbeats.registry import HeartbeatRegistry
 from repro.kernel.bus import AppEvicted, AppQuarantined, AppSuspected, TickStart
 from repro.sim.engine import Simulation
 from repro.sim.process import SimApp
@@ -14,7 +13,7 @@ from repro.workloads.parsec import make_benchmark
 
 
 def _watched_sim(xu3, grace_factor=2.0):
-    """A baseline-run swaptions sim with a supervised registry attached."""
+    """A baseline-run swaptions sim with a supervisor attached."""
     shape = RunShape(benchmark="swaptions", n_units=400, seed=0)
     target = build_target(xu3, shape)
     sim = Simulation(xu3, tick_s=0.01)
@@ -22,10 +21,7 @@ def _watched_sim(xu3, grace_factor=2.0):
     model.reset(0)
     app = sim.add_app(SimApp("swaptions", model, target))
     attach_single_app_version(sim, app, "baseline")
-    supervisor = Supervisor(
-        SupervisorConfig(grace_factor=grace_factor),
-        registry=HeartbeatRegistry(),
-    )
+    supervisor = Supervisor(SupervisorConfig(grace_factor=grace_factor))
     sim.add_controller(supervisor)
     events = []
     for kind in (AppSuspected, AppQuarantined, AppEvicted):
@@ -38,7 +34,6 @@ def _watched_sim(xu3, grace_factor=2.0):
 class TestDeadlineEscalation:
     def test_registry_registration_on_start(self, xu3):
         _, app, supervisor, _ = _watched_sim(xu3)
-        assert app.name in supervisor.registry
         assert supervisor.ledger.status_of(app.name) is AppHealth.HEALTHY
 
     def test_one_level_per_tick_and_eviction(self, xu3):
@@ -61,10 +56,10 @@ class TestDeadlineEscalation:
         assert supervisor.evictions == 1
         record = supervisor.ledger.record(app.name)
         assert record.failure is FailureKind.HUNG
-        # Eviction reclaims everything: the app is halted, unpinned, and
-        # detached from the heartbeat registry.
+        # Eviction reclaims everything: the app is halted and unpinned.
         assert app.halted
-        assert app.name not in supervisor.registry
+        assert app.cpuset is None
+        assert all(thread.affinity is None for thread in app.threads)
 
     def test_heartbeat_recovers_a_suspect(self, xu3):
         sim, app, supervisor, events = _watched_sim(xu3)

@@ -82,15 +82,6 @@ class TestTimer:
         assert child.sum_s == pytest.approx(2.5)
         assert child.max_s == 2.0
 
-    def test_span_uses_the_provided_clock(self):
-        now = [10.0]
-        timer = Timer("t", "help")
-        with timer.span(lambda: now[0]):
-            now[0] = 10.5
-        child = timer.child()
-        assert child.count == 1
-        assert child.sum_s == pytest.approx(0.5)
-
     def test_negative_duration_rejected(self):
         timer = Timer("t", "help")
         with pytest.raises(ConfigurationError):
