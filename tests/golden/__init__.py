@@ -10,12 +10,12 @@ A fleet run's digest is the same canonical JSON over
 :meth:`~repro.fleet.cluster.FleetResult.summary`, its deterministic
 fingerprint.
 
-The warm restart runs named in :data:`STATE_PINS` carry a second
-digest, :func:`state_digest`, under ``"<name>/state"``: the canonical
-JSON of the run's telemetry registry snapshot plus the final
-checkpoint-store contents.  It pins what the run digest cannot see —
-the per-manager MAPE series, the estimation-cache stats and every
-checkpoint body.
+The warm restart and actuation-fault runs named in :data:`STATE_PINS`
+carry a second digest, :func:`state_digest`, under ``"<name>/state"``:
+the canonical JSON of the run's telemetry registry snapshot plus the
+final checkpoint-store contents.  It pins what the run digest cannot
+see — the per-manager MAPE series, the estimation-cache stats, the
+fault counters and every checkpoint body.
 
 The reference runs live in :data:`GOLDEN_RUNS` so the tests that assert
 them (``tests/golden/test_golden_digests.py`` and the end-to-end parity
@@ -216,6 +216,18 @@ FLEET_LANE3_CHAOS_CONFIG = FleetConfig(
 )
 
 
+def _actuation_fault_config(seed: int) -> RunConfig:
+    """Seeded DVFS and affinity write faults at half rate under
+    telemetry: the actuator's retry-with-backoff path and the order of
+    the injector's write rolls."""
+    return RunConfig(
+        faults=FaultConfig(
+            dvfs_failure_rate=0.5, affinity_failure_rate=0.5, seed=seed
+        ),
+        telemetry=True,
+    )
+
+
 def _ratio_learning_run() -> RunOutcome:
     shape = RATIO_LEARNING_SHAPE
     spec = odroid_xu3()
@@ -316,13 +328,13 @@ def outcome_digest(outcome) -> str:
 
 def state_digest(outcome: RunOutcome) -> str:
     """sha256 of the canonical JSON of a run's telemetry registry
-    snapshot plus its final checkpoint-store contents."""
+    snapshot plus its final checkpoint-store contents (none when the run
+    keeps no store)."""
     store = outcome.checkpoint_store
+    ids = store.controller_ids if store is not None else ()
     payload = {
         "telemetry": _canonical(outcome.telemetry.registry.snapshot()),
-        "checkpoints": _canonical(
-            {cid: store.get(cid) for cid in store.controller_ids}
-        ),
+        "checkpoints": _canonical({cid: store.get(cid) for cid in ids}),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -330,7 +342,12 @@ def state_digest(outcome: RunOutcome) -> str:
 
 #: Runs whose telemetry and checkpoints are pinned by
 #: :func:`state_digest` as well, under ``"<name>/state"``.
-STATE_PINS = ("hars-e-restart-warm-x80", "mp-hars-e-restart-warm-hang-x60")
+STATE_PINS = (
+    "hars-e-restart-warm-x80",
+    "mp-hars-e-restart-warm-hang-x60",
+    "hars-e-actuation-faults-x80",
+    "mp-hars-e-actuation-faults-x60",
+)
 
 
 #: name -> zero-argument callable producing the reference run.
@@ -378,6 +395,12 @@ GOLDEN_RUNS: Dict[str, Callable[[], Any]] = {
     "fleet-lane3-chaos-x20": lambda: FleetCluster(
         FLEET_LANE3_CHAOS_CONFIG, router="deadline-risk"
     ).run(),
+    "hars-e-actuation-faults-x80": lambda: run(
+        "hars-e", SINGLE_SHAPE, _actuation_fault_config(seed=4)
+    ),
+    "mp-hars-e-actuation-faults-x60": lambda: run(
+        "mp-hars-e", list(MULTI_SHAPES), _actuation_fault_config(seed=1)
+    ),
 }
 
 

@@ -33,6 +33,11 @@ benchmark journey itself (100 nodes, 4000 requests, seed 1), and a
 chaos fleet with three threads per lane, where threads share cores and
 a lane's backlog sums three in-service requests.
 
+Two runs pin the actuation-fault path: a HARS-E and an MP-HARS-E run
+whose DVFS and affinity writes fail at a seeded half rate, so the
+actuator's retries, backoff windows and the injector's roll order reach
+both the run digest and the state digest.
+
 Regenerate only when a behaviour change is intended, and say so in the
 change log::
 
@@ -168,6 +173,28 @@ def test_lane3_chaos_fleet_run_matches_golden_digest():
     assert result.resilience["hedge_cancelled"] > 0
     assert result.resilience["crashes"] > 0
     assert outcome_digest(result) == load_golden()[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["hars-e-actuation-faults-x80", "mp-hars-e-actuation-faults-x60"],
+)
+def test_actuation_fault_run_matches_golden_digest(name):
+    outcome = GOLDEN_RUNS[name]()
+    # The digest must really cover failed and retried writes on both
+    # actuation channels.
+    counts = {
+        (sample, dict(labels)["kind"]): value
+        for (sample, labels), value in flatten_snapshot(
+            outcome.telemetry.registry.snapshot()
+        ).items()
+        if sample in ("faults_injected_total", "faults_recovered_total")
+    }
+    for sample in ("faults_injected_total", "faults_recovered_total"):
+        for kind in ("dvfs", "affinity"):
+            assert counts.get((sample, kind), 0) > 0, (sample, kind)
+    assert outcome_digest(outcome) == load_golden()[name]
+    assert state_digest(outcome) == load_golden()[f"{name}/state"]
 
 
 def test_golden_file_covers_every_run():
