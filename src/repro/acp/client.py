@@ -551,22 +551,3 @@ def _outcome_from_result(payload: Dict[str, Any]):
         max_rate=payload["max_rate"],
     )
 
-
-def run_via_acp(version: str, shapes: Any, config: Any):
-    """The ``RunConfig(acp=...)`` execution path of
-    :func:`repro.experiments.run`: attach, run to completion, detach.
-
-    The outcome is reconstructed from the ``result`` frame — same
-    summaries, same trace rows, bit for bit.
-    """
-    if shapes is None:
-        raise ConfigurationError("an acp run needs shapes")
-    client = AcpClient(config.acp)
-    handle = client.attach(version, shapes, config.with_(acp=None))
-    try:
-        return handle.result()
-    finally:
-        try:
-            handle.detach()
-        except (AcpError, OSError):
-            pass  # best-effort cleanup; the outcome is already in hand

@@ -35,6 +35,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.errors import ConfigurationError
 from repro.experiments.fig5_1 import run_fig5_1
 from repro.experiments.fig5_2 import gain_compression, run_fig5_2
 from repro.experiments.fig5_3 import run_fig5_3
@@ -390,32 +391,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         else [args.experiment]
     )
     payloads = {}
-    for name in names:
-        print(f"=== {name} ===")
-        if name == "telemetry":
-            payload = _run_telemetry(
-                n_units,
-                benchmarks,
-                fmt=args.format,
-                power_cap_w=args.power_cap,
-            )
-        elif name == "fleet":
-            payload = _run_fleet(
-                router=args.router,
-                nodes=args.nodes,
-                requests=args.requests,
-                trace=args.trace,
-                seed=args.seed,
-                crash_frac=args.crash_frac,
-                crash_at=args.crash_at,
-                failover=not args.no_failover,
-                retry_timeout=args.retry_timeout,
-            )
-        else:
-            payload = _RUNNERS[name](n_units, benchmarks)
-        if payload is not None:
-            payloads[name] = payload
-        print()
+    try:
+        for name in names:
+            print(f"=== {name} ===")
+            if name == "telemetry":
+                payload = _run_telemetry(
+                    n_units,
+                    benchmarks,
+                    fmt=args.format,
+                    power_cap_w=args.power_cap,
+                )
+            elif name == "fleet":
+                payload = _run_fleet(
+                    router=args.router,
+                    nodes=args.nodes,
+                    requests=args.requests,
+                    trace=args.trace,
+                    seed=args.seed,
+                    crash_frac=args.crash_frac,
+                    crash_at=args.crash_at,
+                    failover=not args.no_failover,
+                    retry_timeout=args.retry_timeout,
+                )
+            else:
+                payload = _RUNNERS[name](n_units, benchmarks)
+            if payload is not None:
+                payloads[name] = payload
+            print()
+    except ConfigurationError as exc:
+        print(f"hars-repro: error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         dump_json(
             payloads if len(payloads) != 1 else next(iter(payloads.values())),

@@ -117,8 +117,8 @@ def _measure_state(
     app = sim.add_app(
         SimApp("probe", model, PerformanceTarget(1.0, 1.0, 1.0))
     )
-    sim.dvfs.set_frequency(BIG, state.f_big_mhz)
-    sim.dvfs.set_frequency(LITTLE, state.f_little_mhz)
+    sim.machine.set_freq_mhz(BIG, state.f_big_mhz)
+    sim.machine.set_freq_mhz(LITTLE, state.f_little_mhz)
     estimate = perf_estimator.estimate(state, app.n_threads)
     apply_assignment(
         app,

@@ -96,24 +96,10 @@ class RunConfig:
     telemetry: Optional[bool] = None
     guardrails: Optional[GuardrailConfig] = None
     fleet: Optional[FleetConfig] = None
-    #: Attachment mode: ``None`` runs in-process; ``"loopback"`` routes
-    #: the run through an in-process adaptation-control-plane server
-    #: over the JSONL wire protocol (:mod:`repro.acp`), bit-identically;
-    #: a ``unix://<path>`` or ``http://host:port`` endpoint attaches to
-    #: a ``hars-repro serve`` daemon.
-    acp: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.checkpoint is not None and self.checkpoint <= 0:
             raise ConfigurationError("checkpoint cadence must be positive")
-        if self.acp is not None and not isinstance(self.acp, str):
-            raise ConfigurationError(
-                "acp must be None, 'loopback', or an endpoint string"
-            )
-        if self.acp is not None and self.fleet is not None:
-            raise ConfigurationError(
-                "acp attachment does not support fleet runs"
-            )
 
     #: Sub-config fields ``with_`` deep-copies when not replaced.  The
     #: platform spec is excluded on purpose: it is immutable in practice
@@ -291,13 +277,12 @@ def run(
       :class:`RunOutcome`.
 
     ``config`` defaults to ``RunConfig()`` — no faults, no supervision,
-    no telemetry.
+    no telemetry.  ``run`` always executes in this process; to run the
+    same thing attached to a control plane, use
+    ``AcpClient(endpoint).attach(version, shapes, config).result()``
+    (:mod:`repro.acp.client`), which is bit-identical.
     """
     config = config or RunConfig()
-    if config.acp is not None:
-        from repro.acp.client import run_via_acp
-
-        return run_via_acp(version, shapes, config)
     if config.fleet is not None:
         if shapes is not None:
             raise ConfigurationError(

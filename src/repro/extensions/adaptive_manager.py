@@ -42,11 +42,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.process import SimApp
 
 
-class _SettledRatioUpdater:
-    """Knowledge updater: the settled-observation clock + ratio refit.
+class _RatioUpdater:
+    """Knowledge updater: refit the big:little ratio every period.
 
     State changes land on adaptation-period boundaries and the rate
-    window spans one period, so the first check after a change already
+    window spans one period, so every check after a change already
     measures the new state cleanly.
     """
 
@@ -61,8 +61,7 @@ class _SettledRatioUpdater:
         observation: Observation,
     ) -> None:
         manager = self.manager
-        manager._settled_periods += 1
-        if manager.ratio_learner is not None and manager._settled_periods >= 1:
+        if manager.ratio_learner is not None:
             manager.ratio_learner.observe(
                 current, observation.rate, app.n_threads, manager._assignment
             )
@@ -94,7 +93,6 @@ class AdaptiveHarsManager(HarsManager):
         self.ratio_learner = ratio_learner
         self.stuck_detector = stuck_detector
         self.stage_aware = stage_aware
-        self._settled_periods = 0
         super().__init__(
             app_name=app_name,
             policy=policy,
@@ -118,7 +116,7 @@ class AdaptiveHarsManager(HarsManager):
         )
 
     def _build_updaters(self) -> tuple:
-        return (_SettledRatioUpdater(self),)
+        return (_RatioUpdater(self),)
 
     @property
     def escapes(self) -> int:
@@ -129,11 +127,9 @@ class AdaptiveHarsManager(HarsManager):
 
     def _apply(self, sim: "Simulation", state: SystemState) -> None:
         super()._apply(sim, state)
-        # A new state invalidates the predictor's rate estimate and the
-        # settled-observation clock.
+        # A new state invalidates the predictor's rate estimate.
         if self.predictor is not None:
             self.predictor.reset()
-        self._settled_periods = 0
 
     def _forget_volatile(self, sim: "Simulation") -> None:
         """HARS's volatile state plus the online-learned models."""
@@ -143,4 +139,3 @@ class AdaptiveHarsManager(HarsManager):
         if self.ratio_learner is not None:
             self.ratio_learner.reset()
             self.perf_estimator = self.ratio_learner.estimator()
-        self._settled_periods = 0

@@ -267,7 +267,7 @@ class FaultInjector:
         return False
 
     def dvfs_write_ok(self, cluster_name: str, freq_mhz: int) -> bool:
-        """Roll one DVFS write (the platform controller's write filter)."""
+        """Roll one DVFS write (the actuator's frequency gate)."""
         rate = self.config.dvfs_failure_rate
         return not (rate and self.rng.random() < rate)
 

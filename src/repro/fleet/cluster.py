@@ -60,7 +60,7 @@ from repro.fleet.resilience import AdmissionController, ResilienceConfig
 from repro.fleet.router import Candidates, Router, make_router
 from repro.fleet.slo import percentile
 from repro.fleet.supervisor import FleetSupervisor, NodeHealth
-from repro.fleet.trace import Request, make_trace
+from repro.fleet.trace import APP_ID, Request, make_trace
 from repro.platform.sensor import CHANNELS
 from repro.sim.engine import MAX_TICKS
 from repro.telemetry.registry import MetricsRegistry
@@ -70,6 +70,10 @@ _BUCKET_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 
 #: Slop for comparing scheduled times against tick boundaries.
 _TIME_EPS = 1e-12
+
+#: Extra horizon after the last arrival before the run is cut off
+#: (unfinished requests are reported, not waited for).
+_DRAIN_S = 20.0
 
 #: The unserved-cause buckets ``FleetResult.unserved_causes`` reports.
 UNSERVED_CAUSES = (
@@ -165,7 +169,7 @@ class FleetCluster:
         self.trace = make_trace(config)
         self._horizon_s = (
             self.trace[-1].arrival_s if self.trace else 0.0
-        ) + config.drain_s
+        ) + _DRAIN_S
         # A fully disabled chaos config is exactly no chaos config: the
         # off-path bit-identity guarantee hangs on this normalization.
         chaos = config.chaos
@@ -792,7 +796,7 @@ class FleetCluster:
             router=self.router.name,
             trace=config.trace,
             nodes=str(config.nodes),
-            app=config.app_id,
+            app=APP_ID,
         )
         return FleetResult(
             router=self.router.name,

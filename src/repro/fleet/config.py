@@ -55,12 +55,6 @@ class FleetConfig:
         deadline-aware routing matter.
     heavy_scale:
         Size multiplier of the heavy mode.
-    diurnal_period_s / diurnal_depth:
-        Sinusoidal modulation of the arrival rate (``"diurnal"`` trace).
-    burst_period_s / burst_duty / burst_scale:
-        On/off modulation (``"burst"`` trace): for ``burst_duty`` of each
-        period the rate is scaled by ``burst_scale``, otherwise damped so
-        the long-run mean stays near the base rate.
     lane_threads:
         Threads per serving lane (each node runs a ``hot`` and a ``base``
         lane; see :mod:`repro.fleet.node`).
@@ -68,18 +62,11 @@ class FleetConfig:
         MP-HARS adaptation period (heartbeats) on every node.
     percentile:
         Tail percentile the per-lane deadline targets steer on.
-    slo_window:
-        Sliding-window size (samples) of the per-lane SLO windows.
     slack:
         Headroom fraction of the deadline the controller aims below:
         the comfort point is ``(1 - slack) * deadline_s``.
     rate_span_s:
         Span of the timed rate window feeding the deadline targets.
-    drain_s:
-        Extra horizon after the last arrival before the run is cut off
-        (unfinished requests are reported, not waited for).
-    app_id:
-        Application label stamped on every request (telemetry label).
     chaos:
         Node mortality model (:class:`~repro.fleet.chaos.
         FleetFaultConfig`): seeded crash/hang/slowdown schedules.  None
@@ -102,19 +89,11 @@ class FleetConfig:
     service_units: float = 0.05
     heavy_fraction: float = 0.15
     heavy_scale: float = 6.0
-    diurnal_period_s: float = 20.0
-    diurnal_depth: float = 0.8
-    burst_period_s: float = 4.0
-    burst_duty: float = 0.3
-    burst_scale: float = 3.0
     lane_threads: int = 2
     adapt_every: int = 5
     percentile: float = 95.0
-    slo_window: int = 256
     slack: float = 0.4
     rate_span_s: float = 2.0
-    drain_s: float = 20.0
-    app_id: str = "search"
     chaos: Optional[FleetFaultConfig] = None
     resilience: Optional[ResilienceConfig] = None
 
@@ -143,14 +122,10 @@ class FleetConfig:
             raise ConfigurationError("lane_threads must be >= 1")
         if not 0 < self.percentile <= 100:
             raise ConfigurationError("percentile must be in (0, 100]")
-        if self.slo_window < 2:
-            raise ConfigurationError("slo_window must be >= 2")
         if not 0 < self.slack < 1:
             raise ConfigurationError("slack must be in (0, 1)")
         if self.rate_span_s <= 0:
             raise ConfigurationError("rate_span_s must be positive")
-        if self.drain_s < 0:
-            raise ConfigurationError("drain_s cannot be negative")
         if self.chaos is not None and not isinstance(
             self.chaos, FleetFaultConfig
         ):

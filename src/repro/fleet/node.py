@@ -114,7 +114,7 @@ class FleetNode:
             self.models[lane] = model
             self.targets[lane] = target
             self.apps[lane] = self.sim.add_app(SimApp(lane, model, target))
-            self.slo[lane] = SloWindow(config.slo_window)
+            self.slo[lane] = SloWindow()
             self._cursor[lane] = 0
             cluster = spec.big if lane == "hot" else spec.little
             cluster_name = BIG if lane == "hot" else LITTLE

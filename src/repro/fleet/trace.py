@@ -15,8 +15,9 @@ Three shapes:
 * ``diurnal`` — a non-homogeneous Poisson process whose rate follows a
   sinusoid (the classic day/night traffic curve, compressed to
   simulation scale);
-* ``burst``  — on/off modulation: short windows at ``burst_scale`` times
-  the base rate, damped in between so the long-run mean stays put.
+* ``burst``  — on/off modulation: short windows at ``_BURST_SCALE``
+  times the base rate, damped in between so the long-run mean stays
+  put.
 
 Service sizes are bimodal: most requests are small, a configurable
 fraction is ``heavy_scale`` times larger.  The heavy tail is what makes
@@ -38,8 +39,21 @@ from repro.fleet.config import FleetConfig
 #: Uniform jitter applied to every service size (± half of this range).
 _SIZE_JITTER = (0.5, 1.5)
 
+#: Application label stamped on every request (a telemetry label).
+APP_ID = "search"
+
+#: Period and depth of the ``diurnal`` trace's sinusoidal rate.
+_DIURNAL_PERIOD_S = 20.0
+_DIURNAL_DEPTH = 0.8
+
+#: On/off modulation of the ``burst`` trace: for ``_BURST_DUTY`` of each
+#: ``_BURST_PERIOD_S`` the rate is ``_BURST_SCALE`` times the base rate.
+_BURST_PERIOD_S = 4.0
+_BURST_DUTY = 0.3
+_BURST_SCALE = 3.0
+
 #: Off-window damping of the burst trace (keeps the long-run mean rate
-#: close to the configured base rate for typical duty/scale settings).
+#: close to the configured base rate).
 _BURST_OFF_FACTOR = 0.4
 
 
@@ -89,7 +103,7 @@ def make_trace(config: FleetConfig) -> Tuple[Request, ...]:
         requests.append(
             Request(
                 index=index,
-                app=config.app_id,
+                app=APP_ID,
                 arrival_s=now,
                 service_units=units,
                 deadline_s=now + config.deadline_s,
@@ -105,15 +119,15 @@ def _poisson_rate(config: FleetConfig, base: float, now_s: float) -> float:
 
 def _diurnal_rate(config: FleetConfig, base: float, now_s: float) -> float:
     """Sinusoidal day/night curve; floored so the process never stalls."""
-    phase = 2.0 * math.pi * now_s / config.diurnal_period_s
-    return max(base * (1.0 + config.diurnal_depth * math.sin(phase)), base * 0.05)
+    phase = 2.0 * math.pi * now_s / _DIURNAL_PERIOD_S
+    return max(base * (1.0 + _DIURNAL_DEPTH * math.sin(phase)), base * 0.05)
 
 
 def _burst_rate(config: FleetConfig, base: float, now_s: float) -> float:
-    """On/off traffic: the first ``burst_duty`` of each period burns hot."""
-    position = math.fmod(now_s, config.burst_period_s) / config.burst_period_s
-    if position < config.burst_duty:
-        return base * config.burst_scale
+    """On/off traffic: the first ``_BURST_DUTY`` of each period burns hot."""
+    position = math.fmod(now_s, _BURST_PERIOD_S) / _BURST_PERIOD_S
+    if position < _BURST_DUTY:
+        return base * _BURST_SCALE
     return base * _BURST_OFF_FACTOR
 
 

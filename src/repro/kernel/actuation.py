@@ -1,15 +1,16 @@
 """Actuation façade.
 
 Execute stages act on the platform only through this object — cluster
-DVFS, per-app cpusets, and thread placement.  Besides giving every
-manager one narrow write-path (instead of reaching into ``sim.dvfs``
-and ``apply_assignment`` directly), the façade is where applied states
-are announced on the kernel bus as
-:class:`~repro.kernel.bus.StateApplied`, which is what feeds the trace
-recorder.
+DVFS, per-app cpusets, and thread placement.  It is the one writer of
+both knobs HARS turns on the board (``scaling_setspeed`` and
+``sched_setaffinity``/cpusets): besides giving every manager one narrow
+write-path, the façade is where applied states are announced on the
+kernel bus as :class:`~repro.kernel.bus.StateApplied`, which is what
+feeds the trace recorder.
 
-It is also where actuation faults are *handled*: when a fault injector
-is attached, every DVFS write and affinity call runs under a
+It is also where actuation faults are *injected and handled*: when a
+fault injector is attached, every DVFS write and affinity call first
+rolls the injector's gate for its channel, and runs under a
 retry-with-backoff policy.  A write that keeps failing is abandoned for
 an exponentially-growing backoff window instead of raised — the
 managers keep running with the platform in its last good state, and the
@@ -99,8 +100,18 @@ class Actuator:
         self.failed_actuations += 1
         return False
 
-    def _affinity_ok(self, app_name: str) -> bool:
-        return self._faults is None or self._faults.affinity_write_ok(app_name)
+    def _write_affinity(self, app: "SimApp", write: Callable[[], None]) -> bool:
+        """Run one placement ``write`` behind the affinity fault gate,
+        under retry-with-backoff."""
+
+        def op() -> bool:
+            faults = self._faults
+            if faults is not None and not faults.affinity_write_ok(app.name):
+                return False
+            write()
+            return True
+
+        return self._with_retries("affinity", app.name, op)
 
     # -- DVFS ----------------------------------------------------------------
 
@@ -109,21 +120,34 @@ class Actuator:
 
         Returns whether the write took effect; under injected DVFS
         faults a failed write leaves the cluster at its previous
-        frequency.
+        frequency.  A dropped write still validates ``freq_mhz``, so an
+        off-table frequency raises either way.
         """
-        return self._with_retries(
-            "dvfs",
-            cluster_name,
-            lambda: self._sim.dvfs.try_set_frequency(cluster_name, freq_mhz),
-        )
+        machine = self._sim.machine
+
+        def op() -> bool:
+            faults = self._faults
+            if faults is not None and not faults.dvfs_write_ok(
+                cluster_name, freq_mhz
+            ):
+                machine.spec.cluster(cluster_name).freq_index(freq_mhz)
+                return False
+            machine.set_freq_mhz(cluster_name, freq_mhz)
+            return True
+
+        return self._with_retries("dvfs", cluster_name, op)
 
     def set_max_frequencies(self) -> None:
         """Pin both clusters to their maximum operating point."""
-        self._sim.dvfs.set_max()
+        machine = self._sim.machine
+        for cluster in machine.spec.clusters:
+            machine.set_freq_mhz(cluster.name, cluster.max_freq_mhz)
 
     def set_min_frequencies(self) -> None:
         """Pin both clusters to their minimum operating point."""
-        self._sim.dvfs.set_min()
+        machine = self._sim.machine
+        for cluster in machine.spec.clusters:
+            machine.set_freq_mhz(cluster.name, cluster.min_freq_mhz)
 
     # -- thread placement ----------------------------------------------------
 
@@ -131,25 +155,11 @@ class Actuator:
         self, app: "SimApp", cpuset: Optional[FrozenSet[int]]
     ) -> bool:
         """Restrict an app to a core set (``None`` = all cores)."""
-
-        def op() -> bool:
-            if not self._affinity_ok(app.name):
-                return False
-            app.set_cpuset(cpuset)
-            return True
-
-        return self._with_retries("affinity", app.name, op)
+        return self._write_affinity(app, lambda: app.set_cpuset(cpuset))
 
     def clear_affinities(self, app: "SimApp") -> bool:
         """Unpin all of an app's threads (back to pure GTS)."""
-
-        def op() -> bool:
-            if not self._affinity_ok(app.name):
-                return False
-            app.clear_affinities()
-            return True
-
-        return self._with_retries("affinity", app.name, op)
+        return self._write_affinity(app, app.clear_affinities)
 
     def place(
         self,
@@ -164,15 +174,12 @@ class Actuator:
         # stack, and a module-level import would be circular.
         from repro.core.schedulers import apply_assignment
 
-        def op() -> bool:
-            if not self._affinity_ok(app.name):
-                return False
-            apply_assignment(
+        return self._write_affinity(
+            app,
+            lambda: apply_assignment(
                 app, assignment, big_core_ids, little_core_ids, policy
-            )
-            return True
-
-        return self._with_retries("affinity", app.name, op)
+            ),
+        )
 
     def place_stage_aware(
         self,
@@ -184,15 +191,12 @@ class Actuator:
         """Pin an app's threads splitting each pipeline stage T_B:T_L."""
         from repro.extensions.stage_aware import apply_stage_aware_assignment
 
-        def op() -> bool:
-            if not self._affinity_ok(app.name):
-                return False
-            apply_stage_aware_assignment(
+        return self._write_affinity(
+            app,
+            lambda: apply_stage_aware_assignment(
                 app, app.model, assignment, big_core_ids, little_core_ids
-            )
-            return True
-
-        return self._with_retries("affinity", app.name, op)
+            ),
+        )
 
     # -- announcements -------------------------------------------------------
 

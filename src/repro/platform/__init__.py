@@ -3,8 +3,9 @@
 Public surface:
 
 * :class:`PlatformSpec` / :func:`odroid_xu3` — immutable machine description
-* :class:`Machine` — mutable runtime state (cluster frequencies, cores)
-* :class:`DvfsController` — per-cluster frequency control (cpufreq stand-in)
+* :class:`Machine` — mutable runtime state: cluster frequencies (the
+  ``scaling_setspeed`` stand-in, validated against the DVFS table) and
+  core ids
 * :class:`PowerModel` / :class:`PowerSensor` — ground-truth power + sensors
 * :mod:`repro.platform.topology` — cpuset helpers
 """
@@ -16,7 +17,6 @@ from repro.platform.core_types import (
     cortex_a7,
     cortex_a15,
 )
-from repro.platform.dvfs import DvfsController
 from repro.platform.governors import (
     GOVERNORS,
     OndemandGovernor,
@@ -40,7 +40,6 @@ __all__ = [
     "ClusterSpec",
     "CoreActivity",
     "CoreTypeSpec",
-    "DvfsController",
     "GOVERNORS",
     "IDLE",
     "OndemandGovernor",

@@ -28,14 +28,14 @@ class PerformanceGovernor(Controller):
     """Pin both clusters at maximum frequency (the baseline's setting)."""
 
     def on_start(self, sim: "Simulation") -> None:
-        sim.dvfs.set_max()
+        sim.actuator.set_max_frequencies()
 
 
 class PowersaveGovernor(Controller):
     """Pin both clusters at minimum frequency."""
 
     def on_start(self, sim: "Simulation") -> None:
-        sim.dvfs.set_min()
+        sim.actuator.set_min_frequencies()
 
 
 class OndemandGovernor(Controller):
@@ -64,7 +64,7 @@ class OndemandGovernor(Controller):
         self.decisions = 0
 
     def on_start(self, sim: "Simulation") -> None:
-        sim.dvfs.set_min()  # ondemand idles low and ramps on demand
+        sim.actuator.set_min_frequencies()  # ondemand idles low and ramps on demand
         self._next_sample_s = self.sample_period_s
 
     def on_tick(self, sim: "Simulation") -> None:
@@ -84,18 +84,18 @@ class OndemandGovernor(Controller):
             ),
             default=0.0,
         )
-        current = sim.dvfs.current(cluster_name)
+        current = sim.machine.freq_mhz(cluster_name)
         if busiest > self.up_threshold:
-            sim.dvfs.set_frequency(cluster_name, cluster.max_freq_mhz)
+            sim.machine.set_freq_mhz(cluster_name, cluster.max_freq_mhz)
             return
         # Scale down to the lowest frequency that still keeps the
         # busiest core under the threshold at its current work rate.
         needed_mhz = current * busiest / self.up_threshold
         for freq in cluster.frequencies_mhz:
             if freq >= needed_mhz:
-                sim.dvfs.set_frequency(cluster_name, freq)
+                sim.machine.set_freq_mhz(cluster_name, freq)
                 return
-        sim.dvfs.set_frequency(cluster_name, cluster.max_freq_mhz)
+        sim.machine.set_freq_mhz(cluster_name, cluster.max_freq_mhz)
 
 
 #: Governor registry by cpufreq name.

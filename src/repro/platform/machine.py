@@ -5,7 +5,8 @@ and tracks the state HARS manipulates at run time: the current frequency of
 each cluster (per-cluster DVFS).  HARS allocates cores by pinning threads,
 never by hotplugging them, so every core is always present.  It is the
 object the simulation engine, the scheduler, and the runtime managers all
-share.
+share; managers write its frequencies only through the kernel's
+:class:`~repro.kernel.actuation.Actuator`.
 """
 
 from __future__ import annotations

@@ -53,7 +53,6 @@ from repro.kernel.bus import (
     TickStart,
 )
 from repro.platform.cluster import BIG, LITTLE
-from repro.platform.dvfs import DvfsController
 from repro.platform.machine import Machine
 from repro.platform.power import PowerModel
 from repro.platform.sensor import PowerSensor
@@ -73,7 +72,12 @@ MAX_TICKS = 2_000_000
 
 
 class Simulation:
-    """One simulated machine running one or more applications."""
+    """One simulated machine running one or more applications.
+
+    ``machine`` holds the cluster frequencies; ``actuator`` is the one
+    write-path managers use for them and for thread placement, and with
+    ``faults`` set it is where DVFS and affinity writes can fail.
+    """
 
     def __init__(
         self,
@@ -86,7 +90,6 @@ class Simulation:
         self.spec = spec
         self.tick_s = tick_s
         self.machine = Machine(spec)
-        self.dvfs = DvfsController(self.machine)
         self.power_model = PowerModel(spec)
         self.sensor = PowerSensor()
         self.clock = SimClock()
@@ -112,8 +115,6 @@ class Simulation:
             self.fault_injector = FaultInjector(faults, self.bus)
             if faults.sensor_enabled:
                 self.sensor.fault_hook = self.fault_injector.filter_power
-            if faults.dvfs_failure_rate > 0:
-                self.dvfs.write_filter = self.fault_injector.dvfs_write_ok
             self._lifecycle_enabled = faults.lifecycle_enabled
         #: Apps in a runaway episode (re-escape their pinning each tick).
         self._runaway_apps: List[SimApp] = []

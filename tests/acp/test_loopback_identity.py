@@ -9,8 +9,19 @@ trace rows, same target window, same max rate.
 
 import pytest
 
+from repro.acp.client import AcpClient
+from repro.errors import ConfigurationError
 from repro.experiments.runner import RunConfig, RunShape, run
 from repro.experiments.serialize import run_metrics_to_dict
+from repro.fleet import FleetConfig
+
+
+def attached_run(version, shapes, config):
+    """The run attached through a loopback control plane."""
+    handle = AcpClient("loopback").attach(version, shapes, config)
+    outcome = handle.result()
+    handle.detach()
+    return outcome
 
 
 def trace_rows(outcome):
@@ -46,7 +57,7 @@ class TestSingleApp:
         shape = RunShape(benchmark="swaptions", n_units=60)
         config = RunConfig(telemetry=True)
         in_process = run(version, shape, config)
-        attached = run(version, shape, config.with_(acp="loopback"))
+        attached = attached_run(version, shape, config)
         assert_identical(in_process, attached)
 
 
@@ -58,7 +69,7 @@ class TestMultiApp:
         ]
         config = RunConfig()
         in_process = run("mp-hars-ei", shapes, config)
-        attached = run("mp-hars-ei", shapes, config.with_(acp="loopback"))
+        attached = attached_run("mp-hars-ei", shapes, config)
         assert_identical(in_process, attached)
 
     def test_identical_with_supervision_and_checkpoints(self):
@@ -68,20 +79,13 @@ class TestMultiApp:
         ]
         config = RunConfig(supervision=True, checkpoint=2.0, telemetry=True)
         in_process = run("mp-hars-i", shapes, config)
-        attached = run("mp-hars-i", shapes, config.with_(acp="loopback"))
+        attached = attached_run("mp-hars-i", shapes, config)
         assert_identical(in_process, attached)
 
 
 class TestRouting:
     def test_acp_refuses_fleet(self):
-        from repro.errors import ConfigurationError
-        from repro.fleet import FleetConfig
-
+        client = AcpClient("loopback")
+        shape = RunShape(benchmark="swaptions", n_units=20)
         with pytest.raises(ConfigurationError, match="fleet"):
-            RunConfig(acp="loopback", fleet=FleetConfig())
-
-    def test_acp_must_be_a_string(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="acp"):
-            RunConfig(acp=42)
+            client.attach("hars-e", shape, RunConfig(fleet=FleetConfig()))

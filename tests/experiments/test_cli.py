@@ -41,6 +41,23 @@ class TestCli:
         assert excinfo.value.code == 2
         assert f"{flag} must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "--nodes", "0"],
+            ["fleet", "--requests", "0"],
+            ["fleet", "--nodes", "2", "--requests", "20", "--crash-frac", "1.5"],
+            ["telemetry", "--units", "25", "--bench", "SW", "--power-cap", "-1"],
+        ],
+    )
+    def test_bad_configuration_is_an_error_message(self, argv, capsys):
+        # A configuration the library rejects ends in one line on
+        # stderr and exit status 2, as for the control-plane commands.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hars-repro: error: ")
+        assert "Traceback" not in err
+
 
 class TestCliJson:
     def test_json_flag_writes_payload(self, tmp_path, capsys):

@@ -165,9 +165,9 @@ class TestDelayedHeartbeats:
 class TestActuatorRetry:
     def test_failed_dvfs_write_holds_old_frequency(self, xu3, power_estimator):
         sim = Simulation(xu3, faults=FaultConfig(dvfs_failure_rate=1.0))
-        before = sim.dvfs.current(BIG)
+        before = sim.machine.freq_mhz(BIG)
         assert sim.actuator.set_frequency(BIG, 1000) is False
-        assert sim.dvfs.current(BIG) == before
+        assert sim.machine.freq_mhz(BIG) == before
         assert sim.actuator.failed_actuations == 1
         # All four attempts announced.
         assert sim.fault_injector.injected["dvfs"] == 1 + sim.actuator.max_retries

@@ -103,9 +103,7 @@ class TestFleetConfig:
             ("lane_threads", 0),
             ("percentile", 0.0),
             ("slack", 1.0),
-            ("slo_window", 1),
             ("rate_span_s", 0.0),
-            ("drain_s", -1.0),
             ("trace", "nope"),
         ],
     )

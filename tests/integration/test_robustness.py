@@ -94,7 +94,7 @@ class TestExternalInterference:
             def on_tick(self, sim):
                 # Every ~20 s, force the big cluster to 800 MHz.
                 if int(sim.clock.now_s * 100) % 2000 == 0 and sim.clock.now_s > 1:
-                    sim.dvfs.set_frequency(BIG, 800)
+                    sim.machine.set_freq_mhz(BIG, 800)
                     self.kicks += 1
 
         sim = Simulation(xu3)

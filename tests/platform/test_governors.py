@@ -40,16 +40,16 @@ class TestStaticGovernors:
         sim.add_app(_busy_app(5))
         sim.add_controller(PerformanceGovernor())
         sim.step()
-        assert sim.dvfs.current(BIG) == 1600
-        assert sim.dvfs.current(LITTLE) == 1300
+        assert sim.machine.freq_mhz(BIG) == 1600
+        assert sim.machine.freq_mhz(LITTLE) == 1300
 
     def test_powersave_pins_min(self, xu3):
         sim = Simulation(xu3)
         sim.add_app(_busy_app(5))
         sim.add_controller(PowersaveGovernor())
         sim.step()
-        assert sim.dvfs.current(BIG) == 800
-        assert sim.dvfs.current(LITTLE) == 800
+        assert sim.machine.freq_mhz(BIG) == 800
+        assert sim.machine.freq_mhz(LITTLE) == 800
 
     def test_registry(self):
         assert set(GOVERNORS) == {"performance", "powersave", "ondemand"}
@@ -63,7 +63,7 @@ class TestOndemand:
         for _ in range(100):  # 1 s
             sim.step()
         # Eight hungry threads crowd the big cores: ondemand maxes big.
-        assert sim.dvfs.current(BIG) == 1600
+        assert sim.machine.freq_mhz(BIG) == 1600
 
     def test_idle_cluster_stays_low(self, xu3):
         sim = Simulation(xu3)
@@ -71,8 +71,8 @@ class TestOndemand:
         sim.add_controller(OndemandGovernor(sample_period_s=0.05))
         sim.run(until_s=3.0)
         # A 5 % duty thread keeps both clusters at the bottom.
-        assert sim.dvfs.current(BIG) == 800
-        assert sim.dvfs.current(LITTLE) == 800
+        assert sim.machine.freq_mhz(BIG) == 800
+        assert sim.machine.freq_mhz(LITTLE) == 800
 
     def test_ramps_down_when_load_vanishes(self, xu3):
         sim = Simulation(xu3)
@@ -84,7 +84,7 @@ class TestOndemand:
         # The workload is gone; a few more samples bring frequency down.
         for _ in range(50):
             sim.step()
-        assert sim.dvfs.current(BIG) == 800
+        assert sim.machine.freq_mhz(BIG) == 800
 
     def test_saves_power_vs_performance_on_bursty_load(self, xu3):
         def run(controller):
