@@ -380,6 +380,8 @@ class AcpClient:
         """
         from repro.experiments.runner import RunConfig
 
+        if shapes is None:
+            raise ConfigurationError("attach needs one or more RunShapes")
         shape_list = (
             list(shapes)
             if isinstance(shapes, (list, tuple))

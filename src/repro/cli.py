@@ -26,7 +26,8 @@ Adaptation Control Plane commands (see :mod:`repro.acp.cli`)::
 a fast sanity pass; omit it for the native-input sizes used in
 EXPERIMENTS.md.  ``fleet`` runs the request-driven serving scenario
 (:mod:`repro.fleet`) and is excluded from ``all`` — a native fleet run
-steps hundreds of node simulations.
+steps hundreds of node simulations.  A configuration the library
+rejects prints ``hars-repro: error: …`` and exits with status 2.
 """
 
 from __future__ import annotations

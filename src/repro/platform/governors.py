@@ -64,7 +64,8 @@ class OndemandGovernor(Controller):
         self.decisions = 0
 
     def on_start(self, sim: "Simulation") -> None:
-        sim.actuator.set_min_frequencies()  # ondemand idles low and ramps on demand
+        # Ondemand idles low and ramps on demand.
+        sim.actuator.set_min_frequencies()
         self._next_sample_s = self.sample_period_s
 
     def on_tick(self, sim: "Simulation") -> None:

@@ -89,3 +89,7 @@ class TestRouting:
         shape = RunShape(benchmark="swaptions", n_units=20)
         with pytest.raises(ConfigurationError, match="fleet"):
             client.attach("hars-e", shape, RunConfig(fleet=FleetConfig()))
+
+    def test_attach_needs_shapes(self):
+        with pytest.raises(ConfigurationError, match="RunShape"):
+            AcpClient("loopback").attach("hars-e", None, RunConfig())

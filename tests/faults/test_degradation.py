@@ -184,9 +184,13 @@ class TestActuatorRetry:
     def test_invalid_frequency_still_raises_under_faults(self, xu3):
         from repro.errors import FrequencyError
 
+        # Every write is dropped, yet an off-table frequency (above the
+        # table, or between two of its points) raises rather than
+        # reading as a failed actuation.
         sim = Simulation(xu3, faults=FaultConfig(dvfs_failure_rate=1.0))
-        with pytest.raises(FrequencyError):
-            sim.actuator.set_frequency(BIG, 12345)
+        for freq_mhz in (12345, 1050):
+            with pytest.raises(FrequencyError):
+                sim.actuator.set_frequency(BIG, freq_mhz)
 
 
 class TestHoldLastGoodState:

@@ -1,20 +1,8 @@
 """The actuator: the one write-path to cluster DVFS and placement."""
 
-import pytest
-
-from repro.errors import FrequencyError
 from repro.faults import FaultConfig
 from repro.platform.cluster import BIG, LITTLE
 from repro.sim.engine import Simulation
-
-
-class TestSetFrequency:
-    def test_dropped_write_still_validates(self, xu3):
-        # Every write is dropped, yet an off-table frequency raises
-        # rather than reading as a failed actuation.
-        sim = Simulation(xu3, faults=FaultConfig(dvfs_failure_rate=1.0))
-        with pytest.raises(FrequencyError):
-            sim.actuator.set_frequency(BIG, 1050)
 
 
 class TestSetMaxMin:
