@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     attach = sub.add_parser("attach", help="attach a run to a daemon")
     attach.add_argument("--endpoint", required=True)
-    attach.add_argument("--version", default="hars")
+    attach.add_argument("--version", default="hars-ei")
     attach.add_argument(
         "--bench",
         default="swaptions",

@@ -366,30 +366,29 @@ class AcpClient:
     ) -> "SessionHandle":
         """Attach a managed system; returns its :class:`SessionHandle`.
 
-        ``shapes`` is one :class:`~repro.experiments.runner.RunShape` or
-        a sequence of them (multi-app).  ``resume`` warm-restores the
-        controllers from a server-side recovered checkpoint store:
-        ``True`` uses ``session_id``'s store, a string names another
-        session's.  ``lease_ttl_s`` requests a session lease (expiry
-        with no client frame orphans the session server-side).
+        ``shapes`` follows :func:`~repro.experiments.run`'s arity rule
+        (:func:`~repro.experiments.runner.check_shapes`): one
+        :class:`~repro.experiments.runner.RunShape` is a single-app run,
+        a sequence of two or more is a co-run, and anything else — a
+        one-element list included — raises
+        :class:`~repro.errors.ConfigurationError` before a frame is sent.
+
+        ``resume`` warm-restores the controllers from a server-side
+        recovered checkpoint store: ``True`` uses ``session_id``'s
+        store, a string names another session's.  ``lease_ttl_s``
+        requests a session lease (expiry with no client frame orphans
+        the session server-side).
 
         Under retry, pass an explicit ``session_id``: it makes a
         re-delivered attach idempotent (the server replays the original
         response); an auto-assigned id cannot be deduplicated and a
         retried attach may create a second session.
         """
-        from repro.experiments.runner import RunConfig
+        from repro.experiments.runner import RunConfig, check_shapes
 
-        if shapes is None:
-            raise ConfigurationError("attach needs one or more RunShapes")
-        shape_list = (
-            list(shapes)
-            if isinstance(shapes, (list, tuple))
-            else [shapes]
-        )
         payload: Dict[str, Any] = {
             "version": version,
-            "shapes": [wire.shape_to_wire(s) for s in shape_list],
+            "shapes": wire.shapes_to_wire(check_shapes(shapes)),
             "config": wire.config_to_wire(config or RunConfig()),
         }
         if stream_events:
@@ -533,18 +532,7 @@ def _outcome_from_result(payload: Dict[str, Any]):
     trace = TraceRecorder()
     for app_name, rows in payload["trace"].items():
         for row in rows:
-            trace.record(
-                app_name,
-                TracePoint(
-                    time_s=row[0],
-                    hb_index=row[1],
-                    rate=row[2],
-                    big_cores=row[3],
-                    little_cores=row[4],
-                    big_freq_mhz=row[5],
-                    little_freq_mhz=row[6],
-                ),
-            )
+            trace.record(app_name, TracePoint(*row))
     target = payload["target"]
     return RunOutcome(
         metrics=run_metrics_from_dict(payload["metrics"]),

@@ -300,7 +300,7 @@ class AcpServer:
     def _handle_attach(self, frame: wire.Frame) -> List[wire.Frame]:
         payload = frame.payload
         version = payload["version"]
-        shapes = [wire.shape_from_wire(s) for s in payload["shapes"]]
+        shapes = wire.shapes_from_wire(payload["shapes"])
         config = wire.config_from_wire(payload["config"])
         stream_events = bool(payload.get("stream_events", False))
         ttl = payload.get("lease_ttl_s", self.lease_ttl_s)

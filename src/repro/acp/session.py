@@ -36,7 +36,8 @@ in-process one, because both are the same simulation.
 from __future__ import annotations
 
 import queue
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import astuple
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.policy import POLICY_BY_NAME, HarsPolicy
 from repro.errors import ConfigurationError
@@ -44,8 +45,7 @@ from repro.experiments.runner import (
     PreparedRun,
     RunConfig,
     RunShape,
-    prepare_multi,
-    prepare_single,
+    prepare,
 )
 from repro.experiments.serialize import run_metrics_to_dict
 from repro.kernel.bus import (
@@ -102,7 +102,7 @@ class AcpSession:
         self,
         session_id: str,
         version: str,
-        shapes: List[RunShape],
+        shapes: Union[RunShape, List[RunShape]],
         config: RunConfig,
         stream_events: bool = False,
         resume_store: Optional[CheckpointStore] = None,
@@ -124,14 +124,8 @@ class AcpSession:
         self._resume_store = resume_store
         self._restored = False
         self._result_payload: Optional[Dict[str, Any]] = None
-        self.prepared: PreparedRun = (
-            prepare_single(
-                version, shapes[0], config, checkpoint_store=resume_store
-            )
-            if len(shapes) == 1
-            else prepare_multi(
-                version, shapes, config, checkpoint_store=resume_store
-            )
+        self.prepared: PreparedRun = prepare(
+            version, shapes, config, checkpoint_store=resume_store
         )
         self.app_names = [app.name for app in self.prepared.apps]
         self._subscribe(self.prepared.sim.bus)
@@ -326,20 +320,10 @@ class AcpSession:
             return
         outcome = self.prepared.finish()
         trace = outcome.trace
-        rows: Dict[str, List[List[Any]]] = {}
-        for app_name in trace.app_names:
-            rows[app_name] = [
-                [
-                    point.time_s,
-                    point.hb_index,
-                    point.rate,
-                    point.big_cores,
-                    point.little_cores,
-                    point.big_freq_mhz,
-                    point.little_freq_mhz,
-                ]
-                for point in trace.points(app_name)
-            ]
+        rows = {
+            name: [list(astuple(point)) for point in trace.points(name)]
+            for name in trace.app_names
+        }
         target = outcome.target
         self._result_payload = {
             "metrics": run_metrics_to_dict(outcome.metrics),

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -500,16 +500,23 @@ class SeqWindow:
 
 def shape_to_wire(shape: Any) -> Dict[str, Any]:
     """A :class:`~repro.experiments.runner.RunShape` as a payload dict."""
-    return {
-        "benchmark": shape.benchmark,
-        "n_units": shape.n_units,
-        "n_threads": shape.n_threads,
-        "target_fraction": shape.target_fraction,
-        "tolerance": shape.tolerance,
-        "seed": shape.seed,
-        "tick_s": shape.tick_s,
-        "adapt_every": shape.adapt_every,
-    }
+    return asdict(shape)
+
+
+def shapes_to_wire(shapes: Any) -> List[Dict[str, Any]]:
+    """A run's shapes as an attach frame's ``shapes`` list: a lone
+    :class:`~repro.experiments.runner.RunShape` (a single-app run)
+    travels as a one-element list."""
+    if isinstance(shapes, list):
+        return [shape_to_wire(shape) for shape in shapes]
+    return [shape_to_wire(shapes)]
+
+
+def shapes_from_wire(items: List[Dict[str, Any]]) -> Any:
+    """Inverse of :func:`shapes_to_wire`: a one-element list is a
+    single-app run, so it decodes to its lone shape."""
+    shapes = [shape_from_wire(item) for item in items]
+    return shapes[0] if len(shapes) == 1 else shapes
 
 
 def shape_from_wire(data: Dict[str, Any]) -> Any:

@@ -24,6 +24,11 @@ from repro.workloads.microbench import ProfilePoint, profile_power
 
 _CACHE: Dict[str, PowerEstimator] = {}
 
+#: Sensor-observation time per operating point.  One second (≈ 4 sensor
+#: samples) is plenty because the simulated microbenchmark holds
+#: utilization perfectly steady.
+_DWELL_S = 1.0
+
 
 def fit_coefficients(
     points: Iterable[ProfilePoint],
@@ -58,24 +63,13 @@ def fit_coefficients(
     return fitted
 
 
-def calibrate(
-    spec: PlatformSpec,
-    dwell_s: float = 1.0,
-    use_cache: bool = True,
-) -> PowerEstimator:
-    """Profile the platform and return a fitted :class:`PowerEstimator`.
-
-    ``dwell_s`` is the sensor-observation time per operating point; the
-    default (1 s ≈ 4 sensor samples) is plenty because the simulated
-    microbenchmark holds utilization perfectly steady.
-    """
-    if use_cache and spec.name in _CACHE:
-        return _CACHE[spec.name]
-    points = profile_power(spec, dwell_s=dwell_s)
-    estimator = PowerEstimator(fit_coefficients(points))
-    if use_cache:
-        _CACHE[spec.name] = estimator
-    return estimator
+def calibrate(spec: PlatformSpec) -> PowerEstimator:
+    """Profile the platform and return a fitted :class:`PowerEstimator`
+    (memoized per spec name)."""
+    if spec.name not in _CACHE:
+        points = profile_power(spec, dwell_s=_DWELL_S)
+        _CACHE[spec.name] = PowerEstimator(fit_coefficients(points))
+    return _CACHE[spec.name]
 
 
 def clear_cache() -> None:

@@ -10,7 +10,7 @@ perf/watt metric per version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -62,16 +62,7 @@ def repeat_single(
     spec = spec or odroid_xu3()
     values = []
     for seed in seeds:
-        seeded = RunShape(
-            benchmark=shape.benchmark,
-            n_units=shape.n_units,
-            n_threads=shape.n_threads,
-            target_fraction=shape.target_fraction,
-            tolerance=shape.tolerance,
-            seed=seed,
-            tick_s=shape.tick_s,
-            adapt_every=shape.adapt_every,
-        )
+        seeded = replace(shape, seed=seed)
         values.append(
             run(version, seeded, RunConfig(spec=spec)).metrics.perf_per_watt
         )

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.core.manager import HarsManager
 from repro.errors import ConfigurationError
 from repro.experiments.metrics import AppRunMetrics, RunMetrics
 from repro.faults import FaultConfig, FaultInjector
@@ -154,39 +153,6 @@ class RunOutcome:
     guardrails: Optional[GuardrailLayer] = None
 
 
-def _attach_supervision(
-    sim: Simulation,
-    supervision: Union[SupervisorConfig, bool, None],
-    checkpoint: Optional[float],
-    checkpoint_store: Optional[CheckpointStore] = None,
-) -> Tuple[Optional[Supervisor], Optional[CheckpointStore]]:
-    """Attach the Supervisor / Checkpointer after the version controllers.
-
-    ``supervision`` is a :class:`SupervisorConfig` (or ``True`` for the
-    defaults); ``checkpoint`` is a snapshot cadence in simulated
-    seconds.  Either can be used without the other.  ``checkpoint_store``
-    seeds the Checkpointer with an existing store (the ACP daemon passes
-    a recovered one so a restarted session restores warm).
-    """
-    supervisor: Optional[Supervisor] = None
-    store: Optional[CheckpointStore] = None
-    if supervision:
-        config = (
-            supervision
-            if isinstance(supervision, SupervisorConfig)
-            else None
-        )
-        supervisor = Supervisor(config)
-        sim.add_controller(supervisor)
-    if checkpoint is not None:
-        checkpointer = Checkpointer(
-            cadence_s=checkpoint, store=checkpoint_store
-        )
-        store = checkpointer.store
-        sim.add_controller(checkpointer)
-    return supervisor, store
-
-
 def measure_max_rate(spec: PlatformSpec, shape: RunShape) -> float:
     """Maximum achievable heartbeat rate: a baseline run's overall rate."""
     key = (
@@ -228,48 +194,23 @@ def build_target(spec: PlatformSpec, shape: RunShape) -> PerformanceTarget:
     )
 
 
-def _attach_guardrails(
-    sim: Simulation, config: RunConfig
-) -> Optional[GuardrailLayer]:
-    """Attach the guardrail layer between supervision and telemetry.
-
-    A missing or all-default :class:`GuardrailConfig` attaches nothing:
-    the run stays bit-identical to one predating the guardrail layer.
-    """
-    guardrail_config = config.guardrails
-    if guardrail_config is None or not guardrail_config.enabled:
-        return None
-    layer = GuardrailLayer(guardrail_config)
-    sim.add_controller(layer)
-    return layer
-
-
-def _attach_telemetry(
-    sim: Simulation, version: str, config: RunConfig
-) -> Optional[TelemetryHub]:
-    """Attach the telemetry hub last, so it observes everything."""
-    if not config.telemetry:
-        return None
-    hub = TelemetryHub()
-    hub.set_run_info(version=version)
-    sim.add_controller(hub)
-    return hub
-
-
 def run(
     version: str,
-    shapes: Union[RunShape, Sequence[RunShape], None] = None,
+    shapes: Union[RunShape, Iterable[RunShape], None] = None,
     config: Optional[RunConfig] = None,
 ):
     """Run ``version`` over ``shapes`` under one :class:`RunConfig`.
 
     The unified entry point every figure, benchmark, and example uses:
 
-    * a single :class:`RunShape` runs one application (the Figure
-      5.1–5.3 methodology — targets as fractions of a solo baseline's
-      maximum achievable rate);
-    * a sequence of shapes runs them concurrently under a multi-app
-      version (the Figure 5.4 / Section 5.2.1 methodology);
+    * a single :class:`RunShape` runs one application under a
+      single-app version (the Figure 5.1–5.3 methodology — targets as
+      fractions of a solo baseline's maximum achievable rate);
+    * a sequence of two or more shapes runs them concurrently under a
+      multi-app version (the Figure 5.4 / Section 5.2.1 methodology);
+      a sequence of fewer than two raises
+      :class:`~repro.errors.ConfigurationError` — pass a lone
+      :class:`RunShape` for a solo run (:func:`prepare` builds both);
     * with ``config.fleet`` set, ``version`` names a routing policy
       (``"round-robin"``, ``"least-loaded"``, ``"deadline-risk"``),
       ``shapes`` must be ``None``, and the call returns a
@@ -292,19 +233,7 @@ def run(
         from repro.fleet import run_fleet
 
         return run_fleet(router=version, config=config.fleet)
-    if shapes is None:
-        raise ConfigurationError(
-            "run() needs shapes unless config.fleet is set"
-        )
-    if isinstance(shapes, RunShape):
-        prepared = prepare_single(version, shapes, config)
-    else:
-        shapes = list(shapes)
-        if any(not isinstance(shape, RunShape) for shape in shapes):
-            raise ConfigurationError(
-                "run() takes one RunShape or a sequence of RunShapes"
-            )
-        prepared = prepare_multi(version, shapes, config)
+    prepared = prepare(version, shapes, config)
     prepared.sim.run(until_s=prepared.horizon_s)
     return prepared.finish()
 
@@ -356,97 +285,122 @@ class PreparedRun:
         )
 
 
-def prepare_single(
-    version: str,
-    shape: RunShape,
-    config: RunConfig,
-    checkpoint_store: Optional[CheckpointStore] = None,
-) -> PreparedRun:
-    """Build (but do not step) a single-application run."""
-    spec = config.spec or odroid_xu3()
-    max_rate = measure_max_rate(spec, shape)
-    target = PerformanceTarget.fraction_of(
-        max_rate, shape.target_fraction, shape.tolerance
-    )
-    sim = Simulation(spec, tick_s=shape.tick_s, faults=config.faults)
-    model = make_benchmark(shape.benchmark, shape.n_units, shape.n_threads)
-    model.reset(shape.seed)
-    app = sim.add_app(SimApp(shape.benchmark, model, target))
-    controllers = attach_single_app_version(
-        sim, app, version, adapt_every=shape.adapt_every
-    )
-    supervisor, store = _attach_supervision(
-        sim, config.supervision, config.checkpoint, checkpoint_store
-    )
-    guardrails = _attach_guardrails(sim, config)
-    hub = _attach_telemetry(sim, version, config)
-    return PreparedRun(
-        version=version,
-        sim=sim,
-        apps=[app],
-        controllers=controllers,
-        target=target,
-        max_rate=max_rate,
-        horizon_s=_safety_horizon(
-            model.total_heartbeats(), rate_floor=target.min_rate / 4
-        ),
-        supervisor=supervisor,
-        checkpoint_store=store,
-        telemetry=hub,
-        guardrails=guardrails,
-    )
+def check_shapes(
+    shapes: Union[RunShape, Iterable[RunShape], None],
+) -> Union[RunShape, List[RunShape]]:
+    """The one shape-arity rule, shared by :func:`prepare` and
+    ``AcpClient.attach``.
 
-
-def prepare_multi(
-    version: str,
-    shapes: List[RunShape],
-    config: RunConfig,
-    checkpoint_store: Optional[CheckpointStore] = None,
-) -> PreparedRun:
-    """Build (but do not step) a multi-application run.
-
-    All applications start at the same time (the paper's Section 5.2.1
-    methodology); each gets its own target as a fraction of *its own*
-    maximum achievable rate measured by a solo baseline run.  The run
-    finishes when every application completes its work (evicted apps
-    count as finished).
+    A lone :class:`RunShape` is a single-app run; a sequence of two or
+    more is a co-run (returned as a list, so a generator is read once).
+    Anything else, a sequence of fewer than two shapes included, raises
+    :class:`~repro.errors.ConfigurationError`.
     """
-    if not shapes:
-        raise ConfigurationError("a multi-app run needs at least one shape")
+    if isinstance(shapes, RunShape):
+        return shapes
+    shapes = list(shapes or ())
+    if len(shapes) < 2 or not all(isinstance(s, RunShape) for s in shapes):
+        raise ConfigurationError(
+            "shapes must be one RunShape (a single-app run) or a sequence "
+            f"of two or more RunShapes (a co-run); got {len(shapes)} item(s)"
+        )
+    return shapes
+
+
+def prepare(
+    version: str,
+    shapes: Union[RunShape, Iterable[RunShape]],
+    config: RunConfig,
+    checkpoint_store: Optional[CheckpointStore] = None,
+) -> PreparedRun:
+    """Build (but do not step) the run of ``version`` over ``shapes``.
+
+    The only place that maps shapes to a run (arity per
+    :func:`check_shapes`).  Every application gets its own target as a
+    fraction of *its own* maximum achievable rate, measured by a solo
+    baseline run.
+
+    * One :class:`RunShape` is a single-app run (the Figure 5.1–5.3
+      methodology): the app is named after its benchmark and
+      ``max_rate`` is the measured one.
+    * Two or more shapes are a co-run (the Section 5.2.1 methodology):
+      all apps start at once, named ``<benchmark>-<position>``, under a
+      multi-app version; the run finishes when every app completes its
+      work (evicted apps count as finished), so the horizon is doubled.
+
+    Controllers attach in a fixed order: the version's, then the
+    supervisor, checkpointer, guardrail layer and telemetry hub (last,
+    so it observes everything).  ``checkpoint_store`` seeds the
+    checkpointer with an existing store (the ACP daemon passes a
+    recovered one so a restarted session restores warm).  An absent or
+    all-default :class:`GuardrailConfig` attaches no guardrail layer.
+    """
+    shapes = check_shapes(shapes)
+    single = isinstance(shapes, RunShape)
+    group = [shapes] if single else shapes
     spec = config.spec or odroid_xu3()
-    tick_s = shapes[0].tick_s
-    adapt_every = shapes[0].adapt_every
-    sim = Simulation(spec, tick_s=tick_s, faults=config.faults)
+    sim = Simulation(spec, tick_s=group[0].tick_s, faults=config.faults)
     apps: List[SimApp] = []
-    slowest_floor = float("inf")
     total_beats = 0
-    for position, shape in enumerate(shapes):
+    for position, shape in enumerate(group):
         max_rate = measure_max_rate(spec, shape)
         target = PerformanceTarget.fraction_of(
             max_rate, shape.target_fraction, shape.tolerance
         )
         model = make_benchmark(shape.benchmark, shape.n_units, shape.n_threads)
         model.reset(shape.seed)
-        name = f"{resolve_name(shape.benchmark)}-{position}"
+        name = (
+            shape.benchmark
+            if single
+            else f"{resolve_name(shape.benchmark)}-{position}"
+        )
         apps.append(sim.add_app(SimApp(name, model, target)))
-        slowest_floor = min(slowest_floor, target.min_rate / 4)
         total_beats = max(total_beats, model.total_heartbeats())
-    controllers = attach_multi_app_version(
-        sim, version, adapt_every=adapt_every
+    horizon_s = _safety_horizon(
+        total_beats, rate_floor=min(app.target.min_rate for app in apps) / 4
     )
-    supervisor, store = _attach_supervision(
-        sim, config.supervision, config.checkpoint, checkpoint_store
-    )
-    guardrails = _attach_guardrails(sim, config)
-    hub = _attach_telemetry(sim, version, config)
+    if single:
+        # ``max_rate`` is the lone app's measured one, from the loop.
+        controllers = attach_single_app_version(
+            sim, apps[0], version, adapt_every=group[0].adapt_every
+        )
+    else:
+        controllers = attach_multi_app_version(
+            sim, version, adapt_every=group[0].adapt_every
+        )
+        max_rate = apps[0].target.avg_rate / group[0].target_fraction
+        horizon_s *= 2
+    supervisor: Optional[Supervisor] = None
+    if config.supervision:
+        supervision = config.supervision
+        supervisor = Supervisor(
+            supervision if isinstance(supervision, SupervisorConfig) else None
+        )
+        sim.add_controller(supervisor)
+    store: Optional[CheckpointStore] = None
+    if config.checkpoint is not None:
+        checkpointer = Checkpointer(
+            cadence_s=config.checkpoint, store=checkpoint_store
+        )
+        store = checkpointer.store
+        sim.add_controller(checkpointer)
+    guardrails: Optional[GuardrailLayer] = None
+    if config.guardrails is not None and config.guardrails.enabled:
+        guardrails = GuardrailLayer(config.guardrails)
+        sim.add_controller(guardrails)
+    hub: Optional[TelemetryHub] = None
+    if config.telemetry:
+        hub = TelemetryHub()
+        hub.set_run_info(version=version)
+        sim.add_controller(hub)
     return PreparedRun(
         version=version,
         sim=sim,
         apps=apps,
         controllers=controllers,
         target=apps[0].target,
-        max_rate=apps[0].target.avg_rate / shapes[0].target_fraction,
-        horizon_s=2 * _safety_horizon(total_beats, rate_floor=slowest_floor),
+        max_rate=max_rate,
+        horizon_s=horizon_s,
         supervisor=supervisor,
         checkpoint_store=store,
         telemetry=hub,

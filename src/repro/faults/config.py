@@ -41,6 +41,9 @@ LIFECYCLE_KINDS = (
     "controller_restart",
 )
 
+#: Speed multiplier a runaway app gains while uncontrolled.
+APP_RUNAWAY_SPEED_FACTOR = 3.0
+
 _RATE_FIELDS = (
     "sensor_dropout_rate",
     "sensor_noise_rate",
@@ -144,8 +147,6 @@ class FaultConfig:
     #: Per-app, per-simulated-second hazard of a runaway episode (the
     #: app escapes its pinning and runs uncontrolled).
     app_runaway_rate: float = 0.0
-    #: Speed multiplier a runaway app gains while uncontrolled.
-    app_runaway_speed_factor: float = 3.0
     #: Per-simulated-second hazard of a controller crash+restart.
     controller_restart_rate: float = 0.0
     #: Deterministically-scheduled lifecycle events (tests/benchmarks
@@ -163,10 +164,6 @@ class FaultConfig:
             raise ConfigurationError("sensor_noise_std must be >= 0")
         if self.thermal_ramp_heat_w < 0:
             raise ConfigurationError("thermal_ramp_heat_w must be >= 0")
-        if self.app_runaway_speed_factor <= 1.0:
-            raise ConfigurationError(
-                "app_runaway_speed_factor must be > 1 (a runaway speeds up)"
-            )
         for name in (
             "sensor_stuck_samples",
             "thermal_ramp_samples",

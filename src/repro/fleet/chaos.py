@@ -50,6 +50,10 @@ NODE_FAULT_KINDS = ("node_crash", "node_hang", "node_slowdown")
 #: Hazard-rate fields of :class:`FleetFaultConfig`, in draw order.
 _RATE_FIELDS = ("node_crash_rate", "node_hang_rate", "node_slowdown_rate")
 
+#: Episode length of rate-driven slowdowns (scheduled events carry their
+#: own), in seconds.
+SLOWDOWN_DURATION_S = 4.0
+
 
 @dataclass(frozen=True)
 class NodeChaosEvent:
@@ -108,9 +112,10 @@ class FleetFaultConfig:
         Base seed of the per-node, per-kind RNG streams.
     node_crash_rate / node_hang_rate / node_slowdown_rate:
         Hazards of each episode kind, per node-second.
-    hang_duration_s / slowdown_duration_s:
-        Episode lengths for the rate-driven hangs and slowdowns
-        (scheduled events carry their own).
+    hang_duration_s:
+        Episode length of rate-driven hangs (scheduled events carry
+        their own; rate-driven slowdowns last
+        :data:`SLOWDOWN_DURATION_S`).
     slowdown_factor:
         Service-velocity multiplier of rate-driven slowdowns.
     restart_delay_s:
@@ -129,7 +134,6 @@ class FleetFaultConfig:
     node_hang_rate: float = 0.0
     node_slowdown_rate: float = 0.0
     hang_duration_s: float = 2.0
-    slowdown_duration_s: float = 4.0
     slowdown_factor: float = 0.25
     restart_delay_s: float = 1.0
     max_restarts: int = 2
@@ -140,9 +144,8 @@ class FleetFaultConfig:
             rate = getattr(self, name)
             if rate < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {rate!r}")
-        for name in ("hang_duration_s", "slowdown_duration_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+        if self.hang_duration_s <= 0:
+            raise ConfigurationError("hang_duration_s must be positive")
         if not 0.0 < self.slowdown_factor < 1.0:
             raise ConfigurationError("slowdown_factor must be in (0, 1)")
         if self.restart_delay_s < 0:
@@ -192,7 +195,7 @@ def compile_timelines(
         "node_hang": (config.node_hang_rate, config.hang_duration_s, 1.0),
         "node_slowdown": (
             config.node_slowdown_rate,
-            config.slowdown_duration_s,
+            SLOWDOWN_DURATION_S,
             config.slowdown_factor,
         ),
     }

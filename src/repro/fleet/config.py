@@ -24,6 +24,10 @@ from repro.fleet.resilience import ResilienceConfig
 #: Arrival-trace shapes :func:`repro.fleet.trace.make_trace` understands.
 TRACES = ("poisson", "diurnal", "burst")
 
+#: Span of the timed rate window feeding the deadline targets (seconds).
+RATE_SPAN_S = 2.0
+
+
 @dataclass(frozen=True)
 class FleetConfig:
     """Everything that defines a fleet run apart from the router.
@@ -65,8 +69,6 @@ class FleetConfig:
     slack:
         Headroom fraction of the deadline the controller aims below:
         the comfort point is ``(1 - slack) * deadline_s``.
-    rate_span_s:
-        Span of the timed rate window feeding the deadline targets.
     chaos:
         Node mortality model (:class:`~repro.fleet.chaos.
         FleetFaultConfig`): seeded crash/hang/slowdown schedules.  None
@@ -93,7 +95,6 @@ class FleetConfig:
     adapt_every: int = 5
     percentile: float = 95.0
     slack: float = 0.4
-    rate_span_s: float = 2.0
     chaos: Optional[FleetFaultConfig] = None
     resilience: Optional[ResilienceConfig] = None
 
@@ -124,8 +125,6 @@ class FleetConfig:
             raise ConfigurationError("percentile must be in (0, 100]")
         if not 0 < self.slack < 1:
             raise ConfigurationError("slack must be in (0, 1)")
-        if self.rate_span_s <= 0:
-            raise ConfigurationError("rate_span_s must be positive")
         if self.chaos is not None and not isinstance(
             self.chaos, FleetFaultConfig
         ):

@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.fleet.config import RATE_SPAN_S
 from repro.heartbeats.monitor import elapsed_span_rate
 from repro.heartbeats.targets import recentred_window
 from repro.kernel.bus import PowerSample, TickStart
@@ -557,7 +558,7 @@ class FleetEngine:
         :func:`~repro.heartbeats.targets.recentred_window`)."""
         rate = elapsed_span_rate(
             self.now[:, None],
-            self.config.rate_span_s,
+            RATE_SPAN_S,
             lambda window_start: self._count_since(window_start, active),
         )
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults import FaultConfig, FaultInjector
+from repro.faults.config import APP_RUNAWAY_SPEED_FACTOR
 from repro.kernel.actuation import Actuator
 from repro.kernel.bus import (
     AppFinished,
@@ -376,7 +377,7 @@ class Simulation:
         elif kind == "app_runaway":
             if not app.runaway:
                 app.runaway = True
-                app.speed_factor = self.faults.app_runaway_speed_factor
+                app.speed_factor = APP_RUNAWAY_SPEED_FACTOR
                 self._runaway_apps.append(app)
                 injector.note_injected(
                     kind,

@@ -84,6 +84,17 @@ class FailureKind(enum.Enum):
     RUNAWAY = "runaway"
 
 
+#: Before the first beat (serial input phases emit none), the deadline
+#: is measured from run start and scaled by this factor.
+STARTUP_GRACE_FACTOR = 8.0
+#: A beat counts toward a runaway streak when the windowed rate exceeds
+#: ``RUNAWAY_MARGIN × t.max``.
+RUNAWAY_MARGIN = 1.5
+#: Consecutive over-limit beats before suspicion; quarantine and
+#: eviction follow at 2× and 3× the streak.
+RUNAWAY_BEATS = 6
+
+
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Deadlines and escalation thresholds.
@@ -99,35 +110,20 @@ class SupervisorConfig:
 
     #: Heartbeat deadline = ``grace_factor / target.min_rate`` seconds.
     grace_factor: float = 16.0
-    #: Before the first beat (serial input phases emit none), the
-    #: deadline is measured from run start and scaled by this factor.
-    startup_grace_factor: float = 8.0
     #: SUSPECT → QUARANTINED at ``deadline × quarantine_factor``.
     quarantine_factor: float = 2.0
     #: QUARANTINED → EVICTED at ``deadline × evict_factor``.
     evict_factor: float = 3.0
-    #: A beat counts toward a runaway streak when the windowed rate
-    #: exceeds ``runaway_margin × t.max``.
-    runaway_margin: float = 1.5
-    #: Consecutive over-limit beats before suspicion; quarantine and
-    #: eviction follow at 2× and 3× the streak.
-    runaway_beats: int = 6
 
     def __post_init__(self) -> None:
         if self.grace_factor <= 0:
             raise ConfigurationError("grace_factor must be positive")
-        if self.startup_grace_factor < 1:
-            raise ConfigurationError("startup_grace_factor must be >= 1")
         if self.quarantine_factor <= 1:
             raise ConfigurationError("quarantine_factor must be > 1")
         if self.evict_factor <= self.quarantine_factor:
             raise ConfigurationError(
                 "evict_factor must exceed quarantine_factor"
             )
-        if self.runaway_margin <= 1:
-            raise ConfigurationError("runaway_margin must be > 1")
-        if self.runaway_beats < 1:
-            raise ConfigurationError("runaway_beats must be >= 1")
 
     def deadline_s(self, min_rate: float) -> float:
         """Base heartbeat deadline for a target minimum rate."""
@@ -367,7 +363,7 @@ class Supervisor(CheckpointedController):
                 # No beat yet: serial input phases are silent by design,
                 # so the pre-first-beat deadline is stretched.
                 age = now - entry.started_at
-                deadline = entry.deadline_s * self.config.startup_grace_factor
+                deadline = entry.deadline_s * STARTUP_GRACE_FACTOR
             else:
                 deadline = entry.deadline_s
             rung = entry.rung = escalation_rung(
@@ -420,7 +416,7 @@ class Supervisor(CheckpointedController):
             entry.rung = 0
 
         rate = app.monitor.current_rate()
-        limit = self.config.runaway_margin * app.target.max_rate
+        limit = RUNAWAY_MARGIN * app.target.max_rate
         if rate is not None and rate > limit:
             entry.runaway_streak += 1
             self._check_runaway(sim, entry, record, rate, now)
@@ -448,10 +444,10 @@ class Supervisor(CheckpointedController):
         # over-performing alone on an idle machine harms nobody.
         if not self._sibling_starving(entry.app.name, now):
             return
-        beats = self.config.runaway_beats
+        beats = RUNAWAY_BEATS
         detail = (
             f"rate {rate:.1f}/s > "
-            f"{self.config.runaway_margin:.2f}×t.max "
+            f"{RUNAWAY_MARGIN:.2f}×t.max "
             f"for {entry.runaway_streak} beats"
         )
         if (

@@ -130,3 +130,16 @@ class TestEndpointParsing:
 
         with pytest.raises(ConfigurationError, match="socket path"):
             AcpDaemon()
+
+
+class TestAttachCommand:
+    def test_defaults_attach_and_finish(self, capsys):
+        """``hars-repro attach`` with only an endpoint and a size runs
+        its default version and benchmark to completion."""
+        from repro.acp.cli import main
+
+        assert main(["attach", "--endpoint", "loopback", "--units", "10"]) == 0
+        out = capsys.readouterr().out
+        app_lines = [l for l in out.splitlines() if "heartbeats=" in l]
+        assert len(app_lines) == 1
+        assert app_lines[0].strip().startswith("swaptions:")

@@ -83,6 +83,23 @@ class TestMultiApp:
         assert_identical(in_process, attached)
 
 
+class TestShapeArity:
+    """The in-process and attached paths refuse the same shapes: a
+    one-element list is neither a solo run nor a co-run."""
+
+    @pytest.mark.parametrize("version", ["mp-hars-e", "hars-e"])
+    def test_one_element_list_refused_on_both_paths(self, version):
+        shape = RunShape(benchmark="swaptions", n_units=20)
+        with pytest.raises(ConfigurationError, match="RunShape"):
+            run(version, [shape])
+        client = AcpClient("loopback")
+        with pytest.raises(ConfigurationError, match="RunShape"):
+            client.attach(version, [shape])
+        with pytest.raises(ConfigurationError, match="RunShape"):
+            client.attach(version, iter([shape]))
+        assert client.stats["rpcs"] == 0, "refused before any frame"
+
+
 class TestRouting:
     def test_acp_refuses_fleet(self):
         client = AcpClient("loopback")

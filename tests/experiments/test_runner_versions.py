@@ -99,8 +99,11 @@ class TestRunMulti:
         assert names == {"swaptions-0", "swaptions-1"}
 
     def test_empty_shapes_rejected(self, xu3):
-        with pytest.raises(ConfigurationError):
-            run("baseline", [], RunConfig(spec=xu3))
+        """A co-run needs two or more shapes; a lone shape is passed
+        bare, so a one-element list is refused like an empty one."""
+        for shapes in ([], [RunShape("swaptions", n_units=20)]):
+            with pytest.raises(ConfigurationError):
+                run("baseline", shapes, RunConfig(spec=xu3))
 
 
 class TestVersionLabels:

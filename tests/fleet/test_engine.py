@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.fleet.config import FleetConfig
+from repro.fleet.config import RATE_SPAN_S, FleetConfig
 from repro.fleet.engine import VELOCITY_ALPHA, FleetEngine
 from repro.fleet.node import LANES, FleetNode
 from repro.fleet.serving import ServerWorkload
@@ -50,7 +50,7 @@ class _ScalarTwin:
             )
             node.targets[lane].update(
                 node.apps[lane].monitor.timed_rate(
-                    now_s, node.config.rate_span_s
+                    now_s, RATE_SPAN_S
                 ),
                 node.slo[lane].percentile(node.config.percentile),
             )
@@ -188,7 +188,7 @@ def test_target_update_matches_deadline_target():
         engine.tail[0, 0] = float("nan") if tail is None else tail
         engine._update_targets(engine.now > -1)
         now_s = engine.now.item(0)
-        elapsed = min(now_s, config.rate_span_s)
+        elapsed = min(now_s, RATE_SPAN_S)
         reference.update(beats / elapsed, tail)
         engine._write_back(0)
         got = node.targets["hot"]

@@ -32,7 +32,7 @@ def config():
 class TestFleetNode:
     @pytest.mark.parametrize(
         "field, value",
-        [("tick_s", 0.05), ("rate_span_s", 1.0), ("percentile", 99.0)],
+        [("tick_s", 0.05), ("percentile", 99.0)],
     )
     def test_engine_refuses_a_node_with_another_config(
         self, config, field, value

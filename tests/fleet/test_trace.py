@@ -103,7 +103,6 @@ class TestFleetConfig:
             ("lane_threads", 0),
             ("percentile", 0.0),
             ("slack", 1.0),
-            ("rate_span_s", 0.0),
             ("trace", "nope"),
         ],
     )

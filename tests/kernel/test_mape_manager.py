@@ -158,7 +158,10 @@ def test_hub_and_guardrails_pick_exactly_the_manager(
 def test_acp_swap_picks_exactly_the_managers(version, n_apps):
     shapes = [RunShape(benchmark=name, n_units=40) for name in APPS[:n_apps]]
     session = AcpSession(
-        "s", version, shapes, RunConfig(supervision=True, checkpoint=1.0)
+        "s",
+        version,
+        shapes if n_apps > 1 else shapes[0],
+        RunConfig(supervision=True, checkpoint=1.0),
     )
     managers = [
         c

@@ -7,8 +7,7 @@ from repro.experiments.runner import (
     RunConfig,
     RunShape,
     build_target,
-    prepare_multi,
-    prepare_single,
+    prepare,
     run,
 )
 from repro.experiments.serialize import checkpoint_payload
@@ -165,9 +164,9 @@ def _prepared(kind):
             RunShape(benchmark="swaptions", n_units=60, n_threads=4, seed=3),
             RunShape(benchmark="bodytrack", n_units=60, n_threads=4, seed=4),
         ]
-        return prepare_multi("mp-hars-e", shapes, _PROTOCOL_CONFIG)
+        return prepare("mp-hars-e", shapes, _PROTOCOL_CONFIG)
     shape = RunShape(benchmark="swaptions", n_units=80, seed=7)
-    return prepare_single("hars-e", shape, _PROTOCOL_CONFIG)
+    return prepare("hars-e", shape, _PROTOCOL_CONFIG)
 
 
 @pytest.fixture(

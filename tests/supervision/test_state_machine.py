@@ -32,12 +32,9 @@ class TestSupervisorConfig:
         [
             {"grace_factor": 0.0},
             {"grace_factor": -1.0},
-            {"startup_grace_factor": 0.5},
             {"quarantine_factor": 1.0},
             {"quarantine_factor": 2.0, "evict_factor": 2.0},
             {"quarantine_factor": 2.0, "evict_factor": 1.5},
-            {"runaway_margin": 1.0},
-            {"runaway_beats": 0},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
