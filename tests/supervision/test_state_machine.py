@@ -32,6 +32,7 @@ class TestSupervisorConfig:
         [
             {"grace_factor": 0.0},
             {"grace_factor": -1.0},
+            {"quarantine_factor": 0.5},
             {"quarantine_factor": 1.0},
             {"quarantine_factor": 2.0, "evict_factor": 2.0},
             {"quarantine_factor": 2.0, "evict_factor": 1.5},
