@@ -15,7 +15,7 @@ from repro.experiments.fig5_1 import run_fig5_1
 
 
 def test_fig5_1(benchmark):
-    comparison = run_once(benchmark, run_fig5_1, None, bench_units())
+    comparison = run_once(benchmark, run_fig5_1, bench_units())
     print()
     print(comparison.render())
     gm = comparison.geomean

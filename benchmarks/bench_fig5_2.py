@@ -12,7 +12,7 @@ from repro.experiments.fig5_2 import gain_compression, run_fig5_2
 
 
 def test_fig5_2(benchmark):
-    high = run_once(benchmark, run_fig5_2, None, bench_units())
+    high = run_once(benchmark, run_fig5_2, bench_units())
     default = run_fig5_1(n_units=bench_units())
     print()
     print(high.render())

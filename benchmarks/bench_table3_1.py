@@ -10,7 +10,7 @@ from repro.experiments.table3_1 import build_table, render_table
 
 
 def test_table3_1(benchmark):
-    rows = run_once(benchmark, build_table, 4, 4, 1.5, 16)
+    rows = run_once(benchmark, build_table, 16)
     print()
     print("Table 3.1 — thread assignment (C_B = C_L = 4, r = 1.5)")
     print(render_table(rows))

@@ -35,9 +35,9 @@ disconnect the connection tears mid-write (a partial line, no newline) —
 ========== =================================================================
 
 Daemon kill/restart is the one fault a transport wrapper cannot inject
-honestly; ``kill_times_s`` carries its schedule for the process-level
-harness (``scripts/acp_chaos_drill.py``) which SIGKILLs a real daemon
-subprocess and restarts it against the same state dir.
+honestly; the process-level harness (``scripts/acp_chaos_drill.py``)
+SIGKILLs a real daemon subprocess at fixed points of its own and
+restarts it against the same state dir.
 
 A disabled config (all rates zero) must leave the wrapped transport's
 bytes untouched — ``AcpClient(faults=AcpFaultConfig())`` runs are gated
@@ -74,8 +74,8 @@ class AcpFaultConfig:
     """Wire mortality model for one client's control-plane traffic.
 
     Rates are per-frame probabilities in ``[0, 1]``.  With every rate
-    zero and no kill schedule the config is *disabled* and the wrapper
-    must be a byte-transparent pass-through.
+    zero the config is *disabled* and the wrapper must be a
+    byte-transparent pass-through.
 
     Parameters
     ----------
@@ -86,9 +86,6 @@ class AcpFaultConfig:
         Per-frame probability of each fault kind.
     delay_s:
         Stall length of an injected delay.
-    kill_times_s:
-        Daemon SIGKILL instants (seconds into the run) for the
-        process-level drill harness; ignored by the in-wire wrapper.
     """
 
     seed: int = 0
@@ -99,7 +96,6 @@ class AcpFaultConfig:
     delay_rate: float = 0.0
     disconnect_rate: float = 0.0
     delay_s: float = 0.05
-    kill_times_s: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         for name in _RATE_FIELDS:
@@ -110,9 +106,6 @@ class AcpFaultConfig:
                 )
         if self.delay_s < 0:
             raise ConfigurationError("delay_s must be >= 0")
-        for at_s in self.kill_times_s:
-            if at_s < 0:
-                raise ConfigurationError("kill times must be >= 0")
 
     @property
     def enabled(self) -> bool:

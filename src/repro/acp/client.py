@@ -69,19 +69,22 @@ class AcpTransportError(AcpError):
 _TRANSIENT_EXCEPTIONS = (AcpTransportError, OSError, EOFError)
 
 
+#: Growth of the retry backoff per attempt.
+BACKOFF_MULTIPLIER = 2.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff for one RPC.
 
     ``max_attempts`` counts total deliveries (1 = the old single-shot
     behavior).  The delay before attempt *n+1* is
-    ``backoff_s * multiplier**(n-1)`` capped at ``max_backoff_s`` —
+    ``backoff_s * BACKOFF_MULTIPLIER**(n-1)`` capped at ``max_backoff_s`` —
     with the defaults: 50 ms, 100 ms, 200 ms, ...
     """
 
     max_attempts: int = 5
     backoff_s: float = 0.05
-    multiplier: float = 2.0
     max_backoff_s: float = 2.0
 
     def __post_init__(self) -> None:
@@ -89,12 +92,10 @@ class RetryPolicy:
             raise ConfigurationError("retry max_attempts must be >= 1")
         if self.backoff_s < 0 or self.max_backoff_s < 0:
             raise ConfigurationError("retry backoff must be >= 0")
-        if self.multiplier < 1.0:
-            raise ConfigurationError("retry multiplier must be >= 1")
 
     def delay_s(self, completed_attempts: int) -> float:
         """Sleep before the next attempt, after ``completed_attempts``."""
-        raw = self.backoff_s * self.multiplier ** max(
+        raw = self.backoff_s * BACKOFF_MULTIPLIER ** max(
             0, completed_attempts - 1
         )
         return min(raw, self.max_backoff_s)

@@ -516,23 +516,11 @@ class AcpServer:
 
     def _handle_detach(self, frame: wire.Frame) -> List[wire.Frame]:
         session = self._session(frame.session_id)
-        stop = self._stop_flags.get(session.session_id)
-        if stop is not None:
-            stop.set()
-        thread = self._threads.get(session.session_id)
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=_COMMAND_TIMEOUT_S)
+        self._stop_driver(session.session_id)
         session.detach()
         self._persist(session)
         with self._lock:
-            # The seq window survives on purpose: a retried detach (its
-            # response lost in delivery) replays "detached" from cache
-            # instead of failing with "no such session".
-            self._sessions.pop(session.session_id, None)
-            self._threads.pop(session.session_id, None)
-            self._stop_flags.pop(session.session_id, None)
-            self._finished.pop(session.session_id, None)
-            self._leases.pop(session.session_id, None)
+            self._forget(session.session_id)
         return [
             self._respond(
                 "detached",
@@ -540,6 +528,33 @@ class AcpServer:
                 {"session_id": session.session_id, "state": session.state},
             )
         ]
+
+    def _stop_driver(self, session_id: str) -> None:
+        """Stop a session's driver thread and wait for it to exit."""
+        stop = self._stop_flags.get(session_id)
+        if stop is not None:
+            stop.set()
+        thread = self._threads.get(session_id)
+        if thread is not None and thread.is_alive():
+            thread.join(timeout=_COMMAND_TIMEOUT_S)
+
+    def _forget(self, session_id: str) -> None:
+        """Drop a detached or orphaned session's entries (under the lock).
+
+        The seq window survives on purpose: a retried detach (its response
+        lost in delivery) replays "detached" from cache instead of failing
+        with "no such session".
+        """
+        for entries in (
+            self._sessions,
+            self._threads,
+            self._stop_flags,
+            self._finished,
+            self._leases,
+            self._attach_fingerprints,
+            self._attach_responses,
+        ):
+            entries.pop(session_id, None)
 
     # -- execution plumbing ----------------------------------------------------
 
@@ -568,14 +583,13 @@ class AcpServer:
         if lease is not None:
             lease.touch(self.clock())
 
-    def reap_expired(self, now: Optional[float] = None) -> List[str]:
-        """Orphan every session whose lease has expired; returns their
-        ids.  Called on every inbound frame (cheap when no leases
-        exist) and by the background reaper of a threaded server."""
+    def reap_expired(self) -> List[str]:
+        """Orphan every session whose lease has expired by :attr:`clock`;
+        returns their ids.  Called on every inbound frame (cheap when no
+        leases exist) and by the background reaper of a threaded server."""
         if not self._leases:
             return []
-        if now is None:
-            now = self.clock()
+        now = self.clock()
         with self._lock:
             expired = []
             for sid, lease in self._leases.items():
@@ -600,12 +614,7 @@ class AcpServer:
             session = self._sessions.get(session_id)
         if session is None:
             return False
-        stop = self._stop_flags.get(session_id)
-        if stop is not None:
-            stop.set()
-        thread = self._threads.get(session_id)
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=_COMMAND_TIMEOUT_S)
+        self._stop_driver(session_id)
         prior_state = session.state
         if prior_state not in (FINISHED, QUARANTINED):
             try:
@@ -620,11 +629,7 @@ class AcpServer:
         status = dict(session.status())
         status["prior_state"] = prior_state
         with self._lock:
-            self._sessions.pop(session_id, None)
-            self._threads.pop(session_id, None)
-            self._stop_flags.pop(session_id, None)
-            self._finished.pop(session_id, None)
-            self._leases.pop(session_id, None)
+            self._forget(session_id)
             self._orphaned[session_id] = status
             if store is not None and len(store) > 0:
                 # Resumable with or without a state_dir: the in-memory
@@ -711,7 +716,6 @@ class AcpServer:
         self,
         session: AcpSession,
         fn: Callable[[], Any],
-        timeout_s: float = _COMMAND_TIMEOUT_S,
     ) -> Any:
         """Apply a control action either inline (idle session) or at the
         next segment boundary of its driver thread (running session)."""
@@ -730,14 +734,15 @@ class AcpServer:
                 applied.set()
 
         session.enqueue(command)
-        if not applied.wait(timeout_s):
+        if not applied.wait(_COMMAND_TIMEOUT_S):
             if not self._thread_alive(sid):
                 # The driver exited between enqueue and its final drain;
                 # the session is idle now, so drain on this thread.
                 session._drain_commands()
             if not applied.is_set():
                 raise ConfigurationError(
-                    f"session {sid}: command not applied within {timeout_s}s"
+                    f"session {sid}: command not applied within "
+                    f"{_COMMAND_TIMEOUT_S}s"
                 )
         if "exc" in box:
             exc = box["exc"]

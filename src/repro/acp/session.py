@@ -439,12 +439,3 @@ class AcpSession:
                 f"(state: {self.state})"
             )
         return self._result_payload
-
-    def metrics_text(self) -> str:
-        """Live Prometheus text for this session (empty if telemetry off)."""
-        hub = self.prepared.telemetry
-        if hub is None:
-            return ""
-        from repro.telemetry.exporters import snapshot_to_prometheus
-
-        return snapshot_to_prometheus(hub.registry.snapshot())

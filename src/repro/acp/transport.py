@@ -173,7 +173,6 @@ class AcpDaemon:
 
     def __init__(
         self,
-        acp: Optional[AcpServer] = None,
         socket_path: Optional[str] = None,
         http_port: Optional[int] = None,
         http_host: str = "127.0.0.1",
@@ -185,14 +184,12 @@ class AcpDaemon:
             raise ConfigurationError(
                 "the daemon needs a socket path, an http port, or both"
             )
-        if acp is None:
-            kwargs = {"state_dir": state_dir, "threaded": True}
-            if quantum_s is not None:
-                kwargs["quantum_s"] = quantum_s
-            if lease_ttl_s is not None:
-                kwargs["lease_ttl_s"] = lease_ttl_s
-            acp = AcpServer(**kwargs)
-        self.acp = acp
+        kwargs = {"state_dir": state_dir, "threaded": True}
+        if quantum_s is not None:
+            kwargs["quantum_s"] = quantum_s
+        if lease_ttl_s is not None:
+            kwargs["lease_ttl_s"] = lease_ttl_s
+        self.acp = AcpServer(**kwargs)
         self.socket_path = socket_path
         self._http_host = http_host
         self._http_port_requested = http_port

@@ -54,9 +54,9 @@ class OracleEvaluation:
         return self.norm_perf / self.watts
 
 
-def _mean_unit_work(model: WorkloadModel, seed: int = 0) -> float:
+def _mean_unit_work(model: WorkloadModel) -> float:
     if isinstance(model, DataParallelWorkload):
-        return model.profile.mean_work(model.n_units, seed)
+        return model.profile.mean_work(model.n_units)
     raise ConfigurationError(f"{model.name}: not a data-parallel workload")
 
 
@@ -99,7 +99,7 @@ def _pipeline_rate(model: PipelineWorkload, cores: int, speed: float) -> float:
 
 
 def oracle_rate(
-    spec: PlatformSpec, model: WorkloadModel, state: SystemState, seed: int = 0
+    spec: PlatformSpec, model: WorkloadModel, state: SystemState
 ) -> float:
     """Ground-truth steady-state heartbeat rate under GTS at ``state``."""
     cluster_name, cores, freq = _gts_cluster(state)
@@ -107,12 +107,12 @@ def oracle_rate(
     speed = model.thread_speed(cluster_name, cluster.core_type, freq)
     if isinstance(model, PipelineWorkload):
         return _pipeline_rate(model, cores, speed)
-    unit_work = _mean_unit_work(model, seed)
+    unit_work = _mean_unit_work(model)
     return min(model.n_threads, cores) * speed / unit_work
 
 
 def oracle_power(
-    spec: PlatformSpec, model: WorkloadModel, state: SystemState, seed: int = 0
+    spec: PlatformSpec, model: WorkloadModel, state: SystemState
 ) -> float:
     """Ground-truth average power under GTS at ``state``."""
     cluster_name, cores, freq = _gts_cluster(state)
@@ -121,7 +121,7 @@ def oracle_power(
     machine.set_freq_mhz(LITTLE, state.f_little_mhz)
     used = min(model.n_threads, cores)
     if isinstance(model, PipelineWorkload):
-        rate = oracle_rate(spec, model, state, seed)
+        rate = oracle_rate(spec, model, state)
         cluster = spec.cluster(cluster_name)
         speed = model.thread_speed(cluster_name, cluster.core_type, freq)
         total_cost = sum(stage.cost_per_item for stage in model.stages)
@@ -143,14 +143,13 @@ def evaluate_all_states(
     spec: PlatformSpec,
     model: WorkloadModel,
     target: PerformanceTarget,
-    seed: int = 0,
 ) -> List[OracleEvaluation]:
     """Offline sweep: oracle-evaluate the entire state space."""
     evaluations: List[OracleEvaluation] = []
     for c_big, c_little, f_big, f_little in spec.iter_states():
         state = SystemState(c_big, c_little, f_big, f_little)
-        rate = oracle_rate(spec, model, state, seed)
-        watts = oracle_power(spec, model, state, seed)
+        rate = oracle_rate(spec, model, state)
+        watts = oracle_power(spec, model, state)
         evaluations.append(
             OracleEvaluation(
                 state=state,
@@ -166,7 +165,6 @@ def find_static_optimal(
     spec: PlatformSpec,
     model: WorkloadModel,
     target: PerformanceTarget,
-    seed: int = 0,
 ) -> OracleEvaluation:
     """The SO state: best perf/watt among target-satisfying states.
 
@@ -174,7 +172,7 @@ def find_static_optimal(
     back to the fastest state — the same closest-to-target rule the HARS
     search applies.
     """
-    evaluations = evaluate_all_states(spec, model, target, seed)
+    evaluations = evaluate_all_states(spec, model, target)
     feasible = [e for e in evaluations if e.rate >= target.min_rate]
     if feasible:
         return max(
@@ -187,10 +185,8 @@ def find_static_optimal_measured(
     spec: PlatformSpec,
     model_factory,
     target: PerformanceTarget,
-    seed: int = 0,
     top_k: int = 6,
     probe_units: int = 50,
-    tick_s: float = 0.01,
 ) -> SystemState:
     """Offline-simulation SO: analytic shortlist, then measured pick.
 
@@ -203,10 +199,10 @@ def find_static_optimal_measured(
 
     ``model_factory`` must return a fresh workload model per call.
     """
-    evaluations = evaluate_all_states(spec, model_factory(), target, seed)
+    evaluations = evaluate_all_states(spec, model_factory(), target)
     feasible = [e for e in evaluations if e.rate >= target.min_rate]
     if not feasible:
-        return find_static_optimal(spec, model_factory(), target, seed).state
+        return find_static_optimal(spec, model_factory(), target).state
     # Shortlist per rate tier: the oracle can be optimistic (it cannot
     # see fair-share pipeline equilibria), so besides the best-perf/watt
     # feasible states we also probe the best states with progressively
@@ -232,7 +228,7 @@ def find_static_optimal_measured(
     best_score: Tuple[int, float] = (-1, 0.0)
     for state in shortlist:
         norm_perf, watts = _probe_state(
-            spec, model_factory, target, state, seed, probe_units, tick_s
+            spec, model_factory, target, state, probe_units
         )
         score = (1 if norm_perf >= 0.999 * (target.min_rate / target.avg_rate)
                  else 0, norm_perf / watts)
@@ -264,9 +260,7 @@ def _probe_state(
     model_factory,
     target: PerformanceTarget,
     state: SystemState,
-    seed: int,
     probe_units: int,
-    tick_s: float,
 ) -> Tuple[float, float]:
     """Short measured run of one state: (mean norm perf, avg watts)."""
     from repro.sim.engine import Simulation
@@ -275,8 +269,8 @@ def _probe_state(
     model = model_factory()
     if hasattr(model, "n_units"):
         probe_units = min(probe_units, model.total_heartbeats())
-    model.reset(seed)
-    sim = Simulation(spec, tick_s=tick_s)
+    model.reset()
+    sim = Simulation(spec)
     app = sim.add_app(SimApp("so-probe", model, target))
     sim.add_controller(StaticOptimalController("so-probe", state))
     horizon = probe_units / max(target.min_rate, 1e-6) + 30.0

@@ -269,7 +269,6 @@ _RUNNERS = {
     "fig5.4": _run_fig5_4,
     "accuracy": _run_accuracy,
     "fig5.5-7": _run_fig5_5_7,
-    "telemetry": _run_telemetry,
 }
 
 

@@ -76,7 +76,6 @@ class HarsManager(MapeManager):
         power_estimator: PowerEstimator,
         adapt_every: int = DEFAULT_ADAPT_EVERY,
         state_eval_cost_s: float = DEFAULT_STATE_EVAL_COST_S,
-        poll_cost_s: float = DEFAULT_POLL_COST_S,
         initial_state: Optional[SystemState] = None,
         stale_after_s: Optional[float] = None,
     ):
@@ -86,7 +85,7 @@ class HarsManager(MapeManager):
             power_estimator,
             adapt_every,
             state_eval_cost_s,
-            poll_cost_s,
+            DEFAULT_POLL_COST_S,
         )
         self.app_name = app_name
         self._initial_state = initial_state

@@ -43,17 +43,15 @@ class PerformanceEstimate:
 class PerformanceEstimator:
     """Analytic capacity model over system states."""
 
-    def __init__(
-        self,
-        r0: float = DEFAULT_R0,
-        f0_mhz: int = BASELINE_FREQ_MHZ,
-        s_little_f0: float = 1.0,
-    ):
-        if r0 <= 0 or f0_mhz <= 0 or s_little_f0 <= 0:
-            raise EstimationError("estimator parameters must be positive")
+    #: The baseline frequency f0 the per-core speeds scale from.
+    f0_mhz = BASELINE_FREQ_MHZ
+    #: Little-core speed at f0 (``S_L,f0``), the model's unit of speed.
+    s_little_f0 = 1.0
+
+    def __init__(self, r0: float = DEFAULT_R0):
+        if r0 <= 0:
+            raise EstimationError("r0 must be positive")
         self.r0 = r0
-        self.f0_mhz = f0_mhz
-        self.s_little_f0 = s_little_f0
 
     def per_core_speeds(self, state: SystemState) -> tuple:
         """``(S_B, S_L)`` at the state's frequencies."""

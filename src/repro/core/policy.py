@@ -89,12 +89,12 @@ HARS_EI = HarsPolicy(
 POLICY_BY_NAME = {p.name: p for p in (HARS_I, HARS_E, HARS_EI)}
 
 
-def sweep_policy(d: int, scheduler: str = INTERLEAVED) -> HarsPolicy:
+def sweep_policy(d: int) -> HarsPolicy:
     """Figure 5.3 variant: the exhaustive box with a custom distance."""
     space = SearchSpace(m=4, n=4, d=d)
     return HarsPolicy(
         name=f"HARS-sweep-d{d}",
-        scheduler=scheduler,
+        scheduler=INTERLEAVED,
         overperform_space=space,
         underperform_space=space,
     )

@@ -19,7 +19,7 @@ equal-work-split assumption, and GTS-vs-pinned placement differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.perf_estimator import PerformanceEstimator
 from repro.core.power_estimator import PowerEstimator
@@ -107,13 +107,11 @@ def _measure_state(
     state: SystemState,
     perf_estimator: PerformanceEstimator,
     probe_units: int,
-    seed: int,
-    tick_s: float,
 ) -> Tuple[float, float]:
     """Measured (rate, CPU watts) with HARS-style pinning at ``state``."""
     model = model_factory()
-    model.reset(seed)
-    sim = Simulation(spec, tick_s=tick_s)
+    model.reset()
+    sim = Simulation(spec)
     app = sim.add_app(
         SimApp("probe", model, PerformanceTarget(1.0, 1.0, 1.0))
     )
@@ -153,29 +151,27 @@ def evaluate_accuracy(
     perf_estimator: PerformanceEstimator,
     power_estimator: PowerEstimator,
     states: Sequence[SystemState] = DEFAULT_SAMPLE,
-    reference: Optional[SystemState] = None,
     probe_units: int = 30,
-    seed: int = 0,
-    tick_s: float = 0.01,
 ) -> AccuracyReport:
     """Measure the sample states and compare against the estimators.
 
+    The first state is the reference the rate predictions scale from.
     ``model_factory`` must return a fresh workload (with at least
     ``probe_units`` heartbeats) per call.
     """
     if not states:
         raise ConfigurationError("need at least one state to evaluate")
-    reference = reference or states[0]
+    reference = states[0]
     reference.validate(spec)
     ref_rate, _ = _measure_state(
-        spec, model_factory, reference, perf_estimator, probe_units, seed, tick_s
+        spec, model_factory, reference, perf_estimator, probe_units
     )
     rows: List[StateAccuracy] = []
     n_threads = model_factory().n_threads
     for state in states:
         state.validate(spec)
         measured_rate, measured_watts = _measure_state(
-            spec, model_factory, state, perf_estimator, probe_units, seed, tick_s
+            spec, model_factory, state, perf_estimator, probe_units
         )
         predicted_rate = perf_estimator.estimate_rate(
             state, reference, ref_rate, n_threads

@@ -68,7 +68,6 @@ def run_perf_watt_comparison(
     benchmarks: Optional[List[str]] = None,
     versions: Tuple[str, ...] = SINGLE_APP_VERSIONS,
     n_units: Optional[int] = None,
-    seed: int = 0,
 ) -> PerfWattComparison:
     """Run the full benchmark × version grid at one target fraction.
 
@@ -85,7 +84,6 @@ def run_perf_watt_comparison(
             benchmark=name,
             n_units=n_units,
             target_fraction=target_fraction,
-            seed=seed,
         )
         per_version: Dict[str, RunMetrics] = {}
         for version in versions:
@@ -99,11 +97,8 @@ def run_perf_watt_comparison(
 
 
 def run_fig5_1(
-    spec: Optional[PlatformSpec] = None,
     n_units: Optional[int] = None,
     benchmarks: Optional[List[str]] = None,
 ) -> PerfWattComparison:
     """Figure 5.1: the default performance target."""
-    return run_perf_watt_comparison(
-        0.5, spec=spec, benchmarks=benchmarks, n_units=n_units
-    )
+    return run_perf_watt_comparison(0.5, benchmarks=benchmarks, n_units=n_units)

@@ -11,20 +11,18 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.experiments.fig5_1 import PerfWattComparison, run_perf_watt_comparison
-from repro.platform.spec import PlatformSpec
 
 #: The high target fraction (75 % ± 5 % of maximum achievable).
 HIGH_TARGET_FRACTION = 0.75
 
 
 def run_fig5_2(
-    spec: Optional[PlatformSpec] = None,
     n_units: Optional[int] = None,
     benchmarks: Optional[List[str]] = None,
 ) -> PerfWattComparison:
     """Figure 5.2: the high performance target."""
     return run_perf_watt_comparison(
-        HIGH_TARGET_FRACTION, spec=spec, benchmarks=benchmarks, n_units=n_units
+        HIGH_TARGET_FRACTION, benchmarks=benchmarks, n_units=n_units
     )
 
 

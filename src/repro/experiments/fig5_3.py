@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.report import format_table
 from repro.experiments.runner import RunConfig, RunShape, run
-from repro.platform.spec import PlatformSpec, odroid_xu3
+from repro.platform.spec import odroid_xu3
 from repro.units import geometric_mean, mean
 from repro.workloads.parsec import BENCHMARKS
 
@@ -67,35 +67,29 @@ class DistanceSweep:
 
 
 def run_fig5_3(
-    spec: Optional[PlatformSpec] = None,
     benchmarks: Optional[List[str]] = None,
-    distances: Tuple[int, ...] = DISTANCES,
-    targets: Tuple[float, ...] = TARGETS,
     n_units: Optional[int] = None,
-    seed: int = 0,
 ) -> DistanceSweep:
-    """Run the HARS-EI distance sweep for both targets."""
-    spec = spec or odroid_xu3()
+    """Run the HARS-EI distance sweep over :data:`DISTANCES` for both
+    :data:`TARGETS`."""
+    spec = odroid_xu3()
     names = benchmarks if benchmarks is not None else list(BENCHMARKS)
-    sweep = DistanceSweep(distances=distances)
-    for target in targets:
-        raw_pp: Dict[int, List[float]] = {d: [] for d in distances}
-        raw_cpu: Dict[int, List[float]] = {d: [] for d in distances}
+    sweep = DistanceSweep(distances=DISTANCES)
+    for target in TARGETS:
+        raw_pp: Dict[int, List[float]] = {d: [] for d in DISTANCES}
+        raw_cpu: Dict[int, List[float]] = {d: [] for d in DISTANCES}
         for name in names:
             shape = RunShape(
-                benchmark=name,
-                n_units=n_units,
-                target_fraction=target,
-                seed=seed,
+                benchmark=name, n_units=n_units, target_fraction=target
             )
-            for distance in distances:
+            for distance in DISTANCES:
                 metrics = run(
                     f"hars-d{distance}", shape, RunConfig(spec=spec)
                 ).metrics
                 raw_pp[distance].append(metrics.perf_per_watt)
                 raw_cpu[distance].append(metrics.manager_cpu_percent)
-        gm = {d: geometric_mean(raw_pp[d]) for d in distances}
-        base = gm[distances[0]]
-        sweep.efficiency[target] = {d: gm[d] / base for d in distances}
-        sweep.cpu_percent[target] = {d: mean(raw_cpu[d]) for d in distances}
+        gm = {d: geometric_mean(raw_pp[d]) for d in DISTANCES}
+        base = gm[DISTANCES[0]]
+        sweep.efficiency[target] = {d: gm[d] / base for d in DISTANCES}
+        sweep.cpu_percent[target] = {d: mean(raw_cpu[d]) for d in DISTANCES}
     return sweep

@@ -21,7 +21,7 @@ from repro.experiments.metrics import (
 from repro.experiments.report import grouped_bars
 from repro.experiments.runner import RunConfig, RunShape, run
 from repro.experiments.versions import MULTI_APP_VERSIONS, version_label
-from repro.platform.spec import PlatformSpec, odroid_xu3
+from repro.platform.spec import odroid_xu3
 from repro.workloads.parsec import SHORT_CODES, resolve_name
 
 #: The paper's six cases, in figure order.
@@ -71,23 +71,15 @@ class MultiAppComparison:
         )
 
 
-def run_fig5_4(
-    spec: Optional[PlatformSpec] = None,
-    cases: Tuple[Tuple[str, str], ...] = CASES,
-    versions: Tuple[str, ...] = MULTI_APP_VERSIONS,
-    n_units: Optional[int] = None,
-    seed: int = 0,
-) -> MultiAppComparison:
-    """Run the six-case, four-version multi-application grid."""
-    spec = spec or odroid_xu3()
-    comparison = MultiAppComparison(versions=versions)
-    for index, pair in enumerate(cases):
-        shapes = [
-            RunShape(benchmark=name, n_units=n_units, seed=seed)
-            for name in pair
-        ]
+def run_fig5_4(n_units: Optional[int] = None) -> MultiAppComparison:
+    """Run the six-case (:data:`CASES`), four-version
+    (:data:`MULTI_APP_VERSIONS`) multi-application grid."""
+    spec = odroid_xu3()
+    comparison = MultiAppComparison(versions=MULTI_APP_VERSIONS)
+    for index, pair in enumerate(CASES):
+        shapes = [RunShape(benchmark=name, n_units=n_units) for name in pair]
         per_version: Dict[str, RunMetrics] = {}
-        for version in versions:
+        for version in MULTI_APP_VERSIONS:
             per_version[version] = run(
                 version, shapes, RunConfig(spec=spec)
             ).metrics

@@ -32,6 +32,9 @@ BEHAVIOUR_VERSIONS: Tuple[str, ...] = ("cons-i", "mp-hars-i", "mp-hars-e")
 #: Case 4's pair.
 CASE4: Tuple[str, str] = ("bodytrack", "fluidanimate")
 
+#: Points :meth:`BehaviourRun.render` samples from each series.
+RENDER_POINTS = 20
+
 
 @dataclass
 class BehaviourRun:
@@ -63,7 +66,7 @@ class BehaviourRun:
             return 0.0
         return sum(1 for v in tail if v > target.max_rate) / len(tail)
 
-    def render(self, max_points: int = 20) -> str:
+    def render(self) -> str:
         lines = [f"== {self.version}: case 4 behaviour =="]
         for app_name in self.app_names():
             target = self.targets[app_name]
@@ -80,7 +83,7 @@ class BehaviourRun:
             ):
                 series = self.trace.series(app_name, column)
                 lines.append(
-                    f"   {label:7s} {sampled_series(series, max_points)}"
+                    f"   {label:7s} {sampled_series(series, RENDER_POINTS)}"
                 )
         return "\n".join(lines)
 
@@ -90,11 +93,10 @@ def run_behaviour(
     spec: Optional[PlatformSpec] = None,
     pair: Tuple[str, str] = CASE4,
     n_units: Optional[int] = None,
-    seed: int = 0,
 ) -> BehaviourRun:
     """Trace one version's case-4 run."""
     spec = spec or odroid_xu3()
-    shapes = [RunShape(benchmark=name, n_units=n_units, seed=seed) for name in pair]
+    shapes = [RunShape(benchmark=name, n_units=n_units) for name in pair]
     outcome = run(version, shapes, RunConfig(spec=spec))
     behaviour = BehaviourRun(version=version, outcome=outcome)
     for app in outcome.metrics.apps:
@@ -104,13 +106,9 @@ def run_behaviour(
     return behaviour
 
 
-def run_fig5_5_7(
-    spec: Optional[PlatformSpec] = None,
-    n_units: Optional[int] = None,
-    seed: int = 0,
-) -> Dict[str, BehaviourRun]:
+def run_fig5_5_7(n_units: Optional[int] = None) -> Dict[str, BehaviourRun]:
     """All three behaviour figures: version → traced run."""
     return {
-        version: run_behaviour(version, spec=spec, n_units=n_units, seed=seed)
+        version: run_behaviour(version, n_units=n_units)
         for version in BEHAVIOUR_VERSIONS
     }

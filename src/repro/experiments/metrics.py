@@ -81,15 +81,13 @@ class RunMetrics:
         raise ConfigurationError(f"no metrics for app {name!r}")
 
 
-def normalize_to_baseline(
-    results: Mapping[str, RunMetrics], baseline_version: str = "baseline"
-) -> Dict[str, float]:
-    """Perf/watt of each version relative to the baseline's."""
-    if baseline_version not in results:
+def normalize_to_baseline(results: Mapping[str, RunMetrics]) -> Dict[str, float]:
+    """Perf/watt of each version relative to the ``"baseline"`` version's."""
+    if "baseline" not in results:
         raise ConfigurationError(
-            f"baseline version {baseline_version!r} missing from results"
+            "baseline version 'baseline' missing from results"
         )
-    base = results[baseline_version].perf_per_watt
+    base = results["baseline"].perf_per_watt
     if base <= 0:
         raise ConfigurationError("baseline perf/watt must be positive")
     return {name: run.perf_per_watt / base for name, run in results.items()}

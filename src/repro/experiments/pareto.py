@@ -81,7 +81,6 @@ class ParetoFrontier:
 def build_frontier(
     spec: PlatformSpec,
     model: WorkloadModel,
-    seed: int = 0,
 ) -> ParetoFrontier:
     """Oracle-evaluate every state and keep the non-dominated set.
 
@@ -89,7 +88,7 @@ def build_frontier(
     strictly cheaper (or as cheap and strictly faster).
     """
     target = PerformanceTarget(1.0, 1.0, 1.0)  # unused by the oracle rate
-    evaluations = evaluate_all_states(spec, model, target, seed)
+    evaluations = evaluate_all_states(spec, model, target)
     by_rate = sorted(evaluations, key=lambda e: (-e.rate, e.watts))
     frontier: List[ParetoPoint] = []
     cheapest_so_far = float("inf")

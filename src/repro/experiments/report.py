@@ -8,7 +8,7 @@ pure functions over the result dataclasses so they are easy to test.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -49,16 +49,12 @@ def format_table(
     return "\n".join(lines)
 
 
-def bar_chart(
-    values: Mapping[str, float],
-    title: str = "",
-    unit: str = "",
-    max_value: Optional[float] = None,
-) -> str:
-    """Horizontal bar chart, one row per labelled value."""
+def bar_chart(values: Mapping[str, float], title: str = "") -> str:
+    """Horizontal bar chart, one row per labelled value, scaled to the
+    largest."""
     if not values:
         raise ConfigurationError("bar chart needs values")
-    peak = max_value if max_value is not None else max(values.values())
+    peak = max(values.values())
     if peak <= 0:
         raise ConfigurationError("bar chart needs a positive maximum")
     label_width = max(len(label) for label in values)
@@ -68,7 +64,7 @@ def bar_chart(
         bar = "#" * filled
         lines.append(
             f"{label.rjust(label_width)} | {bar:<{_BAR_WIDTH}} "
-            f"{value:.2f}{unit}"
+            f"{value:.2f}"
         )
     return "\n".join(lines)
 
@@ -93,9 +89,7 @@ def grouped_bars(
 
 
 def sampled_series(
-    series: Sequence[Tuple[int, float]],
-    max_points: int = 25,
-    value_format: str = "{:.2f}",
+    series: Sequence[Tuple[int, float]], max_points: int = 25
 ) -> str:
     """Condense a long (index, value) series to at most ``max_points``."""
     if not series:
@@ -103,5 +97,5 @@ def sampled_series(
     step = max(1, len(series) // max_points)
     sampled = list(series)[::step]
     return "  ".join(
-        f"{index}:{value_format.format(value)}" for index, value in sampled
+        f"{index}:{value:.2f}" for index, value in sampled
     )

@@ -40,13 +40,10 @@ def regime_of(n_threads: int, c_big: int, c_little: int, ratio: float) -> str:
     return "r*C_B + C_L < T"
 
 
-def build_table(
-    c_big: int = 4,
-    c_little: int = 4,
-    ratio: float = DEFAULT_R0,
-    max_threads: int = 16,
-) -> List[AssignmentRow]:
-    """Assignment rows for ``T = 1 .. max_threads``."""
+def build_table(max_threads: int = 16) -> List[AssignmentRow]:
+    """Assignment rows for ``T = 1 .. max_threads`` on the XU3's four big
+    and four little cores at the paper's r0 = 3/2."""
+    c_big, c_little, ratio = 4, 4, DEFAULT_R0
     rows = []
     for n_threads in range(1, max_threads + 1):
         rows.append(

@@ -92,10 +92,14 @@ def attach_single_app_version(
         match = _SWEEP_PATTERN.match(version)
         if match:
             policy = sweep_policy(int(match.group(1)))
+        elif version in _MULTI_APP_NAMES:
+            raise ConfigurationError(
+                f"{version!r} is a co-run version: it needs two or more "
+                "shapes (on the CLI, two or more comma-separated --bench)"
+            )
         else:
             raise ConfigurationError(
-                f"unknown version {version!r}; valid: "
-                f"{sorted(_POLICIES) + ['baseline', 'so', 'hars-d<k>']}"
+                f"unknown version {version!r}; valid: {_SINGLE_APP_NAMES}"
             )
     manager = HarsManager(
         app_name=app.name,
@@ -122,6 +126,10 @@ MULTI_VERSION_LABELS: Dict[str, str] = {
     "mp-hars-e": "MP-HARS-E",
     "mp-hars-ei": "MP-HARS-EI",
 }
+
+#: Every name each registry accepts, for error messages.
+_SINGLE_APP_NAMES = [*VERSION_LABELS, "hars-d<k>"]
+_MULTI_APP_NAMES = list(MULTI_VERSION_LABELS)
 
 
 def attach_multi_app_version(
@@ -150,8 +158,13 @@ def attach_multi_app_version(
             adapt_every=adapt_every,
         )
         return [sim.add_controller(manager)]
+    if version in _SINGLE_APP_NAMES or _SWEEP_PATTERN.match(version):
+        raise ConfigurationError(
+            f"{version!r} is a single-app version: it takes one shape "
+            "(on the CLI, one --bench)"
+        )
     raise ConfigurationError(
-        f"unknown multi-app version {version!r}; valid: {MULTI_APP_VERSIONS}"
+        f"unknown multi-app version {version!r}; valid: {_MULTI_APP_NAMES}"
     )
 
 

@@ -23,11 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.manager import (
-    DEFAULT_ADAPT_EVERY,
-    DEFAULT_STATE_EVAL_COST_S,
-    HarsManager,
-)
+from repro.core.manager import DEFAULT_ADAPT_EVERY, HarsManager
 from repro.core.perf_estimator import PerformanceEstimator
 from repro.core.policy import HarsPolicy
 from repro.core.power_estimator import PowerEstimator
@@ -80,7 +76,6 @@ class AdaptiveHarsManager(HarsManager):
         perf_estimator: PerformanceEstimator,
         power_estimator: PowerEstimator,
         adapt_every: int = DEFAULT_ADAPT_EVERY,
-        state_eval_cost_s: float = DEFAULT_STATE_EVAL_COST_S,
         initial_state: Optional[SystemState] = None,
         predictor: Optional[RatePredictor] = None,
         ratio_learner: Optional[OnlineRatioLearner] = None,
@@ -99,7 +94,6 @@ class AdaptiveHarsManager(HarsManager):
             perf_estimator=perf_estimator,
             power_estimator=power_estimator,
             adapt_every=adapt_every,
-            state_eval_cost_s=state_eval_cost_s,
             initial_state=initial_state,
         )
 

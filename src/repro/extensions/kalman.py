@@ -63,23 +63,23 @@ class ScalarKalmanFilter:
         return predicted / (predicted + self.measurement_variance)
 
 
+#: Heartbeat-rate measurement noise (standard deviation) as a fraction of
+#: the current rate.
+RELATIVE_MEASUREMENT_NOISE = 0.15
+
+
 class RatePredictor:
     """Kalman-smoothed view of an application's heartbeat rate.
 
-    ``relative_process_noise`` and ``relative_measurement_noise`` are
+    ``relative_process_noise`` and :data:`RELATIVE_MEASUREMENT_NOISE` are
     standard deviations as fractions of the current rate, so the filter
     adapts its scale to the application automatically.
     """
 
-    def __init__(
-        self,
-        relative_process_noise: float = 0.05,
-        relative_measurement_noise: float = 0.15,
-    ):
-        if relative_process_noise <= 0 or relative_measurement_noise <= 0:
-            raise ConfigurationError("noise fractions must be positive")
+    def __init__(self, relative_process_noise: float = 0.05):
+        if relative_process_noise <= 0:
+            raise ConfigurationError("relative_process_noise must be positive")
         self.relative_process_noise = relative_process_noise
-        self.relative_measurement_noise = relative_measurement_noise
         self._filter: Optional[ScalarKalmanFilter] = None
 
     def observe(self, rate: float) -> float:
@@ -90,7 +90,7 @@ class RatePredictor:
             self._filter = ScalarKalmanFilter(
                 process_variance=(rate * self.relative_process_noise) ** 2,
                 measurement_variance=(
-                    rate * self.relative_measurement_noise
+                    rate * RELATIVE_MEASUREMENT_NOISE
                 ) ** 2,
             )
         return self._filter.update(rate)

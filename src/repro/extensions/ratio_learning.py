@@ -33,6 +33,13 @@ from repro.core.state import SystemState
 from repro.errors import ConfigurationError
 from repro.platform.core_types import BASELINE_FREQ_MHZ
 
+#: Informative (big-cluster) observations needed before the first refit.
+MIN_INFORMATIVE = 1
+
+#: Weight of the quadratic prior toward r0, relative to the mean squared
+#: observed rate.
+PRIOR_STRENGTH = 0.01
+
 #: Candidate ratios the grid search covers.
 DEFAULT_GRID = tuple(round(0.8 + 0.05 * i, 2) for i in range(45))  # 0.8..3.0
 
@@ -51,10 +58,10 @@ class RatioObservation:
         """Whether the capacity at this point depends on the ratio."""
         return self.assignment.t_big > 0
 
-    def capacity(self, ratio: float, f0_mhz: int = BASELINE_FREQ_MHZ) -> float:
+    def capacity(self, ratio: float) -> float:
         """Modelled capacity at a candidate ratio, given the real split."""
-        s_big = ratio * self.state.f_big_mhz / f0_mhz
-        s_little = self.state.f_little_mhz / f0_mhz
+        s_big = ratio * self.state.f_big_mhz / BASELINE_FREQ_MHZ
+        s_little = self.state.f_little_mhz / BASELINE_FREQ_MHZ
         _, _, t_f = cluster_times(
             self.assignment,
             unit_work=1.0,
@@ -72,27 +79,17 @@ class OnlineRatioLearner:
 
     def __init__(
         self,
-        r0: float = DEFAULT_R0,
         grid: Tuple[float, ...] = DEFAULT_GRID,
         window: int = 12,
-        min_informative: int = 1,
-        prior_strength: float = 0.01,
     ):
         if not grid:
             raise ConfigurationError("empty ratio grid")
         if window < 2:
             raise ConfigurationError("window must hold at least 2 points")
-        if min_informative < 1:
-            raise ConfigurationError("min_informative must be >= 1")
-        if prior_strength < 0:
-            raise ConfigurationError("prior_strength must be >= 0")
-        self.r0 = r0
         self.grid = grid
         self.window = window
-        self.min_informative = min_informative
-        self.prior_strength = prior_strength
         self._observations: List[RatioObservation] = []
-        self._estimate = r0
+        self._estimate = DEFAULT_R0
 
     def observe(
         self,
@@ -151,7 +148,7 @@ class OnlineRatioLearner:
         volatile knowledge, re-earned only after fresh settled points.
         """
         self._observations.clear()
-        self._estimate = self.r0
+        self._estimate = DEFAULT_R0
 
     def seed_estimate(self, ratio: float) -> None:
         """Adopt a previously-learned ratio (checkpoint warm restore).
@@ -173,7 +170,7 @@ class OnlineRatioLearner:
     def _refit(self) -> None:
         informative = self._informative()
         if (
-            len(informative) < self.min_informative
+            len(informative) < MIN_INFORMATIVE
             or len(self._observations) < 2
         ):
             return
@@ -181,7 +178,7 @@ class OnlineRatioLearner:
         # A weak quadratic prior toward r0 keeps the estimate from
         # running to the grid edge when only one informative point (and
         # hence pure model mismatch) drives the fit.
-        prior_scale = self.prior_strength * float((rates**2).mean())
+        prior_scale = PRIOR_STRENGTH * float((rates**2).mean())
         best_r = self._estimate
         best_error = float("inf")
         for candidate in self.grid:
@@ -193,7 +190,7 @@ class OnlineRatioLearner:
                 continue
             scale = float(capacities @ rates) / denom
             error = float(((rates - scale * capacities) ** 2).sum())
-            error += prior_scale * (candidate - self.r0) ** 2
+            error += prior_scale * (candidate - DEFAULT_R0) ** 2
             if error < best_error - 1e-12:
                 best_error = error
                 best_r = candidate

@@ -211,9 +211,9 @@ class FaultConfig:
     # -- presets ----------------------------------------------------------
 
     @classmethod
-    def disabled(cls, seed: int = 0) -> "FaultConfig":
+    def disabled(cls) -> "FaultConfig":
         """All rates zero: the stack behaves exactly as without faults."""
-        return cls(seed=seed)
+        return cls()
 
     @classmethod
     def defaults(cls, seed: int = 0) -> "FaultConfig":
@@ -259,7 +259,7 @@ class FaultConfig:
 
 
 def lane_crash_schedule(
-    times_s: Sequence[float], apps: Sequence[str], seed: int = 0
+    times_s: Sequence[float], apps: Sequence[str]
 ) -> FaultConfig:
     """A fault layer that crashes every app in ``apps`` at each time.
 
@@ -280,4 +280,4 @@ def lane_crash_schedule(
             )
         for app in apps:
             events.append(LifecycleEvent("app_crash", at_s, target=app))
-    return FaultConfig(seed=seed, lifecycle_schedule=tuple(events))
+    return FaultConfig(lifecycle_schedule=tuple(events))

@@ -54,6 +54,9 @@ _RATE_FIELDS = ("node_crash_rate", "node_hang_rate", "node_slowdown_rate")
 #: own), in seconds.
 SLOWDOWN_DURATION_S = 4.0
 
+#: Service-velocity multiplier of rate-driven slowdowns.
+SLOWDOWN_FACTOR = 0.25
+
 
 @dataclass(frozen=True)
 class NodeChaosEvent:
@@ -115,9 +118,7 @@ class FleetFaultConfig:
     hang_duration_s:
         Episode length of rate-driven hangs (scheduled events carry
         their own; rate-driven slowdowns last
-        :data:`SLOWDOWN_DURATION_S`).
-    slowdown_factor:
-        Service-velocity multiplier of rate-driven slowdowns.
+        :data:`SLOWDOWN_DURATION_S` at :data:`SLOWDOWN_FACTOR`).
     restart_delay_s:
         Downtime between a crash and the node's reboot (fresh
         simulation, supervision probation).
@@ -134,7 +135,6 @@ class FleetFaultConfig:
     node_hang_rate: float = 0.0
     node_slowdown_rate: float = 0.0
     hang_duration_s: float = 2.0
-    slowdown_factor: float = 0.25
     restart_delay_s: float = 1.0
     max_restarts: int = 2
     schedule: Tuple[NodeChaosEvent, ...] = ()
@@ -146,8 +146,6 @@ class FleetFaultConfig:
                 raise ConfigurationError(f"{name} must be >= 0, got {rate!r}")
         if self.hang_duration_s <= 0:
             raise ConfigurationError("hang_duration_s must be positive")
-        if not 0.0 < self.slowdown_factor < 1.0:
-            raise ConfigurationError("slowdown_factor must be in (0, 1)")
         if self.restart_delay_s < 0:
             raise ConfigurationError("restart_delay_s must be >= 0")
         if self.max_restarts < 0:
@@ -196,7 +194,7 @@ def compile_timelines(
         "node_slowdown": (
             config.node_slowdown_rate,
             SLOWDOWN_DURATION_S,
-            config.slowdown_factor,
+            SLOWDOWN_FACTOR,
         ),
     }
     for node in range(nodes):

@@ -161,11 +161,10 @@ class FleetCluster:
         self,
         config: FleetConfig,
         router: Union[Router, str] = "deadline-risk",
-        registry: Optional[MetricsRegistry] = None,
     ):
         self.config = config
         self.router = make_router(router) if isinstance(router, str) else router
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.trace = make_trace(config)
         self._horizon_s = (
             self.trace[-1].arrival_s if self.trace else 0.0
@@ -822,7 +821,6 @@ class FleetCluster:
 def run_fleet(
     router: Union[Router, str],
     config: Optional[FleetConfig] = None,
-    registry: Optional[MetricsRegistry] = None,
 ) -> FleetResult:
     """Build and run one fleet (the ``repro.experiments.run`` backend)."""
     if config is None:
@@ -831,4 +829,4 @@ def run_fleet(
         raise ConfigurationError(
             f"config must be a FleetConfig, got {type(config).__name__}"
         )
-    return FleetCluster(config, router=router, registry=registry).run()
+    return FleetCluster(config, router=router).run()

@@ -43,6 +43,11 @@ from repro.errors import ConfigurationError
 #: Admission-controller states, in escalation order.
 ADMISSION_STATES = ("normal", "brownout", "shed")
 
+#: Stall multiples (of ``stall_after_s``) at which a node reaches
+#: QUARANTINED / EVICTED; escalation is one state per tick.
+QUARANTINE_FACTOR = 2.0
+EVICT_FACTOR = 4.0
+
 
 @dataclass(frozen=True)
 class ResilienceConfig:
@@ -56,9 +61,6 @@ class ResilienceConfig:
     stall_after_s:
         A node with pending requests and no completion for this long
         counts as stalled; the supervisor starts escalating.
-    quarantine_factor / evict_factor:
-        Stall multiples at which a node reaches QUARANTINED / EVICTED
-        (escalation is one state per tick, mirroring PR 3).
     probation_s:
         Time a restarted node spends in PROBATION before it counts as
         HEALTHY again (it is routable during probation only when no
@@ -91,8 +93,6 @@ class ResilienceConfig:
 
     # -- node health thresholds (FleetSupervisor) ------------------------
     stall_after_s: float = 2.0
-    quarantine_factor: float = 2.0
-    evict_factor: float = 4.0
     probation_s: float = 1.0
 
     # -- per-attempt timeout + retry -------------------------------------
@@ -113,12 +113,6 @@ class ResilienceConfig:
     def __post_init__(self) -> None:
         if self.stall_after_s <= 0:
             raise ConfigurationError("stall_after_s must be positive")
-        if self.quarantine_factor < 1:
-            raise ConfigurationError("quarantine_factor must be >= 1")
-        if self.evict_factor < self.quarantine_factor:
-            raise ConfigurationError(
-                "evict_factor must be >= quarantine_factor"
-            )
         if self.probation_s < 0:
             raise ConfigurationError("probation_s must be >= 0")
         if self.attempt_timeout_s is not None and self.attempt_timeout_s <= 0:

@@ -24,7 +24,7 @@ row and lane.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 import numpy as np
 
@@ -278,15 +278,10 @@ class ServingRows:
 class ServerWorkload(WorkloadModel):
     """FIFO request queue served by ``n_threads`` workers."""
 
-    def __init__(
-        self,
-        lane: str,
-        n_threads: int,
-        traits: Optional[WorkloadTraits] = None,
-    ):
+    def __init__(self, lane: str, n_threads: int):
         if not lane:
             raise ConfigurationError("serving lane needs a name")
-        super().__init__(traits or SERVING_TRAITS, n_threads)
+        super().__init__(SERVING_TRAITS, n_threads)
         self.lane = lane
         self._rows = ServingRows(1, 1, n_threads)
         self._row = 0

@@ -4,19 +4,19 @@ The :class:`FleetSupervisor` watches every :class:`~repro.fleet.node.
 FleetNode` the way the per-app :class:`~repro.supervision.supervisor.
 Supervisor` watches applications, with node-level states::
 
-    HEALTHY ──stall──▶ DEGRADED ──×quarantine_factor──▶ QUARANTINED
+    HEALTHY ──stall──▶ DEGRADED ──×QUARANTINE_FACTOR──▶ QUARANTINED
        ▲                  │                                  │
        └── completion ────┴────────── completion ────────────┤
                                                              │
      crash ──▶ DOWN ──restart_delay──▶ PROBATION             │
-                │                         │    ×evict_factor ▼
+                │                         │    ×EVICT_FACTOR ▼
                 └── max_restarts spent ──▶└───────────▶ EVICTED
 
 * A **stall** is a node with pending requests that has not completed
   one for ``stall_after_s`` — the signature of a hang or a deep
   slowdown episode.  Escalation follows the per-app machine's rule,
   :func:`~repro.supervision.supervisor.escalation_rung` (thresholds
-  ``stall_after_s × (1, quarantine_factor, evict_factor)``, one rung
+  ``stall_after_s × (1, QUARANTINE_FACTOR, EVICT_FACTOR)``, one rung
   per tick); a single completion (or an empty queue) fully recovers the
   node, mirroring the per-app machine's single-late-beat recovery.
 * A **crash** (every serving lane halted) takes the node DOWN and
@@ -48,7 +48,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.fleet.chaos import FleetFaultConfig
 from repro.fleet.node import FleetNode
-from repro.fleet.resilience import ResilienceConfig
+from repro.fleet.resilience import (
+    EVICT_FACTOR,
+    QUARANTINE_FACTOR,
+    ResilienceConfig,
+)
 from repro.supervision.supervisor import escalation_rung
 
 #: Small slop when comparing scheduled times against tick boundaries.
@@ -224,8 +228,8 @@ class FleetSupervisor:
         rung = escalation_rung(
             now_s - record.last_progress_s,
             c.stall_after_s,
-            c.quarantine_factor,
-            c.evict_factor,
+            QUARANTINE_FACTOR,
+            EVICT_FACTOR,
             record.stall_rung,
             _TIME_EPS,
         )

@@ -31,6 +31,12 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
+#: Mean absolute relative residual that trips the watchdog's safe mode.
+WATCHDOG_TRIP = 0.35
+
+#: Mean absolute relative residual below which safe mode releases.
+WATCHDOG_RECOVER = 0.15
+
 
 @dataclass(frozen=True)
 class GuardrailConfig:
@@ -91,12 +97,9 @@ class GuardrailConfig:
 
     # -- misprediction watchdog --------------------------------------------
     #: Residual samples per app needed before the watchdog judges the
-    #: estimators; ``0`` disables the watchdog.
+    #: estimators (thresholds :data:`WATCHDOG_TRIP` /
+    #: :data:`WATCHDOG_RECOVER`); ``0`` disables the watchdog.
     watchdog_window: int = 0
-    #: Mean absolute relative residual that trips safe mode.
-    watchdog_trip: float = 0.35
-    #: Mean absolute relative residual below which safe mode releases.
-    watchdog_recover: float = 0.15
 
     def __post_init__(self) -> None:
         if self.power_cap_w is not None and self.power_cap_w <= 0:
@@ -172,10 +175,6 @@ class GuardrailConfig:
             if self.watchdog_window < 2:
                 raise ConfigurationError(
                     "a watchdog needs a window of at least 2 residuals"
-                )
-            if not 0 < self.watchdog_recover < self.watchdog_trip:
-                raise ConfigurationError(
-                    "need 0 < watchdog_recover < watchdog_trip"
                 )
 
     # -- enablement queries ------------------------------------------------

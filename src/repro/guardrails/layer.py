@@ -44,7 +44,11 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 from repro.core.policy import HARS_I
 from repro.core.state import SystemState
 from repro.errors import ConfigurationError, EstimationError
-from repro.guardrails.config import GuardrailConfig
+from repro.guardrails.config import (
+    WATCHDOG_RECOVER,
+    WATCHDOG_TRIP,
+    GuardrailConfig,
+)
 from repro.guardrails.damper import OscillationDamper
 from repro.guardrails.thermal import ThermalModel
 from repro.guardrails.watchdog import MispredictionWatchdog
@@ -414,8 +418,8 @@ class GuardrailLayer(CheckpointedController):
         self.watchdog: Optional[MispredictionWatchdog] = (
             MispredictionWatchdog(
                 window=config.watchdog_window,
-                trip_threshold=config.watchdog_trip,
-                recover_threshold=config.watchdog_recover,
+                trip_threshold=WATCHDOG_TRIP,
+                recover_threshold=WATCHDOG_RECOVER,
             )
             if config.watchdog_enabled
             else None

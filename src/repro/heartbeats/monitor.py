@@ -106,20 +106,20 @@ class HeartbeatMonitor:
         return None if rate != rate else float(rate)
 
     def timed_rate_series(
-        self, span_s: float, end_s: float, start_s: float = 0.0
+        self, span_s: float, end_s: float
     ) -> List[Tuple[float, float]]:
         """``(window_end_s, rate)`` per tumbling window of ``span_s``.
 
-        Windows tile ``[start_s, end_s)``; the final window — cut short
+        Windows tile ``[0, end_s)``; the final window — cut short
         when the run ends mid-window — is scaled by its elapsed span,
         the same partial-window correction as :meth:`timed_rate`.
         """
         if span_s <= 0:
             raise ConfigurationError("span must be positive")
-        if end_s <= start_s:
+        if end_s <= 0.0:
             return []
         series: List[Tuple[float, float]] = []
-        window_start = start_s
+        window_start = 0.0
         while window_start < end_s - 1e-12:
             window_end = min(window_start + span_s, end_s)
             elapsed = window_end - window_start

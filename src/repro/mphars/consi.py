@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.core.perf_estimator import DEFAULT_R0
 from repro.core.state import SystemState
 from repro.errors import ConfigurationError
 from repro.heartbeats.record import Heartbeat
@@ -41,17 +40,10 @@ DEFAULT_FREEZE_BEATS = 5
 class ConsIController(Controller):
     """Global conservative-incremental adaptation over shared resources."""
 
-    def __init__(
-        self,
-        adapt_every: int = 5,
-        freeze_beats: int = DEFAULT_FREEZE_BEATS,
-        r0: float = DEFAULT_R0,
-    ):
-        if adapt_every < 1 or freeze_beats < 1:
-            raise ConfigurationError("periods must be >= 1")
+    def __init__(self, adapt_every: int = 5):
+        if adapt_every < 1:
+            raise ConfigurationError("adapt_every must be >= 1")
         self.adapt_every = adapt_every
-        self.freeze_beats = freeze_beats
-        self.r0 = r0
         self._states: Optional[ScoreOrderedStates] = None
         self._current: Optional[SystemState] = None
         self._freeze_left: Dict[str, int] = {}
@@ -61,7 +53,7 @@ class ConsIController(Controller):
     # -- Controller hooks ---------------------------------------------------
 
     def on_start(self, sim: "Simulation") -> None:
-        self._states = ScoreOrderedStates(sim.spec, r0=self.r0)
+        self._states = ScoreOrderedStates(sim.spec)
         for app in sim.apps:
             sim.actuator.clear_affinities(app)
             self._freeze_left[app.name] = 0
@@ -86,13 +78,13 @@ class ConsIController(Controller):
         satisfaction = app.target.classify(rate)
         if satisfaction is Satisfaction.UNDERPERF:
             next_state = incremental_step(
-                sim.spec, self._current, increase=True, r0=self.r0
+                sim.spec, self._current, increase=True
             )
         else:  # OVERPERF
             if not self._may_decrease(sim, app):
                 return
             next_state = incremental_step(
-                sim.spec, self._current, increase=False, r0=self.r0
+                sim.spec, self._current, increase=False
             )
             # The freeze exists to let apps re-measure after a *frequency*
             # decrease (Section 4.1.4); core-count decreases are visible
@@ -154,7 +146,7 @@ class ConsIController(Controller):
             # an app still in a heartbeat-free phase (e.g. blackscholes'
             # input reading) has nothing to invalidate.
             if not app.is_done() and self._last_rate.get(app.name) is not None:
-                self._freeze_left[app.name] = self.freeze_beats
+                self._freeze_left[app.name] = DEFAULT_FREEZE_BEATS
 
     def _apply(self, sim: "Simulation", state: SystemState) -> None:
         state.validate(sim.spec)

@@ -81,22 +81,17 @@ class MpHarsManager(MapeManager):
         perf_estimator: PerformanceEstimator,
         power_estimator: PowerEstimator,
         adapt_every: int = 5,
-        freeze_beats: int = DEFAULT_FREEZE_BEATS,
-        state_eval_cost_s: float = DEFAULT_STATE_EVAL_COST_S,
-        stale_after_s: Optional[float] = None,
     ):
-        # MP-HARS meters search cost only (poll cost 0).
+        # MP-HARS meters search cost only (poll cost 0), at its own
+        # per-candidate cost.
         super().__init__(
             policy,
             perf_estimator,
             power_estimator,
             adapt_every,
-            state_eval_cost_s,
+            DEFAULT_STATE_EVAL_COST_S,
             poll_cost_s=0.0,
         )
-        if freeze_beats < 1:
-            raise ConfigurationError("freeze_beats must be >= 1")
-        self.freeze_beats = freeze_beats
         self._apps: Dict[str, AppData] = {}
         self._last_rate: Dict[str, Optional[float]] = {}
         self._clusters: Dict[str, ClusterData] = {}
@@ -121,7 +116,6 @@ class MpHarsManager(MapeManager):
             current_state_fn=self._current_state_of,
             always_execute=True,
             count_adaptations=False,
-            stale_after_s=stale_after_s,
         )
 
     # -- Controller hooks -------------------------------------------------------
@@ -426,9 +420,9 @@ class MpHarsManager(MapeManager):
             if not data.uses_cluster(cluster):
                 continue
             if cluster == BIG:
-                data.freezing_cnt_b = self.freeze_beats
+                data.freezing_cnt_b = DEFAULT_FREEZE_BEATS
             else:
-                data.freezing_cnt_l = self.freeze_beats
+                data.freezing_cnt_l = DEFAULT_FREEZE_BEATS
         self._clusters[cluster].frozen = True
 
     def _unfreeze(self, cluster: str) -> None:

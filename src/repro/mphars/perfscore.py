@@ -15,41 +15,28 @@ from typing import List, Optional, Tuple
 
 from repro.core.perf_estimator import DEFAULT_R0
 from repro.core.state import SystemState
-from repro.errors import ConfigurationError
 from repro.platform.core_types import BASELINE_FREQ_MHZ
 from repro.platform.spec import PlatformSpec
 
 
-def perf_score(
-    state: SystemState,
-    r0: float = DEFAULT_R0,
-    f0_mhz: int = BASELINE_FREQ_MHZ,
-) -> float:
-    """The naive model's scalar performance score."""
-    if r0 <= 0 or f0_mhz <= 0:
-        raise ConfigurationError("r0 and f0 must be positive")
+def perf_score(state: SystemState) -> float:
+    """The naive model's scalar performance score, at the paper's r0 and
+    f0."""
     return (
-        state.c_big * r0 * state.f_big_mhz / f0_mhz
-        + state.c_little * state.f_little_mhz / f0_mhz
+        state.c_big * DEFAULT_R0 * state.f_big_mhz / BASELINE_FREQ_MHZ
+        + state.c_little * state.f_little_mhz / BASELINE_FREQ_MHZ
     )
 
 
 class ScoreOrderedStates:
     """The sorted configuration list with nearest-step navigation."""
 
-    def __init__(
-        self,
-        spec: PlatformSpec,
-        r0: float = DEFAULT_R0,
-        f0_mhz: int = BASELINE_FREQ_MHZ,
-    ):
+    def __init__(self, spec: PlatformSpec):
         self.spec = spec
-        self.r0 = r0
-        self.f0_mhz = f0_mhz
         scored: List[Tuple[float, SystemState]] = []
         for c_big, c_little, f_big, f_little in spec.iter_states():
             state = SystemState(c_big, c_little, f_big, f_little)
-            scored.append((perf_score(state, r0, f0_mhz), state))
+            scored.append((perf_score(state), state))
         # Deterministic order: by score, then by state tuple.
         scored.sort(
             key=lambda pair: (
@@ -67,7 +54,7 @@ class ScoreOrderedStates:
         return len(self._states)
 
     def score_of(self, state: SystemState) -> float:
-        return perf_score(state, self.r0, self.f0_mhz)
+        return perf_score(state)
 
     def step_up(self, current: SystemState) -> Optional[SystemState]:
         """Nearest state with a strictly higher score (None at the top)."""
@@ -98,8 +85,6 @@ def incremental_step(
     spec: PlatformSpec,
     current: SystemState,
     increase: bool,
-    r0: float = DEFAULT_R0,
-    f0_mhz: int = BASELINE_FREQ_MHZ,
 ) -> Optional[SystemState]:
     """One incremental move along the performance-score order.
 
@@ -109,11 +94,11 @@ def incremental_step(
     pick the one whose perfScore moves in the requested direction by the
     smallest amount.  Returns ``None`` at the edge of the space.
     """
-    base_score = perf_score(current, r0, f0_mhz)
+    base_score = perf_score(current)
     best: Optional[SystemState] = None
     best_delta = float("inf")
     for candidate in _single_step_neighbours(spec, current):
-        delta = perf_score(candidate, r0, f0_mhz) - base_score
+        delta = perf_score(candidate) - base_score
         if increase and delta <= 1e-12:
             continue
         if not increase and delta >= -1e-12:

@@ -70,12 +70,11 @@ class Machine:
 
     # -- convenience -------------------------------------------------------
 
-    def core_speed(self, core_id: int, mem_intensity: float = 0.0) -> float:
-        """Ground-truth speed of one core at the cluster's current freq."""
+    def core_speed(self, core_id: int) -> float:
+        """Ground-truth compute-bound speed of one core at the cluster's
+        current freq."""
         cluster = self.cluster_of_core(core_id)
-        return cluster.core_type.compute_speed(
-            self.freq_mhz(cluster.name), mem_intensity
-        )
+        return cluster.core_type.compute_speed(self.freq_mhz(cluster.name))
 
     def snapshot(self) -> Dict[str, int]:
         """Current DVFS state, for traces: ``{"big": MHz, "little": MHz}``."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.heartbeats.monitor import DEFAULT_RATE_WINDOW, HeartbeatMonitor
+from repro.heartbeats.monitor import HeartbeatMonitor
 from repro.heartbeats.record import HeartbeatLog
 from repro.heartbeats.targets import PerformanceTarget
 from repro.sim.thread import SimThread
@@ -26,7 +26,6 @@ class SimApp:
         model: WorkloadModel,
         target: PerformanceTarget,
         cpuset: Optional[FrozenSet[int]] = None,
-        rate_window: int = DEFAULT_RATE_WINDOW,
     ):
         if not name:
             raise ConfigurationError("application needs a name")
@@ -37,7 +36,7 @@ class SimApp:
         self.target = target
         self.cpuset = cpuset
         self.log = HeartbeatLog(app_name=name)
-        self.monitor = HeartbeatMonitor(self.log, target, rate_window)
+        self.monitor = HeartbeatMonitor(self.log, target)
         self.threads: List[SimThread] = [
             SimThread(app_name=name, local_index=i)
             for i in range(model.n_threads)

@@ -56,12 +56,7 @@ class SimThread:
             )
         self.affinity = mask
 
-    def update_load(
-        self,
-        demand: float,
-        dt_s: float,
-        tau_s: float = LOAD_TIME_CONSTANT_S,
-    ) -> None:
+    def update_load(self, demand: float, dt_s: float) -> None:
         """Exponentially-decayed runnable-demand tracking.
 
         ``demand`` is the fraction of the interval the thread was
@@ -77,7 +72,7 @@ class SimThread:
             raise SimulationError(f"demand {demand} not in [0, 1]")
         import math
 
-        decay = math.exp(-dt_s / tau_s)
+        decay = math.exp(-dt_s / LOAD_TIME_CONSTANT_S)
         self.load = self.load * decay + demand * (1.0 - decay)
 
     def key(self) -> str:

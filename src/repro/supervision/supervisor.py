@@ -22,11 +22,11 @@ application against a per-app heartbeat deadline derived from its target
 minimum rate bounds the longest legitimate beat-to-beat gap) and drives
 a quarantine state machine::
 
-    HEALTHY ──deadline──▶ SUSPECT ──×quarantine_factor──▶ QUARANTINED
+    HEALTHY ──deadline──▶ SUSPECT ──×QUARANTINE_FACTOR──▶ QUARANTINED
        ▲                     │                                │
        └──── heartbeat ──────┴──────── heartbeat ─────────────┤
                                                               │
-                                              ×evict_factor   ▼
+                                              ×EVICT_FACTOR   ▼
                                                            EVICTED
 
 Escalation is one level per tick; a single late beat fully recovers a
@@ -93,6 +93,10 @@ RUNAWAY_MARGIN = 1.5
 #: Consecutive over-limit beats before suspicion; quarantine and
 #: eviction follow at 2× and 3× the streak.
 RUNAWAY_BEATS = 6
+#: SUSPECT → QUARANTINED at ``deadline × QUARANTINE_FACTOR``.
+QUARANTINE_FACTOR = 2.0
+#: QUARANTINED → EVICTED at ``deadline × EVICT_FACTOR``.
+EVICT_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -110,20 +114,10 @@ class SupervisorConfig:
 
     #: Heartbeat deadline = ``grace_factor / target.min_rate`` seconds.
     grace_factor: float = 16.0
-    #: SUSPECT → QUARANTINED at ``deadline × quarantine_factor``.
-    quarantine_factor: float = 2.0
-    #: QUARANTINED → EVICTED at ``deadline × evict_factor``.
-    evict_factor: float = 3.0
 
     def __post_init__(self) -> None:
         if self.grace_factor <= 0:
             raise ConfigurationError("grace_factor must be positive")
-        if self.quarantine_factor <= 1:
-            raise ConfigurationError("quarantine_factor must be > 1")
-        if self.evict_factor <= self.quarantine_factor:
-            raise ConfigurationError(
-                "evict_factor must exceed quarantine_factor"
-            )
 
     def deadline_s(self, min_rate: float) -> float:
         """Base heartbeat deadline for a target minimum rate."""
@@ -369,8 +363,8 @@ class Supervisor(CheckpointedController):
             rung = entry.rung = escalation_rung(
                 age,
                 deadline,
-                self.config.quarantine_factor,
-                self.config.evict_factor,
+                QUARANTINE_FACTOR,
+                EVICT_FACTOR,
                 entry.rung,
             )
             if rung >= 1 and status is AppHealth.HEALTHY:
@@ -388,7 +382,7 @@ class Supervisor(CheckpointedController):
                     sim, entry, FailureKind.HUNG, now,
                     f"hung: silent for {age:.3f}s "
                     f"(evict threshold "
-                    f"{deadline * self.config.evict_factor:.3f}s)",
+                    f"{deadline * EVICT_FACTOR:.3f}s)",
                 )
 
     # -- heartbeat side: recovery + runaway detection ----------------------

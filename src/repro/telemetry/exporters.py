@@ -275,7 +275,7 @@ def snapshot_to_csv(snapshot: Dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_table(snapshot: Dict[str, Any], max_rows: int = 0) -> str:
+def summary_table(snapshot: Dict[str, Any]) -> str:
     """Aligned human-readable table of every scalar sample."""
     # Imported lazily: report lives in the experiments package, whose
     # __init__ pulls in the runner (which imports the telemetry hub).
@@ -286,8 +286,6 @@ def summary_table(snapshot: Dict[str, Any], max_rows: int = 0) -> str:
     for (name, labels) in sorted(flat):
         label_text = " ".join(f"{k}={v}" for k, v in labels) or "-"
         rows.append([name, label_text, float(flat[(name, labels)])])
-    if max_rows and len(rows) > max_rows:
-        rows = rows[:max_rows]
     if not rows:
         return "(no telemetry recorded)"
     return format_table(

@@ -197,8 +197,8 @@ def _mape_managers(sim: "Simulation") -> List[MapeManager]:
 class TelemetryHub(Controller):
     """Bus-attached metrics collector for one simulation run."""
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry or MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self.trace = None  # the sim's TraceRecorder, set on attach
         self._sim: Optional["Simulation"] = None
         self._finalized = False

@@ -33,6 +33,9 @@ DEFAULT_UTILIZATIONS: Tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
 #: Seconds of sensor data collected per operating point.
 DEFAULT_DWELL_S = 3.0
 
+#: Sensor sampling tick of the profiling sweep.
+PROFILE_TICK_S = 0.01
+
 
 class MicrobenchWorkload(WorkloadModel):
     """Endless duty-cycled spin loop with a configurable utilization.
@@ -93,19 +96,19 @@ def profile_power(
     spec: PlatformSpec,
     utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
     dwell_s: float = DEFAULT_DWELL_S,
-    tick_s: float = 0.01,
 ) -> List[ProfilePoint]:
     """Run the profiling sweep and return the sensor-observed samples.
 
     For every cluster, every DVFS operating point, every used-core count
     ``1..n`` and every utilization level, the ground-truth power model is
-    observed through a :class:`PowerSensor` for ``dwell_s`` seconds.  The
+    observed through a :class:`PowerSensor` for ``dwell_s`` seconds,
+    sampled every :data:`PROFILE_TICK_S`.  The
     *other* cluster idles at its minimum frequency during the run, and its
     idle draw is not attributed to the cluster under test — matching how
     the paper isolates per-cluster rails with the on-board sensors.
     """
-    if dwell_s <= 0 or tick_s <= 0:
-        raise ConfigurationError("dwell and tick must be positive")
+    if dwell_s <= 0:
+        raise ConfigurationError("dwell must be positive")
     model = PowerModel(spec)
     points: List[ProfilePoint] = []
     for cluster in spec.clusters:
@@ -115,7 +118,7 @@ def profile_power(
                     if not 0 < util <= 1:
                         raise ConfigurationError(f"utilization {util} not in (0,1]")
                     watts = _observe_point(
-                        spec, model, cluster, freq, cores_used, util, dwell_s, tick_s
+                        spec, model, cluster, freq, cores_used, util, dwell_s
                     )
                     points.append(
                         ProfilePoint(
@@ -137,7 +140,6 @@ def _observe_point(
     cores_used: int,
     utilization: float,
     dwell_s: float,
-    tick_s: float,
 ) -> float:
     """Sensor-average cluster power at one microbenchmark setting."""
     machine = Machine(spec)
@@ -151,8 +153,8 @@ def _observe_point(
     sensor = PowerSensor()
     elapsed = 0.0
     while elapsed < dwell_s:
-        sensor.record(tick_s, model.platform_power(machine, activities))
-        elapsed += tick_s
+        sensor.record(PROFILE_TICK_S, model.platform_power(machine, activities))
+        elapsed += PROFILE_TICK_S
     # best_average_w degrades to the integrated average if every sample
     # in the dwell was dropped by a faulty sensor.
     return sensor.best_average_w(cluster.name)

@@ -27,11 +27,11 @@ class WorkProfile(abc.ABC):
     def work(self, unit_index: int, seed: int = 0) -> float:
         """Size of work unit ``unit_index`` for run ``seed``."""
 
-    def mean_work(self, n_units: int, seed: int = 0) -> float:
-        """Average unit size over a run; used to scale targets."""
+    def mean_work(self, n_units: int) -> float:
+        """Average unit size over a seed-0 run; used to scale targets."""
         if n_units < 1:
             raise ConfigurationError("n_units must be positive")
-        return sum(self.work(i, seed) for i in range(n_units)) / n_units
+        return sum(self.work(i, 0) for i in range(n_units)) / n_units
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,9 @@ def record_profile(
     )
 
 
-def describe_profile(profile: WorkProfile, n_units: int, seed: int = 0) -> dict:
-    """Summary statistics for reports: mean, min, max, CoV."""
-    sizes = [profile.work(i, seed) for i in range(n_units)]
+def describe_profile(profile: WorkProfile, n_units: int) -> dict:
+    """Summary statistics for reports: mean, min, max, CoV (seed 0)."""
+    sizes = [profile.work(i, 0) for i in range(n_units)]
     arr = np.asarray(sizes)
     mean = float(arr.mean())
     return {

@@ -94,7 +94,7 @@ class TestSeqWindow:
 
 class TestRetryPolicy:
     def test_backoff_doubles_and_caps(self):
-        policy = RetryPolicy(backoff_s=0.1, multiplier=2.0, max_backoff_s=0.3)
+        policy = RetryPolicy(backoff_s=0.1, max_backoff_s=0.3)
         assert policy.delay_s(1) == pytest.approx(0.1)
         assert policy.delay_s(2) == pytest.approx(0.2)
         assert policy.delay_s(3) == pytest.approx(0.3)
@@ -103,8 +103,6 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(multiplier=0.5)
 
 
 class TestFaultConfigValidation:
@@ -118,7 +116,6 @@ class TestFaultConfigValidation:
 
     def test_enabled(self):
         assert not AcpFaultConfig().enabled
-        assert not AcpFaultConfig(kill_times_s=(2.0,)).enabled  # not in-wire
         assert AcpFaultConfig(dup_rate=0.01).enabled
 
 

@@ -143,3 +143,22 @@ class TestAttachCommand:
         app_lines = [l for l in out.splitlines() if "heartbeats=" in l]
         assert len(app_lines) == 1
         assert app_lines[0].strip().startswith("swaptions:")
+
+    @pytest.mark.parametrize(
+        "version, bench, rule",
+        [
+            ("mp-hars-e", "swaptions", "two or more comma-separated --bench"),
+            ("hars-e", "swaptions,bodytrack", "one --bench"),
+        ],
+    )
+    def test_wrong_arity_states_the_rule(self, capsys, version, bench, rule):
+        """A version given the other registry's number of benchmarks is
+        refused with the arity rule, not as an unknown version."""
+        from repro.acp.cli import main
+
+        argv = ["attach", "--endpoint", "loopback", "--version", version,
+                "--bench", bench, "--units", "10"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert rule in err
+        assert "unknown" not in err

@@ -155,6 +155,48 @@ class TestLeaseLifecycle:
             AcpServer(lease_ttl_s=0.0)
 
 
+class TestTeardown:
+    """Detach and lease expiry both drop every per-session entry except
+    the seq window, which a retried detach replays from."""
+
+    PER_SESSION = (
+        "_sessions",
+        "_threads",
+        "_stop_flags",
+        "_finished",
+        "_leases",
+        "_attach_fingerprints",
+        "_attach_responses",
+    )
+
+    def assert_forgotten(self, server, session_ids):
+        for name in self.PER_SESSION:
+            assert not set(session_ids) & set(getattr(server, name)), name
+        assert set(session_ids) <= set(server._windows)
+
+    def test_detach_forgets_the_session(self, clocked):
+        _, server, client = clocked
+        ids = [f"cycle{i}" for i in range(3)]
+        for sid in ids:
+            handle = client.attach(
+                "hars-ei", RunShape("swaptions", n_units=10), session_id=sid
+            )
+            handle.result()
+            handle.detach()
+        assert client.sessions()["sessions"] == []
+        self.assert_forgotten(server, ids)
+
+    def test_lease_expiry_forgets_the_session(self, clocked):
+        clock, server, client = clocked
+        handle = client.attach("hars-ei", SHAPE, CONFIG, session_id="leased")
+        handle.run()
+        clock.now = 100.0
+        assert [o["session_id"] for o in client.sessions()["orphaned"]] == [
+            "leased"
+        ]
+        self.assert_forgotten(server, ["leased"])
+
+
 class TestDaemonReaper:
     def test_inflight_result_wait_counts_as_liveness(self, tmp_path):
         """A client blocked in a long ``result`` RPC sends no frames,

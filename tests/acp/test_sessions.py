@@ -271,6 +271,36 @@ class TestStreaming:
         assert "heartbeat" in types
         assert "plan" in types and "actuate" in types
 
+    def test_events_since_seq_returns_exactly_the_later_frames(self):
+        """The resume seam: ``events(since_seq=k)`` is every frame past
+        ``k``, in order, and nothing at or before it."""
+        client = AcpClient("loopback")
+        handle = client.attach(
+            "hars-i",
+            RunShape(benchmark="swaptions", n_units=100),
+            RunConfig(),
+            stream_events=True,
+        )
+        handle.advance(3.0)
+        frames = handle.events()
+        seqs = [f.seq for f in frames]
+        assert len(seqs) > 2 and seqs == sorted(set(seqs))
+        k = seqs[len(seqs) // 2]
+        later = handle.events(since_seq=k)
+        assert [(f.seq, f.type) for f in later] == [
+            (f.seq, f.type) for f in frames if f.seq > k
+        ]
+        assert handle.events(since_seq=seqs[-1]) == []
+
+    @pytest.mark.parametrize("since", ["7", 7.0, True, None])
+    def test_events_refuses_a_non_int_since_seq(self, since):
+        client = AcpClient("loopback")
+        handle = client.attach(
+            "hars-i", RunShape(benchmark="swaptions", n_units=20), RunConfig()
+        )
+        with pytest.raises(AcpError, match="since_seq"):
+            handle.events(since_seq=since)
+
     def test_observation_is_result_neutral(self):
         """Streaming observation frames must not perturb the physics."""
         from repro.experiments.runner import run

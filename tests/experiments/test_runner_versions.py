@@ -106,6 +106,27 @@ class TestRunMulti:
                 run("baseline", shapes, RunConfig(spec=xu3))
 
 
+class TestVersionArity:
+    """A name from the other registry states the arity rule; an unknown
+    name lists every name the registry accepts."""
+
+    _PAIR = [RunShape("swaptions", n_units=20), RunShape("bodytrack", n_units=20)]
+
+    def test_co_run_version_given_one_shape(self, xu3):
+        with pytest.raises(ConfigurationError, match="co-run version.*two or more"):
+            run("mp-hars-e", _SHAPE, RunConfig(spec=xu3))
+
+    def test_single_app_version_given_a_co_run(self, xu3):
+        with pytest.raises(ConfigurationError, match="single-app version.*one shape"):
+            run("hars-e", self._PAIR, RunConfig(spec=xu3))
+
+    def test_unknown_names_list_every_accepted_name(self, xu3):
+        with pytest.raises(ConfigurationError, match="'ondemand'"):
+            run("hars-x", _SHAPE, RunConfig(spec=xu3))
+        with pytest.raises(ConfigurationError, match="'mp-hars-ei'"):
+            run("hars-x", self._PAIR, RunConfig(spec=xu3))
+
+
 class TestVersionLabels:
     def test_known_labels(self):
         assert version_label("baseline") == "Baseline"

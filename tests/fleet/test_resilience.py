@@ -53,10 +53,6 @@ class TestResilienceConfig:
         with pytest.raises(ConfigurationError):
             ResilienceConfig(stall_after_s=0.0)
         with pytest.raises(ConfigurationError):
-            ResilienceConfig(quarantine_factor=0.5)
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(quarantine_factor=3.0, evict_factor=2.0)
-        with pytest.raises(ConfigurationError):
             ResilienceConfig(attempt_timeout_s=0.0)
         with pytest.raises(ConfigurationError):
             ResilienceConfig(max_attempts=0)

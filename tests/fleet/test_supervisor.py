@@ -68,8 +68,7 @@ class TestStallEscalation:
         # observation at t=10 is already past every threshold, but
         # escalation still walks DEGRADED -> QUARANTINED -> EVICTED one
         # tick at a time.
-        sup, _ = _supervisor(stall_after_s=2.0, quarantine_factor=2.0,
-                             evict_factor=4.0)
+        sup, _ = _supervisor(stall_after_s=2.0)
         assert sup.observe(0, 10.0, False, pending=3) is NodeHealth.DEGRADED
         assert sup.observe(0, 10.1, False, pending=3) is NodeHealth.QUARANTINED
         assert not sup.routable([_Stub(0)])  # quarantined: steps, no traffic

@@ -63,9 +63,6 @@ class TestValidation:
             {"damper_window": 4, "damper_states": 4},
             {"watchdog_window": -1},
             {"watchdog_window": 1},
-            {"watchdog_window": 4, "watchdog_recover": 0.0},
-            {"watchdog_window": 4, "watchdog_recover": 0.5,
-             "watchdog_trip": 0.4},
         ],
     )
     def test_bad_fields_raise(self, kwargs):

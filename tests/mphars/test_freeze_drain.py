@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.runner import RunShape, build_target
 from repro.experiments.versions import attach_multi_app_version
-from repro.mphars.manager import MpHarsManager
+from repro.mphars.manager import DEFAULT_FREEZE_BEATS, MpHarsManager
 from repro.platform.cluster import BIG, LITTLE
 from repro.sim.engine import Simulation
 from repro.sim.process import SimApp
@@ -47,14 +47,14 @@ class TestFreezeDrain:
         _, manager = mp_manager
         data = _big_user(manager)
         manager._set_freezing_counts(BIG)
-        assert data.freezing_cnt_b == manager.freeze_beats
+        assert data.freezing_cnt_b == DEFAULT_FREEZE_BEATS
         assert manager._clusters[BIG].frozen
 
     def test_drained_counts_auto_unfreeze(self, mp_manager):
         _, manager = mp_manager
         data = _big_user(manager)
         manager._set_freezing_counts(BIG)
-        for _ in range(manager.freeze_beats):
+        for _ in range(DEFAULT_FREEZE_BEATS):
             assert manager._clusters[BIG].frozen
             for entry in manager._apps.values():
                 entry.tick_freezing_counts()
@@ -72,7 +72,7 @@ class TestFreezeDrain:
         assert not manager._clusters[BIG].frozen
         # Re-freezing after an unfreeze starts a fresh full countdown.
         manager._set_freezing_counts(BIG)
-        assert data.freezing_cnt_b == manager.freeze_beats
+        assert data.freezing_cnt_b == DEFAULT_FREEZE_BEATS
 
     def test_clusters_freeze_independently(self, mp_manager):
         _, manager = mp_manager

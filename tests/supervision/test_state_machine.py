@@ -10,13 +10,14 @@ from repro.supervision import (
     QuarantineRecord,
     SupervisorConfig,
 )
+from repro.supervision.supervisor import EVICT_FACTOR, QUARANTINE_FACTOR
 
 
 class TestSupervisorConfig:
     def test_defaults_validate(self):
         config = SupervisorConfig()
         assert config.grace_factor > 0
-        assert config.evict_factor > config.quarantine_factor > 1
+        assert EVICT_FACTOR > QUARANTINE_FACTOR > 1
 
     def test_deadline_scales_with_min_rate(self):
         config = SupervisorConfig(grace_factor=4.0)
@@ -32,10 +33,6 @@ class TestSupervisorConfig:
         [
             {"grace_factor": 0.0},
             {"grace_factor": -1.0},
-            {"quarantine_factor": 0.5},
-            {"quarantine_factor": 1.0},
-            {"quarantine_factor": 2.0, "evict_factor": 2.0},
-            {"quarantine_factor": 2.0, "evict_factor": 1.5},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
