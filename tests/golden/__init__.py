@@ -48,7 +48,13 @@ from repro.experiments.runner import (
 from repro.extensions.adaptive_manager import AdaptiveHarsManager
 from repro.extensions.ratio_learning import OnlineRatioLearner
 from repro.faults import FaultConfig, LifecycleEvent
-from repro.fleet import FleetConfig, FleetFaultConfig, ResilienceConfig, crash_wave
+from repro.fleet import (
+    FleetConfig,
+    FleetFaultConfig,
+    NodeChaosEvent,
+    ResilienceConfig,
+    crash_wave,
+)
 from repro.fleet.cluster import FleetCluster, FleetResult
 from repro.guardrails import GuardrailConfig
 from repro.heartbeats.targets import PerformanceTarget
@@ -212,6 +218,30 @@ FLEET_LANE3_CHAOS_CONFIG = FleetConfig(
     ),
     resilience=ResilienceConfig(
         attempt_timeout_s=1.0, hedge_fraction=0.6, brownout_queue_depth=2.0
+    ),
+)
+
+
+#: A fleet whose nodes crash again after they reboot, so a crash time
+#: is read against a later incarnation's boot epoch: nodes 3 and 11
+#: crash in their second incarnation, and node 7's 2.0 s crash falls
+#: while it is down (it reboots at 2.02) and is dropped.  One restart
+#: per node, so second crashes evict.
+FLEET_CRASH_REBOOT_CRASH_CONFIG = FleetConfig(
+    nodes=20,
+    requests=800,
+    seed=5,
+    chaos=FleetFaultConfig(
+        seed=5,
+        node_crash_rate=0.02,
+        max_restarts=1,
+        schedule=tuple(
+            NodeChaosEvent(kind="node_crash", node=node, at_s=at_s)
+            for node, at_s in (
+                (3, 1.0), (3, 3.0), (7, 1.0), (7, 2.0),
+                (11, 0.5), (11, 2.5), (11, 4.0),
+            )
+        ),
     ),
 )
 
@@ -394,6 +424,9 @@ GOLDEN_RUNS: Dict[str, Callable[[], Any]] = {
     ).run(),
     "fleet-lane3-chaos-x20": lambda: FleetCluster(
         FLEET_LANE3_CHAOS_CONFIG, router="deadline-risk"
+    ).run(),
+    "fleet-deadline-risk-x20-crash-reboot-crash": lambda: FleetCluster(
+        FLEET_CRASH_REBOOT_CRASH_CONFIG, router="deadline-risk"
     ).run(),
     "hars-e-actuation-faults-x80": lambda: run(
         "hars-e", SINGLE_SHAPE, _actuation_fault_config(seed=4)

@@ -33,6 +33,10 @@ benchmark journey itself (100 nodes, 4000 requests, seed 1), and a
 chaos fleet with three threads per lane, where threads share cores and
 a lane's backlog sums three in-service requests.
 
+One fleet run pins a node crash read against a rebooted incarnation's
+boot epoch: nodes crash, reboot and crash again, and a crash that falls
+while its node is down is dropped.
+
 Two runs pin the actuation-fault path: a HARS-E and an MP-HARS-E run
 whose DVFS and affinity writes fail at a seeded half rate, so the
 actuator's retries, backoff windows and the injector's roll order reach
@@ -53,6 +57,7 @@ from repro.fleet.cluster import FleetCluster
 from repro.kernel.actuation import Actuator
 from repro.telemetry.registry import flatten_snapshot
 from tests.golden import (
+    FLEET_CRASH_REBOOT_CRASH_CONFIG,
     FLEET_HANG_LADDER_CONFIG,
     GOLDEN_PATH,
     GOLDEN_RUNS,
@@ -172,6 +177,30 @@ def test_lane3_chaos_fleet_run_matches_golden_digest():
     # per lane.
     assert result.resilience["hedge_cancelled"] > 0
     assert result.resilience["crashes"] > 0
+    assert outcome_digest(result) == load_golden()[name]
+
+
+def test_crash_reboot_crash_fleet_run_matches_golden_digest():
+    name = "fleet-deadline-risk-x20-crash-reboot-crash"
+    cluster = FleetCluster(FLEET_CRASH_REBOOT_CRASH_CONFIG, router="deadline-risk")
+    result = cluster.run()
+    # The digest must really cover crashes in a second incarnation:
+    # nodes 3 and 11 reboot and crash again (evicted, one restart
+    # each), and node 7's crash at 2.0 s, while it is down, is dropped.
+    crashes = [
+        (row[1], row[4])
+        for row in cluster.supervisor.ledger
+        if row[4] in ("crash", "crash-budget-spent")
+    ]
+    assert (3, "crash-budget-spent") in crashes
+    assert (11, "crash-budget-spent") in crashes
+    assert crashes.count((7, "crash")) == 1
+    assert (7, "crash-budget-spent") not in crashes
+    assert (
+        result.resilience["crashes"],
+        result.resilience["restarts"],
+        result.resilience["evictions"],
+    ) == (6, 4, 2)
     assert outcome_digest(result) == load_golden()[name]
 
 
