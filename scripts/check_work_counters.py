@@ -52,7 +52,6 @@ RECORD_RUNS = 3
 #: ``FleetEngine`` methods the gate counts: (attribute, count name).
 ENGINE_COUNTS = (
     ("step", "fleet.engine.step.calls"),
-    ("_pre_tick", "fleet.engine.pre_tick.calls"),
     ("_write_back", "fleet.engine.write_back.calls"),
     ("_read_back", "fleet.engine.read_back.calls"),
 )

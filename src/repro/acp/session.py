@@ -265,10 +265,7 @@ class AcpSession:
         session resumed from a recovered checkpoint store) before the
         first tick."""
         sim = self.prepared.sim
-        if not sim._started:
-            # until_s = now: sets _started and fires on_start without
-            # stepping — exactly the prefix of a normal run.
-            sim.run(until_s=sim.clock.now_s)
+        sim.start()
         if self._resume_store is not None and not self._restored:
             self._restored = True
             for controller in sim.controllers:

@@ -16,7 +16,7 @@ simulation built without a fault layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 
@@ -256,28 +256,3 @@ class FaultConfig:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         values.update(updates)
         return FaultConfig(**values)
-
-
-def lane_crash_schedule(
-    times_s: Sequence[float], apps: Sequence[str]
-) -> FaultConfig:
-    """A fault layer that crashes every app in ``apps`` at each time.
-
-    The fleet chaos compiler (:mod:`repro.fleet.chaos`) uses this to
-    deliver *node* crashes through the per-simulation lifecycle
-    machinery: one ``app_crash`` :class:`LifecycleEvent` per serving
-    lane per crash time, all rates zero, so the node's engine publishes
-    the same ``FaultInjected`` / ``AppFinished`` sequence a real abrupt
-    exit would.  Times must be simulation-local and non-negative.
-    """
-    if not apps:
-        raise ConfigurationError("lane_crash_schedule needs at least one app")
-    events = []
-    for at_s in sorted(times_s):
-        if at_s < 0:
-            raise ConfigurationError(
-                f"crash time must be >= 0, got {at_s!r}"
-            )
-        for app in apps:
-            events.append(LifecycleEvent("app_crash", at_s, target=app))
-    return FaultConfig(lifecycle_schedule=tuple(events))

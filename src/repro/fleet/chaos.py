@@ -1,9 +1,7 @@
 """Seeded fleet chaos: node crashes, hangs, slowdowns, restarts.
 
-A :class:`FleetFaultConfig` is the fleet-level counterpart of
-:class:`~repro.faults.config.FaultConfig`: it turns node mortality into
-a configurable, exactly reproducible schedule.  Two sources feed the
-schedule:
+A :class:`FleetFaultConfig` turns node mortality into a configurable,
+exactly reproducible schedule.  Two sources feed the schedule:
 
 * **rates** — per-node, per-simulated-second hazards for crashes, hangs
   and slowdowns, sampled up front from *per-node, per-kind* RNG streams
@@ -15,18 +13,19 @@ schedule:
   benchmarks use to pin a crash *wave* (10 % of the fleet at t = 2 s)
   to exact times.
 
-Delivery reuses the machinery that already exists at each layer:
+The cluster delivers each node's timeline itself, before the node
+steps:
 
-* a **crash** compiles into ``app_crash``
-  :class:`~repro.faults.config.LifecycleEvent` entries for both serving
-  lanes of the node's own :class:`~repro.sim.engine.Simulation` — the
-  engine's PR-3 lifecycle injector halts the lanes, publishes
-  ``FaultInjected``/``AppFinished`` on the node bus, and the node's
-  MP-HARS reacts exactly as it would to a real abrupt exit.  The
-  cluster detects the downed node post-step and handles stranding,
-  restart (a rebooted board is a *fresh* simulation, entering
-  supervision probation) and eventual eviction when
-  ``max_restarts`` is exhausted;
+* a **crash** ends both serving lanes abruptly
+  (:meth:`~repro.sim.engine.Simulation.crash_app`): they halt and
+  ``AppFinished`` goes out on the node bus, so the node's MP-HARS
+  reacts exactly as it would to a real abrupt exit.  A crash fires on
+  the first tick of the node's own clock whose end passes it, at most
+  once.  The cluster detects the downed node post-step and handles
+  stranding, restart (a rebooted board is a *fresh* simulation,
+  entering supervision probation, and owns the crashes at or after its
+  boot time; a crash that falls while the node is down is dropped) and
+  eventual eviction when ``max_restarts`` is exhausted;
 * a **hang** or **slowdown** is a service-velocity episode: for its
   duration every lane's :class:`~repro.fleet.serving.ServerWorkload`
   progresses work at ``factor`` × normal speed (0 for a hang — threads
@@ -42,7 +41,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.faults.config import FaultConfig, lane_crash_schedule
 
 #: Node-level fault kinds a chaos schedule can carry.
 NODE_FAULT_KINDS = ("node_crash", "node_hang", "node_slowdown")
@@ -217,30 +215,6 @@ def compile_timelines(
                 now += rng.expovariate(rate)
         per_node[node].sort(key=lambda e: (e.at_s, NODE_FAULT_KINDS.index(e.kind)))
     return [tuple(events) for events in per_node]
-
-
-def crash_fault_config(
-    timeline: Sequence[NodeChaosEvent],
-    lanes: Sequence[str],
-    after_s: float = 0.0,
-) -> FaultConfig:
-    """The node-simulation fault layer for a chaos timeline.
-
-    Crashes are delivered through the existing lifecycle machinery:
-    each ``node_crash`` event becomes one ``app_crash``
-    :class:`~repro.faults.config.LifecycleEvent` per serving lane, at
-    node-simulation-local time (``at_s - after_s`` — a rebooted node's
-    clock restarts at zero).  Returns a disabled config when no crash
-    remains, so a crash-free node attaches no fault layer at all.
-    """
-    times = [
-        event.at_s - after_s
-        for event in timeline
-        if event.kind == "node_crash" and event.at_s > after_s
-    ]
-    if not times:
-        return FaultConfig.disabled()
-    return lane_crash_schedule(times, lanes)
 
 
 def active_velocity_factor(

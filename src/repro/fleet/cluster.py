@@ -4,10 +4,10 @@ A :class:`FleetCluster` drives N independent :class:`~repro.fleet.node.
 FleetNode` simulations in lock-step ticks.  Each tick:
 
 1. the resilience layer (when attached) reboots due nodes, applies
-   chaos velocity episodes, expires per-attempt timeouts and scans for
-   hedges, then re-routes its backlog (crash re-queues, deferred
-   arrivals, due retries, hedge twins) to the supervisor's routable
-   set;
+   chaos velocity episodes and crashes, expires per-attempt timeouts
+   and scans for hedges, then re-routes its backlog (crash re-queues,
+   deferred arrivals, due retries, hedge twins) to the supervisor's
+   routable set;
 2. every arrival falling inside the tick is routed (the router sees
    nodes' *previous-tick* state — no node has stepped yet), subject to
    the admission controller's shed/brownout verdict;
@@ -51,7 +51,6 @@ from repro.fleet.chaos import (
     NodeChaosEvent,
     active_velocity_factor,
     compile_timelines,
-    crash_fault_config,
 )
 from repro.fleet.config import FleetConfig
 from repro.fleet.engine import FleetEngine
@@ -192,9 +191,13 @@ class FleetCluster:
             if chaos is not None
             else None
         )
-        self.nodes = [
-            self._build_node(i, 0.0) for i in range(config.nodes)
+        #: Per node, the crash times of its timeline not yet fired or
+        #: dropped, ascending.
+        self._crashes: List[Deque[float]] = [
+            deque(e.at_s for e in timeline if e.kind == "node_crash")
+            for timeline in self._timelines or ()
         ]
+        self.nodes = [FleetNode(i, config) for i in range(config.nodes)]
         #: The structure-of-arrays engine stepping every node; row
         #: ``i`` is node ``i`` (a restarted node takes over its row).
         self.engine = FleetEngine(self.nodes)
@@ -231,17 +234,6 @@ class FleetCluster:
         self._hedge_cancelled = 0
         self._demoted = 0
         self._max_requeue_ticks = 0
-
-    def _build_node(self, index: int, epoch_s: float) -> FleetNode:
-        """One node incarnation booted at cluster time ``epoch_s``."""
-        faults = None
-        if self._timelines is not None:
-            compiled = crash_fault_config(
-                self._timelines[index], LANES, after_s=epoch_s
-            )
-            if compiled.enabled:
-                faults = compiled
-        return FleetNode(index, self.config, epoch_s=epoch_s, faults=faults)
 
     def run(self) -> FleetResult:
         """Route, step and aggregate until the trace drains (or horizon)."""
@@ -421,20 +413,35 @@ class FleetCluster:
         )
 
     def _begin_tick(self, tick: int, now_s: float) -> None:
-        """Reboots, probation, chaos episodes, timeouts, hedge scan."""
+        """Reboots, probation, chaos episodes and crashes, timeouts,
+        hedge scan."""
         sup = self.supervisor
         res = self.resilience
         for node_index in sup.restarts_due(now_s):
             self._restart_node(node_index, tick, now_s)
         sup.tick(now_s)
         if self.chaos is not None:
-            for node_index in range(len(self.nodes)):
-                if sup.is_stepping(node_index):
-                    self.nodes[node_index].set_velocity_factor(
-                        active_velocity_factor(
-                            self._timelines[node_index], now_s
-                        )
+            engine = self.engine
+            tick_s = self.config.tick_s
+            for node_index, node in enumerate(self.nodes):
+                if not sup.is_stepping(node_index):
+                    continue
+                node.set_velocity_factor(
+                    active_velocity_factor(
+                        self._timelines[node_index], now_s
                     )
+                )
+                # A crash fires on the first tick of the node's own
+                # clock whose end passes it (node-local time: a reboot
+                # restarts the clock at zero).
+                crashes = self._crashes[node_index]
+                if not crashes:
+                    continue
+                tick_end = engine.now.item(node_index) + tick_s - _TIME_EPS
+                if crashes[0] - node.epoch_s < tick_end:
+                    while crashes and crashes[0] - node.epoch_s < tick_end:
+                        crashes.popleft()
+                    engine.crash(node_index)
         if self._tracking and res.retry_enabled:
             self._expire_attempts(now_s)
         if self._tracking and res.hedge_enabled:
@@ -452,7 +459,12 @@ class FleetCluster:
         # failover the crash already stranded it; without failover the
         # routers kept feeding the corpse and those requests are lost.
         self._strand(old, tick)
-        node = self._build_node(node_index, now_s)
+        # The new incarnation owns the crashes at or after its boot;
+        # those that fell while the node was down are dropped.
+        crashes = self._crashes[node_index]
+        while crashes and crashes[0] < now_s:
+            crashes.popleft()
+        node = FleetNode(node_index, self.config, epoch_s=now_s)
         self.engine.replace(node_index, node)
         self.nodes[node_index] = node
         self.supervisor.on_restarted(node_index, now_s)

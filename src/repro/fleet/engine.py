@@ -36,14 +36,17 @@ balancer's lowest-core tie-break — so they reorder no arithmetic.
 
 The control plane stays on the node objects: MP-HARS, the actuator,
 the machine's DVFS state and affinities, the apps' heartbeat logs and
-monitors, SLO windows, the clocks and the crash fault injector.  The
-engine calls into it exactly where the scalar tick did —
-:meth:`~repro.sim.engine.Simulation.begin_tick` (controller start,
-lifecycle faults, ``TickStart``) and every heartbeat, published per
-node mid-round — and first writes back what it may read: the
-clock, each thread's current core and the lanes' target windows.  After
-each call it reads back what the control plane may have changed: the
-frequencies, affinities and cpusets, and halted apps.
+monitors, SLO windows and the clocks.  The engine calls into it where
+the scalar tick did — every heartbeat, published per node mid-round —
+plus at two points of its own: it starts a node's controllers when it
+adopts the node (:meth:`replace`), and the cluster crashes a node
+through :meth:`crash` before the tick.  Before each call it writes back
+what the control plane may read: the clock, each thread's current core
+and the lanes' target windows.  After each call it reads back what the
+control plane may have changed: the frequencies, affinities and
+cpusets, and halted apps.  A tick has no per-row prologue, so a node
+whose tick would open with a control-plane call (a ``TickStart``
+subscriber) is refused at adoption.
 """
 
 from __future__ import annotations
@@ -180,15 +183,14 @@ class FleetEngine:
         self._mask_keys: List[List[tuple]] = [[] for _ in range(n)]
         #: allowed core set -> (candidates if big, candidates if little).
         self._candidates: Dict[frozenset, tuple] = {}
-        #: Rows that need a control-plane call before every tick.
-        self._hook_rows: List[int] = []
         for row, node in enumerate(nodes):
             self.replace(row, node)
 
     # -- rows ------------------------------------------------------------
 
     def replace(self, row: int, node: "FleetNode") -> None:
-        """Put a freshly built node in ``row`` (engine build and reboot).
+        """Put a freshly built node in ``row`` (engine build and reboot)
+        and start its controllers.
 
         A previous occupant's lane views then alias the new row: its
         owner takes what it needs from it (energy, pending requests)
@@ -200,10 +202,12 @@ class FleetEngine:
             raise ConfigurationError(
                 f"{node.name}: its FleetConfig differs from the engine's"
             )
-        if node.sim.bus.subscriber_count(PowerSample):
-            raise ConfigurationError(
-                f"{node.name}: the fleet engine publishes no PowerSample"
-            )
+        for event_type in (PowerSample, TickStart):
+            if node.sim.bus.subscriber_count(event_type):
+                raise ConfigurationError(
+                    f"{node.name}: the fleet engine publishes no "
+                    f"{event_type.__name__}"
+                )
         self.nodes[row] = node
         node._engine, node._row = self, row
         sim = node.sim
@@ -236,10 +240,8 @@ class FleetEngine:
         self.elapsed[row] = sim.sensor.elapsed_s
         self.next_sample[row] = sim.sensor.next_sample_s
         self._mask_keys[row] = [()] * self.n_slots
+        sim.start()
         self._read_back(row)
-        self._hook_rows = [r for r in self._hook_rows if r != row]
-        if self._has_prologue(sim):
-            self._hook_rows = sorted(self._hook_rows + [row])
 
     def _threads(self, node: "FleetNode"):
         for name in self.lane_names:
@@ -303,21 +305,13 @@ class FleetEngine:
         self.if_big[row, slot] = masks[0]
         self.if_little[row, slot] = masks[1]
 
-    @staticmethod
-    def _has_prologue(sim: Simulation) -> bool:
-        """Whether a row's tick opens with a control-plane call: its
-        controllers' start, lifecycle faults or delayed heartbeats, or
-        ``TickStart`` subscribers."""
-        return (
-            not sim._started
-            or sim.fault_injector is not None
-            or bool(sim.bus._handlers.get(TickStart))
-        )
-
-    def _pre_tick(self, row: int) -> None:
-        """The scalar tick's control-plane prologue for one row."""
+    def crash(self, row: int) -> None:
+        """Crash a row's node before its tick: every lane ends abruptly
+        (:meth:`~repro.sim.engine.Simulation.crash_app`)."""
         self._write_back(row)
-        self.nodes[row].sim.begin_tick()
+        node = self.nodes[row]
+        for name in self.lane_names:
+            node.sim.crash_app(node.apps[name])
         self._read_back(row)
 
     # -- the tick ----------------------------------------------------------
@@ -337,14 +331,6 @@ class FleetEngine:
             if stepping is None
             else np.array(stepping, dtype=bool)
         )
-        if self._hook_rows:
-            hook_rows = [r for r in self._hook_rows if active[r]]
-            for row in hook_rows:
-                self._pre_tick(row)
-            self._hook_rows = [
-                r for r in self._hook_rows
-                if self._has_prologue(self.nodes[r].sim)
-            ]
         rows = np.arange(n)
         t = self.n_threads
         serving = self.serving

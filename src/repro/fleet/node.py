@@ -21,7 +21,11 @@ A node does not tick its :class:`~repro.sim.engine.Simulation` itself:
 its data plane (placement, grants, queue drain, power, sensor, load
 tracking, velocity and targets) is one row of a
 :class:`~repro.fleet.engine.FleetEngine`.  The cluster steps one engine
-over all its nodes; a node stepped on its own is a one-row engine.
+over all its nodes; a node stepped on its own is a one-row engine.  Its
+MP-HARS starts when an engine adopts it, and it has no fault layer of
+its own: the cluster applies chaos to it from outside (velocity factors
+for hangs and slowdowns, :meth:`FleetEngine.crash` for crashes; see
+:mod:`repro.fleet.chaos`).
 
 Completion mapping: every request completion emits one heartbeat tagged
 with the request index; after each tick the node drains the new tail of
@@ -38,7 +42,6 @@ from repro.core.calibration import calibrate
 from repro.core.perf_estimator import PerformanceEstimator
 from repro.core.policy import HARS_I
 from repro.errors import ConfigurationError, SimulationError
-from repro.faults.config import FaultConfig
 from repro.fleet.config import FleetConfig
 from repro.fleet.engine import FleetEngine
 from repro.fleet.serving import ServerWorkload
@@ -74,15 +77,10 @@ class Completion:
 
 
 class FleetNode:
-    """One simulated board + its local MP-HARS controller."""
+    """One simulated board + its local MP-HARS controller (started
+    when an engine adopts the node; no fault layer of its own)."""
 
-    def __init__(
-        self,
-        index: int,
-        config: FleetConfig,
-        epoch_s: float = 0.0,
-        faults: Optional[FaultConfig] = None,
-    ):
+    def __init__(self, index: int, config: FleetConfig, epoch_s: float = 0.0):
         self.index = index
         self.name = f"node-{index}"
         self.config = config
@@ -92,11 +90,8 @@ class FleetNode:
         #: latencies stay arrival-relative across restarts.  0.0 for a
         #: never-restarted node, which keeps ``0.0 + t == t`` bit-exact.
         self.epoch_s = epoch_s
-        #: Node-local fault layer — the chaos compiler delivers node
-        #: crashes through it (see :mod:`repro.fleet.chaos`).
-        self.faults = faults
         spec = odroid_xu3()
-        self.sim = Simulation(spec, tick_s=config.tick_s, faults=faults)
+        self.sim = Simulation(spec, tick_s=config.tick_s)
         self.models: Dict[str, ServerWorkload] = {}
         self.apps: Dict[str, SimApp] = {}
         self.targets: Dict[str, DeadlineTarget] = {}

@@ -187,10 +187,7 @@ class Simulation:
             raise SimulationError(
                 "endless workloads present: run() needs an explicit until_s"
             )
-        if not self._started:
-            self._started = True
-            for controller in self.controllers:
-                controller.on_start(self)
+        self.start()
         ticks = 0
         while not self._all_done():
             if until_s is not None and self.clock.now_s >= until_s - 1e-9:
@@ -204,9 +201,31 @@ class Simulation:
                 )
         return self.clock.now_s
 
+    def start(self) -> None:
+        """Start the controllers (``on_start``), once: on the first
+        :meth:`run` or :meth:`step`, or when the fleet engine adopts
+        the node (:meth:`repro.fleet.engine.FleetEngine.replace`)."""
+        if not self._started:
+            self._started = True
+            for controller in self.controllers:
+                controller.on_start(self)
+
     def step(self) -> None:
-        """Advance the simulation by exactly one tick."""
-        self.begin_tick()
+        """Advance the simulation by exactly one tick.
+
+        The control-plane prologue runs first: stalled heartbeats
+        mature, lifecycle faults roll, and ``TickStart`` goes out.
+        """
+        self.start()
+        if self._delayed_heartbeats:
+            self._flush_delayed_heartbeats()
+        if self._lifecycle_enabled:
+            self._inject_lifecycle(self.tick_s)
+        # Hot path: probe the handler table directly rather than
+        # through subscriber_count() — three calls per tick add up.
+        bus = self.bus
+        if bus._handlers.get(TickStart):
+            bus.publish(TickStart(time_s=self.clock.now_s))
         dt = self.tick_s
         placement = self.scheduler.place(self)
         if self._slots is None:
@@ -223,25 +242,6 @@ class Simulation:
         self.clock.advance(dt)
         self._ticked = True
         self._tick_index += 1
-
-    def begin_tick(self) -> None:
-        """The control-plane prologue of a tick: controllers start on
-        the first one, stalled heartbeats mature, lifecycle faults roll,
-        and ``TickStart`` goes out.  :meth:`step` opens with it; the
-        fleet engine calls it for the nodes it ticks."""
-        if not self._started:
-            self._started = True
-            for controller in self.controllers:
-                controller.on_start(self)
-        if self._delayed_heartbeats:
-            self._flush_delayed_heartbeats()
-        if self._lifecycle_enabled:
-            self._inject_lifecycle(self.tick_s)
-        # Hot path: probe the handler table directly rather than
-        # through subscriber_count() — three calls per tick add up.
-        bus = self.bus
-        if bus._handlers.get(TickStart):
-            bus.publish(TickStart(time_s=self.clock.now_s))
 
     # -- internals ----------------------------------------------------------------
 
@@ -325,6 +325,19 @@ class Simulation:
         app.halted = True
         self._finished.add(name)
 
+    def crash_app(self, app: SimApp) -> None:
+        """End an app abruptly, with work left: it halts, counts as
+        finished, and ``AppFinished`` goes out at the current time, so
+        a manager reacts as to any exit (MP-HARS releases the app's
+        partition, Algorithm 4).  The ``app_crash`` lifecycle fault and
+        the fleet's node crashes both land here.
+        """
+        app.halted = True
+        self._finished.add(app.name)
+        self.bus.publish(
+            AppFinished(app_name=app.name, time_s=self.clock.now_s)
+        )
+
     def _inject_lifecycle(self, dt: float) -> None:
         """Roll and apply lifecycle faults for the tick about to run."""
         injector = self.fault_injector
@@ -360,15 +373,10 @@ class Simulation:
         if app is None:
             return
         if kind == "app_crash":
-            app.halted = True
-            self._finished.add(app.name)
             injector.note_injected(
                 kind, app.name, now_s, "abrupt exit with work left"
             )
-            if self.bus._handlers.get(AppFinished):
-                self.bus.publish(
-                    AppFinished(app_name=app.name, time_s=now_s)
-                )
+            self.crash_app(app)
         elif kind == "app_hang":
             app.halted = True
             injector.note_injected(

@@ -1,19 +1,21 @@
-"""Fleet chaos config, timeline compiler, and delivery-helper tests."""
+"""Fleet chaos config, timeline compiler, and crash delivery tests."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.config import FaultConfig, lane_crash_schedule
 from repro.fleet.chaos import (
     NODE_FAULT_KINDS,
     FleetFaultConfig,
     NodeChaosEvent,
     active_velocity_factor,
     compile_timelines,
-    crash_fault_config,
     crash_wave,
     summarize_timelines,
 )
+from repro.fleet.cluster import FleetCluster
+from repro.fleet.config import FleetConfig
+from repro.fleet.node import LANES, FleetNode
+from repro.kernel.bus import AppFinished
 
 
 def _crash(node, at_s):
@@ -138,34 +140,72 @@ class TestCompileTimelines:
         assert set(counts) == set(NODE_FAULT_KINDS)
 
 
-class TestCrashFaultConfig:
-    def test_crashes_become_lane_lifecycle_events(self):
-        timeline = (_crash(0, 3.0), _crash(0, 7.0))
-        compiled = crash_fault_config(timeline, ("hot", "base"))
-        assert compiled.enabled
-        events = compiled.lifecycle_schedule
-        assert [event.kind for event in events] == ["app_crash"] * 4
-        assert [event.at_s for event in events] == [3.0, 3.0, 7.0, 7.0]
-        assert {event.target for event in events} == {"hot", "base"}
+def _chaos_cluster(*schedule):
+    """A three-node fleet under a scheduled chaos timeline."""
+    return FleetCluster(
+        FleetConfig(
+            nodes=3, requests=60, chaos=FleetFaultConfig(schedule=schedule)
+        )
+    )
 
-    def test_epoch_offset_makes_times_sim_local(self):
-        timeline = (_crash(0, 3.0), _crash(0, 7.0))
-        compiled = crash_fault_config(timeline, ("base",), after_s=3.0)
-        # The 3.0 crash already happened (it caused this reboot); only
-        # the 7.0 crash survives, at local time 4.0.
-        assert [event.at_s for event in compiled.lifecycle_schedule] == [4.0]
 
-    def test_no_crashes_means_disabled_config(self):
-        hang = NodeChaosEvent(kind="node_hang", node=0, at_s=1.0, duration_s=2.0)
-        compiled = crash_fault_config((hang,), ("hot", "base"))
-        assert isinstance(compiled, FaultConfig)
-        assert not compiled.enabled
+def _ledger(cluster, reason):
+    return [row for row in cluster.supervisor.ledger if row[4] == reason]
 
-    def test_lane_crash_schedule_validates(self):
-        with pytest.raises(ConfigurationError):
-            lane_crash_schedule([1.0], apps=())
-        with pytest.raises(ConfigurationError):
-            lane_crash_schedule([-1.0], apps=("base",))
+
+class TestCrashDelivery:
+    def test_crash_halts_every_lane_and_publishes_app_finished(self):
+        node = FleetNode(0, FleetConfig(nodes=1, requests=1))
+        finished = []
+        node.sim.bus.subscribe(AppFinished, finished.append)
+        engine = node.engine
+        for _ in range(3):
+            node.step()
+        engine.crash(0)
+        assert node.crashed
+        assert engine.halted[0].tolist() == [True] * len(LANES)
+        assert [(e.app_name, e.time_s) for e in finished] == [
+            (lane, node.sim.clock.now_s) for lane in LANES
+        ]
+
+    def test_a_crash_at_time_zero_fires(self):
+        result = _chaos_cluster(*crash_wave(3, 1.0, at_s=0.0)).run()
+        assert result.resilience["crashes"] == 3
+
+    def test_a_rebooted_node_reads_crash_times_from_its_boot(self):
+        # A first crash at 1.0 s; the node reboots a restart delay
+        # after the crash is seen.
+        first = _chaos_cluster(_crash(1, 1.0))
+        first.run()
+        ((reboot_s, node, *_),) = _ledger(first, "restart")
+        assert node == 1
+        # The reboot owns a crash exactly at its boot time; a crash
+        # while the node is down is dropped.
+        cluster = _chaos_cluster(
+            _crash(1, 1.0), _crash(1, reboot_s - 0.5), _crash(1, reboot_s)
+        )
+        result = cluster.run()
+        assert result.resilience["crashes"] == 2
+        # Seen at the end of the new incarnation's first tick.
+        second = _ledger(cluster, "crash")[1]
+        assert second[:2] == (
+            pytest.approx(reboot_s + cluster.config.tick_s),
+            1,
+        )
+
+    def test_a_hang_only_timeline_never_halts_a_lane(self):
+        cluster = _chaos_cluster(
+            NodeChaosEvent(kind="node_hang", node=0, at_s=0.5, duration_s=1.0),
+            NodeChaosEvent(
+                kind="node_slowdown", node=2, at_s=0.2, duration_s=2.0
+            ),
+        )
+        result = cluster.run()
+        assert result.resilience["crashes"] == 0
+        assert not cluster.engine.halted.any()
+        assert not any(
+            app.halted for node in cluster.nodes for app in node.apps.values()
+        )
 
 
 class TestActiveVelocityFactor:

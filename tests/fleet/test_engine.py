@@ -10,13 +10,17 @@ import random
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.fleet.chaos import FleetFaultConfig, NodeChaosEvent
+from repro.fleet.cluster import FleetCluster
 from repro.fleet.config import RATE_SPAN_S, FleetConfig
 from repro.fleet.engine import VELOCITY_ALPHA, FleetEngine
 from repro.fleet.node import LANES, FleetNode
 from repro.fleet.serving import ServerWorkload
 from repro.fleet.trace import Request
 from repro.heartbeats.targets import DeadlineTarget
+from repro.kernel.bus import PowerSample, TickStart
+from repro.mphars.manager import MpHarsManager
 from repro.platform.sensor import CHANNELS
 
 
@@ -208,3 +212,40 @@ def test_a_cluster_node_is_stepped_by_its_engine():
         nodes[0].step()
     with pytest.raises(SimulationError):
         FleetEngine(nodes[:1])
+
+
+@pytest.mark.parametrize("event_type", [PowerSample, TickStart])
+def test_engine_refuses_a_node_it_would_not_publish_to(event_type):
+    """The engine publishes neither event, and a tick has no per-row
+    prologue that could: a subscriber would silently never fire."""
+    config = FleetConfig(nodes=1, requests=1)
+    node = FleetNode(0, config)
+    node.sim.bus.subscribe(event_type, lambda event: None)
+    with pytest.raises(ConfigurationError):
+        FleetEngine([node])
+
+
+def test_a_cluster_node_starts_its_controllers_once_at_adoption(monkeypatch):
+    starts = []
+    on_start = MpHarsManager.on_start
+
+    def counting(manager, sim):
+        starts.append(sim)
+        on_start(manager, sim)
+
+    monkeypatch.setattr(MpHarsManager, "on_start", counting)
+    config = FleetConfig(
+        nodes=3,
+        requests=60,
+        chaos=FleetFaultConfig(
+            schedule=(NodeChaosEvent(kind="node_crash", node=1, at_s=0.5),)
+        ),
+    )
+    cluster = FleetCluster(config)
+    booted = [node.sim for node in cluster.nodes]
+    assert starts == booted
+    result = cluster.run()
+    # The reboot started once, when the engine adopted it; stepping
+    # started nothing.
+    assert result.resilience["restarts"] == 1
+    assert starts == booted + [cluster.nodes[1].sim]

@@ -182,7 +182,9 @@ def test_lane3_chaos_fleet_run_matches_golden_digest():
 
 def test_crash_reboot_crash_fleet_run_matches_golden_digest():
     name = "fleet-deadline-risk-x20-crash-reboot-crash"
-    cluster = FleetCluster(FLEET_CRASH_REBOOT_CRASH_CONFIG, router="deadline-risk")
+    cluster = FleetCluster(
+        FLEET_CRASH_REBOOT_CRASH_CONFIG, router="deadline-risk"
+    )
     result = cluster.run()
     # The digest must really cover crashes in a second incarnation:
     # nodes 3 and 11 reboot and crash again (evicted, one restart
