@@ -246,6 +246,30 @@ FLEET_CRASH_REBOOT_CRASH_CONFIG = FleetConfig(
 )
 
 
+#: ferret, the six-stage pipeline, under HARS-EI: the interleaving
+#: scheduler, and stage threads that block on their queues every tick,
+#: so grant rounds 2 and 3 hand their core time to the co-tenants.
+FERRET_SHAPE = RunShape(benchmark="ferret", n_units=60, seed=2)
+
+#: blackscholes (a serial input phase, then barrier units) with no HARS
+#: manager: the ``baseline`` run is GTS alone, placing unpinned threads
+#: by their tracked load, and the ``ondemand`` run adds DVFS writes
+#: between ticks, read from the engine's per-core utilization.
+BLACKSCHOLES_SHAPE = RunShape(benchmark="blackscholes", n_units=40, seed=2)
+
+
+def _runaway_config() -> RunConfig:
+    """One ``app_runaway`` fault 5 s in: from then on the app runs at a
+    speed factor other than 1 and its affinities are cleared before
+    every tick's placement."""
+    return RunConfig(
+        faults=FaultConfig(
+            seed=3,
+            lifecycle_schedule=(LifecycleEvent("app_runaway", at_s=5.0),),
+        )
+    )
+
+
 def _actuation_fault_config(seed: int) -> RunConfig:
     """Seeded DVFS and affinity write faults at half rate under
     telemetry: the actuator's retry-with-backoff path and the order of
@@ -433,6 +457,16 @@ GOLDEN_RUNS: Dict[str, Callable[[], Any]] = {
     ),
     "mp-hars-e-actuation-faults-x60": lambda: run(
         "mp-hars-e", list(MULTI_SHAPES), _actuation_fault_config(seed=1)
+    ),
+    "hars-ei-ferret-x60": lambda: run("hars-ei", FERRET_SHAPE, RunConfig()),
+    "baseline-blackscholes-x40": lambda: run(
+        "baseline", BLACKSCHOLES_SHAPE, RunConfig()
+    ),
+    "ondemand-blackscholes-x40": lambda: run(
+        "ondemand", BLACKSCHOLES_SHAPE, RunConfig()
+    ),
+    "hars-e-app-runaway-x80": lambda: run(
+        "hars-e", SINGLE_SHAPE, _runaway_config()
     ),
 }
 

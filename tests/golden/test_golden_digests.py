@@ -42,6 +42,14 @@ whose DVFS and affinity writes fail at a seeded half rate, so the
 actuator's retries, backoff windows and the injector's roll order reach
 both the run digest and the state digest.
 
+Four runs pin single-board tick paths that no manager run above
+reaches: ferret under HARS-EI (the pipeline model, the interleaving
+scheduler and grant rounds 2 and 3), blackscholes under ``baseline``
+(GTS alone: unpinned threads placed by their tracked load) and under
+``ondemand`` (DVFS writes between ticks, read from the engine's
+per-core utilization), and a HARS-E run with an ``app_runaway`` fault
+(a speed factor other than 1, affinities cleared every tick).
+
 Regenerate only when a behaviour change is intended, and say so in the
 change log::
 
@@ -55,6 +63,12 @@ import pytest
 
 from repro.fleet.cluster import FleetCluster
 from repro.kernel.actuation import Actuator
+from repro.platform.cluster import BIG
+from repro.platform.machine import Machine
+from repro.platform.spec import odroid_xu3
+from repro.sched.gts import GtsScheduler, on_big_table
+from repro.sim.engine import Simulation
+from repro.workloads.pipeline import PipelineWorkload
 from repro.telemetry.registry import flatten_snapshot
 from tests.golden import (
     FLEET_CRASH_REBOOT_CRASH_CONFIG,
@@ -226,6 +240,79 @@ def test_actuation_fault_run_matches_golden_digest(name):
             assert counts.get((sample, kind), 0) > 0, (sample, kind)
     assert outcome_digest(outcome) == load_golden()[name]
     assert state_digest(outcome) == load_golden()[f"{name}/state"]
+
+
+def _counting(monkeypatch, owner, attribute, record):
+    """Wrap ``owner.attribute`` so each call passes ``record`` its
+    arguments and result."""
+    method = getattr(owner, attribute)
+
+    def wrapped(self, *args):
+        result = method(self, *args)
+        record(args, result)
+        return result
+
+    monkeypatch.setattr(owner, attribute, wrapped)
+
+
+def test_pipeline_interleaving_run_matches_golden_digest(monkeypatch):
+    name = "hars-ei-ferret-x60"
+    calls = {"ticks": 0, "advances": 0}
+
+    def count(key):
+        def record(args, result):
+            calls[key] += 1
+
+        return record
+
+    _counting(monkeypatch, Simulation, "step", count("ticks"))
+    _counting(monkeypatch, PipelineWorkload, "advance", count("advances"))
+    outcome = GOLDEN_RUNS[name]()
+    # The digest must really cover later grant rounds (blocked stages
+    # hand their core time on) and interleaved placements spanning
+    # both clusters.
+    assert calls["advances"] > calls["ticks"]
+    assert any(p.big_cores and p.little_cores for p in outcome.trace.points("ferret"))
+    assert outcome_digest(outcome) == load_golden()[name]
+
+
+def test_gts_baseline_run_matches_golden_digest(monkeypatch):
+    name = "baseline-blackscholes-x40"
+    on_big = on_big_table(odroid_xu3())
+    picked = set()
+    _counting(
+        monkeypatch,
+        GtsScheduler,
+        "_pick_partitioned",
+        lambda args, core: picked.add(on_big[core]),
+    )
+    outcome = GOLDEN_RUNS[name]()
+    # The digest must really cover load-driven picks onto both clusters.
+    assert picked == {True, False}
+    assert outcome_digest(outcome) == load_golden()[name]
+
+
+def test_ondemand_run_matches_golden_digest(monkeypatch):
+    name = "ondemand-blackscholes-x40"
+    big_writes = set()
+
+    def record(args, result):
+        if args[0] == BIG:
+            big_writes.add(args[1])
+
+    _counting(monkeypatch, Machine, "set_freq_mhz", record)
+    outcome = GOLDEN_RUNS[name]()
+    # The digest must really cover the governor moving the big cluster.
+    assert len(big_writes) > 1
+    assert outcome_digest(outcome) == load_golden()[name]
+
+
+def test_app_runaway_run_matches_golden_digest():
+    name = "hars-e-app-runaway-x80"
+    outcome = GOLDEN_RUNS[name]()
+    # The digest must really cover a runaway app.
+    assert outcome.fault_injector.injected == {"app_runaway": 1}
+    assert outcome_digest(outcome) == load_golden()[name]
 
 
 def test_golden_file_covers_every_run():
