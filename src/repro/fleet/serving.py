@@ -306,16 +306,13 @@ class ServerWorkload(WorkloadModel):
             )
         self._rows.submit(self._row, self._lane, request_index, service_units)
 
-    def wants_cpu(self, thread_index: int) -> bool:
-        if not 0 <= thread_index < self.n_threads:
-            raise ConfigurationError(
-                f"thread index {thread_index} out of range"
-            )
+    def runnable_threads(self) -> List[int]:
+        """Every worker while requests wait, else the busy ones."""
         rows, row = self._rows, self._row
-        slot = self._lane * self.n_threads + thread_index
-        return bool(
-            rows.req[row, slot] >= 0 or rows.qlen[row, self._lane] > 0
-        )
+        if rows.qlen[row, self._lane] > 0:
+            return list(range(self.n_threads))
+        busy = rows.req[row, rows._slots(self._lane)] >= 0
+        return np.flatnonzero(busy).tolist()
 
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:
         rows, row = self._rows, self._row

@@ -69,7 +69,9 @@ def least_loaded_rows(run_queue, candidates, bonus):
 class GtsScheduler:
     """Load-threshold cluster selection + within-cluster balancing.
 
-    Each tick, :meth:`place` puts every CPU-demanding thread on a core,
+    Each tick, :meth:`place` puts every CPU-demanding thread (one
+    :meth:`~repro.workloads.base.WorkloadModel.runnable_threads` call
+    per app) on a core,
     honouring its affinity and its app's cpuset
     (:meth:`repro.sim.process.SimApp.allowed_cores`), and updates
     ``thread.current_core``; the engine then divides each core's
@@ -106,10 +108,9 @@ class GtsScheduler:
             if app.is_done() or app.halted:
                 continue
             cpuset = app.cpuset
-            model = app.model
-            for thread in app.threads:
-                if not model.wants_cpu(thread.local_index):
-                    continue
+            threads = app.threads
+            for index in app.model.runnable_threads():
+                thread = threads[index]
                 # Each thread's candidate split is memoized.  It depends
                 # only on (affinity, cpuset); both are replaced wholesale
                 # when they change, so the entry validates by object

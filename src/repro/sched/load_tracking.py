@@ -4,8 +4,8 @@ Linux's big.LITTLE Global Task Scheduling migrates tasks between the
 clusters by comparing each task's tracked load against two thresholds:
 an *up-migration* threshold (heavy tasks move to big) and a
 *down-migration* threshold (light tasks move to little).  The tracked
-signal itself is the exponentially-decayed runnable demand maintained in
-:meth:`repro.sim.thread.SimThread.update_load`.
+signal itself is ``SimThread.load``, the exponentially-decayed runnable
+demand that :meth:`repro.sim.engine.Simulation.step` updates every tick.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ Each tick (default 10 ms of simulated time) the engine:
    (runtime managers adapt here),
 2. asks the GTS scheduler model (:class:`~repro.sched.gts.GtsScheduler`,
    the only OS scheduler HARS runs against) for a placement
-   (core → threads),
+   (core → threads) of each app's runnable threads,
 3. divides each core's tick capacity fairly among its threads and grants
-   the resulting work budget to the workload models,
+   the resulting work budget to the workload models, in up to
+   :attr:`Simulation.GRANT_ROUNDS` rounds,
 4. collects per-thread consumption back, emits heartbeats, and publishes
    :class:`~repro.kernel.bus.HeartbeatEmitted` per heartbeat,
 5. evaluates the ground-truth power model from per-core utilization,
@@ -29,6 +30,16 @@ power integration, a partition-caching GTS scheduler, and a shared
 manager's Plan stage runs the tensorized Algorithm 2
 (``benchmarks/bench_planner_vectorized.py`` checks it against the scalar
 oracle; ``tests/golden`` pins whole-run outputs byte for byte).
+
+Most ticks repeat the previous tick's setting, so the tick keeps two
+one-entry memos of it.  Round 1's grant plan is reused when the
+placement, the cluster frequencies and every app's speed factor equal
+the previous tick's; rounds 2–3 are always planned afresh.  The power
+reading is reused when the frequencies and both per-core sums (busy
+seconds, busy·activity) do.  Each key lists every input of its value,
+so reuse cannot move a float (``docs/modelling.md`` §4 and §9).  Reused
+``grants`` dicts go to the models again, which is why
+:meth:`~repro.workloads.base.WorkloadModel.advance` never mutates them.
 
 The engine is deterministic: all randomness lives inside seeded workload
 profiles, and bus dispatch order is fixed by (priority, subscription
@@ -137,6 +148,12 @@ class Simulation:
         )
         # Lazily-built runtime index (first step).
         self._slots: Optional[List] = None
+        #: One-entry memos of the previous tick: ``(placement, freqs,
+        #: speed factors, plan)`` for round 1's grant plan, ``(freqs,
+        #: core busy, core busy·activity, watts)`` for the power reading.
+        #: Each key lists every input of its value (docs/modelling.md §4).
+        self._plan_memo: Optional[tuple] = None
+        self._power_memo: Optional[tuple] = None
         # Heartbeat delivery faults: beats whose *delivery* to the bus
         # is stalled or jittered, keyed by the tick they mature on.  The
         # app's log is written at emission time regardless — the fault
@@ -422,16 +439,13 @@ class Simulation:
         """
         slots: List = []
         slot_app: List[SimApp] = []
-        slot_base: Dict[str, int] = {}
         for app in self.apps:
-            slot_base[app.name] = len(slots)
             for thread in app.threads:
                 thread._slot = len(slots)
                 slots.append(thread)
                 slot_app.append(app)
         self._slots = slots
         self._slot_app = slot_app
-        self._slot_base = slot_base
         n = len(slots)
         self._zero_slots = [0.0] * n
         self._false_slots = [False] * n
@@ -439,9 +453,6 @@ class Simulation:
         self._arr_thread_granted = [0.0] * n
         self._arr_blocked = [False] * n
         self._arr_demand = [0.0] * n
-        self._arr_meta_share = [0.0] * n
-        self._arr_meta_speed = [0.0] * n
-        self._arr_meta_core = [0] * n
         n_cores = max(self.machine.core_ids()) + 1
         self._n_core_slots = n_cores
         self._zero_cores = [0.0] * n_cores
@@ -469,7 +480,6 @@ class Simulation:
         of its granted time it actually used.  Returns the ids of cores
         that had threads placed on them.
         """
-        slots = self._slots
         thread_busy = self._arr_thread_busy
         thread_granted = self._arr_thread_granted
         blocked = self._arr_blocked
@@ -497,73 +507,42 @@ class Simulation:
                 hungry[core_id] = threads
                 touched.append(core_id)
 
-        meta_share = self._arr_meta_share
-        meta_speed = self._arr_meta_speed
-        meta_core = self._arr_meta_core
-        slot_app = self._slot_app
-        slot_base = self._slot_base
-        cluster_of_core = self._cluster_of_core
-        machine = self.machine
-        bus = self.bus
-
-        # Reading the machine's live frequency table is safe: DVFS only
-        # changes from heartbeat handlers, which run in the advance
-        # phase — never between the grant reads of one round.
-        freqs = machine._freqs
-        for _ in range(self.GRANT_ROUNDS):
-            # One thread-speed evaluation per (app, cluster) per round:
-            # neither the frequency nor the model phase can change
-            # inside the grant phase.
-            speed_memo: Dict[str, Dict[str, float]] = {}
-            grants: Dict[str, Dict[int, float]] = {}
-            for core_id, threads in hungry.items():
-                if not threads or remaining[core_id] <= 1e-9:
-                    continue
-                cluster = cluster_of_core[core_id]
-                cname = cluster.name
-                freq = freqs[cname]
-                cluster_memo = speed_memo.get(cname)
-                if cluster_memo is None:
-                    cluster_memo = speed_memo[cname] = {}
-                share_s = remaining[core_id] / len(threads)
-                for thread in threads:
-                    slot = thread._slot
-                    app = slot_app[slot]
-                    speed = cluster_memo.get(app.name)
-                    if speed is None:
-                        speed = app.model.thread_speed(
-                            cname, cluster.core_type, freq
-                        )
-                        # Gated on != 1.0 so fault-free runs never
-                        # multiply (bit-identity with the pre-fault build).
-                        if app.speed_factor != 1.0:
-                            speed *= app.speed_factor
-                        cluster_memo[app.name] = speed
-                    app_grants = grants.get(app.name)
-                    if app_grants is None:
-                        app_grants = grants[app.name] = {}
-                    app_grants[thread.local_index] = share_s * speed
-                    meta_share[slot] = share_s
-                    meta_speed[slot] = speed
-                    meta_core[slot] = core_id
-            if not grants:
+        # Round 1's plan repeats the previous tick's whenever its inputs
+        # do: the placement (``==`` short-circuits on thread identity),
+        # the cluster frequencies and every app's speed factor.  Reading
+        # the machine's live frequency table is safe: DVFS only changes
+        # from heartbeat handlers, which run in the advance phase, never
+        # while a round is planned.
+        freqs = self.machine._freqs
+        factors = [app.speed_factor for app in self.apps]
+        memo = self._plan_memo
+        if (
+            memo is not None
+            and memo[0] == placement
+            and memo[1] == freqs
+            and memo[2] == factors
+        ):
+            plan = memo[3]
+        else:
+            plan = self._grant_plan(hungry, remaining)
+            self._plan_memo = (placement, dict(freqs), factors, plan)
+        for round_index in range(self.GRANT_ROUNDS):
+            if round_index:
+                plan = self._grant_plan(hungry, remaining)
+            if not plan:
                 break
 
             satisfied: Set[int] = set()
             for app in self.apps:
-                app_grants = grants.get(app.name)
-                if not app_grants:
+                entry = plan.get(app.name)
+                if entry is None:
                     continue
+                app_grants, rows = entry
                 result = app.model.advance(app_grants)
-                base = slot_base[app.name]
                 consumed_map = result.consumed
                 activity_factor = app.model.traits.activity_factor
-                for local_index, granted in app_grants.items():
+                for local_index, slot, share_s, speed, core_id, granted in rows:
                     consumed = consumed_map.get(local_index, 0.0)
-                    slot = base + local_index
-                    share_s = meta_share[slot]
-                    speed = meta_speed[slot]
-                    core_id = meta_core[slot]
                     if speed > 0:
                         used = consumed / speed
                         busy_s = share_s if share_s <= used else used
@@ -605,8 +584,7 @@ class Simulation:
             if not still_hungry:
                 break
 
-        for slot in range(len(slots)):
-            granted_s = thread_granted[slot]
+        for slot, granted_s in enumerate(thread_granted):
             if granted_s > 0.0:
                 if blocked[slot]:
                     # Blocked threads were runnable only while they used CPU.
@@ -616,19 +594,82 @@ class Simulation:
                     demand[slot] = 1.0  # hungry through every round: runnable
         return touched
 
+    def _grant_plan(
+        self, hungry: Dict[int, List], remaining: List[float]
+    ) -> Dict[str, Tuple[Dict[int, float], List[tuple]]]:
+        """One grant round: per app with a grant, the ``grants`` dict its
+        model advances on, and one row per granted thread,
+        ``(local_index, slot, share_s, speed, core_id, granted)``, in
+        the dict's order.  Each hungry core's remaining time is split
+        fairly among its threads."""
+        slot_app = self._slot_app
+        cluster_of_core = self._cluster_of_core
+        freqs = self.machine._freqs
+        # One thread-speed evaluation per (app, cluster): neither the
+        # frequency nor the model phase can change inside a round.
+        speed_memo: Dict[str, Dict[str, float]] = {}
+        plan: Dict[str, Tuple[Dict[int, float], List[tuple]]] = {}
+        for core_id, threads in hungry.items():
+            if not threads or remaining[core_id] <= 1e-9:
+                continue
+            cluster = cluster_of_core[core_id]
+            cname = cluster.name
+            cluster_memo = speed_memo.get(cname)
+            if cluster_memo is None:
+                cluster_memo = speed_memo[cname] = {}
+            share_s = remaining[core_id] / len(threads)
+            for thread in threads:
+                slot = thread._slot
+                app = slot_app[slot]
+                speed = cluster_memo.get(app.name)
+                if speed is None:
+                    speed = app.model.thread_speed(
+                        cname, cluster.core_type, freqs[cname]
+                    )
+                    # Gated on != 1.0 so fault-free runs never
+                    # multiply (bit-identity with the pre-fault build).
+                    if app.speed_factor != 1.0:
+                        speed *= app.speed_factor
+                    cluster_memo[app.name] = speed
+                entry = plan.get(app.name)
+                if entry is None:
+                    entry = plan[app.name] = ({}, [])
+                granted = share_s * speed
+                entry[0][thread.local_index] = granted
+                entry[1].append(
+                    (thread.local_index, slot, share_s, speed, core_id, granted)
+                )
+        return plan
+
     def _integrate_power(self, touched: List[int], dt: float) -> None:
         core_busy = self._arr_core_busy
+        core_ba = self._arr_core_ba
         self.last_core_utilization = {
             core_id: util if (util := core_busy[core_id] / dt) < 1.0 else 1.0
             for core_id in touched
         }
-        watts = self.power_model.platform_power_arrays(
-            self.machine, core_busy, self._arr_core_ba, dt
-        )
+        # The reading repeats the previous tick's whenever its inputs
+        # do: the frequencies and both per-core sums (dt is the fixed
+        # tick length).
+        freqs = self.machine._freqs
+        memo = self._power_memo
+        if (
+            memo is not None
+            and memo[0] == freqs
+            and memo[1] == core_busy
+            and memo[2] == core_ba
+        ):
+            watts = memo[3]
+        else:
+            watts = self.power_model.platform_power_arrays(
+                self.machine, core_busy, core_ba, dt
+            )
+            self._power_memo = (dict(freqs), core_busy[:], core_ba[:], watts)
         self.sensor.record(dt, watts)
-        if self.bus.subscriber_count(PowerSample):
-            self.bus.publish(
-                PowerSample(time_s=self.clock.now_s + dt, watts=watts)
+        bus = self.bus
+        if bus._handlers.get(PowerSample):
+            bus.publish(
+                PowerSample(time_s=self.clock.now_s + dt, watts=dict(watts))
             )
 
     # -- trace subscription -------------------------------------------------------

@@ -56,25 +56,6 @@ class SimThread:
             )
         self.affinity = mask
 
-    def update_load(self, demand: float, dt_s: float) -> None:
-        """Exponentially-decayed runnable-demand tracking.
-
-        ``demand`` is the fraction of the interval the thread was
-        *runnable* — running or waiting on a run queue, as opposed to
-        voluntarily sleeping.  Booleans are accepted for convenience.
-        This is the signal Linux's load tracking feeds the HMP up/down
-        migration decisions.
-        """
-        if dt_s <= 0:
-            raise SimulationError("load update needs positive dt")
-        demand = float(demand)
-        if not 0.0 <= demand <= 1.0:
-            raise SimulationError(f"demand {demand} not in [0, 1]")
-        import math
-
-        decay = math.exp(-dt_s / LOAD_TIME_CONSTANT_S)
-        self.load = self.load * decay + demand * (1.0 - decay)
-
     def key(self) -> str:
         """Stable identity string for placement maps and traces."""
         return f"{self.app_name}/t{self.local_index}"

@@ -25,8 +25,8 @@ r0 = 1.5 and the paper measures to be 1.0 for blackscholes.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
 from repro.errors import ConfigurationError
 from repro.platform.cluster import BIG, LITTLE
@@ -122,12 +122,18 @@ class WorkloadModel(abc.ABC):
         """Return the model to its initial state (fresh run)."""
 
     @abc.abstractmethod
-    def wants_cpu(self, thread_index: int) -> bool:
-        """Whether the thread has work right now (drives GTS load)."""
+    def runnable_threads(self) -> Sequence[int]:
+        """Ascending indices of the threads that want CPU right now
+        (GTS places only these); empty once the model is done."""
 
     @abc.abstractmethod
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:
-        """Consume granted capacity; return consumption and heartbeats."""
+        """Consume granted capacity; return consumption and heartbeats.
+
+        ``grants`` is read, never mutated: the engine hands the same
+        dicts to every tick whose round-1 grant plan repeats the
+        previous tick's.
+        """
 
     @abc.abstractmethod
     def is_done(self) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.workloads.base import AdvanceResult, WorkloadModel, WorkloadTraits
 from repro.workloads.phases import WorkProfile
 
@@ -64,16 +64,12 @@ class DataParallelWorkload(WorkloadModel):
 
     # -- WorkloadModel interface -------------------------------------------
 
-    def wants_cpu(self, thread_index: int) -> bool:
-        if not 0 <= thread_index < self.n_threads:
-            raise SimulationError(
-                f"{self.name}: thread index {thread_index} out of range"
-            )
+    def runnable_threads(self) -> List[int]:
         if self._done:
-            return False
+            return []
         if self._serial_remaining > _EPSILON:
-            return thread_index == 0
-        return self._shares[thread_index] > _EPSILON
+            return [0]
+        return [i for i, share in enumerate(self._shares) if share > _EPSILON]
 
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:
         if self._done:
@@ -81,7 +77,6 @@ class DataParallelWorkload(WorkloadModel):
         consumed = {i: 0.0 for i in grants}
         remaining_grant = dict(grants)
         heartbeats = 0
-        tags: List[str] = []
 
         # Serial phase: only thread 0 makes progress, no heartbeats.
         if self._serial_remaining > _EPSILON:
@@ -95,33 +90,34 @@ class DataParallelWorkload(WorkloadModel):
             self._load_unit()
 
         # Parallel units: loop because a large grant may complete several
-        # units within one tick.
+        # units within one tick.  One pass leaves every thread with no
+        # grant or no share left (``used`` is one of the two), so a
+        # pass that completes no unit is the last.
         while True:
-            progressed = False
+            shares = self._shares
             for i, grant in remaining_grant.items():
-                if grant <= _EPSILON or self._shares[i] <= _EPSILON:
+                share = shares[i]
+                if grant <= _EPSILON or share <= _EPSILON:
                     continue
-                used = min(grant, self._shares[i])
-                self._shares[i] -= used
+                used = min(grant, share)
+                shares[i] = share - used
                 remaining_grant[i] = grant - used
                 consumed[i] += used
-                progressed = True
-            if all(share <= _EPSILON for share in self._shares):
-                heartbeats += 1
-                tags.append("parallel")
-                self._unit_index += 1
-                if self._unit_index >= self.n_units:
-                    self._done = True
-                    break
-                self._load_unit()
-                continue
-            if not progressed:
+            if max(shares) > _EPSILON:
                 break
+            heartbeats += 1
+            self._unit_index += 1
+            if self._unit_index >= self.n_units:
+                self._done = True
+                break
+            self._load_unit()
 
+        if not heartbeats:
+            return AdvanceResult(consumed=consumed)
         return AdvanceResult(
             consumed=consumed,
             heartbeats=heartbeats,
-            heartbeat_tags=tuple(tags),
+            heartbeat_tags=("parallel",) * heartbeats,
             done=self._done,
         )
 

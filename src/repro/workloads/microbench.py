@@ -59,10 +59,8 @@ class MicrobenchWorkload(WorkloadModel):
     def reset(self, seed: int = 0) -> None:
         self._work_done = 0.0
 
-    def wants_cpu(self, thread_index: int) -> bool:
-        if not 0 <= thread_index < self.n_threads:
-            raise ConfigurationError(f"thread index {thread_index} out of range")
-        return True
+    def runnable_threads(self) -> range:
+        return range(self.n_threads)
 
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:
         consumed = {i: g * self.duty for i, g in grants.items()}

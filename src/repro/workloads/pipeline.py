@@ -18,6 +18,7 @@ most one stage per tick.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -72,8 +73,13 @@ class PipelineWorkload(WorkloadModel):
         self.n_items = n_items
         self.queue_depth = queue_depth
         self._stage_of_thread: List[int] = []
+        members: List[Tuple[int, ...]] = []
         for stage_index, stage in enumerate(stages):
+            first = len(self._stage_of_thread)
+            members.append(tuple(range(first, first + stage.n_threads)))
             self._stage_of_thread.extend([stage_index] * stage.n_threads)
+        #: Per stage, the ascending thread indices serving it.
+        self._stage_members: Tuple[Tuple[int, ...], ...] = tuple(members)
         self.reset()
 
     def reset(self, seed: int = 0) -> None:
@@ -96,9 +102,7 @@ class PipelineWorkload(WorkloadModel):
 
     def stage_threads(self, stage_index: int) -> Tuple[int, ...]:
         """Thread indices serving a stage."""
-        return tuple(
-            i for i, s in enumerate(self._stage_of_thread) if s == stage_index
-        )
+        return self._stage_members[stage_index]
 
     def _stage_input(self, stage_index: int) -> float:
         """Items available to a stage right now."""
@@ -108,17 +112,23 @@ class PipelineWorkload(WorkloadModel):
 
     # -- WorkloadModel interface ----------------------------------------------
 
-    def wants_cpu(self, thread_index: int) -> bool:
+    def runnable_threads(self) -> List[int]:
+        runnable: List[int] = []
         if self._done:
-            return False
-        stage_index = self.thread_stage(thread_index)
-        if self._stage_input(stage_index) <= _EPSILON:
-            return False  # starved: blocked on the input queue
-        if stage_index < len(self.stages) - 1:
-            # Blocked on a full output queue: the thread sleeps on the
-            # queue's condition variable rather than spinning.
-            return self._queues[stage_index + 1] < self.queue_depth - _EPSILON
-        return True
+            return runnable
+        last = len(self.stages) - 1
+        for stage_index, members in enumerate(self._stage_members):
+            if self._stage_input(stage_index) <= _EPSILON:
+                continue  # starved: blocked on the input queue
+            if (
+                stage_index < last
+                and self._queues[stage_index + 1] >= self.queue_depth - _EPSILON
+            ):
+                # Blocked on a full output queue: the threads sleep on
+                # the queue's condition variable rather than spinning.
+                continue
+            runnable.extend(members)
+        return runnable
 
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:
         if self._done:
@@ -126,33 +136,34 @@ class PipelineWorkload(WorkloadModel):
         consumed = {i: 0.0 for i in grants}
 
         # Drain back-to-front so an item moves at most one stage per tick.
-        for stage_index in range(len(self.stages) - 1, -1, -1):
-            stage = self.stages[stage_index]
-            thread_grants = [
-                (i, grants.get(i, 0.0)) for i in self.stage_threads(stage_index)
-            ]
-            capacity_work = sum(g for _, g in thread_grants)
-            capacity_items = capacity_work / stage.cost_per_item
+        stages = self.stages
+        queues = self._queues
+        last = len(stages) - 1
+        for stage_index in range(last, -1, -1):
+            members = self._stage_members[stage_index]
+            stage_grants = [grants.get(i, 0.0) for i in members]
+            capacity_work = sum(stage_grants)
+            capacity_items = capacity_work / stages[stage_index].cost_per_item
             available = self._stage_input(stage_index)
-            if stage_index < len(self.stages) - 1:
-                space = self.queue_depth - self._queues[stage_index + 1]
+            if stage_index < last:
+                space = self.queue_depth - queues[stage_index + 1]
             else:
-                space = float("inf")
+                space = math.inf
             processed = max(0.0, min(capacity_items, available, space))
 
             if stage_index == 0:
                 self._source_remaining -= processed
             else:
-                self._queues[stage_index] -= processed
-            if stage_index < len(self.stages) - 1:
-                self._queues[stage_index + 1] += processed
+                queues[stage_index] -= processed
+            if stage_index < last:
+                queues[stage_index + 1] += processed
             else:
                 self._output += processed
 
             # Attribute consumed work to the stage's threads pro rata.
             if capacity_items > _EPSILON and processed > 0:
                 fraction = processed / capacity_items
-                for i, grant in thread_grants:
+                for i, grant in zip(members, stage_grants):
                     consumed[i] = consumed.get(i, 0.0) + grant * fraction
 
         emitted_now = int(self._output + _EPSILON) - self._emitted
@@ -162,7 +173,7 @@ class PipelineWorkload(WorkloadModel):
         return AdvanceResult(
             consumed=consumed,
             heartbeats=emitted_now,
-            heartbeat_tags=tuple("pipeline" for _ in range(emitted_now)),
+            heartbeat_tags=("pipeline",) * emitted_now,
             done=self._done,
         )
 

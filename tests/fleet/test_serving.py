@@ -13,13 +13,12 @@ def lane():
 
 class TestQueueing:
     def test_empty_lane_wants_no_cpu(self, lane):
-        assert not lane.wants_cpu(0)
-        assert not lane.wants_cpu(1)
+        assert lane.runnable_threads() == []
         assert lane.backlog_units == 0.0
 
     def test_submit_makes_threads_hungry(self, lane):
         lane.submit(0, 1.0)
-        assert lane.wants_cpu(0) and lane.wants_cpu(1)
+        assert lane.runnable_threads() == [0, 1]
         assert lane.queue_len == 1
         assert lane.backlog_units == pytest.approx(1.0)
 
@@ -37,6 +36,8 @@ class TestQueueing:
         assert lane.in_service == 1
         assert lane.queue_len == 0
         assert lane.backlog_units == pytest.approx(0.6)
+        # Nothing waits: only the worker holding the request wants CPU.
+        assert lane.runnable_threads() == [0]
         result = lane.advance({0: 0.6})
         assert result.heartbeat_tags == ("0",)
 
@@ -76,8 +77,6 @@ class TestQueueing:
     def test_rejects_bad_inputs(self, lane):
         with pytest.raises(ConfigurationError):
             lane.submit(0, 0.0)
-        with pytest.raises(ConfigurationError):
-            lane.wants_cpu(5)
         with pytest.raises(ConfigurationError):
             ServerWorkload("", 2)
 

@@ -25,7 +25,9 @@ class TestMicrobenchWorkload:
 
     def test_always_wants_cpu(self):
         bench = MicrobenchWorkload(n_threads=2, duty=0.1)
-        assert bench.wants_cpu(0) and bench.wants_cpu(1)
+        assert list(bench.runnable_threads()) == [0, 1]
+        bench.advance({0: 1.0, 1: 1.0})
+        assert list(bench.runnable_threads()) == [0, 1]
 
     def test_duty_bounds(self):
         with pytest.raises(ConfigurationError):

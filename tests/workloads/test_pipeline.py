@@ -58,7 +58,7 @@ class TestFlow:
         model.advance({0: 100.0})
         assert model.queue_levels()[1] == pytest.approx(2.0)
         # The source is drained: stage 0 has nothing more to do.
-        assert not model.wants_cpu(0)
+        assert 0 not in model.runnable_threads()
 
     def test_bounded_queue_blocks_producer(self):
         model = _model(n_items=100, queue_depth=5)
@@ -66,12 +66,13 @@ class TestFlow:
         # Stage 0 can only fill the queue to its depth.
         assert model.queue_levels()[1] == pytest.approx(5.0)
         assert result.consumed[0] == pytest.approx(5.0)
-        assert not model.wants_cpu(0)  # blocked on the full queue
+        # Stage 0 is blocked on the full queue; stage 1 has input.
+        assert model.runnable_threads() == [1]
 
     def test_starved_stage_does_not_want_cpu(self):
         model = _model()
-        assert model.wants_cpu(0)
-        assert not model.wants_cpu(1)  # nothing has reached stage 1 yet
+        # Nothing has reached stage 1 yet.
+        assert model.runnable_threads() == [0]
 
     def test_starved_stage_consumes_nothing(self):
         model = _model()
