@@ -148,10 +148,8 @@ class Simulation:
         )
         # Lazily-built runtime index (first step).
         self._slots: Optional[List] = None
-        #: One-entry memos of the previous tick: ``(placement, freqs,
-        #: speed factors, plan)`` for round 1's grant plan, ``(freqs,
-        #: core busy, core busy·activity, watts)`` for the power reading.
-        #: Each key lists every input of its value (docs/modelling.md §4).
+        #: The previous tick's round-1 grant plan and power reading, each
+        #: after the inputs it was computed from (see the module doc).
         self._plan_memo: Optional[tuple] = None
         self._power_memo: Optional[tuple] = None
         # Heartbeat delivery faults: beats whose *delivery* to the bus
@@ -454,7 +452,6 @@ class Simulation:
         self._arr_blocked = [False] * n
         self._arr_demand = [0.0] * n
         n_cores = max(self.machine.core_ids()) + 1
-        self._n_core_slots = n_cores
         self._zero_cores = [0.0] * n_cores
         self._arr_core_busy = [0.0] * n_cores
         self._arr_core_ba = [0.0] * n_cores

@@ -102,6 +102,10 @@ class PipelineWorkload(WorkloadModel):
 
     def stage_threads(self, stage_index: int) -> Tuple[int, ...]:
         """Thread indices serving a stage."""
+        if not 0 <= stage_index < len(self.stages):
+            raise SimulationError(
+                f"{self.name}: stage index {stage_index} out of range"
+            )
         return self._stage_members[stage_index]
 
     def _stage_input(self, stage_index: int) -> float:

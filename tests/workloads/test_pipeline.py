@@ -123,3 +123,11 @@ class TestValidation:
 
         with pytest.raises(SimulationError):
             _model().thread_stage(42)
+
+    def test_bad_stage_index(self):
+        from repro.errors import SimulationError
+
+        with pytest.raises(SimulationError):
+            _model().stage_threads(2)
+        with pytest.raises(SimulationError):
+            _model().stage_threads(-1)
