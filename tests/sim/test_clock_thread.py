@@ -83,7 +83,7 @@ class TestSimThread:
         assert thread.load > 0.6
 
     def test_load_stays_in_unit_interval(self):
-        # Threads idle through the serial phase, then turn hungry.
+        # Thread 0 runs the serial phase, hungry; the others idle.
         sim, app = _sim(make_benchmark("blackscholes", n_units=4))
         loads = set()
         for _ in range(100):
