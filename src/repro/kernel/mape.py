@@ -252,9 +252,9 @@ class SearchPlanner:
         #: never by the planner itself.
         self.guard: Optional[Any] = None
         #: The engine's batch-plan service (``Simulation.plan_service``),
-        #: bound by :meth:`MapeLoop.bind`; it meters batch sizes and
-        #: serves multi-app ``plan_many`` batches.  Unbound planners
-        #: call :func:`~repro.kernel.batchplan.batch_next_sys_state`
+        #: bound by :meth:`MapeLoop.bind`; it counts plans and meters
+        #: batch sizes, one plan per call.  Unbound planners call
+        #: :func:`~repro.kernel.batchplan.batch_next_sys_state`
         #: directly.
         self.plan_service: Optional[Any] = None
 

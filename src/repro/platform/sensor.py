@@ -73,6 +73,9 @@ class PowerSensor:
         #: to the sign of that error.
         self._boundary_eps = sample_period_s * 1e-9
         self._last_watts: Dict[str, float] = {ch: 0.0 for ch in CHANNELS}
+        #: The reading ``_last_watts`` was copied from by :meth:`record`;
+        #: ``None`` once anything else may have written ``_last_watts``.
+        self._reading: Optional[Mapping[str, float]] = None
 
     def record(self, dt_s: float, watts: Mapping[str, float]) -> None:
         """Account one simulation tick of duration ``dt_s`` at ``watts``.
@@ -80,15 +83,26 @@ class PowerSensor:
         The power is treated as constant across the tick — the engine's
         tick (10 ms) is much shorter than the sensor period (263.8 ms),
         which mirrors the real measurement setup.
+
+        Handed the same reading object as the call before, the sensor
+        skips the validation and keeps its copy of the reading: the
+        engine hands a reused reading on most ticks, and never mutates
+        one.
         """
         if dt_s <= 0:
             raise ConfigurationError("tick duration must be positive")
+        if watts is not self._reading:
+            for channel in CHANNELS:
+                if channel not in watts:
+                    raise ConfigurationError(
+                        f"power reading missing channel {channel!r}"
+                    )
+            self._last_watts = {ch: watts[ch] for ch in CHANNELS}
+            self._reading = watts
+        energy = self._energy_j
         for channel in CHANNELS:
-            if channel not in watts:
-                raise ConfigurationError(f"power reading missing channel {channel!r}")
-            self._energy_j[channel] += watts[channel] * dt_s
+            energy[channel] += watts[channel] * dt_s
         self._elapsed_s += dt_s
-        self._last_watts = {ch: watts[ch] for ch in CHANNELS}
         self._take_due_samples()
 
     def sync(
@@ -107,6 +121,7 @@ class PowerSensor:
         self._energy_j = dict(energy_j)
         self._elapsed_s = elapsed_s
         self._last_watts = dict(watts)
+        self._reading = None
         self._take_due_samples()
         return self.next_sample_s
 
@@ -126,6 +141,9 @@ class PowerSensor:
             observed: Optional[Mapping[str, float]] = self._last_watts
             if self.fault_hook is not None:
                 observed = self.fault_hook(next_sample_s, self._last_watts)
+                # The hook may edit the dict it was handed: the next
+                # record() copies the reading afresh.
+                self._reading = None
             if observed is None:
                 self.dropped_samples += 1
             else:
@@ -195,3 +213,4 @@ class PowerSensor:
         self._elapsed_s = 0.0
         self._samples_seen = 0
         self._last_watts = {ch: 0.0 for ch in CHANNELS}
+        self._reading = None

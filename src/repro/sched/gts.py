@@ -18,7 +18,8 @@ left and the class degrades to a within-set load balancer.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+import math
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +77,13 @@ class GtsScheduler:
     (:meth:`repro.sim.process.SimApp.allowed_cores`), and updates
     ``thread.current_core``; the engine then divides each core's
     capacity fairly among the threads placed on it.
+
+    Most ticks end with the placement they started with, while the
+    loads the picks read move a little every tick.  So :meth:`place`
+    keeps an *anchor* — the last fully computed placement plus the
+    margins its picks won by — and returns the anchor's placement
+    object again while the drift of the loads provably cannot change
+    any pick (``docs/modelling.md`` §5).
     """
 
     #: Load-tracking migration thresholds (Linux GTS defaults).
@@ -85,17 +93,105 @@ class GtsScheduler:
     MIN_TASK_WEIGHT = 0.1
     #: Run-queue weight bonus of a thread's current core (migration cost).
     STICKINESS = 0.05
+    #: Float slack of the reuse proof, taken off every margin: an
+    #: absolute term plus one relative to the run-queue sums compared.
+    #: Both sit orders above the rounding of sums of a few dozen loads
+    #: in [0, 1] (~1e-14).
+    REUSE_ABS_EPS = 1e-12
+    REUSE_REL_EPS = 1e-9
 
     def __init__(self) -> None:
         self._spec: Optional[PlatformSpec] = None
         self._on_big: Tuple[bool, ...] = ()
+        #: ``(live, rows, picked, placement)`` of the last full scan whose
+        #: input cores equalled its output, else ``None``:
+        #:
+        #: * ``live`` — ``(app, cpuset, runnable_threads())`` per live app;
+        #: * ``rows`` — per placed thread, in scan order, ``(thread,
+        #:   affinity, core, load, weight, limit, gaps)``: ``weight`` what
+        #:   it added to its core's run-queue sum, ``limit`` the load's
+        #:   slack-reduced distance to the nearer migration threshold
+        #:   (``inf`` unless the load chose the cluster), ``gaps`` one
+        #:   ``(winner, loser, margin)`` per core its pick passed over;
+        #: * ``picked`` — whether any pick was not forced.  When none
+        #:   was, no load matters and the rows are ``(thread, affinity,
+        #:   core)``.
+        self._anchor: Optional[tuple] = None
+        self._zero_drift: List[float] = []
 
     def place(self, sim: "Simulation") -> Placement:
         machine = sim.machine
-        cores = machine.core_ids()
         spec = machine.spec
         if spec is not self._spec:
             self._spec, self._on_big = spec, on_big_table(spec)
+            self._zero_drift = [0.0] * (len(self._on_big) - 1)
+            self._anchor = None
+        live = [
+            (app, app.cpuset, app.model.runnable_threads())
+            for app in sim.apps
+            if not (app.is_done() or app.halted)
+        ]
+        anchor = self._anchor
+        if anchor is not None and self._anchor_holds(anchor, live):
+            return anchor[3]
+        return self._place_fresh(machine.core_ids(), live)
+
+    # -- internals -----------------------------------------------------------
+
+    def _anchor_holds(self, anchor: tuple, live: list) -> bool:
+        """Whether a full scan now would return the anchor's placement
+        (``docs/modelling.md`` §5 and §9).
+
+        The structure must be the anchor's: the same apps, cpuset and
+        affinity objects, runnable lists and current cores.  Then, in
+        scan order, each load that moved must stay on its side of both
+        thresholds, and each pick's winner must still beat each loser:
+        the change of the two run-queue sums the pick read must stay
+        below its margin.  Each comparison is written as "must be
+        below", so a NaN fails it.
+        """
+        anchor_live, rows, picked, _ = anchor
+        if len(live) != len(anchor_live):
+            return False
+        for (app, cpuset, runnable), (was_app, was_cpuset, was_runnable) in zip(
+            live, anchor_live
+        ):
+            if app is not was_app or cpuset is not was_cpuset:
+                return False
+            if runnable != was_runnable:
+                return False
+        if not picked:
+            for thread, affinity, core in rows:
+                if thread.affinity is not affinity or thread.current_core != core:
+                    return False
+            return True
+        # Per core, the change of its run-queue sum so far (the weights
+        # of the rows above), and the cores whose sum had a term change.
+        drift = self._zero_drift[:]
+        moved = set()
+        min_weight = self.MIN_TASK_WEIGHT
+        for thread, affinity, core, load, weight, limit, gaps in rows:
+            if thread.affinity is not affinity or thread.current_core != core:
+                return False
+            if gaps and moved:  # with no sum changed, every pick repeats
+                for winner, loser, margin in gaps:
+                    if not drift[winner] - drift[loser] < margin and (
+                        # A margin of zero or less (a tie) still holds
+                        # while neither sum had a term change: the two
+                        # scores are then bit-equal.
+                        margin > 0.0 or winner in moved or loser in moved
+                    ):
+                        return False
+            now = thread.load
+            if now != load:
+                if not (now - load if now > load else load - now) < limit:
+                    return False
+                drift[core] += (now if now > min_weight else min_weight) - weight
+                moved.add(core)
+        return True
+
+    def _place_fresh(self, cores, live: list) -> Placement:
+        """The full scan; re-anchors on its outcome."""
         placement: Placement = {}
         # Run-queue weight per core: the balancer spreads *load*, not
         # thread count (CFS load balancing), so a heavy stage thread is
@@ -103,13 +199,18 @@ class GtsScheduler:
         # threads underuse a neighbour.
         load_counts: Dict[int, float] = {core: 0.0 for core in cores}
         min_weight = self.MIN_TASK_WEIGHT
+        bonus = self.STICKINESS
+        up, down = self.up_threshold, self.down_threshold
+        abs_eps, rel_eps = self.REUSE_ABS_EPS, self.REUSE_REL_EPS
+        on_big = self._on_big
+        rows: List[tuple] = []
+        placed = 0.0  # every weight added so far: bounds each sum read
+        picked = False
+        settled = True  # every thread's input core is its output
 
-        for app in sim.apps:
-            if app.is_done() or app.halted:
-                continue
-            cpuset = app.cpuset
+        for app, cpuset, runnable in live:
             threads = app.threads
-            for index in app.model.runnable_threads():
+            for index in runnable:
                 thread = threads[index]
                 # Each thread's candidate split is memoized.  It depends
                 # only on (affinity, cpuset); both are replaced wholesale
@@ -128,25 +229,61 @@ class GtsScheduler:
                     entry = (
                         thread.affinity,
                         cpuset,
-                        *candidate_split(allowed, self._on_big),
+                        *candidate_split(allowed, on_big),
                         next(iter(allowed)) if len(allowed) == 1 else None,
                     )
                     thread._gts_entry = entry
+                load = thread.load
+                current = thread.current_core
                 core = entry[4]
+                limit = math.inf
+                gaps: Sequence[tuple] = ()
                 if core is None:
+                    picked = True
+                    if_big, if_little = entry[2], entry[3]
                     core = self._pick_partitioned(
-                        thread, entry[2], entry[3], load_counts
+                        thread, if_big, if_little, load_counts
                     )
+                    # The winner's margin over each loser: by how much the
+                    # loser's score, on the sums the pick read, exceeds
+                    # the winner's plus the slack.
+                    floor = (
+                        load_counts[core] - bonus
+                        if core == current
+                        else load_counts[core]
+                    ) + (abs_eps + rel_eps * (placed + bonus))
+                    gaps = [
+                        (
+                            core,
+                            c,
+                            (load_counts[c] - bonus if c == current else load_counts[c])
+                            - floor,
+                        )
+                        for c in (if_big if on_big[core] else if_little)
+                        if c != core
+                    ]
+                    if if_big is not if_little:  # the load picks the cluster
+                        limit = min(abs(load - up), abs(load - down)) - (
+                            abs_eps + rel_eps * (abs(load) + up)
+                        )
+                if current != core:
+                    settled = False
                 if core in placement:
                     placement[core].append(thread)
                 else:
                     placement[core] = [thread]
-                load = thread.load
-                load_counts[core] += load if load > min_weight else min_weight
+                weight = load if load > min_weight else min_weight
+                load_counts[core] += weight
+                placed += weight
+                rows.append((thread, entry[0], core, load, weight, limit, gaps))
                 thread.current_core = core
+        if not settled:
+            self._anchor = None
+        elif picked:
+            self._anchor = (live, rows, True, placement)
+        else:
+            self._anchor = (live, [row[:3] for row in rows], False, placement)
         return placement
-
-    # -- internals -----------------------------------------------------------
 
     def _pick_partitioned(
         self,

@@ -23,23 +23,34 @@ Controllers attach through bus subscriptions
 (:meth:`~repro.sim.controller.Controller.attach`); the engine never
 calls their hooks directly after ``on_start``.
 
-There is one execution path: preallocated per-thread/per-core arrays,
+There is one execution path: flat per-thread/per-core arrays,
 one thread-speed evaluation per (app, cluster, round), coefficient-cached
-power integration, a partition-caching GTS scheduler, and a shared
-:class:`~repro.kernel.batchplan.PlanService` through which every
-manager's Plan stage runs the tensorized Algorithm 2
+power integration and a partition-caching GTS scheduler.  Every
+manager's Plan stage runs the tensorized Algorithm 2 through the shared
+:class:`~repro.kernel.batchplan.PlanService`, one app per call
 (``benchmarks/bench_planner_vectorized.py`` checks it against the scalar
 oracle; ``tests/golden`` pins whole-run outputs byte for byte).
 
-Most ticks repeat the previous tick's setting, so the tick keeps two
-one-entry memos of it.  Round 1's grant plan is reused when the
-placement, the cluster frequencies and every app's speed factor equal
-the previous tick's; rounds 2–3 are always planned afresh.  The power
-reading is reused when the frequencies and both per-core sums (busy
-seconds, busy·activity) do.  Each key lists every input of its value,
-so reuse cannot move a float (``docs/modelling.md`` §4 and §9).  Reused
-``grants`` dicts go to the models again, which is why
-:meth:`~repro.workloads.base.WorkloadModel.advance` never mutates them.
+Most ticks repeat the previous tick's setting, so the tick reuses what
+it can prove unchanged (``docs/modelling.md`` §4, §5 and §9):
+
+* GTS returns its last placement object while its anchor's proof holds
+  (:class:`~repro.sched.gts.GtsScheduler`);
+* round 1's grant plan is reused when the placement, the cluster
+  frequencies and every app's speed factor equal the previous tick's;
+* a heartbeat-free tick is replayed from the write-back memo while each
+  round runs the saved plan and every app consumes an equal map: the
+  saved tick arrays are adopted, and later rounds' plans, the row loop
+  and the demand loop are skipped (``advance`` still runs every round);
+* the power reading is reused when the frequencies and both per-core
+  sums (busy seconds, busy·activity) do, and the sensor keeps its copy
+  of a reading it is handed again.
+
+Each key or proof covers every input of its value, so reuse cannot
+move a float.  Reused ``grants`` dicts go to the models again, which is
+why :meth:`~repro.workloads.base.WorkloadModel.advance` never mutates
+them; a tick's arrays are new lists, never written once the tick is
+over, so the memos hold them without copying.
 
 The engine is deterministic: all randomness lives inside seeded workload
 profiles, and bus dispatch order is fixed by (priority, subscription
@@ -106,10 +117,11 @@ class Simulation:
         self.sensor = PowerSensor()
         self.clock = SimClock()
         self.scheduler = GtsScheduler()
-        # Managers route their Plan stage through this service (shared
-        # batch metering and multi-app plan_many batches).  Imported
-        # here: the planner sits above repro.core, which imports the
-        # platform package, which imports this module.
+        # Managers route their Plan stage through this service, which
+        # counts the plans and meters batch sizes; each plan today is a
+        # batch of one (``plan_many`` has no caller in ``src/``).
+        # Imported here: the planner sits above repro.core, which
+        # imports the platform package, which imports this module.
         from repro.kernel.batchplan import PlanService
 
         self.plan_service = PlanService()
@@ -152,6 +164,10 @@ class Simulation:
         #: after the inputs it was computed from (see the module doc).
         self._plan_memo: Optional[tuple] = None
         self._power_memo: Optional[tuple] = None
+        #: The last heartbeat-free tick, ``(rounds, arrays)``: per round
+        #: its plan and ``(app, rows, consumed)`` per advanced app, then
+        #: the tick arrays it left (see ``_execute_tick``).
+        self._writeback_memo: Optional[tuple] = None
         # Heartbeat delivery faults: beats whose *delivery* to the bus
         # is stalled or jittered, keyed by the tick they mature on.  The
         # app's log is written at emission time regardless — the fault
@@ -432,8 +448,8 @@ class Simulation:
         """Precompute the flat thread/core indexes the hot loop uses.
 
         Apps and threads are fixed once the run starts, so each thread
-        gets a stable *slot* and the hot loop works on preallocated
-        per-slot/per-core arrays instead of per-tick dicts.
+        gets a stable *slot* and the hot loop works on per-slot/per-core
+        arrays (lists copied from templates) instead of per-tick dicts.
         """
         slots: List = []
         slot_app: List[SimApp] = []
@@ -445,17 +461,10 @@ class Simulation:
         self._slots = slots
         self._slot_app = slot_app
         n = len(slots)
+        # Templates of the tick arrays (``_open_rounds``).
         self._zero_slots = [0.0] * n
         self._false_slots = [False] * n
-        self._arr_thread_busy = [0.0] * n
-        self._arr_thread_granted = [0.0] * n
-        self._arr_blocked = [False] * n
-        self._arr_demand = [0.0] * n
-        n_cores = max(self.machine.core_ids()) + 1
-        self._zero_cores = [0.0] * n_cores
-        self._arr_core_busy = [0.0] * n_cores
-        self._arr_core_ba = [0.0] * n_cores
-        self._arr_remaining = [0.0] * n_cores
+        self._zero_cores = [0.0] * (max(self.machine.core_ids()) + 1)
         self._cluster_of_core: Dict[int, object] = {}
         for cluster in self.spec.clusters:
             for core_id in cluster.core_ids:
@@ -471,39 +480,12 @@ class Simulation:
 
         Accumulates per-core busy seconds and busy·activity sums (for
         the power model) and per-thread *demand* — the runnable fraction
-        of the tick, for load tracking — into the preallocated arrays.
+        of the tick, for load tracking — into the tick arrays.
         A thread that stayed hungry through every round was runnable the
         whole tick (demand 1); a thread that blocked shows the fraction
         of its granted time it actually used.  Returns the ids of cores
         that had threads placed on them.
         """
-        thread_busy = self._arr_thread_busy
-        thread_granted = self._arr_thread_granted
-        blocked = self._arr_blocked
-        demand = self._arr_demand
-        # Slice-assign from preallocated zero templates: a C-level copy
-        # instead of a Python loop.
-        thread_busy[:] = self._zero_slots
-        thread_granted[:] = self._zero_slots
-        blocked[:] = self._false_slots
-        demand[:] = self._zero_slots
-        core_busy = self._arr_core_busy
-        core_ba = self._arr_core_ba
-        remaining = self._arr_remaining
-        core_busy[:] = self._zero_cores
-        core_ba[:] = self._zero_cores
-        end_time = self.clock.now_s + dt
-        touched: List[int] = []
-        hungry: Dict[int, List] = {}
-        for core_id, threads in placement.items():
-            if threads:
-                remaining[core_id] = dt
-                # The placement dict is built fresh each tick and never
-                # mutated, so its lists can be adopted without copying
-                # (rounds *replace* hungry entries, never edit them).
-                hungry[core_id] = threads
-                touched.append(core_id)
-
         # Round 1's plan repeats the previous tick's whenever its inputs
         # do: the placement (``==`` short-circuits on thread identity),
         # the cluster frequencies and every app's speed factor.  Reading
@@ -513,49 +495,52 @@ class Simulation:
         freqs = self.machine._freqs
         factors = [app.speed_factor for app in self.apps]
         memo = self._plan_memo
+        hungry = None
         if (
             memo is not None
-            and memo[0] == placement
+            and (memo[0] is placement or memo[0] == placement)
             and memo[1] == freqs
             and memo[2] == factors
         ):
-            plan = memo[3]
+            plan, touched = memo[3], memo[4]
         else:
-            plan = self._grant_plan(hungry, remaining)
-            self._plan_memo = (placement, dict(freqs), factors, plan)
+            hungry, touched = self._open_rounds(placement, dt)
+            plan = self._grant_plan(hungry, self._arr_remaining)
+            self._plan_memo = (placement, dict(freqs), factors, plan, touched)
+
+        # The write-back memo holds a heartbeat-free tick's rounds.  This
+        # tick replays it while each round runs the saved plan and every
+        # app consumes an equal map: the rounds so far then wrote the
+        # same sums, so the next round's plan, and whether there is one,
+        # are the saved tick's too (``docs/modelling.md`` §4).
+        saved = self._writeback_memo
+        replay = saved[0] if saved is not None and saved[0][0][0] is plan else None
+        if replay is None and hungry is None:
+            hungry, _ = self._open_rounds(placement, dt)
+        end_time = self.clock.now_s + dt
+        rounds: List[Tuple[dict, List[tuple]]] = []
+        beat = False
         for round_index in range(self.GRANT_ROUNDS):
             if round_index:
-                plan = self._grant_plan(hungry, remaining)
+                plan = (
+                    replay[round_index][0]
+                    if replay is not None
+                    else self._grant_plan(hungry, self._arr_remaining)
+                )
             if not plan:
                 break
-
-            satisfied: Set[int] = set()
+            # Every app advances, and its heartbeats go out, before any
+            # row of the round is written back: the write-back touches
+            # only this engine's tick arrays, which no handler reads.
+            advanced: List[tuple] = []
             for app in self.apps:
                 entry = plan.get(app.name)
                 if entry is None:
                     continue
-                app_grants, rows = entry
-                result = app.model.advance(app_grants)
-                consumed_map = result.consumed
-                activity_factor = app.model.traits.activity_factor
-                for local_index, slot, share_s, speed, core_id, granted in rows:
-                    consumed = consumed_map.get(local_index, 0.0)
-                    if speed > 0:
-                        used = consumed / speed
-                        busy_s = share_s if share_s <= used else used
-                    else:
-                        busy_s = 0.0
-                    core_busy[core_id] += busy_s
-                    core_ba[core_id] += busy_s * activity_factor
-                    thread_busy[slot] += busy_s
-                    thread_granted[slot] += share_s
-                    remaining[core_id] -= busy_s
-                    if consumed < granted * 0.999:
-                        # The thread blocked (barrier, empty/full queue):
-                        # it takes no further time this tick.
-                        satisfied.add(slot)
-                        blocked[slot] = True
+                result = app.model.advance(entry[0])
+                advanced.append((app, entry[1], result.consumed))
                 for i in range(result.heartbeats):
+                    beat = True
                     tag = (
                         result.heartbeat_tags[i]
                         if i < len(result.heartbeat_tags)
@@ -563,25 +548,34 @@ class Simulation:
                     )
                     heartbeat = app.log.emit(end_time, tag)
                     self._deliver_heartbeat(app, heartbeat)
-
-            still_hungry = False
-            if satisfied:
-                for core_id in list(hungry):
-                    hungry[core_id] = [
-                        t for t in hungry[core_id] if t._slot not in satisfied
-                    ]
-                    if hungry[core_id] and remaining[core_id] > dt * 0.01:
-                        still_hungry = True
-            else:
-                threshold = dt * 0.01
-                for core_id, threads in hungry.items():
-                    if threads and remaining[core_id] > threshold:
-                        still_hungry = True
-                        break
-            if not still_hungry:
+            rounds.append((plan, advanced))
+            if replay is not None:
+                if not beat and advanced == replay[round_index][1]:
+                    if round_index + 1 < len(replay):
+                        continue
+                    (
+                        self._arr_core_busy,
+                        self._arr_core_ba,
+                        self._arr_thread_busy,
+                        self._arr_thread_granted,
+                        self._arr_blocked,
+                        self._arr_remaining,
+                        self._arr_demand,
+                    ) = saved[1]
+                    return touched
+                # Diverged: write back the replayed rounds, which left a
+                # hungry thread behind each (the saved tick went on).
+                replay = None
+                hungry, _ = self._open_rounds(placement, dt)
+                for _, earlier in rounds[:-1]:
+                    self._write_back(earlier, hungry, dt)
+            if not self._write_back(advanced, hungry, dt):
                 break
 
-        for slot, granted_s in enumerate(thread_granted):
+        thread_busy = self._arr_thread_busy
+        blocked = self._arr_blocked
+        demand = self._arr_demand
+        for slot, granted_s in enumerate(self._arr_thread_granted):
             if granted_s > 0.0:
                 if blocked[slot]:
                     # Blocked threads were runnable only while they used CPU.
@@ -589,7 +583,106 @@ class Simulation:
                     demand[slot] = 1.0 if 1.0 <= used else used
                 else:
                     demand[slot] = 1.0  # hungry through every round: runnable
+        if rounds and not beat:
+            # The maps are copied, as a model owns the maps it returned;
+            # the arrays are not, as no tick writes them again.
+            self._writeback_memo = (
+                [
+                    (plan, [(app, rows, dict(used)) for app, rows, used in done])
+                    for plan, done in rounds
+                ],
+                (
+                    self._arr_core_busy,
+                    self._arr_core_ba,
+                    thread_busy,
+                    self._arr_thread_granted,
+                    blocked,
+                    self._arr_remaining,
+                    demand,
+                ),
+            )
         return touched
+
+    def _open_rounds(
+        self, placement: Dict[int, List], dt: float
+    ) -> Tuple[Dict[int, List], List[int]]:
+        """Start the tick arrays afresh and give each placed core the
+        whole tick: returns the hungry threads per core, and the placed
+        cores.
+
+        The arrays are new lists, copied from preallocated zero
+        templates (a C-level copy): once its tick is over, no tick
+        writes an array again, so the memos keep the lists themselves.
+        """
+        self._arr_thread_busy = self._zero_slots[:]
+        self._arr_thread_granted = self._zero_slots[:]
+        self._arr_blocked = self._false_slots[:]
+        self._arr_demand = self._zero_slots[:]
+        self._arr_core_busy = self._zero_cores[:]
+        self._arr_core_ba = self._zero_cores[:]
+        self._arr_remaining = remaining = self._zero_cores[:]
+        touched: List[int] = []
+        hungry: Dict[int, List] = {}
+        for core_id, threads in placement.items():
+            if threads:
+                remaining[core_id] = dt
+                # The placement is never mutated (GTS hands the same dict
+                # to every tick its anchor proves), so its lists can be
+                # adopted without copying (rounds *replace* hungry
+                # entries, never edit them).
+                hungry[core_id] = threads
+                touched.append(core_id)
+        return hungry, touched
+
+    def _write_back(
+        self, advanced: List[tuple], hungry: Dict[int, List], dt: float
+    ) -> bool:
+        """Account one round's consumption, ``(app, rows, consumed)``
+        per advanced app, and drop the threads that blocked from
+        ``hungry``.  Returns whether a hungry core has time left (worth
+        another round)."""
+        core_busy = self._arr_core_busy
+        core_ba = self._arr_core_ba
+        thread_busy = self._arr_thread_busy
+        thread_granted = self._arr_thread_granted
+        remaining = self._arr_remaining
+        blocked = self._arr_blocked
+        satisfied: Set[int] = set()
+        for app, rows, consumed_map in advanced:
+            activity_factor = app.model.traits.activity_factor
+            for local_index, slot, share_s, speed, core_id, granted in rows:
+                consumed = consumed_map.get(local_index, 0.0)
+                if speed > 0:
+                    used = consumed / speed
+                    busy_s = share_s if share_s <= used else used
+                else:
+                    busy_s = 0.0
+                core_busy[core_id] += busy_s
+                core_ba[core_id] += busy_s * activity_factor
+                thread_busy[slot] += busy_s
+                thread_granted[slot] += share_s
+                remaining[core_id] -= busy_s
+                if consumed < granted * 0.999:
+                    # The thread blocked (barrier, empty/full queue):
+                    # it takes no further time this tick.
+                    satisfied.add(slot)
+                    blocked[slot] = True
+
+        threshold = dt * 0.01
+        still_hungry = False
+        if satisfied:
+            for core_id in list(hungry):
+                hungry[core_id] = [
+                    t for t in hungry[core_id] if t._slot not in satisfied
+                ]
+                if hungry[core_id] and remaining[core_id] > threshold:
+                    still_hungry = True
+        else:
+            for core_id, threads in hungry.items():
+                if threads and remaining[core_id] > threshold:
+                    still_hungry = True
+                    break
+        return still_hungry
 
     def _grant_plan(
         self, hungry: Dict[int, List], remaining: List[float]
@@ -653,15 +746,15 @@ class Simulation:
         if (
             memo is not None
             and memo[0] == freqs
-            and memo[1] == core_busy
-            and memo[2] == core_ba
+            and (memo[1] is core_busy or memo[1] == core_busy)
+            and (memo[2] is core_ba or memo[2] == core_ba)
         ):
             watts = memo[3]
         else:
             watts = self.power_model.platform_power_arrays(
                 self.machine, core_busy, core_ba, dt
             )
-            self._power_memo = (dict(freqs), core_busy[:], core_ba[:], watts)
+            self._power_memo = (dict(freqs), core_busy, core_ba, watts)
         self.sensor.record(dt, watts)
         bus = self.bus
         if bus._handlers.get(PowerSample):

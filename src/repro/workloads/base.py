@@ -124,7 +124,10 @@ class WorkloadModel(abc.ABC):
     @abc.abstractmethod
     def runnable_threads(self) -> Sequence[int]:
         """Ascending indices of the threads that want CPU right now
-        (GTS places only these); empty once the model is done."""
+        (GTS places only these); empty once the model is done.
+
+        A new list (or an immutable sequence) each call: GTS keeps the
+        last one to compare with the next."""
 
     @abc.abstractmethod
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:

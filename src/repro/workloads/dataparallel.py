@@ -74,46 +74,77 @@ class DataParallelWorkload(WorkloadModel):
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:
         if self._done:
             return AdvanceResult(consumed={}, done=True)
-        consumed = {i: 0.0 for i in grants}
-        remaining_grant = dict(grants)
-        heartbeats = 0
-
-        # Serial phase: only thread 0 makes progress, no heartbeats.
-        if self._serial_remaining > _EPSILON:
-            grant0 = remaining_grant.get(0, 0.0)
-            used = min(grant0, self._serial_remaining)
-            self._serial_remaining -= used
-            consumed[0] = consumed.get(0, 0.0) + used
-            remaining_grant[0] = grant0 - used
-            if self._serial_remaining > _EPSILON:
-                return AdvanceResult(consumed=consumed)
-            self._load_unit()
-
-        # Parallel units: loop because a large grant may complete several
-        # units within one tick.  One pass leaves every thread with no
-        # grant or no share left (``used`` is one of the two), so a
-        # pass that completes no unit is the last.
-        while True:
+        if self._serial_remaining <= _EPSILON:
+            # The first pass, inline: it writes what :meth:`_pass` would
+            # (``0.0 + used`` is ``used``), and the leftover grants are
+            # built only when the unit completed and a further pass
+            # needs them; most ticks complete none.
             shares = self._shares
-            for i, grant in remaining_grant.items():
+            consumed: Dict[int, float] = {}
+            for i, grant in grants.items():
                 share = shares[i]
                 if grant <= _EPSILON or share <= _EPSILON:
+                    consumed[i] = 0.0
                     continue
-                used = min(grant, share)
+                used = share if share < grant else grant  # min(grant, share)
                 shares[i] = share - used
-                remaining_grant[i] = grant - used
-                consumed[i] += used
+                consumed[i] = used
             if max(shares) > _EPSILON:
-                break
+                return AdvanceResult(consumed=consumed)
+            remaining_grant = {
+                i: grant - consumed[i] for i, grant in grants.items()
+            }
+            return self._complete_units(consumed, remaining_grant)
+
+        consumed = {i: 0.0 for i in grants}
+        remaining_grant = dict(grants)
+        # Serial phase: only thread 0 makes progress, no heartbeats.
+        grant0 = remaining_grant.get(0, 0.0)
+        used = min(grant0, self._serial_remaining)
+        self._serial_remaining -= used
+        consumed[0] = consumed.get(0, 0.0) + used
+        remaining_grant[0] = grant0 - used
+        if self._serial_remaining > _EPSILON:
+            return AdvanceResult(consumed=consumed)
+        self._load_unit()
+        if not self._pass(consumed, remaining_grant):
+            return AdvanceResult(consumed=consumed)
+        return self._complete_units(consumed, remaining_grant)
+
+    def _pass(
+        self, consumed: Dict[int, float], remaining_grant: Dict[int, float]
+    ) -> bool:
+        """Spend what is left of each grant on the current unit, adding
+        to ``consumed``; returns whether the unit completed.  A pass
+        leaves every thread with no grant or no share left (``used`` is
+        one of the two), so one that completes no unit is the last."""
+        shares = self._shares
+        for i, grant in remaining_grant.items():
+            share = shares[i]
+            if grant <= _EPSILON or share <= _EPSILON:
+                continue
+            used = min(grant, share)
+            shares[i] = share - used
+            remaining_grant[i] = grant - used
+            consumed[i] += used
+        return not max(shares) > _EPSILON
+
+    def _complete_units(
+        self, consumed: Dict[int, float], remaining_grant: Dict[int, float]
+    ) -> AdvanceResult:
+        """The current unit just completed: emit it, and keep passing
+        ``remaining_grant`` over the next units (a large grant may
+        complete several within one tick)."""
+        heartbeats = 0
+        while True:
             heartbeats += 1
             self._unit_index += 1
             if self._unit_index >= self.n_units:
                 self._done = True
                 break
             self._load_unit()
-
-        if not heartbeats:
-            return AdvanceResult(consumed=consumed)
+            if not self._pass(consumed, remaining_grant):
+                break
         return AdvanceResult(
             consumed=consumed,
             heartbeats=heartbeats,

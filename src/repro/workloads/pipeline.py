@@ -137,7 +137,7 @@ class PipelineWorkload(WorkloadModel):
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:
         if self._done:
             return AdvanceResult(consumed={}, done=True)
-        consumed = {i: 0.0 for i in grants}
+        consumed = dict.fromkeys(grants, 0.0)
 
         # Drain back-to-front so an item moves at most one stage per tick.
         stages = self.stages
@@ -171,6 +171,8 @@ class PipelineWorkload(WorkloadModel):
                     consumed[i] = consumed.get(i, 0.0) + grant * fraction
 
         emitted_now = int(self._output + _EPSILON) - self._emitted
+        if not emitted_now:
+            return AdvanceResult(consumed=consumed)
         self._emitted += emitted_now
         if self._emitted >= self.n_items:
             self._done = True

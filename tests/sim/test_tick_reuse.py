@@ -1,24 +1,36 @@
-"""The tick's reuse of the previous tick's work changes no byte.
+"""The tick's reuse of earlier ticks' work changes no byte.
 
-``Simulation.step`` replays round 1's grant plan and the power reading
-of the previous tick when every input of each is unchanged.  A
-*forgetful* step drops both memos before every tick, so it recomputes
+``Simulation.step`` reuses four things when it can prove them
+unchanged: GTS's placement (the scheduler's anchor), round 1's grant
+plan, the write-back of a repeated tick, and the power reading.  A
+*forgetful* step drops every memo before every tick, so it recomputes
 everything; its runs must hash to the same golden digests as the normal
 runs (``tests/golden``), which assert the normal runs themselves.  No
 golden run changes a speed factor while the placement stands still, so
 directed twin runs change each key input alone between two steady
-ticks and compare the normal step with the forgetful one.
+ticks and compare the normal step with the forgetful one; scripted
+twin runs push the placement proof's margins to zero the same way.
 
 The replayed grant dicts go to ``advance`` again, so every workload
 model must leave its ``grants`` argument unchanged.
 """
 
+import math
+
 import pytest
 
 from repro.experiments.runner import clear_max_rate_cache
+from repro.faults import FaultConfig, FaultInjector
 from repro.fleet.serving import ServerWorkload
 from repro.heartbeats.targets import PerformanceTarget
+from repro.kernel.bus import EventBus
+from repro.platform.sensor import CHANNELS, PowerSensor
 from repro.platform.spec import odroid_xu3
+from repro.sched.gts import GtsScheduler
+from repro.sched.load_tracking import (
+    DOWN_MIGRATION_THRESHOLD,
+    UP_MIGRATION_THRESHOLD,
+)
 from repro.sim.engine import Simulation
 from repro.sim.process import SimApp
 from repro.workloads.base import WorkloadTraits
@@ -40,13 +52,20 @@ FORGETFUL_RUNS = (
 )
 
 
+def _forget(sim):
+    """Drop every memo the tick keeps: the next step recomputes all."""
+    sim._plan_memo = None
+    sim._power_memo = None
+    sim._writeback_memo = None
+    sim.scheduler._anchor = None
+
+
 @pytest.mark.parametrize("name", FORGETFUL_RUNS)
 def test_forgetful_step_gives_the_golden_digest(monkeypatch, name):
     step = Simulation.step
 
     def forgetful(self):
-        self._plan_memo = None
-        self._power_memo = None
+        _forget(self)
         step(self)
 
     monkeypatch.setattr(Simulation, "step", forgetful)
@@ -62,17 +81,26 @@ def test_steady_ticks_reuse_the_plan_and_the_reading():
     sim = Simulation(odroid_xu3())
     model = make_benchmark("swaptions", n_units=20)
     sim.add_app(SimApp("swaptions", model, PerformanceTarget(1.0, 1.0, 1.0)))
-    plans, readings = [], []
+    placements, plans, readings = [], [], []
+    place = sim.scheduler.place
+    sim.scheduler.place = lambda s: placements.append(place(s)) or placements[-1]
+    opened = []
+    open_rounds = sim._open_rounds
+    sim._open_rounds = lambda *args: opened.append(1) or open_rounds(*args)
     for _ in range(50):
         sim.step()
         plans.append(sim._plan_memo[3])
         readings.append(sim._power_memo[3])
     # Nothing moves the unmanaged swaptions threads between these
-    # ticks: one plan serves them all.  A tick in which a unit
-    # completes leaves some core time unused, so its reading is new.
+    # ticks: one plan serves them all, and GTS proves its placement
+    # from the second tick on.  A tick in which a unit completes leaves
+    # some core time unused, so its reading is new; it also emits a
+    # heartbeat, so its write-back is done afresh.
     assert all(plan is plans[0] for plan in plans)
+    assert all(now is placements[1] for now in placements[2:])
     reused = sum(now is last for last, now in zip(readings, readings[1:]))
     assert reused >= 40
+    assert len(opened) <= 5
 
 
 def _twin_run(change, forgetful):
@@ -88,8 +116,7 @@ def _twin_run(change, forgetful):
         if tick == 30:
             change(sim, app)
         if forgetful:
-            sim._plan_memo = None
-            sim._power_memo = None
+            _forget(sim)
         sim.step()
     return (
         [beat.time_s for beat in app.log.beats],
@@ -158,3 +185,246 @@ def test_advance_leaves_its_grants_unchanged(make):
         before = list(grants.items())
         model.advance(grants)
         assert list(grants.items()) == before
+
+
+# -- the placement proof, pushed to its edges ---------------------------------
+
+
+def _scripted_run(affinities, script, forgetful, ticks=40):
+    """Unmanaged spinning threads with the given affinities; before
+    every tick ``script(tick, sim, app)`` may set loads or move state.
+    Returns each tick's cores, the energy, and per tick whether GTS ran
+    its full scan."""
+    sim = Simulation(odroid_xu3())
+    app = sim.add_app(
+        SimApp(
+            "spin",
+            MicrobenchWorkload(n_threads=len(affinities)),
+            PerformanceTarget(1.0, 1.0, 1.0),
+        )
+    )
+    for thread, mask in zip(app.threads, affinities):
+        thread.set_affinity(mask)
+    scheduler = sim.scheduler
+    scans = []
+    fresh = scheduler._place_fresh
+    scheduler._place_fresh = lambda *args: scans.append(1) or fresh(*args)
+    cores, scanned = [], []
+    for tick in range(ticks):
+        script(tick, sim, app)
+        if forgetful:
+            _forget(sim)
+        before = len(scans)
+        sim.step()
+        scanned.append(len(scans) > before)
+        cores.append(tuple(thread.current_core for thread in app.threads))
+    return cores, sim.sensor.energy_j(), scanned
+
+
+def _twins(affinities, script, ticks=40):
+    """The normal run's output and scan flags, checked against the
+    forgetful run's output."""
+    cores, energy, scanned = _scripted_run(affinities, script, False, ticks)
+    assert (cores, energy) == _scripted_run(affinities, script, True, ticks)[:2]
+    return cores, scanned
+
+
+def _set_loads(app, *loads):
+    for thread, load in zip(app.threads, loads):
+        thread.load = load
+
+
+#: A load that ties t2's pick: core 4 holds 0.5 and is t2's current
+#: core (stickiness bonus), core 5 holds exactly ``0.5 - bonus``.
+_TIE = 0.5 - GtsScheduler.STICKINESS
+_TIE_SCHEDULE = (
+    [0.9] * 10  # core 5 heavier: t2 settles on core 4
+    + [_TIE] * 10  # exact tie, bit-equal loads: the anchor holds
+    + [math.nextafter(_TIE, 1.0)] * 2  # core 4 still wins, by an ulp
+    + [_TIE] * 5
+    + [math.nextafter(_TIE, 0.0)] * 3  # core 5 now wins: t2 moves
+    + [0.9] * 5
+    + [_TIE] * 5
+)
+
+
+def test_an_exact_score_tie_is_reused_only_while_bit_equal():
+    pair = frozenset({4, 5})
+
+    def script(tick, sim, app):
+        _set_loads(app, 0.5, _TIE_SCHEDULE[tick], 0.7)
+
+    cores, scanned = _twins([pair] * 3, script, ticks=len(_TIE_SCHEDULE))
+    assert cores[19] == (4, 5, 4)  # the tie keeps t2 on its core
+    assert cores[27][2] == 5  # an ulp the other way moves it
+    assert not any(scanned[11:20])
+    assert scanned[20] and scanned[27]
+
+
+#: t0's load, on the migration thresholds and one ulp either side.
+_UP, _DOWN = UP_MIGRATION_THRESHOLD, DOWN_MIGRATION_THRESHOLD
+_THRESHOLD_SCHEDULE = (
+    [0.1] * 4  # light: little
+    + [math.nextafter(_UP, 0.0)] * 4  # one ulp short of up: stays little
+    + [_UP] * 6  # exactly up: moves big, then holds there
+    + [math.nextafter(_UP, 0.0)] * 3  # hysteresis: stays big
+    + [math.nextafter(_DOWN, 1.0)] * 3  # still above down: stays big
+    + [_DOWN] * 6  # exactly down: moves little, then holds there
+    + [math.nextafter(_DOWN, 1.0)] * 3  # hysteresis: stays little
+    + [0.9] * 3
+    + [_DOWN] * 4
+)
+
+
+def test_loads_on_the_migration_thresholds():
+    def script(tick, sim, app):
+        _set_loads(app, _THRESHOLD_SCHEDULE[tick], 1.0, 1.0)
+
+    cores, scanned = _twins(
+        [None, frozenset({0}), frozenset({4})],
+        script,
+        ticks=len(_THRESHOLD_SCHEDULE),
+    )
+    big = [core >= 4 for core, _, _ in cores]
+    assert big[7] is False and big[8] is True and big[19] is True
+    assert big[20] is False and big[28] is False and big[31] is True
+    assert big[35] is False
+    # Bit-equal loads on a threshold (distance 0) still reuse.
+    assert not any(scanned[10:14]) and not any(scanned[22:26])
+
+
+def test_an_equal_but_new_affinity_or_cpuset_is_a_new_key():
+    pair = frozenset({4, 5, 6})
+
+    def script(tick, sim, app):
+        # ``frozenset(a_frozenset)`` returns the same object: build the
+        # equal sets from lists.
+        if tick == 15:
+            for thread in app.threads:
+                thread.set_affinity(frozenset(list(thread.affinity)))
+                assert thread.affinity == pair and thread.affinity is not pair
+        if tick == 25:
+            app.set_cpuset(frozenset(range(8)))
+        if tick == 30:
+            app.set_cpuset(frozenset(list(app.cpuset)))
+
+    cores, scanned = _twins([pair] * 4, script)
+    assert scanned[15] and scanned[25] and scanned[30]
+    assert not any(scanned[5:15])
+
+
+def test_a_current_core_written_outside_place_is_seen():
+    pair = frozenset({4, 5})
+
+    def script(tick, sim, app):
+        # As the fleet engine's read-back does: a core written straight
+        # into the thread, here the other one of its pair.
+        if tick in (12, 24):
+            thread = app.threads[1]
+            thread.current_core = 9 - thread.current_core
+
+    cores, scanned = _twins([pair] * 3, script)
+    assert scanned[12] and scanned[24]
+    assert not any(scanned[4:12])
+
+
+#: ``GtsScheduler._pick_partitioned`` calls over the whole golden
+#: ``baseline-blackscholes-x40`` run (6,670 ticks): 25,070 (3.76 a
+#: tick) when GTS rescanned every tick, 1,732 (0.26 a tick) with the
+#: placement anchor.
+def test_gts_rescans_only_when_its_proof_fails(monkeypatch):
+    counts = {"picks": 0, "ticks": 0}
+    pick = GtsScheduler._pick_partitioned
+    step = Simulation.step
+
+    def counted_pick(self, *args):
+        counts["picks"] += 1
+        return pick(self, *args)
+
+    def counted_step(self):
+        counts["ticks"] += 1
+        step(self)
+
+    monkeypatch.setattr(GtsScheduler, "_pick_partitioned", counted_pick)
+    monkeypatch.setattr(Simulation, "step", counted_step)
+    clear_max_rate_cache()
+    try:
+        GOLDEN_RUNS["baseline-blackscholes-x40"]()
+    finally:
+        clear_max_rate_cache()
+    assert counts["ticks"] == 6670
+    assert counts["picks"] < 0.5 * counts["ticks"]
+
+
+# -- the sensor's reused reading ----------------------------------------------
+
+
+_READING_A = {"big": 2.0, "little": 0.5, "board": 1.25, "total": 3.75}
+_READING_B = {"big": 1.0, "little": 0.25, "board": 1.0, "total": 2.25}
+
+
+def _sensor_run(same_object, between=None, hook=None):
+    """Twelve ticks of reading A then twelve of B, handed as the same
+    dict each tick or as a fresh copy; ``between(sensor, tick)`` runs
+    before each tick.  Returns what a reader and the energy saw."""
+    sensor = PowerSensor(sample_period_s=0.03)
+    if hook is not None:
+        sensor.fault_hook = hook()
+    readings = [_READING_A] * 12 + [_READING_B] * 12
+    for tick, reading in enumerate(readings):
+        if between is not None:
+            between(sensor, tick)
+        sensor.record(0.01, reading if same_object else dict(reading))
+    return (
+        [(sample.time_s, dict(sample.watts)) for sample in sensor.samples],
+        [sensor.energy_j(channel) for channel in CHANNELS],
+        sensor.dropped_samples,
+        sensor.clamped_samples,
+    )
+
+
+def _reset_at_5(sensor, tick):
+    if tick == 5:
+        sensor.reset()
+
+
+def _sync_at_5_and_17(sensor, tick):
+    if tick in (5, 17):
+        sensor.sync(
+            {channel: 1.0 for channel in CHANNELS},
+            sensor.elapsed_s,
+            {channel: 9.0 for channel in CHANNELS},
+        )
+
+
+def _editing_hook():
+    def hook(time_s, watts):
+        watts["big"] *= 2.0  # edits the dict it is handed
+        return watts
+
+    return hook
+
+
+def _fault_hook(**rates):
+    def make():
+        return FaultInjector(FaultConfig(seed=3, **rates), EventBus()).filter_power
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "between, hook",
+    [
+        (None, None),
+        (_reset_at_5, None),
+        (_sync_at_5_and_17, None),
+        (None, _editing_hook),
+        (None, _fault_hook(sensor_stuck_rate=0.5, sensor_stuck_samples=3)),
+        (None, _fault_hook(sensor_noise_rate=0.7, sensor_noise_std=0.2)),
+    ],
+    ids=["plain", "reset", "sync", "editing-hook", "stuck", "noise"],
+)
+def test_a_reused_reading_is_recorded_like_a_fresh_one(between, hook):
+    reused = _sensor_run(True, between, hook)
+    assert reused == _sensor_run(False, between, hook)
+    assert reused[0]  # samples were taken
