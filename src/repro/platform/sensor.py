@@ -103,7 +103,11 @@ class PowerSensor:
         for channel in CHANNELS:
             energy[channel] += watts[channel] * dt_s
         self._elapsed_s += dt_s
-        self._take_due_samples()
+        # Most ticks cross no boundary: test that before the call.
+        if (
+            self._samples_seen + 1
+        ) * self.sample_period_s <= self._elapsed_s + self._boundary_eps:
+            self._take_due_samples()
 
     def sync(
         self,

@@ -83,7 +83,11 @@ class GtsScheduler:
     keeps an *anchor* — the last fully computed placement plus the
     margins its picks won by — and returns the anchor's placement
     object again while the drift of the loads provably cannot change
-    any pick (``docs/modelling.md`` §5).
+    any pick (``docs/modelling.md`` §5).  While the engine's demand
+    repeats, each load only moves toward its demand, so a proof over
+    the whole interval each load can still reach (a *stretch*) lets
+    the ticks after it check just the structure and that each load
+    stays inside its interval.
     """
 
     #: Load-tracking migration thresholds (Linux GTS defaults).
@@ -99,6 +103,13 @@ class GtsScheduler:
     #: in [0, 1] (~1e-14).
     REUSE_ABS_EPS = 1e-12
     REUSE_REL_EPS = 1e-9
+    #: How far past its exact interval a stretch lets a load stray: a
+    #: rounded EWMA step drifts below ~4e-15 past it (``docs/modelling.md``
+    #: §9).  A load past it only ends the stretch.
+    STRETCH_EPS = 1e-13
+    #: Most proven ticks to wait before retrying a refused stretch proof
+    #: (the wait doubles from one up to this).
+    STRETCH_MAX_WAIT = 4
 
     def __init__(self) -> None:
         self._spec: Optional[PlatformSpec] = None
@@ -117,6 +128,14 @@ class GtsScheduler:
         #:   was, no load matters and the rows are ``(thread, affinity,
         #:   core)``.
         self._anchor: Optional[tuple] = None
+        #: ``(anchor, rows)`` while a stretch proof covers the anchor, else
+        #: ``None``: per anchor row, ``(thread, affinity, core, lo, hi)``,
+        #: the interval ``[lo, hi]`` every load in which the proof covers.
+        self._stretch: Optional[tuple] = None
+        #: Proven ticks to wait before the next stretch proof, and the
+        #: wait after the next failed one.
+        self._stretch_wait = 0
+        self._stretch_backoff = 1
         self._zero_drift: List[float] = []
 
     def place(self, sim: "Simulation") -> Placement:
@@ -125,18 +144,122 @@ class GtsScheduler:
         if spec is not self._spec:
             self._spec, self._on_big = spec, on_big_table(spec)
             self._zero_drift = [0.0] * (len(self._on_big) - 1)
-            self._anchor = None
+            self._anchor = self._stretch = None
+        anchor = self._anchor
+        stretch = self._stretch
+        if stretch is not None:
+            if stretch[0] is anchor and self._stretch_holds(stretch[1], sim.apps):
+                return anchor[3]
+            self._stretch = None
         live = [
             (app, app.cpuset, app.model.runnable_threads())
             for app in sim.apps
             if not (app.is_done() or app.halted)
         ]
-        anchor = self._anchor
         if anchor is not None and self._anchor_holds(anchor, live):
+            if self._stretch_wait:
+                self._stretch_wait -= 1
+            elif anchor[2] and sim._arr_demand is not None:
+                rows = self._stretch_rows(anchor[1], sim)
+                if rows is None:
+                    # Loads that moved toward their demands may prove
+                    # it later: retry after a wait that doubles.
+                    self._stretch_wait = self._stretch_backoff
+                    self._stretch_backoff = min(
+                        2 * self._stretch_backoff, self.STRETCH_MAX_WAIT
+                    )
+                else:
+                    self._stretch = (anchor, rows)
+                    self._stretch_backoff = 1
             return anchor[3]
         return self._place_fresh(machine.core_ids(), live)
 
     # -- internals -----------------------------------------------------------
+
+    def _stretch_holds(self, rows: list, apps: list) -> bool:
+        """Whether the stretch proof covers this tick: the anchor's
+        structure (as :meth:`_anchor_holds` checks it, without building
+        the live list), and every load inside its proven interval (a
+        NaN is inside none)."""
+        anchor_live = self._anchor[0]
+        n_live = len(anchor_live)
+        index = 0
+        for app in apps:
+            if app.is_done() or app.halted:
+                continue
+            if index == n_live:
+                return False
+            was_app, was_cpuset, was_runnable = anchor_live[index]
+            if app is not was_app or app.cpuset is not was_cpuset:
+                return False
+            runnable = app.model.runnable_threads()
+            if runnable is not was_runnable and runnable != was_runnable:
+                return False
+            index += 1
+        if index != n_live:
+            return False
+        for thread, affinity, core, lo, hi in rows:
+            if (
+                thread.affinity is not affinity
+                or thread.current_core != core
+                or not lo <= thread.load <= hi
+            ):
+                return False
+        return True
+
+    def _stretch_rows(self, rows: list, sim: "Simulation") -> Optional[list]:
+        """The stretch proof over a proven anchor's ``rows``, or ``None``
+        (``docs/modelling.md`` §5 and §9).
+
+        While a thread's demand ``d`` repeats, the engine's EWMA moves
+        its load ``L`` monotonically toward ``d``, so it stays in
+        ``[min(L, d), max(L, d)]``, here widened by
+        :attr:`STRETCH_EPS`.  A load at an exact float fixed point
+        (``L·decay + d·gain == L``) equal to the anchor's keeps the
+        interval ``[L, L]`` and changes no sum.  The proof must hold for
+        every load in its interval: each interval stays within the
+        row's threshold limit, and for each pick the largest change of
+        the winner's sum less the smallest change of the loser's, over
+        the rows above, stays below the margin.  A tie holds only
+        between cores every row of which sits at its fixed point.
+        """
+        demand = sim._arr_demand
+        decay, gain = sim._load_decay, sim._load_gain
+        widen = self.STRETCH_EPS
+        min_weight = self.MIN_TASK_WEIGHT
+        tied = {
+            core
+            for row in rows
+            for winner, loser, margin in row[6]
+            if not margin > 0.0
+            for core in (winner, loser)
+        }
+        # Per core, the largest and smallest change of its run-queue sum
+        # over the rows so far.
+        rise = self._zero_drift[:]
+        fall = self._zero_drift[:]
+        proven = []
+        for thread, affinity, core, load, weight, limit, gaps in rows:
+            for winner, loser, margin in gaps:
+                if margin > 0.0 and not rise[winner] - fall[loser] < margin:
+                    return None
+            now = thread.load
+            target = demand[thread._slot]
+            if now == load and now * decay + target * gain == now:
+                proven.append((thread, affinity, core, now, now))
+                continue
+            if core in tied:
+                return None
+            if now > target:
+                lo, hi = target - widen, now + widen
+            else:
+                lo, hi = now - widen, target + widen
+            if not (hi - load if hi - load > load - lo else load - lo) < limit:
+                return None
+            rise[core] += (hi if hi > min_weight else min_weight) - weight
+            fall[core] += (lo if lo > min_weight else min_weight) - weight
+            proven.append((thread, affinity, core, lo, hi))
+        return proven
 
     def _anchor_holds(self, anchor: tuple, live: list) -> bool:
         """Whether a full scan now would return the anchor's placement
@@ -158,7 +281,9 @@ class GtsScheduler:
         ):
             if app is not was_app or cpuset is not was_cpuset:
                 return False
-            if runnable != was_runnable:
+            # ``is`` first: a model may hand back the same immutable
+            # sequence while its runnable set stands.
+            if runnable is not was_runnable and runnable != was_runnable:
                 return False
         if not picked:
             for thread, affinity, core in rows:
@@ -277,6 +402,8 @@ class GtsScheduler:
                 placed += weight
                 rows.append((thread, entry[0], core, load, weight, limit, gaps))
                 thread.current_core = core
+        self._stretch = None
+        self._stretch_wait, self._stretch_backoff = 0, 1
         if not settled:
             self._anchor = None
         elif picked:

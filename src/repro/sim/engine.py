@@ -34,7 +34,8 @@ oracle; ``tests/golden`` pins whole-run outputs byte for byte).
 Most ticks repeat the previous tick's setting, so the tick reuses what
 it can prove unchanged (``docs/modelling.md`` §4, §5 and §9):
 
-* GTS returns its last placement object while its anchor's proof holds
+* GTS returns its last placement object while its anchor's proof
+  holds, or a stretch proof covers the loads
   (:class:`~repro.sched.gts.GtsScheduler`);
 * round 1's grant plan is reused when the placement, the cluster
   frequencies and every app's speed factor equal the previous tick's;
@@ -42,9 +43,11 @@ it can prove unchanged (``docs/modelling.md`` §4, §5 and §9):
   round runs the saved plan and every app consumes an equal map: the
   saved tick arrays are adopted, and later rounds' plans, the row loop
   and the demand loop are skipped (``advance`` still runs every round);
-* the power reading is reused when the frequencies and both per-core
-  sums (busy seconds, busy·activity) do, and the sensor keeps its copy
-  of a reading it is handed again.
+* the power reading, with the core utilization, is reused when the
+  frequencies and both per-core sums (busy seconds, busy·activity) do,
+  and the sensor keeps its copy of a reading it is handed again;
+* the apps are scanned for finished ones only after an advance reports
+  ``done``.
 
 Each key or proof covers every input of its value, so reuse cannot
 move a float.  Reused ``grants`` dicts go to the models again, which is
@@ -150,6 +153,8 @@ class Simulation:
         self._started = False
         self._ticked = False
         self._finished: Set[str] = set()
+        #: Whether the next tick must scan the apps for finished ones.
+        self._finish_due = True
         #: app name -> (big, little) from the latest ``StateApplied``.
         self._trace_allocations: Dict[str, Tuple[int, int]] = {}
         self.bus.subscribe(StateApplied, self._trace_on_state_applied)
@@ -160,13 +165,21 @@ class Simulation:
         )
         # Lazily-built runtime index (first step).
         self._slots: Optional[List] = None
+        #: Per slot, the demand the load EWMA last applied (``None``
+        #: before the first tick).  dt is always tick_s, so the EWMA's
+        #: decay is a constant.
+        self._arr_demand: Optional[List[float]] = None
+        self._load_decay = math.exp(-tick_s / LOAD_TIME_CONSTANT_S)
+        self._load_gain = 1.0 - self._load_decay
         #: The previous tick's round-1 grant plan and power reading, each
         #: after the inputs it was computed from (see the module doc).
+        #: The reading's memo also holds the tick's core utilization.
         self._plan_memo: Optional[tuple] = None
         self._power_memo: Optional[tuple] = None
         #: The last heartbeat-free tick, ``(rounds, arrays)``: per round
-        #: its plan and ``(app, rows, consumed)`` per advanced app, then
-        #: the tick arrays it left (see ``_execute_tick``).
+        #: its plan and ``(app, entry, consumed)`` per advanced app,
+        #: ``entry`` the app's ``(grants, rows)`` in the plan, then the
+        #: tick arrays it left (see ``_execute_tick``).
         self._writeback_memo: Optional[tuple] = None
         # Heartbeat delivery faults: beats whose *delivery* to the bus
         # is stalled or jittered, keyed by the tick they mature on.  The
@@ -247,7 +260,8 @@ class Simulation:
         The control-plane prologue runs first: stalled heartbeats
         mature, lifecycle faults roll, and ``TickStart`` goes out.
         """
-        self.start()
+        if not self._started:
+            self.start()
         if self._delayed_heartbeats:
             self._flush_delayed_heartbeats()
         if self._lifecycle_enabled:
@@ -263,12 +277,12 @@ class Simulation:
             self._build_runtime_index()
         touched = self._execute_tick(placement, dt)
         self._integrate_power(touched, dt)
-        self._publish_finished(dt)
+        if self._finish_due:
+            self._publish_finished(dt)
         decay = self._load_decay
         gain = self._load_gain
-        demand = self._arr_demand
-        for slot, thread in enumerate(self._slots):
-            thread.load = thread.load * decay + demand[slot] * gain
+        for thread, demand in zip(self._slots, self._arr_demand):
+            thread.load = thread.load * decay + demand * gain
 
         self.clock.advance(dt)
         self._ticked = True
@@ -331,7 +345,11 @@ class Simulation:
         return all(app.name in finished or app.is_done() for app in self.apps)
 
     def _publish_finished(self, dt: float) -> None:
-        """Track and announce apps that completed their work this tick."""
+        """Track and announce apps that completed their work this tick.
+
+        Due on the first tick and after an advance reports ``done``: a
+        model completes only inside ``advance``."""
+        self._finish_due = False
         end_time = self.clock.now_s + dt
         announce = bool(self.bus._handlers.get(AppFinished))
         for app in self.apps:
@@ -469,9 +487,6 @@ class Simulation:
         for cluster in self.spec.clusters:
             for core_id in cluster.core_ids:
                 self._cluster_of_core[core_id] = cluster
-        # dt is always tick_s, so the load-tracking decay is a constant.
-        self._load_decay = math.exp(-self.tick_s / LOAD_TIME_CONSTANT_S)
-        self._load_gain = 1.0 - self._load_decay
 
     def _execute_tick(
         self, placement: Dict[int, List], dt: float
@@ -493,83 +508,57 @@ class Simulation:
         # from heartbeat handlers, which run in the advance phase, never
         # while a round is planned.
         freqs = self.machine._freqs
-        factors = [app.speed_factor for app in self.apps]
         memo = self._plan_memo
-        hungry = None
+        plan = None
         if (
             memo is not None
             and (memo[0] is placement or memo[0] == placement)
             and memo[1] == freqs
-            and memo[2] == factors
         ):
-            plan, touched = memo[3], memo[4]
-        else:
-            hungry, touched = self._open_rounds(placement, dt)
-            plan = self._grant_plan(hungry, self._arr_remaining)
-            self._plan_memo = (placement, dict(freqs), factors, plan, touched)
-
-        # The write-back memo holds a heartbeat-free tick's rounds.  This
-        # tick replays it while each round runs the saved plan and every
-        # app consumes an equal map: the rounds so far then wrote the
-        # same sums, so the next round's plan, and whether there is one,
-        # are the saved tick's too (``docs/modelling.md`` §4).
-        saved = self._writeback_memo
-        replay = saved[0] if saved is not None and saved[0][0][0] is plan else None
-        if replay is None and hungry is None:
-            hungry, _ = self._open_rounds(placement, dt)
+            for app, factor in zip(self.apps, memo[2]):
+                if app.speed_factor != factor:
+                    break
+            else:
+                plan, touched = memo[3], memo[4]
         end_time = self.clock.now_s + dt
         rounds: List[Tuple[dict, List[tuple]]] = []
         beat = False
-        for round_index in range(self.GRANT_ROUNDS):
-            if round_index:
-                plan = (
-                    replay[round_index][0]
-                    if replay is not None
-                    else self._grant_plan(hungry, self._arr_remaining)
-                )
+        if plan is None:
+            hungry, touched = self._open_rounds(placement, dt)
+            plan = self._grant_plan(hungry, self._arr_remaining)
+            self._plan_memo = (
+                placement,
+                dict(freqs),
+                [app.speed_factor for app in self.apps],
+                plan,
+                touched,
+            )
+        else:
+            saved = self._writeback_memo
+            if saved is not None and saved[0][0][0] is plan:
+                replayed = self._replay(saved, end_time)
+                if replayed is None:
+                    return touched
+                rounds, beat = replayed
+            hungry, _ = self._open_rounds(placement, dt)
+            # A replay that diverged: write back its rounds; each but
+            # the last left a hungry thread behind (the saved tick went
+            # on).
+            for _, earlier in rounds[:-1]:
+                self._write_back(earlier, hungry, dt)
+            if rounds and not self._write_back(rounds[-1][1], hungry, dt):
+                plan = None
+
+        while plan is not None and len(rounds) < self.GRANT_ROUNDS:
+            if rounds:
+                plan = self._grant_plan(hungry, self._arr_remaining)
             if not plan:
                 break
-            # Every app advances, and its heartbeats go out, before any
-            # row of the round is written back: the write-back touches
-            # only this engine's tick arrays, which no handler reads.
-            advanced: List[tuple] = []
-            for app in self.apps:
-                entry = plan.get(app.name)
-                if entry is None:
-                    continue
-                result = app.model.advance(entry[0])
-                advanced.append((app, entry[1], result.consumed))
-                for i in range(result.heartbeats):
-                    beat = True
-                    tag = (
-                        result.heartbeat_tags[i]
-                        if i < len(result.heartbeat_tags)
-                        else ""
-                    )
-                    heartbeat = app.log.emit(end_time, tag)
-                    self._deliver_heartbeat(app, heartbeat)
-            rounds.append((plan, advanced))
-            if replay is not None:
-                if not beat and advanced == replay[round_index][1]:
-                    if round_index + 1 < len(replay):
-                        continue
-                    (
-                        self._arr_core_busy,
-                        self._arr_core_ba,
-                        self._arr_thread_busy,
-                        self._arr_thread_granted,
-                        self._arr_blocked,
-                        self._arr_remaining,
-                        self._arr_demand,
-                    ) = saved[1]
-                    return touched
-                # Diverged: write back the replayed rounds, which left a
-                # hungry thread behind each (the saved tick went on).
-                replay = None
-                hungry, _ = self._open_rounds(placement, dt)
-                for _, earlier in rounds[:-1]:
-                    self._write_back(earlier, hungry, dt)
-            if not self._write_back(advanced, hungry, dt):
+            advanced = self._advance_round(plan, end_time)
+            if advanced[1]:
+                beat = True
+            rounds.append((plan, advanced[0]))
+            if not self._write_back(advanced[0], hungry, dt):
                 break
 
         thread_busy = self._arr_thread_busy
@@ -588,7 +577,7 @@ class Simulation:
             # the arrays are not, as no tick writes them again.
             self._writeback_memo = (
                 [
-                    (plan, [(app, rows, dict(used)) for app, rows, used in done])
+                    (plan, [(app, entry, dict(used)) for app, entry, used in done])
                     for plan, done in rounds
                 ],
                 (
@@ -602,6 +591,84 @@ class Simulation:
                 ),
             )
         return touched
+
+    def _replay(self, saved: tuple, end_time: float) -> Optional[tuple]:
+        """Advance the saved heartbeat-free tick's rounds with their
+        saved plans while every app consumes an equal map: the rounds
+        so far then wrote the same sums, so the next round's plan, and
+        whether there is one, are the saved tick's too
+        (``docs/modelling.md`` §4).  Once every round matched, adopts
+        the saved tick arrays and returns ``None``.
+
+        Otherwise finishes the round that diverged (every app still
+        advances, its heartbeats go out) and returns ``(rounds, beat)``
+        for the caller to write back and go on from.
+        """
+        replay = saved[0]
+        for round_index, (plan, done) in enumerate(replay):
+            for index, (app, entry, used) in enumerate(done):
+                result = app.model.advance(entry[0])
+                if result.heartbeats or result.done or result.consumed != used:
+                    advanced = done[:index]
+                    advanced.append((app, entry, result.consumed))
+                    beat = self._emit(app, result, end_time)
+                    rest = self._advance_round(
+                        plan,
+                        end_time,
+                        [(app, entry) for app, entry, _ in done[index + 1 :]],
+                    )
+                    advanced += rest[0]
+                    rounds = replay[:round_index]
+                    rounds.append((plan, advanced))
+                    return rounds, beat or rest[1]
+        (
+            self._arr_core_busy,
+            self._arr_core_ba,
+            self._arr_thread_busy,
+            self._arr_thread_granted,
+            self._arr_blocked,
+            self._arr_remaining,
+            self._arr_demand,
+        ) = saved[1]
+        return None
+
+    def _advance_round(
+        self, plan: dict, end_time: float, only: Optional[List[tuple]] = None
+    ) -> Tuple[List[tuple], bool]:
+        """Advance every app with a grant in ``plan`` (or only the
+        ``(app, entry)`` pairs given), in app order, delivering
+        heartbeats as they come.  Returns ``(app, entry, consumed)`` per
+        app and whether any beat.
+
+        Every app advances, and its heartbeats go out, before any row of
+        the round is written back: the write-back touches only this
+        engine's tick arrays, which no handler reads.
+        """
+        if only is None:
+            only = [
+                (app, entry)
+                for app in self.apps
+                if (entry := plan.get(app.name)) is not None
+            ]
+        advanced: List[tuple] = []
+        beat = False
+        for app, entry in only:
+            result = app.model.advance(entry[0])
+            advanced.append((app, entry, result.consumed))
+            if result.heartbeats or result.done:
+                beat = self._emit(app, result, end_time) or beat
+        return advanced, beat
+
+    def _emit(self, app: SimApp, result, end_time: float) -> bool:
+        """Log and deliver ``result``'s heartbeats; note a finished
+        model.  Returns whether it beat."""
+        if result.done:
+            self._finish_due = True
+        tags = result.heartbeat_tags
+        for i in range(result.heartbeats):
+            heartbeat = app.log.emit(end_time, tags[i] if i < len(tags) else "")
+            self._deliver_heartbeat(app, heartbeat)
+        return result.heartbeats > 0
 
     def _open_rounds(
         self, placement: Dict[int, List], dt: float
@@ -637,7 +704,7 @@ class Simulation:
     def _write_back(
         self, advanced: List[tuple], hungry: Dict[int, List], dt: float
     ) -> bool:
-        """Account one round's consumption, ``(app, rows, consumed)``
+        """Account one round's consumption, ``(app, entry, consumed)``
         per advanced app, and drop the threads that blocked from
         ``hungry``.  Returns whether a hungry core has time left (worth
         another round)."""
@@ -648,9 +715,9 @@ class Simulation:
         remaining = self._arr_remaining
         blocked = self._arr_blocked
         satisfied: Set[int] = set()
-        for app, rows, consumed_map in advanced:
+        for app, entry, consumed_map in advanced:
             activity_factor = app.model.traits.activity_factor
-            for local_index, slot, share_s, speed, core_id, granted in rows:
+            for local_index, slot, share_s, speed, core_id, granted in entry[1]:
                 consumed = consumed_map.get(local_index, 0.0)
                 if speed > 0:
                     used = consumed / speed
@@ -734,13 +801,10 @@ class Simulation:
     def _integrate_power(self, touched: List[int], dt: float) -> None:
         core_busy = self._arr_core_busy
         core_ba = self._arr_core_ba
-        self.last_core_utilization = {
-            core_id: util if (util := core_busy[core_id] / dt) < 1.0 else 1.0
-            for core_id in touched
-        }
         # The reading repeats the previous tick's whenever its inputs
         # do: the frequencies and both per-core sums (dt is the fixed
-        # tick length).
+        # tick length).  So does the utilization while the placed cores
+        # are the same list too; no reader edits the dict.
         freqs = self.machine._freqs
         memo = self._power_memo
         if (
@@ -750,17 +814,39 @@ class Simulation:
             and (memo[2] is core_ba or memo[2] == core_ba)
         ):
             watts = memo[3]
+            if memo[4] is not touched:
+                self._power_memo = memo = memo[:4] + (
+                    touched,
+                    self._utilization(touched, core_busy, dt),
+                )
         else:
             watts = self.power_model.platform_power_arrays(
                 self.machine, core_busy, core_ba, dt
             )
-            self._power_memo = (dict(freqs), core_busy, core_ba, watts)
+            self._power_memo = memo = (
+                dict(freqs),
+                core_busy,
+                core_ba,
+                watts,
+                touched,
+                self._utilization(touched, core_busy, dt),
+            )
+        self.last_core_utilization = memo[5]
         self.sensor.record(dt, watts)
         bus = self.bus
         if bus._handlers.get(PowerSample):
             bus.publish(
                 PowerSample(time_s=self.clock.now_s + dt, watts=dict(watts))
             )
+
+    @staticmethod
+    def _utilization(
+        touched: List[int], core_busy: List[float], dt: float
+    ) -> Dict[int, float]:
+        return {
+            core_id: util if (util := core_busy[core_id] / dt) < 1.0 else 1.0
+            for core_id in touched
+        }
 
     # -- trace subscription -------------------------------------------------------
 

@@ -33,20 +33,32 @@ from repro.platform.cluster import BIG, LITTLE
 from repro.platform.core_types import BASELINE_FREQ_MHZ, CoreTypeSpec
 
 
-@dataclass(frozen=True)
 class AdvanceResult:
     """What happened inside the model during one tick.
 
     ``consumed`` maps thread index → work units actually executed (never
     more than the grant).  ``heartbeats`` is the number of work-unit
     completions to emit, with ``heartbeat_tags`` carrying per-beat phase
-    labels for traces.
+    labels for traces.  ``done`` is set by the advance that completes
+    the model's last unit: the engine looks for finished apps only then.
+
+    A plain slotted record, built a few times every tick: a frozen
+    dataclass costs several times as much to build.
     """
 
-    consumed: Dict[int, float]
-    heartbeats: int = 0
-    heartbeat_tags: tuple = ()
-    done: bool = False
+    __slots__ = ("consumed", "heartbeats", "heartbeat_tags", "done")
+
+    def __init__(
+        self,
+        consumed: Dict[int, float],
+        heartbeats: int = 0,
+        heartbeat_tags: tuple = (),
+        done: bool = False,
+    ):
+        self.consumed = consumed
+        self.heartbeats = heartbeats
+        self.heartbeat_tags = heartbeat_tags
+        self.done = done
 
 
 @dataclass(frozen=True)
@@ -126,8 +138,9 @@ class WorkloadModel(abc.ABC):
         """Ascending indices of the threads that want CPU right now
         (GTS places only these); empty once the model is done.
 
-        A new list (or an immutable sequence) each call: GTS keeps the
-        last one to compare with the next."""
+        A new list each call, or an immutable sequence, which may be the
+        same object while the runnable set stands: GTS keeps the last
+        one and compares it with the next, ``is`` first."""
 
     @abc.abstractmethod
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:

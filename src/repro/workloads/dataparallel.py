@@ -16,7 +16,7 @@ evaluation (Section 5.2.2).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.workloads.base import AdvanceResult, WorkloadModel, WorkloadTraits
@@ -53,6 +53,8 @@ class DataParallelWorkload(WorkloadModel):
         self._serial_remaining = self.serial_work
         self._shares: List[float] = []
         self._done = False
+        #: The runnable threads while they stand, else ``None``.
+        self._runnable: Optional[Tuple[int, ...]] = None
         if self.serial_work == 0:
             self._load_unit()
 
@@ -61,15 +63,26 @@ class DataParallelWorkload(WorkloadModel):
         work = self.profile.work(self._unit_index, self._seed)
         share = work / self.n_threads
         self._shares = [share] * self.n_threads
+        self._runnable = None
 
     # -- WorkloadModel interface -------------------------------------------
 
-    def runnable_threads(self) -> List[int]:
-        if self._done:
-            return []
-        if self._serial_remaining > _EPSILON:
-            return [0]
-        return [i for i, share in enumerate(self._shares) if share > _EPSILON]
+    def runnable_threads(self) -> Tuple[int, ...]:
+        """The same tuple while the runnable set stands: a thread
+        leaves it when its share runs out (every change of which
+        :meth:`advance` watches), and all rejoin with the next unit."""
+        runnable = self._runnable
+        if runnable is None:
+            if self._done:
+                runnable = ()
+            elif self._serial_remaining > _EPSILON:
+                runnable = (0,)
+            else:
+                runnable = tuple(
+                    i for i, share in enumerate(self._shares) if share > _EPSILON
+                )
+            self._runnable = runnable
+        return runnable
 
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:
         if self._done:
@@ -87,9 +100,15 @@ class DataParallelWorkload(WorkloadModel):
                     consumed[i] = 0.0
                     continue
                 used = share if share < grant else grant  # min(grant, share)
-                shares[i] = share - used
+                share -= used
+                shares[i] = share
                 consumed[i] = used
-            if max(shares) > _EPSILON:
+                if share <= _EPSILON:
+                    self._runnable = None
+            # A runnable set that still stands (no share ran out since it
+            # was taken) tells whether any share is left without a scan.
+            runnable = self._runnable
+            if runnable if runnable is not None else max(shares) > _EPSILON:
                 return AdvanceResult(consumed=consumed)
             remaining_grant = {
                 i: grant - consumed[i] for i, grant in grants.items()
@@ -127,6 +146,8 @@ class DataParallelWorkload(WorkloadModel):
             shares[i] = share - used
             remaining_grant[i] = grant - used
             consumed[i] += used
+            if shares[i] <= _EPSILON:
+                self._runnable = None
         return not max(shares) > _EPSILON
 
     def _complete_units(
@@ -141,6 +162,7 @@ class DataParallelWorkload(WorkloadModel):
             self._unit_index += 1
             if self._unit_index >= self.n_units:
                 self._done = True
+                self._runnable = None
                 break
             self._load_unit()
             if not self._pass(consumed, remaining_grant):

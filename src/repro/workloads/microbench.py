@@ -54,13 +54,15 @@ class MicrobenchWorkload(WorkloadModel):
         )
         super().__init__(traits, n_threads)
         self.duty = duty
+        #: Every thread spins: one immutable sequence serves every call.
+        self._threads = range(n_threads)
         self.reset()
 
     def reset(self, seed: int = 0) -> None:
         self._work_done = 0.0
 
     def runnable_threads(self) -> range:
-        return range(self.n_threads)
+        return self._threads
 
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:
         consumed = {i: g * self.duty for i, g in grants.items()}

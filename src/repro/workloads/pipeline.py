@@ -18,14 +18,17 @@ most one stage per tick.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.workloads.base import AdvanceResult, WorkloadModel, WorkloadTraits
 
 _EPSILON = 1e-9
+
+#: Stage layouts kept: one per grant round of a tick repeats them all.
+_LAYOUTS_KEPT = 3
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,8 @@ class PipelineWorkload(WorkloadModel):
             self._stage_of_thread.extend([stage_index] * stage.n_threads)
         #: Per stage, the ascending thread indices serving it.
         self._stage_members: Tuple[Tuple[int, ...], ...] = tuple(members)
+        #: Runnable threads per tuple of stage run flags.
+        self._runnable: Dict[Tuple[bool, ...], Tuple[int, ...]] = {}
         self.reset()
 
     def reset(self, seed: int = 0) -> None:
@@ -90,6 +95,9 @@ class PipelineWorkload(WorkloadModel):
         self._output = 0.0
         self._emitted = 0
         self._done = False
+        #: The latest grant maps' stage layouts, newest first: ``(a copy
+        #: of the grants, the layout, the grants' keys mapped to 0.0)``.
+        self._layouts: List[tuple] = []
 
     # -- topology ------------------------------------------------------------
 
@@ -108,52 +116,74 @@ class PipelineWorkload(WorkloadModel):
             )
         return self._stage_members[stage_index]
 
-    def _stage_input(self, stage_index: int) -> float:
-        """Items available to a stage right now."""
-        if stage_index == 0:
-            return self._source_remaining
-        return self._queues[stage_index]
-
     # -- WorkloadModel interface ----------------------------------------------
 
-    def runnable_threads(self) -> List[int]:
-        runnable: List[int] = []
+    def runnable_threads(self) -> Tuple[int, ...]:
+        """The members of every stage with input and room to put it,
+        as one tuple per set of such stages (the same object while the
+        set stands)."""
         if self._done:
-            return runnable
-        last = len(self.stages) - 1
-        for stage_index, members in enumerate(self._stage_members):
-            if self._stage_input(stage_index) <= _EPSILON:
-                continue  # starved: blocked on the input queue
-            if (
-                stage_index < last
-                and self._queues[stage_index + 1] >= self.queue_depth - _EPSILON
-            ):
-                # Blocked on a full output queue: the threads sleep on
-                # the queue's condition variable rather than spinning.
-                continue
-            runnable.extend(members)
+            return ()
+        # Stage s reads ``inputs[s]`` and writes ``queues[s + 1]``.
+        # Starved stages block on their input queue; a stage whose output
+        # queue is full sleeps on its condition variable rather than
+        # spinning.  The last stage writes to the unbounded output.
+        queues = self._queues
+        full = self.queue_depth - _EPSILON
+        inputs = [self._source_remaining, *queues[1:]]
+        key = [
+            available > _EPSILON and not level >= full
+            for available, level in zip(inputs, queues[1:])
+        ]
+        key.append(inputs[-1] > _EPSILON)
+        key = tuple(key)
+        runnable = self._runnable.get(key)
+        if runnable is None:
+            runnable = self._runnable[key] = tuple(
+                i
+                for members, runs in zip(self._stage_members, key)
+                if runs
+                for i in members
+            )
         return runnable
 
     def advance(self, grants: Dict[int, float]) -> AdvanceResult:
         if self._done:
             return AdvanceResult(consumed={}, done=True)
-        consumed = dict.fromkeys(grants, 0.0)
+        for kept in self._layouts:
+            if kept[0] == grants:
+                break
+        else:
+            kept = (
+                dict(grants),
+                self._stage_layout(grants),
+                dict.fromkeys(grants, 0.0),
+            )
+            self._layouts = [kept] + self._layouts[: _LAYOUTS_KEPT - 1]
+        layout = kept[1]
+        consumed = kept[2].copy()
 
         # Drain back-to-front so an item moves at most one stage per tick.
-        stages = self.stages
         queues = self._queues
-        last = len(stages) - 1
-        for stage_index in range(last, -1, -1):
-            members = self._stage_members[stage_index]
-            stage_grants = [grants.get(i, 0.0) for i in members]
-            capacity_work = sum(stage_grants)
-            capacity_items = capacity_work / stages[stage_index].cost_per_item
-            available = self._stage_input(stage_index)
+        last = len(self.stages) - 1
+        for stage_index, stage_grants, capacity_items in layout:
+            # ``max(0.0, min(capacity_items, available, space))``, spelt
+            # out: the builtins' calls cost more than the arithmetic.
+            # Each test is theirs (an argument replaces the running
+            # result only if strictly better), so NaNs and ties resolve
+            # as they do.
+            processed = capacity_items
+            available = (
+                self._source_remaining if stage_index == 0 else queues[stage_index]
+            )
+            if available < processed:
+                processed = available
             if stage_index < last:
                 space = self.queue_depth - queues[stage_index + 1]
-            else:
-                space = math.inf
-            processed = max(0.0, min(capacity_items, available, space))
+                if space < processed:
+                    processed = space
+            if not processed > 0.0:
+                processed = 0.0
 
             if stage_index == 0:
                 self._source_remaining -= processed
@@ -164,11 +194,19 @@ class PipelineWorkload(WorkloadModel):
             else:
                 self._output += processed
 
-            # Attribute consumed work to the stage's threads pro rata.
+            # Attribute consumed work to the stage's threads pro rata
+            # (``grant * 1.0`` is ``grant``).
             if capacity_items > _EPSILON and processed > 0:
-                fraction = processed / capacity_items
-                for i, grant in zip(members, stage_grants):
-                    consumed[i] = consumed.get(i, 0.0) + grant * fraction
+                if processed == capacity_items:
+                    consumed.update(stage_grants)
+                else:
+                    fraction = processed / capacity_items
+                    consumed.update(
+                        zip(
+                            stage_grants,
+                            [grant * fraction for grant in stage_grants.values()],
+                        )
+                    )
 
         emitted_now = int(self._output + _EPSILON) - self._emitted
         if not emitted_now:
@@ -182,6 +220,34 @@ class PipelineWorkload(WorkloadModel):
             heartbeat_tags=("pipeline",) * emitted_now,
             done=self._done,
         )
+
+    def _stage_layout(self, grants: Dict[int, float]) -> List[tuple]:
+        """Per stage with a granted member, back to front:
+        ``(stage_index, stage_grants, capacity_items)``, ``stage_grants``
+        the granted members' grants in ascending member order.
+
+        A stage without one has no capacity, so it processes nothing
+        and its queues take ``± 0.0``: it is left out.  The capacity
+        adds up in ascending member order, as a sum over every member
+        does (the others add ``0.0``, which changes no float).  Equal
+        grant maps get equal layouts, so :meth:`advance` keeps the last
+        one while the grants repeat.
+        """
+        layout = []
+        for stage_index, members in groupby(
+            sorted(grants), self._stage_of_thread.__getitem__
+        ):
+            stage_grants = {i: grants[i] for i in members}
+            capacity_work = sum(stage_grants.values())
+            layout.append(
+                (
+                    stage_index,
+                    stage_grants,
+                    capacity_work / self.stages[stage_index].cost_per_item,
+                )
+            )
+        layout.reverse()
+        return layout
 
     def is_done(self) -> bool:
         return self._done

@@ -1,8 +1,10 @@
 """The tick's reuse of earlier ticks' work changes no byte.
 
 ``Simulation.step`` reuses four things when it can prove them
-unchanged: GTS's placement (the scheduler's anchor), round 1's grant
-plan, the write-back of a repeated tick, and the power reading.  A
+unchanged: GTS's placement (the scheduler's anchor, and the stretch
+proof that covers it while the loads stay in their intervals), round
+1's grant plan, the write-back of a repeated tick, and the power
+reading.  A
 *forgetful* step drops every memo before every tick, so it recomputes
 everything; its runs must hash to the same golden digests as the normal
 runs (``tests/golden``), which assert the normal runs themselves.  No
@@ -31,8 +33,9 @@ from repro.sched.load_tracking import (
     DOWN_MIGRATION_THRESHOLD,
     UP_MIGRATION_THRESHOLD,
 )
-from repro.sim.engine import Simulation
+from repro.sim.engine import DEFAULT_TICK_S, Simulation
 from repro.sim.process import SimApp
+from repro.sim.thread import LOAD_TIME_CONSTANT_S
 from repro.workloads.base import WorkloadTraits
 from repro.workloads.dataparallel import DataParallelWorkload
 from repro.workloads.microbench import MicrobenchWorkload
@@ -58,6 +61,7 @@ def _forget(sim):
     sim._power_memo = None
     sim._writeback_memo = None
     sim.scheduler._anchor = None
+    sim.scheduler._stretch = None
 
 
 @pytest.mark.parametrize("name", FORGETFUL_RUNS)
@@ -328,24 +332,31 @@ def test_a_current_core_written_outside_place_is_seen():
     assert not any(scanned[4:12])
 
 
-#: ``GtsScheduler._pick_partitioned`` calls over the whole golden
-#: ``baseline-blackscholes-x40`` run (6,670 ticks): 25,070 (3.76 a
+#: Over the whole golden ``baseline-blackscholes-x40`` run (6,670
+#: ticks): ``GtsScheduler._pick_partitioned`` calls were 25,070 (3.76 a
 #: tick) when GTS rescanned every tick, 1,732 (0.26 a tick) with the
-#: placement anchor.
+#: placement anchor; full anchor proofs (``_anchor_holds`` calls) were
+#: 6,588 with the anchor alone, 810 with the stretch proof.
 def test_gts_rescans_only_when_its_proof_fails(monkeypatch):
-    counts = {"picks": 0, "ticks": 0}
+    counts = {"picks": 0, "proofs": 0, "ticks": 0}
     pick = GtsScheduler._pick_partitioned
+    holds = GtsScheduler._anchor_holds
     step = Simulation.step
 
     def counted_pick(self, *args):
         counts["picks"] += 1
         return pick(self, *args)
 
+    def counted_holds(self, *args):
+        counts["proofs"] += 1
+        return holds(self, *args)
+
     def counted_step(self):
         counts["ticks"] += 1
         step(self)
 
     monkeypatch.setattr(GtsScheduler, "_pick_partitioned", counted_pick)
+    monkeypatch.setattr(GtsScheduler, "_anchor_holds", counted_holds)
     monkeypatch.setattr(Simulation, "step", counted_step)
     clear_max_rate_cache()
     try:
@@ -354,6 +365,160 @@ def test_gts_rescans_only_when_its_proof_fails(monkeypatch):
         clear_max_rate_cache()
     assert counts["ticks"] == 6670
     assert counts["picks"] < 0.5 * counts["ticks"]
+    assert counts["proofs"] < 0.25 * counts["ticks"]
+
+
+# -- the stretch proof: loads moving toward repeated demands -----------------
+
+
+def _duty_run(threads, script, forgetful, ticks):
+    """One single-thread microbench app per ``(duty, affinity)`` (a
+    thread's demand is its duty); before every tick ``script(tick, sim,
+    apps)`` may set loads or move state.  Returns each tick's cores, the
+    energy, and per tick whether GTS ran its full scan and whether it
+    ran the full anchor proof."""
+    sim = Simulation(odroid_xu3())
+    apps = []
+    for index, (duty, affinity) in enumerate(threads):
+        app = sim.add_app(
+            SimApp(
+                f"spin{index}",
+                MicrobenchWorkload(n_threads=1, duty=duty),
+                PerformanceTarget(1.0, 1.0, 1.0),
+            )
+        )
+        app.threads[0].set_affinity(affinity)
+        apps.append(app)
+    scheduler = sim.scheduler
+    calls = {"scans": 0, "proofs": 0}
+    fresh, holds = scheduler._place_fresh, scheduler._anchor_holds
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    scheduler._place_fresh = counted("scans", fresh)
+    scheduler._anchor_holds = counted("proofs", holds)
+    cores, scanned, proved = [], [], []
+    for tick in range(ticks):
+        script(tick, sim, apps)
+        if forgetful:
+            _forget(sim)
+        before = dict(calls)
+        sim.step()
+        scanned.append(calls["scans"] > before["scans"])
+        proved.append(calls["proofs"] > before["proofs"])
+        cores.append(tuple(app.threads[0].current_core for app in apps))
+    return cores, sim.sensor.energy_j(), scanned, proved
+
+
+def _duty_twins(threads, script, ticks):
+    """The normal run's output and its scan and proof flags, checked
+    against the forgetful run's output."""
+    normal = _duty_run(threads, script, False, ticks)
+    assert normal[:2] == _duty_run(threads, script, True, ticks)[:2]
+    return normal[0], normal[2], normal[3]
+
+
+def test_a_demand_changed_mid_stretch_ends_it():
+    # t2 shares the lighter of cores 4 and 5 with the pinned t0 or t1.
+    threads = [
+        (0.3, frozenset({4})),
+        (0.6, frozenset({5})),
+        (1.0, frozenset({4, 5})),
+    ]
+
+    def script(tick, sim, apps):
+        if tick == 100:
+            apps[0].model.duty = 0.9  # t0's demand rises past t1's
+
+    cores, scanned, proved = _duty_twins(threads, script, 200)
+    assert cores[99][2] == 4 and cores[199][2] == 5
+    # The loads had settled into a stretch: no proof, no scan.
+    assert not any(proved[60:101]) and not any(scanned[60:101])
+    # The stretch still covers t0's rise while its load stays in its
+    # proven interval; the tick it leaves runs the full proof, which
+    # fails, and the scan moves t2.
+    moved = cores.index(cores[199], 100)
+    assert moved > 101 and not any(scanned[101:moved])
+    assert proved[moved] and scanned[moved]
+
+
+#: A stickiness of 1/4 and demands of 1/2 and 1/4 make an exact tie of
+#: exact float fixed points: ``x·decay + x·gain == x`` for each.
+_TIE_STICKINESS = 0.25
+
+
+def _tie_script(t1_load):
+    """Holds the loads at 1/2, ``t1_load`` and 1 (each tick: a no-op
+    for a load at its fixed point)."""
+
+    def script(tick, sim, apps):
+        if tick == 0:
+            sim.scheduler.STICKINESS = _TIE_STICKINESS
+            apps[2].threads[0].set_affinity(frozenset({4}))
+        for app, load in zip(apps, (0.5, t1_load, 1.0)):
+            app.threads[0].load = load
+        if tick == 5:
+            # t2 may now leave core 4: core 4 scores 0.5 - 1/4 (its
+            # stickiness bonus), core 5 scores t1's load.
+            apps[2].threads[0].set_affinity(frozenset({4, 5}))
+
+    return script
+
+
+_TIE_THREADS = [(0.5, frozenset({4})), (0.25, frozenset({5})), (1.0, None)]
+
+
+def test_a_tie_at_an_exact_fixed_point_is_proven_for_the_stretch():
+    cores, scanned, proved = _duty_twins(_TIE_THREADS, _tie_script(0.25), 40)
+    assert all(core == (4, 5, 4) for core in cores[5:])
+    assert scanned[5] and not any(scanned[6:])
+    # The anchor proof holds the tie; the stretch proof then covers it.
+    assert not any(proved[8:])
+
+
+def _off_fixed_point(value, demand):
+    """The value nearest above ``value`` that the EWMA moves."""
+    decay = math.exp(-DEFAULT_TICK_S / LOAD_TIME_CONSTANT_S)
+    gain = 1.0 - decay
+    while value * decay + demand * gain == value:
+        value = math.nextafter(value, 1.0)
+    return value
+
+
+def test_a_tie_one_ulp_off_a_fixed_point_is_not():
+    # t1's load is held bit-equal, so the anchor proof holds the tie
+    # every tick; but the EWMA alone would move it, so no stretch
+    # proof covers the tie and each tick is proven on its own.
+    off = _off_fixed_point(0.25, 0.25)
+    cores, scanned, proved = _duty_twins(_TIE_THREADS, _tie_script(off), 40)
+    assert all(core == (4, 5, 4) for core in cores[5:])
+    assert scanned[5] and not any(scanned[6:])
+    assert all(proved[6:])
+
+
+def test_an_interval_across_a_threshold_is_refused():
+    # t0 is hungry (demand 1) but starts light: it rises on little
+    # until its load reaches the up threshold, then moves to big.
+    threads = [(1.0, None), (1.0, frozenset({0})), (1.0, frozenset({4}))]
+
+    def script(tick, sim, apps):
+        if tick == 0:
+            apps[0].threads[0].load = 0.1
+
+    cores, scanned, proved = _duty_twins(threads, script, 60)
+    moved = next(tick for tick, core in enumerate(cores) if core[0] >= 4)
+    assert cores[moved - 1][0] < 4 and moved > 5
+    # Each tick on little is proven on its own: the interval from the
+    # load to its demand crosses the threshold.
+    assert all(proved[2:moved]) and scanned[moved]
+    # On big, a stretch takes over once the interval from the anchor's
+    # load to 1 stays nearer that load than either threshold.
+    assert not any(proved[45:])
 
 
 # -- the sensor's reused reading ----------------------------------------------

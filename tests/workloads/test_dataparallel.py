@@ -34,7 +34,7 @@ class TestBarrierSemantics:
         result = model.advance({0: 10.0})
         # Thread 0 can only do its 1.0 share of the current unit.
         assert result.consumed[0] == pytest.approx(1.0)
-        assert model.runnable_threads() == [1, 2, 3]
+        assert list(model.runnable_threads()) == [1, 2, 3]
 
     def test_large_grants_complete_multiple_units(self):
         model = _model(n_units=3)
@@ -62,7 +62,7 @@ class TestBarrierSemantics:
 class TestSerialPhase:
     def test_only_thread_zero_runs_during_serial_phase(self):
         model = _model(serial=5.0)
-        assert model.runnable_threads() == [0]
+        assert list(model.runnable_threads()) == [0]
 
     def test_serial_phase_emits_no_heartbeats(self):
         model = _model(serial=5.0)

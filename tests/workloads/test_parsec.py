@@ -55,7 +55,7 @@ class TestPaperProperties:
         model = make_benchmark("blackscholes", n_units=10)
         assert isinstance(model, DataParallelWorkload)
         assert model.in_serial_phase
-        assert model.runnable_threads() == [0]
+        assert list(model.runnable_threads()) == [0]
 
     def test_other_benchmarks_have_no_serial_phase(self):
         for name in ("bodytrack", "swaptions", "fluidanimate", "facesim"):

@@ -67,12 +67,12 @@ class TestFlow:
         assert model.queue_levels()[1] == pytest.approx(5.0)
         assert result.consumed[0] == pytest.approx(5.0)
         # Stage 0 is blocked on the full queue; stage 1 has input.
-        assert model.runnable_threads() == [1]
+        assert list(model.runnable_threads()) == [1]
 
     def test_starved_stage_does_not_want_cpu(self):
         model = _model()
         # Nothing has reached stage 1 yet.
-        assert model.runnable_threads() == [0]
+        assert list(model.runnable_threads()) == [0]
 
     def test_starved_stage_consumes_nothing(self):
         model = _model()
