@@ -7,9 +7,11 @@ repo benchmark (``perfbench/``) are exact for a given seed and size.
 ``*.calls`` metric of one traced journey at the smoke size the
 benchmark's own tests use; only counts that repeated exactly over three
 recording runs are kept.  The benchmark has no span on the fleet
-engine, so the gate counts the engine's own calls itself
-(:data:`ENGINE_COUNTS`): its ticks, and its per-row calls into the
-control plane — the engine's Python work that grows with the nodes.
+engine or on GTS's full scan, so the gate counts some calls itself
+(:data:`COUNTED_CALLS`): the fleet engine's ticks and its per-row calls
+into the control plane — the engine's Python work that grows with the
+nodes — and the single-board GTS scans, which a needlessly strict
+placement proof multiplies without changing any output.
 
 Check (exit status 1 when any recorded count rises)::
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import json
 import sys
 from collections import Counter
@@ -49,20 +52,23 @@ DEFAULT_SCALE = 0.1
 SEED = 3
 #: Recording runs a count must repeat exactly over to be kept.
 RECORD_RUNS = 3
-#: ``FleetEngine`` methods the gate counts: (attribute, count name).
-ENGINE_COUNTS = (
-    ("step", "fleet.engine.step.calls"),
-    ("_write_back", "fleet.engine.write_back.calls"),
-    ("_read_back", "fleet.engine.read_back.calls"),
+#: Methods the gate counts: (module, class, attribute, count name).
+_ENGINE = ("repro.fleet.engine", "FleetEngine")
+COUNTED_CALLS = (
+    (*_ENGINE, "step", "fleet.engine.step.calls"),
+    (*_ENGINE, "_write_back", "fleet.engine.write_back.calls"),
+    (*_ENGINE, "_read_back", "fleet.engine.read_back.calls"),
+    ("repro.sched.gts", "GtsScheduler", "_place_fresh", "sched.scan.calls"),
 )
 
 
 @contextlib.contextmanager
-def counting_engine_calls(counts: Counter) -> Iterator[None]:
-    """Count calls of the :data:`ENGINE_COUNTS` methods into ``counts``."""
-    from repro.fleet.engine import FleetEngine
-
-    originals = {attr: FleetEngine.__dict__[attr] for attr, _ in ENGINE_COUNTS}
+def counting_calls(counts: Counter) -> Iterator[None]:
+    """Count calls of the :data:`COUNTED_CALLS` methods into ``counts``."""
+    originals = []
+    for module, cls_name, attr, name in COUNTED_CALLS:
+        cls = getattr(importlib.import_module(module), cls_name)
+        originals.append((cls, attr, cls.__dict__[attr], name))
 
     def counted(fn, name):
         @functools.wraps(fn)
@@ -72,20 +78,20 @@ def counting_engine_calls(counts: Counter) -> Iterator[None]:
 
         return wrapper
 
-    for attr, name in ENGINE_COUNTS:
-        setattr(FleetEngine, attr, counted(originals[attr], name))
+    for cls, attr, fn, name in originals:
+        setattr(cls, attr, counted(fn, name))
     try:
         yield
     finally:
-        for attr, fn in originals.items():
-            setattr(FleetEngine, attr, fn)
+        for cls, attr, fn, _ in originals:
+            setattr(cls, attr, fn)
 
 
 def measure_counts(workload: str, probe: "speed.SpeedProbe") -> Dict[str, float]:
     """Every ``*.calls`` metric of one traced journey of ``workload``,
-    and the engine's call counts per journey."""
-    engine_counts: Counter = Counter()
-    with counting_engine_calls(engine_counts):
+    and the :data:`COUNTED_CALLS` counts per journey."""
+    own_counts: Counter = Counter()
+    with counting_calls(own_counts):
         result, detail = run.measure(
             workload,
             seed=SEED,
@@ -103,7 +109,7 @@ def measure_counts(workload: str, probe: "speed.SpeedProbe") -> Dict[str, float]
     }
     # Every journey of a run, traced or not, is the same seeded journey.
     journeys = detail["journeys"] + detail["untraced_journeys"]
-    for name, total in engine_counts.items():
+    for name, total in own_counts.items():
         counts[name] = total / journeys
     return counts
 

@@ -80,14 +80,15 @@ class GtsScheduler:
 
     Most ticks end with the placement they started with, while the
     loads the picks read move a little every tick.  So :meth:`place`
-    keeps an *anchor* — the last fully computed placement plus the
-    margins its picks won by — and returns the anchor's placement
-    object again while the drift of the loads provably cannot change
-    any pick (``docs/modelling.md`` §5).  While the engine's demand
-    repeats, each load only moves toward its demand, so a proof over
-    the whole interval each load can still reach (a *stretch*) lets
-    the ticks after it check just the structure and that each load
-    stays inside its interval.
+    keeps an *anchor* — the last fully computed placement, the margins
+    its picks won by, and the loads that keep each cluster choice — and
+    returns the anchor's placement object again while a proof shows a
+    full scan would give it (``docs/modelling.md`` §5).  One proof,
+    :meth:`_proves`, covers a *box* of loads, an interval per thread:
+    the point of this tick's loads, or, while the engine's demand
+    repeats, every load between each thread's value and its demand (a
+    *stretch*).  While a proven box holds, a tick checks just the
+    structure and that each load stays inside its interval.
     """
 
     #: Load-tracking migration thresholds (Linux GTS defaults).
@@ -97,7 +98,7 @@ class GtsScheduler:
     MIN_TASK_WEIGHT = 0.1
     #: Run-queue weight bonus of a thread's current core (migration cost).
     STICKINESS = 0.05
-    #: Float slack of the reuse proof, taken off every margin: an
+    #: Float slack of the proof, taken off every pick's margin: an
     #: absolute term plus one relative to the run-queue sums compared.
     #: Both sit orders above the rounding of sums of a few dozen loads
     #: in [0, 1] (~1e-14).
@@ -107,33 +108,30 @@ class GtsScheduler:
     #: rounded EWMA step drifts below ~4e-15 past it (``docs/modelling.md``
     #: §9).  A load past it only ends the stretch.
     STRETCH_EPS = 1e-13
-    #: Most proven ticks to wait before retrying a refused stretch proof
-    #: (the wait doubles from one up to this).
+    #: Most ticks to wait before retrying a refused stretch (the wait
+    #: doubles from one up to this).
     STRETCH_MAX_WAIT = 4
 
     def __init__(self) -> None:
         self._spec: Optional[PlatformSpec] = None
         self._on_big: Tuple[bool, ...] = ()
-        #: ``(live, rows, picked, placement)`` of the last full scan whose
-        #: input cores equalled its output, else ``None``:
+        #: ``(live, rows, placement)`` of the last full scan whose input
+        #: cores equalled its output, else ``None``:
         #:
         #: * ``live`` — ``(app, cpuset, runnable_threads())`` per live app;
         #: * ``rows`` — per placed thread, in scan order, ``(thread,
-        #:   affinity, core, load, weight, limit, gaps)``: ``weight`` what
-        #:   it added to its core's run-queue sum, ``limit`` the load's
-        #:   slack-reduced distance to the nearer migration threshold
-        #:   (``inf`` unless the load chose the cluster), ``gaps`` one
-        #:   ``(winner, loser, margin)`` per core its pick passed over;
-        #: * ``picked`` — whether any pick was not forced.  When none
-        #:   was, no load matters and the rows are ``(thread, affinity,
-        #:   core)``.
+        #:   affinity, core, load, weight, keep_lo, keep_hi, gaps)``:
+        #:   ``weight`` what it added to its core's run-queue sum, the
+        #:   load keeps its cluster while ``keep_lo < load < keep_hi``
+        #:   (infinite bounds unless the load chose the cluster), and
+        #:   ``gaps`` one ``(winner, loser, margin)`` per core its pick
+        #:   passed over (none for a forced pick).
         self._anchor: Optional[tuple] = None
-        #: ``(anchor, rows)`` while a stretch proof covers the anchor, else
-        #: ``None``: per anchor row, ``(thread, affinity, core, lo, hi)``,
-        #: the interval ``[lo, hi]`` every load in which the proof covers.
-        self._stretch: Optional[tuple] = None
-        #: Proven ticks to wait before the next stretch proof, and the
-        #: wait after the next failed one.
+        #: While a proven stretch covers the anchor, per anchor row
+        #: ``(thread, affinity, core, lo, hi)``, else ``None``.
+        self._box: Optional[list] = None
+        #: Ticks to wait before the next stretch attempt, and the wait
+        #: after the next refused one.
         self._stretch_wait = 0
         self._stretch_backoff = 1
         self._zero_drift: List[float] = []
@@ -144,179 +142,130 @@ class GtsScheduler:
         if spec is not self._spec:
             self._spec, self._on_big = spec, on_big_table(spec)
             self._zero_drift = [0.0] * (len(self._on_big) - 1)
-            self._anchor = self._stretch = None
+            self._anchor = self._box = None
         anchor = self._anchor
-        stretch = self._stretch
-        if stretch is not None:
-            if stretch[0] is anchor and self._stretch_holds(stretch[1], sim.apps):
-                return anchor[3]
-            self._stretch = None
-        live = [
-            (app, app.cpuset, app.model.runnable_threads())
-            for app in sim.apps
-            if not (app.is_done() or app.halted)
-        ]
-        if anchor is not None and self._anchor_holds(anchor, live):
+        if anchor is not None and self._same_apps(anchor[0], sim.apps):
+            _, rows, placement = anchor
+            if self._box is not None:
+                for thread, affinity, core, lo, hi in self._box:
+                    if (
+                        thread.affinity is not affinity
+                        or thread.current_core != core
+                        or not lo <= thread.load <= hi  # a NaN is in none
+                    ):
+                        self._box = None
+                        break
+                else:
+                    return placement
             if self._stretch_wait:
                 self._stretch_wait -= 1
-            elif anchor[2] and sim._arr_demand is not None:
-                rows = self._stretch_rows(anchor[1], sim)
-                if rows is None:
-                    # Loads that moved toward their demands may prove
-                    # it later: retry after a wait that doubles.
-                    self._stretch_wait = self._stretch_backoff
-                    self._stretch_backoff = min(
-                        2 * self._stretch_backoff, self.STRETCH_MAX_WAIT
-                    )
-                else:
-                    self._stretch = (anchor, rows)
+            elif sim._arr_demand is not None:
+                box = self._stretch(rows, sim)
+                if self._proves(rows, box):
+                    self._box = [row[:3] + ends for row, ends in zip(rows, box)]
                     self._stretch_backoff = 1
-            return anchor[3]
-        return self._place_fresh(machine.core_ids(), live)
+                    return placement
+                # Loads that moved toward their demands may prove it
+                # later: retry after a wait that doubles.
+                self._stretch_wait = self._stretch_backoff
+                self._stretch_backoff = min(
+                    2 * self._stretch_backoff, self.STRETCH_MAX_WAIT
+                )
+            if self._proves(rows, [(row[0].load,) * 2 for row in rows]):
+                return placement
+        return self._place_fresh(machine.core_ids(), sim.apps)
 
     # -- internals -----------------------------------------------------------
 
-    def _stretch_holds(self, rows: list, apps: list) -> bool:
-        """Whether the stretch proof covers this tick: the anchor's
-        structure (as :meth:`_anchor_holds` checks it, without building
-        the live list), and every load inside its proven interval (a
-        NaN is inside none)."""
-        anchor_live = self._anchor[0]
-        n_live = len(anchor_live)
-        index = 0
+    @staticmethod
+    def _same_apps(anchor_live: list, apps: list) -> bool:
+        """Whether the live apps, their cpuset objects and runnable
+        lists are the anchor's (``is`` first: a model may hand back the
+        same immutable sequence while its runnable set stands)."""
+        was_live = iter(anchor_live)
         for app in apps:
             if app.is_done() or app.halted:
                 continue
-            if index == n_live:
-                return False
-            was_app, was_cpuset, was_runnable = anchor_live[index]
-            if app is not was_app or app.cpuset is not was_cpuset:
+            was = next(was_live, None)
+            if was is None or app is not was[0] or app.cpuset is not was[1]:
                 return False
             runnable = app.model.runnable_threads()
-            if runnable is not was_runnable and runnable != was_runnable:
+            if runnable is not was[2] and runnable != was[2]:
                 return False
-            index += 1
-        if index != n_live:
-            return False
-        for thread, affinity, core, lo, hi in rows:
-            if (
-                thread.affinity is not affinity
-                or thread.current_core != core
-                or not lo <= thread.load <= hi
-            ):
-                return False
-        return True
+        return next(was_live, None) is None
 
-    def _stretch_rows(self, rows: list, sim: "Simulation") -> Optional[list]:
-        """The stretch proof over a proven anchor's ``rows``, or ``None``
-        (``docs/modelling.md`` §5 and §9).
-
-        While a thread's demand ``d`` repeats, the engine's EWMA moves
-        its load ``L`` monotonically toward ``d``, so it stays in
-        ``[min(L, d), max(L, d)]``, here widened by
-        :attr:`STRETCH_EPS`.  A load at an exact float fixed point
-        (``L·decay + d·gain == L``) equal to the anchor's keeps the
-        interval ``[L, L]`` and changes no sum.  The proof must hold for
-        every load in its interval: each interval stays within the
-        row's threshold limit, and for each pick the largest change of
-        the winner's sum less the smallest change of the loser's, over
-        the rows above, stays below the margin.  A tie holds only
-        between cores every row of which sits at its fixed point.
-        """
+    def _stretch(self, rows: list, sim: "Simulation") -> List[tuple]:
+        """Per anchor row, the interval ``(lo, hi)`` its load stays in
+        while the engine's demand repeats (``docs/modelling.md`` §5 and
+        §9): the EWMA moves a load ``L`` monotonically toward its demand
+        ``d``, so it stays in ``[min(L, d), max(L, d)]``, here widened
+        by :attr:`STRETCH_EPS`.  A load equal to the anchor's at an
+        exact float fixed point (``L·decay + d·gain == L``) keeps the
+        point ``[L, L]``."""
         demand = sim._arr_demand
         decay, gain = sim._load_decay, sim._load_gain
         widen = self.STRETCH_EPS
-        min_weight = self.MIN_TASK_WEIGHT
-        tied = {
-            core
-            for row in rows
-            for winner, loser, margin in row[6]
-            if not margin > 0.0
-            for core in (winner, loser)
-        }
-        # Per core, the largest and smallest change of its run-queue sum
-        # over the rows so far.
-        rise = self._zero_drift[:]
-        fall = self._zero_drift[:]
-        proven = []
-        for thread, affinity, core, load, weight, limit, gaps in rows:
-            for winner, loser, margin in gaps:
-                if margin > 0.0 and not rise[winner] - fall[loser] < margin:
-                    return None
+        box = []
+        for row in rows:
+            thread = row[0]
             now = thread.load
             target = demand[thread._slot]
-            if now == load and now * decay + target * gain == now:
-                proven.append((thread, affinity, core, now, now))
-                continue
-            if core in tied:
-                return None
-            if now > target:
-                lo, hi = target - widen, now + widen
+            if now == row[3] and now * decay + target * gain == now:
+                box.append((now, now))
+            elif now > target:
+                box.append((target - widen, now + widen))
             else:
-                lo, hi = now - widen, target + widen
-            if not (hi - load if hi - load > load - lo else load - lo) < limit:
-                return None
-            rise[core] += (hi if hi > min_weight else min_weight) - weight
-            fall[core] += (lo if lo > min_weight else min_weight) - weight
-            proven.append((thread, affinity, core, lo, hi))
-        return proven
+                box.append((now - widen, target + widen))
+        return box
 
-    def _anchor_holds(self, anchor: tuple, live: list) -> bool:
-        """Whether a full scan now would return the anchor's placement
+    def _proves(self, rows: list, box: list) -> bool:
+        """Whether a full scan would return the anchor's placement for
+        every load vector in ``box``, one ``(lo, hi)`` per anchor row
         (``docs/modelling.md`` §5 and §9).
 
-        The structure must be the anchor's: the same apps, cpuset and
-        affinity objects, runnable lists and current cores.  Then, in
-        scan order, each load that moved must stay on its side of both
-        thresholds, and each pick's winner must still beat each loser:
-        the change of the two run-queue sums the pick read must stay
-        below its margin.  Each comparison is written as "must be
-        below", so a NaN fails it.
+        Each thread's affinity object and current core must be the
+        anchor's.  Then, in scan order, a row whose interval is not the
+        point of the anchor's load (a *moved* row) must keep its
+        cluster, ``keep_lo < lo and hi < keep_hi``; and each pick's
+        winner must still beat each loser: the largest change of the
+        winner's run-queue sum less the smallest change of the loser's,
+        over the rows above, must stay below the margin.  A tie (a
+        margin of zero or less) survives only while neither core has a
+        moved row above the pick: the two scores are then bit-equal.
+        Each comparison is written as "must be below", so a NaN fails
+        it.
         """
-        anchor_live, rows, picked, _ = anchor
-        if len(live) != len(anchor_live):
-            return False
-        for (app, cpuset, runnable), (was_app, was_cpuset, was_runnable) in zip(
-            live, anchor_live
-        ):
-            if app is not was_app or cpuset is not was_cpuset:
-                return False
-            # ``is`` first: a model may hand back the same immutable
-            # sequence while its runnable set stands.
-            if runnable is not was_runnable and runnable != was_runnable:
-                return False
-        if not picked:
-            for thread, affinity, core in rows:
-                if thread.affinity is not affinity or thread.current_core != core:
-                    return False
-            return True
-        # Per core, the change of its run-queue sum so far (the weights
-        # of the rows above), and the cores whose sum had a term change.
-        drift = self._zero_drift[:]
+        # Per core, the largest and smallest change of its run-queue sum
+        # over the rows so far, and the cores with a moved row.
+        rise = self._zero_drift[:]
+        fall = self._zero_drift[:]
         moved = set()
         min_weight = self.MIN_TASK_WEIGHT
-        for thread, affinity, core, load, weight, limit, gaps in rows:
+        for row, (lo, hi) in zip(rows, box):
+            thread, affinity, core, load, weight, keep_lo, keep_hi, gaps = row
             if thread.affinity is not affinity or thread.current_core != core:
                 return False
             if gaps and moved:  # with no sum changed, every pick repeats
                 for winner, loser, margin in gaps:
-                    if not drift[winner] - drift[loser] < margin and (
-                        # A margin of zero or less (a tie) still holds
-                        # while neither sum had a term change: the two
-                        # scores are then bit-equal.
-                        margin > 0.0 or winner in moved or loser in moved
+                    if not rise[winner] - fall[loser] < margin and (
+                        winner in moved or loser in moved
                     ):
                         return False
-            now = thread.load
-            if now != load:
-                if not (now - load if now > load else load - now) < limit:
+            if lo != load or hi != load:
+                if not (keep_lo < lo and hi < keep_hi):
                     return False
-                drift[core] += (now if now > min_weight else min_weight) - weight
+                rise[core] += (hi if hi > min_weight else min_weight) - weight
+                fall[core] += (lo if lo > min_weight else min_weight) - weight
                 moved.add(core)
         return True
 
-    def _place_fresh(self, cores, live: list) -> Placement:
+    def _place_fresh(self, cores, apps: list) -> Placement:
         """The full scan; re-anchors on its outcome."""
+        live = [
+            (app, app.cpuset, app.model.runnable_threads())
+            for app in apps
+            if not (app.is_done() or app.halted)
+        ]
         placement: Placement = {}
         # Run-queue weight per core: the balancer spreads *load*, not
         # thread count (CFS load balancing), so a heavy stage thread is
@@ -325,12 +274,10 @@ class GtsScheduler:
         load_counts: Dict[int, float] = {core: 0.0 for core in cores}
         min_weight = self.MIN_TASK_WEIGHT
         bonus = self.STICKINESS
-        up, down = self.up_threshold, self.down_threshold
         abs_eps, rel_eps = self.REUSE_ABS_EPS, self.REUSE_REL_EPS
         on_big = self._on_big
         rows: List[tuple] = []
         placed = 0.0  # every weight added so far: bounds each sum read
-        picked = False
         settled = True  # every thread's input core is its output
 
         for app, cpuset, runnable in live:
@@ -361,10 +308,9 @@ class GtsScheduler:
                 load = thread.load
                 current = thread.current_core
                 core = entry[4]
-                limit = math.inf
+                keep_lo, keep_hi = -math.inf, math.inf
                 gaps: Sequence[tuple] = ()
                 if core is None:
-                    picked = True
                     if_big, if_little = entry[2], entry[3]
                     core = self._pick_partitioned(
                         thread, if_big, if_little, load_counts
@@ -388,9 +334,13 @@ class GtsScheduler:
                         if c != core
                     ]
                     if if_big is not if_little:  # the load picks the cluster
-                        limit = min(abs(load - up), abs(load - down)) - (
-                            abs_eps + rel_eps * (abs(load) + up)
-                        )
+                        # Kept anchors are settled (input core = output),
+                        # so ``prefers_big`` keeps big while the load is
+                        # above down and little while it is below up.
+                        if on_big[core]:
+                            keep_lo = self.down_threshold
+                        else:
+                            keep_hi = self.up_threshold
                 if current != core:
                     settled = False
                 if core in placement:
@@ -400,16 +350,13 @@ class GtsScheduler:
                 weight = load if load > min_weight else min_weight
                 load_counts[core] += weight
                 placed += weight
-                rows.append((thread, entry[0], core, load, weight, limit, gaps))
+                rows.append(
+                    (thread, entry[0], core, load, weight, keep_lo, keep_hi, gaps)
+                )
                 thread.current_core = core
-        self._stretch = None
+        self._box = None
         self._stretch_wait, self._stretch_backoff = 0, 1
-        if not settled:
-            self._anchor = None
-        elif picked:
-            self._anchor = (live, rows, True, placement)
-        else:
-            self._anchor = (live, [row[:3] for row in rows], False, placement)
+        self._anchor = (live, rows, placement) if settled else None
         return placement
 
     def _pick_partitioned(

@@ -34,8 +34,9 @@ oracle; ``tests/golden`` pins whole-run outputs byte for byte).
 Most ticks repeat the previous tick's setting, so the tick reuses what
 it can prove unchanged (``docs/modelling.md`` §4, §5 and §9):
 
-* GTS returns its last placement object while its anchor's proof
-  holds, or a stretch proof covers the loads
+* GTS returns its last placement object while its one proof shows a
+  full scan would give it, for this tick's loads or for a box of loads
+  proven earlier that still holds them
   (:class:`~repro.sched.gts.GtsScheduler`);
 * round 1's grant plan is reused when the placement, the cluster
   frequencies and every app's speed factor equal the previous tick's;

@@ -55,7 +55,7 @@ class DataParallelWorkload(WorkloadModel):
         self._done = False
         #: The runnable threads while they stand, else ``None``.
         self._runnable: Optional[Tuple[int, ...]] = None
-        if self.serial_work == 0:
+        if self.serial_work <= _EPSILON:  # a serial phase this short is over
             self._load_unit()
 
     def _load_unit(self) -> None:

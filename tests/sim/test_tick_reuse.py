@@ -1,17 +1,17 @@
 """The tick's reuse of earlier ticks' work changes no byte.
 
 ``Simulation.step`` reuses four things when it can prove them
-unchanged: GTS's placement (the scheduler's anchor, and the stretch
-proof that covers it while the loads stay in their intervals), round
-1's grant plan, the write-back of a repeated tick, and the power
-reading.  A
-*forgetful* step drops every memo before every tick, so it recomputes
-everything; its runs must hash to the same golden digests as the normal
-runs (``tests/golden``), which assert the normal runs themselves.  No
-golden run changes a speed factor while the placement stands still, so
-directed twin runs change each key input alone between two steady
-ticks and compare the normal step with the forgetful one; scripted
-twin runs push the placement proof's margins to zero the same way.
+unchanged: GTS's placement (the scheduler's anchor, and the proven
+box of loads that covers it while the loads stay in their intervals),
+round 1's grant plan, the write-back of a repeated tick, and the power
+reading.  A *forgetful* step drops every memo before every tick, so it
+recomputes everything; its runs must hash to the same golden digests as
+the normal runs (``tests/golden``), which assert the normal runs
+themselves.  No golden run changes a speed factor while the placement
+stands still, so directed twin runs change each key input alone between
+two steady ticks and compare the normal step with the forgetful one;
+scripted twin runs push the placement proof's margins to zero the same
+way.
 
 The replayed grant dicts go to ``advance`` again, so every workload
 model must leave its ``grants`` argument unchanged.
@@ -61,7 +61,7 @@ def _forget(sim):
     sim._power_memo = None
     sim._writeback_memo = None
     sim.scheduler._anchor = None
-    sim.scheduler._stretch = None
+    sim.scheduler._box = None
 
 
 @pytest.mark.parametrize("name", FORGETFUL_RUNS)
@@ -334,29 +334,32 @@ def test_a_current_core_written_outside_place_is_seen():
 
 #: Over the whole golden ``baseline-blackscholes-x40`` run (6,670
 #: ticks): ``GtsScheduler._pick_partitioned`` calls were 25,070 (3.76 a
-#: tick) when GTS rescanned every tick, 1,732 (0.26 a tick) with the
-#: placement anchor; full anchor proofs (``_anchor_holds`` calls) were
-#: 6,588 with the anchor alone, 810 with the stretch proof.
+#: tick) when GTS rescanned every tick, 1,732 (0.26 a tick) with a
+#: point proof whose cluster bound was the distance to the nearer
+#: threshold, and 1,060 (162 scans) with the exact hysteresis bounds.
+#: Proof passes (``_proves`` calls) were 6,588 with the point proof
+#: alone, 1,086 with a separate stretch proof (810 point proofs, 276
+#: stretch attempts), and 794 with the one box proof.
 def test_gts_rescans_only_when_its_proof_fails(monkeypatch):
     counts = {"picks": 0, "proofs": 0, "ticks": 0}
     pick = GtsScheduler._pick_partitioned
-    holds = GtsScheduler._anchor_holds
+    proves = GtsScheduler._proves
     step = Simulation.step
 
     def counted_pick(self, *args):
         counts["picks"] += 1
         return pick(self, *args)
 
-    def counted_holds(self, *args):
+    def counted_proves(self, *args):
         counts["proofs"] += 1
-        return holds(self, *args)
+        return proves(self, *args)
 
     def counted_step(self):
         counts["ticks"] += 1
         step(self)
 
     monkeypatch.setattr(GtsScheduler, "_pick_partitioned", counted_pick)
-    monkeypatch.setattr(GtsScheduler, "_anchor_holds", counted_holds)
+    monkeypatch.setattr(GtsScheduler, "_proves", counted_proves)
     monkeypatch.setattr(Simulation, "step", counted_step)
     clear_max_rate_cache()
     try:
@@ -368,7 +371,7 @@ def test_gts_rescans_only_when_its_proof_fails(monkeypatch):
     assert counts["proofs"] < 0.25 * counts["ticks"]
 
 
-# -- the stretch proof: loads moving toward repeated demands -----------------
+# -- the stretch: loads moving toward repeated demands ------------------------
 
 
 def _duty_run(threads, script, forgetful, ticks):
@@ -376,7 +379,8 @@ def _duty_run(threads, script, forgetful, ticks):
     thread's demand is its duty); before every tick ``script(tick, sim,
     apps)`` may set loads or move state.  Returns each tick's cores, the
     energy, and per tick whether GTS ran its full scan and whether it
-    ran the full anchor proof."""
+    ran a proof pass (of a stretch or of the point of this tick's
+    loads)."""
     sim = Simulation(odroid_xu3())
     apps = []
     for index, (duty, affinity) in enumerate(threads):
@@ -391,7 +395,7 @@ def _duty_run(threads, script, forgetful, ticks):
         apps.append(app)
     scheduler = sim.scheduler
     calls = {"scans": 0, "proofs": 0}
-    fresh, holds = scheduler._place_fresh, scheduler._anchor_holds
+    fresh, proves = scheduler._place_fresh, scheduler._proves
 
     def counted(name, fn):
         def wrapper(*args):
@@ -401,7 +405,7 @@ def _duty_run(threads, script, forgetful, ticks):
         return wrapper
 
     scheduler._place_fresh = counted("scans", fresh)
-    scheduler._anchor_holds = counted("proofs", holds)
+    scheduler._proves = counted("proofs", proves)
     cores, scanned, proved = [], [], []
     for tick in range(ticks):
         script(tick, sim, apps)
@@ -440,8 +444,8 @@ def test_a_demand_changed_mid_stretch_ends_it():
     # The loads had settled into a stretch: no proof, no scan.
     assert not any(proved[60:101]) and not any(scanned[60:101])
     # The stretch still covers t0's rise while its load stays in its
-    # proven interval; the tick it leaves runs the full proof, which
-    # fails, and the scan moves t2.
+    # proven interval; the tick it leaves runs the proofs, which fail,
+    # and the scan moves t2.
     moved = cores.index(cores[199], 100)
     assert moved > 101 and not any(scanned[101:moved])
     assert proved[moved] and scanned[moved]
@@ -477,7 +481,7 @@ def test_a_tie_at_an_exact_fixed_point_is_proven_for_the_stretch():
     cores, scanned, proved = _duty_twins(_TIE_THREADS, _tie_script(0.25), 40)
     assert all(core == (4, 5, 4) for core in cores[5:])
     assert scanned[5] and not any(scanned[6:])
-    # The anchor proof holds the tie; the stretch proof then covers it.
+    # Neither tied core has a moved row: the stretch covers the tie.
     assert not any(proved[8:])
 
 
@@ -491,9 +495,10 @@ def _off_fixed_point(value, demand):
 
 
 def test_a_tie_one_ulp_off_a_fixed_point_is_not():
-    # t1's load is held bit-equal, so the anchor proof holds the tie
-    # every tick; but the EWMA alone would move it, so no stretch
-    # proof covers the tie and each tick is proven on its own.
+    # t1's load is held bit-equal, so the point proof holds the tie
+    # every tick; but the EWMA alone would move it, so its interval in
+    # a stretch is not a point, no stretch covers the tie, and each
+    # tick is proven on its own.
     off = _off_fixed_point(0.25, 0.25)
     cores, scanned, proved = _duty_twins(_TIE_THREADS, _tie_script(off), 40)
     assert all(core == (4, 5, 4) for core in cores[5:])
@@ -514,11 +519,14 @@ def test_an_interval_across_a_threshold_is_refused():
     moved = next(tick for tick, core in enumerate(cores) if core[0] >= 4)
     assert cores[moved - 1][0] < 4 and moved > 5
     # Each tick on little is proven on its own: the interval from the
-    # load to its demand crosses the threshold.
+    # load to its demand crosses the up threshold.  The point proof
+    # holds while the load stays below up (hysteresis), so GTS does not
+    # rescan until the load reaches it.
     assert all(proved[2:moved]) and scanned[moved]
-    # On big, a stretch takes over once the interval from the anchor's
-    # load to 1 stays nearer that load than either threshold.
-    assert not any(proved[45:])
+    assert not any(scanned[2:moved])
+    # On big, no load above down leaves it: once the anchor settles, a
+    # stretch up to the demand of 1 is proven, and no proof runs again.
+    assert not any(proved[moved + 3 :])
 
 
 # -- the sensor's reused reading ----------------------------------------------

@@ -81,6 +81,15 @@ class TestSerialPhase:
         assert result.heartbeats == 1
         assert result.consumed[0] == pytest.approx(1.0 + 1.0)  # serial + share
 
+    def test_a_serial_phase_within_the_slack_starts_parallel(self):
+        # A serial phase of at most the completion slack counts as over:
+        # the first unit is loaded, so every thread is runnable.
+        model = _model(serial=1e-10, n_units=1, unit_work=4.0)
+        assert list(model.runnable_threads()) == [0, 1, 2, 3]
+        result = model.advance({0: 1.0})
+        assert result.consumed[0] == pytest.approx(1.0)
+        assert list(model.runnable_threads()) == [1, 2, 3]
+
     def test_units_completed_counter(self):
         model = _model(n_units=2)
         assert model.units_completed == 0
