@@ -269,6 +269,7 @@ def arm_controlled_cut(units):
         outcome = resumed.result(timeout_s=300)
         resumed.detach()
     finally:
+        client.close()
         if daemon.poll() is None:
             daemon.terminate()
             daemon.communicate(timeout=15)
@@ -331,6 +332,7 @@ def arm_hot_kill(units):
             fail("hot-kill: an app resumed with no heartbeats", daemon)
         resumed.detach()
     finally:
+        client.close()
         if daemon.poll() is None:
             daemon.terminate()
             daemon.communicate(timeout=15)

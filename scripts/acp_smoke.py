@@ -77,8 +77,8 @@ def main():
         fail(f"no http endpoint announced (got: {announced})", server)
     print(f"daemon up: unix://{socket_path} and {http_base}")
 
+    client = AcpClient(f"unix://{socket_path}")
     try:
-        client = AcpClient(f"unix://{socket_path}")
         hello = client.hello()
         if hello["server"] != "hars-repro-acp":
             fail(f"unexpected hello: {hello}", server)
@@ -145,6 +145,7 @@ def main():
             fail(f"detach left state {detached['state']}", server)
         print("detached cleanly")
     finally:
+        client.close()
         server.terminate()
         try:
             server.communicate(timeout=15)

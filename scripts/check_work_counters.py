@@ -10,8 +10,10 @@ recording runs are kept.  The benchmark has no span on the fleet
 engine or on GTS's full scan, so the gate counts some calls itself
 (:data:`COUNTED_CALLS`): the fleet engine's ticks and its per-row calls
 into the control plane — the engine's Python work that grows with the
-nodes — and the single-board GTS scans, which a needlessly strict
-placement proof multiplies without changing any output.
+nodes — the single-board GTS scans, which a needlessly strict
+placement proof multiplies without changing any output, and the ACP
+client's Unix-socket connections, which a connection per request would
+multiply by the RPC count.
 
 Check (exit status 1 when any recorded count rises)::
 
@@ -59,6 +61,7 @@ COUNTED_CALLS = (
     (*_ENGINE, "_write_back", "fleet.engine.write_back.calls"),
     (*_ENGINE, "_read_back", "fleet.engine.read_back.calls"),
     ("repro.sched.gts", "GtsScheduler", "_place_fresh", "sched.scan.calls"),
+    ("repro.acp.client", "UnixTransport", "_connect", "acp.connect.calls"),
 )
 
 

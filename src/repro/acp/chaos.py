@@ -11,7 +11,7 @@ streams are consumed per *frame*, and the frame sequence is what the
 carrier transports, not what it decides.
 
 :class:`FaultyTransport` wraps any client transport (an object with
-``exchange(line, timeout_s) -> List[str]`` and optionally
+``exchange(line, timeout_s) -> List[str]``, ``close()`` and optionally
 ``send_torn``).  Faults map onto the failure modes the resilience layer
 must absorb:
 
@@ -234,3 +234,6 @@ class FaultyTransport:
                 "wrapped transport cannot tear a write"
             )
         torn(prefix, timeout_s)
+
+    def close(self) -> None:
+        self.inner.close()

@@ -144,34 +144,35 @@ def _cmd_attach(args: argparse.Namespace) -> int:
         if args.session_id is None:
             raise ConfigurationError("--resume - needs --session-id")
         resume = True
-    client = AcpClient(args.endpoint)
-    handle = client.attach(
-        args.version,
-        shapes if len(shapes) > 1 else shapes[0],
-        session_id=args.session_id,
-        resume=resume,
-    )
-    print(f"acp: attached {handle.session_id} ({args.version}: "
-          f"{', '.join(benches)})")
-    status = handle.run()
-    if args.detach_after_start:
-        print(f"acp: running in the background, state={status['state']}")
-        return 0
-    outcome = handle.result()
-    for app in outcome.metrics.apps:
-        print(
-            f"  {app.app_name}: heartbeats={app.heartbeats}  "
-            f"rate={app.overall_rate:.2f} hb/s  "
-            f"norm-perf={app.mean_normalized_perf:.3f}"
+    with AcpClient(args.endpoint) as client:
+        handle = client.attach(
+            args.version,
+            shapes if len(shapes) > 1 else shapes[0],
+            session_id=args.session_id,
+            resume=resume,
         )
-    handle.detach()
+        print(f"acp: attached {handle.session_id} ({args.version}: "
+              f"{', '.join(benches)})")
+        status = handle.run()
+        if args.detach_after_start:
+            print(f"acp: running in the background, state={status['state']}")
+            return 0
+        outcome = handle.result()
+        for app in outcome.metrics.apps:
+            print(
+                f"  {app.app_name}: heartbeats={app.heartbeats}  "
+                f"rate={app.overall_rate:.2f} hb/s  "
+                f"norm-perf={app.mean_normalized_perf:.3f}"
+            )
+        handle.detach()
     return 0
 
 
 def _cmd_sessions(args: argparse.Namespace) -> int:
     from repro.acp.client import AcpClient
 
-    listing = AcpClient(args.endpoint).sessions()
+    with AcpClient(args.endpoint) as client:
+        listing = client.sessions()
     if not listing["sessions"]:
         print("acp: no sessions attached")
     for status in listing["sessions"]:
@@ -200,10 +201,10 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
 def _cmd_swap_policy(args: argparse.Namespace) -> int:
     from repro.acp.client import AcpClient
 
-    client = AcpClient(args.endpoint)
-    result = client.session(args.session_id).swap_policy(
-        args.policy, adapt_every=args.adapt_every
-    )
+    with AcpClient(args.endpoint) as client:
+        result = client.session(args.session_id).swap_policy(
+            args.policy, adapt_every=args.adapt_every
+        )
     print(
         f"acp: {args.session_id} now under {result['policy']} "
         f"(controllers: {', '.join(result['controllers'])}, "

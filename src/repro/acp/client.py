@@ -1,10 +1,11 @@
 """The stable ACP client SDK: :class:`AcpClient` / :class:`SessionHandle`.
 
 This module is the *supported* way to talk to an Adaptation Control
-Plane.  The raw socket protocol underneath (one JSONL request frame per
-connection, responses until the first non-event frame) is an internal
-detail that may change between minor versions; these two classes are
-covered by the repo's API-stability promise instead.
+Plane.  The raw socket protocol underneath (JSONL request frames over
+one kept-open connection, each answered by event frames up to the first
+non-event frame) is an internal detail that may change between minor
+versions; these two classes are covered by the repo's API-stability
+promise instead.
 
 Endpoints:
 
@@ -27,9 +28,12 @@ with a bounded exponential backoff, stamping an ``attempt`` marker in
 the envelope.  The server's per-session
 :class:`~repro.acp.wire.SeqWindow` turns that at-least-once delivery
 into at-most-once application: a duplicate is answered from the replay
-cache, never applied twice.  Reconnection is implicit — the transports
-open one connection per request, so a restarted daemon is just the next
-attempt succeeding.
+cache, never applied twice.  Reconnection is implicit — the Unix
+transport keeps one connection open and, when a reused connection turns
+out stale (the daemon restarted while it idled), reconnects once and
+re-sends the same line; the HTTP transport opens one connection per
+request.  Either way a restarted daemon is just the next delivery
+succeeding.
 """
 
 from __future__ import annotations
@@ -136,43 +140,119 @@ class LoopbackTransport:
         # server counts it and the response is discarded unread.
         self.server.handle_line(prefix)
 
+    def close(self) -> None:
+        pass
+
+
+#: What precedes a frame's type in its line.  Frames are encoded with
+#: sorted keys, so the envelope's ``type`` follows ``payload`` and is
+#: the last occurrence in the line.
+_TYPE_MARKER = '"type":"'
+
+
+def _is_event_line(line: str) -> bool:
+    """Whether a response line is an event frame (more lines follow)
+    rather than the frame that ends the response, told without decoding
+    it (the caller validates)."""
+    start = line.rfind(_TYPE_MARKER)
+    if start < 0:
+        return False
+    start += len(_TYPE_MARKER)
+    return line[start : line.find('"', start)] in wire.EVENT_TYPES
+
 
 class UnixTransport:
-    """One connection per request over the daemon's Unix socket."""
+    """One kept-open connection to the daemon's Unix socket.
+
+    The connection opens on first use and carries every later request;
+    the daemon answers the lines of a connection in order.  A reused
+    connection can be stale (the daemon restarted while it idled): when
+    the send fails, or the connection ends before any response byte, the
+    transport reconnects once and re-sends the same line — the same
+    seq, so the server's seq window applies it at most once.  Any other
+    failure (a timeout, a partial response) closes the socket before
+    raising, so a late reply is never read as the next request's answer.
+    """
 
     def __init__(self, path: str):
         self.path = path
+        self._sock: Any = None
+        self._stream: Any = None
+
+    def _connect(self, timeout_s: float) -> Any:
+        import socket
+
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(timeout_s)
+            sock.connect(self.path)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+
+    def _open(self, timeout_s: float) -> None:
+        self._sock = self._connect(timeout_s)
+        self._stream = self._sock.makefile("rb")
+
+    def close(self) -> None:
+        """Close the kept-open connection; the next request reopens it."""
+        stream, sock = self._stream, self._sock
+        self._stream = self._sock = None
+        if stream is not None:
+            stream.close()
+        if sock is not None:
+            sock.close()
 
     def exchange(self, line: str, timeout_s: float) -> List[str]:
-        import socket
+        data = (line + "\n").encode("utf-8")
+        try:
+            reused = self._sock is not None
+            if reused:
+                if self._sock.gettimeout() != timeout_s:
+                    self._sock.settimeout(timeout_s)
+            else:
+                self._open(timeout_s)
+            lines = self._round_trip(data, stale_ok=reused)
+            if lines is None:
+                self.close()
+                self._open(timeout_s)
+                lines = self._round_trip(data, stale_ok=False)
+            return lines
+        except BaseException:
+            self.close()
+            raise
 
+    def _round_trip(self, data: bytes, stale_ok: bool) -> Optional[List[str]]:
+        """Send one request line and read its response up to the first
+        non-event frame; ``None`` when ``stale_ok`` and the connection
+        failed before any response byte."""
+        try:
+            self._sock.sendall(data)
+            raw = self._stream.readline()
+        except ConnectionError:
+            if stale_ok:
+                return None
+            raise
+        if not raw and stale_ok:
+            return None
         lines: List[str] = []
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-            sock.settimeout(timeout_s)
-            sock.connect(self.path)
-            sock.sendall((line + "\n").encode("utf-8"))
-            sock.shutdown(socket.SHUT_WR)
-            with sock.makefile("rb") as stream:
-                for raw in stream:
-                    response = raw.decode("utf-8", errors="replace").strip()
-                    if not response:
-                        continue
-                    lines.append(response)
-                    # Stop at the terminating non-event frame without
-                    # decoding here (the caller validates).
-                    if '"type":"' in response and not any(
-                        f'"type":"{t}"' in response for t in wire.EVENT_TYPES
-                    ):
-                        break
-        return lines
+        while True:
+            if not raw.endswith(b"\n"):
+                raise EOFError(
+                    f"{self.path}: connection closed before the response ended"
+                )
+            response = raw.decode("utf-8", errors="replace").strip()
+            if response:
+                lines.append(response)
+                if not _is_event_line(response):
+                    return lines
+            raw = self._stream.readline()
 
     def send_torn(self, prefix: str, timeout_s: float) -> None:
-        """A client dying mid-write: partial bytes, no newline, gone."""
-        import socket
-
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-            sock.settimeout(timeout_s)
-            sock.connect(self.path)
+        """A client dying mid-write: partial bytes, no newline, gone.
+        Uses a connection of its own; the kept-open one is untouched."""
+        with self._connect(timeout_s) as sock:
             sock.sendall(prefix.encode("utf-8"))
             # Closing without the newline leaves a torn trailing line.
 
@@ -204,9 +284,17 @@ class HttpTransport:
         except OSError:
             pass
 
+    def close(self) -> None:
+        pass
+
 
 class AcpClient:
-    """A connection-per-request client for one ACP endpoint.
+    """A client for one ACP endpoint.
+
+    Over a Unix socket the client keeps one connection open across its
+    RPCs; :meth:`close` (or leaving a ``with`` block) releases it, and
+    is a no-op for loopback and HTTP.  One client serves one thread:
+    neither its seq counter nor its connection is locked.
 
     ``retry`` defaults to a bounded :class:`RetryPolicy` on the real
     transports (unix/http) and to :data:`SINGLE_ATTEMPT` on loopback —
@@ -261,6 +349,16 @@ class AcpClient:
                 else RetryPolicy()
             )
         self.retry = retry
+
+    def close(self) -> None:
+        """Close the transport's kept-open connection, if it has one."""
+        self._transport.close()
+
+    def __enter__(self) -> "AcpClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport -------------------------------------------------------------
 
@@ -322,7 +420,9 @@ class AcpClient:
                 last_failure = exc
                 continue
             except ConfigurationError as exc:
-                # An undecodable *response* is a delivery failure too.
+                # An undecodable *response* is a delivery failure too,
+                # and leaves the connection's framing in doubt.
+                self._transport.close()
                 last_failure = exc
                 continue
             if not frames:

@@ -69,6 +69,26 @@ _RESULT_TIMEOUT_S = 600.0
 _REAPER_INTERVAL_S = 0.25
 
 
+def _events_after(events: List[wire.Frame], since: int) -> List[wire.Frame]:
+    """The frames of ``events`` whose seq exceeds ``since``.
+
+    Event seqs only grow, so a binary search finds the first later frame
+    and the batch costs what it returns, not the session's history.  A
+    driver thread may append meanwhile: ``len`` is read once and
+    ``list.append`` is atomic, so the search runs over a stable prefix,
+    and frames appended after it all belong in the batch.
+    (Hand-written: ``bisect``'s ``key=`` needs Python 3.10.)
+    """
+    lo, hi = 0, len(events)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if events[mid].seq > since:
+            hi = mid
+        else:
+            lo = mid + 1
+    return events[lo:]
+
+
 class _Refusal(ConfigurationError):
     """A refusal that carries a machine-readable wire error code."""
 
@@ -464,7 +484,7 @@ class AcpServer:
         since = frame.payload.get("since_seq", 0)
         if not isinstance(since, int) or isinstance(since, bool):
             raise ConfigurationError("events: 'since_seq' must be an int")
-        batch = [f for f in session.events if f.seq > since]
+        batch = _events_after(session.events, since)
         last = batch[-1].seq if batch else since
         return [
             *batch,

@@ -117,7 +117,9 @@ class AcpSession:
         self.quantum_s = quantum_s
         self.state = ATTACHED
         self.error: Optional[str] = None
-        #: Event frames in emission order (bounded, monotone seq).
+        #: Event frames in emission order, seqs strictly increasing.
+        #: Never trimmed: with ``stream_events`` it grows by a sensor
+        #: frame per tick for the session's life.
         self.events: List[wire.Frame] = []
         self._seq = 0
         self._commands: "queue.Queue[Callable[[], None]]" = queue.Queue()

@@ -3,9 +3,9 @@
 Two transports carry the same JSONL frames the loopback client speaks:
 
 * **Unix socket** — one frame per line; each line is answered with the
-  response batch (event frames, then the terminating non-event frame).
-  A connection may send any number of lines; clients usually open one
-  per request.
+  response batch (event frames, then the terminating non-event frame)
+  in one write.  A connection may send any number of lines; the client
+  keeps one open for all its requests.
 * **HTTP** — ``POST /v1/frames`` with a JSONL body answers with a JSONL
   body; ``GET /metrics`` serves live Prometheus text for scrapers;
   ``GET /v1/sessions`` serves the registry snapshot as plain JSON.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import socketserver
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -72,10 +73,11 @@ class _UnixHandler(socketserver.StreamRequestHandler):
                 return  # the client went away; the sessions did not
 
     def _reply(self, lines) -> bool:
+        if not lines:
+            return True
         try:
-            for out in lines:
-                self.wfile.write((out + "\n").encode("utf-8"))
-            self.wfile.flush()
+            # One sendall per response: each write can wake the client.
+            self.wfile.write(("\n".join(lines) + "\n").encode("utf-8"))
             return True
         except (BrokenPipeError, ConnectionResetError, OSError):
             return False
@@ -87,7 +89,30 @@ class _UnixServer(socketserver.ThreadingUnixStreamServer):
 
     def __init__(self, path: str, acp: AcpServer):
         self.acp = acp
+        self._live: set = set()
+        self._live_lock = threading.Lock()
         super().__init__(path, _UnixHandler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._live_lock:
+            self._live.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._live_lock:
+            self._live.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """End every open client connection: clients keep theirs open
+        between requests, and a stopped daemon must not answer them."""
+        with self._live_lock:
+            live = list(self._live)
+        for request in live:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already gone
 
 
 class _HttpHandler(BaseHTTPRequestHandler):
@@ -239,6 +264,8 @@ class AcpDaemon:
             if server is not None:
                 server.shutdown()
                 server.server_close()
+        if self._unix is not None:
+            self._unix.close_connections()
         if self.socket_path is not None and os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
         for thread in self._threads:

@@ -127,6 +127,11 @@ class Frame:
         return self.type in EVENT_TYPES
 
 
+#: One encoder for every frame: ``json.dumps`` with non-default
+#: arguments would build a new ``JSONEncoder`` per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode_frame(frame: Frame) -> str:
     """One frame → one JSON line (no trailing newline)."""
     data: Dict[str, Any] = dict(frame.extra)
@@ -139,7 +144,7 @@ def encode_frame(frame: Frame) -> str:
             "payload": frame.payload,
         }
     )
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(data)
 
 
 def decode_frame(line: str) -> Frame:

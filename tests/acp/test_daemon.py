@@ -7,11 +7,13 @@ suite owns those).
 """
 
 import json
+import re
 import urllib.request
 
 import pytest
 
-from repro.acp.client import AcpClient, AcpError
+from repro.acp import transport
+from repro.acp.client import SINGLE_ATTEMPT, AcpClient, AcpError, UnixTransport
 from repro.acp.transport import AcpDaemon
 from repro.experiments.runner import RunConfig, RunShape
 
@@ -40,20 +42,20 @@ def attach_two_apps(client, n_units=300):
 
 class TestUnixSocket:
     def test_attach_run_swap_result(self, daemon):
-        client = AcpClient(f"unix://{daemon.socket_path}")
-        assert client.hello()["server"] == "hars-repro-acp"
-        handle = attach_two_apps(client)
-        assert handle.run()["state"] == "running"
-        swap = handle.swap_policy("hars-i")
-        assert swap["policy"] == "HARS-I"
-        outcome = handle.result(timeout_s=120)
-        assert sorted(a.app_name for a in outcome.metrics.apps) == [
-            "bodytrack-1",
-            "swaptions-0",
-        ]
-        events = handle.events()
-        assert any(e.type == "policy-swapped" for e in events)
-        handle.detach()
+        with AcpClient(f"unix://{daemon.socket_path}") as client:
+            assert client.hello()["server"] == "hars-repro-acp"
+            handle = attach_two_apps(client)
+            assert handle.run()["state"] == "running"
+            swap = handle.swap_policy("hars-i")
+            assert swap["policy"] == "HARS-I"
+            outcome = handle.result(timeout_s=120)
+            assert sorted(a.app_name for a in outcome.metrics.apps) == [
+                "bodytrack-1",
+                "swaptions-0",
+            ]
+            events = handle.events()
+            assert any(e.type == "policy-swapped" for e in events)
+            handle.detach()
 
     def test_daemon_survives_client_death(self, daemon):
         """A vanished client is a closed socket, not a lost session."""
@@ -61,12 +63,13 @@ class TestUnixSocket:
         handle = attach_two_apps(client)
         handle.run()
         session_id = handle.session_id
-        del client, handle  # every connection closed; the daemon keeps going
+        client.close()  # its connection is gone; the daemon keeps going
+        del client, handle
 
-        reattached = AcpClient(f"unix://{daemon.socket_path}")
-        listing = reattached.sessions()["sessions"]
-        assert [s["session_id"] for s in listing] == [session_id]
-        outcome = reattached.session(session_id).result(timeout_s=120)
+        with AcpClient(f"unix://{daemon.socket_path}") as reattached:
+            listing = reattached.sessions()["sessions"]
+            assert [s["session_id"] for s in listing] == [session_id]
+            outcome = reattached.session(session_id).result(timeout_s=120)
         assert outcome.metrics.apps[0].heartbeats > 0
 
     def test_malformed_line_gets_error_frame(self, daemon):
@@ -81,6 +84,78 @@ class TestUnixSocket:
         data = json.loads(response)
         assert data["type"] == "error"
         assert "undecodable" in data["payload"]["error"]
+
+
+@pytest.fixture()
+def connects(monkeypatch):
+    """Every connection the Unix transport opens, by its timeout."""
+    opened = []
+    original = UnixTransport._connect
+
+    def counting(self, timeout_s):
+        opened.append(timeout_s)
+        return original(self, timeout_s)
+
+    monkeypatch.setattr(UnixTransport, "_connect", counting)
+    return opened
+
+
+def attach_one_app(client):
+    return client.attach(
+        "hars-i",
+        RunShape(benchmark="swaptions", n_units=20),
+        RunConfig(telemetry=True),
+    )
+
+
+class TestKeptOpenConnection:
+    def test_one_connection_serves_every_rpc(self, daemon, connects):
+        with AcpClient(f"unix://{daemon.socket_path}") as client:
+            for _ in range(50):
+                assert client.hello()["server"] == "hars-repro-acp"
+        assert len(connects) == 1
+
+    def test_stale_connection_survives_an_idle_restart(self, tmp_path, connects):
+        """A single-attempt client whose daemon restarted between two
+        RPCs reconnects and gets the new daemon's answer."""
+        path = str(tmp_path / "acp.sock")
+        with AcpClient(f"unix://{path}", retry=SINGLE_ATTEMPT) as client:
+            with AcpDaemon(socket_path=path):
+                attach_one_app(client)
+                assert len(client.sessions()["sessions"]) == 1
+            with AcpDaemon(socket_path=path):
+                # Only the restarted daemon has no session attached.
+                assert client.sessions()["sessions"] == []
+        assert len(connects) == 2
+        assert client.stats["retries"] == 0
+
+    def test_lost_swap_response_is_resent_and_applied_once(
+        self, daemon, monkeypatch, connects
+    ):
+        """The daemon applies a swap, then the connection closes before
+        the answer: the client re-sends the same seq on a new connection
+        and is answered from the replay cache."""
+        dropped = []
+        reply = transport._UnixHandler._reply
+
+        def lossy(handler, lines):
+            if not dropped and '"type":"swap-ack"' in lines[-1]:
+                dropped.append(lines[-1])
+                return False  # the handler ends, the connection closes
+            return reply(handler, lines)
+
+        monkeypatch.setattr(transport._UnixHandler, "_reply", lossy)
+        with AcpClient(
+            f"unix://{daemon.socket_path}", retry=SINGLE_ATTEMPT
+        ) as client:
+            handle = attach_one_app(client)
+            assert handle.swap_policy("hars-e")["policy"] == "HARS-E"
+            text = client.metrics_text()
+        assert dropped and len(connects) == 2
+        assert client.stats["retries"] == 0
+        assert daemon.acp.dedup_hits == 1
+        swaps = re.findall(r"^policy_swaps_total\{[^}]*\} (\S+)$", text, re.M)
+        assert [float(v) for v in swaps] == [1.0]
 
 
 class TestHttp:

@@ -1,18 +1,20 @@
 """Session lifecycle on the loopback server: attach → hot-swap →
 checkpoint → crash quarantine → detach → restart recovery.
 
-Everything here runs the server inline (``threaded=False``), so the
-tests are deterministic: each request is fully served before the next.
+Everything here but the event-batch scan check runs the server inline
+(``threaded=False``), so the tests are deterministic: each request is
+fully served before the next.
 """
 
 import json
 import os
+import sys
 
 import pytest
 
 from repro.acp.client import AcpClient, AcpError
 from repro.acp.server import AcpServer
-from repro.acp.session import FINISHED, QUARANTINED, resolve_policy
+from repro.acp.session import FINISHED, QUARANTINED, RUNNING, resolve_policy
 from repro.core.policy import POLICY_BY_NAME
 from repro.errors import ConfigurationError
 from repro.experiments.runner import RunConfig, RunShape
@@ -291,6 +293,47 @@ class TestStreaming:
             (f.seq, f.type) for f in frames if f.seq > k
         ]
         assert handle.events(since_seq=seqs[-1]) == []
+
+    def test_events_batch_matches_a_full_scan(self):
+        """``events(since)`` slices the history by seq; it must equal a
+        scan of the whole history, also while a driver thread appends."""
+        server = AcpServer(threaded=True)
+        client = AcpClient("loopback", server=server)
+        handle = client.attach(
+            "hars-i",
+            RunShape(benchmark="swaptions", n_units=200),
+            RunConfig(),
+            stream_events=True,
+        )
+        history = server._sessions[handle.session_id].events
+
+        def scan(since, frames):
+            return [(f.seq, f.type) for f in frames if f.seq > since]
+
+        def batch(since):
+            return [(f.seq, f.type) for f in handle.events(since_seq=since)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the driver's appends
+        try:
+            handle.run()
+            since = 0
+            while server._sessions[handle.session_id].state == RUNNING:
+                before = len(history)
+                got = batch(since)
+                after = list(history)
+                # Every frame there before the call, nothing out of order.
+                assert got == scan(since, after)[: len(got)]
+                assert len(got) >= len(scan(since, history[:before]))
+                since = got[len(got) // 2][0] if got else since
+            handle.result(timeout_s=120)
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+        seqs = [f.seq for f in history]
+        assert len(seqs) > 2
+        for since in (0, seqs[len(seqs) // 2], seqs[-1], seqs[-1] + 5):
+            assert batch(since) == scan(since, history)
 
     @pytest.mark.parametrize("since", ["7", 7.0, True, None])
     def test_events_refuses_a_non_int_since_seq(self, since):

@@ -60,6 +60,39 @@ class TestRoundTrip:
         assert back.payload["time_s"] == value
         assert back.payload["watts"]["big"] == value * 3
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            wire.sensor_frame("s1", 2, 0.1 + 0.2, {"big": 3.5, "little": 1e-9}),
+            wire.Frame(
+                type="swap",
+                session_id="s1",
+                seq=3,
+                payload={"policy": "hars-i"},
+                extra={"attempt": 2, "zz_trace": {"b": [1, 2.5], "a": None}},
+            ),
+            wire.make_frame(
+                "lifecycle",
+                "sessión-ß",
+                4,
+                {"nested": {"z": [{"y": True, "x": "ünï"}], "a": -0.0}},
+            ),
+        ],
+    )
+    def test_encoding_matches_json_dumps(self, frame):
+        """The shared encoder writes exactly what ``json.dumps`` with
+        the wire's settings writes."""
+        data = dict(frame.extra)
+        data.update(
+            schema_version=frame.schema_version,
+            session_id=frame.session_id,
+            seq=frame.seq,
+            type=frame.type,
+            payload=frame.payload,
+        )
+        expected = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        assert wire.encode_frame(frame) == expected
+
 
 class TestForwardTolerance:
     def test_unknown_payload_fields_pass_through(self):
