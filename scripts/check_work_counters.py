@@ -11,9 +11,14 @@ engine or on GTS's full scan, so the gate counts some calls itself
 (:data:`COUNTED_CALLS`): the fleet engine's ticks and its per-row calls
 into the control plane — the engine's Python work that grows with the
 nodes — the single-board GTS scans, which a needlessly strict
-placement proof multiplies without changing any output, and the ACP
+placement proof multiplies without changing any output, the ACP
 client's Unix-socket connections, which a connection per request would
-multiply by the RPC count.
+multiply by the RPC count, and the ACP session's encodes of a power
+reading, which encoding every sensor event afresh would multiply
+(125 to 2,815 per journey at the gate's size).
+The ``acp_control`` daemon runs in a subprocess the counters
+cannot see into, so its GTS scans and reading encodes are counted over
+an in-process replay of the journey's drive loop (:func:`replay_acp_drive`).
 
 Check (exit status 1 when any recorded count rises)::
 
@@ -43,8 +48,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
 
+import journeys  # noqa: E402  (perfbench/journeys.py)
 import run  # noqa: E402  (perfbench/run.py)
 import speed  # noqa: E402  (perfbench/speed.py)
+from repro.acp.client import AcpClient  # noqa: E402
 
 COUNTERS_PATH = ROOT / "perf_counters.json"
 
@@ -62,7 +69,17 @@ COUNTED_CALLS = (
     (*_ENGINE, "_read_back", "fleet.engine.read_back.calls"),
     ("repro.sched.gts", "GtsScheduler", "_place_fresh", "sched.scan.calls"),
     ("repro.acp.client", "UnixTransport", "_connect", "acp.connect.calls"),
+    (
+        "repro.acp.wire",
+        "SensorLines",
+        "_encode_reading",
+        "acp.reading_encode.calls",
+    ),
 )
+#: Counts of the ``acp_control`` serve daemon's work.  The daemon is a
+#: subprocess, so the gate replays the journey's drive loop in process
+#: over a loopback client and takes these counts from that replay.
+DAEMON_COUNTS = ("sched.scan.calls", "acp.reading_encode.calls")
 
 
 @contextlib.contextmanager
@@ -111,10 +128,30 @@ def measure_counts(workload: str, probe: "speed.SpeedProbe") -> Dict[str, float]
         if name.endswith(".calls")
     }
     # Every journey of a run, traced or not, is the same seeded journey.
-    journeys = detail["journeys"] + detail["untraced_journeys"]
+    journey_count = detail["journeys"] + detail["untraced_journeys"]
     for name, total in own_counts.items():
-        counts[name] = total / journeys
+        counts[name] = total / journey_count
+    if workload == "acp_control":
+        counts.update(replay_acp_drive())
     return counts
+
+
+def replay_acp_drive() -> Dict[str, float]:
+    """The :data:`DAEMON_COUNTS` of one ``acp_control`` journey's drive
+    loop (attach excluded), replayed in process over a loopback client."""
+    journey = journeys.AcpControl(
+        SEED, scale=SCALE.get("acp_control", DEFAULT_SCALE)
+    )
+    own_counts: Counter = Counter()
+    with AcpClient("loopback") as client:
+        # The attach measures the apps' max rates, with GTS scans of its
+        # own, unless an earlier run in this process cached them.
+        handle = client.attach("mp-hars-e", journey.shapes, stream_events=True)
+        with counting_calls(own_counts):
+            loop = journey._drive(handle)
+    if loop["detached"].get("state") != "finished":
+        raise SystemExit("acp_control: the in-process replay did not finish")
+    return {name: float(own_counts[name]) for name in DAEMON_COUNTS}
 
 
 def record(probe: "speed.SpeedProbe") -> Dict[str, Dict[str, float]]:

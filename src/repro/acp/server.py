@@ -36,7 +36,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.supervision import CheckpointStore
@@ -69,8 +69,10 @@ _RESULT_TIMEOUT_S = 600.0
 _REAPER_INTERVAL_S = 0.25
 
 
-def _events_after(events: List[wire.Frame], since: int) -> List[wire.Frame]:
-    """The frames of ``events`` whose seq exceeds ``since``.
+def _events_after(
+    events: List[Tuple[int, str]], since: int
+) -> List[Tuple[int, str]]:
+    """The ``(seq, line)`` events of ``events`` whose seq exceeds ``since``.
 
     Event seqs only grow, so a binary search finds the first later frame
     and the batch costs what it returns, not the session's history.  A
@@ -82,7 +84,7 @@ def _events_after(events: List[wire.Frame], since: int) -> List[wire.Frame]:
     lo, hi = 0, len(events)
     while lo < hi:
         mid = (lo + hi) // 2
-        if events[mid].seq > since:
+        if events[mid][0] > since:
             hi = mid
         else:
             lo = mid + 1
@@ -191,11 +193,16 @@ class AcpServer:
                     self._error("", str(exc), code=wire.ERR_BAD_FRAME)
                 )
             ]
-        return [wire.encode_frame(f) for f in self.handle_frame(frame)]
+        return [
+            reply if reply.__class__ is str else wire.encode_frame(reply)
+            for reply in self.handle_frame(frame)
+        ]
 
-    def handle_frame(self, frame: wire.Frame) -> List[wire.Frame]:
+    def handle_frame(self, frame: wire.Frame) -> List[wire.Reply]:
         """Dispatch one request frame; always returns at least one
-        non-event frame (the response terminator).
+        non-event frame (the response terminator).  An ``events``
+        response carries its events as the lines they were encoded to
+        when emitted.
 
         At-least-once delivery discipline: frames addressed to a session
         pass its :class:`~repro.acp.wire.SeqWindow` first — a duplicate
@@ -479,15 +486,15 @@ class AcpServer:
             )
         ]
 
-    def _handle_events(self, frame: wire.Frame) -> List[wire.Frame]:
+    def _handle_events(self, frame: wire.Frame) -> List[wire.Reply]:
         session = self._session(frame.session_id)
         since = frame.payload.get("since_seq", 0)
         if not isinstance(since, int) or isinstance(since, bool):
             raise ConfigurationError("events: 'since_seq' must be an int")
         batch = _events_after(session.events, since)
-        last = batch[-1].seq if batch else since
+        last = batch[-1][0] if batch else since
         return [
-            *batch,
+            *[line for _, line in batch],
             self._respond(
                 "event-batch",
                 session.session_id,
@@ -877,7 +884,7 @@ class AcpServer:
                 thread.join(timeout=_COMMAND_TIMEOUT_S)
 
 
-_HANDLERS: Dict[str, Callable[[AcpServer, wire.Frame], List[wire.Frame]]] = {
+_HANDLERS: Dict[str, Callable[[AcpServer, wire.Frame], List[wire.Reply]]] = {
     "hello": AcpServer._handle_hello,
     "attach": AcpServer._handle_attach,
     "run": AcpServer._handle_run,

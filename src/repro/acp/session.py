@@ -27,7 +27,8 @@ daemon and its other tenants are untouched.
 
 Everything the session tells the outside world crosses
 :mod:`repro.acp.wire`: bus events become typed event frames (heartbeat,
-sensor, plan, actuate), and the final outcome becomes a ``result`` frame
+sensor, plan, actuate), encoded once as they are emitted and kept as
+wire lines, and the final outcome becomes a ``result`` frame
 that the client SDK reconstructs into a
 :class:`~repro.experiments.runner.RunOutcome` — bit-identical to the
 in-process one, because both are the same simulation.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import queue
 from dataclasses import astuple
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.policy import POLICY_BY_NAME, HarsPolicy
 from repro.errors import ConfigurationError
@@ -117,10 +118,12 @@ class AcpSession:
         self.quantum_s = quantum_s
         self.state = ATTACHED
         self.error: Optional[str] = None
-        #: Event frames in emission order, seqs strictly increasing.
-        #: Never trimmed: with ``stream_events`` it grows by a sensor
-        #: frame per tick for the session's life.
-        self.events: List[wire.Frame] = []
+        #: Event frames in emission order as ``(seq, line)``: each is
+        #: encoded once, when emitted, and kept as its wire line; seqs
+        #: strictly increase.  Never trimmed: with ``stream_events`` it
+        #: grows by a sensor line per tick for the session's life.
+        self.events: List[Tuple[int, str]] = []
+        self._sensor_lines = wire.SensorLines(session_id)
         self._seq = 0
         self._commands: "queue.Queue[Callable[[], None]]" = queue.Queue()
         self._resume_store = resume_store
@@ -155,17 +158,7 @@ class AcpSession:
                     )
                 ),
             )
-            bus.subscribe(
-                PowerSample,
-                lambda e: self._emit(
-                    wire.sensor_frame(
-                        self.session_id,
-                        self._next_seq(),
-                        e.time_s,
-                        {rail: w for rail, w in e.watts.items()},
-                    )
-                ),
-            )
+            bus.subscribe(PowerSample, self._on_power_sample)
         bus.subscribe(StateApplied, lambda e: self._on_state_applied(sim, e))
         bus.subscribe(PolicySwapped, self._on_policy_swapped)
         bus.subscribe(ControllerRestored, self._on_restored)
@@ -195,7 +188,13 @@ class AcpSession:
         return self._seq
 
     def _emit(self, frame: wire.Frame) -> None:
-        self.events.append(frame)
+        self.events.append((frame.seq, wire.encode_frame(frame)))
+
+    def _on_power_sample(self, event: PowerSample) -> None:
+        seq = self._next_seq()
+        self.events.append(
+            (seq, self._sensor_lines.line(seq, event.time_s, event.watts))
+        )
 
     def _on_state_applied(self, sim, event: StateApplied) -> None:
         state = event.state

@@ -28,6 +28,14 @@ request frames (``hello``/``attach``/``run``/``swap``/``checkpoint``/
 ``result``/``sessions``/``metrics``/``detach``) travel client→server and
 each is answered by a non-event frame, which is how a client finds the
 end of a response batch on a byte stream.
+
+All encoding lives here, and every line is byte for byte what
+``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes for
+the frame.  :func:`encode_frame` writes the fixed sorted-key envelope
+around the payload's encoding.  A session encodes each event once, when
+it is emitted, and keeps the line; its ``sensor`` lines come from
+:class:`SensorLines`, which encodes a power reading's ``watts`` once
+per distinct reading object.
 """
 
 from __future__ import annotations
@@ -35,8 +43,9 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.experiments.serialize import (
@@ -106,45 +115,123 @@ EVENT_TYPES = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class Frame:
     """One wire message: a typed payload in the versioned envelope.
 
     ``extra`` holds unknown envelope fields a newer peer sent; they are
     carried through re-encoding so this build never strips information
     it merely does not understand.
+
+    A plain slotted record: a client builds one per event line it
+    decodes, and a frozen dataclass costs several times as much to
+    build.  Frames compare equal field by field and are not hashable
+    (the payload is a dict).
     """
 
-    type: str
-    session_id: str
-    seq: int
-    payload: Dict[str, Any] = field(default_factory=dict)
-    schema_version: int = WIRE_SCHEMA_VERSION
-    extra: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = (
+        "type", "session_id", "seq", "payload", "schema_version", "extra"
+    )
+
+    def __init__(
+        self,
+        type: str,
+        session_id: str,
+        seq: int,
+        payload: Optional[Dict[str, Any]] = None,
+        schema_version: int = WIRE_SCHEMA_VERSION,
+        extra: Optional[Dict[str, Any]] = None,
+    ):
+        self.type = type
+        self.session_id = session_id
+        self.seq = seq
+        self.payload = {} if payload is None else payload
+        self.schema_version = schema_version
+        self.extra = {} if extra is None else extra
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return (
+            self.type,
+            self.session_id,
+            self.seq,
+            self.payload,
+            self.schema_version,
+            self.extra,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Frame:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"Frame(type={self.type!r}, session_id={self.session_id!r}, "
+            f"seq={self.seq!r}, payload={self.payload!r}, "
+            f"schema_version={self.schema_version!r}, extra={self.extra!r})"
+        )
 
     @property
     def is_event(self) -> bool:
         return self.type in EVENT_TYPES
 
 
+#: One item of a server response: a frame, or an event the session
+#: encoded to its wire line when it was emitted.
+Reply = Union[Frame, str]
+
 #: One encoder for every frame: ``json.dumps`` with non-default
 #: arguments would build a new ``JSONEncoder`` per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: One decoder for every line (what ``json.loads`` uses, minus its
+#: per-call argument checks).
+_DECODER = json.JSONDecoder()
+_ENVELOPE_KEYS = ("schema_version", "session_id", "seq", "type", "payload")
+
+
+def _scalar(value: Any) -> str:
+    """One envelope value as ``_ENCODER`` writes it."""
+    if value.__class__ is int:
+        return int.__repr__(value)
+    if value.__class__ is str:
+        return encode_basestring_ascii(value)
+    return _ENCODER.encode(value)
 
 
 def encode_frame(frame: Frame) -> str:
-    """One frame → one JSON line (no trailing newline)."""
-    data: Dict[str, Any] = dict(frame.extra)
-    data.update(
-        {
-            "schema_version": frame.schema_version,
-            "session_id": frame.session_id,
-            "seq": frame.seq,
-            "type": frame.type,
-            "payload": frame.payload,
-        }
+    """One frame → one JSON line (no trailing newline).
+
+    The envelope's keys sort as ``payload``, ``schema_version``,
+    ``seq``, ``session_id``, ``type``, so the line is written around
+    the payload's encoding; a frame with unknown envelope fields is
+    merged through a dict, since those sort in among the known ones.
+    """
+    if frame.extra:
+        data: Dict[str, Any] = dict(frame.extra)
+        data.update(
+            {
+                "schema_version": frame.schema_version,
+                "session_id": frame.session_id,
+                "seq": frame.seq,
+                "type": frame.type,
+                "payload": frame.payload,
+            }
+        )
+        return _ENCODER.encode(data)
+    return (
+        '{"payload":'
+        + _ENCODER.encode(frame.payload)
+        + ',"schema_version":'
+        + _scalar(frame.schema_version)
+        + ',"seq":'
+        + _scalar(frame.seq)
+        + ',"session_id":'
+        + _scalar(frame.session_id)
+        + ',"type":'
+        + _scalar(frame.type)
+        + "}"
     )
-    return _ENCODER.encode(data)
 
 
 def decode_frame(line: str) -> Frame:
@@ -156,7 +243,7 @@ def decode_frame(line: str) -> Frame:
     are tolerated (and preserved).
     """
     try:
-        data = json.loads(line)
+        data = _DECODER.decode(line)
     except (json.JSONDecodeError, TypeError) as exc:
         raise ConfigurationError(f"undecodable wire frame: {exc}") from None
     if not isinstance(data, dict):
@@ -178,19 +265,70 @@ def decode_frame(line: str) -> Frame:
     validator = _PAYLOAD_VALIDATORS.get(frame_type)
     if validator is not None:
         validator(payload)
-    extra = {
-        key: value
-        for key, value in data.items()
-        if key not in ("schema_version", "session_id", "seq", "type", "payload")
-    }
-    return Frame(
-        type=frame_type,
-        session_id=session_id,
-        seq=seq,
-        payload=payload,
-        schema_version=version,
-        extra=extra,
+    # The five envelope keys are all present by now, so a dict of five
+    # keys has no unknown ones.
+    extra = (
+        None
+        if len(data) == 5
+        else {
+            key: value
+            for key, value in data.items()
+            if key not in _ENVELOPE_KEYS
+        }
     )
+    return Frame(frame_type, session_id, seq, payload, version, extra)
+
+
+class SensorLines:
+    """A session's ``sensor`` event lines, each power reading encoded once.
+
+    The engine hands :class:`~repro.kernel.bus.PowerSample` subscribers
+    the same read-only reading object for as long as the reading
+    repeats.  So a reading's ``watts`` JSON is made, and its rails
+    schema-checked, only when the object changes; each line is then the
+    fixed envelope around ``time_s``, ``seq`` and that fragment, byte
+    for byte what :func:`encode_frame` writes for :func:`sensor_frame`.
+    """
+
+    __slots__ = ("_tail", "_reading", "_watts")
+
+    def __init__(self, session_id: str):
+        self._tail = (
+            ',"session_id":' + _scalar(session_id) + ',"type":"sensor"}'
+        )
+        self._reading: Optional[Mapping[str, Any]] = None
+        self._watts = ""
+
+    def line(self, seq: int, time_s: float, watts: Mapping[str, Any]) -> str:
+        """The encoded sensor frame; :class:`ConfigurationError` when
+        the payload fails the sensor schema."""
+        if watts is not self._reading:
+            self._watts = self._encode_reading(watts)
+            self._reading = watts
+        # A finite float is written as its repr; anything else goes
+        # through the schema check and the encoder.
+        if time_s.__class__ is float and time_s - time_s == 0.0:
+            time_json = float.__repr__(time_s)
+        else:
+            require_number({"time_s": time_s}, "time_s", "sensor frame")
+            time_json = _ENCODER.encode(time_s)
+        return (
+            '{"payload":{"time_s":'
+            + time_json
+            + ',"watts":'
+            + self._watts
+            + _SENSOR_SEQ
+            + _scalar(seq)
+            + self._tail
+        )
+
+    def _encode_reading(self, watts: Mapping[str, Any]) -> str:
+        rails = dict(watts)
+        _validate_rails(rails)
+        return _ENCODER.encode(rails)
+
+
+_SENSOR_SEQ = '},"schema_version":' + _scalar(WIRE_SCHEMA_VERSION) + ',"seq":'
 
 
 # -- typed payload schemas ----------------------------------------------------
@@ -207,9 +345,14 @@ def _validate_heartbeat(payload: Dict[str, Any]) -> None:
 
 def _validate_sensor(payload: Dict[str, Any]) -> None:
     require_number(payload, "time_s", "sensor frame")
-    watts = require_dict(payload, "watts", "sensor frame")
+    _validate_rails(require_dict(payload, "watts", "sensor frame"))
+
+
+def _validate_rails(watts: Dict[str, Any]) -> None:
     for rail, value in watts.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if value.__class__ is not float and (
+            not isinstance(value, (int, float)) or isinstance(value, bool)
+        ):
             raise ConfigurationError(
                 f"sensor frame: rail {rail!r} must carry a number"
             )
@@ -447,14 +590,14 @@ class SeqWindow:
         self.cache_limit = cache_limit
         self.last_seq = 0
         self._pending: set = set()
-        self._cache: "OrderedDict[int, Tuple[str, Tuple[Frame, ...]]]" = (
+        self._cache: "OrderedDict[int, Tuple[str, Tuple[Reply, ...]]]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
 
     def admit(
         self, seq: int, frame_type: str
-    ) -> Tuple[str, Optional[List[Frame]]]:
+    ) -> Tuple[str, Optional[List[Reply]]]:
         """Classify an incoming seq; returns ``(verdict, cached)``.
 
         ``cached`` is the replayable response for :data:`SEQ_DUPLICATE`
@@ -486,7 +629,7 @@ class SeqWindow:
         with self._lock:
             return bool(self._pending)
 
-    def record(self, seq: int, frame_type: str, frames: List[Frame]) -> None:
+    def record(self, seq: int, frame_type: str, frames: List[Reply]) -> None:
         """Cache the response of an admitted seq (clears in-flight)."""
         with self._lock:
             self._pending.discard(seq)

@@ -47,6 +47,8 @@ it can prove unchanged (``docs/modelling.md`` §4, §5 and §9):
 * the power reading, with the core utilization, is reused when the
   frequencies and both per-core sums (busy seconds, busy·activity) do,
   and the sensor keeps its copy of a reading it is handed again;
+  :class:`~repro.kernel.bus.PowerSample` subscribers get one read-only
+  view per distinct reading, so they too can tell a repeat by identity;
 * the apps are scanned for finished ones only after an advance reports
   ``done``.
 
@@ -64,6 +66,7 @@ order).
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
@@ -174,7 +177,9 @@ class Simulation:
         self._load_gain = 1.0 - self._load_decay
         #: The previous tick's round-1 grant plan and power reading, each
         #: after the inputs it was computed from (see the module doc).
-        #: The reading's memo also holds the tick's core utilization.
+        #: The reading's memo also holds the read-only view of the
+        #: reading that PowerSample subscribers share, and the tick's
+        #: core utilization.
         self._plan_memo: Optional[tuple] = None
         self._power_memo: Optional[tuple] = None
         #: The last heartbeat-free tick, ``(rounds, arrays)``: per round
@@ -815,8 +820,8 @@ class Simulation:
             and (memo[2] is core_ba or memo[2] == core_ba)
         ):
             watts = memo[3]
-            if memo[4] is not touched:
-                self._power_memo = memo = memo[:4] + (
+            if memo[5] is not touched:
+                self._power_memo = memo = memo[:5] + (
                     touched,
                     self._utilization(touched, core_busy, dt),
                 )
@@ -829,15 +834,19 @@ class Simulation:
                 core_busy,
                 core_ba,
                 watts,
+                MappingProxyType(watts),
                 touched,
                 self._utilization(touched, core_busy, dt),
             )
-        self.last_core_utilization = memo[5]
+        self.last_core_utilization = memo[6]
         self.sensor.record(dt, watts)
         bus = self.bus
         if bus._handlers.get(PowerSample):
+            # Subscribers share one read-only view of the reading for as
+            # long as it repeats, so a subscriber can tell a repeat by
+            # identity (the ACP session encodes each reading once).
             bus.publish(
-                PowerSample(time_s=self.clock.now_s + dt, watts=dict(watts))
+                PowerSample(time_s=self.clock.now_s + dt, watts=memo[4])
             )
 
     @staticmethod

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from repro.acp import wire
 from repro.acp.client import AcpClient, AcpError
 from repro.acp.server import AcpServer
 from repro.acp.session import FINISHED, QUARANTINED, RUNNING, resolve_policy
@@ -307,11 +308,14 @@ class TestStreaming:
         )
         history = server._sessions[handle.session_id].events
 
-        def scan(since, frames):
-            return [(f.seq, f.type) for f in frames if f.seq > since]
+        def scan(since, events):
+            return [(seq, line) for seq, line in events if seq > since]
 
         def batch(since):
-            return [(f.seq, f.type) for f in handle.events(since_seq=since)]
+            return [
+                (f.seq, wire.encode_frame(f))
+                for f in handle.events(since_seq=since)
+            ]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the driver's appends
@@ -330,10 +334,77 @@ class TestStreaming:
         finally:
             sys.setswitchinterval(interval)
             server.shutdown()
-        seqs = [f.seq for f in history]
+        seqs = [seq for seq, _ in history]
         assert len(seqs) > 2
         for since in (0, seqs[len(seqs) // 2], seqs[-1], seqs[-1] + 5):
             assert batch(since) == scan(since, history)
+
+    def test_every_event_line_is_the_generic_encoding(self):
+        """Events are encoded once, when emitted (sensor lines around a
+        cached reading fragment): every kept line must equal
+        ``json.dumps`` of its decoded envelope, and the client must
+        decode exactly those frames."""
+        server = AcpServer()
+        client = AcpClient("loopback", server=server)
+        handle = client.attach(
+            "hars-i",
+            RunShape(benchmark="swaptions", n_units=100),
+            RunConfig(),
+            stream_events=True,
+        )
+        handle.advance(2.0)
+        handle.swap_policy("hars-e")
+        handle.result()
+        history = server._sessions[handle.session_id].events
+        types = set()
+        for seq, line in history:
+            frame = wire.decode_frame(line)
+            envelope = dict(
+                schema_version=frame.schema_version,
+                session_id=frame.session_id,
+                seq=frame.seq,
+                type=frame.type,
+                payload=frame.payload,
+            )
+            assert line == json.dumps(
+                envelope, sort_keys=True, separators=(",", ":")
+            )
+            assert frame.seq == seq and frame.is_event and not frame.extra
+            types.add(frame.type)
+        assert types >= {
+            "sensor", "heartbeat", "plan", "actuate", "policy-swapped",
+            "lifecycle",
+        }
+        sensors = [line for _, line in history if '"type":"sensor"' in line]
+        assert len(sensors) > 100
+        assert handle.events() == [
+            wire.decode_frame(line) for _, line in history
+        ]
+
+    def test_a_non_number_rail_is_refused_when_emitted(self):
+        from repro.kernel.bus import PowerSample
+
+        server = AcpServer()
+        client = AcpClient("loopback", server=server)
+        handle = client.attach(
+            "hars-i",
+            RunShape(benchmark="swaptions", n_units=20),
+            RunConfig(),
+            stream_events=True,
+        )
+        session = server._sessions[handle.session_id]
+        bus = session.prepared.sim.bus
+        before = len(session.events)
+        with pytest.raises(ConfigurationError, match="rail 'big'"):
+            bus.publish(PowerSample(time_s=0.5, watts={"big": "hot"}))
+        with pytest.raises(ConfigurationError, match="time_s"):
+            bus.publish(PowerSample(time_s=None, watts={"big": 1.0}))
+        assert len(session.events) == before
+        bus.publish(PowerSample(time_s=0.5, watts={"big": 1.0}))
+        [(seq, line)] = session.events[before:]
+        assert wire.decode_frame(line).payload == {
+            "time_s": 0.5, "watts": {"big": 1.0}
+        }
 
     @pytest.mark.parametrize("since", ["7", 7.0, True, None])
     def test_events_refuses_a_non_int_since_seq(self, since):

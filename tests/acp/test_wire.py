@@ -1,6 +1,8 @@
 """Wire-format tests: round-trips, schema checks, forward tolerance."""
 
 import json
+import math
+from types import MappingProxyType
 
 import pytest
 
@@ -82,16 +84,186 @@ class TestRoundTrip:
     def test_encoding_matches_json_dumps(self, frame):
         """The shared encoder writes exactly what ``json.dumps`` with
         the wire's settings writes."""
-        data = dict(frame.extra)
-        data.update(
-            schema_version=frame.schema_version,
-            session_id=frame.session_id,
-            seq=frame.seq,
-            type=frame.type,
-            payload=frame.payload,
+        assert wire.encode_frame(frame) == dumps(frame)
+
+
+def dumps(frame: wire.Frame) -> str:
+    """The generic encoding: ``json.dumps`` of the frame's envelope."""
+    data = dict(frame.extra)
+    data.update(
+        schema_version=frame.schema_version,
+        session_id=frame.session_id,
+        seq=frame.seq,
+        type=frame.type,
+        payload=frame.payload,
+    )
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+class TestFrameRecord:
+    def test_equality_is_field_by_field(self):
+        frame = wire.make_frame("run", "s1", 3, {"seconds": 0.5})
+        assert frame == wire.Frame("run", "s1", 3, {"seconds": 0.5})
+        assert frame != wire.Frame("run", "s1", 4, {"seconds": 0.5})
+        assert frame != wire.Frame("run", "s1", 3, {"seconds": 0.25})
+        assert frame != wire.Frame(
+            "run", "s1", 3, {"seconds": 0.5}, extra={"attempt": 2}
         )
-        expected = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        assert wire.encode_frame(frame) == expected
+        assert frame != wire.Frame("run", "s1", 3, {"seconds": 0.5}, 2)
+        assert frame != ("run", "s1", 3, {"seconds": 0.5})
+
+    def test_defaults_are_fresh_empty_dicts(self):
+        first, second = wire.Frame("hello", "", 1), wire.Frame("hello", "", 2)
+        assert first.payload == {} and first.extra == {}
+        assert first.payload is not second.payload
+        assert first.schema_version == wire.WIRE_SCHEMA_VERSION
+
+    def test_repr_names_every_field(self):
+        frame = wire.Frame("swap", "s1", 9, {"policy": "hars-i"})
+        assert repr(frame) == (
+            "Frame(type='swap', session_id='s1', seq=9, "
+            "payload={'policy': 'hars-i'}, schema_version=1, extra={})"
+        )
+
+    def test_is_event(self):
+        assert wire.Frame("sensor", "s1", 1).is_event
+        assert wire.Frame("lifecycle", "s1", 1).is_event
+        assert not wire.Frame("event-batch", "s1", 1).is_event
+        assert not wire.Frame("error", "s1", 1).is_event
+
+    def test_frames_are_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(wire.Frame("hello", "", 1))
+
+    def test_unknown_fields_survive_a_reencode(self):
+        line = json.dumps(
+            {
+                "schema_version": 1,
+                "session_id": "s1",
+                "seq": 5,
+                "type": "sensor",
+                "payload": {
+                    "time_s": 1.5,
+                    "watts": {"big": 2.0},
+                    "zz_rail_note": [1, "x"],
+                },
+                "a_trace": {"id": 7},
+                "zz_hop": 2,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        frame = wire.decode_frame(line)
+        assert frame.extra == {"a_trace": {"id": 7}, "zz_hop": 2}
+        assert frame.payload["zz_rail_note"] == [1, "x"]
+        assert wire.encode_frame(frame) == line
+        assert wire.decode_frame(wire.encode_frame(frame)) == frame
+
+
+class TestSensorLines:
+    @staticmethod
+    def expected(seq, time_s, watts, session_id="s1"):
+        frame = wire.Frame(
+            "sensor", session_id, seq, {"time_s": time_s, "watts": watts}
+        )
+        return dumps(frame)
+
+    @pytest.mark.parametrize(
+        "watts",
+        [
+            {"big": -0.0, "little": 0.0, "total": 1e-300},
+            {"big": 3, "little": 0, "total": -7},
+            {"big": math.inf, "little": -math.inf, "total": math.nan},
+            {"zz": 0.1 + 0.2, "aa": 1.0, "mm": 2.5e17},
+            {},
+        ],
+    )
+    def test_rails_encode_as_the_generic_encoder(self, watts):
+        lines = wire.SensorLines("s1")
+        assert lines.line(7, 0.01, MappingProxyType(dict(watts))) == (
+            self.expected(7, 0.01, watts)
+        )
+        assert lines.line(7, 0.01, watts) == self.expected(7, 0.01, watts)
+
+    @pytest.mark.parametrize(
+        "time_s",
+        [0.0, -0.0, 3, 0, 10**20, 0.1 + 0.2, math.inf, -math.inf, math.nan],
+    )
+    def test_time_encodes_as_the_generic_encoder(self, time_s):
+        watts = MappingProxyType({"big": 1.25})
+        line = wire.SensorLines("s1").line(2, time_s, watts)
+        assert line == self.expected(2, time_s, {"big": 1.25})
+
+    def test_float_subclass_time_encodes_as_the_generic_encoder(self):
+        class Seconds(float):
+            def __repr__(self):
+                return "Seconds()"
+
+        line = wire.SensorLines("s1").line(3, Seconds(0.5), {"big": 1.0})
+        assert line == self.expected(3, Seconds(0.5), {"big": 1.0})
+        assert '"time_s":0.5' in line
+
+    def test_line_matches_encode_frame_of_sensor_frame(self):
+        lines = wire.SensorLines("sessión-ß")
+        watts = {"big": 6.069999999999999, "board": 0.25, "total": 6.3}
+        for seq, time_s in ((1, 0.01), (2, 0.02), (10**12, 1e9)):
+            assert lines.line(seq, time_s, watts) == wire.encode_frame(
+                wire.sensor_frame("sessión-ß", seq, time_s, watts)
+            )
+
+    def test_each_reading_object_is_encoded_once(self):
+        calls = []
+
+        class Counting(wire.SensorLines):
+            __slots__ = ()
+
+            def _encode_reading(self, watts):
+                calls.append(watts)
+                return super()._encode_reading(watts)
+
+        lines = Counting("s1")
+        first = MappingProxyType({"big": 2.0, "little": 0.5})
+        for seq in range(1, 4):
+            assert lines.line(seq, seq * 0.01, first) == self.expected(
+                seq, seq * 0.01, {"big": 2.0, "little": 0.5}
+            )
+        assert calls == [first]
+        # An equal but distinct reading gets a line (and an encode) of
+        # its own, and so does a changed one.
+        equal = MappingProxyType({"big": 2.0, "little": 0.5})
+        changed = MappingProxyType({"big": 2.5, "little": 0.5})
+        assert lines.line(4, 0.04, equal) == self.expected(
+            4, 0.04, {"big": 2.0, "little": 0.5}
+        )
+        assert lines.line(5, 0.05, changed) == self.expected(
+            5, 0.05, {"big": 2.5, "little": 0.5}
+        )
+        assert lines.line(6, 0.06, first) == self.expected(
+            6, 0.06, {"big": 2.0, "little": 0.5}
+        )
+        assert [id(w) for w in calls] == [
+            id(first), id(equal), id(changed), id(first)
+        ]
+
+    @pytest.mark.parametrize(
+        "watts", [{"big": "hot"}, {"big": True}, {"big": None}, {"big": [1.0]}]
+    )
+    def test_a_non_number_rail_is_refused(self, watts):
+        lines = wire.SensorLines("s1")
+        with pytest.raises(ConfigurationError, match="rail 'big'"):
+            lines.line(1, 0.01, MappingProxyType(watts))
+        # A refused reading is not cached: handing it again refuses
+        # again, and the next good reading still encodes.
+        with pytest.raises(ConfigurationError, match="rail 'big'"):
+            lines.line(2, 0.02, watts)
+        assert lines.line(3, 0.03, {"big": 1.0}) == self.expected(
+            3, 0.03, {"big": 1.0}
+        )
+
+    @pytest.mark.parametrize("time_s", [True, "0.5", None])
+    def test_a_non_number_time_is_refused(self, time_s):
+        with pytest.raises(ConfigurationError, match="time_s"):
+            wire.SensorLines("s1").line(1, time_s, {"big": 1.0})
 
 
 class TestForwardTolerance:

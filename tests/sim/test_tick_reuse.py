@@ -25,7 +25,7 @@ from repro.experiments.runner import clear_max_rate_cache
 from repro.faults import FaultConfig, FaultInjector
 from repro.fleet.serving import ServerWorkload
 from repro.heartbeats.targets import PerformanceTarget
-from repro.kernel.bus import EventBus
+from repro.kernel.bus import EventBus, PowerSample
 from repro.platform.sensor import CHANNELS, PowerSensor
 from repro.platform.spec import odroid_xu3
 from repro.sched.gts import GtsScheduler
@@ -105,6 +105,29 @@ def test_steady_ticks_reuse_the_plan_and_the_reading():
     reused = sum(now is last for last, now in zip(readings, readings[1:]))
     assert reused >= 40
     assert len(opened) <= 5
+
+
+def test_power_subscribers_share_one_read_only_view_per_reading():
+    """A ``PowerSample`` carries one read-only view per distinct reading:
+    the same object while the reading is reused, a new one with it."""
+    sim = Simulation(odroid_xu3())
+    model = make_benchmark("swaptions", n_units=20)
+    sim.add_app(SimApp("swaptions", model, PerformanceTarget(1.0, 1.0, 1.0)))
+    samples, readings = [], []
+    sim.bus.subscribe(PowerSample, samples.append)
+    for _ in range(50):
+        sim.step()
+        readings.append(sim._power_memo[3])
+    views = [sample.watts for sample in samples]
+    assert len(views) == 50
+    assert [dict(view) for view in views] == readings
+    for last, now, last_view, view in zip(
+        readings, readings[1:], views, views[1:]
+    ):
+        assert (view is last_view) == (now is last)
+    with pytest.raises(TypeError):
+        views[0]["total"] = 0.0
+    assert sum(now is last for last, now in zip(views, views[1:])) >= 40
 
 
 def _twin_run(change, forgetful):
