@@ -119,7 +119,6 @@ def _thrash(units):
         RunConfig(
             guardrails=GuardrailConfig(
                 damper_window=4,
-                damper_flips=3,
                 damper_states=3,
                 damper_hold_periods=16,
             )

@@ -530,28 +530,19 @@ def checkpoint_frame(
     )
 
 
-def swap_frame(
-    session_id: str, seq: int, policy: str,
-    adapt_every: Optional[int] = None,
-) -> Frame:
-    payload: Dict[str, Any] = {"policy": policy}
-    if adapt_every is not None:
-        payload["adapt_every"] = adapt_every
-    return make_frame("swap", session_id, seq, payload)
-
-
 def error_frame(
-    session_id: str, seq: int, error: str, detail: str = "", code: str = ""
+    session_id: str, seq: int, error: str, code: str = ""
 ) -> Frame:
     payload: Dict[str, Any] = {"error": error}
-    if detail:
-        payload["detail"] = detail
     if code:
         payload["code"] = code
     return make_frame("error", session_id, seq, payload)
 
 
 # -- seq monotonicity + replay dedup ------------------------------------------
+
+#: Responses a :class:`SeqWindow` keeps for replay.
+SEQ_CACHE_LIMIT = 32
 
 
 class SeqWindow:
@@ -578,16 +569,13 @@ class SeqWindow:
       replaying the other request's response would be worse than
       refusing.
 
-    The cache keeps the most recent ``cache_limit`` responses (error
+    The cache keeps the most recent :data:`SEQ_CACHE_LIMIT` responses (error
     responses included — refusals are deterministic, so replaying them
     is consistent) and is safe to call from concurrent transport
     threads.
     """
 
-    def __init__(self, cache_limit: int = 32):
-        if cache_limit < 1:
-            raise ConfigurationError("SeqWindow cache_limit must be >= 1")
-        self.cache_limit = cache_limit
+    def __init__(self):
         self.last_seq = 0
         self._pending: set = set()
         self._cache: "OrderedDict[int, Tuple[str, Tuple[Reply, ...]]]" = (
@@ -634,7 +622,7 @@ class SeqWindow:
         with self._lock:
             self._pending.discard(seq)
             self._cache[seq] = (frame_type, tuple(frames))
-            while len(self._cache) > self.cache_limit:
+            while len(self._cache) > SEQ_CACHE_LIMIT:
                 self._cache.popitem(last=False)
 
 

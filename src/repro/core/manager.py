@@ -11,8 +11,9 @@ control surface the paper's prototype uses on Linux (no kernel
 modification).
 
 Search overhead is metered: each estimated candidate costs
-``state_eval_cost_s`` of manager CPU time and each received heartbeat
-``poll_cost_s``, which Figure 5.3(b) reports as CPU utilization.
+:data:`DEFAULT_STATE_EVAL_COST_S` of manager CPU time and each received
+heartbeat :data:`DEFAULT_POLL_COST_S`, which Figure 5.3(b) reports as
+CPU utilization.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ class HarsManager(MapeManager):
         perf_estimator: PerformanceEstimator,
         power_estimator: PowerEstimator,
         adapt_every: int = DEFAULT_ADAPT_EVERY,
-        state_eval_cost_s: float = DEFAULT_STATE_EVAL_COST_S,
         initial_state: Optional[SystemState] = None,
         stale_after_s: Optional[float] = None,
     ):
@@ -84,7 +84,7 @@ class HarsManager(MapeManager):
             perf_estimator,
             power_estimator,
             adapt_every,
-            state_eval_cost_s,
+            DEFAULT_STATE_EVAL_COST_S,
             DEFAULT_POLL_COST_S,
         )
         self.app_name = app_name

@@ -67,19 +67,20 @@ class ScalarKalmanFilter:
 #: the current rate.
 RELATIVE_MEASUREMENT_NOISE = 0.15
 
+#: Heartbeat-rate process noise (standard deviation) as a fraction of the
+#: current rate.
+RELATIVE_PROCESS_NOISE = 0.05
+
 
 class RatePredictor:
     """Kalman-smoothed view of an application's heartbeat rate.
 
-    ``relative_process_noise`` and :data:`RELATIVE_MEASUREMENT_NOISE` are
-    standard deviations as fractions of the current rate, so the filter
-    adapts its scale to the application automatically.
+    :data:`RELATIVE_PROCESS_NOISE` and :data:`RELATIVE_MEASUREMENT_NOISE`
+    are standard deviations as fractions of the current rate, so the
+    filter adapts its scale to the application automatically.
     """
 
-    def __init__(self, relative_process_noise: float = 0.05):
-        if relative_process_noise <= 0:
-            raise ConfigurationError("relative_process_noise must be positive")
-        self.relative_process_noise = relative_process_noise
+    def __init__(self):
         self._filter: Optional[ScalarKalmanFilter] = None
 
     def observe(self, rate: float) -> float:
@@ -88,7 +89,7 @@ class RatePredictor:
             raise ConfigurationError("rate must be positive")
         if self._filter is None:
             self._filter = ScalarKalmanFilter(
-                process_variance=(rate * self.relative_process_noise) ** 2,
+                process_variance=(rate * RELATIVE_PROCESS_NOISE) ** 2,
                 measurement_variance=(
                     rate * RELATIVE_MEASUREMENT_NOISE
                 ) ** 2,

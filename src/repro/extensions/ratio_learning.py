@@ -23,7 +23,7 @@ anchor ``k``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -41,7 +41,11 @@ MIN_INFORMATIVE = 1
 PRIOR_STRENGTH = 0.01
 
 #: Candidate ratios the grid search covers.
-DEFAULT_GRID = tuple(round(0.8 + 0.05 * i, 2) for i in range(45))  # 0.8..3.0
+GRID = tuple(round(0.8 + 0.05 * i, 2) for i in range(45))  # 0.8..3.0
+
+#: Settled observations the learner keeps; beyond this the oldest
+#: uninformative one is evicted first.
+WINDOW = 12
 
 
 @dataclass(frozen=True)
@@ -77,17 +81,7 @@ class RatioObservation:
 class OnlineRatioLearner:
     """Grid-search maximum-a-posteriori estimate of the true ratio."""
 
-    def __init__(
-        self,
-        grid: Tuple[float, ...] = DEFAULT_GRID,
-        window: int = 12,
-    ):
-        if not grid:
-            raise ConfigurationError("empty ratio grid")
-        if window < 2:
-            raise ConfigurationError("window must hold at least 2 points")
-        self.grid = grid
-        self.window = window
+    def __init__(self):
         self._observations: List[RatioObservation] = []
         self._estimate = DEFAULT_R0
 
@@ -120,7 +114,7 @@ class OnlineRatioLearner:
                 n_threads=n_threads,
             )
         )
-        if len(self._observations) > self.window:
+        if len(self._observations) > WINDOW:
             # Informative (big-cluster) observations are rare once HARS
             # settles on a little-only state — evict the oldest
             # *uninformative* point first so the ratio evidence survives.
@@ -181,7 +175,7 @@ class OnlineRatioLearner:
         prior_scale = PRIOR_STRENGTH * float((rates**2).mean())
         best_r = self._estimate
         best_error = float("inf")
-        for candidate in self.grid:
+        for candidate in GRID:
             capacities = np.array(
                 [o.capacity(candidate) for o in self._observations]
             )

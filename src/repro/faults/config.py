@@ -216,7 +216,7 @@ class FaultConfig:
         return cls()
 
     @classmethod
-    def defaults(cls, seed: int = 0) -> "FaultConfig":
+    def defaults(cls) -> "FaultConfig":
         """The documented default fault rates.
 
         Modelled on the noise levels MARS / Hurry-up report for embedded
@@ -224,10 +224,10 @@ class FaultConfig:
         ±5 % read-out noise, rare-but-long heartbeat stalls, frequent
         small delivery jitter, and transiently failing platform writes.
         A full HARS run under these rates must complete without an
-        unhandled exception.
+        unhandled exception.  Seeded at 0; ``dataclasses.replace`` picks
+        another seed.
         """
         return cls(
-            seed=seed,
             sensor_dropout_rate=0.02,
             sensor_noise_rate=0.05,
             sensor_noise_std=0.05,

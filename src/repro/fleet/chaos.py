@@ -55,6 +55,10 @@ SLOWDOWN_DURATION_S = 4.0
 #: Service-velocity multiplier of rate-driven slowdowns.
 SLOWDOWN_FACTOR = 0.25
 
+#: Downtime between a crash and the node's reboot (fresh simulation,
+#: supervision probation), in seconds.
+RESTART_DELAY_S = 1.0
+
 
 @dataclass(frozen=True)
 class NodeChaosEvent:
@@ -62,7 +66,7 @@ class NodeChaosEvent:
 
     ``duration_s`` is the episode length for hangs and slowdowns and is
     ignored for crashes (a crashed node stays down until its restart,
-    ``restart_delay_s`` later, or forever once ``max_restarts`` is
+    :data:`RESTART_DELAY_S` later, or forever once ``max_restarts`` is
     spent).  ``factor`` is the service-velocity multiplier of a
     slowdown episode; hangs always run at factor 0.
     """
@@ -117,12 +121,10 @@ class FleetFaultConfig:
         Episode length of rate-driven hangs (scheduled events carry
         their own; rate-driven slowdowns last
         :data:`SLOWDOWN_DURATION_S` at :data:`SLOWDOWN_FACTOR`).
-    restart_delay_s:
-        Downtime between a crash and the node's reboot (fresh
-        simulation, supervision probation).
     max_restarts:
-        Reboots each node is granted; the crash that exhausts the
-        budget evicts the node permanently.
+        Reboots each node is granted, each after
+        :data:`RESTART_DELAY_S` of downtime; the crash that exhausts
+        the budget evicts the node permanently.
     schedule:
         Explicit :class:`NodeChaosEvent` entries, merged with the
         rate-driven draws (benchmarks pin crash waves here).
@@ -133,7 +135,6 @@ class FleetFaultConfig:
     node_hang_rate: float = 0.0
     node_slowdown_rate: float = 0.0
     hang_duration_s: float = 2.0
-    restart_delay_s: float = 1.0
     max_restarts: int = 2
     schedule: Tuple[NodeChaosEvent, ...] = ()
 
@@ -144,8 +145,6 @@ class FleetFaultConfig:
                 raise ConfigurationError(f"{name} must be >= 0, got {rate!r}")
         if self.hang_duration_s <= 0:
             raise ConfigurationError("hang_duration_s must be positive")
-        if self.restart_delay_s < 0:
-            raise ConfigurationError("restart_delay_s must be >= 0")
         if self.max_restarts < 0:
             raise ConfigurationError("max_restarts must be >= 0")
         for event in self.schedule:

@@ -55,7 +55,12 @@ from repro.fleet.chaos import (
 from repro.fleet.config import FleetConfig
 from repro.fleet.engine import FleetEngine
 from repro.fleet.node import LANES, Completion, FleetNode
-from repro.fleet.resilience import AdmissionController, ResilienceConfig
+from repro.fleet.resilience import (
+    MAX_ATTEMPTS,
+    AdmissionController,
+    ResilienceConfig,
+    backoff_s,
+)
 from repro.fleet.router import Candidates, Router, make_router
 from repro.fleet.slo import percentile
 from repro.fleet.supervisor import FleetSupervisor, NodeHealth
@@ -472,7 +477,6 @@ class FleetCluster:
 
     def _expire_attempts(self, now_s: float) -> None:
         """Cancel attempts past their per-attempt timeout; retry or fail."""
-        res = self.resilience
         heap = self._timeout_heap
         while heap and heap[0][0] <= now_s + _TIME_EPS:
             _, index, attempt_id = heapq.heappop(heap)
@@ -486,7 +490,7 @@ class FleetCluster:
             if attempts:
                 continue  # a hedge twin is still racing — let it finish
             del self._attempts[index]
-            if attempt.attempt_no >= res.max_attempts:
+            if attempt.attempt_no >= MAX_ATTEMPTS:
                 self._timed_out.add(index)
                 self._terminal += 1
                 self._timeout_counter.inc()
@@ -494,7 +498,7 @@ class FleetCluster:
                 heapq.heappush(
                     self._retry_heap,
                     (
-                        now_s + res.backoff_s(attempt.attempt_no),
+                        now_s + backoff_s(attempt.attempt_no),
                         index,
                         attempt.attempt_no + 1,
                         attempt.request,

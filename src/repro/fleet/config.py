@@ -15,7 +15,7 @@ slow every ``import repro``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.errors import ConfigurationError
 from repro.fleet.chaos import FleetFaultConfig
@@ -26,6 +26,10 @@ TRACES = ("poisson", "diurnal", "burst")
 
 #: Span of the timed rate window feeding the deadline targets (seconds).
 RATE_SPAN_S = 2.0
+
+#: Mean fleet arrival rate expressed per node; the trace generator uses
+#: ``PER_NODE_RPS * nodes`` as its base rate.
+PER_NODE_RPS = 8.0
 
 
 @dataclass(frozen=True)
@@ -44,21 +48,11 @@ class FleetConfig:
     trace:
         Arrival-trace shape: ``"poisson"``, ``"diurnal"`` or ``"burst"``.
     requests:
-        Total requests in the trace (fleet-wide, open loop).
-    per_node_rps:
-        Mean fleet arrival rate expressed per node; the trace generator
-        uses ``per_node_rps * nodes`` as its base rate.
+        Total requests in the trace (fleet-wide, open loop).  They
+        arrive at :data:`PER_NODE_RPS` per node on average, sized by
+        the constants of :mod:`repro.fleet.trace`.
     deadline_s:
         Per-request latency deadline (arrival-relative).
-    service_units:
-        Mean request size in work units (one unit ≈ one little-core
-        second at the baseline frequency).
-    heavy_fraction:
-        Fraction of requests drawn from the heavy mode of the bimodal
-        service-size distribution — the head-of-line blockers that make
-        deadline-aware routing matter.
-    heavy_scale:
-        Size multiplier of the heavy mode.
     lane_threads:
         Threads per serving lane (each node runs a ``hot`` and a ``base``
         lane; see :mod:`repro.fleet.node`).
@@ -86,17 +80,15 @@ class FleetConfig:
     tick_s: float = 0.02
     trace: str = "poisson"
     requests: int = 10_000
-    per_node_rps: float = 8.0
     deadline_s: float = 0.5
-    service_units: float = 0.05
-    heavy_fraction: float = 0.15
-    heavy_scale: float = 6.0
     lane_threads: int = 2
     adapt_every: int = 5
     percentile: float = 95.0
     slack: float = 0.4
     chaos: Optional[FleetFaultConfig] = None
     resilience: Optional[ResilienceConfig] = None
+    #: :data:`PER_NODE_RPS`, readable from an instance; not a field.
+    per_node_rps: ClassVar[float] = PER_NODE_RPS
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -107,18 +99,10 @@ class FleetConfig:
             )
         if self.requests < 1:
             raise ConfigurationError("need at least one request")
-        if self.per_node_rps <= 0:
-            raise ConfigurationError("per_node_rps must be positive")
         if self.tick_s <= 0:
             raise ConfigurationError("tick must be positive")
         if self.deadline_s <= 0:
             raise ConfigurationError("deadline must be positive")
-        if self.service_units <= 0:
-            raise ConfigurationError("service_units must be positive")
-        if not 0 <= self.heavy_fraction < 1:
-            raise ConfigurationError("heavy_fraction must be in [0, 1)")
-        if self.heavy_scale < 1:
-            raise ConfigurationError("heavy_scale must be >= 1")
         if self.lane_threads < 1:
             raise ConfigurationError("lane_threads must be >= 1")
         if not 0 < self.percentile <= 100:
@@ -143,4 +127,4 @@ class FleetConfig:
     @property
     def arrival_rps(self) -> float:
         """Fleet-wide mean arrival rate the trace generator targets."""
-        return self.per_node_rps * self.nodes
+        return PER_NODE_RPS * self.nodes

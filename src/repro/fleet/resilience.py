@@ -14,9 +14,9 @@ knobs, each independently switchable:
   outright — the ablation ``bench_fleet_chaos.py`` measures.
 * **per-attempt timeouts + retry** — an attempt that has not completed
   ``attempt_timeout_s`` after dispatch is cancelled and re-dispatched
-  with exponential backoff (``retry_backoff_s`` doubling per attempt,
-  capped at ``backoff_cap_s``), up to ``max_attempts``; the attempt
-  that exhausts the budget marks the request *timed out*.
+  with exponential backoff (:data:`RETRY_BACKOFF_S` doubling per
+  attempt, capped at :data:`BACKOFF_CAP_S`), up to :data:`MAX_ATTEMPTS`;
+  the attempt that exhausts the budget marks the request *timed out*.
 * **hedging** — a request whose estimated completion time exceeds
   ``hedge_fraction`` of its deadline budget is duplicated onto the
   best *other* routable node ("Hurry-up"-style tail insurance).  First
@@ -25,7 +25,7 @@ knobs, each independently switchable:
   best base-lane wait exceed configured limits the
   :class:`AdmissionController` browns out (new hot-lane traffic is
   demoted to base) or sheds (new arrivals are refused) until the
-  signals fall below ``release_fraction`` of the trip level — the
+  signals fall below :data:`RELEASE_FRACTION` of the trip level — the
   hysteresis that keeps the controller from flapping at the limit.
 
 With every knob at its default (and no chaos layer attached) the
@@ -48,6 +48,23 @@ ADMISSION_STATES = ("normal", "brownout", "shed")
 QUARANTINE_FACTOR = 2.0
 EVICT_FACTOR = 4.0
 
+#: Time a restarted node spends in PROBATION before it counts as HEALTHY
+#: again (it is routable during probation only when no HEALTHY node
+#: exists).
+PROBATION_S = 1.0
+
+#: Total dispatch budget per request (first attempt included).
+MAX_ATTEMPTS = 3
+
+#: Exponential backoff between attempts:
+#: ``min(BACKOFF_CAP_S, RETRY_BACKOFF_S * 2**(attempt-1))``.
+RETRY_BACKOFF_S = 0.05
+BACKOFF_CAP_S = 0.4
+
+#: Admission signals must fall below ``RELEASE_FRACTION`` x the trip
+#: level before the admission state steps back down (hysteresis).
+RELEASE_FRACTION = 0.8
+
 
 @dataclass(frozen=True)
 class ResilienceConfig:
@@ -60,19 +77,12 @@ class ResilienceConfig:
         requests to survivors (original deadlines preserved).
     stall_after_s:
         A node with pending requests and no completion for this long
-        counts as stalled; the supervisor starts escalating.
-    probation_s:
-        Time a restarted node spends in PROBATION before it counts as
-        HEALTHY again (it is routable during probation only when no
-        HEALTHY node exists).
+        counts as stalled; the supervisor starts escalating.  A
+        restarted node then spends :data:`PROBATION_S` in PROBATION.
     attempt_timeout_s:
         Per-attempt completion deadline measured from dispatch; None
-        disables timeouts and retries entirely.
-    max_attempts:
-        Total dispatch budget per request (first attempt included).
-    retry_backoff_s / backoff_cap_s:
-        Exponential backoff between attempts:
-        ``min(backoff_cap_s, retry_backoff_s * 2**(attempt-1))``.
+        disables timeouts and retries entirely.  Retries follow
+        :func:`backoff_s` up to :data:`MAX_ATTEMPTS` dispatches.
     hedge_fraction:
         Fraction of the deadline budget the estimated completion time
         may consume before the request is hedged to a second node;
@@ -83,23 +93,17 @@ class ResilienceConfig:
         disables the respective trigger.
     shed_wait_s:
         Best base-lane estimated wait beyond which arrivals are shed
-        (the predicted-tail trigger).  None disables it.
-    release_fraction:
-        Signals must fall below ``release_fraction`` x the trip level
-        before the admission state steps back down (hysteresis).
+        (the predicted-tail trigger).  None disables it.  Each trigger
+        releases below :data:`RELEASE_FRACTION` of its trip level.
     """
 
     failover: bool = True
 
     # -- node health thresholds (FleetSupervisor) ------------------------
     stall_after_s: float = 2.0
-    probation_s: float = 1.0
 
     # -- per-attempt timeout + retry -------------------------------------
     attempt_timeout_s: Optional[float] = None
-    max_attempts: int = 3
-    retry_backoff_s: float = 0.05
-    backoff_cap_s: float = 0.4
 
     # -- tail-latency hedging --------------------------------------------
     hedge_fraction: Optional[float] = None
@@ -108,31 +112,18 @@ class ResilienceConfig:
     shed_queue_depth: Optional[float] = None
     brownout_queue_depth: Optional[float] = None
     shed_wait_s: Optional[float] = None
-    release_fraction: float = 0.8
 
     def __post_init__(self) -> None:
         if self.stall_after_s <= 0:
             raise ConfigurationError("stall_after_s must be positive")
-        if self.probation_s < 0:
-            raise ConfigurationError("probation_s must be >= 0")
         if self.attempt_timeout_s is not None and self.attempt_timeout_s <= 0:
             raise ConfigurationError("attempt_timeout_s must be positive")
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-        if self.retry_backoff_s < 0:
-            raise ConfigurationError("retry_backoff_s must be >= 0")
-        if self.backoff_cap_s < self.retry_backoff_s:
-            raise ConfigurationError(
-                "backoff_cap_s must be >= retry_backoff_s"
-            )
         if self.hedge_fraction is not None and not 0 < self.hedge_fraction <= 1:
             raise ConfigurationError("hedge_fraction must be in (0, 1]")
         for name in ("shed_queue_depth", "brownout_queue_depth", "shed_wait_s"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ConfigurationError(f"{name} must be positive")
-        if not 0 < self.release_fraction < 1:
-            raise ConfigurationError("release_fraction must be in (0, 1)")
 
     # -- enablement queries ----------------------------------------------
 
@@ -159,11 +150,12 @@ class ResilienceConfig:
         """Whether the cluster must track per-request attempts."""
         return self.retry_enabled or self.hedge_enabled
 
-    def backoff_s(self, attempt: int) -> float:
-        """Delay before dispatching attempt ``attempt + 1``."""
-        if attempt < 1:
-            raise ConfigurationError("backoff is defined for attempts >= 1")
-        return min(self.backoff_cap_s, self.retry_backoff_s * 2 ** (attempt - 1))
+
+def backoff_s(attempt: int) -> float:
+    """Delay before dispatching attempt ``attempt + 1``."""
+    if attempt < 1:
+        raise ConfigurationError("backoff is defined for attempts >= 1")
+    return min(BACKOFF_CAP_S, RETRY_BACKOFF_S * 2 ** (attempt - 1))
 
 
 class AdmissionController:
@@ -189,10 +181,10 @@ class AdmissionController:
         ) or (c.shed_wait_s is not None and best_wait_s > c.shed_wait_s)
         shed_clear = (
             c.shed_queue_depth is None
-            or queue_depth < c.shed_queue_depth * c.release_fraction
+            or queue_depth < c.shed_queue_depth * RELEASE_FRACTION
         ) and (
             c.shed_wait_s is None
-            or best_wait_s < c.shed_wait_s * c.release_fraction
+            or best_wait_s < c.shed_wait_s * RELEASE_FRACTION
         )
         brown_trip = (
             c.brownout_queue_depth is not None
@@ -200,7 +192,7 @@ class AdmissionController:
         )
         brown_clear = (
             c.brownout_queue_depth is None
-            or queue_depth < c.brownout_queue_depth * c.release_fraction
+            or queue_depth < c.brownout_queue_depth * RELEASE_FRACTION
         )
         if self.state == "shed":
             if shed_clear:

@@ -20,10 +20,11 @@ Supervisor` watches applications, with node-level states::
   per tick); a single completion (or an empty queue) fully recovers the
   node, mirroring the per-app machine's single-late-beat recovery.
 * A **crash** (every serving lane halted) takes the node DOWN and
-  schedules a reboot ``restart_delay_s`` later if the restart budget
-  allows, else evicts it permanently.  A rebooted node is a *fresh
-  simulation* and serves a probation period before counting as fully
-  healthy again.
+  schedules a reboot :data:`~repro.fleet.chaos.RESTART_DELAY_S` later if
+  the restart budget allows, else evicts it permanently.  A rebooted
+  node is a *fresh simulation* and serves
+  :data:`~repro.fleet.resilience.PROBATION_S` of probation before
+  counting as fully healthy again.
 * **Routing** prefers HEALTHY nodes, falls back to PROBATION, then
   DEGRADED, and returns nothing when even those are gone (the cluster
   defers arrivals a tick).  QUARANTINED nodes keep stepping — a
@@ -46,10 +47,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.fleet.chaos import FleetFaultConfig
+from repro.fleet.chaos import RESTART_DELAY_S, FleetFaultConfig
 from repro.fleet.node import FleetNode
 from repro.fleet.resilience import (
     EVICT_FACTOR,
+    PROBATION_S,
     QUARANTINE_FACTOR,
     ResilienceConfig,
 )
@@ -185,8 +187,7 @@ class FleetSupervisor:
         budget = self.chaos.max_restarts if self.chaos is not None else 0
         if record.restarts_used < budget:
             record.restarts_used += 1
-            delay = self.chaos.restart_delay_s if self.chaos is not None else 0.0
-            record.restart_due_s = now_s + delay
+            record.restart_due_s = now_s + RESTART_DELAY_S
             self._transition(record, NodeHealth.DOWN, now_s, "crash")
         else:
             self.evictions += 1
@@ -199,7 +200,7 @@ class FleetSupervisor:
         """The cluster rebooted the node (fresh simulation): probation."""
         record = self.records[index]
         record.restart_due_s = None
-        record.probation_until_s = now_s + self.config.probation_s
+        record.probation_until_s = now_s + PROBATION_S
         record.last_progress_s = now_s
         record.stall_rung = 0
         self.restarts += 1

@@ -19,11 +19,11 @@ Three shapes:
   times the base rate, damped in between so the long-run mean stays
   put.
 
-Service sizes are bimodal: most requests are small, a configurable
-fraction is ``heavy_scale`` times larger.  The heavy tail is what makes
-deadline-aware routing interesting — small requests stuck behind a heavy
-one in FIFO order are exactly the deadline misses the Hurry-up router
-exists to prevent.
+Service sizes are bimodal: most requests are small, a fraction
+:data:`HEAVY_FRACTION` is :data:`HEAVY_SCALE` times larger.  The heavy
+tail is what makes deadline-aware routing interesting — small requests
+stuck behind a heavy one in FIFO order are exactly the deadline misses
+the Hurry-up router exists to prevent.
 """
 
 from __future__ import annotations
@@ -35,6 +35,18 @@ from typing import Tuple
 
 from repro.errors import ConfigurationError
 from repro.fleet.config import FleetConfig
+
+#: Mean request size in work units (one unit ≈ one little-core second
+#: at the baseline frequency).
+SERVICE_UNITS = 0.05
+
+#: Fraction of requests drawn from the heavy mode of the bimodal
+#: service-size distribution — the head-of-line blockers that make
+#: deadline-aware routing matter.
+HEAVY_FRACTION = 0.15
+
+#: Size multiplier of the heavy mode.
+HEAVY_SCALE = 6.0
 
 #: Uniform jitter applied to every service size (± half of this range).
 _SIZE_JITTER = (0.5, 1.5)
@@ -96,10 +108,10 @@ def make_trace(config: FleetConfig) -> Tuple[Request, ...]:
     for index in range(config.requests):
         rate = rate_fn(config, base, now)
         now += rng.expovariate(rate)
-        heavy = rng.random() < config.heavy_fraction
-        units = config.service_units * rng.uniform(*_SIZE_JITTER)
+        heavy = rng.random() < HEAVY_FRACTION
+        units = SERVICE_UNITS * rng.uniform(*_SIZE_JITTER)
         if heavy:
-            units *= config.heavy_scale
+            units *= HEAVY_SCALE
         requests.append(
             Request(
                 index=index,

@@ -37,10 +37,51 @@ WATCHDOG_TRIP = 0.35
 #: Mean absolute relative residual below which safe mode releases.
 WATCHDOG_RECOVER = 0.15
 
+# -- budget enforcer -------------------------------------------------------
+#: The guard filter vetoes candidates whose *estimated* power exceeds
+#: ``margin × share``; headroom below 1.0 absorbs estimator optimism
+#: before the sensor check has to act.  This is the starting margin.
+FILTER_MARGIN = 0.95
+#: Each post-actuation budget trip multiplies the margin by this decay
+#: (down to :data:`MIN_MARGIN`), so a cap the estimator keeps
+#: underestimating is enforced progressively harder.
+TRIP_MARGIN_DECAY = 0.85
+#: Floor of the adaptive filter margin.
+MIN_MARGIN = 0.4
+#: A tripped throttle releases once observed power falls back under
+#: ``RELEASE_FRACTION × cap`` (hysteresis against re-trip chatter).
+RELEASE_FRACTION = 0.95
+
+# -- modelled thermal ramp ---------------------------------------------------
+#: Ambient / idle temperature of the thermal model (°C).
+AMBIENT_C = 45.0
+#: First-order time constant of the package (seconds).
+THERMAL_TAU_S = 10.0
+#: Steady-state temperature rise per sustained watt (°C/W).
+THERMAL_C_PER_W = 5.0
+#: Above this modelled temperature the effective cap tightens and an
+#: emergency down-throttle fires.
+THERMAL_THROTTLE_C = 85.0
+#: The tightened cap releases once the model cools below this.
+THERMAL_RELEASE_C = 80.0
+#: Multiplier applied to the cap (and every share) while hot.
+THERMAL_CAP_FACTOR = 0.8
+
+# -- oscillation damper ------------------------------------------------------
+#: Minimum state flips inside a full damper window to call it thrashing.
+DAMPER_FLIPS = 3
+
 
 @dataclass(frozen=True)
 class GuardrailConfig:
-    """Which guardrails run and how aggressively they trip."""
+    """Which guardrails run.
+
+    How hard they trip is fixed: the enforcer's margins and hysteresis
+    are :data:`FILTER_MARGIN`, :data:`TRIP_MARGIN_DECAY`,
+    :data:`MIN_MARGIN` and :data:`RELEASE_FRACTION`; the thermal ramp's
+    model is :data:`AMBIENT_C` through :data:`THERMAL_CAP_FACTOR`; the
+    damper trips on :data:`DAMPER_FLIPS` flips.
+    """
 
     # -- budget enforcer ---------------------------------------------------
     #: Run-wide power cap in watts over the sensor's ``total`` rail, or
@@ -51,43 +92,14 @@ class GuardrailConfig:
     #: equally; shares are recomputed when an app finishes, is
     #: quarantined, or is evicted.
     app_power_caps: Tuple[Tuple[str, float], ...] = ()
-    #: The guard filter vetoes candidates whose *estimated* power
-    #: exceeds ``margin × share``; headroom below 1.0 absorbs estimator
-    #: optimism before the sensor check has to act.
-    filter_margin: float = 0.95
-    #: Each post-actuation budget trip multiplies the margin by this
-    #: decay (down to :attr:`min_margin`), so a cap the estimator keeps
-    #: underestimating is enforced progressively harder.
-    trip_margin_decay: float = 0.85
-    #: Floor of the adaptive filter margin.
-    min_margin: float = 0.4
-    #: A tripped throttle releases once observed power falls back under
-    #: ``release_fraction × cap`` (hysteresis against re-trip chatter).
-    release_fraction: float = 0.95
-
-    # -- modelled thermal ramp --------------------------------------------
-    #: Track a first-order thermal state alongside the budget check.
+    #: Track a first-order thermal state alongside the budget check
+    #: (constants :data:`AMBIENT_C` to :data:`THERMAL_CAP_FACTOR`).
     thermal_enabled: bool = False
-    #: Ambient / idle temperature of the thermal model (°C).
-    ambient_c: float = 45.0
-    #: First-order time constant of the package (seconds).
-    thermal_tau_s: float = 10.0
-    #: Steady-state temperature rise per sustained watt (°C/W).
-    thermal_c_per_w: float = 5.0
-    #: Above this modelled temperature the effective cap tightens and
-    #: an emergency down-throttle fires.
-    thermal_throttle_c: float = 85.0
-    #: The tightened cap releases once the model cools below this.
-    thermal_release_c: float = 80.0
-    #: Multiplier applied to the cap (and every share) while hot.
-    thermal_cap_factor: float = 0.8
 
     # -- oscillation damper ------------------------------------------------
     #: Sliding window of recent boundary plans inspected for A↔B
     #: thrash; ``0`` disables the damper.
     damper_window: int = 0
-    #: Minimum state flips inside a full window to call it thrashing.
-    damper_flips: int = 3
     #: Maximum distinct states a thrash cycle may involve.  The default
     #: catches the classic A↔B ping-pong; tight tolerance windows also
     #: produce longer A→B→C→A limit cycles, caught by raising this.
@@ -120,48 +132,18 @@ class GuardrailConfig:
                 raise ConfigurationError(
                     f"app power cap for {name!r} must be positive"
                 )
-        if not 0 < self.filter_margin <= 2:
-            raise ConfigurationError("filter_margin must be in (0, 2]")
-        if not 0 < self.trip_margin_decay <= 1:
-            raise ConfigurationError("trip_margin_decay must be in (0, 1]")
-        if not 0 < self.min_margin <= self.filter_margin:
+        if self.thermal_enabled and not self.budget_enabled:
             raise ConfigurationError(
-                "min_margin must be in (0, filter_margin]"
+                "the thermal ramp tightens a power cap: set "
+                "power_cap_w (or app_power_caps) to enable it"
             )
-        if not 0 < self.release_fraction <= 1:
-            raise ConfigurationError("release_fraction must be in (0, 1]")
-        if self.thermal_enabled:
-            if not self.budget_enabled:
-                raise ConfigurationError(
-                    "the thermal ramp tightens a power cap: set "
-                    "power_cap_w (or app_power_caps) to enable it"
-                )
-            if self.thermal_tau_s <= 0:
-                raise ConfigurationError("thermal_tau_s must be positive")
-            if self.thermal_c_per_w <= 0:
-                raise ConfigurationError("thermal_c_per_w must be positive")
-            if not (
-                self.ambient_c
-                < self.thermal_release_c
-                < self.thermal_throttle_c
-            ):
-                raise ConfigurationError(
-                    "need ambient_c < thermal_release_c < thermal_throttle_c"
-                )
-            if not 0 < self.thermal_cap_factor <= 1:
-                raise ConfigurationError(
-                    "thermal_cap_factor must be in (0, 1]"
-                )
         if self.damper_window < 0:
             raise ConfigurationError("damper_window must be >= 0")
         if self.damper_window:
-            if self.damper_window < 3:
+            if self.damper_window <= DAMPER_FLIPS:
                 raise ConfigurationError(
-                    "a damper needs a window of at least 3 plans"
-                )
-            if not 2 <= self.damper_flips < self.damper_window:
-                raise ConfigurationError(
-                    "damper_flips must be in [2, damper_window)"
+                    f"a damper needs a window of more than {DAMPER_FLIPS} "
+                    "plans"
                 )
             if not 2 <= self.damper_states < self.damper_window:
                 raise ConfigurationError(

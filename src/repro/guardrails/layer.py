@@ -45,6 +45,17 @@ from repro.core.policy import HARS_I
 from repro.core.state import SystemState
 from repro.errors import ConfigurationError, EstimationError
 from repro.guardrails.config import (
+    AMBIENT_C,
+    DAMPER_FLIPS,
+    FILTER_MARGIN,
+    MIN_MARGIN,
+    RELEASE_FRACTION,
+    THERMAL_C_PER_W,
+    THERMAL_CAP_FACTOR,
+    THERMAL_RELEASE_C,
+    THERMAL_TAU_S,
+    THERMAL_THROTTLE_C,
+    TRIP_MARGIN_DECAY,
     WATCHDOG_RECOVER,
     WATCHDOG_TRIP,
     GuardrailConfig,
@@ -83,21 +94,20 @@ class BudgetEnforcer:
     """Power-cap bookkeeping: shares, margin, thermal state, throttle."""
 
     def __init__(self, config: GuardrailConfig):
-        self.config = config
         self.cap_w = config.power_cap_w
         #: Adaptive guard-filter margin; decays per budget trip.
-        self.margin = config.filter_margin
+        self.margin = FILTER_MARGIN
         #: The platform's constant board-rail draw (set at ``on_start``).
         #: The sensor cap is *total*-basis; the estimator covers the two
         #: clusters only, so the veto subtracts the board constant.
         self.board_power_w = 0.0
         self.thermal: Optional[ThermalModel] = (
             ThermalModel(
-                ambient_c=config.ambient_c,
-                tau_s=config.thermal_tau_s,
-                c_per_w=config.thermal_c_per_w,
-                throttle_c=config.thermal_throttle_c,
-                release_c=config.thermal_release_c,
+                ambient_c=AMBIENT_C,
+                tau_s=THERMAL_TAU_S,
+                c_per_w=THERMAL_C_PER_W,
+                throttle_c=THERMAL_THROTTLE_C,
+                release_c=THERMAL_RELEASE_C,
             )
             if config.thermal_enabled
             else None
@@ -199,7 +209,7 @@ class BudgetEnforcer:
 
     def _thermal_factor(self) -> float:
         if self.thermal is not None and self.thermal.hot:
-            return self.config.thermal_cap_factor
+            return THERMAL_CAP_FACTOR
         return 1.0
 
     def effective_cap_w(self) -> Optional[float]:
@@ -257,10 +267,7 @@ class BudgetEnforcer:
             if not self.throttling:
                 self.throttling = True
                 self.trips += 1
-                self.margin = max(
-                    self.config.min_margin,
-                    self.margin * self.config.trip_margin_decay,
-                )
+                self.margin = max(MIN_MARGIN, self.margin * TRIP_MARGIN_DECAY)
                 self._throttle_start = time_s
                 transitions.append(
                     (
@@ -271,7 +278,7 @@ class BudgetEnforcer:
                 )
         else:
             self._streak_s = 0.0
-            if self.throttling and total_w <= cap * self.config.release_fraction:
+            if self.throttling and total_w <= cap * RELEASE_FRACTION:
                 self.throttling = False
                 if self._throttle_start is not None:
                     self.throttled_s += time_s - self._throttle_start
@@ -305,7 +312,7 @@ class BudgetEnforcer:
         }
 
     def restore(self, body: Dict[str, Any], now_s: float) -> None:
-        self.margin = float(body.get("margin", self.config.filter_margin))
+        self.margin = float(body.get("margin", FILTER_MARGIN))
         self.throttling = bool(body.get("throttling", False))
         self.trips = int(body.get("trips", 0))
         self.thermal_trips = int(body.get("thermal_trips", 0))
@@ -329,7 +336,7 @@ class BudgetEnforcer:
 
     def reset(self, now_s: float, live: List[str]) -> None:
         """Cold start: margin, thermal, and throttle state are volatile."""
-        self.margin = self.config.filter_margin
+        self.margin = FILTER_MARGIN
         self.throttling = False
         self._throttle_start = None
         self._streak_s = 0.0
@@ -408,7 +415,7 @@ class GuardrailLayer(CheckpointedController):
         self.damper: Optional[OscillationDamper] = (
             OscillationDamper(
                 window=config.damper_window,
-                flips=config.damper_flips,
+                flips=DAMPER_FLIPS,
                 hold_periods=config.damper_hold_periods,
                 states=config.damper_states,
             )

@@ -46,7 +46,6 @@ class MispredictionWatchdog:
         window: int,
         trip_threshold: float,
         recover_threshold: float,
-        track_power: bool = True,
     ):
         self.window = window
         self.trip_threshold = trip_threshold
@@ -54,7 +53,7 @@ class MispredictionWatchdog:
         #: Power residuals only make sense when the sensor's board rail
         #: is attributable to one app; multi-app layers switch this off
         #: and the watchdog judges rate residuals alone.
-        self.track_power = track_power
+        self.track_power = True
         self._apps: Dict[str, _AppWatchdog] = {}
         #: Safe-mode entries (→ ``GuardrailTripped``).
         self.trips = 0

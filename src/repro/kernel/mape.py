@@ -535,10 +535,6 @@ class MapeManager(CheckpointedController):
     ):
         if adapt_every < 1:
             raise ConfigurationError("adapt_every must be >= 1")
-        if state_eval_cost_s < 0:
-            raise ConfigurationError("state_eval_cost_s must be >= 0")
-        if poll_cost_s < 0:
-            raise ConfigurationError("poll_cost_s must be >= 0")
         self.policy = policy
         self.state_eval_cost_s = state_eval_cost_s
         self.poll_cost_s = poll_cost_s

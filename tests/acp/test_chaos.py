@@ -75,12 +75,14 @@ class TestSeqWindow:
         assert verdict == wire.SEQ_MISMATCH
 
     def test_cache_eviction_turns_duplicate_into_stale(self):
-        window = wire.SeqWindow(cache_limit=2)
-        for seq in (1, 2, 3):
+        window = wire.SeqWindow()
+        last = wire.SEQ_CACHE_LIMIT + 1
+        for seq in range(1, last + 1):
             window.admit(seq, "run")
             window.record(seq, "run", self.frames(seq))
         assert window.admit(1, "run")[0] == wire.SEQ_STALE
-        assert window.admit(3, "run")[0] == wire.SEQ_DUPLICATE
+        assert window.admit(2, "run")[0] == wire.SEQ_DUPLICATE
+        assert window.admit(last, "run")[0] == wire.SEQ_DUPLICATE
 
     def test_error_responses_replay_too(self):
         window = wire.SeqWindow()
@@ -417,7 +419,8 @@ def raw_unix(path, data, timeout=30.0):
 
 
 def scrape_counter(daemon, name):
-    text = AcpClient(f"unix://{daemon.socket_path}").metrics_text()
+    with AcpClient(f"unix://{daemon.socket_path}") as client:
+        text = client.metrics_text()
     match = re.search(rf"^{name} (\S+)$", text, re.MULTILINE)
     assert match, f"{name} missing from /metrics"
     return float(match.group(1))
@@ -436,11 +439,11 @@ class TestTornLineRegression:
         assert data["payload"]["code"] == wire.ERR_TORN_LINE
         assert scrape_counter(daemon, "acp_frames_corrupt_total") >= 1.0
         # The daemon is unpoisoned: a fresh client attaches and runs.
-        client = AcpClient(f"unix://{daemon.socket_path}")
-        handle = client.attach("hars-ei", SHAPE, RunConfig())
-        assert handle.run()["state"] == "running"
-        handle.result(timeout_s=120)
-        handle.detach()
+        with AcpClient(f"unix://{daemon.socket_path}") as client:
+            handle = client.attach("hars-ei", SHAPE, RunConfig())
+            assert handle.run()["state"] == "running"
+            handle.result(timeout_s=120)
+            handle.detach()
 
     def test_non_utf8_bytes_are_contained(self, daemon):
         response = raw_unix(daemon.socket_path, b"\xff\xfe\x00garbage\n")
@@ -472,10 +475,8 @@ class TestTransportFuzz:
                 data = json.loads(out)
                 assert isinstance(data.get("type"), str)
         # Still alive, still serving.
-        assert (
-            AcpClient(f"unix://{daemon.socket_path}").hello()["server"]
-            == "hars-repro-acp"
-        )
+        with AcpClient(f"unix://{daemon.socket_path}") as client:
+            assert client.hello()["server"] == "hars-repro-acp"
 
     def test_unix_truncation_fuzz(self, daemon):
         import random
@@ -490,9 +491,8 @@ class TestTransportFuzz:
             data = json.loads(response.splitlines()[0])
             assert data["type"] == "error"
             assert data["payload"]["code"] == wire.ERR_TORN_LINE
-        assert AcpClient(f"unix://{daemon.socket_path}").sessions()[
-            "sessions"
-        ] == []
+        with AcpClient(f"unix://{daemon.socket_path}") as client:
+            assert client.sessions()["sessions"] == []
 
     def test_http_fuzz_always_typed_error_frames(self, daemon):
         import urllib.request
@@ -541,13 +541,14 @@ class TestTransportFuzz:
             ),
             retry=RetryPolicy(max_attempts=10, backoff_s=0.001),
         )
-        handle = client.attach(
-            "hars-ei", SHAPE, RunConfig(), session_id="chaotic-unix"
-        )
-        handle.run()
-        outcome = handle.result(timeout_s=120)
-        assert outcome.metrics.apps[0].heartbeats > 0
-        handle.detach()
+        with client:
+            handle = client.attach(
+                "hars-ei", SHAPE, RunConfig(), session_id="chaotic-unix"
+            )
+            handle.run()
+            outcome = handle.result(timeout_s=120)
+            assert outcome.metrics.apps[0].heartbeats > 0
+            handle.detach()
         assert set(ACP_FAULT_KINDS) == set(
             client._transport.injected
         )

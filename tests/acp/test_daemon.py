@@ -188,7 +188,8 @@ class TestHttp:
         base = f"http://127.0.0.1:{daemon.http_port}"
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(base + "/nope", timeout=30)
-        assert excinfo.value.code == 404
+        with excinfo.value as error:    # it holds the response's socket
+            assert error.code == 404
 
 
 class TestEndpointParsing:

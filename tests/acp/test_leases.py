@@ -209,23 +209,23 @@ class TestDaemonReaper:
         )
         daemon.start()
         try:
-            client = AcpClient(f"unix://{daemon.socket_path}")
-            handle = client.attach(
-                "mp-hars-ei",
-                [
-                    RunShape(benchmark="swaptions", n_units=2000),
-                    RunShape(benchmark="bodytrack", n_units=2000),
-                ],
-                CONFIG,
-                session_id="patient",
-            )
-            handle.run()
-            # The run takes well over the 1s TTL of wall-clock time;
-            # result() is one blocking RPC for all of it.
-            outcome = handle.result(timeout_s=120.0)
-            assert outcome.metrics.apps[0].heartbeats == 2000
-            assert daemon.acp.lease_expirations == 0
-            handle.detach()  # would raise ERR_ORPHANED before the fix
+            with AcpClient(f"unix://{daemon.socket_path}") as client:
+                handle = client.attach(
+                    "mp-hars-ei",
+                    [
+                        RunShape(benchmark="swaptions", n_units=2000),
+                        RunShape(benchmark="bodytrack", n_units=2000),
+                    ],
+                    CONFIG,
+                    session_id="patient",
+                )
+                handle.run()
+                # The run takes well over the 1s TTL of wall-clock time;
+                # result() is one blocking RPC for all of it.
+                outcome = handle.result(timeout_s=120.0)
+                assert outcome.metrics.apps[0].heartbeats == 2000
+                assert daemon.acp.lease_expirations == 0
+                handle.detach()  # would raise ERR_ORPHANED before the fix
         finally:
             daemon.stop()
 
@@ -240,47 +240,47 @@ class TestDaemonReaper:
         )
         daemon.start()
         try:
-            client = AcpClient(f"unix://{daemon.socket_path}")
-            handle = client.attach(
-                "mp-hars-ei",
-                [
-                    RunShape(benchmark="swaptions", n_units=4000),
-                    RunShape(benchmark="bodytrack", n_units=4000),
-                ],
-                CONFIG,
-                session_id="abandoned",
-            )
-            handle.run()  # background driver starts
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if daemon.acp.lease_expirations > 0:
-                    break
-                time.sleep(0.1)
-            assert daemon.acp.lease_expirations == 1
-            # No leaked driver thread.
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and any(
-                t.name == "acp-abandoned" for t in threading.enumerate()
-            ):
-                time.sleep(0.05)
-            assert not any(
-                t.name == "acp-abandoned" for t in threading.enumerate()
-            )
-            listing = client.sessions()
-            assert [o["session_id"] for o in listing["orphaned"]] == [
-                "abandoned"
-            ]
-            resumed = client.attach(
-                "mp-hars-ei",
-                [
-                    RunShape(benchmark="swaptions", n_units=4000),
-                    RunShape(benchmark="bodytrack", n_units=4000),
-                ],
-                CONFIG,
-                session_id="abandoned",
-                resume=True,
-            )
-            assert resumed.last_status["resumed_from"]
-            resumed.detach()
+            with AcpClient(f"unix://{daemon.socket_path}") as client:
+                handle = client.attach(
+                    "mp-hars-ei",
+                    [
+                        RunShape(benchmark="swaptions", n_units=4000),
+                        RunShape(benchmark="bodytrack", n_units=4000),
+                    ],
+                    CONFIG,
+                    session_id="abandoned",
+                )
+                handle.run()  # background driver starts
+                deadline = time.monotonic() + 30.0
+                while time.monotonic() < deadline:
+                    if daemon.acp.lease_expirations > 0:
+                        break
+                    time.sleep(0.1)
+                assert daemon.acp.lease_expirations == 1
+                # No leaked driver thread.
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline and any(
+                    t.name == "acp-abandoned" for t in threading.enumerate()
+                ):
+                    time.sleep(0.05)
+                assert not any(
+                    t.name == "acp-abandoned" for t in threading.enumerate()
+                )
+                listing = client.sessions()
+                assert [o["session_id"] for o in listing["orphaned"]] == [
+                    "abandoned"
+                ]
+                resumed = client.attach(
+                    "mp-hars-ei",
+                    [
+                        RunShape(benchmark="swaptions", n_units=4000),
+                        RunShape(benchmark="bodytrack", n_units=4000),
+                    ],
+                    CONFIG,
+                    session_id="abandoned",
+                    resume=True,
+                )
+                assert resumed.last_status["resumed_from"]
+                resumed.detach()
         finally:
             daemon.stop()

@@ -47,13 +47,15 @@ class TestRoundTrip:
         assert roundtrip(frame) == frame
 
     def test_swap(self):
-        frame = wire.swap_frame("s1", 9, "hars-i", adapt_every=3)
+        payload = {"policy": "hars-i", "adapt_every": 3}
+        frame = wire.make_frame("swap", "s1", 9, payload)
         back = roundtrip(frame)
         assert back.payload == {"policy": "hars-i", "adapt_every": 3}
 
     def test_error(self):
-        frame = wire.error_frame("s1", 10, "boom", detail="stack")
+        frame = wire.error_frame("s1", 10, "boom", code=wire.ERR_STALE_SEQ)
         assert roundtrip(frame) == frame
+        assert frame.payload == {"error": "boom", "code": wire.ERR_STALE_SEQ}
 
     def test_floats_survive_bit_exactly(self):
         value = 0.1 + 0.2  # not representable "nicely"; repr round-trips

@@ -150,13 +150,6 @@ class TestValidation:
                 adapt_every=0,
             )
 
-    def test_negative_cost(self, xu3, power_estimator):
-        with pytest.raises(ConfigurationError):
-            HarsManager(
-                "w", HARS_E, PerformanceEstimator(), power_estimator,
-                state_eval_cost_s=-1.0,
-            )
-
     def test_cpu_utilization_needs_positive_elapsed(
         self, xu3, power_estimator
     ):

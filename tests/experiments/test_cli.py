@@ -58,6 +58,11 @@ class TestCli:
         assert err.startswith("hars-repro: error: ")
         assert "Traceback" not in err
 
+    def test_fleet_runs_the_diurnal_trace(self, capsys):
+        argv = ["fleet", "--trace", "diurnal", "--nodes", "3", "--requests", "60"]
+        assert main(argv) == 0
+        assert "completed=" in capsys.readouterr().out
+
 
 class TestCliJson:
     def test_json_flag_writes_payload(self, tmp_path, capsys):

@@ -70,7 +70,3 @@ class TestRatePredictor:
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             RatePredictor().observe(0.0)
-
-    def test_noise_fraction_validation(self):
-        with pytest.raises(ConfigurationError):
-            RatePredictor(relative_process_noise=0.0)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.perf_estimator import PerformanceEstimator
 from repro.core.state import SystemState
 from repro.errors import ConfigurationError
-from repro.extensions.ratio_learning import OnlineRatioLearner
+from repro.extensions.ratio_learning import WINDOW, OnlineRatioLearner
 
 
 def _feed_observations(learner, true_ratio, states, scale=0.5, n_threads=8):
@@ -67,15 +67,12 @@ class TestLearning:
         assert s_big / s_little == pytest.approx(learner.ratio)
 
     def test_window_bounds_history(self):
-        learner = OnlineRatioLearner(window=4)
+        learner = OnlineRatioLearner()
         _feed_observations(learner, true_ratio=1.5, states=_STATES * 3)
-        assert len(learner) == 4
+        assert len(_STATES * 3) > WINDOW
+        assert len(learner) == WINDOW
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            OnlineRatioLearner(grid=())
-        with pytest.raises(ConfigurationError):
-            OnlineRatioLearner(window=1)
         learner = OnlineRatioLearner()
         with pytest.raises(ConfigurationError):
             learner.observe(SystemState(1, 1, 800, 800), 0.0, 8)

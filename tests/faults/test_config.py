@@ -1,5 +1,7 @@
 """FaultConfig validation, enablement queries, and presets."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -81,7 +83,8 @@ class TestPresets:
         assert not FaultConfig.disabled().enabled
 
     def test_defaults_enable_every_channel(self):
-        cfg = FaultConfig.defaults(seed=7)
+        assert FaultConfig.defaults().seed == 0
+        cfg = dataclasses.replace(FaultConfig.defaults(), seed=7)
         assert cfg.seed == 7
         assert cfg.sensor_enabled
         assert cfg.heartbeat_enabled

@@ -1,5 +1,7 @@
 """FaultInjector behaviour: determinism, per-channel faults, bus events."""
 
+import dataclasses
+
 import pytest
 
 from repro.faults import FaultConfig, FaultInjector
@@ -18,7 +20,7 @@ def make(config):
 
 class TestDeterminism:
     def test_same_seed_same_schedule(self):
-        cfg = FaultConfig.defaults(seed=42)
+        cfg = dataclasses.replace(FaultConfig.defaults(), seed=42)
         a, _, _ = make(cfg)
         b, _, _ = make(cfg)
         series_a = [a.filter_power(i * 0.26, WATTS) for i in range(200)]
@@ -27,8 +29,8 @@ class TestDeterminism:
         assert a.injected == b.injected
 
     def test_different_seed_different_schedule(self):
-        a, _, _ = make(FaultConfig.defaults(seed=1))
-        b, _, _ = make(FaultConfig.defaults(seed=2))
+        a, _, _ = make(dataclasses.replace(FaultConfig.defaults(), seed=1))
+        b, _, _ = make(dataclasses.replace(FaultConfig.defaults(), seed=2))
         series_a = [a.filter_power(i * 0.26, WATTS) for i in range(200)]
         series_b = [b.filter_power(i * 0.26, WATTS) for i in range(200)]
         assert series_a != series_b

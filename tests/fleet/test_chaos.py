@@ -73,8 +73,6 @@ class TestFleetFaultConfig:
         with pytest.raises(ConfigurationError):
             FleetFaultConfig(hang_duration_s=0.0)
         with pytest.raises(ConfigurationError):
-            FleetFaultConfig(restart_delay_s=-1.0)
-        with pytest.raises(ConfigurationError):
             FleetFaultConfig(max_restarts=-1)
         with pytest.raises(ConfigurationError):
             FleetFaultConfig(schedule=("not-an-event",))

@@ -13,7 +13,7 @@ from repro.fleet.config import FleetConfig
 from repro.telemetry.registry import flatten_snapshot
 
 #: Small but non-trivial fleet the module's tests share.
-_SMALL = FleetConfig(nodes=6, requests=400, per_node_rps=8.0)
+_SMALL = FleetConfig(nodes=6, requests=400)
 
 
 @pytest.fixture(scope="module")

@@ -20,10 +20,16 @@ from repro.errors import ConfigurationError
 from repro.fleet.chaos import FleetFaultConfig, NodeChaosEvent, crash_wave
 from repro.fleet.cluster import UNSERVED_CAUSES, run_fleet
 from repro.fleet.config import FleetConfig
-from repro.fleet.resilience import AdmissionController, ResilienceConfig
+from repro.fleet.resilience import (
+    BACKOFF_CAP_S,
+    RETRY_BACKOFF_S,
+    AdmissionController,
+    ResilienceConfig,
+    backoff_s,
+)
 from repro.telemetry.registry import flatten_snapshot
 
-_BASE = FleetConfig(nodes=6, requests=400, per_node_rps=8.0)
+_BASE = FleetConfig(nodes=6, requests=400)
 
 #: A third of the small fleet crashing mid-arrivals.
 _WAVE = FleetFaultConfig(schedule=crash_wave(6, 1 / 3, 3.0))
@@ -55,15 +61,9 @@ class TestResilienceConfig:
         with pytest.raises(ConfigurationError):
             ResilienceConfig(attempt_timeout_s=0.0)
         with pytest.raises(ConfigurationError):
-            ResilienceConfig(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(retry_backoff_s=0.5, backoff_cap_s=0.1)
-        with pytest.raises(ConfigurationError):
             ResilienceConfig(hedge_fraction=1.5)
         with pytest.raises(ConfigurationError):
             ResilienceConfig(shed_queue_depth=0.0)
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(release_fraction=1.0)
 
     def test_enablement_queries(self):
         assert not ResilienceConfig().retry_enabled
@@ -75,23 +75,23 @@ class TestResilienceConfig:
         assert ResilienceConfig(shed_wait_s=1.0).admission_enabled
 
     def test_backoff_doubles_and_caps(self):
-        config = ResilienceConfig(retry_backoff_s=0.05, backoff_cap_s=0.15)
-        assert config.backoff_s(1) == 0.05
-        assert config.backoff_s(2) == 0.1
-        assert config.backoff_s(3) == 0.15  # capped
+        assert backoff_s(1) == RETRY_BACKOFF_S
+        assert backoff_s(2) == 2 * RETRY_BACKOFF_S
+        assert backoff_s(3) == 4 * RETRY_BACKOFF_S
+        assert backoff_s(4) == BACKOFF_CAP_S  # 8 × 0.05 reaches the cap
+        assert backoff_s(5) == BACKOFF_CAP_S  # capped
         with pytest.raises(ConfigurationError):
-            config.backoff_s(0)
+            backoff_s(0)
 
 
 class TestAdmissionController:
     def test_hysteresis_holds_state_between_trip_and_release(self):
-        config = ResilienceConfig(
-            shed_queue_depth=10.0, release_fraction=0.8
-        )
+        config = ResilienceConfig(shed_queue_depth=10.0)
         admission = AdmissionController(config)
         assert admission.update(5.0, 0.0) == "normal"
         assert admission.update(11.0, 0.0) == "shed"
-        # Below the trip level but above release x trip: still shedding.
+        # Below the trip level but above RELEASE_FRACTION x trip (8.0):
+        # still shedding.
         assert admission.update(9.0, 0.0) == "shed"
         assert admission.update(7.9, 0.0) == "normal"
         assert admission.ticks == {"normal": 2, "brownout": 0, "shed": 2}
@@ -229,15 +229,17 @@ class TestRetryAndHedge:
 
 class TestAdmissionEndToEnd:
     def test_overload_sheds_and_demotes(self):
+        # The burst trace's on-windows run at three times the base rate
+        # and overload a two-node fleet.
         resilience = ResilienceConfig(
-            shed_queue_depth=6.0, brownout_queue_depth=3.0
+            shed_queue_depth=3.0, brownout_queue_depth=1.5
         )
         result = run_fleet(
             "deadline-risk",
             _with(
                 nodes=2,
                 requests=400,
-                per_node_rps=40.0,
+                trace="burst",
                 resilience=resilience,
             ),
         )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.fleet.chaos import FleetFaultConfig
-from repro.fleet.resilience import ResilienceConfig
+from repro.fleet.resilience import PROBATION_S, ResilienceConfig
 from repro.fleet.supervisor import (
     STEPPING_STATES,
     FleetSupervisor,
@@ -28,10 +28,9 @@ def _supervisor(nodes=4, chaos=None, **overrides):
 
 class TestCrashLifecycle:
     def test_crash_goes_down_then_probation_then_healthy(self):
-        chaos = FleetFaultConfig(
-            node_crash_rate=0.01, restart_delay_s=1.0, max_restarts=2
-        )
-        sup, _ = _supervisor(chaos=chaos, probation_s=1.0)
+        # RESTART_DELAY_S and PROBATION_S are both 1 s.
+        chaos = FleetFaultConfig(node_crash_rate=0.01, max_restarts=2)
+        sup, _ = _supervisor(chaos=chaos)
         assert sup.on_crash(0, 2.0) is NodeHealth.DOWN
         assert not sup.is_stepping(0)
         assert sup.restarts_due(2.5) == []
@@ -125,11 +124,11 @@ class TestRoutable:
 
 class TestBookkeeping:
     def test_ledger_records_every_transition(self):
-        chaos = FleetFaultConfig(node_crash_rate=0.01, restart_delay_s=1.0)
-        sup, _ = _supervisor(chaos=chaos, probation_s=0.5)
+        chaos = FleetFaultConfig(node_crash_rate=0.01)
+        sup, _ = _supervisor(chaos=chaos)
         sup.on_crash(1, 2.0)
         sup.on_restarted(1, 3.0)
-        sup.tick(3.5)
+        sup.tick(3.0 + PROBATION_S)
         assert [row[1:] for row in sup.ledger] == [
             (1, "healthy", "down", "crash"),
             (1, "down", "probation", "restart"),

@@ -1,16 +1,17 @@
 """Arrival-trace generator tests: determinism, ordering, shapes."""
 
 import dataclasses
+import math
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fleet.config import TRACES, FleetConfig
-from repro.fleet.trace import make_trace
+from repro.fleet.config import PER_NODE_RPS, TRACES, FleetConfig
+from repro.fleet.trace import _DIURNAL_PERIOD_S, HEAVY_FRACTION, make_trace
 
 
 def _config(**overrides):
-    base = dict(nodes=4, requests=500, per_node_rps=10.0)
+    base = dict(nodes=4, requests=500)
     base.update(overrides)
     return FleetConfig(**base)
 
@@ -43,9 +44,7 @@ class TestMakeTrace:
             assert request.budget_s == pytest.approx(0.25)
 
     def test_bimodal_sizes(self):
-        config = _config(
-            requests=2000, heavy_fraction=0.2, heavy_scale=6.0
-        )
+        config = _config(requests=2000)
         trace = make_trace(config)
         heavy = [r for r in trace if r.heavy]
         light = [r for r in trace if not r.heavy]
@@ -54,7 +53,7 @@ class TestMakeTrace:
         assert min(r.service_units for r in heavy) > max(
             r.service_units for r in light
         )
-        assert len(heavy) / len(trace) == pytest.approx(0.2, abs=0.05)
+        assert len(heavy) / len(trace) == pytest.approx(HEAVY_FRACTION, abs=0.05)
 
     def test_mean_rate_tracks_configured_rate(self):
         config = _config(requests=5000)
@@ -85,9 +84,40 @@ class TestMakeTrace:
             make_trace(config)
 
 
+class TestDiurnalTrace:
+    """The sinusoidal day/night trace ``hars-repro fleet --trace`` offers."""
+
+    def _trace(self, seed=0):
+        # About five periods of the sinusoid at the default rate.
+        return make_trace(_config(trace="diurnal", requests=3000, seed=seed))
+
+    def test_deterministic_per_seed(self):
+        assert self._trace(seed=3) == self._trace(seed=3)
+        assert self._trace(seed=3) != self._trace(seed=4)
+
+    def test_arrivals_never_decrease(self):
+        arrivals = [r.arrival_s for r in self._trace()]
+        assert all(b >= a for a, b in zip(arrivals, arrivals[1:]))
+
+    def test_high_half_periods_hold_more_arrivals(self):
+        """The rate is ``base × (1 + depth × sin)``: the first half of
+        each period runs above the base rate, the second half below."""
+        trace = self._trace()
+        assert trace[-1].arrival_s > 4 * _DIURNAL_PERIOD_S
+        high = low = 0
+        for request in trace:
+            phase = math.fmod(request.arrival_s, _DIURNAL_PERIOD_S)
+            if phase < _DIURNAL_PERIOD_S / 2:
+                high += 1
+            else:
+                low += 1
+        assert high > 2 * low
+
+
 class TestFleetConfig:
     def test_arrival_rps(self):
-        assert _config(nodes=4, per_node_rps=10.0).arrival_rps == 40.0
+        assert _config(nodes=4).arrival_rps == 4 * PER_NODE_RPS
+        assert FleetConfig().per_node_rps == PER_NODE_RPS
 
     @pytest.mark.parametrize(
         "field, value",
@@ -95,11 +125,7 @@ class TestFleetConfig:
             ("nodes", 0),
             ("tick_s", 0.0),
             ("requests", 0),
-            ("per_node_rps", 0.0),
             ("deadline_s", 0.0),
-            ("service_units", 0.0),
-            ("heavy_fraction", 1.5),
-            ("heavy_scale", 0.5),
             ("lane_threads", 0),
             ("percentile", 0.0),
             ("slack", 1.0),

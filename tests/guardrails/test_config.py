@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.guardrails import GuardrailConfig
+from repro.guardrails.config import DAMPER_FLIPS
 
 
 class TestDefaultsOff:
@@ -46,18 +47,10 @@ class TestValidation:
             {"app_power_caps": (("a", 0.0),)},
             {"app_power_caps": (("a", 1.0), ("a", 2.0))},
             {"app_power_caps": (("a",),)},
-            {"filter_margin": 0.0},
-            {"filter_margin": 2.5},
-            {"power_cap_w": 2.0, "trip_margin_decay": 0.0},
-            {"power_cap_w": 2.0, "trip_margin_decay": 1.5},
-            {"power_cap_w": 2.0, "min_margin": 0.0},
-            {"power_cap_w": 2.0, "min_margin": 0.99, "filter_margin": 0.9},
-            {"power_cap_w": 2.0, "release_fraction": 0.0},
-            {"power_cap_w": 2.0, "release_fraction": 1.1},
             {"damper_window": -1},
             {"damper_window": 2},
-            {"damper_window": 4, "damper_flips": 1},
-            {"damper_window": 4, "damper_flips": 4},
+            # a full window must hold more than DAMPER_FLIPS flips' plans
+            {"damper_window": DAMPER_FLIPS},
             {"damper_window": 4, "damper_hold_periods": 0},
             {"damper_window": 4, "damper_states": 1},
             {"damper_window": 4, "damper_states": 4},
@@ -72,21 +65,6 @@ class TestValidation:
     def test_thermal_requires_a_budget(self):
         with pytest.raises(ConfigurationError):
             GuardrailConfig(thermal_enabled=True)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"thermal_tau_s": 0.0},
-            {"thermal_c_per_w": -1.0},
-            {"thermal_release_c": 90.0},     # above throttle_c
-            {"ambient_c": 82.0},             # above release_c
-            {"thermal_cap_factor": 0.0},
-            {"thermal_cap_factor": 1.2},
-        ],
-    )
-    def test_bad_thermal_fields_raise(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            GuardrailConfig(power_cap_w=2.0, thermal_enabled=True, **kwargs)
 
     def test_valid_thermal_config_accepted(self):
         cfg = GuardrailConfig(power_cap_w=2.0, thermal_enabled=True)

@@ -3,6 +3,13 @@
 import pytest
 
 from repro.guardrails import BudgetEnforcer, GuardrailConfig
+from repro.guardrails.config import (
+    FILTER_MARGIN,
+    MIN_MARGIN,
+    RELEASE_FRACTION,
+    THERMAL_CAP_FACTOR,
+    TRIP_MARGIN_DECAY,
+)
 
 BOARD_W = 0.25
 
@@ -87,49 +94,52 @@ class TestRunCap:
         assert enforcer.effective_cap_w() is None
 
     def test_veto_cap_applies_the_filter_margin(self):
-        enforcer = _enforcer(power_cap_w=3.25, filter_margin=0.9)
+        enforcer = _enforcer(power_cap_w=3.25)
         enforcer.set_live(["a", "b"], 0.0)
-        assert enforcer.veto_cap_w("a") == pytest.approx(1.5 * 0.9)
+        assert enforcer.veto_cap_w("a") == pytest.approx(1.5 * FILTER_MARGIN)
         assert enforcer.veto_cap_w("ghost") is None
 
 
 class TestObserve:
     def test_violation_trips_once_and_decays_margin(self):
-        enforcer = _enforcer(
-            power_cap_w=2.0, filter_margin=0.9, trip_margin_decay=0.5
-        )
+        enforcer = _enforcer(power_cap_w=2.0)
         enforcer.set_live(["a"], 0.0)
         transitions, violating = enforcer.observe(0.1, 3.0, 0.1)
         assert violating
         assert [(g, c) for g, c, _ in transitions] == [("budget", "trip")]
         assert enforcer.trips == 1
-        assert enforcer.margin == pytest.approx(0.45)
+        assert enforcer.margin == pytest.approx(FILTER_MARGIN * TRIP_MARGIN_DECAY)
         # A second violating tick keeps throttling without re-tripping.
         transitions, violating = enforcer.observe(0.1, 3.0, 0.2)
         assert violating and transitions == []
         assert enforcer.trips == 1
 
     def test_margin_never_decays_below_the_floor(self):
-        enforcer = _enforcer(
-            power_cap_w=2.0,
-            filter_margin=0.9,
-            trip_margin_decay=0.1,
-            min_margin=0.5,
-        )
+        enforcer = _enforcer(power_cap_w=2.0)
         enforcer.set_live(["a"], 0.0)
-        enforcer.observe(0.1, 3.0, 0.1)
-        assert enforcer.margin == pytest.approx(0.5)
+        # Trip and release until the decay would cross the floor.
+        trips = 0
+        margin = FILTER_MARGIN
+        while margin * TRIP_MARGIN_DECAY >= MIN_MARGIN:
+            margin *= TRIP_MARGIN_DECAY
+            trips += 1
+        for i in range(trips + 2):
+            enforcer.observe(0.1, 3.0, 0.2 * i + 0.1)
+            enforcer.observe(0.1, 1.0, 0.2 * i + 0.2)
+        assert enforcer.trips == trips + 2
+        assert enforcer.margin == MIN_MARGIN
 
     def test_release_needs_the_hysteresis_fraction(self):
-        enforcer = _enforcer(power_cap_w=2.0, release_fraction=0.9)
+        enforcer = _enforcer(power_cap_w=2.0)
         enforcer.set_live(["a"], 0.0)
         enforcer.observe(0.1, 3.0, 0.1)
         assert enforcer.throttling
-        # Under the cap but above 0.9 × cap: no release yet.
-        transitions, violating = enforcer.observe(0.1, 1.9, 0.2)
+        release_w = 2.0 * RELEASE_FRACTION
+        # Under the cap but above RELEASE_FRACTION × cap: no release yet.
+        transitions, violating = enforcer.observe(0.1, (2.0 + release_w) / 2, 0.2)
         assert not violating and transitions == []
         assert enforcer.throttling
-        transitions, violating = enforcer.observe(0.1, 1.7, 0.3)
+        transitions, violating = enforcer.observe(0.1, release_w - 0.05, 0.3)
         assert [(g, c) for g, c, _ in transitions] == [("budget", "release")]
         assert not enforcer.throttling
         assert enforcer.throttled_s == pytest.approx(0.2)
@@ -153,45 +163,40 @@ class TestObserve:
 
 class TestThermalTightening:
     def _hot_enforcer(self):
-        enforcer = _enforcer(
-            power_cap_w=2.0,
-            thermal_enabled=True,
-            thermal_tau_s=1.0,
-            thermal_c_per_w=30.0,
-            ambient_c=45.0,
-            thermal_throttle_c=85.0,
-            thermal_release_c=80.0,
-            thermal_cap_factor=0.8,
-        )
+        enforcer = _enforcer(power_cap_w=2.0, thermal_enabled=True)
         enforcer.set_live(["a"], 0.0)
         return enforcer
 
+    def _heat(self, enforcer):
+        # Sustained 10 W → steady state 95 °C with tau 10 s: about 16 s
+        # trips the thermal regime.
+        transitions = []
+        for i in range(100):
+            got, _ = enforcer.observe(0.25, 10.0, 0.25 * (i + 1))
+            transitions.extend(got)
+        return transitions
+
     def test_hot_model_tightens_cap_and_shares(self):
         enforcer = self._hot_enforcer()
-        # Sustained 2 W → steady state 105 °C with tau 1 s: a few ticks
-        # trip the thermal regime.
-        transitions = []
-        for i in range(40):
-            got, _ = enforcer.observe(0.25, 2.0, 0.25 * (i + 1))
-            transitions.extend(got)
+        transitions = self._heat(enforcer)
         assert ("thermal", "trip") in [(g, c) for g, c, _ in transitions]
         assert enforcer.thermal_trips == 1
-        assert enforcer.effective_cap_w() == pytest.approx(2.0 * 0.8)
+        assert enforcer.effective_cap_w() == pytest.approx(2.0 * THERMAL_CAP_FACTOR)
         # The per-app veto bound tightens by the same factor (the share
         # is the whole cluster budget; the margin may have decayed from
         # the budget trips the tightened cap caused).
         share = 2.0 - BOARD_W
         assert enforcer.veto_cap_w("a") == pytest.approx(
-            share * enforcer.margin * 0.8
+            share * enforcer.margin * THERMAL_CAP_FACTOR
         )
 
     def test_cooling_releases_the_tightened_cap(self):
         enforcer = self._hot_enforcer()
-        for i in range(40):
-            enforcer.observe(0.25, 2.0, 0.25 * (i + 1))
+        self._heat(enforcer)
+        assert enforcer.thermal.hot
         transitions = []
         for i in range(60):
-            got, _ = enforcer.observe(0.25, 0.2, 10.0 + 0.25 * (i + 1))
+            got, _ = enforcer.observe(0.25, 0.2, 25.0 + 0.25 * (i + 1))
             transitions.extend(got)
         assert ("thermal", "release") in [(g, c) for g, c, _ in transitions]
         assert enforcer.effective_cap_w() == pytest.approx(2.0)
@@ -199,11 +204,11 @@ class TestThermalTightening:
 
 class TestCheckpoint:
     def test_snapshot_restore_round_trip(self):
-        enforcer = _enforcer(power_cap_w=2.0, trip_margin_decay=0.5)
+        enforcer = _enforcer(power_cap_w=2.0)
         enforcer.set_live(["a", "b"], 0.0)
         enforcer.observe(0.1, 3.0, 0.1)
         body = enforcer.snapshot()
-        clone = _enforcer(power_cap_w=2.0, trip_margin_decay=0.5)
+        clone = _enforcer(power_cap_w=2.0)
         clone.restore(body, now_s=1.0)
         assert clone.margin == enforcer.margin
         assert clone.throttling
@@ -212,11 +217,12 @@ class TestCheckpoint:
         assert clone.shares == enforcer.shares
 
     def test_reset_restores_volatile_state_only(self):
-        enforcer = _enforcer(power_cap_w=2.0, trip_margin_decay=0.5)
+        enforcer = _enforcer(power_cap_w=2.0)
         enforcer.set_live(["a", "b"], 0.0)
         enforcer.observe(0.1, 3.0, 0.1)
+        assert enforcer.margin < FILTER_MARGIN
         enforcer.reset(1.0, ["b"])
-        assert enforcer.margin == enforcer.config.filter_margin
+        assert enforcer.margin == FILTER_MARGIN
         assert not enforcer.throttling
         assert enforcer.trips == 1            # counters survive
         assert set(enforcer.shares) == {"b"}

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.runner import RunConfig, RunShape, run
 from repro.guardrails import GuardrailConfig, GuardrailLayer
+from repro.guardrails.config import FILTER_MARGIN
 from repro.sim.engine import Simulation
 
 SHAPE = RunShape(benchmark="swaptions", n_units=300, seed=0)
@@ -141,5 +142,5 @@ class TestCheckpoint:
         assert not restored[0].warm
         # Volatile state reset; monotonic counters survive.
         assert not layer.enforcer.throttling
-        assert layer.enforcer.margin == layer.config.filter_margin
+        assert layer.enforcer.margin == FILTER_MARGIN
         assert layer.enforcer.trips == 1

@@ -6,12 +6,14 @@ from repro.guardrails import MispredictionWatchdog
 
 
 def _watchdog(window=4, trip=0.3, recover=0.1, track_power=False):
-    return MispredictionWatchdog(
+    dog = MispredictionWatchdog(
         window=window,
         trip_threshold=trip,
         recover_threshold=recover,
-        track_power=track_power,
     )
+    # GuardrailLayer.on_start sets this from the run's app count.
+    dog.track_power = track_power
+    return dog
 
 
 def _cycle(dog, est_rate, observed_rate, app="app", t=(0.0, 1.0)):

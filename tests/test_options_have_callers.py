@@ -8,6 +8,12 @@ definition with a defaulted parameter, then every call in ``src/``,
 and fails listing each such parameter that no call passes. A new option
 therefore needs its caller in the same change.
 
+A second, stricter check covers the fields of every ``*Config`` dataclass:
+each needs a caller outside the unit tests, in ``src/``, ``benchmarks/``,
+``perfbench/``, ``scripts/`` or ``tests/golden/`` (whose digests pin the
+runs that use it). A field only unit tests set is a value every real run
+takes at its default, so it should be a named constant.
+
 Calls are matched by the callee's last name (``f(...)``, ``x.f(...)``), so a
 parameter counts as passed when any same-named callable gets it, and a call
 to a class also reaches the parameters its subclasses inherit. The counting
@@ -40,12 +46,25 @@ from typing import Dict, Iterator, List, Set, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 DEFINITION_ROOT = ROOT / "src" / "repro"
 CALLER_ROOTS = ("src", "tests", "benchmarks", "perfbench", "scripts", "examples")
+PRODUCTION_ROOTS = ("src", "benchmarks", "perfbench", "scripts", "tests/golden")
 
 # Deployment settings (where to listen, how long to wait for a remote peer)
 # stay configurable even while every caller in the repo takes the default.
 EXEMPT = {
     ("AcpDaemon", "http_host"),
     ("AcpClient", "timeout_s"),
+}
+
+
+# Behaviour switches the tutorial documents for users to turn on, which no
+# benchmark or golden run exercises yet.
+CONFIG_EXEMPT = {
+    # per-app power caps for an MP-HARS co-run (docs/tutorial.md §14)
+    ("GuardrailConfig", "app_power_caps"),
+    # the modelled thermal ramp that tightens a cap (docs/tutorial.md §14)
+    ("GuardrailConfig", "thermal_enabled"),
+    # the queue-depth shed trigger of admission control (docs/tutorial.md §17)
+    ("ResilienceConfig", "shed_queue_depth"),
 }
 
 
@@ -286,9 +305,9 @@ class _Calls(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def collect_calls(subclasses, bases, dataclass_names) -> _Calls:
+def collect_calls(subclasses, bases, dataclass_names, roots=CALLER_ROOTS) -> _Calls:
     calls = _Calls(subclasses, bases, dataclass_names)
-    for root in CALLER_ROOTS:
+    for root in roots:
         for path in _python_files(ROOT / root):
             tree = _parse(path)     # keep alive: _not_values holds node ids
             calls.visit(tree)
@@ -296,16 +315,21 @@ def collect_calls(subclasses, bases, dataclass_names) -> _Calls:
     return calls
 
 
-def unpassed_options() -> List[str]:
+def unpassed_options(roots=CALLER_ROOTS, configs_only: bool = False) -> List[str]:
+    """Each defaulted parameter no call under ``roots`` passes; with
+    ``configs_only``, only the fields of ``*Config`` dataclasses."""
     definitions, bases, dataclass_names = collect_definitions()
     subclasses: Dict[str, Set[str]] = defaultdict(set)
     for child, parents in bases.items():
         for parent in parents:
             subclasses[parent].add(child)
-    calls = collect_calls(subclasses, bases, dataclass_names)
+    calls = collect_calls(subclasses, bases, dataclass_names, roots)
+    exempt = EXEMPT | CONFIG_EXEMPT if configs_only else EXEMPT
 
     missing = []
     for d in definitions:
+        if configs_only and not (d.is_field and d.callee.endswith("Config")):
+            continue
         # a call to a subclass reaches the fields and __init__ it inherits
         names = _closure(d.callee, subclasses)
         if names & (calls.everything | calls.escaped):
@@ -313,7 +337,7 @@ def unpassed_options() -> List[str]:
         for param in d.defaulted:
             if d.is_field and param in calls.assigned:
                 continue
-            if (d.callee, param) in EXEMPT or param in calls.any_callee_keywords:
+            if (d.callee, param) in exempt or param in calls.any_callee_keywords:
                 continue
             if any(param in calls.keywords.get(n, ()) for n in names):
                 continue
@@ -334,6 +358,15 @@ def test_every_defaulted_parameter_has_a_caller():
         "or add the caller that needs it:\n  " + "\n  ".join(missing))
 
 
+def test_every_config_field_has_a_caller_outside_unit_tests():
+    missing = unpassed_options(PRODUCTION_ROOTS, configs_only=True)
+    assert not missing, (
+        "config fields only unit tests set; make each the constant it "
+        "defaults to, or add the run that needs it:\n  " + "\n  ".join(missing))
+
+
 if __name__ == "__main__":
     for line in unpassed_options():
+        print(line)
+    for line in unpassed_options(PRODUCTION_ROOTS, configs_only=True):
         print(line)
