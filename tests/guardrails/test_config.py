@@ -47,9 +47,19 @@ class TestValidation:
             {"app_power_caps": (("a", 0.0),)},
             {"app_power_caps": (("a", 1.0), ("a", 2.0))},
             {"app_power_caps": (("a",),)},
+            {"app_power_caps": (("a", -1.0),)},
+            {"app_power_caps": (("a", 1.0, 2.0),)},
+            {"power_cap_w": 2.0, "app_power_caps": (("a", 1.0), ("b", 0.0))},
+            # a valid cap or damper does not excuse another bad section
+            {"power_cap_w": 2.0, "damper_window": 2},
+            {"power_cap_w": 2.0, "watchdog_window": 1},
+            {"damper_window": 4, "watchdog_window": 1},
+            {"damper_window": 4, "damper_hold_periods": -1},
+            {"damper_window": 5, "damper_states": 5},
             {"damper_window": -1},
             {"damper_window": 2},
             # a full window must hold more than DAMPER_FLIPS flips' plans
+            {"damper_window": 1},
             {"damper_window": DAMPER_FLIPS},
             {"damper_window": 4, "damper_hold_periods": 0},
             {"damper_window": 4, "damper_states": 1},
