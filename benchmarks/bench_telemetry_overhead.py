@@ -6,14 +6,15 @@ asserts the tentpole's two acceptance properties:
 * **identity** — metrics *and* traces are bit-identical with the
   telemetry hub attached (observation only, zero result drift);
 * **overhead** — the instrumented run costs at most 10 % extra
-  wall-clock (best-of-``REPEATS`` timing, same
-  harness as ``bench_kernel_overhead``).
+  wall-clock (best-of-``REPEATS`` timing, with the off and on
+  repetitions interleaved, each after a full garbage collection).
 
 Also prints a short summary of what the registry actually collected, via
 the shared :func:`conftest.export_telemetry` helper.
 """
 
 import dataclasses
+import gc
 import time
 
 from conftest import bench_units, export_telemetry, run_once
@@ -46,14 +47,20 @@ def _snapshot(outcome):
     )
 
 
-def _timed_run(shape, config):
-    best = float("inf")
-    outcome = None
+def _timed_runs(shape, configs):
+    """Best-of-``REPEATS`` wall time per config.  The configs'
+    repetitions are interleaved so host drift lands on both alike, and
+    each starts after a full collection so none pays for another's
+    garbage."""
+    best = [float("inf")] * len(configs)
+    outcomes = [None] * len(configs)
     for _ in range(REPEATS):
-        start = time.perf_counter()
-        outcome = run("hars-e", shape, config)
-        best = min(best, time.perf_counter() - start)
-    return outcome, best
+        for i, config in enumerate(configs):
+            gc.collect()
+            start = time.perf_counter()
+            outcomes[i] = run("hars-e", shape, config)
+            best[i] = min(best[i], time.perf_counter() - start)
+    return outcomes, best
 
 
 def _compare(units):
@@ -67,8 +74,9 @@ def _compare(units):
     on_config = off_config.with_(telemetry=True)
     run("hars-e", shape, off_config)  # warmup (imports, allocs)
     run("hars-e", shape, on_config)
-    off_outcome, off_s = _timed_run(shape, off_config)
-    on_outcome, on_s = _timed_run(shape, on_config)
+    (off_outcome, on_outcome), (off_s, on_s) = _timed_runs(
+        shape, (off_config, on_config)
+    )
     return off_outcome, off_s, on_outcome, on_s
 
 

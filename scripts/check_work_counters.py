@@ -11,14 +11,19 @@ engine or on GTS's full scan, so the gate counts some calls itself
 (:data:`COUNTED_CALLS`): the fleet engine's ticks and its per-row calls
 into the control plane — the engine's Python work that grows with the
 nodes — the single-board GTS scans, which a needlessly strict
-placement proof multiplies without changing any output, the ACP
-client's Unix-socket connections, which a connection per request would
-multiply by the RPC count, and the ACP session's encodes of a power
-reading, which encoding every sensor event afresh would multiply
-(125 to 2,815 per journey at the gate's size).
+placement proof multiplies without changing any output, the vector
+planner's candidate-box builds, which a lost box memo would raise to
+one per plan, the ACP client's Unix-socket connections, which a
+connection per request would multiply by the RPC count, and the ACP
+session's encodes of a power reading, which encoding every sensor event
+afresh would multiply (125 to 2,815 per journey at the gate's size).
+Boxes are memoized on the process-wide state-space tensors, so each
+measurement starts from an empty tensor memo: its box builds are then
+its own journeys' distinct boxes, whatever ran before it.
 The ``acp_control`` daemon runs in a subprocess the counters
-cannot see into, so its GTS scans and reading encodes are counted over
-an in-process replay of the journey's drive loop (:func:`replay_acp_drive`).
+cannot see into, so its GTS scans, box builds and reading encodes are
+counted over an in-process replay of the journey's drive loop
+(:func:`replay_acp_drive`).
 
 Check (exit status 1 when any recorded count rises)::
 
@@ -52,6 +57,7 @@ import journeys  # noqa: E402  (perfbench/journeys.py)
 import run  # noqa: E402  (perfbench/run.py)
 import speed  # noqa: E402  (perfbench/speed.py)
 from repro.acp.client import AcpClient  # noqa: E402
+from repro.kernel import estimation  # noqa: E402
 
 COUNTERS_PATH = ROOT / "perf_counters.json"
 
@@ -68,6 +74,12 @@ COUNTED_CALLS = (
     (*_ENGINE, "_write_back", "fleet.engine.write_back.calls"),
     (*_ENGINE, "_read_back", "fleet.engine.read_back.calls"),
     ("repro.sched.gts", "GtsScheduler", "_place_fresh", "sched.scan.calls"),
+    (
+        "repro.kernel.batchplan",
+        "CandidateBox",
+        "__init__",
+        "kernel.box_build.calls",
+    ),
     ("repro.acp.client", "UnixTransport", "_connect", "acp.connect.calls"),
     (
         "repro.acp.wire",
@@ -79,7 +91,11 @@ COUNTED_CALLS = (
 #: Counts of the ``acp_control`` serve daemon's work.  The daemon is a
 #: subprocess, so the gate replays the journey's drive loop in process
 #: over a loopback client and takes these counts from that replay.
-DAEMON_COUNTS = ("sched.scan.calls", "acp.reading_encode.calls")
+DAEMON_COUNTS = (
+    "sched.scan.calls",
+    "kernel.box_build.calls",
+    "acp.reading_encode.calls",
+)
 
 
 @contextlib.contextmanager
@@ -110,6 +126,8 @@ def counting_calls(counts: Counter) -> Iterator[None]:
 def measure_counts(workload: str, probe: "speed.SpeedProbe") -> Dict[str, float]:
     """Every ``*.calls`` metric of one traced journey of ``workload``,
     and the :data:`COUNTED_CALLS` counts per journey."""
+    with estimation._tensor_memo_lock:
+        estimation._tensor_memo.clear()
     own_counts: Counter = Counter()
     with counting_calls(own_counts):
         result, detail = run.measure(

@@ -164,6 +164,9 @@ class FleetEngine:
         self.if_little = np.zeros((n, slots, n_cores), dtype=bool)
         self.halted = np.zeros((n, lanes), dtype=bool)
         self.velocity = np.zeros((n, lanes))
+        #: Per row and lane, the velocity floor of the wait estimate
+        #: (:meth:`FleetNode.est_wait_s`), taken from the node at adoption.
+        self.wait_floor = np.zeros((n, lanes))
         self.energy = np.zeros((n, len(CHANNELS)))
         self.elapsed = np.zeros(n)
         self.next_sample = np.zeros(n)
@@ -215,6 +218,7 @@ class FleetEngine:
             self.serving.adopt(row, lane, node.models[name])
             target = node.targets[name]
             self.velocity[row, lane] = node.nominal_rate(name)
+            self.wait_floor[row, lane] = node._floor[name]
             self.comfort[row, lane] = target.comfort_s
             self.tolerance[row, lane] = target.tolerance
             self.t_min[row, lane] = target.min_rate
@@ -576,6 +580,16 @@ class FleetEngine:
         return self.beats - self.aged
 
     # -- accessors -----------------------------------------------------------
+
+    def est_waits(self, rows: np.ndarray, lane: str) -> List[float]:
+        """:meth:`FleetNode.est_wait_s` of every row in ``rows``, in one
+        gather: ``(queued + in service) / max(velocity, floor)``
+        elementwise, in the scalar formula's operand order."""
+        k = self.lane_names.index(lane)
+        serving = self.serving
+        backlog = serving.queued[rows, k] + serving.active_sum[rows, k]
+        velocity = np.maximum(self.velocity[rows, k], self.wait_floor[rows, k])
+        return (backlog / velocity).tolist()
 
     def energy_j(self, row: int, channel: str) -> float:
         if channel not in CHANNELS:

@@ -26,7 +26,9 @@ from __future__ import annotations
 import abc
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
-from repro.errors import ConfigurationError
+import numpy as np
+
+from repro.errors import ConfigurationError, SimulationError
 from repro.fleet.node import FleetNode
 from repro.fleet.trace import Request
 
@@ -36,10 +38,12 @@ class Candidates:
 
     A sequence of :class:`~repro.fleet.node.FleetNode` (``len``, index,
     iterate; falsy when empty) that also caches every node's estimated
-    wait.  A lane's vector is built on its first use in the tick as
-    ``[node.est_wait_s(lane) for node in nodes]`` — the wait formula
-    lives only in :meth:`FleetNode.est_wait_s` — and from then on a
-    routing decision reads the vector instead of asking every node.
+    wait.  Every candidate is a row of one
+    :class:`~repro.fleet.engine.FleetEngine`, the cluster's.  A lane's
+    vector is built on its first use in the tick by one gather over the
+    candidates' engine rows (:meth:`FleetEngine.est_waits`, the array
+    twin of :meth:`FleetNode.est_wait_s`), and from then on a routing
+    decision reads the vector instead of asking every node.
 
     The cache is exact because of one invariant of the cluster's tick:
     within the routing phase only ``submit`` changes a node's
@@ -52,11 +56,12 @@ class Candidates:
     before any node steps.
     """
 
-    __slots__ = ("_nodes", "_waits")
+    __slots__ = ("_nodes", "_waits", "_rows")
 
     def __init__(self, nodes: Sequence[FleetNode]):
         self._nodes = nodes
         self._waits: Dict[str, List[float]] = {}
+        self._rows: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -74,8 +79,15 @@ class Candidates:
         """
         waits = self._waits.get(lane)
         if waits is None:
-            waits = [node.est_wait_s(lane) for node in self._nodes]
-            self._waits[lane] = waits
+            nodes = self._nodes
+            engine = nodes[0].engine
+            if self._rows is None:
+                if any(node._engine is not engine for node in nodes):
+                    raise SimulationError(
+                        "routing candidates span more than one engine"
+                    )
+                self._rows = np.array([node._row for node in nodes])
+            waits = self._waits[lane] = engine.est_waits(self._rows, lane)
         return waits
 
     def wait_s(self, position: int, lane: str) -> float:

@@ -68,7 +68,7 @@ reproducible from a tensor).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -86,6 +86,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Relative half-width of the ``_better`` tie band (mirrors core.search).
 _BAND = 1e-9
 
+#: Most candidates a tensor's box memo holds (about 65 bytes each, so
+#: 270 kB) before it starts over.  The 200-node fleet's boxes take about
+#: 3,100, while one board's HARS-E sweeps cover most of the space and
+#: rarely repeat.
+BOX_MEMO_CELLS = 4096
+
 
 class StateSpaceTensor:
     """Dense per-model tensors over the full ``(C_B, C_L, i_fB, i_fL)`` grid.
@@ -99,6 +105,17 @@ class StateSpaceTensor:
     :class:`~repro.kernel.estimation.EstimationLayer` holding equal
     models may share it; a layer drops its reference whenever a model
     is swapped or invalidated.
+
+    The tensor also memoizes the planner's box work (see
+    :func:`_admission`), so that memo goes with the tensor:
+    ``boxes`` maps a box's clamped index ranges to its
+    :class:`CandidateBox` (coordinates and planes, read-only arrays),
+    and ``admissions`` maps a sweep's ``(centre indices, m, n, d)`` to
+    that box, its zero-core-row and distance admission mask and its
+    ``pruned`` count.  Boxes are shared by ranges, so sweeps whose
+    ranges clamp alike (every full-space escape sweep) hold one copy of
+    the planes; both dicts start over once the boxes hold
+    :data:`BOX_MEMO_CELLS` candidates.
     """
 
     __slots__ = (
@@ -114,6 +131,8 @@ class StateSpaceTensor:
         "valid",
         "big_freqs",
         "little_freqs",
+        "boxes",
+        "admissions",
     )
 
     def __init__(
@@ -143,6 +162,8 @@ class StateSpaceTensor:
         self.valid = valid
         self.big_freqs = big_freqs
         self.little_freqs = little_freqs
+        self.boxes: Dict[tuple, "CandidateBox"] = {}
+        self.admissions: Dict[tuple, tuple] = {}
 
     @classmethod
     def build(
@@ -207,6 +228,20 @@ def _combine_power(ptables: dict, tables: dict) -> tuple:
     return np.where(ok, total, np.nan), ok
 
 
+#: The per-candidate arrays of a :class:`CandidateBox`.
+_BOX_ARRAYS = (
+    "c_big",
+    "c_little",
+    "i_fb",
+    "i_fl",
+    "f_big_mhz",
+    "f_little_mhz",
+    "capacity",
+    "power",
+    "valid",
+)
+
+
 class CandidateBox:
     """One sweep box, flattened in the scalar loop's C order.
 
@@ -215,27 +250,18 @@ class CandidateBox:
     planes restricted to the box (``capacity``, ``power``, ``valid``)
     and the sweep's ``current`` state — everything a filter's
     ``box_mask`` needs.  Index ``i`` of every array is the ``i``-th
-    candidate the scalar nested loops would visit.
+    candidate the scalar nested loops would visit.  The arrays are
+    read-only: a tensor's memo keeps one box per index ranges, with no
+    ``current``, and :meth:`around` hands each sweep its arrays with
+    the sweep's own ``current``.
     """
 
-    __slots__ = (
-        "spec",
-        "current",
-        "c_big",
-        "c_little",
-        "i_fb",
-        "i_fl",
-        "f_big_mhz",
-        "f_little_mhz",
-        "capacity",
-        "power",
-        "valid",
-    )
+    __slots__ = ("spec", "current") + _BOX_ARRAYS
 
     def __init__(
         self,
         spec: PlatformSpec,
-        current: SystemState,
+        current: Optional[SystemState],
         tensor: StateSpaceTensor,
         cb_idx: np.ndarray,
         cl_idx: np.ndarray,
@@ -257,6 +283,17 @@ class CandidateBox:
         self.i_fl = ifl.ravel()
         self.f_big_mhz = tensor.big_freqs[self.i_fb]
         self.f_little_mhz = tensor.little_freqs[self.i_fl]
+        for name in _BOX_ARRAYS:
+            getattr(self, name).flags.writeable = False
+
+    def around(self, spec: PlatformSpec, current: SystemState) -> "CandidateBox":
+        """This box's candidates and planes for a sweep from ``current``."""
+        box = CandidateBox.__new__(CandidateBox)
+        box.spec = spec
+        box.current = current
+        for name in _BOX_ARRAYS:
+            setattr(box, name, getattr(self, name))
+        return box
 
     def __len__(self) -> int:
         return int(self.c_big.size)
@@ -301,29 +338,16 @@ def batch_next_sys_state(
     if d <= 0:
         raise ConfigurationError("d must be positive")
     tensor = estimation.tensor(spec, n_threads)
-    cb0, cl0, ifb0, ifl0 = current.indices(spec)
-    cb_idx = np.asarray(_clamped_range(cb0, m, n, 0, spec.big.n_cores))
-    cl_idx = np.asarray(_clamped_range(cl0, m, n, 0, spec.little.n_cores))
-    fb_idx = np.asarray(
-        _clamped_range(ifb0, m, n, 0, len(spec.big.frequencies_mhz) - 1)
-    )
-    fl_idx = np.asarray(
-        _clamped_range(ifl0, m, n, 0, len(spec.little.frequencies_mhz) - 1)
-    )
-    box = CandidateBox(spec, current, tensor, cb_idx, cl_idx, fb_idx, fl_idx)
-
-    dist = (
-        np.abs(box.c_big - cb0)
-        + np.abs(box.c_little - cl0)
-        + np.abs(box.i_fb - ifb0)
-        + np.abs(box.i_fl - ifl0)
-    )
-    # The scalar sweep skips the zero-core row before the distance
-    # check, so those states are neither candidates nor "pruned".
-    allocates = (box.c_big + box.c_little) > 0
-    within = dist <= d
-    pruned = int(np.count_nonzero(allocates & ~within))
-    admitted = allocates & within
+    centre = current.indices(spec)
+    key = (centre, m, n, d)
+    # Session threads may share a tensor.  Two sweeps that miss together
+    # build equal entries and the later write wins, so no lock is needed.
+    memo = tensor.admissions.get(key)
+    if memo is None:
+        memo = tensor.admissions[key] = _admission(tensor, spec, centre, m, n, d)
+    box, admitted, pruned = memo
+    box = box.around(spec, current)
+    cb0, cl0, ifb0, ifl0 = centre
 
     if candidate_filter is not None:
         admitted = admitted & np.asarray(
@@ -394,6 +418,50 @@ def batch_next_sys_state(
         pruned=pruned,
         filtered=filtered,
     )
+
+
+def _admission(
+    tensor: StateSpaceTensor,
+    spec: PlatformSpec,
+    centre: tuple,
+    m: int,
+    n: int,
+    d: int,
+) -> tuple:
+    """``(box, admitted, pruned)`` of one sweep: the box over the
+    clamped ranges (from ``tensor.boxes``, built on a miss), the mask
+    of states the scalar loops would consider and the distance-pruned
+    count.  None of them depends on the sweep's rate, target or
+    filters."""
+    cb0, cl0, ifb0, ifl0 = centre
+    ranges = (
+        _clamped_range(cb0, m, n, 0, spec.big.n_cores),
+        _clamped_range(cl0, m, n, 0, spec.little.n_cores),
+        _clamped_range(ifb0, m, n, 0, len(spec.big.frequencies_mhz) - 1),
+        _clamped_range(ifl0, m, n, 0, len(spec.little.frequencies_mhz) - 1),
+    )
+    box = tensor.boxes.get(ranges)  # ranges compare and hash by value
+    if box is None:
+        if sum(map(len, tensor.boxes.values())) >= BOX_MEMO_CELLS:
+            tensor.boxes.clear()
+            tensor.admissions.clear()
+        box = tensor.boxes[ranges] = CandidateBox(
+            spec, None, tensor, *(np.asarray(r) for r in ranges)
+        )
+    dist = (
+        np.abs(box.c_big - cb0)
+        + np.abs(box.c_little - cl0)
+        + np.abs(box.i_fb - ifb0)
+        + np.abs(box.i_fl - ifl0)
+    )
+    # The scalar sweep skips the zero-core row before the distance
+    # check, so those states are neither candidates nor "pruned".
+    allocates = (box.c_big + box.c_little) > 0
+    within = dist <= d
+    pruned = int(np.count_nonzero(allocates & ~within))
+    admitted = allocates & within
+    admitted.flags.writeable = False
+    return box, admitted, pruned
 
 
 def _banded_argbest(est_rate: np.ndarray, ppw: np.ndarray) -> int:

@@ -19,7 +19,8 @@ Instruments are labelled: each carries any number of label sets
 (series), and a series is addressed by keyword arguments
 (``counter.inc(app="swaptions-0")``).  Hot callers pre-bind a series
 once with :meth:`LabelledInstrument.child` and update it without the
-per-call label lookup.
+per-call label lookup; a label set ``child`` has seen before is found
+from its raw keywords, without canonicalizing them again.
 
 Everything here is observation-only and zero-dependency; no instrument
 ever feeds back into the simulation.
@@ -59,16 +60,28 @@ class LabelledInstrument:
         self.name = name
         self.help = help
         self._children: Dict[LabelKey, object] = {}
+        #: Label sets already answered, keyed on the raw keyword items
+        #: in call order, so a repeat skips the sort and stringify.
+        #: Only all-``str`` sets enter it: ``1``, ``1.0`` and ``True``
+        #: are equal keys that canonicalize to different series.
+        self._seen: Dict[Tuple[Tuple[str, object], ...], object] = {}
 
     def _new_child(self) -> object:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def child(self, **labels: str):
         """The series for one label set, creating it on first use."""
+        raw = tuple(labels.items())
+        try:
+            return self._seen[raw]
+        except (KeyError, TypeError):  # unseen, or an unhashable value
+            pass
         key = label_key(labels)
         got = self._children.get(key)
         if got is None:
             got = self._children[key] = self._new_child()
+        if all(type(value) is str for value in labels.values()):
+            self._seen[raw] = got
         return got
 
     def series(self) -> Iterator[Tuple[LabelKey, object]]:

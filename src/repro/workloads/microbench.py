@@ -150,10 +150,13 @@ def _observe_point(
         core_id: CoreActivity(utilization=utilization, activity_factor=1.0)
         for core_id in cluster.core_ids[:cores_used]
     }
+    # The operating point holds for the whole dwell, so one evaluation
+    # is every tick's reading (and the sensor's reused-reading path).
+    watts = model.platform_power(machine, activities)
     sensor = PowerSensor()
     elapsed = 0.0
     while elapsed < dwell_s:
-        sensor.record(PROFILE_TICK_S, model.platform_power(machine, activities))
+        sensor.record(PROFILE_TICK_S, watts)
         elapsed += PROFILE_TICK_S
     # best_average_w degrades to the integrated average if every sample
     # in the dwell was dropped by a faulty sensor.

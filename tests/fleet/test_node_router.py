@@ -2,11 +2,16 @@
 
 import dataclasses
 import random
+import types
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.fleet.config import FleetConfig
+from repro.errors import ConfigurationError, SimulationError
+from repro.fleet import cluster as cluster_module
+from repro.fleet.chaos import crash_wave
+from repro.fleet.cluster import FleetCluster
+from repro.fleet.config import FleetConfig, FleetFaultConfig, ResilienceConfig
 from repro.fleet.engine import FleetEngine
 from repro.fleet.node import LANES, FleetNode
 from repro.fleet.router import ROUTERS, Candidates, make_router
@@ -124,6 +129,7 @@ class TestRouters:
 
     def test_least_loaded_avoids_the_busy_node(self, config):
         nodes = [FleetNode(i, config) for i in range(3)]
+        FleetEngine(nodes)  # candidates are rows of one engine
         for index in range(20):
             nodes[0].enqueue(_request(index, units=1.0), "base")
         router = make_router("least-loaded")
@@ -135,6 +141,7 @@ class TestRouters:
 
     def test_deadline_risk_promotes_under_pressure(self, config):
         nodes = [FleetNode(i, config) for i in range(2)]
+        FleetEngine(nodes)
         router = make_router("deadline-risk")
         # Relaxed deadline, empty queues: stay on the base lane.
         node_index, lane = router.route(
@@ -167,6 +174,25 @@ class TestRouters:
         assert tuple(node.targets) == LANES
 
 
+class _FlatEngine:
+    """The arrays :meth:`FleetEngine.est_waits` reads, hand-set so each
+    row's wait is exact: its queued units over a unit velocity."""
+
+    lane_names = LANES
+    est_waits = FleetEngine.est_waits
+
+    def __init__(self, waits):
+        shape = (len(waits), len(LANES))
+        queued = np.repeat(
+            np.array(waits, dtype=float)[:, None], len(LANES), axis=1
+        )
+        self.serving = types.SimpleNamespace(
+            queued=queued, active_sum=np.zeros(shape)
+        )
+        self.velocity = np.ones(shape)
+        self.wait_floor = np.zeros(shape)
+
+
 class _FlatNode:
     """A node with exact, hand-set routing signals for boundary tests."""
 
@@ -175,15 +201,22 @@ class _FlatNode:
 
     config = _Config()
 
-    def __init__(self, index, wait_s=0.0):
-        self.index = index
-        self._wait_s = wait_s
+    def __init__(self, engine, row):
+        self.index = row
+        self.engine = self._engine = engine
+        self._row = row
 
     def nominal_rate(self, lane):
         return 1.0
 
     def est_wait_s(self, lane):
-        return self._wait_s
+        return self._engine.serving.queued.item(self._row, 0)
+
+
+def _flat_nodes(*waits):
+    """One :class:`_FlatNode` per wait, all rows of one stub engine."""
+    engine = _FlatEngine(waits)
+    return [_FlatNode(engine, row) for row in range(len(waits))]
 
 
 class TestRouterEdgeCases:
@@ -215,7 +248,7 @@ class TestRouterEdgeCases:
     def test_least_loaded_tie_breaks_to_lowest_index(self):
         # Equal estimated waits everywhere: position 0 must win — the
         # strict < in the argmin scan, not an accident of float noise.
-        nodes = Candidates([_FlatNode(i, wait_s=0.25) for i in range(4)])
+        nodes = Candidates(_flat_nodes(0.25, 0.25, 0.25, 0.25))
         router = make_router("least-loaded")
         assert router.route(_request(0), nodes, 0.0) == (0, "base")
 
@@ -228,7 +261,7 @@ class TestRouterEdgeCases:
         # ulp above promotes to hot.
         router = ROUTERS["deadline-risk"](margin=0.6)
         threshold = 0.6 * 0.5
-        nodes = Candidates([_FlatNode(0), _FlatNode(1)])
+        nodes = Candidates(_flat_nodes(0.0, 0.0))
         at_margin = _request(0, units=threshold, budget=0.5)
         assert router.route(at_margin, nodes, 0.0) == (0, "base")
         over = _request(1, units=math.nextafter(threshold, 1.0), budget=0.5)
@@ -252,7 +285,7 @@ class TestCandidates:
     """The per-tick wait vectors must equal a fresh scan at every step."""
 
     def test_is_a_sequence_of_nodes(self):
-        nodes = [_FlatNode(i) for i in range(3)]
+        nodes = _flat_nodes(0.0, 0.0, 0.0)
         candidates = Candidates(nodes)
         assert len(candidates) == 3
         assert candidates[2] is nodes[2]
@@ -264,6 +297,7 @@ class TestCandidates:
     def test_argmin_and_refresh_match_a_fresh_scan(self, config, seed):
         rng = random.Random(seed)
         nodes = [FleetNode(i, config) for i in range(5)]
+        engine = FleetEngine(nodes)
         request_index = 0
         ties = 0
         for _ in range(3):  # routing phases, with node steps between
@@ -290,15 +324,74 @@ class TestCandidates:
                         assert candidates.wait_s(i, check_lane) == (
                             node.est_wait_s(check_lane)
                         )
-            for node in nodes:
-                node.step()
+            engine.step()
         assert ties > 0
 
+    def test_wait_vectors_equal_scalar_waits_after_enqueues(self, config):
+        nodes = [FleetNode(i, config) for i in range(4)]
+        engine = FleetEngine(nodes)
+        rng = random.Random(5)
+        for index in range(60):
+            lane = rng.choice(LANES)
+            nodes[rng.randrange(4)].enqueue(
+                _request(index, units=rng.uniform(0.01, 0.4)), lane
+            )
+            if index % 7 == 6:
+                engine.step()
+            candidates = Candidates(nodes)
+            for lane in LANES:
+                assert candidates.waits(lane) == [
+                    node.est_wait_s(lane) for node in nodes
+                ]
+
+    def test_candidates_of_two_engines_are_refused(self, config):
+        # Each standalone node steps in a one-row engine of its own: one
+        # gather cannot read both.
+        candidates = Candidates([FleetNode(i, config) for i in range(2)])
+        with pytest.raises(SimulationError):
+            candidates.waits("base")
+
+    def test_wait_vectors_equal_scalar_waits_under_chaos(self, monkeypatch):
+        # Every vector the cluster reads, over routable subsets of a
+        # chaotic run and after reboots into old rows, equals a fresh
+        # scalar scan — cached entries refreshed by enqueues included.
+        seen = {"vectors": 0, "subsets": 0, "rebooted": 0}
+
+        class Checked(Candidates):
+            def waits(self, lane):
+                waits = super().waits(lane)
+                assert waits == [node.est_wait_s(lane) for node in self]
+                seen["vectors"] += 1
+                seen["subsets"] += len(self) < config.nodes
+                seen["rebooted"] += any(node.epoch_s > 0 for node in self)
+                return waits
+
+        monkeypatch.setattr(cluster_module, "Candidates", Checked)
+        config = FleetConfig(
+            nodes=8,
+            requests=600,
+            seed=4,
+            trace="burst",
+            chaos=FleetFaultConfig(
+                seed=4,
+                node_hang_rate=0.02,
+                node_slowdown_rate=0.02,
+                schedule=crash_wave(8, 0.25, at_s=0.5),
+            ),
+            resilience=ResilienceConfig(
+                attempt_timeout_s=1.0,
+                hedge_fraction=0.6,
+                brownout_queue_depth=2.0,
+            ),
+        )
+        result = FleetCluster(config).run()
+        assert result.resilience["restarts"] > 0
+        assert seen["vectors"] > 100
+        assert seen["subsets"] > 0
+        assert seen["rebooted"] > 0
+
     def test_argmin_skip_leaves_one_position_out(self):
-        nodes = [
-            _FlatNode(i, wait_s=w)
-            for i, w in enumerate((0.3, 0.1, 0.2, 0.1, 0.4))
-        ]
+        nodes = _flat_nodes(0.3, 0.1, 0.2, 0.1, 0.4)
         candidates = Candidates(nodes)
         before = list(candidates.waits("base"))
         for skip in range(len(nodes)):
@@ -311,6 +404,6 @@ class TestCandidates:
         assert candidates.argmin("base") == 1
         assert candidates.waits("base") == before
         # A one-node set has no alternate to hedge to.
-        single = Candidates([_FlatNode(0, wait_s=0.2)])
+        single = Candidates(_flat_nodes(0.2))
         assert single.argmin("base", skip=0) is None
         assert single.waits("base") == [0.2]

@@ -24,15 +24,18 @@ from repro.core.search import get_next_sys_state
 from repro.core.state import SystemState, from_indices, max_state
 from repro.errors import EstimationError
 from repro.experiments.runner import RunConfig, run
+from repro.extensions.escape import full_space
 from repro.guardrails.layer import BudgetVeto
 from repro.heartbeats.targets import PerformanceTarget
 from repro.kernel.batchplan import (
+    BOX_MEMO_CELLS,
     PlanRequest,
     PlanService,
     StateSpaceTensor,
     batch_next_sys_state,
 )
 from repro.kernel.estimation import EstimationLayer
+from repro.mphars.freeze import StateDecision
 from repro.mphars.manager import PartitionFilter
 from repro.platform.cluster import BIG, LITTLE
 from repro.platform.spec import odroid_xu3
@@ -403,6 +406,125 @@ class TestTensorInvalidation:
         manager.power_estimator = POWER
         assert _same_tensor(layer.tensor(SPEC, 8), stale)
         assert layer.stats()["tensor_builds"] == 3
+
+
+def _edge_state(rng):
+    """A state with every axis at its bottom, its top or one step in:
+    sweeps from it clamp at the state-space edges."""
+    tops = (
+        SPEC.big.n_cores,
+        SPEC.little.n_cores,
+        len(SPEC.big.frequencies_mhz) - 1,
+        len(SPEC.little.frequencies_mhz) - 1,
+    )
+    while True:
+        indices = [rng.choice((0, 1, top - 1, top)) for top in tops]
+        if indices[0] + indices[1] > 0:
+            return from_indices(SPEC, *indices)
+
+
+class TestBoxMemo:
+    """A plan from a tensor's memoized boxes equals a cold one: the same
+    state and every ``SearchResult`` counter, with each call's own
+    ``current`` reaching the filters."""
+
+    SPACES = SPACES + (full_space(SPEC),)
+
+    @staticmethod
+    def _layer(n_threads):
+        """A layer planning on a freshly built tensor: an empty memo."""
+        layer = EstimationLayer(PERF, POWER)
+        tensor = StateSpaceTensor.build(SPEC, n_threads, PERF, POWER)
+        layer._tensors[(SPEC.name, n_threads)] = tensor
+        return layer, tensor
+
+    def _scenarios(self, rng, layer, n_threads):
+        for _ in range(60):
+            current = _edge_state(rng) if rng.random() < 0.6 else (
+                random_state(rng)
+            )
+            decisions = {
+                BIG: rng.choice(list(StateDecision) + [None]),
+                LITTLE: rng.choice(list(StateDecision) + [None]),
+            }
+            estimate = layer.perf.estimate(current, n_threads)
+            yield dict(
+                current=current,
+                observed_rate=rng.uniform(0.1, 50.0),
+                n_threads=n_threads,
+                target=random_target(rng),
+                space=rng.choice(self.SPACES),
+                candidate_filter=rng.choice(
+                    (
+                        None,
+                        PartitionFilter(
+                            rng.randint(0, SPEC.big.n_cores),
+                            rng.randint(0, SPEC.little.n_cores),
+                            decisions,
+                        ),
+                    )
+                ),
+                guard_filter=rng.choice(
+                    (
+                        None,
+                        BudgetVeto(
+                            layer,
+                            n_threads,
+                            rng.uniform(0.5, 6.0),
+                            layer.power.estimate(current, estimate),
+                        ),
+                    )
+                ),
+            )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_memoized_plans_equal_cold_plans(self, seed):
+        rng = random.Random(3000 + seed)
+        n_threads = 8
+        warm, tensor = self._layer(n_threads)
+        largest = 0
+        for scenario in self._scenarios(rng, warm, n_threads):
+            cold, _ = self._layer(n_threads)
+            expected = batch_next_sys_state(
+                spec=SPEC, estimation=cold, **scenario
+            )
+            space = scenario["space"]
+            key = (scenario["current"].indices(SPEC), space.m, space.n, space.d)
+            got = batch_next_sys_state(spec=SPEC, estimation=warm, **scenario)
+            assert got == expected
+            entry = tensor.admissions[key]
+            # The repeat answers from the memo.
+            got = batch_next_sys_state(spec=SPEC, estimation=warm, **scenario)
+            assert got == expected
+            assert tensor.admissions[key] is entry
+            largest = max(largest, len(entry[0]))
+            cells = sum(map(len, tensor.boxes.values()))
+            assert cells < BOX_MEMO_CELLS + largest
+
+    def test_sweeps_that_clamp_alike_share_one_box(self):
+        layer, tensor = self._layer(4)
+        target = PerformanceTarget(min_rate=9.0, avg_rate=10.0, max_rate=11.0)
+        escape = full_space(SPEC)
+        rng = random.Random(7)
+        centres = {random_state(rng) for _ in range(12)}
+        for current in centres:
+            batch_next_sys_state(
+                spec=SPEC,
+                current=current,
+                observed_rate=5.0,
+                n_threads=4,
+                target=target,
+                space=escape,
+                estimation=layer,
+            )
+        # Every escape sweep spans the whole space: one box, and one
+        # admission per centre.
+        assert len(tensor.boxes) == 1
+        assert len(tensor.admissions) == len(centres)
+        (box,) = tensor.boxes.values()
+        assert box.current is None
+        with pytest.raises(ValueError):
+            box.power[0] = 0.0
 
 
 class TestPlanService:

@@ -9,7 +9,15 @@ from repro.telemetry import (
     Histogram,
     MetricsRegistry,
     Timer,
+    snapshot_to_csv,
+    snapshot_to_jsonl,
+    snapshot_to_prometheus,
 )
+
+
+class _Label(str):
+    """A ``str`` subclass: ``child`` never remembers it raw, so every
+    lookup canonicalizes — the oracle for remembered lookups."""
 
 
 class TestCounter:
@@ -37,6 +45,54 @@ class TestCounter:
     def test_child_is_cached_per_label_set(self):
         counter = Counter("c", "help")
         assert counter.child(a="1", b="2") is counter.child(b="2", a="1")
+
+    def test_keyword_order_reaches_one_series(self):
+        counter = Counter("c", "help")
+        counter.inc(lane="hot", app="search")
+        counter.inc(app="search", lane="hot")
+        counter.inc(lane="hot", app="search")
+        assert counter.value(app="search", lane="hot") == 3.0
+        assert len(counter) == 1
+
+    def test_equal_values_of_other_types_keep_their_series(self):
+        # 1 == 1.0 == True as dict keys, but they label "1", "1.0" and
+        # "True": a raw lookup must not merge them.
+        counter = Counter("c", "help")
+        counter.inc(node="1")
+        counter.inc(node=1)
+        counter.inc(node=1.0)
+        counter.inc(node=True)
+        counter.inc(node=["unhashable"])
+        values = {labels: child.value for labels, child in counter.series()}
+        assert values == {
+            (("node", "1"),): 2.0,
+            (("node", "1.0"),): 1.0,
+            (("node", "True"),): 1.0,
+            (("node", "['unhashable']"),): 1.0,
+        }
+
+    def test_remembered_lookups_export_the_same_bytes(self):
+        def fill(registry, label):
+            counter = registry.counter("routed_total", "by lane and app")
+            hist = registry.histogram("latency_seconds", "per node")
+            for i in range(40):
+                lane = label(("hot", "base")[i % 2])
+                app = label(f"app-{i % 3}")
+                if i % 3:
+                    counter.inc(lane=lane, app=app)
+                else:
+                    counter.inc(app=app, lane=lane)
+                hist.observe(i / 10, node=label(f"node-{i % 4}"))
+            return registry.snapshot()
+
+        remembered = fill(MetricsRegistry(), str)
+        canonical = fill(MetricsRegistry(), _Label)
+        for export in (
+            snapshot_to_jsonl,
+            snapshot_to_prometheus,
+            snapshot_to_csv,
+        ):
+            assert export(remembered) == export(canonical)
 
 
 class TestGauge:

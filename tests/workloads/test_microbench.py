@@ -3,10 +3,55 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.platform.machine import Machine
+from repro.platform.power import CoreActivity, PowerModel
+from repro.platform.sensor import PowerSensor
+from repro.platform.spec import odroid_xu3
 from repro.workloads.microbench import (
+    DEFAULT_DWELL_S,
+    DEFAULT_UTILIZATIONS,
+    PROFILE_TICK_S,
     MicrobenchWorkload,
+    ProfilePoint,
     profile_power,
 )
+
+
+def _per_tick_profile(spec):
+    """The sweep with the ground truth evaluated afresh on every tick:
+    the oracle for the one-reading-per-point sweep."""
+    model = PowerModel(spec)
+    points = []
+    for cluster in spec.clusters:
+        for freq in cluster.frequencies_mhz:
+            for cores_used in range(1, cluster.n_cores + 1):
+                for util in DEFAULT_UTILIZATIONS:
+                    machine = Machine(spec)
+                    for other in spec.clusters:
+                        machine.set_freq_mhz(other.name, other.min_freq_mhz)
+                    machine.set_freq_mhz(cluster.name, freq)
+                    activities = {
+                        core: CoreActivity(utilization=util, activity_factor=1.0)
+                        for core in cluster.core_ids[:cores_used]
+                    }
+                    sensor = PowerSensor()
+                    elapsed = 0.0
+                    while elapsed < DEFAULT_DWELL_S:
+                        sensor.record(
+                            PROFILE_TICK_S,
+                            model.platform_power(machine, activities),
+                        )
+                        elapsed += PROFILE_TICK_S
+                    points.append(
+                        ProfilePoint(
+                            cluster=cluster.name,
+                            freq_mhz=freq,
+                            cores_used=cores_used,
+                            utilization=util,
+                            watts=sensor.best_average_w(cluster.name),
+                        )
+                    )
+    return points
 
 
 class TestMicrobenchWorkload:
@@ -64,6 +109,11 @@ class TestProfilePower:
             small_spec, utilizations=(1.0,), dwell_s=0.6
         ):
             assert point.watts > 0
+
+    def test_one_reading_per_point_equals_per_tick_evaluation(self):
+        # Exact equality: calibration fits on these floats.
+        spec = odroid_xu3()
+        assert profile_power(spec) == _per_tick_profile(spec)
 
     def test_invalid_parameters_rejected(self, small_spec):
         with pytest.raises(ConfigurationError):
