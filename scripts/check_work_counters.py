@@ -14,9 +14,12 @@ nodes — the single-board GTS scans, which a needlessly strict
 placement proof multiplies without changing any output, the vector
 planner's candidate-box builds, which a lost box memo would raise to
 one per plan, the ACP client's Unix-socket connections, which a
-connection per request would multiply by the RPC count, and the ACP
+connection per request would multiply by the RPC count, the ACP
 session's encodes of a power reading, which encoding every sensor event
-afresh would multiply (125 to 2,815 per journey at the gate's size).
+afresh would multiply (125 to 2,815 per journey at the gate's size),
+and the fleet resilience layer's per-node calls — velocity-factor sets
+and supervisor observations — which a chaos or post-step loop over
+every node would raise to one per node and tick.
 Boxes are memoized on the process-wide state-space tensors, so each
 measurement starts from an empty tensor memo: its box builds are then
 its own journeys' distinct boxes, whatever ran before it.
@@ -79,6 +82,18 @@ COUNTED_CALLS = (
         "CandidateBox",
         "__init__",
         "kernel.box_build.calls",
+    ),
+    (
+        "repro.fleet.node",
+        "FleetNode",
+        "set_velocity_factor",
+        "fleet.chaos.velocity_set.calls",
+    ),
+    (
+        "repro.fleet.supervisor",
+        "FleetSupervisor",
+        "observe",
+        "fleet.supervise.observe.calls",
     ),
     ("repro.acp.client", "UnixTransport", "_connect", "acp.connect.calls"),
     (
@@ -146,9 +161,11 @@ def measure_counts(workload: str, probe: "speed.SpeedProbe") -> Dict[str, float]
         if name.endswith(".calls")
     }
     # Every journey of a run, traced or not, is the same seeded journey.
+    # A count of zero is recorded too: work that an event-driven path
+    # skips entirely must stay skipped.
     journey_count = detail["journeys"] + detail["untraced_journeys"]
-    for name, total in own_counts.items():
-        counts[name] = total / journey_count
+    for *_, name in COUNTED_CALLS:
+        counts[name] = own_counts[name] / journey_count
     if workload == "acp_control":
         counts.update(replay_acp_drive())
     return counts

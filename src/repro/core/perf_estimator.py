@@ -116,8 +116,9 @@ def tabulate_performance(spec, n_threads: int, estimate) -> dict:
     """Sweep ``estimate`` over the full state grid into dense arrays.
 
     Returns float64/int64/bool numpy arrays indexed
-    ``[c_big, c_little, i_fb, i_fl]``: ``capacity``, ``used_big``,
-    ``used_little``, ``util_big``, ``util_little`` and a ``valid`` mask
+    ``[c_big, c_little, i_fb, i_fl]``: ``capacity``, the assignment's
+    ``t_big``/``t_little``/``used_big``/``used_little``, ``util_big``,
+    ``util_little`` and a ``valid`` mask
     (False where the model raised :class:`EstimationError`, and on the
     zero-core row, which is not a legal state).  Every cell is the
     estimator's own scalar output, so downstream consumers see
@@ -134,6 +135,8 @@ def tabulate_performance(spec, n_threads: int, estimate) -> dict:
         len(little_freqs),
     )
     capacity = np.full(shape, np.nan)
+    t_big = np.zeros(shape, dtype=np.int64)
+    t_little = np.zeros(shape, dtype=np.int64)
     used_big = np.zeros(shape, dtype=np.int64)
     used_little = np.zeros(shape, dtype=np.int64)
     util_big = np.full(shape, np.nan)
@@ -151,6 +154,8 @@ def tabulate_performance(spec, n_threads: int, estimate) -> dict:
                     except EstimationError:
                         continue
                     capacity[cb, cl, ifb, ifl] = result.capacity
+                    t_big[cb, cl, ifb, ifl] = result.assignment.t_big
+                    t_little[cb, cl, ifb, ifl] = result.assignment.t_little
                     used_big[cb, cl, ifb, ifl] = result.assignment.used_big
                     used_little[cb, cl, ifb, ifl] = (
                         result.assignment.used_little
@@ -160,6 +165,8 @@ def tabulate_performance(spec, n_threads: int, estimate) -> dict:
                     valid[cb, cl, ifb, ifl] = True
     return {
         "capacity": capacity,
+        "t_big": t_big,
+        "t_little": t_little,
         "used_big": used_big,
         "used_little": used_little,
         "util_big": util_big,

@@ -16,9 +16,17 @@ FleetNode` simulations in lock-step ticks.  Each tick:
 4. completions are harvested in node-id order and aggregated into the
    fleet-wide SLO accounting and the telemetry registry (first
    completion wins for hedged requests; losers are cancelled);
-5. the supervisor inspects every node post-step: crashed nodes go DOWN
+5. the supervisor inspects the nodes post-step: crashed nodes go DOWN
    (stranded requests re-queued to survivors under failover, lost
    outright without it) and stalled nodes escalate one health state.
+
+The resilience layer's per-tick work is event-driven: a node is visited
+only when its state can change.  Chaos episodes are compiled into one
+heap of boundary times, crashes into one array of each node's next
+crash time, and the supervisor keeps its stepping mask and DOWN and
+PROBATION sets up to date on every transition; post-step, every node
+that progressed or holds nothing is reset in bulk (see
+``docs/modelling.md`` §16).
 
 Because nodes share no simulation state, routing always precedes
 stepping, and every resilience decision happens in the route or
@@ -44,6 +52,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.fleet.chaos import (
@@ -202,6 +212,24 @@ class FleetCluster:
             deque(e.at_s for e in timeline if e.kind == "node_crash")
             for timeline in self._timelines or ()
         ]
+        #: Per node, its next crash in its own clock
+        #: (``crashes[0] - epoch_s``), ``inf`` when none is left.
+        self._next_crash = np.array(
+            [crashes[0] if crashes else math.inf for crashes in self._crashes]
+        )
+        #: ``(time_s, node)`` for every start and end of a hang or
+        #: slowdown episode: the ticks at which a node's velocity factor
+        #: can change.
+        self._boundaries: List[Tuple[float, int]] = [
+            (time_s, node)
+            for node, timeline in enumerate(self._timelines or ())
+            for event in timeline
+            if event.kind != "node_crash"
+            for time_s in (event.at_s, event.at_s + event.duration_s)
+        ]
+        heapq.heapify(self._boundaries)
+        #: Nodes with at least one hang or slowdown episode.
+        self._episodic = {node for _, node in self._boundaries}
         self.nodes = [FleetNode(i, config) for i in range(config.nodes)]
         #: The structure-of-arrays engine stepping every node; row
         #: ``i`` is node ``i`` (a restarted node takes over its row).
@@ -282,7 +310,7 @@ class FleetCluster:
         self.admission = admission
         arrival_index = 0
         completed = 0
-        progressed: List[bool] = [False] * len(self.nodes)
+        progressed = np.zeros(len(self.nodes), dtype=bool)
         for tick in range(max_ticks):
             now_s = tick * config.tick_s
             tick_end_s = now_s + config.tick_s
@@ -297,10 +325,8 @@ class FleetCluster:
                 candidates = Candidates(sup.routable(self.nodes))
                 self._route_backlog(tick, now_s, candidates)
                 if admission is not None and candidates:
-                    depth = sum(
-                        node.queue_len("hot") + node.queue_len("base")
-                        for node in candidates
-                    ) / len(candidates)
+                    queued = self.engine.serving.qlen[candidates.rows]
+                    depth = int(queued.sum()) / len(candidates)
                     best_wait = min(candidates.waits("base"))
                     state = admission.update(depth, best_wait)
             else:
@@ -333,17 +359,14 @@ class FleetCluster:
                     self._track(request, node, lane, 1, False, now_s)
             del candidates
             # 2. Step every node row at once.
-            stepping = (
-                [sup.is_stepping(i) for i in range(len(self.nodes))]
-                if res_on
-                else None
-            )
-            per_node = self.engine.step(stepping)
+            per_node = self.engine.step(sup.stepping if res_on else None)
             self._clock_s += config.tick_s
             # 3. Aggregate in node-id order.
-            for node_index in range(len(self.nodes)):
-                completions = per_node[node_index]
-                progressed[node_index] = bool(completions)
+            progressed.fill(False)
+            for node_index, completions in enumerate(per_node):
+                if not completions:
+                    continue
+                progressed[node_index] = True
                 for completion in completions:
                     if res_on:
                         index = completion.request.index
@@ -422,35 +445,54 @@ class FleetCluster:
         hedge scan."""
         sup = self.supervisor
         res = self.resilience
-        for node_index in sup.restarts_due(now_s):
+        rebooted = sup.restarts_due(now_s)
+        for node_index in rebooted:
             self._restart_node(node_index, tick, now_s)
         sup.tick(now_s)
         if self.chaos is not None:
-            engine = self.engine
-            tick_s = self.config.tick_s
-            for node_index, node in enumerate(self.nodes):
-                if not sup.is_stepping(node_index):
-                    continue
-                node.set_velocity_factor(
-                    active_velocity_factor(
-                        self._timelines[node_index], now_s
-                    )
-                )
-                # A crash fires on the first tick of the node's own
-                # clock whose end passes it (node-local time: a reboot
-                # restarts the clock at zero).
-                crashes = self._crashes[node_index]
-                if not crashes:
-                    continue
-                tick_end = engine.now.item(node_index) + tick_s - _TIME_EPS
-                if crashes[0] - node.epoch_s < tick_end:
-                    while crashes and crashes[0] - node.epoch_s < tick_end:
-                        crashes.popleft()
-                    engine.crash(node_index)
+            self._apply_episodes(now_s, rebooted)
+            self._apply_crashes()
         if self._tracking and res.retry_enabled:
             self._expire_attempts(now_s)
         if self._tracking and res.hedge_enabled:
             self._scan_hedges(now_s)
+
+    def _apply_episodes(self, now_s: float, rebooted: List[int]) -> None:
+        """Set the velocity factor of every stepping node whose episodes
+        may have started or ended since the last tick, or that rebooted
+        (a fresh node runs at factor 1).  Between two boundaries no
+        episode's ``at_s <= now < at_s + duration_s`` changes, so every
+        other node keeps the factor it has."""
+        due = {node for node in rebooted if node in self._episodic}
+        boundaries = self._boundaries
+        while boundaries and boundaries[0][0] <= now_s:
+            due.add(heapq.heappop(boundaries)[1])
+        stepping = self.supervisor.stepping
+        for node_index in sorted(due):
+            if stepping[node_index]:
+                self.nodes[node_index].set_velocity_factor(
+                    active_velocity_factor(self._timelines[node_index], now_s)
+                )
+
+    def _apply_crashes(self) -> None:
+        """Crash every stepping node whose next crash falls inside its
+        tick, in node-id order.  A crash fires on the first tick of the
+        node's own clock whose end passes it (node-local time: a reboot
+        restarts the clock at zero)."""
+        engine = self.engine
+        tick_s = self.config.tick_s
+        tick_end = engine.now + tick_s - _TIME_EPS
+        due = self.supervisor.stepping & (self._next_crash < tick_end)
+        for node_index in np.flatnonzero(due).tolist():
+            crashes = self._crashes[node_index]
+            epoch_s = self.nodes[node_index].epoch_s
+            end = tick_end.item(node_index)
+            while crashes and crashes[0] - epoch_s < end:
+                crashes.popleft()
+            self._next_crash[node_index] = (
+                crashes[0] - epoch_s if crashes else math.inf
+            )
+            engine.crash(node_index)
 
     def _restart_node(self, node_index: int, tick: int, now_s: float) -> None:
         """Reboot one DOWN node as a fresh simulation (new epoch)."""
@@ -470,6 +512,9 @@ class FleetCluster:
         while crashes and crashes[0] < now_s:
             crashes.popleft()
         node = FleetNode(node_index, self.config, epoch_s=now_s)
+        self._next_crash[node_index] = (
+            crashes[0] - node.epoch_s if crashes else math.inf
+        )
         self.engine.replace(node_index, node)
         self.nodes[node_index] = node
         self.supervisor.on_restarted(node_index, now_s)
@@ -641,15 +686,30 @@ class FleetCluster:
                 self._hedge_cancel_counter.inc()
 
     def _post_step(
-        self, tick: int, now_s: float, progressed: List[bool]
+        self, tick: int, now_s: float, progressed: np.ndarray
     ) -> None:
-        """Detect crashes, escalate stalls, strand dead nodes' queues."""
+        """Detect crashes, escalate stalls, strand dead nodes' queues.
+
+        Only the stepped nodes (not DOWN or EVICTED) are inspected.
+        Crashed ones, whose every lane halted, go DOWN; the supervisor
+        triages the rest in bulk (:meth:`FleetSupervisor.triage`) and
+        :meth:`FleetSupervisor.observe` sees the nodes whose health can
+        change.  Both run one node at a time in node-id order, the
+        order of the ledger and of the re-queue.
+        """
         sup = self.supervisor
-        for node_index in range(len(self.nodes)):
-            if sup.health(node_index) in (NodeHealth.DOWN, NodeHealth.EVICTED):
-                continue
+        engine = self.engine
+        live = sup.stepping.copy()
+        if self.chaos is not None:
+            crashed = live & engine.halted.all(axis=1)
+            live &= ~crashed
+        else:
+            crashed = np.zeros_like(live)
+        pending = engine.serving.held()
+        observed = sup.triage(now_s, live, progressed, pending)
+        for node_index in np.flatnonzero(crashed | observed).tolist():
             node = self.nodes[node_index]
-            if self.chaos is not None and node.crashed:
+            if crashed[node_index]:
                 sup.on_crash(node_index, now_s)
                 self._crash_counter.inc(node=node.name)
                 if sup.health(node_index) is NodeHealth.EVICTED:
@@ -657,7 +717,10 @@ class FleetCluster:
                 self._strand(node, tick)
                 continue
             verdict = sup.observe(
-                node_index, now_s, progressed[node_index], node.pending
+                node_index,
+                now_s,
+                progressed.item(node_index),
+                pending.item(node_index),
             )
             if verdict is NodeHealth.EVICTED:
                 self._evict_counter.inc(node=node.name)

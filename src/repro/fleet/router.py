@@ -72,6 +72,19 @@ class Candidates:
     def __iter__(self) -> Iterator[FleetNode]:
         return iter(self._nodes)
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The candidates' rows in their engine, candidate order."""
+        if self._rows is None:
+            nodes = self._nodes
+            engine = nodes[0].engine
+            if any(node._engine is not engine for node in nodes):
+                raise SimulationError(
+                    "routing candidates span more than one engine"
+                )
+            self._rows = np.array([node._row for node in nodes])
+        return self._rows
+
     def waits(self, lane: str) -> List[float]:
         """Every candidate's estimated wait on ``lane``, candidate order.
 
@@ -79,15 +92,8 @@ class Candidates:
         """
         waits = self._waits.get(lane)
         if waits is None:
-            nodes = self._nodes
-            engine = nodes[0].engine
-            if self._rows is None:
-                if any(node._engine is not engine for node in nodes):
-                    raise SimulationError(
-                        "routing candidates span more than one engine"
-                    )
-                self._rows = np.array([node._row for node in nodes])
-            waits = self._waits[lane] = engine.est_waits(self._rows, lane)
+            engine = self._nodes[0].engine
+            waits = self._waits[lane] = engine.est_waits(self.rows, lane)
         return waits
 
     def wait_s(self, position: int, lane: str) -> float:

@@ -254,6 +254,10 @@ class ServingRows:
         rem[row, slot] = remaining
         used[row, slot] = spent
 
+    def held(self) -> np.ndarray:
+        """Per row, the requests queued or in service on any lane."""
+        return self.qlen.sum(axis=1) + (self.req >= 0).sum(axis=1)
+
     def sum_active(self) -> None:
         """Recompute :attr:`active_sum`: each lane's in-service remaining
         units summed in dispatch order, from 0.  Due after any

@@ -34,6 +34,17 @@ Supervisor` watches applications, with node-level states::
 Every transition lands in a ledger of ``(time, node, from, to,
 reason)`` rows, the audit trail the chaos tests and benchmark read.
 
+The per-tick queries read state kept by the transitions rather than
+scanning every record: :attr:`~FleetSupervisor.stepping` is the mask
+the fleet engine steps by, and the DOWN and PROBATION sets are all
+that :meth:`~FleetSupervisor.restarts_due` and
+:meth:`~FleetSupervisor.tick` visit.  The stall clocks (last progress
+and current rung) are arrays over the nodes, so the cluster's
+post-step pass resets every node that progressed, or holds nothing, in
+one :meth:`~FleetSupervisor.triage` call and runs
+:meth:`~FleetSupervisor.observe` only on nodes whose health can
+change.
+
 With ``failover=False`` the supervisor still tracks health (the
 eviction bookkeeping and counters stay meaningful) but ``routable``
 returns the full node list unchanged — the ablation arm of
@@ -44,7 +55,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fleet.chaos import RESTART_DELAY_S, FleetFaultConfig
@@ -80,6 +93,10 @@ STEPPING_STATES = (
     NodeHealth.QUARANTINED,
 )
 
+#: States in which a completion (or an empty queue) only restarts the
+#: stall clock: no transition, so the cluster resets them in bulk.
+SETTLED_STATES = (NodeHealth.HEALTHY, NodeHealth.PROBATION)
+
 #: Routing preference tiers, best first.
 _ROUTABLE_TIERS = (
     (NodeHealth.HEALTHY,),
@@ -90,18 +107,16 @@ _ROUTABLE_TIERS = (
 
 @dataclass
 class NodeRecord:
-    """Mutable supervision state of one node."""
+    """Mutable supervision state of one node (its stall clock lives in
+    the supervisor's :attr:`~FleetSupervisor.last_progress_s` and
+    :attr:`~FleetSupervisor.stall_rung` arrays)."""
 
     index: int
     health: NodeHealth = NodeHealth.HEALTHY
-    #: Cluster time of the last completion (or last idle observation).
-    last_progress_s: float = 0.0
     crashes: int = 0
     restarts_used: int = 0
     restart_due_s: Optional[float] = None
     probation_until_s: Optional[float] = None
-    #: Current stall-escalation rung (0 = none), advanced one per tick.
-    stall_rung: int = 0
 
 
 class FleetSupervisor:
@@ -118,6 +133,21 @@ class FleetSupervisor:
         self.config = config
         self.chaos = chaos
         self.records = [NodeRecord(i) for i in range(nodes)]
+        #: Per node, cluster time of the last completion (or last idle
+        #: observation), and the current stall-escalation rung (0 =
+        #: none), advanced one per tick.
+        self.last_progress_s = np.zeros(nodes)
+        self.stall_rung = np.zeros(nodes, dtype=np.int64)
+        #: Per node, whether its health is in :data:`STEPPING_STATES`
+        #: (the fleet engine's stepping mask) and in
+        #: :data:`SETTLED_STATES`; both kept by :meth:`_transition`.
+        self.stepping = np.ones(nodes, dtype=bool)
+        self.settled = np.ones(nodes, dtype=bool)
+        #: The nodes DOWN (reboot pending) and in PROBATION.
+        self._members: Dict[NodeHealth, Set[int]] = {
+            NodeHealth.DOWN: set(),
+            NodeHealth.PROBATION: set(),
+        }
         #: (time_s, node, from_state, to_state, reason) audit rows.
         self.ledger: List[Tuple[float, int, str, str, str]] = []
         self.crashes = 0
@@ -131,7 +161,7 @@ class FleetSupervisor:
 
     def is_stepping(self, index: int) -> bool:
         """Whether the node's simulation advances this tick."""
-        return self.records[index].health in STEPPING_STATES
+        return bool(self.stepping[index])
 
     def routable(self, nodes: Sequence[FleetNode]) -> List[FleetNode]:
         """The nodes routers may pick from, best health tier first.
@@ -160,22 +190,18 @@ class FleetSupervisor:
 
     def restarts_due(self, now_s: float) -> List[int]:
         """Nodes whose reboot lands at or before ``now``, id order."""
-        return [
-            record.index
-            for record in self.records
-            if record.health is NodeHealth.DOWN
-            and record.restart_due_s is not None
-            and record.restart_due_s <= now_s + _TIME_EPS
-        ]
+        records = self.records
+        return sorted(
+            index
+            for index in self._members[NodeHealth.DOWN]
+            if records[index].restart_due_s <= now_s + _TIME_EPS
+        )
 
     def tick(self, now_s: float) -> None:
         """Expire probation periods (call after restarts are applied)."""
-        for record in self.records:
-            if (
-                record.health is NodeHealth.PROBATION
-                and record.probation_until_s is not None
-                and now_s + _TIME_EPS >= record.probation_until_s
-            ):
+        for index in sorted(self._members[NodeHealth.PROBATION]):
+            record = self.records[index]
+            if now_s + _TIME_EPS >= record.probation_until_s:
                 self._transition(record, NodeHealth.HEALTHY, now_s, "probation-served")
                 record.probation_until_s = None
 
@@ -193,7 +219,7 @@ class FleetSupervisor:
             self.evictions += 1
             record.restart_due_s = None
             self._transition(record, NodeHealth.EVICTED, now_s, "crash-budget-spent")
-        record.stall_rung = 0
+        self.stall_rung[index] = 0
         return record.health
 
     def on_restarted(self, index: int, now_s: float) -> None:
@@ -201,8 +227,8 @@ class FleetSupervisor:
         record = self.records[index]
         record.restart_due_s = None
         record.probation_until_s = now_s + PROBATION_S
-        record.last_progress_s = now_s
-        record.stall_rung = 0
+        self.last_progress_s[index] = now_s
+        self.stall_rung[index] = 0
         self.restarts += 1
         self._transition(record, NodeHealth.PROBATION, now_s, "restart")
 
@@ -220,23 +246,23 @@ class FleetSupervisor:
         if record.health in (NodeHealth.DOWN, NodeHealth.EVICTED):
             return record.health
         if progressed or pending == 0:
-            record.last_progress_s = now_s
-            record.stall_rung = 0
+            self.last_progress_s[index] = now_s
+            self.stall_rung[index] = 0
             if record.health in (NodeHealth.DEGRADED, NodeHealth.QUARANTINED):
                 self._transition(record, NodeHealth.HEALTHY, now_s, "recovered")
             return record.health
         c = self.config
         rung = escalation_rung(
-            now_s - record.last_progress_s,
+            now_s - self.last_progress_s.item(index),
             c.stall_after_s,
             QUARANTINE_FACTOR,
             EVICT_FACTOR,
-            record.stall_rung,
+            self.stall_rung.item(index),
             _TIME_EPS,
         )
         if not rung:
             return record.health
-        record.stall_rung = rung
+        self.stall_rung[index] = rung
         if rung >= 3 and record.health is NodeHealth.QUARANTINED:
             self.evictions += 1
             self._transition(record, NodeHealth.EVICTED, now_s, "stall-evicted")
@@ -249,6 +275,32 @@ class FleetSupervisor:
             self._transition(record, NodeHealth.DEGRADED, now_s, "stall")
         return record.health
 
+    def triage(
+        self,
+        now_s: float,
+        live: np.ndarray,
+        progressed: np.ndarray,
+        pending: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`observe` over the ``live`` mask of nodes, in bulk where
+        it can be; returns the mask of nodes ``observe`` must still see.
+
+        A node in :data:`SETTLED_STATES` that progressed or holds
+        nothing takes ``observe``'s reset path here.  A stalled node
+        still under the first stall threshold is left alone: both
+        factors exceed 1, so :func:`escalation_rung` gives it rung 0
+        and ``observe`` would change nothing.  The caller passes every
+        returned node to ``observe``, in node-id order.
+        """
+        active = progressed | (pending == 0)
+        calm = live & self.settled & active
+        self.last_progress_s[calm] = now_s
+        self.stall_rung[calm] = 0
+        stalled = (now_s - self.last_progress_s) > (
+            self.config.stall_after_s + _TIME_EPS
+        )
+        return live & ~calm & (active | stalled)
+
     # -- internals --------------------------------------------------------
 
     def _transition(
@@ -256,7 +308,14 @@ class FleetSupervisor:
     ) -> None:
         if record.health is to:
             return
-        self.ledger.append(
-            (now_s, record.index, record.health.value, to.value, reason)
-        )
+        index = record.index
+        self.ledger.append((now_s, index, record.health.value, to.value, reason))
+        members = self._members.get(record.health)
+        if members is not None:
+            members.discard(index)
+        members = self._members.get(to)
+        if members is not None:
+            members.add(index)
+        self.stepping[index] = to in STEPPING_STATES
+        self.settled[index] = to in SETTLED_STATES
         record.health = to

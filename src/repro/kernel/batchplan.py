@@ -42,10 +42,13 @@ every input.  Three properties make this exact rather than approximate:
    candidate more than ``(N+4)·1e-9`` below ``PM`` loses outright; the
    margin dwarfs float rounding by six orders of magnitude.
 
-The winner is then re-evaluated through the scalar
-:func:`~repro.core.search.evaluate_state` (via the memoizing estimation
-layer), so the returned :class:`~repro.core.search.EvaluatedState` is
-the very object the scalar path would have produced.
+The winner's :class:`~repro.core.search.EvaluatedState` is assembled
+from values the sweep already holds — its rate, normalized performance
+and feasibility from the sweep's arrays, its estimate and power from
+tensor cells — each bit-equal to what the scalar
+:func:`~repro.core.search.evaluate_state` returns.  The estimation
+layer's memos still see evaluate_state's lookups, so their contents and
+hit/miss counts are those of the scalar path (:func:`_evaluated_winner`).
 
 **Filter protocol.**  Structural and guardrail filters are
 ``(candidate, current) -> bool`` callables for the scalar oracle that
@@ -72,8 +75,9 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.perf_estimator import tabulate_performance
-from repro.core.search import SearchResult, evaluate_state
+from repro.core.assignment import ThreadAssignment
+from repro.core.perf_estimator import PerformanceEstimate, tabulate_performance
+from repro.core.search import EvaluatedState, SearchResult, evaluate_state
 from repro.core.state import SystemState, _clamped_range, from_indices
 from repro.errors import ConfigurationError, EstimationError
 from repro.heartbeats.targets import PerformanceTarget
@@ -97,11 +101,11 @@ class StateSpaceTensor:
     """Dense per-model tensors over the full ``(C_B, C_L, i_fB, i_fL)`` grid.
 
     ``capacity``/``util_big``/``util_little`` come from the performance
-    model (NaN where it fails), ``used_big``/``used_little`` from the
-    thread assignment, ``power`` from the power model (NaN where either
-    model fails), ``perf_valid``/``valid`` are the failure masks.  The
-    tensor belongs to one ``(performance model, power model, n_threads)``
-    triple and is read-only once built, so every
+    model (NaN where it fails), ``t_big``/``t_little``/``used_big``/
+    ``used_little`` from the thread assignment, ``power`` from the power
+    model (NaN where either model fails), ``perf_valid``/``valid`` are
+    the failure masks.  The tensor belongs to one ``(performance model,
+    power model, n_threads)`` triple and is read-only once built, so every
     :class:`~repro.kernel.estimation.EstimationLayer` holding equal
     models may share it; a layer drops its reference whenever a model
     is swapped or invalidated.
@@ -122,6 +126,8 @@ class StateSpaceTensor:
         "spec_name",
         "n_threads",
         "capacity",
+        "t_big",
+        "t_little",
         "used_big",
         "used_little",
         "util_big",
@@ -140,6 +146,8 @@ class StateSpaceTensor:
         spec_name: str,
         n_threads: int,
         capacity: np.ndarray,
+        t_big: np.ndarray,
+        t_little: np.ndarray,
         used_big: np.ndarray,
         used_little: np.ndarray,
         util_big: np.ndarray,
@@ -153,6 +161,8 @@ class StateSpaceTensor:
         self.spec_name = spec_name
         self.n_threads = n_threads
         self.capacity = capacity
+        self.t_big = t_big
+        self.t_little = t_little
         self.used_big = used_big
         self.used_little = used_little
         self.util_big = util_big
@@ -183,6 +193,8 @@ class StateSpaceTensor:
             spec_name=spec.name,
             n_threads=n_threads,
             capacity=tables["capacity"],
+            t_big=tables["t_big"],
+            t_little=tables["t_little"],
             used_big=tables["used_big"],
             used_little=tables["used_little"],
             util_big=tables["util_big"],
@@ -194,6 +206,22 @@ class StateSpaceTensor:
             little_freqs=np.asarray(
                 spec.little.frequencies_mhz, dtype=np.int64
             ),
+        )
+
+    def estimate_at(self, cell: tuple) -> PerformanceEstimate:
+        """The performance model's estimate at a valid ``cell``,
+        rebuilt from the planes: equal, field for field, to the one the
+        model returned when the tensor was tabulated."""
+        return PerformanceEstimate(
+            assignment=ThreadAssignment(
+                t_big=self.t_big.item(cell),
+                t_little=self.t_little.item(cell),
+                used_big=self.used_big.item(cell),
+                used_little=self.used_little.item(cell),
+            ),
+            capacity=self.capacity.item(cell),
+            util_big=self.util_big.item(cell),
+            util_little=self.util_little.item(cell),
         )
 
 
@@ -399,17 +427,19 @@ def batch_next_sys_state(
     ppw = norm_perf / box.power[idxs]
     feasible = est_rate >= target.min_rate
     if feasible.any():
-        winner = int(idxs[int(np.argmax(np.where(feasible, ppw, -np.inf)))])
+        pick = int(np.argmax(np.where(feasible, ppw, -np.inf)))
     else:
-        winner = int(idxs[_banded_argbest(est_rate, ppw)])
-    best = evaluate_state(
-        box.state_at(winner),
-        current,
-        observed_rate,
+        pick = _banded_argbest(est_rate, ppw)
+    best = _evaluated_winner(
+        tensor,
+        box,
+        int(idxs[pick]),
+        centre,
         n_threads,
-        target,
-        estimation.perf,
-        estimation.power,
+        estimation,
+        est_rate.item(pick),
+        norm_perf.item(pick),
+        feasible.item(pick),
     )
     return SearchResult(
         best=best,
@@ -417,6 +447,54 @@ def batch_next_sys_state(
         estimation_failures=estimation_failures,
         pruned=pruned,
         filtered=filtered,
+    )
+
+
+def _evaluated_winner(
+    tensor: StateSpaceTensor,
+    box: CandidateBox,
+    winner: int,
+    centre: tuple,
+    n_threads: int,
+    estimation: "EstimationLayer",
+    est_rate: float,
+    norm_perf: float,
+    feasible: bool,
+) -> EvaluatedState:
+    """``evaluate_state(box.state_at(winner), box.current, …)`` from the
+    sweep's own values (``centre`` holds the current state's indices).
+
+    Rate, normalized performance and feasibility are the sweep's floats
+    at the winner, computed by evaluate_state's expressions; estimate and
+    power are tensor cells, the models' own values (module docstring,
+    property 1).  The layer's memos see the lookups evaluate_state makes,
+    in its order: the candidate's estimate twice (the rate transfer's
+    second lookup always hits), the current state's, then the
+    candidate's power.  A miss stores the tensor's value instead of
+    running the model again, so the memos' contents and hit/miss counts
+    are the scalar path's.
+    """
+    state = box.state_at(winner)
+    cell = (
+        box.c_big.item(winner),
+        box.c_little.item(winner),
+        box.i_fb.item(winner),
+        box.i_fl.item(winner),
+    )
+    perf = estimation.perf
+    estimate = perf.estimate_tabled(state, n_threads, tensor, cell)
+    perf.hits += 1
+    perf.estimate_tabled(box.current, n_threads, tensor, centre)
+    est_power = estimation.power.estimate_tabled(
+        state, estimate, box.power.item(winner)
+    )
+    return EvaluatedState(
+        state=state,
+        estimate=estimate,
+        est_rate=est_rate,
+        norm_perf=norm_perf,
+        est_power=est_power,
+        _feasible=feasible,
     )
 
 

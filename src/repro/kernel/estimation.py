@@ -6,8 +6,10 @@ neighbourhoods, so the same ``(state, n_threads)`` estimates are
 recomputed over and over.  This layer memoizes them.
 
 Caching is *exact*: the wrappers store the object the inner estimator
-returned, so a cached lookup yields bit-identical floats to an uncached
-call — determinism of every experiment metric is preserved.  The one
+returned (or, for the vector planner's winner, an equal one rebuilt
+from the state-space tensor the inner estimator tabulated), so a cached
+lookup yields bit-identical floats to an uncached call — determinism of
+every experiment metric is preserved.  The one
 reformulation is ``estimate_rate``, which is recomputed from the two
 cached capacities with the same expression the inner estimator uses
 (``observed · cap_candidate / cap_current``), again bit-identical.
@@ -104,6 +106,21 @@ class CachedPerformanceEstimator:
         self._cache[key] = result
         return result
 
+    def estimate_tabled(
+        self, state: SystemState, n_threads: int, tensor: Any, cell: tuple
+    ) -> PerformanceEstimate:
+        """:meth:`estimate` of a state that ``tensor`` (this layer's,
+        for ``n_threads``) holds at ``cell``: a miss stores the estimate
+        rebuilt from the tensor's planes instead of running the model."""
+        key = (state, n_threads)
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        result = self._cache[key] = tensor.estimate_at(cell)
+        return result
+
     def estimate_rate(
         self,
         candidate: SystemState,
@@ -155,6 +172,26 @@ class CachedPowerEstimator:
         result = self.inner.estimate(state, perf)
         self._cache[key] = result
         return result
+
+    def estimate_tabled(
+        self, state: SystemState, perf: PerformanceEstimate, power: float
+    ) -> float:
+        """:meth:`estimate` when the caller holds the model's value
+        already (a tensor cell): a miss stores ``power``."""
+        key = (
+            state,
+            perf.assignment.used_big,
+            perf.assignment.used_little,
+            perf.util_big,
+            perf.util_little,
+        )
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        self._cache[key] = power
+        return power
 
     def clear(self) -> None:
         self._cache.clear()

@@ -20,13 +20,17 @@ from repro.core.calibration import calibrate
 from repro.core.perf_estimator import PerformanceEstimator
 from repro.core.policy import SearchSpace
 from repro.core.power_estimator import PowerEstimator
-from repro.core.search import get_next_sys_state
+from repro.core.search import evaluate_state, get_next_sys_state
 from repro.core.state import SystemState, from_indices, max_state
 from repro.errors import EstimationError
 from repro.experiments.runner import RunConfig, run
 from repro.extensions.escape import full_space
+from repro.fleet import FleetConfig, FleetFaultConfig, ResilienceConfig
+from repro.fleet.chaos import crash_wave
+from repro.fleet.cluster import FleetCluster
 from repro.guardrails.layer import BudgetVeto
 from repro.heartbeats.targets import PerformanceTarget
+from repro.kernel import batchplan, mape
 from repro.kernel.batchplan import (
     BOX_MEMO_CELLS,
     PlanRequest,
@@ -34,12 +38,22 @@ from repro.kernel.batchplan import (
     StateSpaceTensor,
     batch_next_sys_state,
 )
-from repro.kernel.estimation import EstimationLayer
+from repro.kernel.estimation import (
+    CachedPerformanceEstimator,
+    CachedPowerEstimator,
+    EstimationLayer,
+)
 from repro.mphars.freeze import StateDecision
 from repro.mphars.manager import PartitionFilter
 from repro.platform.cluster import BIG, LITTLE
 from repro.platform.spec import odroid_xu3
-from tests.golden import GOLDEN_RUNS, SINGLE_SHAPE, load_golden, outcome_digest
+from tests.golden import (
+    FLEET_SERVING_CONFIG,
+    GOLDEN_RUNS,
+    SINGLE_SHAPE,
+    load_golden,
+    outcome_digest,
+)
 
 SPEC = odroid_xu3()
 POWER = calibrate(SPEC)
@@ -602,3 +616,91 @@ class TestEndToEndProfileParity:
         assert any(
             name.startswith("planner_batch_apps") for name, _ in flat
         )
+
+
+def _float_bits(value):
+    """``value`` with every float replaced by its exact hex form."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(_float_bits(v) for v in value)
+    return value
+
+
+#: The ``fleet_chaos`` benchmark journey at seed 1: 100 nodes, a 4000-
+#: request burst trace, every fault kind at 0.004 per node-second plus a
+#: crash wave of a tenth of the nodes at 1 s, retries, hedging and
+#: brownout admission.
+FLEET_CHAOS_JOURNEY = FleetConfig(
+    nodes=100,
+    requests=4000,
+    seed=1,
+    trace="burst",
+    chaos=FleetFaultConfig(
+        seed=1,
+        node_crash_rate=0.004,
+        node_hang_rate=0.004,
+        node_slowdown_rate=0.004,
+        schedule=crash_wave(100, 0.10, at_s=1.0),
+    ),
+    resilience=ResilienceConfig(
+        attempt_timeout_s=1.0, hedge_fraction=0.6, brownout_queue_depth=2.0
+    ),
+)
+
+
+class TestWinnerFromPlanes:
+    """The winner's EvaluatedState is assembled from the sweep's values
+    and tensor cells; on every plan of two fleet journeys it must equal,
+    bit for bit, what evaluate_state returns, and leave the layer's
+    memos exactly as evaluate_state's own lookups would have."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [FLEET_SERVING_CONFIG, FLEET_CHAOS_JOURNEY],
+        ids=["fleet_serving", "fleet_chaos"],
+    )
+    def test_every_plan_of_a_fleet_journey(self, monkeypatch, config):
+        plan = batchplan.batch_next_sys_state
+        plans = []
+
+        def checked(**kwargs):
+            layer = kwargs["estimation"]
+            # evaluate_state's lookups, replayed on copies of the memos.
+            perf = CachedPerformanceEstimator(layer.perf.inner)
+            power = CachedPowerEstimator(layer.power.inner)
+            for shadow, memo in ((perf, layer.perf), (power, layer.power)):
+                shadow._cache = dict(memo._cache)
+                shadow.hits, shadow.misses = memo.hits, memo.misses
+            result = plan(**kwargs)
+            if result.forced_fallback:
+                return result
+            args = (
+                result.best.state,
+                kwargs["current"],
+                kwargs["observed_rate"],
+                kwargs["n_threads"],
+                kwargs["target"],
+            )
+            expected = evaluate_state(*args, perf, power)
+            assert _float_bits(dataclasses.astuple(result.best)) == (
+                _float_bits(dataclasses.astuple(expected))
+            )
+            for shadow, memo in ((perf, layer.perf), (power, layer.power)):
+                assert (shadow.hits, shadow.misses) == (memo.hits, memo.misses)
+                assert shadow._cache == memo._cache
+            # And the model's own values, bypassing every memo.
+            direct = evaluate_state(
+                *args, layer.perf.inner, layer.power.inner
+            )
+            assert _float_bits(dataclasses.astuple(result.best)) == (
+                _float_bits(dataclasses.astuple(direct))
+            )
+            plans.append(result)
+            return result
+
+        monkeypatch.setattr(batchplan, "batch_next_sys_state", checked)
+        monkeypatch.setattr(mape, "batch_next_sys_state", checked)
+        FleetCluster(config).run()
+        assert len(plans) > 300
+        assert any(not p.best.feasible for p in plans)
