@@ -42,6 +42,7 @@ from repro.fleet.supervisor import (
     NodeHealth,
 )
 from tests.golden import (
+    FLEET_CHAOS_CONFIG,
     FLEET_CRASH_REBOOT_CRASH_CONFIG,
     FLEET_HANG_LADDER_CONFIG,
     load_golden,
@@ -327,6 +328,15 @@ class TestAgainstPerNodeRules:
         assert result.resilience["demoted"] > 0
         assert len(probe.velocity_sets) > 0
         assert probe.depth_checks > 0
+
+    def test_fleet_chaos_journey(self, monkeypatch):
+        """The benchmark's own chaotic journey, every tick of it."""
+        cluster, probe, result = _probed_run(FLEET_CHAOS_CONFIG, monkeypatch)
+        assert result.completed == FLEET_CHAOS_CONFIG.requests
+        assert probe.crash_ticks and probe.velocity_sets
+        # Few nodes have an episode inside the journey: the per-node
+        # loop set a factor on every stepping node every tick.
+        assert len(probe.velocity_sets) * 100 < probe.factor_checks
 
     @pytest.mark.parametrize(
         "name, config",

@@ -199,6 +199,27 @@ FLEET_HANG_LADDER_CONFIG = FleetConfig(
 #: request Poisson trace, deadline-risk routing, no chaos.
 FLEET_SERVING_CONFIG = FleetConfig(nodes=100, requests=4000, seed=1)
 
+#: The ``fleet_chaos`` benchmark journey at seed 1: the same fleet on a
+#: 4000-request burst trace, every fault kind at 0.004 per node-second
+#: plus a crash wave of a tenth of the nodes at 1 s, retries, hedging
+#: and brownout admission.
+FLEET_CHAOS_CONFIG = FleetConfig(
+    nodes=100,
+    requests=4000,
+    seed=1,
+    trace="burst",
+    chaos=FleetFaultConfig(
+        seed=1,
+        node_crash_rate=0.004,
+        node_hang_rate=0.004,
+        node_slowdown_rate=0.004,
+        schedule=crash_wave(100, 0.10, at_s=1.0),
+    ),
+    resilience=ResilienceConfig(
+        attempt_timeout_s=1.0, hedge_fraction=0.6, brownout_queue_depth=2.0
+    ),
+)
+
 #: A chaos fleet with three threads per lane, so threads share cores
 #: and a lane's backlog sums three in-service requests in dispatch
 #: order: seeded crashes, hangs and slowdowns plus a crash wave, under

@@ -25,8 +25,6 @@ from repro.core.state import SystemState, from_indices, max_state
 from repro.errors import EstimationError
 from repro.experiments.runner import RunConfig, run
 from repro.extensions.escape import full_space
-from repro.fleet import FleetConfig, FleetFaultConfig, ResilienceConfig
-from repro.fleet.chaos import crash_wave
 from repro.fleet.cluster import FleetCluster
 from repro.guardrails.layer import BudgetVeto
 from repro.heartbeats.targets import PerformanceTarget
@@ -48,6 +46,7 @@ from repro.mphars.manager import PartitionFilter
 from repro.platform.cluster import BIG, LITTLE
 from repro.platform.spec import odroid_xu3
 from tests.golden import (
+    FLEET_CHAOS_CONFIG,
     FLEET_SERVING_CONFIG,
     GOLDEN_RUNS,
     SINGLE_SHAPE,
@@ -627,28 +626,6 @@ def _float_bits(value):
     return value
 
 
-#: The ``fleet_chaos`` benchmark journey at seed 1: 100 nodes, a 4000-
-#: request burst trace, every fault kind at 0.004 per node-second plus a
-#: crash wave of a tenth of the nodes at 1 s, retries, hedging and
-#: brownout admission.
-FLEET_CHAOS_JOURNEY = FleetConfig(
-    nodes=100,
-    requests=4000,
-    seed=1,
-    trace="burst",
-    chaos=FleetFaultConfig(
-        seed=1,
-        node_crash_rate=0.004,
-        node_hang_rate=0.004,
-        node_slowdown_rate=0.004,
-        schedule=crash_wave(100, 0.10, at_s=1.0),
-    ),
-    resilience=ResilienceConfig(
-        attempt_timeout_s=1.0, hedge_fraction=0.6, brownout_queue_depth=2.0
-    ),
-)
-
-
 class TestWinnerFromPlanes:
     """The winner's EvaluatedState is assembled from the sweep's values
     and tensor cells; on every plan of two fleet journeys it must equal,
@@ -657,7 +634,7 @@ class TestWinnerFromPlanes:
 
     @pytest.mark.parametrize(
         "config",
-        [FLEET_SERVING_CONFIG, FLEET_CHAOS_JOURNEY],
+        [FLEET_SERVING_CONFIG, FLEET_CHAOS_CONFIG],
         ids=["fleet_serving", "fleet_chaos"],
     )
     def test_every_plan_of_a_fleet_journey(self, monkeypatch, config):
