@@ -551,8 +551,14 @@ class FleetCluster:
                 )
 
     def _scan_hedges(self, now_s: float) -> None:
-        """Queue hedge twins for requests whose ETA threatens the deadline."""
+        """Queue hedge twins for requests whose ETA threatens the deadline.
+
+        The open attempts' waits are gathered per (engine, lane) in one
+        :meth:`FleetEngine.est_waits` call each, the floats
+        :meth:`FleetNode.est_wait_s` gives."""
         res = self.resilience
+        open_attempts = []
+        groups: Dict[tuple, List[int]] = {}
         for index in sorted(self._attempts):
             if index in self._hedged:
                 continue
@@ -560,8 +566,17 @@ class FleetCluster:
             if len(attempts) != 1:
                 continue
             (attempt,) = attempts.values()
+            key = (attempt.node.engine, attempt.lane)
+            groups.setdefault(key, []).append(len(open_attempts))
+            open_attempts.append((index, attempt))
+        waits = [0.0] * len(open_attempts)
+        for (engine, lane), positions in groups.items():
+            rows = np.array([open_attempts[p][1].node._row for p in positions])
+            for position, wait in zip(positions, engine.est_waits(rows, lane)):
+                waits[position] = wait
+        for (index, attempt), wait_s in zip(open_attempts, waits):
             request = attempt.request
-            eta_s = now_s + attempt.node.est_wait_s(attempt.lane)
+            eta_s = now_s + wait_s
             threshold_s = (
                 request.arrival_s + res.hedge_fraction * request.budget_s
             )

@@ -175,6 +175,24 @@ class GtsScheduler:
                 return placement
         return self._place_fresh(machine.core_ids(), sim.apps)
 
+    def steady_box(self, apps: list) -> Optional[list]:
+        """The proven box, per anchor row ``(thread, affinity, core, lo,
+        hi)``, while the live apps and every row's affinity object and
+        current core are the ones it was proven for, else ``None``.
+
+        While nothing but the loads moves, :meth:`place` returns the
+        anchor's placement exactly as long as each load stays inside its
+        row's ``[lo, hi]``: the engine checks only that on the ticks it
+        leaps (``docs/modelling.md`` §4).
+        """
+        box = self._box
+        if box is None or not self._same_apps(self._anchor[0], apps):
+            return None
+        for thread, affinity, core, _, _ in box:
+            if thread.affinity is not affinity or thread.current_core != core:
+                return None
+        return box
+
     # -- internals -----------------------------------------------------------
 
     @staticmethod

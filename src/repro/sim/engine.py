@@ -50,7 +50,13 @@ it can prove unchanged (``docs/modelling.md`` §4, §5 and §9):
   :class:`~repro.kernel.bus.PowerSample` subscribers get one read-only
   view per distinct reading, so they too can tell a repeat by identity;
 * the apps are scanned for finished ones only after an advance reports
-  ``done``.
+  ``done``;
+* :meth:`Simulation.run` leaps over the steady ticks after a replayed
+  one while no handler can run: each leapt tick checks ``until_s`` and
+  GTS's proven box, records the kept reading and applies the load
+  EWMA, and the models take the advances in one
+  :meth:`~repro.workloads.base.WorkloadModel.repeat` (``docs/modelling.md``
+  §4, "The steady run").  :meth:`Simulation.step` runs one full tick.
 
 Each key or proof covers every input of its value, so reuse cannot
 move a float.  Reused ``grants`` dicts go to the models again, which is
@@ -187,6 +193,9 @@ class Simulation:
         #: ``entry`` the app's ``(grants, rows)`` in the plan, then the
         #: tick arrays it left (see ``_execute_tick``).
         self._writeback_memo: Optional[tuple] = None
+        #: Whether the last tick adopted the write-back memo: the ticks
+        #: after it may be leapt (``_leap``).
+        self._replayed = False
         # Heartbeat delivery faults: beats whose *delivery* to the bus
         # is stalled or jittered, keyed by the tick they mature on.  The
         # app's log is written at emission time regardless — the fault
@@ -227,7 +236,8 @@ class Simulation:
         """Run until every app finishes (or ``until_s`` elapses).
 
         Returns the simulated time at exit.  Apps that never finish
-        (e.g. the microbenchmark) require ``until_s``.
+        (e.g. the microbenchmark) require ``until_s``.  Leaps over
+        steady ticks (:meth:`_leap`); the result is a :meth:`step` loop's.
         """
         if not self.apps:
             raise SimulationError("no applications registered")
@@ -242,6 +252,11 @@ class Simulation:
         while not self._all_done():
             if until_s is not None and self.clock.now_s >= until_s - 1e-9:
                 break
+            if self._replayed:
+                leapt = self._leap(until_s, MAX_TICKS - ticks)
+                if leapt:
+                    ticks += leapt
+                    continue
             self.step()
             ticks += 1
             if ticks > MAX_TICKS:
@@ -293,6 +308,76 @@ class Simulation:
         self.clock.advance(dt)
         self._ticked = True
         self._tick_index += 1
+
+    def _leap(self, until_s: Optional[float], limit: int) -> int:
+        """Run the steady ticks that follow a tick which adopted the
+        write-back memo, up to ``limit`` of them, and return how many
+        (``docs/modelling.md`` §4, "The steady run").
+
+        With no ``TickStart`` or ``PowerSample`` subscriber, no fault
+        injector, no delayed beat and no finish due, only a heartbeat
+        could run a handler, and the models count the ticks that emit
+        none.  So each of those ticks replays the memo: GTS returns its
+        anchor while every load stays in its proven box, the plan, the
+        arrays and the power reading repeat.  A leapt tick does only
+        what such a tick does that moves state: the ``until_s`` check,
+        the box check, ``sensor.record``, the load EWMA and the clock;
+        the models then take their advances in one :meth:`repeat` each.
+        """
+        self._replayed = False
+        handlers = self.bus._handlers
+        saved = self._writeback_memo
+        if (
+            handlers.get(TickStart)
+            or handlers.get(PowerSample)
+            or self.fault_injector is not None
+            or self._delayed_heartbeats
+            or self._finish_due
+            or len(saved[0]) != 1  # an app may advance twice a tick
+        ):
+            return 0
+        # The caller may have edited an input between two steps.
+        memo = self._plan_memo
+        if memo[1] != self.machine._freqs:
+            return 0
+        for app, factor in zip(self.apps, memo[2]):
+            if app.speed_factor != factor:
+                return 0
+        box = self.scheduler.steady_box(self.apps)
+        if box is None:
+            return 0
+        advanced = saved[0][0][1]
+        for app, entry, used in advanced:
+            limit = app.model.steady_ticks(entry[0], used, limit)
+            if not limit:
+                return 0
+
+        bounds = [(row[0], row[3], row[4]) for row in box]
+        loads = list(zip(self._slots, self._arr_demand))
+        decay = self._load_decay
+        gain = self._load_gain
+        watts = self._power_memo[3]
+        record = self.sensor.record
+        clock = self.clock
+        dt = self.tick_s
+        end = math.inf if until_s is None else until_s - 1e-9
+        leapt = 0
+        while leapt < limit and not clock.now_s >= end:
+            for thread, lo, hi in bounds:
+                if not lo <= thread.load <= hi:
+                    break
+            else:
+                record(dt, watts)
+                for thread, demand in loads:
+                    thread.load = thread.load * decay + demand * gain
+                clock.advance(dt)
+                leapt += 1
+                continue
+            break  # a load left its box: the next tick runs in full
+        self._tick_index += leapt
+        for app, entry, _ in advanced:
+            app.model.repeat(entry[0], leapt)
+        return leapt
 
     # -- internals ----------------------------------------------------------------
 
@@ -529,6 +614,7 @@ class Simulation:
         end_time = self.clock.now_s + dt
         rounds: List[Tuple[dict, List[tuple]]] = []
         beat = False
+        self._replayed = False
         if plan is None:
             hungry, touched = self._open_rounds(placement, dt)
             plan = self._grant_plan(hungry, self._arr_remaining)
@@ -544,6 +630,7 @@ class Simulation:
             if saved is not None and saved[0][0][0] is plan:
                 replayed = self._replay(saved, end_time)
                 if replayed is None:
+                    self._replayed = True
                     return touched
                 rounds, beat = replayed
             hungry, _ = self._open_rounds(placement, dt)

@@ -151,6 +151,27 @@ class WorkloadModel(abc.ABC):
         previous tick's.
         """
 
+    def steady_ticks(
+        self, grants: Dict[int, float], used: Dict[int, float], limit: int
+    ) -> int:
+        """How many of the coming advances on ``grants``, up to
+        ``limit``, would each consume exactly ``used`` (``==``), emit no
+        heartbeat, not finish, and leave :meth:`runnable_threads`
+        standing.  Pure: reads the model, changes nothing.
+
+        The engine leaps over that many ticks and hands the count to
+        :meth:`repeat` (``docs/modelling.md`` §4).  A model that cannot
+        tell returns 0, the default, and keeps the per-tick path.
+        """
+        return 0
+
+    def repeat(self, grants: Dict[int, float], n: int) -> None:
+        """Apply ``n`` advances on ``grants``, which :meth:`steady_ticks`
+        counted as steady, with the float operations those advances
+        would perform, in their order."""
+        for _ in range(n):
+            self.advance(grants)
+
     @abc.abstractmethod
     def is_done(self) -> bool:
         """Whether every work unit has been completed."""

@@ -18,12 +18,39 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.workloads.base import AdvanceResult, WorkloadModel, WorkloadTraits
 from repro.workloads.phases import WorkProfile
 
 #: Completion slack: a share below this many work units counts as done.
 _EPSILON = 1e-9
+
+#: Subtractions held back from a steady count estimated by division.
+#: ``k`` sequential subtractions round by less than ``(k + 3)·2⁻⁵³·left``
+#: in all (the 3 covers the division), below the ``2·grant`` held back
+#: while ``left/grant`` is under 10⁸; a longer run is cut far from its
+#: end by the engine's tick cap (2·10⁶).  :func:`_subtract` checks.
+_STEADY_MARGIN = 2
+
+
+def _steady_count(left: float, grant: float, limit: int) -> int:
+    """How many times, up to ``limit``, ``grant`` can be taken off
+    ``left`` one after another with every result above
+    :data:`_EPSILON`."""
+    if grant <= 0.0:
+        return limit
+    count = (left - _EPSILON) / grant - _STEADY_MARGIN
+    return limit if count >= limit else max(0, int(count))
+
+
+def _subtract(left: float, grant: float, n: int) -> float:
+    """``left`` less ``grant`` ``n`` times, one subtraction after
+    another as ``n`` advances take it; checks the count was steady."""
+    for _ in range(n):
+        left -= grant
+    if not left > _EPSILON:
+        raise SimulationError(f"steady run of {n} advances ran out of work")
+    return left
 
 
 class DataParallelWorkload(WorkloadModel):
@@ -129,6 +156,54 @@ class DataParallelWorkload(WorkloadModel):
         if not self._pass(consumed, remaining_grant):
             return AdvanceResult(consumed=consumed)
         return self._complete_units(consumed, remaining_grant)
+
+    def steady_ticks(
+        self, grants: Dict[int, float], used: Dict[int, float], limit: int
+    ) -> int:
+        """While a thread's work left (its share, or the serial work)
+        stays above :data:`_EPSILON` after its grant is taken off, its
+        advance consumes the grant and nothing else changes; a thread
+        with no grant or no share consumes 0.0 for good."""
+        if self._done:
+            return 0
+        if self._serial_remaining > _EPSILON:
+            grant = grants.get(0, 0.0)
+            expected = dict.fromkeys(grants, 0.0)
+            expected[0] = grant
+            if used != expected:
+                return 0
+            return _steady_count(self._serial_remaining, grant, limit)
+        if len(used) != len(grants):
+            return 0
+        shares = self._shares
+        active = False
+        for i, grant in grants.items():
+            share = shares[i]
+            if grant <= _EPSILON or share <= _EPSILON:
+                if used.get(i) != 0.0:
+                    return 0
+            elif used.get(i) != grant:
+                return 0
+            else:
+                limit = _steady_count(share, grant, limit)
+                if not limit:
+                    return 0
+                active = True
+        # With no share moving, whether the unit is complete is a scan
+        # away: leave that tick to the per-tick path.
+        return limit if active else 0
+
+    def repeat(self, grants: Dict[int, float], n: int) -> None:
+        if self._serial_remaining > _EPSILON:
+            self._serial_remaining = _subtract(
+                self._serial_remaining, grants.get(0, 0.0), n
+            )
+            return
+        shares = self._shares
+        for i, grant in grants.items():
+            share = shares[i]
+            if grant > _EPSILON and share > _EPSILON:
+                shares[i] = _subtract(share, grant, n)
 
     def _pass(
         self, consumed: Dict[int, float], remaining_grant: Dict[int, float]

@@ -364,10 +364,11 @@ def test_a_current_core_written_outside_place_is_seen():
 #: alone, 1,086 with a separate stretch proof (810 point proofs, 276
 #: stretch attempts), and 794 with the one box proof.
 def test_gts_rescans_only_when_its_proof_fails(monkeypatch):
-    counts = {"picks": 0, "proofs": 0, "ticks": 0}
+    counts = {"picks": 0, "proofs": 0}
     pick = GtsScheduler._pick_partitioned
     proves = GtsScheduler._proves
-    step = Simulation.step
+    init = Simulation.__init__
+    sims = []
 
     def counted_pick(self, *args):
         counts["picks"] += 1
@@ -377,21 +378,24 @@ def test_gts_rescans_only_when_its_proof_fails(monkeypatch):
         counts["proofs"] += 1
         return proves(self, *args)
 
-    def counted_step(self):
-        counts["ticks"] += 1
-        step(self)
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sims.append(self)
 
     monkeypatch.setattr(GtsScheduler, "_pick_partitioned", counted_pick)
     monkeypatch.setattr(GtsScheduler, "_proves", counted_proves)
-    monkeypatch.setattr(Simulation, "step", counted_step)
+    monkeypatch.setattr(Simulation, "__init__", tracked_init)
     clear_max_rate_cache()
     try:
         GOLDEN_RUNS["baseline-blackscholes-x40"]()
     finally:
         clear_max_rate_cache()
-    assert counts["ticks"] == 6670
-    assert counts["picks"] < 0.5 * counts["ticks"]
-    assert counts["proofs"] < 0.25 * counts["ticks"]
+    # Ticks from each simulation's own index: ``run`` leaps over steady
+    # ticks without calling ``step``.
+    ticks = sum(sim._tick_index for sim in sims)
+    assert ticks == 6670
+    assert counts["picks"] < 0.5 * ticks
+    assert counts["proofs"] < 0.25 * ticks
 
 
 # -- the stretch: loads moving toward repeated demands ------------------------
